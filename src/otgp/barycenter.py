@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import GridMismatch, NoConvergence, ValidationError
 from .measures import GaussianMeasure, GridDensity, validate_spd
-from .ot import GRID_DIAMETER_SQ, _psd_sqrt_batch, sqrtm_spd
+from .ot import _axis_log_kernel, _psd_sqrt_batch, sqrtm_spd
 
 
 @dataclass(frozen=True)
@@ -66,12 +66,6 @@ def gaussian_barycenter_measure(measures, weights=None, tol: float = 1e-9,
     return GaussianMeasure(mean, report.result), report
 
 
-def _axis_kernel(grid_size: int, lam: float) -> np.ndarray:
-    ticks = (np.arange(grid_size) + 0.5) / grid_size
-    d2 = (ticks[:, None] - ticks[None, :]) ** 2
-    return np.exp(-lam * d2 / GRID_DIAMETER_SQ)
-
-
 def grid_barycenter(densities, lam: float = 20.0, tol: float = 1e-6,
                     max_iter: int = 300) -> BarycenterReport:
     """Entropic barycenter of grid densities on their common grid support.
@@ -90,7 +84,7 @@ def grid_barycenter(densities, lam: float = 20.0, tol: float = 1e-6,
     if all(d.same_as(densities[0]) for d in densities[1:]):
         return BarycenterReport(result=densities[0], iterations=0, residual=0.0)
 
-    k = _axis_kernel(g, lam)
+    k = np.exp(_axis_log_kernel(g, g, lam))
     p = np.stack([d.weights for d in densities])  # (n, G, G)
     n = len(densities)
     v = np.ones_like(p)

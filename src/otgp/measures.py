@@ -160,10 +160,9 @@ def disks_to_grid(cfg: DiskConfig, grid_size: int, subsamples: int = 4) -> GridD
         raise ValidationError("grid_size must be >= 2")
     g, s = grid_size, subsamples
     ticks = (np.arange(g * s) + 0.5) / (g * s)
-    xx, yy = np.meshgrid(ticks, ticks)
-    probes = np.column_stack([xx.ravel(), yy.ravel()])  # (g*s)^2 points
-    d2 = ((probes[:, None, :] - cfg.centers[None, :, :]) ** 2).sum(axis=2)
-    hit = (d2 <= cfg.radius**2).any(axis=1)
+    hit = np.zeros((g * s, g * s), dtype=bool)  # rows index y
+    for cx, cy in cfg.centers:
+        hit |= ((ticks - cy) ** 2)[:, None] + ((ticks - cx) ** 2)[None, :] <= cfg.radius**2
     # collapse the s x s probe blocks back onto cells
     counts = (hit.reshape(g, s, g, s).sum(axis=(1, 3))).astype(float)
     total = counts.sum()
@@ -173,15 +172,21 @@ def disks_to_grid(cfg: DiskConfig, grid_size: int, subsamples: int = 4) -> GridD
 
 
 def rasterize_gaussian(measure: GaussianMeasure, grid_size: int) -> GridDensity:
-    """Exact cell masses of an isotropic-or-diagonal 2-D Gaussian on the grid.
+    """Exact cell masses of a 2-D Gaussian with diagonal covariance on the
+    grid, renormalized to the unit square.
 
-    Off-diagonal covariance terms are ignored; the grid baseline consumes
-    axis-aligned masses only.
+    The masses factor into one normal CDF difference per axis, which holds
+    only for uncorrelated axes; a non-zero off-diagonal covariance term
+    raises ValidationError.
     """
     from scipy.stats import norm
 
     if measure.dim != 2:
         raise ValidationError("grid rasterization is defined on R^2 only")
+    if measure.cov[0, 1] != 0.0:
+        raise ValidationError(
+            "grid rasterization needs a diagonal covariance; "
+            f"got off-diagonal term {measure.cov[0, 1]:.3e}")
     g = grid_size
     edges = np.arange(g + 1) / g
     sx = float(np.sqrt(measure.cov[0, 0]))

@@ -2,7 +2,9 @@
 
 Gaussian closed forms (W2 distance, transport maps, map distances in
 L2 of a reference measure), exact assignment OT for empirical samples, and
-entropic (Sinkhorn) OT with deterministic argmax rounding for grid densities.
+entropic (Sinkhorn) OT for grid densities: a separable Gibbs kernel applied
+axis by axis on the full grid, log-domain updates when the scalings leave
+the floating-point range, and deterministic argmax rounding.
 """
 
 from __future__ import annotations
@@ -29,6 +31,18 @@ EIG_FLOOR_RTOL = 1e-12
 # Squared diameter of [0,1]^2; grid transport costs are divided by this so
 # the entropic penalty lambda is scale-free.
 GRID_DIAMETER_SQ = 2.0
+
+# Largest marginal error a coupling may carry.
+MARGINAL_TOL = 1e-6
+
+# A grid Sinkhorn scaling outside [SCALING_MIN, SCALING_MAX], or not finite,
+# hands the iteration over to log-domain updates.
+SCALING_MIN = 1e-250
+SCALING_MAX = 1e250
+
+# Source rows of a grid plan evaluated at once when it is rounded to a map;
+# bounds the rounding's memory for large supports.
+ROUND_CHUNK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -63,11 +77,15 @@ class CouplingPlan:
 
     def __post_init__(self):
         p = np.asarray(self.plan, dtype=float)
-        row_err = np.abs(p.sum(axis=1) - self.source_weights).max()
-        col_err = np.abs(p.sum(axis=0) - self.target_weights).max()
-        if max(row_err, col_err) > 1e-6:
-            raise ValidationError(
-                f"plan marginals off by {max(row_err, col_err):.3e} (> 1e-6)")
+        _check_marginals(p.sum(axis=1), p.sum(axis=0),
+                         self.source_weights, self.target_weights)
+
+
+def _check_marginals(row_sums, col_sums, source_weights, target_weights) -> None:
+    err = max(np.abs(row_sums - source_weights).max(),
+              np.abs(col_sums - target_weights).max())
+    if err > MARGINAL_TOL:
+        raise ValidationError(f"plan marginals off by {err:.3e} (> {MARGINAL_TOL:g})")
 
 
 @dataclass(frozen=True)
@@ -214,11 +232,6 @@ def assignment_ot(src: EmpiricalSample, dst: EmpiricalSample
     return assignment, w2
 
 
-def _normalized_cost(loc_a: np.ndarray, loc_b: np.ndarray) -> np.ndarray:
-    d = loc_a[:, None, :] - loc_b[None, :, :]
-    return (d**2).sum(axis=2) / GRID_DIAMETER_SQ
-
-
 def sinkhorn_core(wa: np.ndarray, wb: np.ndarray, cost: np.ndarray,
                   lam: float, max_iter: int, tol: float) -> np.ndarray:
     """Entropic scaling iterations for strictly positive marginals.
@@ -259,14 +272,155 @@ def sinkhorn_core(wa: np.ndarray, wb: np.ndarray, cost: np.ndarray,
     raise NoConvergence(f"marginal error above {tol} after {max_iter} iterations")
 
 
+def _axis_log_kernel(rows: int, cols: int, lam: float) -> np.ndarray:
+    """Log of the 1-D Gibbs factor between the cell-center ticks of a
+    rows-cell axis and a cols-cell axis, -lam d^2 / GRID_DIAMETER_SQ.
+
+    The grid kernel exp(-lam |x - y|^2 / GRID_DIAMETER_SQ) is the product of
+    the factor on the x axis and the factor on the y axis.
+    """
+    s = (np.arange(rows) + 0.5) / rows
+    t = (np.arange(cols) + 0.5) / cols
+    return -lam * (s[:, None] - t[None, :]) ** 2 / GRID_DIAMETER_SQ
+
+
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(x))) along axis, overwriting x; -inf where a whole slice
+    is -inf."""
+    m = x.max(axis=axis, keepdims=True)
+    m[~np.isfinite(m)] = 0.0
+    x -= m
+    np.exp(x, out=x)
+    return np.log(x.sum(axis=axis)) + m.squeeze(axis)
+
+
+def _log_apply(logk: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """log(k @ exp(x) @ k.T) for the axis log kernel logk, one logsumexp
+    per axis, on the rows and columns holding a cell of the mask out; zero
+    elsewhere.
+
+    -inf entries of x stand for zero scalings; grid rows and columns with
+    no finite entry of x are skipped, so small supports cost little.
+    """
+    xi, xj = np.isfinite(x).any(axis=1), np.isfinite(x).any(axis=0)
+    oi, oj = out.any(axis=1), out.any(axis=0)
+    t = _logsumexp(x[np.ix_(xi, xj)][:, None, :] + logk[np.ix_(oj, xj)][None, :, :], axis=2)
+    result = np.zeros(out.shape)
+    result[np.ix_(oi, oj)] = _logsumexp(logk[np.ix_(oi, xi)][:, :, None] + t[None, :, :], axis=1)
+    return result
+
+
+def _in_range(scaling: np.ndarray) -> bool:
+    # False for NaN as well
+    return bool(scaling.min() >= SCALING_MIN and scaling.max() <= SCALING_MAX)
+
+
+@dataclass(frozen=True)
+class _GridScalings:
+    """Entropic plan between two grid densities, held as scalings on the
+    full grids.
+
+    The plan entry between source cell (iy, ix) and target cell (jy, jx) is
+    u[iy, ix] * k[ix, jx] * k[iy, jy] * v[jy, jx], with k the axis Gibbs
+    factor; cells without mass have zero scalings. In the log domain u, v
+    and k hold logarithms (-inf for no mass) and the factors add.
+    """
+
+    u: np.ndarray
+    v: np.ndarray
+    k: np.ndarray
+    log_domain: bool
+    row_sums: np.ndarray  # source marginal of the plan, cell by cell
+
+    def blocks(self, src: np.ndarray, tgt: np.ndarray):
+        """Plan entries (their logarithms in the log domain) between the flat
+        source cells src and the flat target cells tgt, yielded
+        ROUND_CHUNK_ROWS source rows at a time."""
+        jy, jx = np.divmod(tgt, self.v.shape[1])
+        kx, ky = self.k[:, jx], self.k[:, jy]
+        u, v = self.u.ravel(), self.v.ravel()[tgt]
+        for start in range(0, len(src), ROUND_CHUNK_ROWS):
+            rows = src[start:start + ROUND_CHUNK_ROWS]
+            iy, ix = np.divmod(rows, self.u.shape[1])
+            block = kx[ix]
+            if self.log_domain:
+                block += ky[iy]
+                block += u[rows][:, None]
+                block += v
+            else:
+                block *= ky[iy]
+                block *= u[rows][:, None]
+                block *= v
+            yield block
+
+
+def _grid_sinkhorn(a: GridDensity, b: GridDensity, lam: float, max_iter: int,
+                   tol: float) -> _GridScalings:
+    """Sinkhorn scaling from a to b with the separable Gibbs kernel applied
+    as k @ V @ k.T on the full grids.
+
+    Stops when the row-marginal error is <= tol. A scaling leaving
+    [SCALING_MIN, SCALING_MAX] hands the remaining iterations to log-domain
+    updates.
+    """
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    wa, wb = a.weights, b.weights
+    sa, sb = wa > 0, wb > 0
+    logk = _axis_log_kernel(a.grid_size, b.grid_size, lam)
+    k = np.exp(logk)
+    v = sb.astype(float)
+    # a zero or overflowing kernel product shows up as an out-of-range
+    # scaling below, so its floating-point warnings carry no information
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        kv = k @ v @ k.T
+        for it in range(max_iter):
+            u = np.divide(wa, kv, out=np.zeros_like(wa), where=sa)
+            v_next = np.divide(wb, k.T @ u @ k, out=np.zeros_like(wb), where=sb)
+            if not (_in_range(u[sa]) and _in_range(v_next[sb])):
+                return _log_sinkhorn(wa, wb, logk, np.log(v), max_iter - it, tol)
+            v = v_next
+            kv = k @ v @ k.T
+            row_sums = u * kv
+            if np.abs(row_sums - wa).max() <= tol:
+                _check_marginals(row_sums, v * (k.T @ u @ k), wa, wb)
+                return _GridScalings(u, v, k, False, row_sums)
+    raise NoConvergence(f"marginal error above {tol} after {max_iter} iterations")
+
+
+def _log_sinkhorn(wa: np.ndarray, wb: np.ndarray, logk: np.ndarray,
+                  g: np.ndarray, max_iter: int, tol: float) -> _GridScalings:
+    """Log-domain Sinkhorn updates from the target potential g (Schmitzer,
+    SISC 2019); finite for any lambda while the potentials stay finite."""
+    sa, sb = wa > 0, wb > 0
+    # log(0) is the potential of an empty cell; an overflowing row sum only
+    # fails the convergence test
+    with np.errstate(divide="ignore", over="ignore"):
+        log_a, log_b = np.log(wa), np.log(wb)
+        lg = _log_apply(logk, g, sa)
+        for _ in range(max_iter):
+            f = log_a - lg
+            g = log_b - _log_apply(logk.T, f, sb)
+            if not (np.all(np.isfinite(f[sa])) and np.all(np.isfinite(g[sb]))):
+                raise NumericalUnderflow("log-domain Sinkhorn potentials are not finite")
+            lg = _log_apply(logk, g, sa)
+            row_sums = np.exp(f + lg)
+            if np.abs(row_sums - wa).max() <= tol:
+                _check_marginals(row_sums, np.exp(g + _log_apply(logk.T, f, sb)), wa, wb)
+                return _GridScalings(f, g, logk, True, row_sums)
+    raise NoConvergence(f"marginal error above {tol} after {max_iter} iterations")
+
+
 def sinkhorn_plan(a: GridDensity, b: GridDensity, lam: float = 20.0,
                   max_iter: int = 10000, tol: float = 1e-9) -> CouplingPlan:
     """Entropic OT plan between the positive-weight cells of two grid
     densities, with squared-distance cost normalized by the grid diameter."""
-    _, loc_a, wa = a.support()
-    _, loc_b, wb = b.support()
-    cost = _normalized_cost(loc_a, loc_b)
-    plan = sinkhorn_core(wa, wb, cost, lam, max_iter, tol)
+    src, _, wa = a.support()
+    tgt, _, wb = b.support()
+    scalings = _grid_sinkhorn(a, b, lam, max_iter, tol)
+    plan = np.vstack(list(scalings.blocks(src, tgt)))
+    if scalings.log_domain:
+        plan = np.exp(plan)
     return CouplingPlan(plan=plan, source_weights=wa, target_weights=wb)
 
 
@@ -298,8 +452,20 @@ def inverse_grid_map(mu: GridDensity, bar: GridDensity, lam: float = 20.0,
                      max_iter: int = 10000, tol: float = 1e-9) -> TransportAssignment:
     """Approximate inverse transport map, built directly in the
     barycenter-to-measure direction: Sinkhorn plan from bar to mu, rounded
-    to an assignment on the barycenter support."""
-    _, loc_bar, _ = bar.support()
-    _, loc_mu, _ = mu.support()
-    plan = sinkhorn_plan(bar, mu, lam=lam, max_iter=max_iter, tol=tol)
-    return round_plan_to_map(plan, source_locations=loc_bar, target_locations=loc_mu)
+    to an assignment on the barycenter support.
+
+    Each barycenter cell goes to its argmax input cell in the plan, ties to
+    the lowest index; the plan is evaluated ROUND_CHUNK_ROWS rows at a time.
+    """
+    src, loc_bar, wa = bar.support()
+    tgt, loc_mu, _ = mu.support()
+    scalings = _grid_sinkhorn(bar, mu, lam, max_iter, tol)
+    if np.any(scalings.row_sums.ravel()[src] <= 0.0):
+        raise EmptyRow("a retained source row carries no mass")
+    idx = np.concatenate([block.argmax(axis=1) for block in scalings.blocks(src, tgt)])
+    return TransportAssignment(
+        target_index=idx,
+        source_weights=wa / wa.sum(),
+        source_locations=loc_bar,
+        target_locations=loc_mu,
+    )

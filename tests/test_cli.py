@@ -150,6 +150,32 @@ class TestFitPredictCommands:
                      "--out", str(tmp_path / "m.json")]) == 0
 
 
+class TestCorrelatedGaussianOnGrid:
+    def test_fit_and_predict_exit_2(self, tmp_path):
+        # Gaussians mixed with disk inputs are rasterized; a correlated
+        # covariance cannot be, so fit and predict report a validation error
+        from otgp.measures import DiskConfig
+
+        rng = np.random.default_rng(4)
+        inputs = [GaussianMeasure(rng.uniform(0.3, 0.7, 2), 0.01 * np.eye(2))
+                  for _ in range(5)]
+        inputs += [DiskConfig(0.1, rng.uniform(0.2, 0.8, (2, 2))) for _ in range(5)]
+        ys = list(rng.normal(size=len(inputs)))
+        data = tmp_path / "data.json"
+        dataio.save_dataset(data, inputs, ys)
+        model = tmp_path / "model.json"
+        assert main(["fit", "--data", str(data), "--grid-size", "12",
+                     "--out", str(model)]) == 0
+
+        correlated = GaussianMeasure([0.5, 0.5], 0.01 * np.array([[1.0, 0.9], [0.9, 1.0]]))
+        bad = tmp_path / "bad.json"
+        dataio.save_dataset(bad, inputs + [correlated], ys + [0.0])
+        assert main(["fit", "--data", str(bad), "--grid-size", "12",
+                     "--out", str(tmp_path / "m2.json")]) == 2
+        assert main(["predict", "--model", str(model), "--data", str(bad),
+                     "--out", str(tmp_path / "p.csv")]) == 2
+
+
 class TestExperimentCommand:
     def test_psd_small(self, tmp_path):
         out = tmp_path / "exp"

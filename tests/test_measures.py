@@ -130,6 +130,36 @@ class TestDisksToGrid:
         b = disks_to_grid(DiskConfig(0.08, centers[::-1]), 20)
         np.testing.assert_array_equal(a.weights, b.weights)
 
+    def test_matches_broadcast_formula(self):
+        # reference: the (probes x centers x 2) broadcast the rasterizer
+        # replaced; the per-disk outer sum must give the same bits
+        def broadcast(cfg, g, s=4):
+            ticks = (np.arange(g * s) + 0.5) / (g * s)
+            xx, yy = np.meshgrid(ticks, ticks)
+            probes = np.column_stack([xx.ravel(), yy.ravel()])
+            d2 = ((probes[:, None, :] - cfg.centers[None, :, :]) ** 2).sum(axis=2)
+            hit = (d2 <= cfg.radius**2).any(axis=1)
+            counts = hit.reshape(g, s, g, s).sum(axis=(1, 3)).astype(float)
+            return counts / counts.sum()
+
+        rng = np.random.default_rng(21)
+        cases = [(DiskConfig(rng.uniform(0.02, 0.2), rng.uniform(0, 1, (int(n), 2))), g)
+                 for n, g in zip(rng.integers(1, 12, 20), rng.integers(2, 40, 20))]
+        cases += [
+            # overlapping: repeated and nearly coincident centers
+            (DiskConfig(0.1, [[0.5, 0.5], [0.5, 0.5], [0.52, 0.49]]), 25),
+            (DiskConfig(0.3, [[0.4, 0.4], [0.6, 0.6]]), 16),
+            # edge-touching: centers on the sides and corners of the square
+            (DiskConfig(0.05, [[0.0, 0.5], [1.0, 0.5], [0.5, 0.0], [0.5, 1.0]]), 30),
+            (DiskConfig(0.2, [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), 10),
+            # probes exactly on the circle: dyadic ticks, centers and radii
+            # (offsets 0-4 and 6-8-10 in units of the probe spacing)
+            (DiskConfig(0.25, [[5 / 16, 7 / 16]]), 2),
+            (DiskConfig(0.3125, [[17 / 32, 15 / 32]]), 4),
+        ]
+        for cfg, g in cases:
+            assert np.array_equal(disks_to_grid(cfg, g).weights, broadcast(cfg, g))
+
     def test_empty_support(self):
         # disk so small that every probe point misses it
         with pytest.raises(EmptySupport):
@@ -195,3 +225,15 @@ class TestRasterize:
         grid = rasterize_gaussian(m, 10)
         assert grid.weights.max() < 0.5
         assert abs(grid.weights.sum() - 1.0) < 1e-12
+
+    def test_diagonal_covariance_is_accepted(self):
+        m = GaussianMeasure([0.4, 0.6], np.diag([0.01, 0.0025]))
+        grid = rasterize_gaussian(m, 20)
+        assert abs(grid.weights.sum() - 1.0) < 1e-12
+
+    def test_correlated_covariance_is_rejected(self):
+        # correlation 0.9 cannot factor into per-axis cell masses
+        s = 0.01
+        m = GaussianMeasure([0.5, 0.5], s * np.array([[1.0, 0.9], [0.9, 1.0]]))
+        with pytest.raises(ValidationError):
+            rasterize_gaussian(m, 20)

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,21 @@ from otgp.errors import (
     NotPositiveDefinite,
     SizeMismatch,
 )
-from otgp.measures import EmpiricalSample, GaussianMeasure, GridDensity
+from otgp.barycenter import grid_barycenter
+from otgp.measures import (
+    DiskConfig,
+    EmpiricalSample,
+    GaussianMeasure,
+    GridDensity,
+    disks_to_grid,
+    rasterize_gaussian,
+    sample_regression_gaussians,
+)
 from otgp.ot import (
     CouplingPlan,
+    _axis_log_kernel,
+    _grid_sinkhorn,
+    _log_sinkhorn,
     assignment_ot,
     gaussian_transport_map,
     gaussian_w2,
@@ -342,3 +355,98 @@ class TestInverseGridMap:
         assert best[0, 0] > best[0, 1]  # monotone: first to first
         a = inverse_grid_map(mu, bar, lam=20.0)
         assert a.target_index.tolist() == [0, 1]
+
+
+class TestSeparableSinkhorn:
+    """The grid solver applies the Gibbs kernel axis by axis on the full
+    grids and continues with log-domain updates when its scalings leave the
+    floating-point range."""
+
+    def test_matches_dense_core(self):
+        # reference: sinkhorn_core on the dense support-to-support cost;
+        # the densities have empty cells, an empty row and column, and in
+        # one case differ in size. The log-domain updates, started from
+        # unit scalings, must reach the same plan.
+        rng = np.random.default_rng(12)
+        for ga, gb in ((5, 5), (6, 4)):
+            wa = rng.uniform(0, 1, (ga, ga)) * (rng.uniform(size=(ga, ga)) < 0.6)
+            wb = rng.uniform(0, 1, (gb, gb)) * (rng.uniform(size=(gb, gb)) < 0.6)
+            wb[1, :] = wb[:, 2] = 0.0
+            a, b = GridDensity(wa / wa.sum()), GridDensity(wb / wb.sum())
+            src, loc_a, pa = a.support()
+            tgt, loc_b, pb = b.support()
+            cost = ((loc_a[:, None, :] - loc_b[None, :, :]) ** 2).sum(axis=2) / 2.0
+            dense = sinkhorn_core(pa, pb, cost, lam=20.0, max_iter=10000, tol=1e-12)
+            plan = sinkhorn_plan(a, b, lam=20.0, tol=1e-12).plan
+            np.testing.assert_allclose(plan, dense, rtol=0, atol=1e-12)
+            a_map = inverse_grid_map(b, a, lam=20.0, tol=1e-12)
+            np.testing.assert_array_equal(a_map.target_index, dense.argmax(axis=1))
+
+            logk = _axis_log_kernel(ga, gb, 20.0)
+            start = np.where(b.weights > 0, 0.0, -np.inf)
+            logged = _log_sinkhorn(a.weights, b.weights, logk, start, 10000, 1e-12)
+            assert logged.log_domain
+            log_plan = np.exp(np.vstack(list(logged.blocks(src, tgt))))
+            np.testing.assert_allclose(log_plan, dense, rtol=0, atol=1e-12)
+
+    # parent-commit assignment of the inverse map below at lambda=800, one
+    # row per barycenter grid row; lambda=2000 differs only in CHANGED_AT_2000
+    EXPECTED_800 = np.array([
+        21, 21, 21, 21, 21, 3, 3, 0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2,
+        21, 21, 21, 21, 21, 3, 3, 3, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 7,
+        21, 21, 21, 21, 21, 22, 3, 3, 4, 4, 4, 4, 1, 1, 1, 6, 6, 6, 7, 7,
+        21, 21, 21, 21, 21, 22, 22, 8, 8, 4, 4, 4, 5, 5, 5, 6, 6, 6, 7, 7,
+        21, 21, 21, 21, 21, 22, 22, 22, 8, 8, 4, 4, 5, 5, 5, 6, 6, 6, 7, 7,
+        21, 21, 21, 21, 21, 22, 22, 22, 23, 8, 9, 9, 9, 10, 10, 10, 11, 11, 12, 12,
+        25, 21, 21, 21, 21, 22, 22, 22, 23, 23, 9, 9, 9, 10, 10, 10, 11, 11, 12, 12,
+        25, 25, 26, 26, 26, 26, 22, 22, 23, 23, 23, 14, 14, 15, 15, 15, 11, 11, 12, 12,
+        25, 25, 26, 26, 26, 26, 27, 27, 28, 28, 28, 14, 14, 15, 15, 15, 16, 16, 16, 12,
+        25, 25, 26, 26, 26, 26, 27, 27, 28, 28, 28, 29, 14, 15, 15, 15, 16, 16, 16, 17,
+        25, 25, 26, 26, 26, 26, 27, 27, 28, 28, 28, 29, 36, 36, 36, 37, 37, 37, 38, 38,
+        30, 30, 31, 31, 31, 31, 32, 32, 33, 33, 34, 34, 43, 44, 44, 45, 45, 46, 46, 46,
+        30, 30, 31, 31, 31, 31, 32, 32, 33, 33, 34, 43, 43, 44, 44, 45, 45, 46, 46, 46,
+        30, 30, 31, 31, 31, 31, 32, 32, 33, 33, 34, 43, 43, 44, 44, 45, 45, 46, 46, 46,
+        30, 30, 31, 31, 31, 31, 32, 32, 41, 41, 42, 47, 48, 48, 49, 49, 49, 50, 50, 50,
+        30, 30, 39, 39, 39, 40, 40, 40, 41, 41, 47, 47, 48, 48, 49, 49, 49, 50, 50, 50,
+        30, 39, 39, 39, 39, 40, 40, 40, 41, 41, 47, 47, 48, 48, 53, 53, 53, 50, 50, 50,
+        39, 39, 39, 39, 39, 40, 40, 40, 41, 47, 47, 52, 52, 52, 53, 53, 53, 54, 54, 54,
+        39, 39, 39, 39, 39, 40, 40, 40, 41, 51, 51, 52, 52, 52, 53, 53, 53, 54, 54, 54,
+        39, 39, 39, 39, 39, 40, 40, 40, 51, 51, 51, 52, 52, 52, 53, 53, 53, 54, 54, 54,
+    ]).reshape(20, 20)
+    CHANGED_AT_2000 = {(7, 10): 24, (8, 19): 17, (19, 14): 56, (19, 15): 56, (19, 16): 56}
+
+    def test_large_lambda_assignment_is_pinned(self):
+        rng = np.random.default_rng(4)
+        grids = [disks_to_grid(DiskConfig(0.1, rng.uniform(0.1, 0.9, (3, 2))), 20)
+                 for _ in range(6)]
+        bar = grid_barycenter(grids, lam=20.0).result
+        expected_2000 = self.EXPECTED_800.copy()
+        for cell, target in self.CHANGED_AT_2000.items():
+            expected_2000[cell] = target
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for lam, expected in ((800.0, self.EXPECTED_800), (2000.0, expected_2000)):
+                a = inverse_grid_map(grids[0], bar, lam=lam)
+                np.testing.assert_array_equal(a.target_index, expected.ravel())
+            # lambda=2000 runs through the log-domain updates
+            assert _grid_sinkhorn(bar, grids[0], 2000.0, 10000, 1e-9).log_domain
+
+    def test_subnormal_cell_mass_embeds(self):
+        # input 75 of regression dataset seed 13 rasterizes to a cell mass of
+        # 5.7e-322 at G=50; its scalings collapse and the dense solver
+        # failed with NumericalUnderflow
+        pairs = sample_regression_gaussians(100, 13)
+        grids = [rasterize_gaussian(m, 50) for m, _ in pairs]
+        bar = grid_barycenter(grids[:50], lam=20.0).result
+        mu = grids[75]
+        assert 0.0 < mu.support()[2].min() < 1e-320
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            a = inverse_grid_map(mu, bar, lam=20.0)
+            plan = sinkhorn_plan(bar, mu, lam=20.0)
+        assert np.all(np.isfinite(plan.plan))
+        np.testing.assert_array_equal(a.target_index, plan.plan.argmax(axis=1))
+        # the map pushes the barycenter onto the input: its mean lands within
+        # one cell of the Gaussian's mean
+        mapped_mean = a.source_weights @ a.mapped_locations()
+        assert np.abs(mapped_mean - pairs[75][0].mean).max() < 1.0 / 50
