@@ -10,18 +10,15 @@ from .barycenter import BarycenterReport, gaussian_barycenter, gaussian_barycent
 from .baseline import SmootherModel, fit_smoother, l1_density_distance, select_bandwidth, smoother_predict
 from .gp import GpModel, PredictionResult, gp_fit_cv, gp_fit_mle, gp_predict, metrics
 from .kernels import (
+    Embedding,
     KernelParams,
-    Matern,
-    PowerExponential,
-    SquareExponential,
+    cross_distances,
     embed_gaussians,
     embed_grids,
-    embedding_distance,
     gram_matrix,
-    kernel_eval,
-    naive_w2_kernel,
+    naive_w2_gram,
+    pairwise_distances,
     psd_diagnostic,
-    radial_eval,
 )
 from .measures import (
     DiskConfig,

@@ -152,19 +152,17 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     model = dataio.load_model(args.model)
     inputs, _ = dataio.load_dataset(args.data, require_y=False)
-    first = model.features[0]
-    from .kernels import GaussianFeature
-
-    if isinstance(first, GaussianFeature):
+    reference = model.features.reference
+    if isinstance(reference, GaussianMeasure):
         if not all(isinstance(x, GaussianMeasure) for x in inputs):
             raise ValidationError("model embeds Gaussians; inputs must be Gaussian")
-        features = embed_gaussians(inputs, first.reference)
+        features = embed_gaussians(inputs, reference)
     else:
-        grids = dataio.dataset_to_grids(inputs, first.reference.grid_size)
-        features = embed_grids(grids, first.reference, lam=args.lam)
-    results = [gp_predict(model, f) for f in features]
-    dataio.save_predictions_csv(args.out, results)
-    print(f"{len(results)} predictions written to {args.out}")
+        grids = dataio.dataset_to_grids(inputs, reference.grid_size)
+        features = embed_grids(grids, reference, lam=args.lam)
+    result = gp_predict(model, features)
+    dataio.save_predictions_csv(args.out, result)
+    print(f"{len(features)} predictions written to {args.out}")
     return EXIT_OK
 
 

@@ -10,9 +10,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .kernels import GaussianFeature, GridFeature, KernelParams
+from .kernels import Embedding, KernelParams, pairwise_distances
 from .measures import DiskConfig, GaussianMeasure, GridDensity, disks_to_grid, rasterize_gaussian
 from .ot import TransportAssignment
+
+# Model JSON schema: version 2 stores the training feature matrix X and the
+# reference; files without a version predate it and are refused.
+MODEL_VERSION = 2
 
 
 def save_gaussian_set(path, measures) -> None:
@@ -126,9 +130,11 @@ def assignment_from_json(payload: dict) -> TransportAssignment:
 
 
 def save_model(path, model) -> None:
-    """Fitted GP to JSON: theta, reference, cached features, responses."""
-    first = model.features[0] if model.features else None
+    """Fitted GP to JSON: theta, responses, reference and the training
+    feature matrix X."""
+    ref = model.features.reference
     payload = {
+        "version": MODEL_VERSION,
         "theta": {
             "amplitude": model.theta.amplitude,
             "rate": model.theta.rate,
@@ -137,22 +143,14 @@ def save_model(path, model) -> None:
         },
         "y": model.y.tolist(),
         "degenerate": model.degenerate,
+        "X": model.features.X.tolist(),
     }
-    if isinstance(first, GaussianFeature):
+    if isinstance(ref, GaussianMeasure):
         payload["kind"] = "gaussian"
-        payload["reference"] = {"mean": first.reference.mean.tolist(),
-                                "cov": first.reference.cov.tolist()}
-        payload["features"] = [
-            {"mean": f.mean.tolist(), "cov": f.cov.tolist(),
-             "inverse_map": f.inverse_map.tolist()}
-            for f in model.features
-        ]
-    elif isinstance(first, GridFeature):
-        payload["kind"] = "grid"
-        payload["reference"] = {"weights": first.reference.weights.tolist()}
-        payload["features"] = [assignment_to_json(f.assignment) for f in model.features]
+        payload["reference"] = {"mean": ref.mean.tolist(), "cov": ref.cov.tolist()}
     else:
-        raise ValidationError("model has no serializable features")
+        payload["kind"] = "grid"
+        payload["reference"] = {"weights": ref.weights.tolist()}
     Path(path).write_text(json.dumps(payload))
 
 
@@ -160,36 +158,26 @@ def load_model(path):
     from .gp import _build_model  # deferred to avoid an import cycle
 
     payload = json.loads(Path(path).read_text())
+    if payload.get("version") != MODEL_VERSION:
+        raise ValidationError(f"model file {path} is not version {MODEL_VERSION}; "
+                              "refit the model")
     theta = KernelParams(**payload["theta"])
     y = np.asarray(payload["y"], dtype=float)
     if payload["kind"] == "gaussian":
         ref = GaussianMeasure(payload["reference"]["mean"], payload["reference"]["cov"])
-        features = [
-            GaussianFeature(mean=np.asarray(f["mean"], dtype=float),
-                            cov=np.asarray(f["cov"], dtype=float),
-                            inverse_map=np.asarray(f["inverse_map"], dtype=float),
-                            reference=ref)
-            for f in payload["features"]
-        ]
     else:
         ref = GridDensity(np.asarray(payload["reference"]["weights"], dtype=float))
-        features = []
-        for f in payload["features"]:
-            a = assignment_from_json(f)
-            features.append(GridFeature(assignment=a, mapped=a.mapped_locations(),
-                                        reference=ref))
-    from .kernels import pairwise_distances
-
-    dist = pairwise_distances(features)
-    model = _build_model(features, y, dist, theta,
-                         degenerate=payload.get("degenerate", False))
-    return model
+    features = Embedding(ref, payload["X"])
+    if len(features) != len(y):
+        raise ValidationError("model X and y differ in length")
+    return _build_model(features, y, pairwise_distances(features), theta,
+                        degenerate=payload.get("degenerate", False))
 
 
-def save_predictions_csv(path, results) -> None:
+def save_predictions_csv(path, result) -> None:
     rows = ["mean,variance,lo,hi"]
-    for r in results:
-        rows.append(f"{r.mean:.17g},{r.variance:.17g},{r.ci90[0]:.17g},{r.ci90[1]:.17g}")
+    for mean, var, lo, hi in zip(result.mean, result.variance, *result.ci90):
+        rows.append(f"{mean:.17g},{var:.17g},{lo:.17g},{hi:.17g}")
     Path(path).write_text("\n".join(rows) + "\n")
 
 

@@ -57,10 +57,6 @@ class DegenerateDistances(ValidationError):
     pass
 
 
-class UnsupportedSmoothness(ValidationError):
-    pass
-
-
 class NoConvergence(NumericalError):
     pass
 

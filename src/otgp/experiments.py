@@ -21,13 +21,13 @@ from .baseline import fit_smoother, smoother_predict
 from .errors import ValidationError
 from .gp import chol_with_jitter, gp_fit_cv, gp_fit_mle, gp_predict, metrics, posterior_mean_variance
 from .kernels import (
-    SquareExponential,
+    KernelParams,
     embed_gaussians,
     embed_grids,
+    gram_from_distances,
     naive_w2_gram,
     pairwise_distances,
     psd_diagnostic,
-    radial_eval,
 )
 from .measures import (
     DiskConfig,
@@ -38,12 +38,10 @@ from .measures import (
     sample_gaussian_population,
     sample_regression_gaussians,
 )
+from .rng import make_rng
 
-
-def _philox(seed_parts) -> np.random.Generator:
-    if not isinstance(seed_parts, np.random.SeedSequence):
-        seed_parts = np.random.SeedSequence(seed_parts)
-    return np.random.Generator(np.random.Philox(seed_parts))
+# The unit square-exponential kernel exp(-d^2).
+UNIT_SE = KernelParams(1.0, 1.0, 2.0, 0.0)
 
 
 def _seed_list(base: int, count: int) -> list[int]:
@@ -81,7 +79,7 @@ def _se_gram_from_covs(covs: np.ndarray, bar_cov: np.ndarray) -> np.ndarray:
     zero = np.zeros(covs.shape[-1])
     reference = GaussianMeasure(zero, bar_cov)
     feats = embed_gaussians([GaussianMeasure(zero, c) for c in covs], reference)
-    return radial_eval(SquareExponential(1.0, 1.0), pairwise_distances(feats))
+    return gram_from_distances(pairwise_distances(feats), UNIT_SE)
 
 
 def run_consistency(cfg: ConsistencyConfig) -> dict:
@@ -97,7 +95,7 @@ def run_consistency(cfg: ConsistencyConfig) -> dict:
     seeds = _seed_list(cfg.seed, cfg.n_seeds)
     per_seed = {}
     for seed in seeds:
-        pop_rng, grid_rng, y_rng = (_philox(c) for c in np.random.SeedSequence(seed).spawn(3))
+        pop_rng, grid_rng, y_rng = (make_rng(c) for c in np.random.SeedSequence(seed).spawn(3))
         pop = gaussian_cov_stack(cfg.population, cfg.d, pop_rng)
         if cfg.normalize_population:
             # unit mean eigenvalue, else unit-scale kernel parameters see
@@ -116,7 +114,7 @@ def run_consistency(cfg: ConsistencyConfig) -> dict:
         for ni, n in enumerate(cfg.n_grid):
             errs, gaps = [], []
             for r in range(cfg.replicates):
-                child = _philox((seed, ni, r))
+                child = make_rng((seed, ni, r))
                 idx = child.choice(cfg.population, size=n, replace=False)
                 bar_n = gaussian_barycenter(pop[idx]).result
                 m_n = _se_gram_from_covs(pop[grid_idx], bar_n)
@@ -160,10 +158,8 @@ def _gp_mean_at(pop, grid_idx, test_idx, bar_cov, y) -> float:
     reference = GaussianMeasure(zero, bar_cov)
     feats = embed_gaussians(
         [GaussianMeasure(zero, pop[i]) for i in list(grid_idx) + [test_idx]], reference)
-    dist = pairwise_distances(feats)
-    family = SquareExponential(1.0, 1.0)
-    r_mat = radial_eval(family, dist[:-1, :-1])
-    r_vec = radial_eval(family, dist[-1, :-1])
+    gram = gram_from_distances(pairwise_distances(feats), UNIT_SE)
+    r_mat, r_vec = gram[:-1, :-1], gram[-1, :-1]
     chol, _ = chol_with_jitter(r_mat)
     from scipy.linalg import cho_solve
 
@@ -209,10 +205,8 @@ class RegressionConfig:
 
 def _fit_predict_gp(train_feats, y_train, test_feats, fitter):
     model = fitter(train_feats, y_train)
-    preds = [gp_predict(model, f) for f in test_feats]
-    means = [p.mean for p in preds]
-    variances = [p.variance for p in preds]
-    return model, means, variances
+    pred = gp_predict(model, test_feats)
+    return model, pred.mean, pred.variance
 
 
 def run_gaussian_regression(cfg: RegressionConfig) -> dict:
@@ -387,7 +381,7 @@ def run_disks(cfg: DisksConfig) -> dict:
     seeds = _seed_list(cfg.seed, cfg.n_seeds)
     per_seed = {}
     for seed in seeds:
-        rng = _philox((seed, 0))
+        rng = make_rng((seed, 0))
         n_all = cfg.n_train + cfg.n_test
         configs = [DiskConfig(cfg.radius, rng.uniform(0, 1, size=(cfg.n_disks, 2)))
                    for _ in range(n_all)]

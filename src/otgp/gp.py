@@ -12,16 +12,16 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.stats import qmc
 
-from .errors import CholeskyFailure, ReferenceMismatch, SizeMismatch, ZeroVarianceTruths
+from .errors import CholeskyFailure, SizeMismatch, ZeroVarianceTruths
 from .kernels import (
     DEFAULT_BOUNDS,
+    Embedding,
     KernelParams,
-    _same_reference,
+    cross_kernel,
     gram_from_distances,
-    kernel_eval,
     pairwise_distances,
 )
 
@@ -34,7 +34,7 @@ JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 
 @dataclass
 class GpModel:
-    features: list
+    features: Embedding  # training inputs
     y: np.ndarray
     theta: KernelParams
     distances: np.ndarray
@@ -47,9 +47,11 @@ class GpModel:
 
 @dataclass(frozen=True)
 class PredictionResult:
-    mean: float
-    variance: float
-    ci90: tuple[float, float]
+    """Posterior means, variances and 90% intervals, one entry per test row."""
+
+    mean: np.ndarray
+    variance: np.ndarray
+    ci90: tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,7 @@ def _build_model(features, y, dist, theta, degenerate=False, clipped=False) -> G
     r = gram_from_distances(dist, theta)
     l, jitter = chol_with_jitter(r)
     alpha = cho_solve((l, True), y)
-    return GpModel(features=list(features), y=np.asarray(y, dtype=float),
+    return GpModel(features=features, y=np.asarray(y, dtype=float),
                    theta=theta, distances=dist, chol=l, alpha=alpha,
                    degenerate=degenerate, jitter=jitter, clipped=clipped)
 
@@ -221,17 +223,16 @@ def posterior_mean_variance(chol: np.ndarray, alpha: np.ndarray,
     return mean, float(k_self - r_vec @ w)
 
 
-def gp_predict(model: GpModel, feature) -> PredictionResult:
-    """Posterior prediction at one embedded feature, with a 90% interval."""
-    if model.features and not _same_reference(model.features[0], feature):
-        raise ReferenceMismatch("feature embeds against a different reference")
-    r_vec = np.array([kernel_eval(feature, f, model.theta) for f in model.features])
+def gp_predict(model: GpModel, features: Embedding) -> PredictionResult:
+    """Posterior prediction at every row of features, with 90% intervals:
+    one cross-kernel, one product with alpha and one triangular solve."""
+    r = cross_kernel(features, model.features, model.theta)
+    mean = r @ model.alpha
+    w = solve_triangular(model.chol, r.T, lower=True)
     k_self = model.theta.amplitude**2 + model.theta.nugget
-    mean, variance = posterior_mean_variance(model.chol, model.alpha, r_vec, k_self)
-    variance = max(variance, 0.0)
-    half = CI90_FACTOR * math.sqrt(variance)
-    return PredictionResult(mean=mean, variance=variance,
-                            ci90=(mean - half, mean + half))
+    variance = np.maximum(k_self - (w * w).sum(axis=0), 0.0)
+    half = CI90_FACTOR * np.sqrt(variance)
+    return PredictionResult(mean=mean, variance=variance, ci90=(mean - half, mean + half))
 
 
 def metrics(predictions, truths, variances=None) -> MetricsResult:

@@ -1,94 +1,40 @@
 """Distribution kernels via transport-map embeddings.
 
 Each input distribution is represented by the (approximate) inverse transport
-map from a shared reference distribution; a radial positive definite function
-applied to L2-distances between these maps yields a positive definite kernel
-on distributions. Also houses the parametric kernel used for regression,
-Gram assembly, the PSD spectrum diagnostic, and the naive exp(-W2^2) kernel
-used as a negative control.
+map from a shared reference distribution. Both embeddings are explicit
+vectors (the linear-OT embedding of Wang et al., IJCV 2013), so the
+L2(reference) distance between two maps is the Euclidean distance between two
+rows of one feature matrix, and a radial positive definite function of it is
+a positive definite kernel on distributions. Also houses the parametric
+kernel used for regression, Gram assembly, the PSD spectrum diagnostic, and
+the naive exp(-W2^2) kernel used as a negative control.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSymmetric, ReferenceMismatch, UnsupportedSmoothness, ValidationError
+from .errors import DimensionMismatch, NotSymmetric, ReferenceMismatch, ValidationError
 from .measures import GaussianMeasure, GridDensity
-from .ot import TransportAssignment, gaussian_transport_map, gaussian_w2, inverse_grid_map
+from .ot import _psd_sqrt_batch, inverse_grid_map, sqrtm_spd
 
 # Embedding distances below this snap to exactly zero so the nugget indicator
 # fires on identical inputs despite round-off.
 DISTANCE_SNAP = 1e-12
 
-
-@dataclass(frozen=True)
-class SquareExponential:
-    variance: float = 1.0
-    length_scale: float = 1.0
-
-    def __post_init__(self):
-        if self.variance <= 0 or self.length_scale <= 0:
-            raise ValidationError("variance and length_scale must be positive")
-
-
-@dataclass(frozen=True)
-class Matern:
-    variance: float = 1.0
-    rate: float = 1.0
-    smoothness: float = 1.5
-
-    def __post_init__(self):
-        if self.variance <= 0 or self.rate <= 0:
-            raise ValidationError("variance and rate must be positive")
-        if self.smoothness not in (0.5, 1.5, 2.5):
-            raise UnsupportedSmoothness(
-                f"smoothness {self.smoothness} not in the closed-form set (1/2, 3/2, 5/2)")
-
-
-@dataclass(frozen=True)
-class PowerExponential:
-    variance: float = 1.0
-    length_scale: float = 1.0
-    exponent: float = 1.0
-
-    def __post_init__(self):
-        if self.variance <= 0 or self.length_scale <= 0:
-            raise ValidationError("variance and length_scale must be positive")
-        if not (0.0 < self.exponent <= 2.0):
-            raise ValidationError("exponent must lie in (0, 2]")
-
-
-RadialFamily = SquareExponential | Matern | PowerExponential
-
-
-def radial_eval(family: RadialFamily, t):
-    """Evaluate a radial covariance function at distance t >= 0."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValidationError("distances must be nonnegative")
-    if isinstance(family, SquareExponential):
-        return family.variance * np.exp(-((t / family.length_scale) ** 2))
-    if isinstance(family, PowerExponential):
-        return family.variance * np.exp(-((t / family.length_scale) ** family.exponent))
-    if isinstance(family, Matern):
-        z = family.rate * t
-        if family.smoothness == 0.5:
-            poly = 1.0
-        elif family.smoothness == 1.5:
-            poly = 1.0 + z
-        else:
-            poly = 1.0 + z + z**2 / 3.0
-        return family.variance * poly * np.exp(-z)
-    raise ValidationError(f"unknown radial family {family!r}")
+# Pairs whose Bures cross terms naive_w2_gram diagonalizes at once; bounds
+# the (pairs, d, d) stack.
+PAIR_CHUNK = 4096
 
 
 @dataclass(frozen=True)
 class KernelParams:
     """Parameters of the regression kernel
-    amplitude^2 * exp(-rate * d^exponent) + nugget * 1{d == 0}."""
+    amplitude^2 * exp(-rate * d^exponent) + nugget * 1{d == 0}.
+
+    KernelParams(1, 1, 2, 0) is the unit square-exponential kernel."""
 
     amplitude: float
     rate: float
@@ -117,113 +63,124 @@ def params_in_box(theta: KernelParams, bounds=DEFAULT_BOUNDS) -> bool:
     return all(lo <= v <= hi for v, (lo, hi) in zip(theta.as_array(), bounds))
 
 
-@dataclass(frozen=True)
-class GaussianFeature:
-    """Embedded Gaussian input: affine inverse transport map from the
-    reference barycenter x -> mean + inverse_map @ (x - ref.mean)."""
+@dataclass(frozen=True, eq=False)
+class Embedding:
+    """Inputs embedded against one reference, one row of X (n, p) each.
 
-    mean: np.ndarray
-    cov: np.ndarray
-    inverse_map: np.ndarray
-    reference: GaussianMeasure
+    The Euclidean distance between two rows is the L2(reference) distance
+    between the inputs' inverse transport maps:
+      - Gaussian input N(m, S) against N(., Sbar):
+        [m, vec((Sbar^1/2 S Sbar^1/2)^1/2 Sbar^-1/2)], p = d + d^2;
+      - grid input: sqrt(w) * (location each reference support cell is sent
+        to), flattened, with w the normalized reference weights; p is twice
+        the reference support size.
+    len() is n; indexing returns the selected rows as an Embedding.
+    """
+
+    reference: GaussianMeasure | GridDensity
+    X: np.ndarray
+
+    def __post_init__(self):
+        x = np.asarray(self.X, dtype=float)
+        width = _row_width(self.reference)
+        if x.ndim != 2 or x.shape[1] != width:
+            raise ValidationError(
+                f"feature matrix of shape {x.shape} does not fit the reference "
+                f"(expected {width} columns)")
+        if not np.all(np.isfinite(x)):
+            raise ValidationError("feature matrix has non-finite entries")
+        object.__setattr__(self, "X", x)
+
+    def __len__(self) -> int:
+        return len(self.X)
+
+    def __getitem__(self, index) -> "Embedding":
+        return Embedding(self.reference, np.atleast_2d(self.X[index]))
 
 
-@dataclass(frozen=True)
-class GridFeature:
-    """Embedded grid input: assignment of the reference support cells onto
-    the input's support cells."""
-
-    assignment: TransportAssignment
-    mapped: np.ndarray  # location each reference cell is sent to
-    reference: GridDensity
+def _row_width(reference: GaussianMeasure | GridDensity) -> int:
+    if isinstance(reference, GaussianMeasure):
+        return reference.dim * (reference.dim + 1)
+    return 2 * np.count_nonzero(reference.weights)
 
 
-EmbeddedFeature = GaussianFeature | GridFeature
-
-
-def embed_gaussians(measures, reference: GaussianMeasure) -> list[GaussianFeature]:
-    """Closed-form inverse transport maps from the reference to each measure."""
-    feats = []
-    for m in measures:
-        _, inverse = gaussian_transport_map(m.cov, reference.cov)
-        feats.append(GaussianFeature(mean=m.mean, cov=m.cov,
-                                     inverse_map=inverse.matrix, reference=reference))
-    return feats
+def embed_gaussians(measures, reference: GaussianMeasure) -> Embedding:
+    """Closed-form inverse transport maps from the reference to each measure,
+    from one batched eigendecomposition of the sandwiches Sbar^1/2 S Sbar^1/2."""
+    d, n = reference.dim, len(measures)
+    if any(m.dim != d for m in measures):
+        raise DimensionMismatch(f"measures must have the reference dimension {d}")
+    means = np.array([m.mean for m in measures]).reshape(n, d)
+    covs = np.array([m.cov for m in measures]).reshape(n, d, d)
+    pair = sqrtm_spd(reference.cov)
+    maps = _psd_sqrt_batch(pair.sqrt @ covs @ pair.sqrt) @ pair.inv_sqrt
+    return Embedding(reference, np.hstack([means, maps.reshape(n, d * d)]))
 
 
 def embed_grids(densities, reference: GridDensity, lam: float = 20.0,
-                max_iter: int = 10000, tol: float = 1e-9) -> list[GridFeature]:
+                max_iter: int = 10000, tol: float = 1e-9) -> Embedding:
     """Sinkhorn-and-round inverse maps from the reference support to each
     density's support."""
-    feats = []
+    rows = []
     for d in densities:
-        assignment = inverse_grid_map(d, reference, lam=lam, max_iter=max_iter, tol=tol)
-        feats.append(GridFeature(assignment=assignment,
-                                 mapped=assignment.mapped_locations(),
-                                 reference=reference))
-    return feats
+        a = inverse_grid_map(d, reference, lam=lam, max_iter=max_iter, tol=tol)
+        rows.append((np.sqrt(a.source_weights)[:, None] * a.mapped_locations()).ravel())
+    return Embedding(reference, np.array(rows).reshape(len(rows), _row_width(reference)))
 
 
-def _same_reference(f: EmbeddedFeature, g: EmbeddedFeature) -> bool:
-    if f.reference is g.reference:
-        return True
-    if isinstance(f.reference, GaussianMeasure) and isinstance(g.reference, GaussianMeasure):
-        return f.reference.same_as(g.reference)
-    if isinstance(f.reference, GridDensity) and isinstance(g.reference, GridDensity):
-        return f.reference.same_as(g.reference)
-    return False
+def _snap(dist: np.ndarray) -> np.ndarray:
+    dist[dist < DISTANCE_SNAP] = 0.0
+    return dist
 
 
-def embedding_distance(f: EmbeddedFeature, g: EmbeddedFeature) -> float:
-    """L2(reference) distance between two embedded inverse transport maps."""
-    if not _same_reference(f, g):
-        raise ReferenceMismatch("features embed against different references")
-    if isinstance(f, GaussianFeature):
-        delta = f.inverse_map - g.inverse_map
-        sq = float((delta * (g.reference.cov @ delta)).sum())  # tr(D Sbar D)
-        sq += float(((f.mean - g.mean) ** 2).sum())
-    else:
-        diff = f.mapped - g.mapped
-        w = f.assignment.source_weights
-        sq = float((w * (diff**2).sum(axis=1)).sum())
-    return math.sqrt(max(sq, 0.0))
-
-
-def snap_distance(d: float) -> float:
-    return 0.0 if d < DISTANCE_SNAP else d
-
-
-def kernel_eval(f: EmbeddedFeature, g: EmbeddedFeature, theta: KernelParams) -> float:
-    """Regression kernel at a pair of embedded features; the nugget fires
-    exactly when the (snapped) embedding distance is zero."""
-    d = snap_distance(embedding_distance(f, g))
-    val = theta.amplitude**2 * math.exp(-theta.rate * d**theta.exponent)
-    if d == 0.0:
-        val += theta.nugget
-    return val
-
-
-def pairwise_distances(features) -> np.ndarray:
+def pairwise_distances(features: Embedding) -> np.ndarray:
     """Symmetric matrix of snapped embedding distances."""
-    n = len(features)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = snap_distance(
-                embedding_distance(features[i], features[j]))
-    return out
+    from scipy.spatial.distance import pdist, squareform
+
+    return _snap(squareform(pdist(features.X)))
+
+
+def cross_distances(a: Embedding, b: Embedding) -> np.ndarray:
+    """(len(a), len(b)) matrix of snapped embedding distances; both must
+    embed against the same reference."""
+    from scipy.spatial.distance import cdist
+
+    ra, rb = a.reference, b.reference
+    if ra is not rb and (type(ra) is not type(rb) or not ra.same_as(rb)):
+        raise ReferenceMismatch("embeddings use different references")
+    return _snap(cdist(a.X, b.X))
+
+
+def _radial(dist: np.ndarray, theta: KernelParams) -> np.ndarray:
+    """amplitude^2 * exp(-rate * dist^exponent) in one new array: an n x n
+    kernel costs one n x n allocation, not one per operation."""
+    k = dist**theta.exponent
+    k *= -theta.rate
+    np.exp(k, out=k)
+    k *= theta.amplitude**2
+    return k
 
 
 def gram_from_distances(dist: np.ndarray, theta: KernelParams) -> np.ndarray:
     """Gram matrix from a snapped distance matrix. The nugget is applied on
     the diagonal only: off-diagonal zero distances (duplicated inputs) carry
     the plain radial value."""
-    k = theta.amplitude**2 * np.exp(-theta.rate * dist**theta.exponent)
-    return k + theta.nugget * np.eye(len(dist))
+    k = _radial(dist, theta)
+    k.flat[::len(k) + 1] += theta.nugget
+    return k
 
 
-def gram_matrix(features, theta: KernelParams) -> np.ndarray:
+def gram_matrix(features: Embedding, theta: KernelParams) -> np.ndarray:
     return gram_from_distances(pairwise_distances(features), theta)
+
+
+def cross_kernel(a: Embedding, b: Embedding, theta: KernelParams) -> np.ndarray:
+    """Regression kernel between the rows of a and of b; the nugget fires
+    exactly where the snapped embedding distance is zero."""
+    dist = cross_distances(a, b)
+    k = _radial(dist, theta)
+    k[dist == 0.0] += theta.nugget
+    return k
 
 
 @dataclass(frozen=True)
@@ -256,16 +213,39 @@ def psd_diagnostic(matrix, tol: float = 1e-8) -> PsdReport:
                      threshold=threshold)
 
 
-def naive_w2_kernel(a: GaussianMeasure, b: GaussianMeasure) -> float:
-    """exp(-W2^2): the direct Wasserstein kernel that fails to be positive
-    definite beyond one dimension; kept as the diagnostic negative control."""
-    return math.exp(-gaussian_w2(a, b) ** 2)
-
-
 def naive_w2_gram(measures) -> np.ndarray:
+    """exp(-W2^2) Gram: the direct Wasserstein kernel that fails to be
+    positive definite beyond one dimension; kept as the diagnostic negative
+    control.
+
+    Entry for entry the same closed form as ot.gaussian_w2: each covariance
+    is square-rooted once, and each pair takes the root of the argument that
+    comes second in gaussian_w2's canonical order. The Bures cross terms come
+    from one batched eigvalsh per PAIR_CHUNK pairs.
+    """
     n = len(measures)
+    if len({m.dim for m in measures}) > 1:
+        raise DimensionMismatch("measures differ in dimension")
     out = np.ones((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = naive_w2_kernel(measures[i], measures[j])
+    if n < 2:
+        return out
+    means = np.array([m.mean for m in measures])
+    covs = np.array([m.cov for m in measures])
+    roots = np.array([sqrtm_spd(c).sqrt for c in covs])
+    traces = np.trace(covs, axis1=1, axis2=2)
+    keys = [(m.mean.tobytes(), m.cov.tobytes()) for m in measures]
+    rank = np.empty(n, dtype=int)
+    rank[sorted(range(n), key=keys.__getitem__)] = np.arange(n)
+    i, j = np.triu_indices(n, 1)
+    first = rank[i] < rank[j]
+    a, b = np.where(first, i, j), np.where(first, j, i)
+    sq = np.empty(len(i))
+    for s in range(0, len(i), PAIR_CHUNK):
+        pa, pb = a[s:s + PAIR_CHUNK], b[s:s + PAIR_CHUNK]
+        cross = np.linalg.eigvalsh(roots[pb] @ covs[pa] @ roots[pb])
+        bures = traces[pa] + traces[pb] - 2.0 * np.sqrt(np.clip(cross, 0.0, None)).sum(axis=1)
+        mean_sq = ((means[pa] - means[pb]) ** 2).sum(axis=1)
+        same = (means[pa] == means[pb]).all(axis=1) & (covs[pa] == covs[pb]).all(axis=(1, 2))
+        sq[s:s + PAIR_CHUNK] = np.where(same, 0.0, mean_sq + np.maximum(bures, 0.0))
+    out[i, j] = out[j, i] = np.exp(-sq)
     return out

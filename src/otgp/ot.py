@@ -232,6 +232,17 @@ def assignment_ot(src: EmpiricalSample, dst: EmpiricalSample
     return assignment, w2
 
 
+def _scaling(marginal: np.ndarray, kernel_product: np.ndarray) -> np.ndarray:
+    """marginal / kernel_product, or NumericalUnderflow when a kernel row
+    has underflowed so far that the quotient is not finite."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scaling = marginal / kernel_product
+    if not np.all(np.isfinite(scaling)):
+        raise NumericalUnderflow(
+            "kernel row underflowed; lambda too large for the cost scale")
+    return scaling
+
+
 def sinkhorn_core(wa: np.ndarray, wb: np.ndarray, cost: np.ndarray,
                   lam: float, max_iter: int, tol: float) -> np.ndarray:
     """Entropic scaling iterations for strictly positive marginals.
@@ -248,11 +259,11 @@ def sinkhorn_core(wa: np.ndarray, wb: np.ndarray, cost: np.ndarray,
     u = np.ones(len(wa))
     v = np.ones(len(wb))
     for _ in range(max_iter):
-        u = wa / (k @ v)
-        v = wb / (k.T @ u)
+        u = _scaling(wa, k @ v)
+        v = _scaling(wb, k.T @ u)
         small = min(u.min(), v.min())
         big = max(u.max(), v.max())
-        if not np.isfinite(big) or (small > 0 and (small < 1e-250 or big > 1e250)):
+        if small > 0 and (small < 1e-250 or big > 1e250):
             # absorb scalings into the potentials and rebuild the kernel
             with np.errstate(divide="ignore"):
                 f = f + np.log(u)

@@ -11,11 +11,8 @@ import numpy as np
 
 
 def make_rng(seed) -> np.random.Generator:
-    """Generator for a seed, which may be an int or a tuple of ints."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
-def spawn_rngs(seed, n: int) -> list[np.random.Generator]:
-    """n independent substreams derived from one seed."""
-    children = np.random.SeedSequence(seed).spawn(n)
-    return [np.random.Generator(np.random.Philox(c)) for c in children]
+    """Generator for a seed: an int, a tuple of ints, or a SeedSequence
+    (such as a child from SeedSequence.spawn)."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return np.random.Generator(np.random.Philox(seed))

@@ -139,6 +139,20 @@ class TestFitPredictCommands:
         # training-point predictions reproduce the responses
         np.testing.assert_allclose(rows[:, 0], ys, atol=1e-6)
 
+    def test_predict_refuses_model_without_version(self, tmp_path):
+        rng = np.random.default_rng(5)
+        ms = [GaussianMeasure(rng.uniform(0.2, 0.8, 2), 0.0004 * np.eye(2))
+              for _ in range(6)]
+        data = tmp_path / "data.json"
+        dataio.save_dataset(data, ms, [float(m.mean[0]) for m in ms])
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--data", str(data), "--out", str(model_path)]) == 0
+        payload = json.loads(model_path.read_text())
+        del payload["version"]
+        model_path.write_text(json.dumps(payload))
+        assert main(["predict", "--model", str(model_path), "--data", str(data),
+                     "--out", str(tmp_path / "preds.csv")]) == 2
+
     def test_cv_method(self, tmp_path):
         rng = np.random.default_rng(3)
         ms = [GaussianMeasure(rng.uniform(0.2, 0.8, 2), 0.0004 * np.eye(2))

@@ -91,7 +91,8 @@ class TestRoundTrips:
 
         path = tmp_path / "preds.csv"
         dataio.save_predictions_csv(
-            path, [PredictionResult(1.0, 0.25, (0.1, 1.9))])
+            path, PredictionResult(np.array([1.0]), np.array([0.25]),
+                                   (np.array([0.1]), np.array([1.9]))))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "mean,variance,lo,hi"
         assert lines[1].startswith("1,0.25,")
@@ -118,11 +119,11 @@ class TestModelRoundTrip:
         dataio.save_model(path, model)
         back = dataio.load_model(path)
         query = embed_gaussians([GaussianMeasure([0.4, 0.6], 0.01 * np.eye(2))],
-                                back.features[0].reference)[0]
+                                back.features.reference)
         a = gp_predict(model, query)
         b = gp_predict(back, query)
-        assert a.mean == pytest.approx(b.mean, abs=1e-12)
-        assert a.variance == pytest.approx(b.variance, abs=1e-12)
+        assert a.mean[0] == pytest.approx(b.mean[0], abs=1e-12)
+        assert a.variance[0] == pytest.approx(b.variance[0], abs=1e-12)
 
     def test_grid_model(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -138,4 +139,30 @@ class TestModelRoundTrip:
         back = dataio.load_model(path)
         pred_a = gp_predict(model, feats[2])
         pred_b = gp_predict(back, back.features[2])
-        assert pred_a.mean == pytest.approx(pred_b.mean, abs=1e-12)
+        assert pred_a.mean[0] == pytest.approx(pred_b.mean[0], abs=1e-12)
+
+    def test_version_2_stores_x_and_reference(self, tmp_path):
+        rng = np.random.default_rng(7)
+        reference = GaussianMeasure([0.1, 0.2], 0.01 * np.eye(2))
+        ms = [GaussianMeasure(rng.uniform(0, 1, 2), 0.01 * np.eye(2)) for _ in range(5)]
+        model = gp_fit_mle(embed_gaussians(ms, reference), rng.normal(size=5))
+        path = tmp_path / "model.json"
+        dataio.save_model(path, model)
+        payload = json.loads(path.read_text())
+        assert payload["version"] == 2
+        assert payload["reference"] == {"mean": [0.1, 0.2], "cov": reference.cov.tolist()}
+        back = dataio.load_model(path)
+        np.testing.assert_array_equal(back.features.X, model.features.X)
+        np.testing.assert_array_equal(back.distances, model.distances)
+
+    def test_file_without_version_is_refused(self, tmp_path):
+        rng = np.random.default_rng(8)
+        ms = [GaussianMeasure(rng.uniform(0, 1, 2), 0.01 * np.eye(2)) for _ in range(4)]
+        model = gp_fit_mle(embed_gaussians(ms, ms[0]), rng.normal(size=4))
+        path = tmp_path / "model.json"
+        dataio.save_model(path, model)
+        payload = json.loads(path.read_text())
+        del payload["version"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError):
+            dataio.load_model(path)

@@ -104,8 +104,8 @@ class TestRegression:
         feats = embed_gaussians(measures, reference)
         with pytest.warns(UserWarning):
             model = gp_fit_mle(feats[:8], y)
-        preds = [gp_predict(model, f).mean for f in feats[8:]]
-        assert np.sqrt(np.mean((np.array(preds) - const) ** 2)) < 0.05 * const
+        preds = gp_predict(model, feats[8:]).mean
+        assert np.sqrt(np.mean((preds - const) ** 2)) < 0.05 * const
 
         grids = [rasterize_gaussian(m, 30) for m in measures]
         smodel = SmootherModel(grids=tuple(grids[:8]), y=y, bandwidth=2.5)
@@ -163,7 +163,28 @@ class TestDisks:
         feats = embed_grids(grids + [dup], bar, lam=20.0)
         model = gp_fit_mle(feats[:8], y)
         pred = gp_predict(model, feats[8])
-        assert pred.mean == pytest.approx(y[0], abs=1e-6)
+        assert pred.mean[0] == pytest.approx(y[0], abs=1e-6)
+
+
+class TestRandomStreams:
+    def test_make_rng_draws_the_philox_streams_of_the_drivers(self):
+        # the drivers seed Philox from a SeedSequence of an int tuple or of a
+        # spawned child; make_rng must reproduce those streams bit for bit
+        from otgp.rng import make_rng
+
+        def philox(seed_parts):
+            if not isinstance(seed_parts, np.random.SeedSequence):
+                seed_parts = np.random.SeedSequence(seed_parts)
+            return np.random.Generator(np.random.Philox(seed_parts))
+
+        seeds = [(7, 0), (7, 2, 3), 11]
+        seeds += np.random.SeedSequence(7).spawn(3)
+        for seed in seeds:
+            a, b = make_rng(seed), philox(seed)
+            np.testing.assert_array_equal(a.uniform(size=64), b.uniform(size=64))
+            np.testing.assert_array_equal(a.choice(500, size=20, replace=False),
+                                          b.choice(500, size=20, replace=False))
+            np.testing.assert_array_equal(a.standard_normal(16), b.standard_normal(16))
 
 
 class TestBuildConfig:

@@ -17,19 +17,39 @@ from otgp.gp import (
     metrics,
     posterior_mean_variance,
 )
-from otgp.kernels import DEFAULT_BOUNDS, KernelParams, embed_gaussians, gram_from_distances, pairwise_distances
+from otgp.errors import ReferenceMismatch
+from otgp.kernels import (
+    DEFAULT_BOUNDS,
+    DISTANCE_SNAP,
+    KernelParams,
+    embed_gaussians,
+    gram_from_distances,
+    pairwise_distances,
+)
 from otgp.measures import GaussianMeasure
+
+REFERENCE = GaussianMeasure([0.0, 0.0], 0.01 * np.eye(2))
+
+
+def make_measures(rng, n, spread=1.0):
+    return [GaussianMeasure(rng.uniform(0, spread, size=2),
+                            rng.uniform(0.005, 0.02) * np.eye(2)) for _ in range(n)]
 
 
 def make_features(rng, n, spread=1.0):
-    reference = GaussianMeasure([0.0, 0.0], 0.01 * np.eye(2))
-    ms = [GaussianMeasure(rng.uniform(0, spread, size=2),
-                          rng.uniform(0.005, 0.02) * np.eye(2)) for _ in range(n)]
-    return embed_gaussians(ms, reference)
+    return embed_gaussians(make_measures(rng, n, spread), REFERENCE)
 
 
 def smooth_targets(features):
-    return np.array([f.mean[0] - f.mean[1] ** 2 for f in features])
+    means = features.X[:, :2]  # a Gaussian row starts with the mean
+    return means[:, 0] - means[:, 1] ** 2
+
+
+def fixed_model(features, y, theta):
+    dist = pairwise_distances(features)
+    chol, _ = chol_with_jitter(gram_from_distances(dist, theta))
+    return GpModel(features=features, y=y, theta=theta, distances=dist, chol=chol,
+                   alpha=cho_solve((chol, True), y))
 
 
 class TestPosterior:
@@ -99,7 +119,7 @@ class TestFitMle:
         y = smooth_targets(feats)
         model_a = gp_fit_mle(feats, y)
         perm = rng.permutation(len(y))
-        model_b = gp_fit_mle([feats[i] for i in perm], y[perm])
+        model_b = gp_fit_mle(feats[perm], y[perm])
         np.testing.assert_allclose(model_a.theta.as_array(),
                                    model_b.theta.as_array(), rtol=1e-5)
 
@@ -156,7 +176,7 @@ class TestFitCv:
         y = smooth_targets(feats)
         model_a = gp_fit_cv(feats, y)
         perm = rng.permutation(len(y))
-        model_b = gp_fit_cv([feats[i] for i in perm], y[perm])
+        model_b = gp_fit_cv(feats[perm], y[perm])
         np.testing.assert_allclose(model_a.theta.as_array(),
                                    model_b.theta.as_array(), rtol=1e-5)
 
@@ -167,10 +187,10 @@ class TestPredict:
         feats = make_features(rng, 10)
         y = smooth_targets(feats)
         model = gp_fit_mle(feats, y)
-        for i in (0, 4, 9):
-            pred = gp_predict(model, feats[i])
-            assert pred.mean == pytest.approx(y[i], rel=1e-6, abs=1e-8)
-            assert pred.variance == pytest.approx(0.0, abs=1e-8)
+        pred = gp_predict(model, feats[[0, 4, 9]])
+        for k, i in enumerate((0, 4, 9)):
+            assert pred.mean[k] == pytest.approx(y[i], rel=1e-6, abs=1e-8)
+            assert pred.variance[k] == pytest.approx(0.0, abs=1e-8)
 
     def test_far_feature_reverts_to_prior(self):
         rng = np.random.default_rng(9)
@@ -186,8 +206,8 @@ class TestPredict:
         model = GpModel(features=feats[:5], y=y, theta=theta, distances=dist,
                         chol=chol, alpha=cho_solve((chol, True), y))
         pred = gp_predict(model, feats[5])
-        assert pred.mean == 0.0
-        assert pred.variance == pytest.approx(theta.amplitude**2 + theta.nugget)
+        assert pred.mean[0] == 0.0
+        assert pred.variance[0] == pytest.approx(theta.amplitude**2 + theta.nugget)
 
     def test_variance_bounded_by_prior(self):
         rng = np.random.default_rng(10)
@@ -195,13 +215,8 @@ class TestPredict:
         y = smooth_targets(feats)
         model = gp_fit_mle(feats, y)
         prior = model.theta.amplitude**2 + model.theta.nugget
-        test_feats = make_features(rng, 20)
-        # re-embed against the model's reference
-        test_feats = embed_gaussians(
-            [GaussianMeasure(f.mean, f.cov) for f in test_feats],
-            model.features[0].reference)
-        for f in test_feats:
-            assert gp_predict(model, f).variance <= prior + 1e-10
+        test_feats = embed_gaussians(make_measures(rng, 20), model.features.reference)
+        assert np.all(gp_predict(model, test_feats).variance <= prior + 1e-10)
 
     def test_adding_points_never_increases_variance(self):
         rng = np.random.default_rng(11)
@@ -217,7 +232,7 @@ class TestPredict:
             model = GpModel(features=feats[:n], y=y[:n], theta=theta,
                             distances=dist, chol=chol,
                             alpha=cho_solve((chol, True), y[:n]))
-            var = gp_predict(model, query).variance
+            var = gp_predict(model, query).variance[0]
             assert var <= prev + 1e-8
             prev = var
 
@@ -226,13 +241,46 @@ class TestPredict:
         feats = make_features(rng, 8)
         y = smooth_targets(feats)
         model = gp_fit_mle(feats, y)
-        pred = gp_predict(model, make_features(rng, 1)[0].__class__(
-            mean=np.array([0.5, 0.5]), cov=0.01 * np.eye(2),
-            inverse_map=np.eye(2), reference=model.features[0].reference))
+        query = embed_gaussians([GaussianMeasure([0.5, 0.5], 0.01 * np.eye(2))],
+                                model.features.reference)
+        pred = gp_predict(model, query)
         lo, hi = pred.ci90
-        assert lo <= pred.mean <= hi
-        width = hi - lo
-        assert width == pytest.approx(2 * 1.645 * math.sqrt(pred.variance))
+        assert lo[0] <= pred.mean[0] <= hi[0]
+        width = hi[0] - lo[0]
+        assert width == pytest.approx(2 * 1.645 * math.sqrt(pred.variance[0]))
+
+    def test_batch_matches_pointwise_posterior(self):
+        # training set with a duplicated input (nugget on the diagonal only);
+        # test set holding a copy of a training input (the nugget fires)
+        rng = np.random.default_rng(13)
+        train = make_measures(rng, 9)
+        train.append(GaussianMeasure(train[2].mean, train[2].cov))
+        test = make_measures(rng, 6) + [GaussianMeasure(train[5].mean, train[5].cov)]
+        feats = embed_gaussians(train, REFERENCE)
+        queries = embed_gaussians(test, REFERENCE)
+        theta = KernelParams(1.3, 2.0, 1.5, 0.05)
+        model = fixed_model(feats, rng.normal(size=10), theta)
+        assert model.distances[2, 9] == 0.0
+        pred = gp_predict(model, queries)
+        k_self = theta.amplitude**2 + theta.nugget
+        for t in range(len(test)):
+            d = np.linalg.norm(feats.X - queries.X[t], axis=1)
+            d[d < DISTANCE_SNAP] = 0.0
+            r_vec = theta.amplitude**2 * np.exp(-theta.rate * d**theta.exponent)
+            r_vec += theta.nugget * (d == 0.0)
+            mean, var = posterior_mean_variance(model.chol, model.alpha, r_vec, k_self)
+            assert pred.mean[t] == pytest.approx(mean, rel=1e-12, abs=1e-12)
+            assert pred.variance[t] == pytest.approx(max(var, 0.0), rel=1e-12, abs=1e-12)
+        coincide = np.linalg.norm(queries.X[:, None] - feats.X[None], axis=2) == 0.0
+        assert np.argwhere(coincide).tolist() == [[6, 5]]
+
+    def test_reference_mismatch(self):
+        rng = np.random.default_rng(14)
+        feats = make_features(rng, 6)
+        model = fixed_model(feats, smooth_targets(feats), KernelParams(1.0, 1.0, 1.0, 0.01))
+        other = embed_gaussians(make_measures(rng, 2), GaussianMeasure([0.0, 0.0], np.eye(2)))
+        with pytest.raises(ReferenceMismatch):
+            gp_predict(model, other)
 
 
 class TestMetrics:

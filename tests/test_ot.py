@@ -9,6 +9,7 @@ from otgp.errors import (
     EmptyRow,
     NoConvergence,
     NotPositiveDefinite,
+    NumericalUnderflow,
     SizeMismatch,
 )
 from otgp.barycenter import grid_barycenter
@@ -294,6 +295,22 @@ class TestSinkhorn:
         cost = np.array([[0.0, 1.0], [1.0, 0.0]])
         plan = sinkhorn_core(wa, wb, cost, lam=800.0, max_iter=5000, tol=1e-10)
         np.testing.assert_allclose(plan.sum(axis=0), wb, atol=1e-9)
+
+    @pytest.mark.parametrize("lam", [2300.0, 20000.0])
+    def test_core_underflow_raises_without_warnings(self, lam):
+        # two disjoint 5-cell supports: at lambda 20000 every kernel entry
+        # underflows to zero, at 2300 a scaling overflows
+        wa = np.zeros((5, 5))
+        wa[:, 0] = 0.2
+        wb = np.zeros((5, 5))
+        wb[:, -1] = 0.2
+        _, loc_a, pa = GridDensity(wa).support()
+        _, loc_b, pb = GridDensity(wb).support()
+        cost = ((loc_a[:, None] - loc_b[None]) ** 2).sum(axis=2) / 2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalUnderflow):
+                sinkhorn_core(pa, pb, cost, lam=lam, max_iter=1000, tol=1e-9)
 
 
 class TestRounding:
