@@ -1,6 +1,5 @@
 """File formats: Gaussian-set JSON, grid-density CSV, disk-config JSON,
-regression dataset JSON, transport-assignment JSON, fitted-model JSON and
-prediction CSV."""
+regression dataset JSON, fitted-model JSON and prediction CSV."""
 
 from __future__ import annotations
 
@@ -12,7 +11,6 @@ import numpy as np
 from .errors import ValidationError
 from .kernels import Embedding, KernelParams, pairwise_distances
 from .measures import DiskConfig, GaussianMeasure, GridDensity, disks_to_grid, rasterize_gaussian
-from .ot import TransportAssignment
 
 # Model JSON schema: version 2 stores the training feature matrix X and the
 # reference; files without a version predate it and are refused.
@@ -111,24 +109,6 @@ def dataset_to_grids(inputs, grid_size: int) -> list[GridDensity]:
     return out
 
 
-def assignment_to_json(a: TransportAssignment) -> dict:
-    return {
-        "targets": a.target_index.tolist(),
-        "weights": a.source_weights.tolist(),
-        "source_locations": a.source_locations.tolist(),
-        "target_locations": a.target_locations.tolist(),
-    }
-
-
-def assignment_from_json(payload: dict) -> TransportAssignment:
-    return TransportAssignment(
-        target_index=np.asarray(payload["targets"], dtype=int),
-        source_weights=np.asarray(payload["weights"], dtype=float),
-        source_locations=np.asarray(payload["source_locations"], dtype=float),
-        target_locations=np.asarray(payload["target_locations"], dtype=float),
-    )
-
-
 def save_model(path, model) -> None:
     """Fitted GP to JSON: theta, responses, reference and the training
     feature matrix X."""
@@ -155,7 +135,7 @@ def save_model(path, model) -> None:
 
 
 def load_model(path):
-    from .gp import _build_model  # deferred to avoid an import cycle
+    from .gp import build_model  # deferred to avoid an import cycle
 
     payload = json.loads(Path(path).read_text())
     if payload.get("version") != MODEL_VERSION:
@@ -170,7 +150,7 @@ def load_model(path):
     features = Embedding(ref, payload["X"])
     if len(features) != len(y):
         raise ValidationError("model X and y differ in length")
-    return _build_model(features, y, pairwise_distances(features), theta,
+    return build_model(features, y, pairwise_distances(features), theta,
                         degenerate=payload.get("degenerate", False))
 
 

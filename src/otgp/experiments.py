@@ -19,7 +19,7 @@ import numpy as np
 from .barycenter import gaussian_barycenter, gaussian_barycenter_measure, grid_barycenter
 from .baseline import fit_smoother, smoother_predict
 from .errors import ValidationError
-from .gp import chol_with_jitter, gp_fit_cv, gp_fit_mle, gp_predict, metrics, posterior_mean_variance
+from .gp import build_model, gp_fit_cv, gp_fit_mle, gp_predict, metrics
 from .kernels import (
     KernelParams,
     embed_gaussians,
@@ -158,14 +158,9 @@ def _gp_mean_at(pop, grid_idx, test_idx, bar_cov, y) -> float:
     reference = GaussianMeasure(zero, bar_cov)
     feats = embed_gaussians(
         [GaussianMeasure(zero, pop[i]) for i in list(grid_idx) + [test_idx]], reference)
-    gram = gram_from_distances(pairwise_distances(feats), UNIT_SE)
-    r_mat, r_vec = gram[:-1, :-1], gram[-1, :-1]
-    chol, _ = chol_with_jitter(r_mat)
-    from scipy.linalg import cho_solve
-
-    alpha = cho_solve((chol, True), y)
-    mean, _ = posterior_mean_variance(chol, alpha, r_vec, 1.0)
-    return mean
+    grid = feats[:-1]
+    model = build_model(grid, y, pairwise_distances(grid), UNIT_SE)
+    return float(gp_predict(model, feats[-1]).mean[0])
 
 
 def _write_series_csv(path, ns, values) -> None:

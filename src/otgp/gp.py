@@ -22,6 +22,7 @@ from .kernels import (
     KernelParams,
     cross_kernel,
     gram_from_distances,
+    gram_log_derivatives,
     pairwise_distances,
 )
 
@@ -74,13 +75,19 @@ def chol_with_jitter(r: np.ndarray) -> tuple[np.ndarray, float]:
         f"matrix not factorizable after jitter up to {JITTER_LADDER[-1]:g}*tr(R)/n")
 
 
-def log_likelihood(dist: np.ndarray, y: np.ndarray, theta: KernelParams) -> float:
-    """Zero-mean Gaussian log likelihood of y under the kernel at theta."""
-    r = gram_from_distances(dist, theta)
+def log_likelihood(dist: np.ndarray, y: np.ndarray, theta: KernelParams
+                   ) -> tuple[float, np.ndarray]:
+    """Zero-mean Gaussian log likelihood of y under the kernel at theta, and
+    its gradient with respect to log(amplitude, rate, exponent, nugget),
+    1/2 tr((alpha alpha^T - R^-1) dR/dlog theta) (Rasmussen & Williams,
+    GPML 2006, 5.4.1), both from one Cholesky factor."""
+    r, derivatives = gram_log_derivatives(dist, theta)
     l, _ = chol_with_jitter(r)
     alpha = cho_solve((l, True), y)
     n = len(y)
-    return float(-0.5 * y @ alpha - np.log(np.diag(l)).sum() - 0.5 * n * math.log(2 * math.pi))
+    value = float(-0.5 * y @ alpha - np.log(np.diag(l)).sum() - 0.5 * n * math.log(2 * math.pi))
+    w = np.outer(alpha, alpha) - cho_solve((l, True), np.eye(n))
+    return value, 0.5 * np.tensordot(derivatives, w, axes=2)
 
 
 def _log_box(bounds) -> np.ndarray:
@@ -101,21 +108,30 @@ def _multistart_points(log_box: np.ndarray, n_starts: int) -> np.ndarray:
     return log_box[:, 0] + unit * (log_box[:, 1] - log_box[:, 0])
 
 
-def _minimize_in_box(objective, log_box: np.ndarray, n_starts: int = 8):
+def _minimize_in_box(objective, log_box: np.ndarray, n_starts: int = 8,
+                     gradient: bool = False):
+    """Best of one bounded local search per Sobol start: L-BFGS-B when the
+    objective returns (value, gradient), Nelder-Mead when it returns the
+    value alone."""
     from scipy.optimize import minimize
 
+    if gradient:
+        method, options = "L-BFGS-B", dict(ftol=1e-13, gtol=1e-9, maxiter=1000)
+    else:
+        method, options = "Nelder-Mead", dict(xatol=1e-8, fatol=1e-12, maxiter=4000,
+                                              maxfev=4000)
     best = None
     for x0 in _multistart_points(log_box, n_starts):
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       bounds=list(map(tuple, log_box)),
-                       options=dict(xatol=1e-8, fatol=1e-12, maxiter=4000,
-                                    maxfev=4000))
+        res = minimize(objective, x0, method=method, jac=gradient,
+                       bounds=list(map(tuple, log_box)), options=options)
         if best is None or res.fun < best.fun:
             best = res
     return best
 
 
-def _build_model(features, y, dist, theta, degenerate=False, clipped=False) -> GpModel:
+def build_model(features, y, dist, theta, degenerate=False, clipped=False) -> GpModel:
+    """GP model at fixed kernel parameters: one factorization of the
+    training Gram (with jitter when needed) and alpha = R^-1 y."""
     r = gram_from_distances(dist, theta)
     l, jitter = chol_with_jitter(r)
     alpha = cho_solve((l, True), y)
@@ -128,14 +144,16 @@ def _degenerate_model(features, y, dist, bounds) -> GpModel:
     warnings.warn("constant responses: returning lower-bound amplitude", stacklevel=3)
     theta = KernelParams(amplitude=bounds[0][0], rate=bounds[1][0],
                          exponent=1.0, nugget=bounds[3][0])
-    return _build_model(features, y, dist, theta, degenerate=True)
+    return build_model(features, y, dist, theta, degenerate=True)
 
 
 def gp_fit_mle(features, y, bounds=DEFAULT_BOUNDS, n_starts: int = 8) -> GpModel:
     """Fit kernel parameters by maximizing the log likelihood.
 
-    Derivative-free Nelder-Mead in log-transformed box coordinates from a
-    deterministic Sobol lattice of starting points.
+    L-BFGS-B with the analytic gradient of log_likelihood, in log-transformed
+    box coordinates, from a deterministic Sobol lattice of starting points.
+    A start whose Gram cannot be factorized sees a large value with a zero
+    gradient, and the search goes on from the other starts.
     """
     y = np.asarray(y, dtype=float)
     if len(features) != len(y) or len(y) < 2:
@@ -147,13 +165,14 @@ def gp_fit_mle(features, y, bounds=DEFAULT_BOUNDS, n_starts: int = 8) -> GpModel
     def objective(log_theta):
         theta = KernelParams.from_array(_exp_into_box(log_theta, bounds))
         try:
-            return -log_likelihood(dist, y, theta)
+            value, grad = log_likelihood(dist, y, theta)
         except CholeskyFailure:
-            return 1e15
+            return 1e15, np.zeros(len(log_theta))
+        return -value, -grad
 
-    best = _minimize_in_box(objective, _log_box(bounds), n_starts)
+    best = _minimize_in_box(objective, _log_box(bounds), n_starts, gradient=True)
     theta = KernelParams.from_array(_exp_into_box(best.x, bounds))
-    return _build_model(features, y, dist, theta)
+    return build_model(features, y, dist, theta)
 
 
 def loo_residuals(dist: np.ndarray, y: np.ndarray, theta: KernelParams
@@ -211,16 +230,7 @@ def gp_fit_cv(features, y, bounds=DEFAULT_BOUNDS, n_starts: int = 8,
     nugget, c2 = _clip_to_box(ratio * amplitude**2, bounds[3])
     theta = KernelParams(amplitude=amplitude, rate=float(rate),
                          exponent=float(exponent), nugget=nugget)
-    return _build_model(features, y, dist, theta, clipped=c1 or c2)
-
-
-def posterior_mean_variance(chol: np.ndarray, alpha: np.ndarray,
-                            r_vec: np.ndarray, k_self: float) -> tuple[float, float]:
-    """Posterior mean r^T R^-1 y and variance k - r^T R^-1 r from the
-    training factorization."""
-    mean = float(r_vec @ alpha)
-    w = cho_solve((chol, True), r_vec)
-    return mean, float(k_self - r_vec @ w)
+    return build_model(features, y, dist, theta, clipped=c1 or c2)
 
 
 def gp_predict(model: GpModel, features: Embedding) -> PredictionResult:

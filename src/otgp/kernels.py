@@ -154,7 +154,11 @@ def cross_distances(a: Embedding, b: Embedding) -> np.ndarray:
 def _radial(dist: np.ndarray, theta: KernelParams) -> np.ndarray:
     """amplitude^2 * exp(-rate * dist^exponent) in one new array: an n x n
     kernel costs one n x n allocation, not one per operation."""
-    k = dist**theta.exponent
+    return _radial_of_power(dist**theta.exponent, theta)
+
+
+def _radial_of_power(k: np.ndarray, theta: KernelParams) -> np.ndarray:
+    """amplitude^2 * exp(-rate * k), overwriting k = dist^exponent."""
     k *= -theta.rate
     np.exp(k, out=k)
     k *= theta.amplitude**2
@@ -168,6 +172,24 @@ def gram_from_distances(dist: np.ndarray, theta: KernelParams) -> np.ndarray:
     k = _radial(dist, theta)
     k.flat[::len(k) + 1] += theta.nugget
     return k
+
+
+def gram_log_derivatives(dist: np.ndarray, theta: KernelParams
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram matrix of gram_from_distances and its derivatives with
+    respect to log(amplitude, rate, exponent, nugget), stacked (4, n, n).
+
+    With K0 = amplitude^2 exp(-rate d^p) the Gram without the nugget:
+    dK/dlog a = 2 K0, dK/dlog r = -r d^p K0, dK/dlog p = -r p d^p log(d) K0
+    (0 where d = 0, log 0 is never taken) and dK/dlog g = g I."""
+    power = dist**theta.exponent
+    k0 = _radial_of_power(power.copy(), theta)
+    log_d = np.log(dist, out=np.zeros_like(dist), where=dist > 0.0)
+    d_rate = -theta.rate * power * k0
+    derivatives = np.stack([2.0 * k0, d_rate, theta.exponent * log_d * d_rate,
+                            theta.nugget * np.eye(len(dist))])
+    k0.flat[::len(k0) + 1] += theta.nugget
+    return k0, derivatives
 
 
 def gram_matrix(features: Embedding, theta: KernelParams) -> np.ndarray:

@@ -8,7 +8,6 @@ from otgp.errors import ValidationError
 from otgp.gp import gp_fit_mle, gp_predict
 from otgp.kernels import embed_gaussians, embed_grids
 from otgp.measures import DiskConfig, GaussianMeasure, GridDensity
-from otgp.ot import inverse_grid_map
 
 
 def random_density(rng, g):
@@ -74,17 +73,6 @@ class TestRoundTrips:
         path.write_text(json.dumps([{"input": {"kind": "mystery"}, "y": 1.0}]))
         with pytest.raises(ValidationError):
             dataio.load_dataset(path)
-
-    def test_assignment_json_keys(self, tmp_path):
-        rng = np.random.default_rng(4)
-        bar = random_density(rng, 4)
-        mu = random_density(rng, 4)
-        a = inverse_grid_map(mu, bar, lam=20.0)
-        payload = dataio.assignment_to_json(a)
-        assert set(payload) >= {"targets", "weights"}
-        back = dataio.assignment_from_json(payload)
-        np.testing.assert_array_equal(back.target_index, a.target_index)
-        np.testing.assert_allclose(back.source_weights, a.source_weights)
 
     def test_predictions_csv_header(self, tmp_path):
         from otgp.gp import PredictionResult

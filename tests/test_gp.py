@@ -1,13 +1,18 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve, cholesky
 
-from otgp.errors import SizeMismatch, ZeroVarianceTruths
+from otgp import gp
+from otgp.barycenter import gaussian_barycenter_measure, grid_barycenter
+from otgp.errors import CholeskyFailure, ReferenceMismatch, SizeMismatch, ZeroVarianceTruths
+from otgp.experiments import disk_response
 from otgp.gp import (
     GpModel,
+    build_model,
     chol_with_jitter,
     gp_fit_cv,
     gp_fit_mle,
@@ -15,18 +20,18 @@ from otgp.gp import (
     log_likelihood,
     loo_residuals,
     metrics,
-    posterior_mean_variance,
 )
-from otgp.errors import ReferenceMismatch
 from otgp.kernels import (
     DEFAULT_BOUNDS,
     DISTANCE_SNAP,
     KernelParams,
     embed_gaussians,
+    embed_grids,
     gram_from_distances,
+    gram_log_derivatives,
     pairwise_distances,
 )
-from otgp.measures import GaussianMeasure
+from otgp.measures import DiskConfig, GaussianMeasure, disks_to_grid, sample_regression_gaussians
 
 REFERENCE = GaussianMeasure([0.0, 0.0], 0.01 * np.eye(2))
 
@@ -45,11 +50,59 @@ def smooth_targets(features):
     return means[:, 0] - means[:, 1] ** 2
 
 
-def fixed_model(features, y, theta):
-    dist = pairwise_distances(features)
-    chol, _ = chol_with_jitter(gram_from_distances(dist, theta))
-    return GpModel(features=features, y=y, theta=theta, distances=dist, chol=chol,
-                   alpha=cho_solve((chol, True), y))
+def posterior_mean_variance(chol, alpha, r_vec, k_self):
+    """Per-point oracle: posterior mean r^T R^-1 y and variance
+    k - r^T R^-1 r from the training factorization."""
+    mean = float(r_vec @ alpha)
+    w = cho_solve((chol, True), r_vec)
+    return mean, float(k_self - r_vec @ w)
+
+
+def finite_difference_gradient(dist, y, theta, h=1e-5, backward=()):
+    """Central differences of log_likelihood in log(theta); second-order
+    backward differences for the components listed in backward (a
+    parameter on a hard limit such as exponent 2)."""
+    log_theta = np.log(theta.as_array())
+    grad = np.zeros(4)
+    for k in range(4):
+        def f(step):
+            x = log_theta.copy()
+            x[k] += step
+            return log_likelihood(dist, y, KernelParams.from_array(np.exp(x)))[0]
+        if k in backward:
+            grad[k] = (3 * f(0.0) - 4 * f(-h) + f(-2 * h)) / (2 * h)
+        else:
+            grad[k] = (f(h) - f(-h)) / (2 * h)
+    return grad
+
+
+def nelder_mead_log_likelihood(dist, y, bounds=DEFAULT_BOUNDS):
+    """Reference for the gradient fit: the best log likelihood that
+    derivative-free Nelder-Mead finds from the fitter's Sobol starts in the
+    same log box."""
+    def objective(log_theta):
+        theta = KernelParams.from_array(gp._exp_into_box(log_theta, bounds))
+        try:
+            return -log_likelihood(dist, y, theta)[0]
+        except CholeskyFailure:
+            return 1e15
+
+    return -gp._minimize_in_box(objective, gp._log_box(bounds)).fun
+
+
+def regression_training_set(seed):
+    pairs = sample_regression_gaussians(100, seed)[:50]
+    measures = [m for m, _ in pairs]
+    reference, _ = gaussian_barycenter_measure(measures)
+    return embed_gaussians(measures, reference), np.array([y for _, y in pairs])
+
+
+def small_disks_set(seed, n=12, grid_size=20):
+    rng = np.random.default_rng(seed)
+    grids = [disks_to_grid(DiskConfig(0.1, rng.uniform(0, 1, size=(4, 2))), grid_size)
+             for _ in range(n)]
+    reference = grid_barycenter(grids, lam=20.0).result
+    return embed_grids(grids, reference), np.array([disk_response(g) for g in grids])
 
 
 class TestPosterior:
@@ -79,7 +132,7 @@ class TestFitMle:
         y = smooth_targets(feats)
         model = gp_fit_mle(feats, y)
         dist = pairwise_distances(feats)
-        fitted_ll = log_likelihood(dist, y, model.theta)
+        fitted_ll = log_likelihood(dist, y, model.theta)[0]
 
         # refine from the best cell of a 3^4 grid and compare
         from scipy.optimize import minimize
@@ -92,9 +145,9 @@ class TestFitMle:
 
         axes = [np.linspace(lo, hi, 3) for lo, hi in log_box]
         best_cell = max(itertools.product(*axes),
-                        key=lambda x: log_likelihood(dist, y, theta_at(x)))
+                        key=lambda x: log_likelihood(dist, y, theta_at(x))[0])
         res = minimize(
-            lambda x: -log_likelihood(dist, y, theta_at(x)),
+            lambda x: -log_likelihood(dist, y, theta_at(x))[0],
             np.array(best_cell), method="Nelder-Mead",
             bounds=list(map(tuple, log_box)),
             options=dict(xatol=1e-8, fatol=1e-12, maxiter=4000, maxfev=4000))
@@ -109,9 +162,9 @@ class TestFitMle:
         for v, (lo, hi) in zip(arr, DEFAULT_BOUNDS):
             assert lo - 1e-12 <= v <= hi + 1e-12
         dist = pairwise_distances(feats)
-        fitted_ll = log_likelihood(dist, y, model.theta)
+        fitted_ll = log_likelihood(dist, y, model.theta)[0]
         for corner in itertools.product(*DEFAULT_BOUNDS):
-            assert fitted_ll >= log_likelihood(dist, y, KernelParams(*corner)) - 1e-9
+            assert fitted_ll >= log_likelihood(dist, y, KernelParams(*corner))[0] - 1e-9
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
@@ -140,6 +193,81 @@ class TestFitMle:
         rel = np.linalg.norm(model.chol @ model.chol.T - r) / np.linalg.norm(r)
         assert rel < 1e-8
         assert np.linalg.norm(r @ model.alpha - y) / np.linalg.norm(y) < 1e-8
+
+    @pytest.mark.parametrize("training_set", [
+        lambda: regression_training_set(1000),
+        lambda: small_disks_set(0),
+    ], ids=["gaussian-regression-1000", "disks"])
+    def test_matches_nelder_mead_reference(self, training_set):
+        feats, y = training_set()
+        model = gp_fit_mle(feats, y)
+        dist = pairwise_distances(feats)
+        fitted_ll = log_likelihood(dist, y, model.theta)[0]
+        assert fitted_ll >= nelder_mead_log_likelihood(dist, y) - 1e-6
+
+    def test_cholesky_failure_at_some_starts(self, monkeypatch):
+        # a likelihood that cannot be factorized wherever the amplitude is
+        # above 2: the starts there give up, the others still find a model
+        rng = np.random.default_rng(15)
+        feats = make_features(rng, 12)
+        y = smooth_targets(feats)
+        calls = {"failed": 0}
+
+        def failing(dist, y, theta):
+            if theta.amplitude > 2.0:
+                calls["failed"] += 1
+                raise CholeskyFailure("forced")
+            return log_likelihood(dist, y, theta)
+
+        monkeypatch.setattr(gp, "log_likelihood", failing)
+        model = gp_fit_mle(feats, y)
+        assert calls["failed"] > 0
+        arr = model.theta.as_array()
+        assert np.all(np.isfinite(arr)) and np.all(np.isfinite(model.alpha))
+        for v, (lo, hi) in zip(arr, DEFAULT_BOUNDS):
+            assert lo <= v <= hi
+        assert model.theta.amplitude <= 2.0
+
+
+class TestLogLikelihoodGradient:
+    @staticmethod
+    def setup_data(duplicate=False):
+        rng = np.random.default_rng(16)
+        measures = make_measures(rng, 15)
+        if duplicate:
+            measures.append(GaussianMeasure(measures[3].mean, measures[3].cov))
+        feats = embed_gaussians(measures, REFERENCE)
+        return pairwise_distances(feats), smooth_targets(feats)
+
+    @pytest.mark.parametrize("duplicate", [False, True], ids=["distinct", "duplicated"])
+    @pytest.mark.parametrize("theta, backward", [
+        (KernelParams(1.2, 0.7, 1.3, 0.01), ()),
+        (KernelParams(*(lo for lo, _ in DEFAULT_BOUNDS)), ()),
+        (KernelParams(*(hi for _, hi in DEFAULT_BOUNDS)), (2,)),  # exponent at 2
+    ], ids=["interior", "lower-bounds", "upper-bounds"])
+    def test_matches_finite_differences(self, theta, backward, duplicate):
+        dist, y = self.setup_data(duplicate)
+        if duplicate:
+            assert dist[3, 15] == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value, grad = log_likelihood(dist, y, theta)
+            expected = finite_difference_gradient(dist, y, theta, backward=backward)
+        np.testing.assert_allclose(grad, expected, rtol=1e-6)
+        r = gram_from_distances(dist, theta)
+        l = cholesky(r, lower=True)
+        alpha = cho_solve((l, True), y)
+        assert value == -0.5 * y @ alpha - np.log(np.diag(l)).sum() - 0.5 * len(y) * math.log(2 * math.pi)
+
+    def test_gram_and_derivatives_at_zero_distance(self):
+        dist, _ = self.setup_data(duplicate=True)
+        theta = KernelParams(1.2, 0.7, 1.3, 0.01)
+        gram, derivatives = gram_log_derivatives(dist, theta)
+        np.testing.assert_array_equal(gram, gram_from_distances(dist, theta))
+        zero = dist == 0.0
+        assert derivatives.shape == (4,) + dist.shape
+        assert np.all(derivatives[1][zero] == 0.0) and np.all(derivatives[2][zero] == 0.0)
+        np.testing.assert_array_equal(derivatives[3], theta.nugget * np.eye(len(dist)))
 
 
 class TestFitCv:
@@ -259,7 +387,7 @@ class TestPredict:
         feats = embed_gaussians(train, REFERENCE)
         queries = embed_gaussians(test, REFERENCE)
         theta = KernelParams(1.3, 2.0, 1.5, 0.05)
-        model = fixed_model(feats, rng.normal(size=10), theta)
+        model = build_model(feats, rng.normal(size=10), pairwise_distances(feats), theta)
         assert model.distances[2, 9] == 0.0
         pred = gp_predict(model, queries)
         k_self = theta.amplitude**2 + theta.nugget
@@ -277,7 +405,8 @@ class TestPredict:
     def test_reference_mismatch(self):
         rng = np.random.default_rng(14)
         feats = make_features(rng, 6)
-        model = fixed_model(feats, smooth_targets(feats), KernelParams(1.0, 1.0, 1.0, 0.01))
+        model = build_model(feats, smooth_targets(feats), pairwise_distances(feats),
+                            KernelParams(1.0, 1.0, 1.0, 0.01))
         other = embed_gaussians(make_measures(rng, 2), GaussianMeasure([0.0, 0.0], np.eye(2)))
         with pytest.raises(ReferenceMismatch):
             gp_predict(model, other)
