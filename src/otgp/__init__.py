@@ -38,7 +38,6 @@ from .ot import (
     gaussian_w2,
     inverse_grid_map,
     map_l2_distance_gaussian,
-    round_plan_to_map,
     sinkhorn_plan,
     sqrtm_spd,
 )

@@ -21,6 +21,7 @@ from .kernels import (
     Embedding,
     KernelParams,
     cross_kernel,
+    fit_invariants,
     gram_from_distances,
     gram_log_derivatives,
     pairwise_distances,
@@ -75,18 +76,21 @@ def chol_with_jitter(r: np.ndarray) -> tuple[np.ndarray, float]:
         f"matrix not factorizable after jitter up to {JITTER_LADDER[-1]:g}*tr(R)/n")
 
 
-def log_likelihood(dist: np.ndarray, y: np.ndarray, theta: KernelParams
+def log_likelihood(dist: np.ndarray, y: np.ndarray, theta: KernelParams,
+                   fixed: tuple[np.ndarray, np.ndarray] | None = None
                    ) -> tuple[float, np.ndarray]:
     """Zero-mean Gaussian log likelihood of y under the kernel at theta, and
     its gradient with respect to log(amplitude, rate, exponent, nugget),
     1/2 tr((alpha alpha^T - R^-1) dR/dlog theta) (Rasmussen & Williams,
-    GPML 2006, 5.4.1), both from one Cholesky factor."""
-    r, derivatives = gram_log_derivatives(dist, theta)
+    GPML 2006, 5.4.1), both from one Cholesky factor. fixed is
+    fit_invariants(dist), computed here when omitted."""
+    fixed = fit_invariants(dist) if fixed is None else fixed
+    r, derivatives = gram_log_derivatives(dist, theta, fixed)
     l, _ = chol_with_jitter(r)
     alpha = cho_solve((l, True), y)
     n = len(y)
     value = float(-0.5 * y @ alpha - np.log(np.diag(l)).sum() - 0.5 * n * math.log(2 * math.pi))
-    w = np.outer(alpha, alpha) - cho_solve((l, True), np.eye(n))
+    w = np.outer(alpha, alpha) - cho_solve((l, True), fixed[1])
     return value, 0.5 * np.tensordot(derivatives, w, axes=2)
 
 
@@ -161,11 +165,12 @@ def gp_fit_mle(features, y, bounds=DEFAULT_BOUNDS, n_starts: int = 8) -> GpModel
     dist = pairwise_distances(features)
     if float(np.var(y)) == 0.0:
         return _degenerate_model(features, y, dist, bounds)
+    fixed = fit_invariants(dist)
 
     def objective(log_theta):
         theta = KernelParams.from_array(_exp_into_box(log_theta, bounds))
         try:
-            value, grad = log_likelihood(dist, y, theta)
+            value, grad = log_likelihood(dist, y, theta, fixed)
         except CholeskyFailure:
             return 1e15, np.zeros(len(log_theta))
         return -value, -grad

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotSymmetric, ReferenceMismatch, ValidationError
 from .measures import GaussianMeasure, GridDensity
-from .ot import _psd_sqrt_batch, inverse_grid_map, sqrtm_spd
+from .ot import _psd_sqrt_batch, inverse_grid_maps, sqrtm_spd
 
 # Embedding distances below this snap to exactly zero so the nugget indicator
 # fires on identical inputs despite round-off.
@@ -121,10 +121,8 @@ def embed_grids(densities, reference: GridDensity, lam: float = 20.0,
                 max_iter: int = 10000, tol: float = 1e-9) -> Embedding:
     """Sinkhorn-and-round inverse maps from the reference support to each
     density's support."""
-    rows = []
-    for d in densities:
-        a = inverse_grid_map(d, reference, lam=lam, max_iter=max_iter, tol=tol)
-        rows.append((np.sqrt(a.source_weights)[:, None] * a.mapped_locations()).ravel())
+    rows = [(np.sqrt(a.source_weights)[:, None] * a.mapped_locations()).ravel()
+            for a in inverse_grid_maps(densities, reference, lam=lam, max_iter=max_iter, tol=tol)]
     return Embedding(reference, np.array(rows).reshape(len(rows), _row_width(reference)))
 
 
@@ -174,20 +172,27 @@ def gram_from_distances(dist: np.ndarray, theta: KernelParams) -> np.ndarray:
     return k
 
 
-def gram_log_derivatives(dist: np.ndarray, theta: KernelParams
-                         ) -> tuple[np.ndarray, np.ndarray]:
+def fit_invariants(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The parts of gram_log_derivatives that do not depend on theta:
+    log(dist), 0 where dist = 0 (log 0 is never taken), and the identity."""
+    return np.log(dist, out=np.zeros_like(dist), where=dist > 0.0), np.eye(len(dist))
+
+
+def gram_log_derivatives(dist: np.ndarray, theta: KernelParams,
+                         fixed: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """The Gram matrix of gram_from_distances and its derivatives with
     respect to log(amplitude, rate, exponent, nugget), stacked (4, n, n).
 
     With K0 = amplitude^2 exp(-rate d^p) the Gram without the nugget:
     dK/dlog a = 2 K0, dK/dlog r = -r d^p K0, dK/dlog p = -r p d^p log(d) K0
-    (0 where d = 0, log 0 is never taken) and dK/dlog g = g I."""
+    (0 where d = 0) and dK/dlog g = g I; fixed is fit_invariants(dist),
+    computed once per fit."""
+    log_dist, eye = fixed
     power = dist**theta.exponent
     k0 = _radial_of_power(power.copy(), theta)
-    log_d = np.log(dist, out=np.zeros_like(dist), where=dist > 0.0)
     d_rate = -theta.rate * power * k0
-    derivatives = np.stack([2.0 * k0, d_rate, theta.exponent * log_d * d_rate,
-                            theta.nugget * np.eye(len(dist))])
+    derivatives = np.stack([2.0 * k0, d_rate, theta.exponent * log_dist * d_rate,
+                            theta.nugget * eye])
     k0.flat[::len(k0) + 1] += theta.nugget
     return k0, derivatives
 

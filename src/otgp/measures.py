@@ -158,11 +158,14 @@ def disks_to_grid(cfg: DiskConfig, grid_size: int, subsamples: int = 4) -> GridD
     """
     if grid_size < 2:
         raise ValidationError("grid_size must be >= 2")
-    g, s = grid_size, subsamples
+    g, s, r = grid_size, subsamples, cfg.radius
     ticks = (np.arange(g * s) + 0.5) / (g * s)
     hit = np.zeros((g * s, g * s), dtype=bool)  # rows index y
     for cx, cy in cfg.centers:
-        hit |= ((ticks - cy) ** 2)[:, None] + ((ticks - cx) ** 2)[None, :] <= cfg.radius**2
+        # only probes within radius of the center (plus one tick) can hit it
+        y, x = (slice(int(max(np.floor((c - r) * g * s - 0.5) - 1, 0)),
+                      int(min(np.ceil((c + r) * g * s - 0.5) + 2, g * s))) for c in (cy, cx))
+        hit[y, x] |= ((ticks[y] - cy) ** 2)[:, None] + ((ticks[x] - cx) ** 2)[None, :] <= r**2
     # collapse the s x s probe blocks back onto cells
     counts = (hit.reshape(g, s, g, s).sum(axis=(1, 3))).astype(float)
     total = counts.sum()

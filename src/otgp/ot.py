@@ -3,12 +3,15 @@
 Gaussian closed forms (W2 distance, transport maps, map distances in
 L2 of a reference measure), exact assignment OT for empirical samples, and
 entropic (Sinkhorn) OT for grid densities: a separable Gibbs kernel applied
-axis by axis on the full grid, log-domain updates when the scalings leave
-the floating-point range, and deterministic argmax rounding.
+axis by axis on the full grid, the inputs of a shared barycenter iterated
+together as one stack, log-domain updates when an input's scalings leave
+the floating-point range, and deterministic argmax rounding as a separable
+max-product over the kernel's axis factors.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +22,7 @@ from .errors import (
     EmptyRow,
     NoConvergence,
     NumericalUnderflow,
+    OtgpError,
     SizeMismatch,
     ValidationError,
 )
@@ -40,9 +44,9 @@ MARGINAL_TOL = 1e-6
 SCALING_MIN = 1e-250
 SCALING_MAX = 1e250
 
-# Source rows of a grid plan evaluated at once when it is rounded to a map;
-# bounds the rounding's memory for large supports.
-ROUND_CHUNK_ROWS = 128
+# Inputs the grid Sinkhorn iterates together as one (G, BATCH, G) stack;
+# the argmax rounding keeps its blocks within the same size.
+BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -232,57 +236,6 @@ def assignment_ot(src: EmpiricalSample, dst: EmpiricalSample
     return assignment, w2
 
 
-def _scaling(marginal: np.ndarray, kernel_product: np.ndarray) -> np.ndarray:
-    """marginal / kernel_product, or NumericalUnderflow when a kernel row
-    has underflowed so far that the quotient is not finite."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        scaling = marginal / kernel_product
-    if not np.all(np.isfinite(scaling)):
-        raise NumericalUnderflow(
-            "kernel row underflowed; lambda too large for the cost scale")
-    return scaling
-
-
-def sinkhorn_core(wa: np.ndarray, wb: np.ndarray, cost: np.ndarray,
-                  lam: float, max_iter: int, tol: float) -> np.ndarray:
-    """Entropic scaling iterations for strictly positive marginals.
-
-    Runs plain scaling on K = exp(-lam * cost), absorbing the scalings into
-    log-domain potentials whenever an entry threatens to underflow.
-    """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    logk = -lam * cost
-    k = np.exp(logk)
-    f = np.zeros(len(wa))
-    g = np.zeros(len(wb))
-    u = np.ones(len(wa))
-    v = np.ones(len(wb))
-    for _ in range(max_iter):
-        u = _scaling(wa, k @ v)
-        v = _scaling(wb, k.T @ u)
-        small = min(u.min(), v.min())
-        big = max(u.max(), v.max())
-        if small > 0 and (small < 1e-250 or big > 1e250):
-            # absorb scalings into the potentials and rebuild the kernel
-            with np.errstate(divide="ignore"):
-                f = f + np.log(u)
-                g = g + np.log(v)
-            if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
-                raise NumericalUnderflow(
-                    "scaling vector collapsed; lambda too large for the cost scale")
-            k = np.exp(logk + f[:, None] + g[None, :])
-            u = np.ones(len(wa))
-            v = np.ones(len(wb))
-        # columns are exact after the v-update; the row marginal is the
-        # stale one and measures convergence
-        row_err = np.abs(u * (k @ v) - wa).max()
-        if row_err <= tol:
-            plan = (u[:, None] * k) * v[None, :]
-            return plan
-    raise NoConvergence(f"marginal error above {tol} after {max_iter} iterations")
-
-
 def _axis_log_kernel(rows: int, cols: int, lam: float) -> np.ndarray:
     """Log of the 1-D Gibbs factor between the cell-center ticks of a
     rows-cell axis and a cols-cell axis, -lam d^2 / GRID_DIAMETER_SQ.
@@ -321,9 +274,19 @@ def _log_apply(logk: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return result
 
 
-def _in_range(scaling: np.ndarray) -> bool:
-    # False for NaN as well
-    return bool(scaling.min() >= SCALING_MIN and scaling.max() <= SCALING_MAX)
+def _apply(k: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """k @ V @ k.T for each slice V = stack[:, i, :] of a (rows, inputs,
+    columns) stack, as two flat GEMMs without transposed copies."""
+    rows, n, cols = stack.shape
+    return ((k @ stack.reshape(rows, n * cols)).reshape(-1, cols) @ k.T).reshape(len(k), n, -1)
+
+
+def _in_range(scaling: np.ndarray, off_support: np.ndarray) -> np.ndarray:
+    # per input of a (rows, inputs, columns) stack, False for NaN as well;
+    # off_support is +inf off the support and 0 on it. Reducing the rows
+    # first keeps both passes contiguous.
+    return ((scaling + off_support).min(axis=0).min(axis=1) >= SCALING_MIN) & (
+        scaling.max(axis=0).max(axis=1) <= SCALING_MAX)
 
 
 @dataclass(frozen=True)
@@ -332,7 +295,7 @@ class _GridScalings:
     full grids.
 
     The plan entry between source cell (iy, ix) and target cell (jy, jx) is
-    u[iy, ix] * k[ix, jx] * k[iy, jy] * v[jy, jx], with k the axis Gibbs
+    k[ix, jx] * v[jy, jx] * k[iy, jy] * u[iy, ix], with k the axis Gibbs
     factor; cells without mass have zero scalings. In the log domain u, v
     and k hold logarithms (-inf for no mass) and the factors add.
     """
@@ -341,62 +304,104 @@ class _GridScalings:
     v: np.ndarray
     k: np.ndarray
     log_domain: bool
-    row_sums: np.ndarray  # source marginal of the plan, cell by cell
 
-    def blocks(self, src: np.ndarray, tgt: np.ndarray):
-        """Plan entries (their logarithms in the log domain) between the flat
-        source cells src and the flat target cells tgt, yielded
-        ROUND_CHUNK_ROWS source rows at a time."""
-        jy, jx = np.divmod(tgt, self.v.shape[1])
-        kx, ky = self.k[:, jx], self.k[:, jy]
-        u, v = self.u.ravel(), self.v.ravel()[tgt]
-        for start in range(0, len(src), ROUND_CHUNK_ROWS):
-            rows = src[start:start + ROUND_CHUNK_ROWS]
-            iy, ix = np.divmod(rows, self.u.shape[1])
-            block = kx[ix]
-            if self.log_domain:
-                block += ky[iy]
-                block += u[rows][:, None]
-                block += v
-            else:
-                block *= ky[iy]
-                block *= u[rows][:, None]
-                block *= v
-            yield block
+    def _times(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a + b if self.log_domain else a * b
+
+    def plan(self, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+        """Dense plan between the flat source cells src and the flat target
+        cells tgt."""
+        (iy, ix), (jy, jx) = np.divmod(src, len(self.u)), np.divmod(tgt, len(self.v))
+        p = self._times(self.k[np.ix_(ix, jx)], self.v.ravel()[tgt])
+        p = self._times(self._times(p, self.k[np.ix_(iy, jy)]), self.u.ravel()[src][:, None])
+        return np.exp(p) if self.log_domain else p
+
+    def argmax(self, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+        """Position in tgt of the largest plan entry of each source cell in
+        src, the lowest flat target index on ties; EmptyRow when it is zero.
+
+        The kernel is a product of nonnegative axis factors, so the maximum
+        over (jy, jx) is one over the target cells of each row jy for every
+        ix, then one over jy: a max-product, max-plus in the log domain
+        (Felzenszwalb & Huttenlocher, Theory of Computing 2012)."""
+        # tgt is sorted, so the cells of each target row are contiguous
+        rows, starts, row_of = np.unique(tgt // len(self.v), return_index=True, return_inverse=True)
+        best, index = np.empty(self.u.shape), np.empty(self.u.shape, dtype=np.intp)
+        # source columns per block, so that blocks stay within the size of
+        # the solver's (G, BATCH, G) stack
+        step = max(1, BATCH * self.u.size // (len(tgt) + len(self.u) * len(rows)))
+        for x in (slice(s, s + step) for s in range(0, len(self.u), step)):
+            along_x = self._times(self.k[x, tgt % len(self.v)], self.v.ravel()[tgt])
+            row_max = np.maximum.reduceat(along_x, starts, axis=1)  # [ix, target row]
+            first = np.minimum.reduceat(np.where(along_x == row_max[:, row_of], np.arange(len(tgt)),
+                                                 len(tgt)), starts, axis=1)
+            along_y = self._times(self.k[:, rows][:, None, :], row_max)  # [iy, ix, target row]
+            r = along_y.argmax(axis=2)
+            best[:, x], index[:, x] = along_y.max(axis=2), first[np.arange(r.shape[1]), r]
+        if np.any(self._times(best, self.u).ravel()[src] <= (-np.inf if self.log_domain else 0.0)):
+            raise EmptyRow("a retained source row carries no mass")
+        return index.ravel()[src]
 
 
-def _grid_sinkhorn(a: GridDensity, b: GridDensity, lam: float, max_iter: int,
-                   tol: float) -> _GridScalings:
-    """Sinkhorn scaling from a to b with the separable Gibbs kernel applied
-    as k @ V @ k.T on the full grids.
-
-    Stops when the row-marginal error is <= tol. A scaling leaving
-    [SCALING_MIN, SCALING_MAX] hands the remaining iterations to log-domain
-    updates.
-    """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    wa, wb = a.weights, b.weights
-    sa, sb = wa > 0, wb > 0
-    logk = _axis_log_kernel(a.grid_size, b.grid_size, lam)
-    k = np.exp(logk)
-    v = sb.astype(float)
+def _sinkhorn_batch(a: GridDensity, bs: list[GridDensity], lam: float, max_iter: int,
+                    tol: float) -> list:
+    """Sinkhorn scaling from a to each density of bs (one grid size) as one
+    (G, len(bs), G) stack. Each input stops by its own rule, row-marginal
+    error <= tol then _check_marginals, or continues alone with log-domain
+    updates once its scalings leave [SCALING_MIN, SCALING_MAX]. Returns
+    each input's _GridScalings or the error it failed with."""
+    wa, wb = a.weights[:, None, :], np.stack([b.weights for b in bs], axis=1)
+    # +inf off the supports: dividing a marginal by the kernel product plus
+    # this keeps a scaling 0 off its support, also where the product is 0
+    off_a, off_b = np.where(wa > 0, 0.0, np.inf), np.where(wb > 0, 0.0, np.inf)
+    logk = _axis_log_kernel(a.grid_size, bs[0].grid_size, lam)
+    k, v, live = np.exp(logk), (wb > 0).astype(float), np.arange(len(bs))
+    results = [NoConvergence(f"marginal error above {tol} after {max_iter} iterations")] * len(bs)
     # a zero or overflowing kernel product shows up as an out-of-range
     # scaling below, so its floating-point warnings carry no information
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        kv = k @ v @ k.T
+        kv = _apply(k, v)
         for it in range(max_iter):
-            u = np.divide(wa, kv, out=np.zeros_like(wa), where=sa)
-            v_next = np.divide(wb, k.T @ u @ k, out=np.zeros_like(wb), where=sb)
-            if not (_in_range(u[sa]) and _in_range(v_next[sb])):
-                return _log_sinkhorn(wa, wb, logk, np.log(v), max_iter - it, tol)
-            v = v_next
-            kv = k @ v @ k.T
-            row_sums = u * kv
-            if np.abs(row_sums - wa).max() <= tol:
-                _check_marginals(row_sums, v * (k.T @ u @ k), wa, wb)
-                return _GridScalings(u, v, k, False, row_sums)
-    raise NoConvergence(f"marginal error above {tol} after {max_iter} iterations")
+            u = wa / (kv + off_a)
+            v_next = wb / (_apply(k.T, u) + off_b)
+            in_range = _in_range(u, off_a) & _in_range(v_next, off_b)
+            kv = _apply(k, v_next)
+            stop = ~in_range | (np.abs(u * kv - wa).max(axis=0).max(axis=1) <= tol)
+            for j in np.flatnonzero(stop):
+                try:
+                    if in_range[j]:
+                        uj, vj = u[:, j].copy(), v_next[:, j].copy()
+                        _check_marginals(uj * kv[:, j], vj * (k.T @ uj @ k), a.weights, wb[:, j])
+                        results[live[j]] = _GridScalings(uj, vj, k, False)
+                    else:
+                        results[live[j]] = _log_sinkhorn(a.weights, wb[:, j], logk, np.log(v[:, j]),
+                                                         max_iter - it, tol)
+                except OtgpError as error:
+                    results[live[j]] = error
+            go = ~stop
+            live, wb, off_b, v, kv = live[go], wb[:, go], off_b[:, go], v_next[:, go], kv[:, go]
+            if not len(live):
+                break
+    return results
+
+
+def _grid_sinkhorn(a: GridDensity, bs, lam: float, max_iter: int, tol: float):
+    """Sinkhorn scalings from a to each density of bs, yielded in order;
+    raises the error of the first density that fails.
+
+    The densities share a and the kernel, so runs of up to BATCH consecutive
+    densities on one grid size iterate together (iterative Bregman
+    projections stack their inputs the same way, Benamou et al., SISC 2015).
+    """
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    for _, run in itertools.groupby(bs, key=lambda b: b.grid_size):
+        run = list(run)
+        for start in range(0, len(run), BATCH):
+            for result in _sinkhorn_batch(a, run[start:start + BATCH], lam, max_iter, tol):
+                if isinstance(result, OtgpError):
+                    raise result
+                yield result
 
 
 def _log_sinkhorn(wa: np.ndarray, wb: np.ndarray, logk: np.ndarray,
@@ -418,7 +423,7 @@ def _log_sinkhorn(wa: np.ndarray, wb: np.ndarray, logk: np.ndarray,
             row_sums = np.exp(f + lg)
             if np.abs(row_sums - wa).max() <= tol:
                 _check_marginals(row_sums, np.exp(g + _log_apply(logk.T, f, sb)), wa, wb)
-                return _GridScalings(f, g, logk, True, row_sums)
+                return _GridScalings(f, g, logk, True)
     raise NoConvergence(f"marginal error above {tol} after {max_iter} iterations")
 
 
@@ -428,55 +433,38 @@ def sinkhorn_plan(a: GridDensity, b: GridDensity, lam: float = 20.0,
     densities, with squared-distance cost normalized by the grid diameter."""
     src, _, wa = a.support()
     tgt, _, wb = b.support()
-    scalings = _grid_sinkhorn(a, b, lam, max_iter, tol)
-    plan = np.vstack(list(scalings.blocks(src, tgt)))
-    if scalings.log_domain:
-        plan = np.exp(plan)
-    return CouplingPlan(plan=plan, source_weights=wa, target_weights=wb)
-
-
-def round_plan_to_map(plan: CouplingPlan,
-                      source_locations: np.ndarray | None = None,
-                      target_locations: np.ndarray | None = None
-                      ) -> TransportAssignment:
-    """Deterministic rounding: each source goes to its argmax target in the
-    plan; ties break to the lowest target index."""
-    p = plan.plan
-    if np.any(p.sum(axis=1) <= 0.0):
-        raise EmptyRow("a retained source row carries no mass")
-    idx = p.argmax(axis=1)
-    m, k = p.shape
-    if source_locations is None:
-        source_locations = np.zeros((m, 0))
-    if target_locations is None:
-        target_locations = np.zeros((k, 0))
-    weights = plan.source_weights / plan.source_weights.sum()
-    return TransportAssignment(
-        target_index=idx,
-        source_weights=weights,
-        source_locations=np.asarray(source_locations, dtype=float),
-        target_locations=np.asarray(target_locations, dtype=float),
-    )
+    scalings = next(_grid_sinkhorn(a, [b], lam, max_iter, tol))
+    return CouplingPlan(plan=scalings.plan(src, tgt), source_weights=wa, target_weights=wb)
 
 
 def inverse_grid_map(mu: GridDensity, bar: GridDensity, lam: float = 20.0,
-                     max_iter: int = 10000, tol: float = 1e-9) -> TransportAssignment:
+                     max_iter: int = 10000, tol: float = 1e-9, *,
+                     scalings: _GridScalings | None = None) -> TransportAssignment:
     """Approximate inverse transport map, built directly in the
     barycenter-to-measure direction: Sinkhorn plan from bar to mu, rounded
     to an assignment on the barycenter support.
 
     Each barycenter cell goes to its argmax input cell in the plan, ties to
-    the lowest index; the plan is evaluated ROUND_CHUNK_ROWS rows at a time.
+    the lowest index. inverse_grid_maps passes the plan's scalings from its
+    batched solve; without them the plan is solved here.
     """
+    if scalings is None:
+        scalings = next(_grid_sinkhorn(bar, [mu], lam, max_iter, tol))
     src, loc_bar, wa = bar.support()
     tgt, loc_mu, _ = mu.support()
-    scalings = _grid_sinkhorn(bar, mu, lam, max_iter, tol)
-    if np.any(scalings.row_sums.ravel()[src] <= 0.0):
-        raise EmptyRow("a retained source row carries no mass")
-    idx = np.concatenate([block.argmax(axis=1) for block in scalings.blocks(src, tgt)])
     return TransportAssignment(
-        target_index=idx,
+        target_index=scalings.argmax(src, tgt),
         source_weights=wa / wa.sum(),
         source_locations=loc_bar,
         target_locations=loc_mu,
     )
+
+
+def inverse_grid_maps(mus, bar: GridDensity, lam: float = 20.0, max_iter: int = 10000,
+                      tol: float = 1e-9):
+    """Yield inverse_grid_map(mu, bar) for each density of mus, in order,
+    from one batched Sinkhorn solve (_grid_sinkhorn); raises the error of the
+    first density that fails."""
+    mus = list(mus)
+    for mu, scalings in zip(mus, _grid_sinkhorn(bar, mus, lam, max_iter, tol)):
+        yield inverse_grid_map(mu, bar, scalings=scalings)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve, cholesky
 
-from otgp import gp
+from otgp import gp, kernels
 from otgp.barycenter import gaussian_barycenter_measure, grid_barycenter
 from otgp.errors import CholeskyFailure, ReferenceMismatch, SizeMismatch, ZeroVarianceTruths
 from otgp.experiments import disk_response
@@ -27,6 +27,7 @@ from otgp.kernels import (
     KernelParams,
     embed_gaussians,
     embed_grids,
+    fit_invariants,
     gram_from_distances,
     gram_log_derivatives,
     pairwise_distances,
@@ -213,11 +214,11 @@ class TestFitMle:
         y = smooth_targets(feats)
         calls = {"failed": 0}
 
-        def failing(dist, y, theta):
+        def failing(dist, y, theta, fixed=None):
             if theta.amplitude > 2.0:
                 calls["failed"] += 1
                 raise CholeskyFailure("forced")
-            return log_likelihood(dist, y, theta)
+            return log_likelihood(dist, y, theta, fixed)
 
         monkeypatch.setattr(gp, "log_likelihood", failing)
         model = gp_fit_mle(feats, y)
@@ -262,12 +263,28 @@ class TestLogLikelihoodGradient:
     def test_gram_and_derivatives_at_zero_distance(self):
         dist, _ = self.setup_data(duplicate=True)
         theta = KernelParams(1.2, 0.7, 1.3, 0.01)
-        gram, derivatives = gram_log_derivatives(dist, theta)
+        gram, derivatives = gram_log_derivatives(dist, theta, fit_invariants(dist))
         np.testing.assert_array_equal(gram, gram_from_distances(dist, theta))
         zero = dist == 0.0
         assert derivatives.shape == (4,) + dist.shape
         assert np.all(derivatives[1][zero] == 0.0) and np.all(derivatives[2][zero] == 0.0)
         np.testing.assert_array_equal(derivatives[3], theta.nugget * np.eye(len(dist)))
+
+    def test_fit_invariants_change_no_bit(self):
+        # reference: the Gram and derivative stack as computed before log(d)
+        # and I were hoisted out of the fit's evaluations
+        dist, _ = self.setup_data(duplicate=True)
+        theta = KernelParams(1.2, 0.7, 1.3, 0.01)
+        power = dist**theta.exponent
+        k0 = kernels._radial_of_power(power.copy(), theta)
+        d_rate = -theta.rate * power * k0
+        log_d = np.log(dist, out=np.zeros_like(dist), where=dist > 0.0)
+        expected = np.stack([2.0 * k0, d_rate, theta.exponent * log_d * d_rate,
+                             theta.nugget * np.eye(len(dist))])
+        k0.flat[::len(k0) + 1] += theta.nugget
+        gram, derivatives = gram_log_derivatives(dist, theta, fit_invariants(dist))
+        np.testing.assert_array_equal(gram, k0)
+        np.testing.assert_array_equal(derivatives, expected)
 
 
 class TestFitCv:

@@ -10,9 +10,11 @@ from otgp.errors import (
     NoConvergence,
     NotPositiveDefinite,
     NumericalUnderflow,
+    OtgpError,
     SizeMismatch,
 )
 from otgp.barycenter import grid_barycenter
+from otgp.kernels import embed_grids
 from otgp.measures import (
     DiskConfig,
     EmpiricalSample,
@@ -24,19 +26,28 @@ from otgp.measures import (
 )
 from otgp.ot import (
     CouplingPlan,
+    TransportAssignment,
     _axis_log_kernel,
     _grid_sinkhorn,
+    _GridScalings,
     _log_sinkhorn,
     assignment_ot,
     gaussian_transport_map,
     gaussian_w2,
     inverse_grid_map,
     map_l2_distance_gaussian,
-    round_plan_to_map,
-    sinkhorn_core,
     sinkhorn_plan,
     sqrtm_spd,
 )
+
+
+@pytest.fixture(scope="module")
+def seed13_regression():
+    """Regression dataset seed 13 rasterized at G=50, and the entropic
+    barycenter of its first 50 inputs."""
+    pairs = sample_regression_gaussians(100, 13)
+    grids = [rasterize_gaussian(m, 50) for m, _ in pairs]
+    return pairs, grids, grid_barycenter(grids[:50], lam=20.0).result
 
 
 def random_spd(rng, d, scale=1.0):
@@ -243,6 +254,86 @@ def two_cell_density(g, cells, masses):
     return GridDensity(w)
 
 
+# Dense reference oracles for the separable grid solver and its rounding:
+# Sinkhorn scaling on an explicit (support x support) cost matrix, and the
+# argmax of an explicit plan.
+
+
+def _scaling(marginal: np.ndarray, kernel_product: np.ndarray) -> np.ndarray:
+    """marginal / kernel_product, or NumericalUnderflow when a kernel row
+    has underflowed so far that the quotient is not finite."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scaling = marginal / kernel_product
+    if not np.all(np.isfinite(scaling)):
+        raise NumericalUnderflow(
+            "kernel row underflowed; lambda too large for the cost scale")
+    return scaling
+
+
+def sinkhorn_core(wa: np.ndarray, wb: np.ndarray, cost: np.ndarray,
+                  lam: float, max_iter: int, tol: float) -> np.ndarray:
+    """Entropic scaling iterations for strictly positive marginals.
+
+    Runs plain scaling on K = exp(-lam * cost), absorbing the scalings into
+    log-domain potentials whenever an entry threatens to underflow.
+    """
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    logk = -lam * cost
+    k = np.exp(logk)
+    f = np.zeros(len(wa))
+    g = np.zeros(len(wb))
+    u = np.ones(len(wa))
+    v = np.ones(len(wb))
+    for _ in range(max_iter):
+        u = _scaling(wa, k @ v)
+        v = _scaling(wb, k.T @ u)
+        small = min(u.min(), v.min())
+        big = max(u.max(), v.max())
+        if small > 0 and (small < 1e-250 or big > 1e250):
+            # absorb scalings into the potentials and rebuild the kernel
+            with np.errstate(divide="ignore"):
+                f = f + np.log(u)
+                g = g + np.log(v)
+            if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
+                raise NumericalUnderflow(
+                    "scaling vector collapsed; lambda too large for the cost scale")
+            k = np.exp(logk + f[:, None] + g[None, :])
+            u = np.ones(len(wa))
+            v = np.ones(len(wb))
+        # columns are exact after the v-update; the row marginal is the
+        # stale one and measures convergence
+        row_err = np.abs(u * (k @ v) - wa).max()
+        if row_err <= tol:
+            plan = (u[:, None] * k) * v[None, :]
+            return plan
+    raise NoConvergence(f"marginal error above {tol} after {max_iter} iterations")
+
+
+def round_plan_to_map(plan: CouplingPlan,
+                      source_locations: np.ndarray | None = None,
+                      target_locations: np.ndarray | None = None
+                      ) -> TransportAssignment:
+    """Deterministic rounding: each source goes to its argmax target in the
+    plan; ties break to the lowest target index."""
+    p = plan.plan
+    if np.any(p.sum(axis=1) <= 0.0):
+        raise EmptyRow("a retained source row carries no mass")
+    idx = p.argmax(axis=1)
+    m, k = p.shape
+    if source_locations is None:
+        source_locations = np.zeros((m, 0))
+    if target_locations is None:
+        target_locations = np.zeros((k, 0))
+    weights = plan.source_weights / plan.source_weights.sum()
+    return TransportAssignment(
+        target_index=idx,
+        source_weights=weights,
+        source_locations=np.asarray(source_locations, dtype=float),
+        target_locations=np.asarray(target_locations, dtype=float),
+    )
+
+
 class TestSinkhorn:
     def test_single_identical_cell(self):
         d = two_cell_density(3, [(1, 1)], [1.0])
@@ -403,7 +494,7 @@ class TestSeparableSinkhorn:
             start = np.where(b.weights > 0, 0.0, -np.inf)
             logged = _log_sinkhorn(a.weights, b.weights, logk, start, 10000, 1e-12)
             assert logged.log_domain
-            log_plan = np.exp(np.vstack(list(logged.blocks(src, tgt))))
+            log_plan = logged.plan(src, tgt)
             np.testing.assert_allclose(log_plan, dense, rtol=0, atol=1e-12)
 
     # parent-commit assignment of the inverse map below at lambda=800, one
@@ -446,15 +537,13 @@ class TestSeparableSinkhorn:
                 a = inverse_grid_map(grids[0], bar, lam=lam)
                 np.testing.assert_array_equal(a.target_index, expected.ravel())
             # lambda=2000 runs through the log-domain updates
-            assert _grid_sinkhorn(bar, grids[0], 2000.0, 10000, 1e-9).log_domain
+            assert next(_grid_sinkhorn(bar, [grids[0]], 2000.0, 10000, 1e-9)).log_domain
 
-    def test_subnormal_cell_mass_embeds(self):
+    def test_subnormal_cell_mass_embeds(self, seed13_regression):
         # input 75 of regression dataset seed 13 rasterizes to a cell mass of
         # 5.7e-322 at G=50; its scalings collapse and the dense solver
         # failed with NumericalUnderflow
-        pairs = sample_regression_gaussians(100, 13)
-        grids = [rasterize_gaussian(m, 50) for m, _ in pairs]
-        bar = grid_barycenter(grids[:50], lam=20.0).result
+        pairs, grids, bar = seed13_regression
         mu = grids[75]
         assert 0.0 < mu.support()[2].min() < 1e-320
         with warnings.catch_warnings():
@@ -467,3 +556,126 @@ class TestSeparableSinkhorn:
         # one cell of the Gaussian's mean
         mapped_mean = a.source_weights @ a.mapped_locations()
         assert np.abs(mapped_mean - pairs[75][0].mean).max() < 1.0 / 50
+
+    @staticmethod
+    def mixed_inputs(seed13_regression):
+        # 12 inputs in three batches: scaling-domain inputs, the log-domain
+        # input 75 and its duplicate, and one input on a coarser grid that
+        # splits the run of G=50 inputs
+        pairs, grids, _ = seed13_regression
+        coarse = rasterize_gaussian(pairs[60][0], 40)
+        return grids[50:55] + [grids[75], coarse, grids[75]] + grids[55:59]
+
+    def test_batch_matches_per_input_maps(self, seed13_regression):
+        _, _, bar = seed13_regression
+        inputs = self.mixed_inputs(seed13_regression)
+        assert next(_grid_sinkhorn(bar, [inputs[5]], 20.0, 10000, 1e-9)).log_domain
+        assert not next(_grid_sinkhorn(bar, [inputs[0]], 20.0, 10000, 1e-9)).log_domain
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            batched = embed_grids(inputs, bar, lam=20.0)
+            maps = [inverse_grid_map(mu, bar, lam=20.0) for mu in inputs]
+        rows = [(np.sqrt(a.source_weights)[:, None] * a.mapped_locations()).ravel() for a in maps]
+        np.testing.assert_array_equal(batched.X, np.array(rows))
+        np.testing.assert_array_equal(batched.X[5], batched.X[7])
+
+    @pytest.mark.parametrize("max_iter", [1, 2])
+    def test_batch_raises_the_first_per_input_error(self, seed13_regression, max_iter):
+        # these inputs converge in 1-3 iterations: at max_iter=2 the first
+        # two converge and the third fails first
+        _, _, bar = seed13_regression
+        inputs = self.mixed_inputs(seed13_regression)
+        with pytest.raises(OtgpError) as per_input:
+            for mu in inputs:
+                inverse_grid_map(mu, bar, lam=20.0, max_iter=max_iter)
+        assert per_input.type is NoConvergence
+        with pytest.raises(OtgpError) as batched:
+            embed_grids(inputs, bar, lam=20.0, max_iter=max_iter)
+        assert batched.type is per_input.type
+        assert str(batched.value) == str(per_input.value)
+
+
+    def test_batch_raises_the_first_inputs_error_not_the_earliest(self):
+        # at lambda=2000 and 200 iterations grids[1] runs out of iterations
+        # in the scaling domain, while grids[2] and grids[0] move to the log
+        # domain and fail there: grids[2] first, grids[0] last. The batch
+        # must raise grids[1]'s error, as the maps one by one do.
+        rng = np.random.default_rng(4)
+        grids = [disks_to_grid(DiskConfig(0.1, rng.uniform(0.1, 0.9, (3, 2))), 20)
+                 for _ in range(6)]
+        bar = grid_barycenter(grids, lam=20.0).result
+        inputs = [grids[1], grids[2], grids[0]]
+        messages = []
+        for mu in inputs:
+            with pytest.raises(NoConvergence) as single:
+                inverse_grid_map(mu, bar, lam=2000.0, max_iter=200)
+            messages.append(str(single.value))
+        assert len(set(messages)) == 3
+        with pytest.raises(NoConvergence) as batched:
+            embed_grids(inputs, bar, lam=2000.0, max_iter=200)
+        assert str(batched.value) == messages[0]
+
+class TestSeparableRounding:
+    """_GridScalings.argmax, the separable max-product (max-plus in the log
+    domain), against the argmax of the dense plan built from the same
+    scalings, lowest flat index on ties."""
+
+    @pytest.mark.parametrize("ga, gb", [(5, 5), (6, 4), (7, 9)])
+    def test_matches_dense_argmax_on_random_grids(self, ga, gb):
+        rng = np.random.default_rng(ga * 10 + gb)
+        wa = rng.uniform(0, 1, (ga, ga)) * (rng.uniform(size=(ga, ga)) < 0.7)
+        wb = rng.uniform(0, 1, (gb, gb)) * (rng.uniform(size=(gb, gb)) < 0.6)
+        wa[0, :] = wa[:, -1] = 0.0
+        wb[1, :] = wb[:, 2] = 0.0
+        a, b = GridDensity(wa / wa.sum()), GridDensity(wb / wb.sum())
+        src, tgt = a.support()[0], b.support()[0]
+        scaled = next(_grid_sinkhorn(a, [b], 20.0, 10000, 1e-12))
+        logged = _log_sinkhorn(a.weights, b.weights, _axis_log_kernel(ga, gb, 20.0),
+                               np.where(b.weights > 0, 0.0, -np.inf), 10000, 1e-12)
+        assert not scaled.log_domain and logged.log_domain
+        for scalings in (scaled, logged):
+            np.testing.assert_array_equal(scalings.argmax(src, tgt),
+                                          scalings.plan(src, tgt).argmax(axis=1))
+        dense = round_plan_to_map(sinkhorn_plan(a, b, lam=20.0, tol=1e-12))
+        np.testing.assert_array_equal(inverse_grid_map(b, a, lam=20.0, tol=1e-12).target_index,
+                                      dense.target_index)
+
+    # on a 4-cell axis the ticks are exact binary fractions, so equal
+    # distances give bitwise equal kernel factors
+    @pytest.mark.parametrize("cells, expected", [
+        ([(0, 0), (0, 2)], {(0, 1): 0, (1, 1): 0, (2, 1): 0}),  # one row
+        ([(0, 1), (2, 1)], {(1, 0): 0, (1, 1): 0, (1, 2): 0}),  # one column
+        ([(0, 2), (2, 0)], {(1, 1): 0, (0, 0): 0, (2, 2): 0}),  # lower row wins
+        (None, {}),  # constant v on every cell
+    ], ids=["row-pair", "column-pair", "diagonal-pair", "constant-v"])
+    @pytest.mark.parametrize("log_domain", [False, True], ids=["scaling", "log"])
+    def test_exact_ties_go_to_the_lowest_flat_index(self, cells, expected, log_domain):
+        g = 4
+        wb = np.full((g, g), 1.0) if cells is None else np.zeros((g, g))
+        for cell in cells or []:
+            wb[cell] = 1.0
+        u, v = np.full((g, g), 0.3), np.where(wb > 0, 0.7, 0.0)
+        k = np.exp(_axis_log_kernel(g, g, 20.0))
+        with np.errstate(divide="ignore"):
+            scalings = (_GridScalings(np.log(u), np.log(v), np.log(k), True) if log_domain
+                        else _GridScalings(u, v, k, False))
+        src, tgt = np.arange(g * g), np.flatnonzero(wb)
+        index = scalings.argmax(src, tgt)
+        np.testing.assert_array_equal(index, scalings.plan(src, tgt).argmax(axis=1))
+        for (iy, ix), position in expected.items():
+            assert index[iy * g + ix] == position
+        if cells is None:
+            # every source cell goes to itself, the unique nearest cell
+            np.testing.assert_array_equal(index, src)
+
+    @pytest.mark.parametrize("log_domain", [False, True], ids=["scaling", "log"])
+    def test_source_row_without_mass_raises(self, log_domain):
+        g = 3
+        u, v = np.full((g, g), 0.5), np.full((g, g), 0.5)
+        u[1, 2] = 0.0
+        k = np.exp(_axis_log_kernel(g, g, 20.0))
+        with np.errstate(divide="ignore"):
+            scalings = (_GridScalings(np.log(u), np.log(v), np.log(k), True) if log_domain
+                        else _GridScalings(u, v, k, False))
+        with pytest.raises(EmptyRow):
+            scalings.argmax(np.arange(g * g), np.arange(g * g))
