@@ -12,8 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.stats import qmc
+from scipy.linalg import blas, lapack, solve_triangular
 
 from .errors import CholeskyFailure, SizeMismatch, ZeroVarianceTruths
 from .kernels import (
@@ -23,7 +22,8 @@ from .kernels import (
     cross_kernel,
     fit_invariants,
     gram_from_distances,
-    gram_log_derivatives,
+    gram_log_gradient,
+    gram_parts,
     pairwise_distances,
 )
 
@@ -64,48 +64,50 @@ class MetricsResult:
 
 
 def chol_with_jitter(r: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor, escalating a diagonal jitter on failure."""
+    """Lower Cholesky factor of r by potrf into a new array, leaving r as it is;
+    escalates a diagonal jitter on failure. A non-finite r: CholeskyFailure."""
     scale = float(np.trace(r)) / len(r)
+    l = r
     for level in JITTER_LADDER:
-        try:
-            l = cholesky(r + level * scale * np.eye(len(r)), lower=True)
+        if level:  # refill the failed factor from r, jitter on the diagonal
+            l[...] = r
+            l[np.diag_indices(len(r))] += level * scale
+        l, info = lapack.dpotrf(l, lower=1, overwrite_a=level > 0)
+        if info == 0 and np.isfinite(l.diagonal()).all():
             return l, level * scale
-        except np.linalg.LinAlgError:
-            continue
-    raise CholeskyFailure(
-        f"matrix not factorizable after jitter up to {JITTER_LADDER[-1]:g}*tr(R)/n")
+    raise CholeskyFailure("matrix not finite, or not factorizable after jitter up to "
+                          f"{JITTER_LADDER[-1]:g}*tr(R)/n")
 
 
 def log_likelihood(dist: np.ndarray, y: np.ndarray, theta: KernelParams,
-                   fixed: tuple[np.ndarray, np.ndarray] | None = None
-                   ) -> tuple[float, np.ndarray]:
+                   log_dist: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Zero-mean Gaussian log likelihood of y under the kernel at theta, and
     its gradient with respect to log(amplitude, rate, exponent, nugget),
     1/2 tr((alpha alpha^T - R^-1) dR/dlog theta) (Rasmussen & Williams,
-    GPML 2006, 5.4.1), both from one Cholesky factor. fixed is
-    fit_invariants(dist), computed here when omitted."""
-    fixed = fit_invariants(dist) if fixed is None else fixed
-    r, derivatives = gram_log_derivatives(dist, theta, fixed)
+    GPML 2006, 5.4.1), from one Cholesky factor: alpha from potrs, R^-1 from
+    potri. log_dist is fit_invariants(dist), computed here when omitted."""
+    log_dist = fit_invariants(dist) if log_dist is None else log_dist
+    r, power = gram_parts(dist, theta)
     l, _ = chol_with_jitter(r)
-    alpha = cho_solve((l, True), y)
+    alpha = lapack.dpotrs(l, y, lower=1)[0]
     n = len(y)
     value = float(-0.5 * y @ alpha - np.log(np.diag(l)).sum() - 0.5 * n * math.log(2 * math.pi))
-    w = np.outer(alpha, alpha) - cho_solve((l, True), fixed[1])
-    return value, 0.5 * np.tensordot(derivatives, w, axes=2)
+    rinv = lapack.dpotri(l, lower=1, overwrite_c=1)[0]  # lower triangle only
+    w = np.outer(alpha, alpha) - rinv
+    w -= rinv.T
+    w.flat[::n + 1] += rinv.diagonal()
+    return value, gram_log_gradient(w, r, power, log_dist, theta)
 
 
-def _log_box(bounds) -> np.ndarray:
-    return np.log(np.asarray(bounds, dtype=float))
-
-
-def _exp_into_box(log_x, bounds) -> np.ndarray:
-    # exp(log(bound)) can overshoot the box by one ulp; clip it back
-    b = np.asarray(bounds, dtype=float)
-    return np.clip(np.exp(log_x), b[:, 0], b[:, 1])
+def _exp_into_box(log_x, box: np.ndarray) -> np.ndarray:
+    # box rows are [low, high]; exp(log(bound)) can overshoot by one ulp
+    return np.minimum(np.maximum(np.exp(log_x), box[:, 0]), box[:, 1])
 
 
 def _multistart_points(log_box: np.ndarray, n_starts: int) -> np.ndarray:
     # deterministic Sobol lattice over the (log) box
+    from scipy.stats import qmc
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # unscrambled Sobol balance warning
         unit = qmc.Sobol(d=len(log_box), scramble=False).random(n_starts)
@@ -138,7 +140,7 @@ def build_model(features, y, dist, theta, degenerate=False, clipped=False) -> Gp
     training Gram (with jitter when needed) and alpha = R^-1 y."""
     r = gram_from_distances(dist, theta)
     l, jitter = chol_with_jitter(r)
-    alpha = cho_solve((l, True), y)
+    alpha = lapack.dpotrs(l, y, lower=1)[0]
     return GpModel(features=features, y=np.asarray(y, dtype=float),
                    theta=theta, distances=dist, chol=l, alpha=alpha,
                    degenerate=degenerate, jitter=jitter, clipped=clipped)
@@ -165,30 +167,32 @@ def gp_fit_mle(features, y, bounds=DEFAULT_BOUNDS, n_starts: int = 8) -> GpModel
     dist = pairwise_distances(features)
     if float(np.var(y)) == 0.0:
         return _degenerate_model(features, y, dist, bounds)
-    fixed = fit_invariants(dist)
+    log_dist = fit_invariants(dist)
+    box = np.asarray(bounds, dtype=float)
 
     def objective(log_theta):
-        theta = KernelParams.from_array(_exp_into_box(log_theta, bounds))
+        theta = KernelParams.from_array(_exp_into_box(log_theta, box))
         try:
-            value, grad = log_likelihood(dist, y, theta, fixed)
+            value, grad = log_likelihood(dist, y, theta, log_dist)
         except CholeskyFailure:
             return 1e15, np.zeros(len(log_theta))
         return -value, -grad
 
-    best = _minimize_in_box(objective, _log_box(bounds), n_starts, gradient=True)
-    theta = KernelParams.from_array(_exp_into_box(best.x, bounds))
+    best = _minimize_in_box(objective, np.log(box), n_starts, gradient=True)
+    theta = KernelParams.from_array(_exp_into_box(best.x, box))
     return build_model(features, y, dist, theta)
 
 
 def loo_residuals(dist: np.ndarray, y: np.ndarray, theta: KernelParams
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Leave-one-out residuals and predictive variances from one
-    factorization: e_i = alpha_i / (R^-1)_ii, var_i = 1 / (R^-1)_ii."""
+    factorization: e_i = alpha_i / (R^-1)_ii, var_i = 1 / (R^-1)_ii
+    (Dubrule, Math. Geology 1983), with R^-1 from potri and alpha = R^-1 y."""
     r = gram_from_distances(dist, theta)
     l, _ = chol_with_jitter(r)
-    rinv = cho_solve((l, True), np.eye(len(y)))
-    diag = np.diag(rinv)
-    alpha = rinv @ y
+    rinv = lapack.dpotri(l, lower=1, overwrite_c=1)[0]
+    diag = rinv.diagonal()
+    alpha = blas.dsymv(1.0, rinv, y, lower=1)
     return alpha / diag, 1.0 / diag
 
 
@@ -212,12 +216,10 @@ def gp_fit_cv(features, y, bounds=DEFAULT_BOUNDS, n_starts: int = 8,
     if float(np.var(y)) == 0.0:
         return _degenerate_model(features, y, dist, bounds)
 
-    cv_bounds = (bounds[1], bounds[2], ratio_box)
+    cv_box = np.array((bounds[1], bounds[2], ratio_box), dtype=float)
 
-    def unit_theta(log_x):
-        rate, exponent, ratio = _exp_into_box(log_x, cv_bounds)
-        return KernelParams(amplitude=1.0, rate=rate, exponent=exponent,
-                            nugget=ratio)
+    def unit_theta(log_x):  # amplitude 1, nugget = the searched ratio
+        return KernelParams(1.0, *_exp_into_box(log_x, cv_box))
 
     def objective(log_x):
         try:
@@ -226,8 +228,8 @@ def gp_fit_cv(features, y, bounds=DEFAULT_BOUNDS, n_starts: int = 8,
             return 1e15
         return float((errs**2).sum())
 
-    best = _minimize_in_box(objective, _log_box(cv_bounds), n_starts)
-    rate, exponent, ratio = _exp_into_box(best.x, cv_bounds)
+    best = _minimize_in_box(objective, np.log(cv_box), n_starts)
+    rate, exponent, ratio = _exp_into_box(best.x, cv_box)
     errs, unit_vars = loo_residuals(dist, y, unit_theta(best.x))
     # calibrate total variance: mean(e_i^2 / (amp^2 * var0_i)) = 1
     amp_sq = float((errs**2 / unit_vars).mean())

@@ -149,14 +149,9 @@ def cross_distances(a: Embedding, b: Embedding) -> np.ndarray:
     return _snap(cdist(a.X, b.X))
 
 
-def _radial(dist: np.ndarray, theta: KernelParams) -> np.ndarray:
-    """amplitude^2 * exp(-rate * dist^exponent) in one new array: an n x n
-    kernel costs one n x n allocation, not one per operation."""
-    return _radial_of_power(dist**theta.exponent, theta)
-
-
 def _radial_of_power(k: np.ndarray, theta: KernelParams) -> np.ndarray:
-    """amplitude^2 * exp(-rate * k), overwriting k = dist^exponent."""
+    """amplitude^2 * exp(-rate * k), overwriting k = dist^exponent: an n x n
+    kernel costs one n x n allocation, not one per operation."""
     k *= -theta.rate
     np.exp(k, out=k)
     k *= theta.amplitude**2
@@ -167,34 +162,36 @@ def gram_from_distances(dist: np.ndarray, theta: KernelParams) -> np.ndarray:
     """Gram matrix from a snapped distance matrix. The nugget is applied on
     the diagonal only: off-diagonal zero distances (duplicated inputs) carry
     the plain radial value."""
-    k = _radial(dist, theta)
+    k = _radial_of_power(dist**theta.exponent, theta)
     k.flat[::len(k) + 1] += theta.nugget
     return k
 
 
-def fit_invariants(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The parts of gram_log_derivatives that do not depend on theta:
-    log(dist), 0 where dist = 0 (log 0 is never taken), and the identity."""
-    return np.log(dist, out=np.zeros_like(dist), where=dist > 0.0), np.eye(len(dist))
+def fit_invariants(dist: np.ndarray) -> np.ndarray:
+    """log(dist), 0 where dist = 0: the theta-free part of gram_log_gradient."""
+    return np.log(dist, out=np.zeros_like(dist), where=dist > 0.0)
 
 
-def gram_log_derivatives(dist: np.ndarray, theta: KernelParams,
-                         fixed: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The Gram matrix of gram_from_distances and its derivatives with
-    respect to log(amplitude, rate, exponent, nugget), stacked (4, n, n).
-
-    With K0 = amplitude^2 exp(-rate d^p) the Gram without the nugget:
-    dK/dlog a = 2 K0, dK/dlog r = -r d^p K0, dK/dlog p = -r p d^p log(d) K0
-    (0 where d = 0) and dK/dlog g = g I; fixed is fit_invariants(dist),
-    computed once per fit."""
-    log_dist, eye = fixed
+def gram_parts(dist: np.ndarray, theta: KernelParams) -> tuple[np.ndarray, np.ndarray]:
+    """gram_from_distances and dist^exponent, which gram_log_gradient reads."""
     power = dist**theta.exponent
-    k0 = _radial_of_power(power.copy(), theta)
-    d_rate = -theta.rate * power * k0
-    derivatives = np.stack([2.0 * k0, d_rate, theta.exponent * log_dist * d_rate,
-                            theta.nugget * eye])
-    k0.flat[::len(k0) + 1] += theta.nugget
-    return k0, derivatives
+    gram = _radial_of_power(power.copy(), theta)
+    gram.flat[::len(gram) + 1] += theta.nugget
+    return gram, power
+
+
+def gram_log_gradient(w: np.ndarray, gram: np.ndarray, power: np.ndarray,
+                      log_dist: np.ndarray, theta: KernelParams) -> np.ndarray:
+    """1/2 tr(W dR/dlog theta) for a symmetric W and theta = (amplitude, rate,
+    exponent, nugget), without forming dR/dlog theta. With K0 the Gram without
+    the nugget and M = W o K0, the derivatives 2 K0, -r d^p K0, -r p d^p log(d)
+    K0 and g I give sum(M), -r/2 sum(M d^p), -r p/2 sum(M d^p log d), g/2 tr W."""
+    m = w * gram
+    m.flat[::len(m) + 1] = theta.amplitude**2 * w.diagonal()  # K0 = a^2 where d = 0
+    m_power = m * power
+    return np.array([m.sum(), -0.5 * theta.rate * m_power.sum(),
+                     -0.5 * theta.rate * theta.exponent * (m_power * log_dist).sum(),
+                     0.5 * theta.nugget * np.trace(w)])
 
 
 def gram_matrix(features: Embedding, theta: KernelParams) -> np.ndarray:
@@ -205,7 +202,7 @@ def cross_kernel(a: Embedding, b: Embedding, theta: KernelParams) -> np.ndarray:
     """Regression kernel between the rows of a and of b; the nugget fires
     exactly where the snapped embedding distance is zero."""
     dist = cross_distances(a, b)
-    k = _radial(dist, theta)
+    k = _radial_of_power(dist**theta.exponent, theta)
     k[dist == 0.0] += theta.nugget
     return k
 

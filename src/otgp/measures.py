@@ -182,7 +182,7 @@ def rasterize_gaussian(measure: GaussianMeasure, grid_size: int) -> GridDensity:
     only for uncorrelated axes; a non-zero off-diagonal covariance term
     raises ValidationError.
     """
-    from scipy.stats import norm
+    from scipy.special import ndtr
 
     if measure.dim != 2:
         raise ValidationError("grid rasterization is defined on R^2 only")
@@ -194,8 +194,8 @@ def rasterize_gaussian(measure: GaussianMeasure, grid_size: int) -> GridDensity:
     edges = np.arange(g + 1) / g
     sx = float(np.sqrt(measure.cov[0, 0]))
     sy = float(np.sqrt(measure.cov[1, 1]))
-    px = np.diff(norm.cdf(edges, loc=measure.mean[0], scale=sx))
-    py = np.diff(norm.cdf(edges, loc=measure.mean[1], scale=sy))
+    px = np.diff(ndtr((edges - measure.mean[0]) / sx))
+    py = np.diff(ndtr((edges - measure.mean[1]) / sy))
     w = np.outer(py, px)  # rows index y
     total = w.sum()
     if total <= 0:

@@ -15,7 +15,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     DimensionMismatch,
@@ -217,6 +216,8 @@ def assignment_ot(src: EmpiricalSample, dst: EmpiricalSample
     Solves the assignment problem with squared Euclidean cost; returns the
     matching and W2 = sqrt(mean matched squared distance).
     """
+    from scipy.optimize import linear_sum_assignment
+
     if src.size != dst.size:
         raise SizeMismatch(f"sample sizes {src.size} and {dst.size} differ")
     if src.points.shape[1] != dst.points.shape[1]:

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import otgp
 from otgp import dataio
 from otgp.cli import main
 from otgp.measures import GaussianMeasure, GridDensity
@@ -208,3 +212,15 @@ class TestExperimentCommand:
         code = main(["experiment", "psd", "--seed", "1",
                      "--out", str(tmp_path / "x"), "--config", str(cfg)])
         assert code == 2
+
+
+def test_import_defers_heavy_scipy_modules():
+    # scipy.optimize and scipy.stats load inside the functions that use
+    # them, so starting the CLI does not pay for them
+    program = ("import sys; sys.path.insert(0, sys.argv[1]); import otgp.cli; "
+               "print(sorted(m for m in sys.modules "
+               "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'stats'])))")
+    src = str(Path(otgp.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", program, src], capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

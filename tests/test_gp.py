@@ -29,7 +29,8 @@ from otgp.kernels import (
     embed_grids,
     fit_invariants,
     gram_from_distances,
-    gram_log_derivatives,
+    gram_log_gradient,
+    gram_parts,
     pairwise_distances,
 )
 from otgp.measures import DiskConfig, GaussianMeasure, disks_to_grid, sample_regression_gaussians
@@ -81,14 +82,16 @@ def nelder_mead_log_likelihood(dist, y, bounds=DEFAULT_BOUNDS):
     """Reference for the gradient fit: the best log likelihood that
     derivative-free Nelder-Mead finds from the fitter's Sobol starts in the
     same log box."""
+    box = np.asarray(bounds, dtype=float)
+
     def objective(log_theta):
-        theta = KernelParams.from_array(gp._exp_into_box(log_theta, bounds))
+        theta = KernelParams.from_array(gp._exp_into_box(log_theta, box))
         try:
             return -log_likelihood(dist, y, theta)[0]
         except CholeskyFailure:
             return 1e15
 
-    return -gp._minimize_in_box(objective, gp._log_box(bounds)).fun
+    return -gp._minimize_in_box(objective, np.log(box)).fun
 
 
 def regression_training_set(seed):
@@ -124,6 +127,43 @@ class TestPosterior:
         chol, jitter = chol_with_jitter(r)
         assert jitter > 0
         np.testing.assert_allclose(chol @ chol.T, r, atol=1e-5)
+
+
+class TestCholeskyWithJitter:
+    def test_level_zero_matches_scipy_bitwise(self):
+        feats, _ = regression_training_set(1000)
+        r = gram_from_distances(pairwise_distances(feats), KernelParams(0.2, 1.3, 1.7, 1e-3))
+        before = r.copy()
+        chol, jitter = chol_with_jitter(r)
+        assert jitter == 0.0
+        np.testing.assert_array_equal(chol, cholesky(r, lower=True))
+        np.testing.assert_array_equal(r, before)
+
+    def test_ladder_matches_the_identity_formula(self):
+        # reference: the ladder as r + level * tr(r)/n * I through scipy
+        r = np.ones((3, 3))
+        scale = np.trace(r) / 3
+        for level in gp.JITTER_LADDER:
+            try:
+                expected = cholesky(r + level * scale * np.eye(3), lower=True)
+                break
+            except np.linalg.LinAlgError:
+                continue
+        chol, jitter = chol_with_jitter(r)
+        assert jitter == level * scale > 0
+        np.testing.assert_array_equal(chol, expected)
+        np.testing.assert_array_equal(r, np.ones((3, 3)))
+
+    @pytest.mark.parametrize("where, value", [
+        ((2, 1), np.nan), ((1, 1), np.nan), ((2, 1), np.inf), ((1, 1), np.inf)])
+    def test_non_finite_gram_is_typed(self, where, value):
+        r = gram_from_distances(pairwise_distances(make_features(np.random.default_rng(18), 6)),
+                                KernelParams(1.0, 1.0, 2.0, 0.01))
+        r[where] = r[where[::-1]] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(CholeskyFailure):
+                chol_with_jitter(r)
 
 
 class TestFitMle:
@@ -260,31 +300,71 @@ class TestLogLikelihoodGradient:
         alpha = cho_solve((l, True), y)
         assert value == -0.5 * y @ alpha - np.log(np.diag(l)).sum() - 0.5 * len(y) * math.log(2 * math.pi)
 
-    def test_gram_and_derivatives_at_zero_distance(self):
-        dist, _ = self.setup_data(duplicate=True)
-        theta = KernelParams(1.2, 0.7, 1.3, 0.01)
-        gram, derivatives = gram_log_derivatives(dist, theta, fit_invariants(dist))
-        np.testing.assert_array_equal(gram, gram_from_distances(dist, theta))
-        zero = dist == 0.0
-        assert derivatives.shape == (4,) + dist.shape
-        assert np.all(derivatives[1][zero] == 0.0) and np.all(derivatives[2][zero] == 0.0)
-        np.testing.assert_array_equal(derivatives[3], theta.nugget * np.eye(len(dist)))
-
-    def test_fit_invariants_change_no_bit(self):
-        # reference: the Gram and derivative stack as computed before log(d)
-        # and I were hoisted out of the fit's evaluations
-        dist, _ = self.setup_data(duplicate=True)
-        theta = KernelParams(1.2, 0.7, 1.3, 0.01)
+    @staticmethod
+    def stacked_derivatives(dist, theta):
+        """Reference: the (4, n, n) stack of dR/dlog theta as the fit used to
+        build it, and the Gram beside it."""
         power = dist**theta.exponent
         k0 = kernels._radial_of_power(power.copy(), theta)
         d_rate = -theta.rate * power * k0
         log_d = np.log(dist, out=np.zeros_like(dist), where=dist > 0.0)
-        expected = np.stack([2.0 * k0, d_rate, theta.exponent * log_d * d_rate,
-                             theta.nugget * np.eye(len(dist))])
+        stack = np.stack([2.0 * k0, d_rate, theta.exponent * log_d * d_rate,
+                          theta.nugget * np.eye(len(dist))])
         k0.flat[::len(k0) + 1] += theta.nugget
-        gram, derivatives = gram_log_derivatives(dist, theta, fit_invariants(dist))
-        np.testing.assert_array_equal(gram, k0)
-        np.testing.assert_array_equal(derivatives, expected)
+        return k0, stack
+
+    def test_gram_and_derivatives_at_zero_distance(self):
+        dist, _ = self.setup_data(duplicate=True)
+        theta = KernelParams(1.2, 0.7, 1.3, 0.01)
+        gram, power = gram_parts(dist, theta)
+        expected_gram, stack = self.stacked_derivatives(dist, theta)
+        np.testing.assert_array_equal(gram, expected_gram)
+        zero = dist == 0.0
+        assert np.all(power[zero] == 0.0)
+        assert np.all(stack[1][zero] == 0.0) and np.all(stack[2][zero] == 0.0)
+        # rate and exponent terms vanish where d = 0, duplicated pair included;
+        # the nugget term is g I
+        log_d = fit_invariants(dist)
+        grad = gram_log_gradient(zero.astype(float), gram, power, log_d, theta)
+        assert grad[1] == 0.0 and grad[2] == 0.0
+        grad = gram_log_gradient(np.eye(len(dist)), gram, power, log_d, theta)
+        assert grad[3] == 0.5 * theta.nugget * len(dist)
+
+    def test_fit_invariants_change_no_bit(self):
+        # the pieces the gradient reads rebuild the old stack bit for bit,
+        # with K0 the Gram whose diagonal is amplitude^2
+        dist, _ = self.setup_data(duplicate=True)
+        theta = KernelParams(1.2, 0.7, 1.3, 0.01)
+        expected_gram, expected = self.stacked_derivatives(dist, theta)
+        gram, power = gram_parts(dist, theta)
+        k0 = gram.copy()
+        k0.flat[::len(k0) + 1] = theta.amplitude**2
+        d_rate = -theta.rate * power * k0
+        rebuilt = np.stack([2.0 * k0, d_rate, theta.exponent * fit_invariants(dist) * d_rate,
+                            theta.nugget * np.eye(len(dist))])
+        np.testing.assert_array_equal(gram, expected_gram)
+        np.testing.assert_array_equal(rebuilt, expected)
+
+    @pytest.mark.parametrize("kind", ["random", "likelihood"])
+    def test_gradient_matches_stacked_contraction(self, kind):
+        # 1/2 tr(W dR/dlog theta) against the stacked tensordot, to a few ulps
+        # of the sum of absolute terms
+        dist, y = self.setup_data(duplicate=True)
+        theta = KernelParams(1.2, 0.7, 1.3, 0.01)
+        gram, power = gram_parts(dist, theta)
+        if kind == "random":
+            w = np.random.default_rng(17).normal(size=dist.shape)
+            w = w + w.T
+        else:
+            l = cholesky(gram, lower=True)
+            alpha = cho_solve((l, True), y)
+            w = np.outer(alpha, alpha) - cho_solve((l, True), np.eye(len(y)))
+        _, stack = self.stacked_derivatives(dist, theta)
+        grad = gram_log_gradient(w, gram, power, fit_invariants(dist), theta)
+        terms = 0.5 * stack * w
+        np.testing.assert_array_less(np.abs(grad - terms.sum(axis=(1, 2))),
+                                     64 * np.finfo(float).eps * np.abs(terms).sum(axis=(1, 2))
+                                     + np.finfo(float).tiny)
 
 
 class TestFitCv:
@@ -305,6 +385,23 @@ class TestFitCv:
                                                 theta.amplitude**2 + theta.nugget)
             assert errs[i] == pytest.approx(y[i] - mean, abs=1e-8)
             assert variances[i] == pytest.approx(var, abs=1e-8)
+
+    @pytest.mark.parametrize("duplicate", [False, True], ids=["distinct", "duplicated"])
+    @pytest.mark.parametrize("exponent", [1.0, 2.0])
+    def test_loo_matches_explicit_inverse(self, exponent, duplicate):
+        # reference: R^-1 from a solve against the identity
+        feats, y = regression_training_set(1000)
+        if duplicate:
+            feats = feats[list(range(len(y))) + [7]]
+            y = np.append(y, y[7])
+        dist = pairwise_distances(feats)
+        theta = KernelParams(1.0, 1.0, exponent, 1e-6)
+        errs, variances = loo_residuals(dist, y, theta)
+        chol, _ = chol_with_jitter(gram_from_distances(dist, theta))
+        rinv = cho_solve((chol, True), np.eye(len(y)))
+        expected = (rinv @ y) / np.diag(rinv)
+        assert np.abs(errs - expected).max() <= 1e-9 * np.abs(expected).max()
+        np.testing.assert_allclose(variances, 1.0 / np.diag(rinv), rtol=1e-9)
 
     def test_standardized_residuals_calibrated(self):
         rng = np.random.default_rng(6)

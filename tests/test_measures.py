@@ -231,6 +231,26 @@ class TestRasterize:
         grid = rasterize_gaussian(m, 20)
         assert abs(grid.weights.sum() - 1.0) < 1e-12
 
+    def test_matches_the_norm_cdf_formula(self):
+        # reference: cell masses from scipy.stats.norm.cdf, bit for bit;
+        # means run past the grid edges so mass is cut off there
+        from scipy.stats import norm
+
+        rng = np.random.default_rng(19)
+        g = 25
+        edges = np.arange(g + 1) / g
+        for _ in range(200):
+            mean = rng.uniform(-0.2, 1.2, size=2)
+            var = 10.0 ** rng.uniform(-5, 0, size=2)
+            m = GaussianMeasure(mean, np.diag(var))
+            sx, sy = np.sqrt(var)
+            px = np.diff(norm.cdf(edges, loc=mean[0], scale=sx))
+            py = np.diff(norm.cdf(edges, loc=mean[1], scale=sy))
+            w = np.outer(py, px)
+            if w.sum() <= 0:
+                continue
+            np.testing.assert_array_equal(rasterize_gaussian(m, g).weights, w / w.sum())
+
     def test_correlated_covariance_is_rejected(self):
         # correlation 0.9 cannot factor into per-axis cell masses
         s = 0.01
