@@ -52,13 +52,13 @@ def gaussian_barycenter(covs, weights=None, tol: float = 1e-9,
     w = _check_weights(weights, len(stack))
     s = np.einsum("i,ijk->jk", w, stack)  # Euclidean mean: SPD, cheap start
     for it in range(1, max_iter + 1):
-        pair = sqrtm_spd(s)
-        roots = _psd_sqrt_batch(pair.sqrt @ stack @ pair.sqrt)
+        root, inv_root = sqrtm_spd(s)
+        roots = _psd_sqrt_batch(root @ stack @ root)
         mixture = np.einsum("i,ijk->jk", w, roots)
         residual = float(np.linalg.norm(s - mixture) / np.linalg.norm(s))
         if residual <= tol:
             return BarycenterReport(result=s, iterations=it, residual=residual)
-        s = pair.inv_sqrt @ mixture @ mixture @ pair.inv_sqrt
+        s = inv_root @ mixture @ mixture @ inv_root
         s = 0.5 * (s + s.T)
     raise NoConvergence(
         f"barycenter residual above {tol} after {max_iter} iterations")

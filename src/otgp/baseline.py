@@ -7,7 +7,7 @@ deterministic sample split. No uncertainty output exists for this method.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -18,12 +18,31 @@ from .rng import make_rng
 
 N_BANDWIDTH_CANDIDATES = 20
 
+# L1 distances within this of the maximum 2 (disjoint supports) snap to 2, so
+# such pairs weigh exactly 0 at bandwidth 2 in whatever order they were summed.
+L1_MAX_SNAP = 1e-12
+
+
+def _stack(grids) -> np.ndarray:
+    """Flattened cell masses, one row per density, all on one grid."""
+    if len({g.grid_size for g in grids}) > 1:
+        raise GridMismatch("densities lie on grids of different sizes")
+    return np.array([g.weights.ravel() for g in grids])
+
+
+def _l1_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Snapped L1 distances between the rows of a and the rows of b."""
+    from scipy.spatial.distance import cdist
+
+    dist = cdist(a, b, "cityblock")
+    dist[dist >= 2.0 - L1_MAX_SNAP] = 2.0
+    return dist
+
 
 def l1_density_distance(a: GridDensity, b: GridDensity) -> float:
     """Total variation style L1 distance between cell masses, in [0, 2]."""
-    if a.grid_size != b.grid_size:
-        raise GridMismatch(f"grids {a.grid_size} and {b.grid_size} differ")
-    return float(np.abs(a.weights - b.weights).sum())
+    rows = _stack((a, b))
+    return float(_l1_matrix(rows[:1], rows[1:])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -31,12 +50,14 @@ class SmootherModel:
     grids: tuple
     y: np.ndarray
     bandwidth: float
+    rows: np.ndarray = field(init=False, repr=False, compare=False)  # _stack(grids)
 
     def __post_init__(self):
         if not (self.bandwidth > 0):
             raise ValidationError("bandwidth must be positive")
-        if len(self.grids) != len(self.y):
-            raise SizeMismatch("grids and responses differ in length")
+        if not 0 < len(self.grids) == len(self.y):
+            raise SizeMismatch("need one or more grids, as many as responses")
+        object.__setattr__(self, "rows", _stack(self.grids))
 
 
 class SmootherPrediction(NamedTuple):
@@ -44,19 +65,23 @@ class SmootherPrediction(NamedTuple):
     fallback: bool  # True when no neighbor fell inside the bandwidth
 
 
-def _triangular_average(dists: np.ndarray, y: np.ndarray, h: float) -> SmootherPrediction:
+def _triangular_average(dists: np.ndarray, y: np.ndarray, h: float):
+    """Triangular-kernel average of y per row of dists, and its fallback flag."""
     w = np.maximum(0.0, 1.0 - dists / h)
-    total = w.sum()
-    if total == 0.0:
-        return SmootherPrediction(float(y.mean()), True)
-    return SmootherPrediction(float((w * y).sum() / total), False)
+    total = w.sum(axis=1)
+    fallback = total == 0.0
+    return np.divide((w * y).sum(axis=1), total, out=np.full(len(total), y.mean()),
+                     where=~fallback), fallback
 
 
 def smoother_predict(model: SmootherModel, query: GridDensity) -> SmootherPrediction:
     """Triangular-kernel weighted average of the training responses; falls
     back to the global mean (flagged) when every weight vanishes."""
-    dists = np.array([l1_density_distance(query, g) for g in model.grids])
-    return _triangular_average(dists, model.y, model.bandwidth)
+    if query.grid_size != model.grids[0].grid_size:
+        raise GridMismatch(f"grids {query.grid_size} and {model.grids[0].grid_size} differ")
+    value, fallback = _triangular_average(_l1_matrix(query.weights.reshape(1, -1), model.rows),
+                                          model.y, model.bandwidth)
+    return SmootherPrediction(float(value[0]), bool(fallback[0]))
 
 
 def default_candidates(pairwise: np.ndarray) -> np.ndarray:
@@ -71,15 +96,12 @@ def default_candidates(pairwise: np.ndarray) -> np.ndarray:
 def select_bandwidth(grids, y, candidates=None, split_seed: int = 0) -> float:
     """Pick the candidate bandwidth minimizing held-out MSE on a
     deterministic 50/50 split; ties go to the smaller bandwidth."""
-    grids = list(grids)
+    rows = _stack(list(grids))
     y = np.asarray(y, dtype=float)
-    if len(grids) < 4:
+    n = len(rows)
+    if n < 4:
         raise ValidationError("need at least 4 training points to split")
-    n = len(grids)
-    pairwise = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            pairwise[i, j] = pairwise[j, i] = l1_density_distance(grids[i], grids[j])
+    pairwise = _l1_matrix(rows, rows)
     if candidates is None:
         candidates = default_candidates(pairwise)
     candidates = np.sort(np.asarray(candidates, dtype=float))
@@ -87,16 +109,10 @@ def select_bandwidth(grids, y, candidates=None, split_seed: int = 0) -> float:
     # fixed salt keeps the split stream apart from data-generation streams
     perm = make_rng((0x5B17, split_seed)).permutation(n)
     fit_idx, val_idx = perm[: n // 2], perm[n // 2:]
-    best_h, best_mse = None, None
-    for h in candidates:
-        preds = [
-            _triangular_average(pairwise[v, fit_idx], y[fit_idx], h).value
-            for v in val_idx
-        ]
-        mse = float(((np.asarray(preds) - y[val_idx]) ** 2).mean())
-        if best_mse is None or mse < best_mse:  # strict: ties keep smaller h
-            best_h, best_mse = float(h), mse
-    return best_h
+    held_out = pairwise[np.ix_(val_idx, fit_idx)]
+    preds = np.array([_triangular_average(held_out, y[fit_idx], h)[0] for h in candidates])
+    mse = ((preds - y[val_idx]) ** 2).mean(axis=1)
+    return float(candidates[np.argmin(mse)])  # the first minimum: ties keep smaller h
 
 
 def fit_smoother(grids, y, candidates=None, split_seed: int = 0) -> SmootherModel:

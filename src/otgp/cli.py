@@ -58,16 +58,17 @@ def _parse_theta(text: str) -> KernelParams:
 
 
 def _build_features(inputs, reference=None, lam: float = 20.0):
-    if all(isinstance(x, GaussianMeasure) for x in inputs):
+    kinds = {type(x) for x in [*inputs, reference] if x is not None}
+    if kinds == {GaussianMeasure}:
         if reference is None:
             reference, _ = gaussian_barycenter_measure(inputs)
         return embed_gaussians(inputs, reference), reference
-    if all(isinstance(x, GridDensity) for x in inputs):
+    if kinds == {GridDensity}:
         if reference is not None:
             return embed_grids(inputs, reference, lam=lam), reference
         bar = grid_barycenter(inputs, lam=lam)
         return embed_grids(inputs, bar.result, lam=lam, starts=bar.starts(len(inputs))), bar.result
-    raise ValidationError("inputs mix Gaussian and grid representations")
+    raise ValidationError("inputs and reference must be all Gaussian or all grids")
 
 
 def _load_reference(path: str):
@@ -154,13 +155,9 @@ def cmd_predict(args) -> int:
     model = dataio.load_model(args.model)
     inputs, _ = dataio.load_dataset(args.data, require_y=False)
     reference = model.features.reference
-    if isinstance(reference, GaussianMeasure):
-        if not all(isinstance(x, GaussianMeasure) for x in inputs):
-            raise ValidationError("model embeds Gaussians; inputs must be Gaussian")
-        features = embed_gaussians(inputs, reference)
-    else:
-        grids = dataio.dataset_to_grids(inputs, reference.grid_size)
-        features = embed_grids(grids, reference, lam=args.lam)
+    if isinstance(reference, GridDensity):
+        inputs = dataio.dataset_to_grids(inputs, reference.grid_size)
+    features, _ = _build_features(inputs, reference=reference, lam=model.features.lam)
     result = gp_predict(model, features)
     dataio.save_predictions_csv(args.out, result)
     print(f"{len(features)} predictions written to {args.out}")
@@ -233,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True, help="dataset JSON of inputs")
     p.add_argument("--out", required=True, help="predictions CSV")
-    p.add_argument("--lam", type=float, default=20.0)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("experiment", help="run a reproduction experiment")

@@ -12,9 +12,9 @@ from .errors import ValidationError
 from .kernels import Embedding, KernelParams, pairwise_distances
 from .measures import DiskConfig, GaussianMeasure, GridDensity, disks_to_grid, rasterize_gaussian
 
-# Model JSON schema: version 2 stores the training feature matrix X and the
-# reference; files without a version predate it and are refused.
-MODEL_VERSION = 2
+# Model JSON schema: version 3 stores the training feature matrix X, the
+# reference and, for grid models, the penalty lam; other versions are refused.
+MODEL_VERSION = 3
 
 
 def save_gaussian_set(path, measures) -> None:
@@ -100,8 +100,8 @@ def dataset_to_grids(inputs, grid_size: int) -> list[GridDensity]:
 
 
 def save_model(path, model) -> None:
-    """Fitted GP to JSON: theta, responses, reference and the training
-    feature matrix X."""
+    """Fitted GP to JSON: theta, responses, reference, the training
+    feature matrix X and, for grid models, its penalty lam."""
     ref = model.features.reference
     payload = {
         "version": MODEL_VERSION,
@@ -121,6 +121,7 @@ def save_model(path, model) -> None:
     else:
         payload["kind"] = "grid"
         payload["reference"] = {"weights": ref.weights.tolist()}
+        payload["lam"] = model.features.lam
     Path(path).write_text(json.dumps(payload))
 
 
@@ -137,7 +138,7 @@ def load_model(path):
         ref = GaussianMeasure(payload["reference"]["mean"], payload["reference"]["cov"])
     else:
         ref = GridDensity(np.asarray(payload["reference"]["weights"], dtype=float))
-    features = Embedding(ref, payload["X"])
+    features = Embedding(ref, payload["X"], payload.get("lam"))
     if len(features) != len(y):
         raise ValidationError("model X and y differ in length")
     return build_model(features, y, pairwise_distances(features), theta,

@@ -255,9 +255,8 @@ def _write_table_csv(path, summary: dict) -> None:
     rows = ["method,rmse,q2,cic"]
     for key in ("smoothing", "gp_mle", "gp_cv"):
         s = summary[key]
-        cic = s["cic"] if s["cic"] != "NA" else "NA"
         rows.append(f"{label[key]},{s['rmse']:.4f},{s['q2']:.4f},"
-                    + (f"{cic:.4f}" if isinstance(cic, float) else cic))
+                    + (f"{s['cic']:.4f}" if isinstance(s["cic"], float) else s["cic"]))
     Path(path).write_text("\n".join(rows) + "\n")
 
 

@@ -74,11 +74,13 @@ class Embedding:
       - grid input: sqrt(w) * (location each reference support cell is sent
         to), flattened, with w the normalized reference weights; p is twice
         the reference support size.
-    len() is n; indexing returns the selected rows as an Embedding.
+    len() is n; indexing returns the selected rows as an Embedding. lam is
+    the entropic penalty of the grid maps, None for Gaussians.
     """
 
     reference: GaussianMeasure | GridDensity
     X: np.ndarray
+    lam: float | None = None
 
     def __post_init__(self):
         x = np.asarray(self.X, dtype=float)
@@ -95,7 +97,7 @@ class Embedding:
         return len(self.X)
 
     def __getitem__(self, index) -> "Embedding":
-        return Embedding(self.reference, np.atleast_2d(self.X[index]))
+        return Embedding(self.reference, np.atleast_2d(self.X[index]), self.lam)
 
 
 def _row_width(reference: GaussianMeasure | GridDensity) -> int:
@@ -112,8 +114,8 @@ def embed_gaussians(measures, reference: GaussianMeasure) -> Embedding:
         raise DimensionMismatch(f"measures must have the reference dimension {d}")
     means = np.array([m.mean for m in measures]).reshape(n, d)
     covs = np.array([m.cov for m in measures]).reshape(n, d, d)
-    pair = sqrtm_spd(reference.cov)
-    maps = _psd_sqrt_batch(pair.sqrt @ covs @ pair.sqrt) @ pair.inv_sqrt
+    root, inv_root = sqrtm_spd(reference.cov)
+    maps = _psd_sqrt_batch(root @ covs @ root) @ inv_root
     return Embedding(reference, np.hstack([means, maps.reshape(n, d * d)]))
 
 
@@ -124,7 +126,7 @@ def embed_grids(densities, reference: GridDensity, lam: float = 20.0,
     rows = [(np.sqrt(a.source_weights)[:, None] * a.mapped_locations()).ravel()
             for a in inverse_grid_maps(densities, reference, lam=lam, max_iter=max_iter,
                                        tol=tol, starts=starts)]
-    return Embedding(reference, np.array(rows).reshape(len(rows), _row_width(reference)))
+    return Embedding(reference, np.array(rows).reshape(len(rows), _row_width(reference)), lam)
 
 
 def _snap(dist: np.ndarray) -> np.ndarray:
@@ -141,12 +143,12 @@ def pairwise_distances(features: Embedding) -> np.ndarray:
 
 def cross_distances(a: Embedding, b: Embedding) -> np.ndarray:
     """(len(a), len(b)) matrix of snapped embedding distances; both must
-    embed against the same reference."""
+    embed against the same reference at the same penalty."""
     from scipy.spatial.distance import cdist
 
     ra, rb = a.reference, b.reference
-    if ra is not rb and (type(ra) is not type(rb) or not ra.same_as(rb)):
-        raise ReferenceMismatch("embeddings use different references")
+    if a.lam != b.lam or ra is not rb and (type(ra) is not type(rb) or not ra.same_as(rb)):
+        raise ReferenceMismatch("embeddings use different references or penalties")
     return _snap(cdist(a.X, b.X))
 
 
@@ -256,7 +258,7 @@ def naive_w2_gram(measures) -> np.ndarray:
         return out
     means = np.array([m.mean for m in measures])
     covs = np.array([m.cov for m in measures])
-    roots = np.array([sqrtm_spd(c).sqrt for c in covs])
+    roots = np.array([sqrtm_spd(c)[0] for c in covs])
     traces = np.trace(covs, axis1=1, axis2=2)
     keys = [(m.mean.tobytes(), m.cov.tobytes()) for m in measures]
     rank = np.empty(n, dtype=int)

@@ -104,10 +104,13 @@ class GridDensity:
         return np.column_stack([xx.ravel(), yy.ravel()])
 
     def support(self):
-        """Indices, locations and weights of cells with positive mass."""
+        """Indices, locations and weights of cells with positive mass; the
+        locations are cell_centers()[idx], built for the support cells only."""
         flat = self.weights.ravel()
         idx = np.flatnonzero(flat > 0.0)
-        return idx, self.cell_centers()[idx], flat[idx]
+        ticks = (np.arange(self.grid_size) + 0.5) / self.grid_size
+        iy, ix = np.divmod(idx, self.grid_size)
+        return idx, np.column_stack([ticks[ix], ticks[iy]]), flat[idx]
 
     def same_as(self, other: "GridDensity") -> bool:
         return np.array_equal(self.weights, other.weights)

@@ -49,28 +49,6 @@ BATCH = 8
 
 
 @dataclass(frozen=True)
-class SpdSqrtPair:
-    """Matrix square root and inverse square root of an SPD matrix."""
-
-    sqrt: np.ndarray
-    inv_sqrt: np.ndarray
-
-
-@dataclass(frozen=True)
-class LinearMap:
-    """Linear map x -> matrix @ x."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.matrix)):
-            raise ValidationError("map matrix has non-finite entries")
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x) @ self.matrix.T
-
-
-@dataclass(frozen=True)
 class CouplingPlan:
     """Nonnegative coupling with prescribed marginals."""
 
@@ -126,8 +104,8 @@ def _psd_sqrt_batch(ms: np.ndarray) -> np.ndarray:
     return 0.5 * (r + np.swapaxes(r, -1, -2))
 
 
-def sqrtm_spd(s) -> SpdSqrtPair:
-    """Symmetric square root and inverse square root via eigendecomposition.
+def sqrtm_spd(s) -> tuple[np.ndarray, np.ndarray]:
+    """(root, inv_root): symmetric square root and its inverse, by eigh.
 
     Eigenvalues are floored at 1e-12 times the largest to absorb round-off.
     """
@@ -136,12 +114,12 @@ def sqrtm_spd(s) -> SpdSqrtPair:
     w = np.maximum(w, EIG_FLOOR_RTOL * w[-1])
     root = (v * np.sqrt(w)) @ v.T
     inv_root = (v / np.sqrt(w)) @ v.T
-    return SpdSqrtPair(0.5 * (root + root.T), 0.5 * (inv_root + inv_root.T))
+    return 0.5 * (root + root.T), 0.5 * (inv_root + inv_root.T)
 
 
 def _bures_sq(cov_a: np.ndarray, cov_b: np.ndarray) -> float:
     """tr(Sa) + tr(Sb) - 2 tr((Sb^1/2 Sa Sb^1/2)^1/2), clipped at 0."""
-    bh = sqrtm_spd(cov_b).sqrt
+    bh, _ = sqrtm_spd(cov_b)
     cross = np.linalg.eigvalsh(bh @ cov_a @ bh)
     cross_tr = np.sqrt(np.clip(cross, 0.0, None)).sum()
     val = float(np.trace(cov_a) + np.trace(cov_b) - 2.0 * cross_tr)
@@ -164,18 +142,20 @@ def gaussian_w2(a: GaussianMeasure, b: GaussianMeasure) -> float:
     return float(np.sqrt(mean_sq + _bures_sq(a.cov, b.cov)))
 
 
-def gaussian_transport_map(from_cov, to_cov) -> tuple[LinearMap, LinearMap]:
-    """Optimal transport map between centered Gaussians, and its inverse.
-
+def gaussian_transport_map(from_cov, to_cov) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal transport map between centered Gaussians and its inverse, as
+    matrices (forward, inverse).
     The forward map T = S^-1/2 (S^1/2 Q S^1/2)^1/2 S^-1/2 pushes N(0, S)
     to N(0, Q), i.e. T S T = Q; the inverse is the same closed form with the
     roles swapped.
     """
     def closed_form(s, q):
-        pair = sqrtm_spd(s)
-        inner = _psd_sqrt_batch(pair.sqrt @ q @ pair.sqrt)
-        t = pair.inv_sqrt @ inner @ pair.inv_sqrt
-        return LinearMap(0.5 * (t + t.T))
+        root, inv_root = sqrtm_spd(s)
+        t = inv_root @ _psd_sqrt_batch(root @ q @ root) @ inv_root
+        t = 0.5 * (t + t.T)
+        if not np.all(np.isfinite(t)):
+            raise ValidationError("map matrix has non-finite entries")
+        return t
 
     from_cov = validate_spd(from_cov)
     to_cov = validate_spd(to_cov)
@@ -197,9 +177,9 @@ def map_l2_distance_gaussian(cov_i, cov_j, cov_bar) -> float:
     cov_bar = validate_spd(cov_bar)
     if not (cov_i.shape == cov_j.shape == cov_bar.shape):
         raise DimensionMismatch("covariance dimensions differ")
-    pair = sqrtm_spd(cov_bar)
-    roots = _psd_sqrt_batch(pair.sqrt @ np.stack([cov_i, cov_j]) @ pair.sqrt)
-    a = pair.inv_sqrt @ (roots[0] - roots[1])
+    root, inv_root = sqrtm_spd(cov_bar)
+    roots = _psd_sqrt_batch(root @ np.stack([cov_i, cov_j]) @ root)
+    a = inv_root @ (roots[0] - roots[1])
     return float((a * a).sum())
 
 

@@ -108,7 +108,7 @@ class TestCriterion4ClosedFormOracles:
             _, inv_i = gaussian_transport_map(si, sbar)
             _, inv_j = gaussian_transport_map(sj, sbar)
             x = rng.standard_normal((1_000_000, d)) @ np.linalg.cholesky(sbar).T
-            diff = x @ (inv_i.matrix - inv_j.matrix).T
+            diff = x @ (inv_i - inv_j).T
             mc = float((diff**2).sum(axis=1).mean())
             val = map_l2_distance_gaussian(si, sj, sbar)
             worst = max(worst, abs(val - mc) / mc)

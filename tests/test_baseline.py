@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otgp import baseline
 from otgp.baseline import (
     SmootherModel,
     fit_smoother,
@@ -11,7 +12,7 @@ from otgp.baseline import (
     smoother_predict,
 )
 from otgp.errors import DegenerateDistances, GridMismatch, ValidationError
-from otgp.measures import GridDensity
+from otgp.measures import GridDensity, rasterize_gaussian, sample_regression_gaussians
 
 
 def cell_mass(g, cells):
@@ -44,6 +45,18 @@ class TestL1Distance:
     def test_grid_mismatch(self):
         with pytest.raises(GridMismatch):
             l1_density_distance(cell_mass(4, {(0, 0): 1.0}), cell_mass(5, {(0, 0): 1.0}))
+
+    def test_disjoint_supports_are_exactly_two_apart(self):
+        # masses that do not sum to exactly 1 + 1 in floating point still
+        # land on the maximum, the largest default bandwidth
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            w = rng.uniform(0.0, 1.0, size=(6, 6))
+            a, b = w * (np.arange(6) < 3), w * (np.arange(6) >= 3)
+            a, b = GridDensity(a / a.sum()), GridDensity(b / b.sum())
+            assert l1_density_distance(a, b) == 2.0
+            model = SmootherModel(grids=(a,), y=np.array([1.0]), bandwidth=2.0)
+            assert smoother_predict(model, b).fallback
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=30, deadline=None)
@@ -103,6 +116,15 @@ class TestSmootherPredict:
                 inside = y[dists < model.bandwidth]
                 assert inside.min() - 1e-12 <= pred.value <= inside.max() + 1e-12
 
+    def test_grid_mismatch(self):
+        model = SmootherModel(grids=(cell_mass(4, {(0, 0): 1.0}),), y=np.array([1.0]),
+                              bandwidth=1.0)
+        with pytest.raises(GridMismatch):
+            smoother_predict(model, cell_mass(5, {(0, 0): 1.0}))
+        with pytest.raises(GridMismatch):
+            SmootherModel(grids=(cell_mass(4, {(0, 0): 1.0}), cell_mass(5, {(0, 0): 1.0})),
+                          y=np.array([1.0, 2.0]), bandwidth=1.0)
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)
         grids = [random_density(rng, 5) for _ in range(6)]
@@ -156,6 +178,12 @@ class TestSelectBandwidth:
         with pytest.raises(DegenerateDistances):
             select_bandwidth(grids, np.array([1.0, 2.0, 3.0, 4.0]))
 
+    def test_grid_mismatch(self):
+        rng = np.random.default_rng(6)
+        grids = [random_density(rng, 4) for _ in range(3)] + [random_density(rng, 5)]
+        with pytest.raises(GridMismatch):
+            select_bandwidth(grids, rng.normal(size=4))
+
     def test_needs_four_points(self):
         rng = np.random.default_rng(4)
         grids = [random_density(rng, 4) for _ in range(3)]
@@ -169,3 +197,32 @@ class TestSelectBandwidth:
         model = fit_smoother(grids, y)
         assert len(model.grids) == 8
         assert model.bandwidth > 0
+
+
+def _reversed_pair_sums(a, b):
+    # one pair at a time, each summed from its last cell to its first
+    dist = np.array([[float(np.abs(x - z)[::-1].sum()) for z in b] for x in a])
+    dist[dist >= 2.0 - baseline.L1_MAX_SNAP] = 2.0
+    return dist
+
+
+@pytest.mark.parametrize("seed", range(1000, 1010))
+def test_answers_do_not_depend_on_summation_order(seed, monkeypatch):
+    # on these regression datasets most pairs have disjoint supports, at the
+    # largest distance and bandwidth 2; the snap makes their weight exactly 0
+    # whichever order the L1 terms are summed in
+    pairs = sample_regression_gaussians(100, seed)
+    grids = [rasterize_gaussian(m, 50) for m, _ in pairs]
+    y = np.array([v for _, v in pairs])
+
+    def smooth():
+        model = fit_smoother(grids[:50], y[:50], split_seed=seed)
+        return model.bandwidth, [smoother_predict(model, g) for g in grids[50:]]
+
+    h, preds = smooth()
+    monkeypatch.setattr(baseline, "_l1_matrix", _reversed_pair_sums)
+    h_loop, preds_loop = smooth()
+    assert h == pytest.approx(h_loop, rel=1e-12)
+    assert [p.fallback for p in preds] == [p.fallback for p in preds_loop]
+    np.testing.assert_allclose([p.value for p in preds], [p.value for p in preds_loop],
+                               rtol=0.0, atol=1e-12)

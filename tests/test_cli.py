@@ -90,6 +90,14 @@ class TestKernelMatrixCommand:
         assert main(["kernel-matrix", "--input", str(src), "--theta", "1,1,1,0.001",
                      "--reference", str(ref), "--out", str(out)]) == 0
 
+    def test_reference_of_another_kind_is_validation_error(self, tmp_path):
+        src = tmp_path / "set.json"
+        write_gaussian_set(src, n=4)
+        ref = tmp_path / "ref.csv"
+        dataio.save_grid_csv(ref, GridDensity(np.full((6, 6), 1.0 / 36)))
+        assert main(["kernel-matrix", "--input", str(src), "--theta", "1,1,1,0.001",
+                     "--reference", str(ref), "--out", str(tmp_path / "gram.csv")]) == 2
+
     def test_bad_theta_is_validation_error(self, tmp_path):
         src = tmp_path / "set.json"
         write_gaussian_set(src)
@@ -157,6 +165,26 @@ class TestFitPredictCommands:
         assert main(["predict", "--model", str(model_path), "--data", str(data),
                      "--out", str(tmp_path / "preds.csv")]) == 2
 
+    def test_predict_embeds_at_the_fitted_penalty(self, tmp_path):
+        # a grid model predicts its own training inputs only when they are
+        # embedded at the penalty it was fitted at, which the model file keeps
+        from otgp.measures import DiskConfig
+
+        rng = np.random.default_rng(6)
+        disks = [DiskConfig(0.1, rng.uniform(0.2, 0.8, (3, 2))) for _ in range(12)]
+        ys = [float(c.centers[:, 0].mean()) for c in disks]
+        data = tmp_path / "data.json"
+        dataio.save_dataset(data, disks, ys)
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--data", str(data), "--grid-size", "20", "--lam", "60",
+                     "--out", str(model_path)]) == 0
+        assert json.loads(model_path.read_text())["lam"] == 60.0
+        preds = tmp_path / "preds.csv"
+        assert main(["predict", "--model", str(model_path), "--data", str(data),
+                     "--out", str(preds)]) == 0
+        rows = np.loadtxt(preds, delimiter=",", skiprows=1)
+        np.testing.assert_allclose(rows[:, 0], ys, atol=1e-9)
+
     def test_cv_method(self, tmp_path):
         rng = np.random.default_rng(3)
         ms = [GaussianMeasure(rng.uniform(0.2, 0.8, 2), 0.0004 * np.eye(2))
@@ -215,11 +243,11 @@ class TestExperimentCommand:
 
 
 def test_import_defers_heavy_scipy_modules():
-    # scipy.optimize and scipy.stats load inside the functions that use
-    # them, so starting the CLI does not pay for them
+    # scipy.optimize, scipy.stats and scipy.spatial load inside the
+    # functions that use them, so starting the CLI does not pay for them
     program = ("import sys; sys.path.insert(0, sys.argv[1]); import otgp.cli; "
-               "print(sorted(m for m in sys.modules "
-               "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'stats'])))")
+               "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+               "(['scipy', 'optimize'], ['scipy', 'stats'], ['scipy', 'spatial'])))")
     src = str(Path(otgp.__file__).resolve().parent.parent)
     done = subprocess.run([sys.executable, "-c", program, src], capture_output=True,
                           text=True, timeout=120, check=True)

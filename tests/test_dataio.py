@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from otgp import dataio
-from otgp.errors import ValidationError
+from otgp.errors import ReferenceMismatch, ValidationError
 from otgp.gp import gp_fit_mle, gp_predict
 from otgp.kernels import embed_gaussians, embed_grids
 from otgp.measures import DiskConfig, GaussianMeasure, GridDensity
@@ -148,7 +148,22 @@ class TestModelRoundTrip:
         pred_b = gp_predict(back, back.features[2])
         assert pred_a.mean[0] == pytest.approx(pred_b.mean[0], abs=1e-12)
 
-    def test_version_2_stores_x_and_reference(self, tmp_path):
+    def test_grid_model_keeps_its_penalty(self, tmp_path):
+        rng = np.random.default_rng(9)
+        densities = [random_density(rng, 5) for _ in range(6)]
+        from otgp.barycenter import grid_barycenter
+
+        bar = grid_barycenter(densities, lam=60.0).result
+        model = gp_fit_mle(embed_grids(densities, bar, lam=60.0), rng.normal(size=6))
+        path = tmp_path / "model.json"
+        dataio.save_model(path, model)
+        assert json.loads(path.read_text())["lam"] == 60.0
+        back = dataio.load_model(path)
+        assert back.features.lam == 60.0
+        with pytest.raises(ReferenceMismatch):
+            gp_predict(back, embed_grids(densities[:1], bar, lam=20.0))
+
+    def test_version_3_stores_x_and_reference(self, tmp_path):
         rng = np.random.default_rng(7)
         reference = GaussianMeasure([0.1, 0.2], 0.01 * np.eye(2))
         ms = [GaussianMeasure(rng.uniform(0, 1, 2), 0.01 * np.eye(2)) for _ in range(5)]
@@ -156,8 +171,9 @@ class TestModelRoundTrip:
         path = tmp_path / "model.json"
         dataio.save_model(path, model)
         payload = json.loads(path.read_text())
-        assert payload["version"] == 2
+        assert payload["version"] == 3
         assert payload["reference"] == {"mean": [0.1, 0.2], "cov": reference.cov.tolist()}
+        assert "lam" not in payload
         back = dataio.load_model(path)
         np.testing.assert_array_equal(back.features.X, model.features.X)
         np.testing.assert_array_equal(back.distances, model.distances)

@@ -79,6 +79,17 @@ class TestTypes:
             g.cell_centers(),
             [[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]])
 
+    def test_grid_support_is_the_cell_centers_of_positive_cells(self):
+        rng = np.random.default_rng(6)
+        for g in (1, 3, 7, 50):
+            w = rng.uniform(size=(g, g)) * (rng.uniform(size=(g, g)) < 0.3)
+            w[0, -1] += 1.0  # one off-diagonal cell always holds mass
+            d = GridDensity(w / w.sum())
+            idx, locs, weights = d.support()
+            assert np.array_equal(idx, np.flatnonzero(d.weights.ravel() > 0.0))
+            assert np.array_equal(locs, d.cell_centers()[idx])
+            assert np.array_equal(weights, d.weights.ravel()[idx])
+
     def test_empirical_needs_finite_rows(self):
         with pytest.raises(ValidationError):
             EmpiricalSample([[0.0, np.inf]])
