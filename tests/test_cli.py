@@ -195,6 +195,23 @@ class TestFitPredictCommands:
         assert main(["fit", "--data", str(data), "--method", "cv",
                      "--out", str(tmp_path / "m.json")]) == 0
 
+    def test_fit_says_when_the_model_was_clipped(self, tmp_path, capsys):
+        # the CV fit calibrates the nugget of these data below the 1e-5
+        # floor and lifts it; the MLE fit searches inside the box
+        rng = np.random.default_rng(3)
+        ms = [GaussianMeasure(rng.uniform(0.2, 0.8, 2), 0.0004 * np.eye(2))
+              for _ in range(10)]
+        data = tmp_path / "data.json"
+        dataio.save_dataset(data, ms, [float(m.mean[0]) for m in ms])
+        for method, clipped in (("cv", True), ("mle", False)):
+            capsys.readouterr()
+            assert main(["fit", "--data", str(data), "--method", method,
+                         "--out", str(tmp_path / f"{method}.json")]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith("fitted theta:")
+            assert ("clipped:" in out) == clipped
+            assert "clipped" not in json.loads((tmp_path / f"{method}.json").read_text())
+
 
 class TestCorrelatedGaussianOnGrid:
     def test_fit_and_predict_exit_2(self, tmp_path):

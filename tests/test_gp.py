@@ -78,6 +78,29 @@ def finite_difference_gradient(dist, y, theta, h=1e-5, backward=()):
     return grad
 
 
+# The full-length multistart the screened search must match: a tight local
+# search from every point of the fitters' unscrambled Sobol lattice, written
+# against scipy alone so that the reference does not run the code under test.
+FULL_LENGTH_OPTIONS = {
+    "L-BFGS-B": dict(ftol=1e-13, gtol=1e-9, maxiter=1000),
+    "Nelder-Mead": dict(xatol=1e-8, fatol=1e-12, maxiter=4000, maxfev=4000),
+}
+
+
+def full_length_minimum(objective, log_box, gradient=False, n_starts=8):
+    from scipy.optimize import minimize
+    from scipy.stats import qmc
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # unscrambled Sobol balance warning
+        unit = qmc.Sobol(d=len(log_box), scramble=False).random(n_starts)
+    method = "L-BFGS-B" if gradient else "Nelder-Mead"
+    return min(minimize(objective, x0, method=method, jac=gradient,
+                        bounds=list(map(tuple, log_box)),
+                        options=FULL_LENGTH_OPTIONS[method]).fun
+               for x0 in log_box[:, 0] + unit * (log_box[:, 1] - log_box[:, 0]))
+
+
 def nelder_mead_log_likelihood(dist, y, bounds=DEFAULT_BOUNDS):
     """Reference for the gradient fit: the best log likelihood that
     derivative-free Nelder-Mead finds from the fitter's Sobol starts in the
@@ -91,7 +114,7 @@ def nelder_mead_log_likelihood(dist, y, bounds=DEFAULT_BOUNDS):
         except CholeskyFailure:
             return 1e15
 
-    return -gp._minimize_in_box(objective, np.log(box)).fun
+    return -full_length_minimum(objective, np.log(box))
 
 
 def regression_training_set(seed):
@@ -139,20 +162,32 @@ class TestCholeskyWithJitter:
         np.testing.assert_array_equal(chol, cholesky(r, lower=True))
         np.testing.assert_array_equal(r, before)
 
-    def test_ladder_matches_the_identity_formula(self):
+    @staticmethod
+    def assert_ladder_matches_the_identity_formula(r, forced):
         # reference: the ladder as r + level * tr(r)/n * I through scipy
-        r = np.ones((3, 3))
-        scale = np.trace(r) / 3
+        n = len(r)
+        scale = np.trace(r) / n
         for level in gp.JITTER_LADDER:
             try:
-                expected = cholesky(r + level * scale * np.eye(3), lower=True)
+                expected = cholesky(r + level * scale * np.eye(n), lower=True)
                 break
             except np.linalg.LinAlgError:
                 continue
+        before = r.copy()
         chol, jitter = chol_with_jitter(r)
+        assert level == forced
         assert jitter == level * scale > 0
         np.testing.assert_array_equal(chol, expected)
-        np.testing.assert_array_equal(r, np.ones((3, 3)))
+        np.testing.assert_array_equal(r, before)
+
+    def test_ladder_matches_the_identity_formula(self):
+        self.assert_ladder_matches_the_identity_formula(np.ones((3, 3)), 1e-10)
+
+    def test_ladder_scales_by_the_mean_diagonal(self):
+        # eigenvalues -5e-9 and about 20, tr(r)/n near 5: the jitter at level
+        # 1e-10 (5e-10) is too small, the one at level 1e-8 (5e-8) repairs
+        self.assert_ladder_matches_the_identity_formula(
+            5.0 * np.ones((4, 4)) - 5e-9 * np.eye(4), 1e-8)
 
     @pytest.mark.parametrize("where, value", [
         ((2, 1), np.nan), ((1, 1), np.nan), ((2, 1), np.inf), ((1, 1), np.inf)])
@@ -421,6 +456,29 @@ class TestFitCv:
         model_b = gp_fit_cv(feats[perm], y[perm])
         np.testing.assert_allclose(model_a.theta.as_array(),
                                    model_b.theta.as_array(), rtol=1e-5)
+
+
+class TestScreenedSearch:
+    @pytest.mark.parametrize("seed", [1000, 1003, 2000])
+    def test_matches_the_full_length_multistart(self, seed, monkeypatch):
+        # screening every start loosely and polishing the best one reaches
+        # the best optimum of a tight search from every start, on the
+        # objectives both fitters hand to the search
+        feats, y = regression_training_set(seed)
+        minimize_in_box = gp._minimize_in_box
+        searched = []
+
+        def recording(objective, log_box, n_starts=8, gradient=False):
+            res = minimize_in_box(objective, log_box, n_starts, gradient)
+            searched.append((res.fun, full_length_minimum(objective, log_box, gradient, n_starts)))
+            return res
+
+        monkeypatch.setattr(gp, "_minimize_in_box", recording)
+        gp_fit_mle(feats, y)
+        gp_fit_cv(feats, y)
+        assert len(searched) == 2
+        for screened, reference in searched:
+            assert screened <= reference + 1e-9 * abs(reference)
 
 
 class TestPredict:
