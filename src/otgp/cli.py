@@ -64,10 +64,10 @@ def _build_features(inputs, reference=None, lam: float = 20.0):
             reference, _ = gaussian_barycenter_measure(inputs)
         return embed_gaussians(inputs, reference), reference
     if kinds == {GridDensity}:
-        if reference is not None:
-            return embed_grids(inputs, reference, lam=lam), reference
-        bar = grid_barycenter(inputs, lam=lam)
-        return embed_grids(inputs, bar.result, lam=lam, starts=bar.starts(len(inputs))), bar.result
+        # cold solves, so that fit and predict embed a training input alike
+        if reference is None:
+            reference = grid_barycenter(inputs, lam=lam).result
+        return embed_grids(inputs, reference, lam=lam), reference
     raise ValidationError("inputs and reference must be all Gaussian or all grids")
 
 

@@ -12,9 +12,10 @@ from .errors import ValidationError
 from .kernels import Embedding, KernelParams, pairwise_distances
 from .measures import DiskConfig, GaussianMeasure, GridDensity, disks_to_grid, rasterize_gaussian
 
-# Model JSON schema: version 3 stores the training feature matrix X, the
-# reference and, for grid models, the penalty lam; other versions are refused.
-MODEL_VERSION = 3
+# Model JSON schema: version 4 stores the training feature matrix X (grid
+# rows: barycentric projections, argmax cells in version 3), the reference
+# and, for grid models, the penalty lam; other versions are refused.
+MODEL_VERSION = 4
 
 
 def save_gaussian_set(path, measures) -> None:

@@ -48,13 +48,19 @@ def _seed_list(base: int, count: int) -> list[int]:
     return [base + i for i in range(count)]
 
 
-def write_report(out_dir, report: dict, wall_clock: float) -> Path:
-    """Deterministic report.json plus a meta.json sidecar for timing."""
+def write_report(out_dir, report: dict, wall_clock: float, fits: dict | None = None) -> Path:
+    """Deterministic report.json plus a meta.json sidecar for timing and,
+    when given, the fits: _fit_meta of each model by seed and fit label."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2))
-    (out / "meta.json").write_text(json.dumps({"wall_clock_seconds": wall_clock}))
+    meta = {"wall_clock_seconds": wall_clock, **({} if fits is None else {"fits": fits})}
+    (out / "meta.json").write_text(json.dumps(meta))
     return out / "report.json"
+
+
+def _fit_meta(model) -> dict:
+    return {"clipped": bool(model.clipped), "jitter": float(model.jitter)}
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +200,7 @@ def run_gaussian_regression(cfg: RegressionConfig) -> dict:
     synthetic Gaussian-input response, averaged over seeds."""
     t0 = time.time()
     seeds = _seed_list(cfg.seed, cfg.n_seeds)
-    per_seed = {}
+    per_seed, fits = {}, {}
     for seed in seeds:
         pairs = sample_regression_gaussians(cfg.n_total, seed)
         measures = [m for m, _ in pairs]
@@ -212,12 +218,13 @@ def run_gaussian_regression(cfg: RegressionConfig) -> dict:
             feats = embed_gaussians(measures, reference)
         train_feats, test_feats = feats[tr], feats[te]
 
-        row = {}
+        row, fits[str(seed)] = {}, {}
         for label, fitter in (("gp_mle", gp_fit_mle), ("gp_cv", gp_fit_cv)):
             model, means, variances = _fit_predict_gp(train_feats, y_train, test_feats, fitter)
             m = metrics(means, y_test, variances)
             row[label] = {"rmse": m.rmse, "q2": m.q2, "cic": m.cic,
                           "theta": list(model.theta.as_array())}
+            fits[str(seed)][label] = _fit_meta(model)
 
         smoother = fit_smoother(grids[tr], y_train, split_seed=seed)
         sm_preds = [smoother_predict(smoother, g) for g in grids[te]]
@@ -244,7 +251,7 @@ def run_gaussian_regression(cfg: RegressionConfig) -> dict:
         "summary": summary,
     }
     if cfg.out_dir:
-        write_report(cfg.out_dir, report, time.time() - t0)
+        write_report(cfg.out_dir, report, time.time() - t0, fits)
         _write_table_csv(Path(cfg.out_dir) / "table.csv", summary)
     return report
 
@@ -358,7 +365,7 @@ def run_disks(cfg: DisksConfig) -> dict:
     barycenter, inverse maps, GP fit, and the smoothing baseline."""
     t0 = time.time()
     seeds = _seed_list(cfg.seed, cfg.n_seeds)
-    per_seed = {}
+    per_seed, fits = {}, {}
     for seed in seeds:
         rng = make_rng((seed, 0))
         n_all = cfg.n_train + cfg.n_test
@@ -373,6 +380,7 @@ def run_disks(cfg: DisksConfig) -> dict:
         model, means, variances = _fit_predict_gp(feats[tr], responses[tr],
                                                   feats[te], gp_fit_mle)
         m_gp = metrics(means, responses[te], variances)
+        fits[str(seed)] = {"gp": _fit_meta(model)}
 
         smoother = fit_smoother(grids[tr], responses[tr], split_seed=seed)
         sm = [smoother_predict(smoother, g) for g in grids[te]]
@@ -401,7 +409,7 @@ def run_disks(cfg: DisksConfig) -> dict:
         "note": "responses are a synthetic surrogate; no proprietary solver data",
     }
     if cfg.out_dir:
-        write_report(cfg.out_dir, report, time.time() - t0)
+        write_report(cfg.out_dir, report, time.time() - t0, fits)
     return report
 
 

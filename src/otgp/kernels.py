@@ -71,9 +71,11 @@ class Embedding:
     between the inputs' inverse transport maps:
       - Gaussian input N(m, S) against N(., Sbar):
         [m, vec((Sbar^1/2 S Sbar^1/2)^1/2 Sbar^-1/2)], p = d + d^2;
-      - grid input: sqrt(w) * (location each reference support cell is sent
-        to), flattened, with w the normalized reference weights; p is twice
-        the reference support size.
+      - grid input: sqrt(w) * T, flattened, with w the normalized reference
+        weights and T the barycentric projection of the entropic plan from
+        the reference (one fixed element of L2(reference) per input, so
+        radial kernels stay positive definite); p is twice the reference
+        support size.
     len() is n; indexing returns the selected rows as an Embedding. lam is
     the entropic penalty of the grid maps, None for Gaussians.
     """
@@ -121,11 +123,12 @@ def embed_gaussians(measures, reference: GaussianMeasure) -> Embedding:
 
 def embed_grids(densities, reference: GridDensity, lam: float = 20.0,
                 max_iter: int = 10000, tol: float = 1e-9, starts=None) -> Embedding:
-    """Sinkhorn-and-round inverse maps from the reference support to each
-    density's support, solved from starts as in inverse_grid_maps."""
-    rows = [(np.sqrt(a.source_weights)[:, None] * a.mapped_locations()).ravel()
-            for a in inverse_grid_maps(densities, reference, lam=lam, max_iter=max_iter,
-                                       tol=tol, starts=starts)]
+    """Rows sqrt(w) * T, T from inverse_grid_maps solved from starts and w
+    the normalized reference weights on its support."""
+    _, _, w = reference.support()
+    scale = np.sqrt(w / w.sum())[:, None]
+    rows = [(scale * t).ravel() for t in inverse_grid_maps(
+        densities, reference, lam=lam, max_iter=max_iter, tol=tol, starts=starts)]
     return Embedding(reference, np.array(rows).reshape(len(rows), _row_width(reference)), lam)
 
 

@@ -5,8 +5,9 @@ L2 of a reference measure), exact assignment OT for empirical samples, and
 entropic (Sinkhorn) OT for grid densities: a separable Gibbs kernel applied
 axis by axis on the full grid, the inputs of a shared barycenter iterated
 together as one stack, log-domain updates when an input's scalings leave
-the floating-point range, and deterministic argmax rounding as a separable
-max-product over the kernel's axis factors.
+the floating-point range, and the plan's barycentric projection (each
+source cell sent to the plan-weighted mean of the target cell centers),
+taken with the same axis factors.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ MARGINAL_TOL = 1e-6
 SCALING_MIN = 1e-250
 SCALING_MAX = 1e250
 
-# Inputs the grid Sinkhorn iterates together as one (G, BATCH, G) stack;
-# the argmax rounding keeps its blocks within the same size.
+# Inputs the grid Sinkhorn iterates together as one (G, BATCH, G) stack.
 BATCH = 8
 
 
@@ -89,10 +89,6 @@ class TransportAssignment:
         w = np.asarray(self.source_weights, dtype=float)
         if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
             raise ValidationError("source weights must be nonnegative and sum to 1")
-
-    def mapped_locations(self) -> np.ndarray:
-        """Location each source point is sent to."""
-        return self.target_locations[self.target_index]
 
 
 def _psd_sqrt_batch(ms: np.ndarray) -> np.ndarray:
@@ -280,42 +276,36 @@ class _GridScalings:
     k: np.ndarray
     log_domain: bool
 
-    def _times(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a + b if self.log_domain else a * b
-
     def plan(self, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
         """Dense plan between the flat source cells src and the flat target
         cells tgt."""
         (iy, ix), (jy, jx) = np.divmod(src, len(self.u)), np.divmod(tgt, len(self.v))
-        p = self._times(self.k[np.ix_(ix, jx)], self.v.ravel()[tgt])
-        p = self._times(self._times(p, self.k[np.ix_(iy, jy)]), self.u.ravel()[src][:, None])
-        return np.exp(p) if self.log_domain else p
+        kx, v, ky, u = (self.k[np.ix_(ix, jx)], self.v.ravel()[tgt], self.k[np.ix_(iy, jy)],
+                        self.u.ravel()[src][:, None])
+        return np.exp(kx + v + ky + u) if self.log_domain else kx * v * ky * u
 
-    def argmax(self, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-        """Position in tgt of the largest plan entry of each source cell in
-        src, the lowest flat target index on ties; EmptyRow when it is zero.
-
-        The kernel is a product of nonnegative axis factors, so the maximum
-        over (jy, jx) is one over the target cells of each row jy for every
-        ix, then one over jy: a max-product, max-plus in the log domain
-        (Felzenszwalb & Huttenlocher, Theory of Computing 2012)."""
-        # tgt is sorted, so the cells of each target row are contiguous
-        rows, starts, row_of = np.unique(tgt // len(self.v), return_index=True, return_inverse=True)
-        best, index = np.empty(self.u.shape), np.empty(self.u.shape, dtype=np.intp)
-        # source columns per block, so that blocks stay within the size of
-        # the solver's (G, BATCH, G) stack
-        step = max(1, BATCH * self.u.size // (len(tgt) + len(self.u) * len(rows)))
-        for x in (slice(s, s + step) for s in range(0, len(self.u), step)):
-            along_x = self._times(self.k[x, tgt % len(self.v)], self.v.ravel()[tgt])
-            row_max = np.maximum.reduceat(along_x, starts, axis=1)  # [ix, target row]
-            first = np.minimum.reduceat(np.where(along_x == row_max[:, row_of], np.arange(len(tgt)),
-                                                 len(tgt)), starts, axis=1)
-            along_y = self._times(self.k[:, rows][:, None, :], row_max)  # [iy, ix, target row]
-            r = along_y.argmax(axis=2)
-            best[:, x], index[:, x] = along_y.max(axis=2), first[np.arange(r.shape[1]), r]
-        if np.any(self._times(best, self.u).ravel()[src] <= (-np.inf if self.log_domain else 0.0)):
+    def barycentric(self, src: np.ndarray) -> np.ndarray:
+        """(x, y) mean of the target cell centers under the plan row of each
+        flat source cell in src; EmptyRow where that row is zero. u cancels:
+        with t the target ticks, x is (k (v t[None, :]) k.T) / (k v k.T) and
+        y the same with t[:, None] (logsumexps in the log domain)."""
+        t = (np.arange(len(self.v)) + 0.5) / len(self.v)
+        if self.log_domain:
+            on = np.zeros(self.u.shape, dtype=bool)
+            on.flat[src] = True
+            # a zero plan row has log mass -inf, refused below
+            with np.errstate(divide="ignore"):
+                den, num_x, num_y = (_log_apply(self.k, x, on).ravel()[src] for x in (
+                    self.v, self.v + np.log(t), self.v + np.log(t)[:, None]))
+            if np.any(den == -np.inf):
+                raise EmptyRow("a retained source row carries no mass")
+            return np.exp(np.column_stack([num_x, num_y]) - den[:, None])
+        products = _apply(self.k, np.stack([self.v, self.v * t, t[:, None] * self.v], axis=1))
+        iy, ix = np.divmod(src, len(self.u))
+        den, num_x, num_y = products[iy, :, ix].T
+        if np.any(den <= 0.0):
             raise EmptyRow("a retained source row carries no mass")
-        return index.ravel()[src]
+        return np.column_stack([num_x, num_y]) / den[:, None]
 
 
 def _sinkhorn_batch(a: GridDensity, bs: list[GridDensity], lam: float, max_iter: int,
@@ -429,25 +419,18 @@ def sinkhorn_plan(a: GridDensity, b: GridDensity, lam: float = 20.0,
 def inverse_grid_map(mu: GridDensity, bar: GridDensity, lam: float = 20.0,
                      max_iter: int = 10000, tol: float = 1e-9, *,
                      scalings: _GridScalings | None = None,
-                     bar_support: tuple | None = None) -> TransportAssignment:
+                     bar_support: tuple | None = None) -> np.ndarray:
     """Approximate inverse transport map, built directly in the
-    barycenter-to-measure direction: Sinkhorn plan from bar to mu, rounded
-    to an assignment on the barycenter support.
-
-    Each barycenter cell goes to its argmax input cell in the plan, ties to
-    the lowest index. inverse_grid_maps passes the plan's scalings from its
-    batched solve and bar.support(); without them both are computed here.
+    barycenter-to-measure direction: the (m, 2) locations the m barycenter
+    support cells are sent to by the barycentric projection of the
+    Sinkhorn plan from bar to mu, the plan-weighted mean of mu's cell
+    centers. inverse_grid_maps passes the plan's scalings from its batched
+    solve and bar.support(); without them both are computed here.
     """
     if scalings is None:
         scalings = next(_grid_sinkhorn(bar, [mu], lam, max_iter, tol))
-    src, loc_bar, wa = bar.support() if bar_support is None else bar_support
-    tgt, loc_mu, _ = mu.support()
-    return TransportAssignment(
-        target_index=scalings.argmax(src, tgt),
-        source_weights=wa / wa.sum(),
-        source_locations=loc_bar,
-        target_locations=loc_mu,
-    )
+    src, _, _ = bar.support() if bar_support is None else bar_support
+    return scalings.barycentric(src)
 
 
 def inverse_grid_maps(mus, bar: GridDensity, lam: float = 20.0, max_iter: int = 10000,
@@ -455,7 +438,8 @@ def inverse_grid_maps(mus, bar: GridDensity, lam: float = 20.0, max_iter: int = 
     """Yield inverse_grid_map(mu, bar) for each density of mus, in order,
     from one batched Sinkhorn solve (_grid_sinkhorn); raises the error of the
     first density that fails. starts holds a warm start or None per density,
-    such as BarycenterReport.starts for the inputs of a grid barycenter."""
+    such as BarycenterReport.starts for the inputs of a grid barycenter;
+    warm and cold maps agree to the solver tolerance, not bitwise."""
     mus, support = list(mus), bar.support()
     for mu, scalings in zip(mus, _grid_sinkhorn(bar, mus, lam, max_iter, tol, starts)):
         yield inverse_grid_map(mu, bar, scalings=scalings, bar_support=support)

@@ -185,6 +185,42 @@ class TestFitPredictCommands:
         rows = np.loadtxt(preds, delimiter=",", skiprows=1)
         np.testing.assert_allclose(rows[:, 0], ys, atol=1e-9)
 
+    def test_predict_in_another_order_reproduces_the_training_responses(self, tmp_path):
+        # fit and predict both embed grid inputs from cold Sinkhorn starts, so
+        # a training input gets the same row in any batch order and the
+        # nugget fires on it
+        from otgp.measures import DiskConfig
+
+        rng = np.random.default_rng(7)
+        disks = [DiskConfig(0.1, rng.uniform(0.2, 0.8, (3, 2))) for _ in range(12)]
+        ys = [float(c.centers[:, 0].mean() - c.centers[:, 1].std()) for c in disks]
+        data = tmp_path / "data.json"
+        dataio.save_dataset(data, disks, ys)
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--data", str(data), "--grid-size", "20",
+                     "--out", str(model_path)]) == 0
+        order = rng.permutation(12)
+        shuffled = tmp_path / "shuffled.json"
+        dataio.save_dataset(shuffled, [disks[i] for i in order], [ys[i] for i in order])
+        preds = tmp_path / "preds.csv"
+        assert main(["predict", "--model", str(model_path), "--data", str(shuffled),
+                     "--out", str(preds)]) == 0
+        rows = np.loadtxt(preds, delimiter=",", skiprows=1)
+        np.testing.assert_allclose(rows[:, 0], np.array(ys)[order], atol=1e-9)
+
+    def test_predict_refuses_a_version_3_model(self, tmp_path):
+        rng = np.random.default_rng(5)
+        ms = [GaussianMeasure(rng.uniform(0.2, 0.8, 2), 0.0004 * np.eye(2))
+              for _ in range(6)]
+        data = tmp_path / "data.json"
+        dataio.save_dataset(data, ms, [float(m.mean[0]) for m in ms])
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--data", str(data), "--out", str(model_path)]) == 0
+        payload = json.loads(model_path.read_text())
+        model_path.write_text(json.dumps({**payload, "version": 3}))
+        assert main(["predict", "--model", str(model_path), "--data", str(data),
+                     "--out", str(tmp_path / "preds.csv")]) == 2
+
     def test_cv_method(self, tmp_path):
         rng = np.random.default_rng(3)
         ms = [GaussianMeasure(rng.uniform(0.2, 0.8, 2), 0.0004 * np.eye(2))

@@ -163,7 +163,7 @@ class TestModelRoundTrip:
         with pytest.raises(ReferenceMismatch):
             gp_predict(back, embed_grids(densities[:1], bar, lam=20.0))
 
-    def test_version_3_stores_x_and_reference(self, tmp_path):
+    def test_version_4_stores_x_and_reference(self, tmp_path):
         rng = np.random.default_rng(7)
         reference = GaussianMeasure([0.1, 0.2], 0.01 * np.eye(2))
         ms = [GaussianMeasure(rng.uniform(0, 1, 2), 0.01 * np.eye(2)) for _ in range(5)]
@@ -171,12 +171,24 @@ class TestModelRoundTrip:
         path = tmp_path / "model.json"
         dataio.save_model(path, model)
         payload = json.loads(path.read_text())
-        assert payload["version"] == 3
+        assert payload["version"] == 4
         assert payload["reference"] == {"mean": [0.1, 0.2], "cov": reference.cov.tolist()}
         assert "lam" not in payload
         back = dataio.load_model(path)
         np.testing.assert_array_equal(back.features.X, model.features.X)
         np.testing.assert_array_equal(back.distances, model.distances)
+
+    def test_version_3_file_is_refused(self, tmp_path):
+        # version 3 grid rows held argmax cells, not the barycentric projection
+        rng = np.random.default_rng(10)
+        densities = [random_density(rng, 4) for _ in range(4)]
+        model = gp_fit_mle(embed_grids(densities, densities[0], lam=20.0), rng.normal(size=4))
+        path = tmp_path / "model.json"
+        dataio.save_model(path, model)
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, "version": 3}))
+        with pytest.raises(ValidationError, match="refit the model"):
+            dataio.load_model(path)
 
     def test_file_without_version_is_refused(self, tmp_path):
         rng = np.random.default_rng(8)

@@ -99,6 +99,17 @@ class TestRegression:
         assert table["Gaussian Process"]["rmse"] == pytest.approx(
             a["summary"]["gp_mle"]["rmse"], abs=1e-4)
 
+    def test_meta_reports_each_fit_clipped_flag_and_jitter(self, tmp_path):
+        # the CV fit of every regression dataset lifts its nugget onto the
+        # box floor today; meta.json says so, report.json stays as it was
+        out = tmp_path / "r"
+        report = run_gaussian_regression(RegressionConfig(seed=1, n_seeds=1, out_dir=str(out)))
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["fits"] == {"1": {"gp_mle": {"clipped": False, "jitter": 0.0},
+                                      "gp_cv": {"clipped": True, "jitter": 0.0}}}
+        assert "clipped" not in (out / "report.json").read_text()
+        assert json.loads((out / "report.json").read_text()) == report
+
     def test_constant_responses_recovered(self):
         # pipeline sanity at the component level: constant targets give
         # near-zero RMSE for both methods
@@ -148,6 +159,9 @@ class TestDisks:
         assert row["gp"]["q2"] > 0.0
         assert row["gp"]["rmse"] < row["smoothing"]["rmse"]
         assert (tmp_path / "disks" / "report.json").exists()
+        meta = json.loads((tmp_path / "disks" / "meta.json").read_text())
+        assert set(meta["fits"]) == {"1"} and set(meta["fits"]["1"]) == {"gp"}
+        assert set(meta["fits"]["1"]["gp"]) == {"clipped", "jitter"}
 
     def test_byte_identical_reports(self, tmp_path):
         out = tmp_path / "disks"

@@ -24,7 +24,7 @@ from otgp.kernels import (
     psd_diagnostic,
 )
 from otgp.measures import GaussianMeasure, GridDensity, sample_gaussian_population
-from otgp.ot import TransportAssignment, gaussian_w2, inverse_grid_map, map_l2_distance_gaussian
+from otgp.ot import gaussian_w2, inverse_grid_map, map_l2_distance_gaussian
 
 
 def random_spd(rng, d, scale=1.0):
@@ -141,10 +141,11 @@ class TestEmbedding:
         reference = grid_barycenter(ds, lam=20.0).result
         dist = pairwise_distances(embed_grids(ds, reference, lam=20.0))
         maps = [inverse_grid_map(d, reference, lam=20.0) for d in ds]
+        _, _, w = reference.support()
+        w = w / w.sum()
         for i in range(5):
             for j in range(5):
-                diff = maps[i].mapped_locations() - maps[j].mapped_locations()
-                w = maps[i].source_weights
+                diff = maps[i] - maps[j]
                 expected = math.sqrt(float((w * (diff**2).sum(axis=1)).sum()))
                 assert dist[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
@@ -172,15 +173,9 @@ class TestEmbeddingDistance:
 
     def test_grid_single_cell_displacement(self):
         # one source cell of weight 1/2 displaced by (1, 0)
-        locs = np.array([[0.0, 0.0], [1.0, 0.0]])
-        a1 = TransportAssignment(np.array([0, 0]), np.array([0.5, 0.5]),
-                                 locs, locs)
-        a2 = TransportAssignment(np.array([1, 0]), np.array([0.5, 0.5]),
-                                 locs, locs)
+        maps = [np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 0.0]])]
         ref = GridDensity(np.array([[0.5, 0.5], [0.0, 0.0]]))
-        rows = [(np.sqrt(a.source_weights)[:, None] * a.mapped_locations()).ravel()
-                for a in (a1, a2)]
-        f = Embedding(ref, np.array(rows))
+        f = Embedding(ref, np.array([(np.sqrt(0.5) * t).ravel() for t in maps]))
         assert distance(f[0], f[1]) == pytest.approx(math.sqrt(0.5))
 
     def test_reference_mismatch(self):

@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import warnings
 
@@ -263,9 +262,9 @@ def two_cell_density(g, cells, masses):
     return GridDensity(w)
 
 
-# Dense reference oracles for the separable grid solver and its rounding:
-# Sinkhorn scaling on an explicit (support x support) cost matrix, and the
-# argmax of an explicit plan.
+# Dense reference oracles: Sinkhorn scaling on an explicit (support x
+# support) cost matrix for the separable grid solver, the argmax of an
+# explicit plan, and (dense_projection) the barycentric projection of one.
 
 
 def _scaling(marginal: np.ndarray, kernel_product: np.ndarray) -> np.ndarray:
@@ -341,6 +340,14 @@ def round_plan_to_map(plan: CouplingPlan,
         source_locations=np.asarray(source_locations, dtype=float),
         target_locations=np.asarray(target_locations, dtype=float),
     )
+
+
+def dense_projection(scalings, a: GridDensity, b: GridDensity) -> np.ndarray:
+    """Barycentric projection P @ loc_b / P.sum(1) of the dense plan P
+    between the supports of a and b built from the same scalings."""
+    (src, _, _), (tgt, loc_b, _) = a.support(), b.support()
+    p = scalings.plan(src, tgt)
+    return p @ loc_b / p.sum(axis=1)[:, None]
 
 
 class TestSinkhorn:
@@ -441,23 +448,26 @@ class TestRounding:
 
 class TestInverseGridMap:
     def test_identity_on_same_density(self):
+        # the plan of a density onto itself is diagonally dominant, so every
+        # cell's projection stays nearest its own cell center
         rng = np.random.default_rng(11)
         w = rng.uniform(0.5, 1.0, size=(4, 4))
         d = GridDensity(w / w.sum())
-        a = inverse_grid_map(d, d, lam=40.0)
-        assert a.target_index.tolist() == list(range(16))
+        mapped = inverse_grid_map(d, d, lam=40.0)
+        _, locs, _ = d.support()
+        nearest = ((mapped[:, None, :] - locs[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+        assert nearest.tolist() == list(range(16))
 
     def test_single_target_cell(self):
         bar = GridDensity(np.full((3, 3), 1.0 / 9))
         mu = two_cell_density(3, [(1, 1)], [1.0])
-        a = inverse_grid_map(mu, bar, lam=20.0)
-        assert set(a.target_index.tolist()) == {0}
-        np.testing.assert_allclose(a.mapped_locations(),
-                                   np.repeat([[0.5, 0.5]], 9, axis=0))
+        mapped = inverse_grid_map(mu, bar, lam=20.0)
+        np.testing.assert_allclose(mapped, np.repeat([[0.5, 0.5]], 9, axis=0), rtol=1e-15)
 
     def test_two_cell_shift_monotone(self):
         # 1-D strip: unregularized OT is monotone; enumerate the 2x2
-        # transport polytope to confirm, then match the rounded map
+        # transport polytope to confirm, then check that the projected map
+        # keeps the order and stays between the input's cells
         bar = two_cell_density(8, [(0, 1), (0, 2)], [0.5, 0.5])
         mu = two_cell_density(8, [(0, 3), (0, 4)], [0.5, 0.5])
         _, bar_locs, _ = bar.support()
@@ -470,8 +480,9 @@ class TestInverseGridMap:
             if cost < best_cost:
                 best, best_cost = plan, cost
         assert best[0, 0] > best[0, 1]  # monotone: first to first
-        a = inverse_grid_map(mu, bar, lam=20.0)
-        assert a.target_index.tolist() == [0, 1]
+        mapped = inverse_grid_map(mu, bar, lam=20.0)
+        assert mu_locs[0, 0] < mapped[0, 0] < mapped[1, 0] < mu_locs[1, 0]
+        np.testing.assert_array_equal(mapped[:, 1], mu_locs[:, 1])
 
 
 class TestSeparableSinkhorn:
@@ -496,8 +507,8 @@ class TestSeparableSinkhorn:
             dense = sinkhorn_core(pa, pb, cost, lam=20.0, max_iter=10000, tol=1e-12)
             plan = sinkhorn_plan(a, b, lam=20.0, tol=1e-12).plan
             np.testing.assert_allclose(plan, dense, rtol=0, atol=1e-12)
-            a_map = inverse_grid_map(b, a, lam=20.0, tol=1e-12)
-            np.testing.assert_array_equal(a_map.target_index, dense.argmax(axis=1))
+            np.testing.assert_allclose(inverse_grid_map(b, a, lam=20.0, tol=1e-12),
+                                       dense @ loc_b / dense.sum(axis=1)[:, None], rtol=1e-10)
 
             logk = _axis_log_kernel(ga, gb, 20.0)
             start = np.where(b.weights > 0, 0.0, -np.inf)
@@ -506,47 +517,21 @@ class TestSeparableSinkhorn:
             log_plan = logged.plan(src, tgt)
             np.testing.assert_allclose(log_plan, dense, rtol=0, atol=1e-12)
 
-    # parent-commit assignment of the inverse map below at lambda=800, one
-    # row per barycenter grid row; lambda=2000 differs only in CHANGED_AT_2000
-    EXPECTED_800 = np.array([
-        21, 21, 21, 21, 21, 3, 3, 0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2,
-        21, 21, 21, 21, 21, 3, 3, 3, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 7,
-        21, 21, 21, 21, 21, 22, 3, 3, 4, 4, 4, 4, 1, 1, 1, 6, 6, 6, 7, 7,
-        21, 21, 21, 21, 21, 22, 22, 8, 8, 4, 4, 4, 5, 5, 5, 6, 6, 6, 7, 7,
-        21, 21, 21, 21, 21, 22, 22, 22, 8, 8, 4, 4, 5, 5, 5, 6, 6, 6, 7, 7,
-        21, 21, 21, 21, 21, 22, 22, 22, 23, 8, 9, 9, 9, 10, 10, 10, 11, 11, 12, 12,
-        25, 21, 21, 21, 21, 22, 22, 22, 23, 23, 9, 9, 9, 10, 10, 10, 11, 11, 12, 12,
-        25, 25, 26, 26, 26, 26, 22, 22, 23, 23, 23, 14, 14, 15, 15, 15, 11, 11, 12, 12,
-        25, 25, 26, 26, 26, 26, 27, 27, 28, 28, 28, 14, 14, 15, 15, 15, 16, 16, 16, 12,
-        25, 25, 26, 26, 26, 26, 27, 27, 28, 28, 28, 29, 14, 15, 15, 15, 16, 16, 16, 17,
-        25, 25, 26, 26, 26, 26, 27, 27, 28, 28, 28, 29, 36, 36, 36, 37, 37, 37, 38, 38,
-        30, 30, 31, 31, 31, 31, 32, 32, 33, 33, 34, 34, 43, 44, 44, 45, 45, 46, 46, 46,
-        30, 30, 31, 31, 31, 31, 32, 32, 33, 33, 34, 43, 43, 44, 44, 45, 45, 46, 46, 46,
-        30, 30, 31, 31, 31, 31, 32, 32, 33, 33, 34, 43, 43, 44, 44, 45, 45, 46, 46, 46,
-        30, 30, 31, 31, 31, 31, 32, 32, 41, 41, 42, 47, 48, 48, 49, 49, 49, 50, 50, 50,
-        30, 30, 39, 39, 39, 40, 40, 40, 41, 41, 47, 47, 48, 48, 49, 49, 49, 50, 50, 50,
-        30, 39, 39, 39, 39, 40, 40, 40, 41, 41, 47, 47, 48, 48, 53, 53, 53, 50, 50, 50,
-        39, 39, 39, 39, 39, 40, 40, 40, 41, 47, 47, 52, 52, 52, 53, 53, 53, 54, 54, 54,
-        39, 39, 39, 39, 39, 40, 40, 40, 41, 51, 51, 52, 52, 52, 53, 53, 53, 54, 54, 54,
-        39, 39, 39, 39, 39, 40, 40, 40, 51, 51, 51, 52, 52, 52, 53, 53, 53, 54, 54, 54,
-    ]).reshape(20, 20)
-    CHANGED_AT_2000 = {(7, 10): 24, (8, 19): 17, (19, 14): 56, (19, 15): 56, (19, 16): 56}
-
     def test_large_lambda_assignment_is_pinned(self):
+        # the map of grids[0] at lambda 800 and 2000 is pinned to the dense
+        # projection of the same scalings
         rng = np.random.default_rng(4)
         grids = [disks_to_grid(DiskConfig(0.1, rng.uniform(0.1, 0.9, (3, 2))), 20)
                  for _ in range(6)]
         bar = grid_barycenter(grids, lam=20.0).result
-        expected_2000 = self.EXPECTED_800.copy()
-        for cell, target in self.CHANGED_AT_2000.items():
-            expected_2000[cell] = target
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for lam, expected in ((800.0, self.EXPECTED_800), (2000.0, expected_2000)):
-                a = inverse_grid_map(grids[0], bar, lam=lam)
-                np.testing.assert_array_equal(a.target_index, expected.ravel())
-            # lambda=2000 runs through the log-domain updates
-            assert next(_grid_sinkhorn(bar, [grids[0]], 2000.0, 10000, 1e-9)).log_domain
+            for lam, log_domain in ((800.0, False), (2000.0, True)):
+                # lambda=2000 runs through the log-domain updates
+                scalings = next(_grid_sinkhorn(bar, [grids[0]], lam, 10000, 1e-9))
+                assert scalings.log_domain == log_domain
+                np.testing.assert_allclose(inverse_grid_map(grids[0], bar, lam=lam),
+                                           dense_projection(scalings, bar, grids[0]), rtol=1e-12)
 
     def test_subnormal_cell_mass_embeds(self, seed13_regression):
         # input 75 of regression dataset seed 13 rasterizes to a cell mass of
@@ -557,13 +542,16 @@ class TestSeparableSinkhorn:
         assert 0.0 < mu.support()[2].min() < 1e-320
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            a = inverse_grid_map(mu, bar, lam=20.0)
+            scalings = next(_grid_sinkhorn(bar, [mu], 20.0, 10000, 1e-9))
+            mapped = inverse_grid_map(mu, bar, lam=20.0)
             plan = sinkhorn_plan(bar, mu, lam=20.0)
+        assert scalings.log_domain
         assert np.all(np.isfinite(plan.plan))
-        np.testing.assert_array_equal(a.target_index, plan.plan.argmax(axis=1))
+        np.testing.assert_allclose(mapped, dense_projection(scalings, bar, mu), rtol=1e-12)
         # the map pushes the barycenter onto the input: its mean lands within
         # one cell of the Gaussian's mean
-        mapped_mean = a.source_weights @ a.mapped_locations()
+        _, _, w = bar.support()
+        mapped_mean = w / w.sum() @ mapped
         assert np.abs(mapped_mean - pairs[75][0].mean).max() < 1.0 / 50
 
     @staticmethod
@@ -584,9 +572,10 @@ class TestSeparableSinkhorn:
             warnings.simplefilter("error", RuntimeWarning)
             batched = embed_grids(inputs, bar, lam=20.0)
             maps = [inverse_grid_map(mu, bar, lam=20.0) for mu in inputs]
-        rows = [(np.sqrt(a.source_weights)[:, None] * a.mapped_locations()).ravel() for a in maps]
-        np.testing.assert_array_equal(batched.X, np.array(rows))
-        np.testing.assert_array_equal(batched.X[5], batched.X[7])
+        _, _, w = bar.support()
+        rows = np.array([(np.sqrt(w / w.sum())[:, None] * mapped).ravel() for mapped in maps])
+        np.testing.assert_allclose(batched.X, rows, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(batched.X[5], batched.X[7], rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("max_iter", [1, 2])
     def test_batch_raises_the_first_per_input_error(self, seed13_regression, max_iter):
@@ -637,33 +626,28 @@ class TestWarmStart:
     """The inverse maps of a barycenter's inputs start from the final
     input-side scalings of its Bregman iteration."""
 
-    # sha256 of the lambda=20 target_index arrays of small_disks (int64, in
-    # input order), recorded before the warm start existed; a solver change
-    # that moves any grid assignment here fails this test
-    SMALL_DISKS_SHA256 = "7ec76fe1942b184a1dfd08f2c0d80a7a59e562df36b49ea738d215d14b3e190f"
-
-    def test_assignments_are_pinned(self):
-        grids, report = small_disks()
-        for starts in (None, report.starts(12)):
-            digest = hashlib.sha256()
-            for a in inverse_grid_maps(grids, report.result, lam=20.0, starts=starts):
-                digest.update(a.target_index.astype(np.int64).tobytes())
-            assert digest.hexdigest() == self.SMALL_DISKS_SHA256
-
     def test_warm_and_cold_rows_agree(self, seed13_bregman):
-        # 12 inputs in two batches; input 75 (not a barycenter input) gets a
-        # constant start and still hands over to the log domain
+        # the projection is continuous in the scalings, so warm and cold
+        # solves, stopped at tol 1e-9 from different iterates, give rows up
+        # to about 1e-6 apart; both must lie near the rows of a
+        # tol-1e-12 solve. Case one: 12 inputs in two batches, where input 75
+        # (not a barycenter input) gets a constant start and still hands over
+        # to the log domain. Case two: the disk unions of small_disks.
         _, grids, report = seed13_bregman
-        bar = report.result
         inputs = grids[:5] + [grids[75]] + grids[5:11]
         starts = report.starts(11)
         starts = starts[:5] + [0.5 * (grids[75].weights > 0)] + starts[5:]
-        assert next(_grid_sinkhorn(bar, [grids[75]], 20.0, 10000, 1e-9, starts[5:6])).log_domain
+        assert next(_grid_sinkhorn(report.result, [grids[75]], 20.0, 10000, 1e-9,
+                                   starts[5:6])).log_domain
+        disks, disks_report = small_disks()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            cold = embed_grids(inputs, bar, lam=20.0)
-            warm = embed_grids(inputs, bar, lam=20.0, starts=starts)
-        np.testing.assert_array_equal(warm.X, cold.X)
+            for inputs, bar, starts in ((inputs, report.result, starts),
+                                        (disks, disks_report.result, disks_report.starts(12))):
+                tight = embed_grids(inputs, bar, lam=20.0, tol=1e-12).X
+                for rows in (embed_grids(inputs, bar, lam=20.0).X,
+                             embed_grids(inputs, bar, lam=20.0, starts=starts).X):
+                    assert np.abs(rows - tight).max() <= 1e-5
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, 1e-300, 1e300])
     def test_unusable_start_falls_back_to_a_cold_start(self, value):
@@ -675,10 +659,15 @@ class TestWarmStart:
             warnings.simplefilter("error", RuntimeWarning)
             cold = next(_grid_sinkhorn(bar, grids[:1], 20.0, 10000, 1e-9))
             fallback = next(_grid_sinkhorn(bar, grids[:1], 20.0, 10000, 1e-9, [start]))
-            rows = embed_grids(grids, bar, lam=20.0, starts=[start] + report.starts(12)[1:])
+            rows = embed_grids(grids, bar, lam=20.0, starts=[start] + report.starts(12)[1:]).X
         np.testing.assert_array_equal(fallback.u, cold.u)
         np.testing.assert_array_equal(fallback.v, cold.v)
-        np.testing.assert_array_equal(rows.X, embed_grids(grids, bar, lam=20.0).X)
+        # the batch solves input 0 cold and keeps the others' warm starts
+        np.testing.assert_allclose(rows[0], embed_grids(grids, bar, lam=20.0).X[0],
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            rows[1:], embed_grids(grids, bar, lam=20.0, starts=report.starts(12)).X[1:],
+            rtol=0, atol=1e-15)
 
     def test_start_is_read_on_the_support_only(self):
         grids, report = small_disks()
@@ -709,70 +698,62 @@ class TestWarmStart:
             embed_grids(grids[:8], report.result, lam=20.0, max_iter=15)
         warm = embed_grids(grids[:8], report.result, lam=20.0, max_iter=15,
                            starts=report.input_scalings)
-        np.testing.assert_array_equal(warm.X, embed_grids(grids[:8], report.result, lam=20.0).X)
+        tight = embed_grids(grids[:8], report.result, lam=20.0, tol=1e-12)
+        assert np.abs(warm.X - tight.X).max() <= 1e-5
 
 
 class TestSeparableRounding:
-    """_GridScalings.argmax, the separable max-product (max-plus in the log
-    domain), against the argmax of the dense plan built from the same
-    scalings, lowest flat index on ties."""
+    """_GridScalings.barycentric, the separable reduction of a plan to one
+    location per barycenter cell, against P @ loc / P.sum(1), with P the
+    dense plan built from the same scalings, in the scaling and the log
+    domain. The tests keep the names they had when a plan was reduced to
+    its argmax cell; the dense reference is now the plan's projection."""
 
     @pytest.mark.parametrize("ga, gb", [(5, 5), (6, 4), (7, 9)])
     def test_matches_dense_argmax_on_random_grids(self, ga, gb):
+        # empty rows and columns on both grids, equal and unequal sizes
         rng = np.random.default_rng(ga * 10 + gb)
         wa = rng.uniform(0, 1, (ga, ga)) * (rng.uniform(size=(ga, ga)) < 0.7)
         wb = rng.uniform(0, 1, (gb, gb)) * (rng.uniform(size=(gb, gb)) < 0.6)
         wa[0, :] = wa[:, -1] = 0.0
         wb[1, :] = wb[:, 2] = 0.0
         a, b = GridDensity(wa / wa.sum()), GridDensity(wb / wb.sum())
-        src, tgt = a.support()[0], b.support()[0]
+        src = a.support()[0]
         scaled = next(_grid_sinkhorn(a, [b], 20.0, 10000, 1e-12))
         logged = _log_sinkhorn(a.weights, b.weights, _axis_log_kernel(ga, gb, 20.0),
                                np.where(b.weights > 0, 0.0, -np.inf), 10000, 1e-12)
         assert not scaled.log_domain and logged.log_domain
-        for scalings in (scaled, logged):
-            np.testing.assert_array_equal(scalings.argmax(src, tgt),
-                                          scalings.plan(src, tgt).argmax(axis=1))
-        dense = round_plan_to_map(sinkhorn_plan(a, b, lam=20.0, tol=1e-12))
-        np.testing.assert_array_equal(inverse_grid_map(b, a, lam=20.0, tol=1e-12).target_index,
-                                      dense.target_index)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for scalings in (scaled, logged):
+                np.testing.assert_allclose(scalings.barycentric(src),
+                                           dense_projection(scalings, a, b), rtol=1e-12)
+            mapped = inverse_grid_map(b, a, lam=20.0, tol=1e-12)
+        np.testing.assert_allclose(mapped, dense_projection(scaled, a, b), rtol=1e-12)
 
-    # on a 4-cell axis the ticks are exact binary fractions, so equal
-    # distances give bitwise equal kernel factors
-    @pytest.mark.parametrize("cells, expected", [
-        ([(0, 0), (0, 2)], {(0, 1): 0, (1, 1): 0, (2, 1): 0}),  # one row
-        ([(0, 1), (2, 1)], {(1, 0): 0, (1, 1): 0, (1, 2): 0}),  # one column
-        ([(0, 2), (2, 0)], {(1, 1): 0, (0, 0): 0, (2, 2): 0}),  # lower row wins
-        (None, {}),  # constant v on every cell
-    ], ids=["row-pair", "column-pair", "diagonal-pair", "constant-v"])
-    @pytest.mark.parametrize("log_domain", [False, True], ids=["scaling", "log"])
-    def test_exact_ties_go_to_the_lowest_flat_index(self, cells, expected, log_domain):
-        g = 4
-        wb = np.full((g, g), 1.0) if cells is None else np.zeros((g, g))
-        for cell in cells or []:
-            wb[cell] = 1.0
-        u, v = np.full((g, g), 0.3), np.where(wb > 0, 0.7, 0.0)
-        k = np.exp(_axis_log_kernel(g, g, 20.0))
-        with np.errstate(divide="ignore"):
-            scalings = (_GridScalings(np.log(u), np.log(v), np.log(k), True) if log_domain
-                        else _GridScalings(u, v, k, False))
-        src, tgt = np.arange(g * g), np.flatnonzero(wb)
-        index = scalings.argmax(src, tgt)
-        np.testing.assert_array_equal(index, scalings.plan(src, tgt).argmax(axis=1))
-        for (iy, ix), position in expected.items():
-            assert index[iy * g + ix] == position
-        if cells is None:
-            # every source cell goes to itself, the unique nearest cell
-            np.testing.assert_array_equal(index, src)
+    def test_centroid_is_preserved(self):
+        # sum_x w(x) T(x) = sum_y b(y) y once the marginals hold; the row
+        # marginal error (<= tol per cell) bounds the gap, so solve tightly
+        grids, report = small_disks()
+        bar = report.result
+        _, _, w = bar.support()
+        for mu, mapped in zip(grids, inverse_grid_maps(grids, bar, lam=20.0, tol=1e-12)):
+            _, loc, b = mu.support()
+            np.testing.assert_allclose(w / w.sum() @ mapped, b @ loc, rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize("log_domain", [False, True], ids=["scaling", "log"])
     def test_source_row_without_mass_raises(self, log_domain):
+        # the plan row of source cell (0, 0) is zero: the only target cell
+        # with mass lies beyond the kernel's range, whose factor underflows
         g = 3
-        u, v = np.full((g, g), 0.5), np.full((g, g), 0.5)
-        u[1, 2] = 0.0
-        k = np.exp(_axis_log_kernel(g, g, 20.0))
+        u, v = np.full((g, g), 0.5), np.zeros((g, g))
+        v[2, 2] = 0.5
+        k = np.exp(_axis_log_kernel(g, g, 1e5))
+        assert k[0, 2] == 0.0
         with np.errstate(divide="ignore"):
             scalings = (_GridScalings(np.log(u), np.log(v), np.log(k), True) if log_domain
                         else _GridScalings(u, v, k, False))
-        with pytest.raises(EmptyRow):
-            scalings.argmax(np.arange(g * g), np.arange(g * g))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(EmptyRow):
+                scalings.barycentric(np.arange(g * g))
