@@ -12,16 +12,16 @@ import numpy as np
 
 from .errors import GridMismatch, NoConvergence, NumericalUnderflow, ValidationError
 from .measures import GaussianMeasure, GridDensity, validate_spd
-from .ot import _axis_log_kernel, _psd_sqrt_batch, sqrtm_spd
+from .ot import _apply, _axis_log_kernel, _psd_sqrt_batch, sqrtm_spd
 
 
 @dataclass(frozen=True)
 class BarycenterReport:
+    """input_scalings, of an iterated grid barycenter, holds its final input-side Bregman
+    scalings as an (n, G, G) view of the (G, n, G) solver stack: the maps' warm start."""
     result: object  # GaussianMeasure covariance (ndarray) or GridDensity
     iterations: int
     residual: float
-    # grid barycenter: the final input-side Bregman scalings u, (n, G, G),
-    # a warm start for the inputs' inverse maps; None when not iterated
     input_scalings: np.ndarray | None = None
 
     def starts(self, n: int) -> list:
@@ -79,11 +79,11 @@ def grid_barycenter(densities, lam: float = 20.0, tol: float = 1e-6,
                     max_iter: int = 300) -> BarycenterReport:
     """Entropic barycenter of grid densities on their common grid support.
 
-    Iterative Bregman projections with a separable Gibbs kernel; stops when
-    successive iterates differ by less than tol in total variation. Identical
-    inputs short-circuit to the input itself (the exact barycenter), avoiding
-    the entropic blur. A Bregman product that is zero or not finite on a
-    support cell (lam too large for the grid) raises NumericalUnderflow.
+    Iterative Bregman projections (Benamou et al., SISC 2015) on the (G, n, G) input
+    stack through ot._apply, until successive iterates differ by less than tol in total
+    variation. Identical inputs short-circuit to the input itself (the exact barycenter),
+    avoiding the entropic blur. A Bregman product that is zero or not finite on a support
+    cell (lam too large for the grid) raises NumericalUnderflow.
     """
     densities = list(densities)
     if not densities:
@@ -91,11 +91,11 @@ def grid_barycenter(densities, lam: float = 20.0, tol: float = 1e-6,
     g = densities[0].grid_size
     if any(d.grid_size != g for d in densities):
         raise GridMismatch("densities live on different grids")
+    k = np.exp(_axis_log_kernel(g, g, lam))  # symmetric, so one kernel for both sides
     if all(d.same_as(densities[0]) for d in densities[1:]):
         return BarycenterReport(result=densities[0], iterations=0, residual=0.0)
 
-    k = np.exp(_axis_log_kernel(g, g, lam))
-    p = np.stack([d.weights for d in densities])  # (n, G, G)
+    p = np.stack([d.weights for d in densities], axis=1)  # (G, n, G)
     on = p > 0
     v = np.ones_like(p)
     b_prev = np.full((g, g), 1.0 / g**2)
@@ -103,21 +103,21 @@ def grid_barycenter(densities, lam: float = 20.0, tol: float = 1e-6,
     # later, so its warning carries no information
     with np.errstate(over="ignore"):
         for it in range(1, max_iter + 1):
-            kv = _checked_product(np.where(on, k @ v @ k, 1.0), it, lam)  # u is 0 off the supports
+            kv = _checked_product(np.where(on, _apply(k, v), 1.0), it, lam)  # u is 0 off supports
             u = p / kv
-            ktu = _checked_product(k @ u @ k, it, lam)
-            log_b = np.log(ktu).mean(axis=0)  # uniform weights
+            ktu = _checked_product(_apply(k, u), it, lam)
+            log_b = np.log(ktu).mean(axis=1)  # uniform weights
             b = np.exp(log_b - log_b.max())
             b /= b.sum()
-            v = b[None, :, :] / ktu
+            v = b[:, None, :] / ktu
             tv = 0.5 * float(np.abs(b - b_prev).sum())
             if tv <= tol:
                 return BarycenterReport(result=GridDensity(b), iterations=it, residual=tv,
-                                        input_scalings=u)
+                                        input_scalings=np.moveaxis(u, 1, 0))
             b_prev = b
     raise NoConvergence(
         f"barycenter TV change above {tol} after {max_iter} iterations; "
-        f"n={len(p)} densities on a {g}x{g} grid")
+        f"n={p.shape[1]} densities on a {g}x{g} grid")
 
 
 def _checked_product(x: np.ndarray, it: int, lam: float) -> np.ndarray:

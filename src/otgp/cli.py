@@ -40,7 +40,7 @@ def _load_inputs(path: str, grid_size: int):
     p = Path(path)
     if p.is_dir():
         return dataio.load_grid_dir(p)
-    payload = json.loads(p.read_text())
+    payload = dataio.read_file(p)
     if isinstance(payload, dict) and "items" in payload:
         return dataio.load_gaussian_set(p)
     if isinstance(payload, list):
@@ -72,10 +72,9 @@ def _build_features(inputs, reference=None, lam: float = 20.0):
 
 
 def _load_reference(path: str):
-    p = Path(path)
-    if p.suffix == ".csv":
-        return dataio.load_grid_csv(p)
-    items = dataio.load_gaussian_set(p)
+    if Path(path).suffix == ".csv":
+        return dataio.load_grid_csv(path)
+    items = dataio.load_gaussian_set(path)
     if len(items) != 1:
         raise ValidationError("reference file must hold exactly one measure")
     return items[0]
@@ -85,17 +84,13 @@ def cmd_barycenter(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     inputs = _load_inputs(args.input, args.grid_size)
+    tol = {} if args.tol is None else {"tol": args.tol}  # else each solver's default
     if all(isinstance(x, GaussianMeasure) for x in inputs):
-        measure, report = gaussian_barycenter_measure(
-            inputs, tol=args.tol if args.tol is not None else 1e-9,
-            max_iter=args.max_iter)
+        measure, report = gaussian_barycenter_measure(inputs, max_iter=args.max_iter, **tol)
         dataio.save_gaussian_set(out / "barycenter.json", [measure])
     else:
-        rep = grid_barycenter(inputs, lam=args.lam,
-                              tol=args.tol if args.tol is not None else 1e-6,
-                              max_iter=args.max_iter)
-        dataio.save_grid_csv(out / "barycenter.csv", rep.result)
-        report = rep
+        report = grid_barycenter(inputs, lam=args.lam, max_iter=args.max_iter, **tol)
+        dataio.save_grid_csv(out / "barycenter.csv", report.result)
     (out / "report.json").write_text(json.dumps(
         {"iterations": report.iterations, "residual": report.residual}))
     print(f"barycenter written to {out} "
@@ -106,9 +101,7 @@ def cmd_barycenter(args) -> int:
 def cmd_kernel_matrix(args) -> int:
     inputs = _load_inputs(args.input, args.grid_size)
     theta = _parse_theta(args.theta)
-    reference = None
-    if args.reference != "barycenter":
-        reference = _load_reference(args.reference)
+    reference = None if args.reference == "barycenter" else _load_reference(args.reference)
     features, _ = _build_features(inputs, reference=reference, lam=args.lam)
     gram = gram_matrix(features, theta)
     np.savetxt(args.out, gram, delimiter=",", fmt="%.17g")
@@ -120,10 +113,9 @@ def cmd_diagnose_psd(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.naive_w2:
-        measures = dataio.load_gaussian_set(args.naive_w2)
-        gram = naive_w2_gram(measures)
+        gram = naive_w2_gram(dataio.load_gaussian_set(args.naive_w2))
     else:
-        gram = np.loadtxt(args.gram, delimiter=",", ndmin=2)
+        gram = dataio.read_file(args.gram, csv=True)
     report = psd_diagnostic(gram, tol=args.tol)
     dataio.save_eigenvalues_csv(out / "eigenvalues.csv", report.eigenvalues)
     (out / "report.json").write_text(json.dumps({
@@ -167,9 +159,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    overrides = {}
-    if args.config:
-        overrides = json.loads(Path(args.config).read_text())
+    overrides = dataio.read_file(args.config) if args.config else {}
     cfg = build_config(args.name, seed=args.seed, out_dir=args.out, overrides=overrides)
     report = RUNNERS[args.name](cfg)
     print(json.dumps(_headline(report), indent=2, sort_keys=True))

@@ -18,6 +18,17 @@ from .measures import DiskConfig, GaussianMeasure, GridDensity, disks_to_grid, r
 MODEL_VERSION = 4
 
 
+def read_file(path, csv: bool = False):
+    """Parsed JSON or, with csv, comma-separated float matrix of a file;
+    ValidationError if it cannot be read or parsed."""
+    try:
+        if csv:
+            return np.loadtxt(path, delimiter=",", ndmin=2)
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError: malformed JSON, CSV or text
+        raise ValidationError(f"cannot read {path}: {exc}") from None
+
+
 def save_gaussian_set(path, measures) -> None:
     items = [{"mean": m.mean.tolist(), "cov": m.cov.tolist()} for m in measures]
     payload = {"dim": measures[0].dim if measures else 0, "items": items}
@@ -25,7 +36,7 @@ def save_gaussian_set(path, measures) -> None:
 
 
 def load_gaussian_set(path) -> list[GaussianMeasure]:
-    payload = json.loads(Path(path).read_text())
+    payload = read_file(path)
     dim = payload.get("dim")
     out = [GaussianMeasure(item["mean"], item["cov"]) for item in payload["items"]]
     if dim is not None and any(m.dim != dim for m in out):
@@ -38,7 +49,7 @@ def save_grid_csv(path, density: GridDensity) -> None:
 
 
 def load_grid_csv(path) -> GridDensity:
-    return GridDensity(np.loadtxt(path, delimiter=",", ndmin=2))
+    return GridDensity(read_file(path, csv=True))
 
 
 def load_grid_dir(path) -> list[GridDensity]:
@@ -76,7 +87,7 @@ def save_dataset(path, inputs, responses) -> None:
 
 
 def load_dataset(path, require_y: bool = True) -> tuple[list, list]:
-    rows = json.loads(Path(path).read_text())
+    rows = read_file(path)
     inputs = [input_from_json(r["input"]) for r in rows]
     if require_y:
         responses = [float(r["y"]) for r in rows]
@@ -129,7 +140,7 @@ def save_model(path, model) -> None:
 def load_model(path):
     from .gp import build_model  # deferred to avoid an import cycle
 
-    payload = json.loads(Path(path).read_text())
+    payload = read_file(path)
     if payload.get("version") != MODEL_VERSION:
         raise ValidationError(f"model file {path} is not version {MODEL_VERSION}; "
                               "refit the model")

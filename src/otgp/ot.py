@@ -2,12 +2,12 @@
 
 Gaussian closed forms (W2 distance, transport maps, map distances in
 L2 of a reference measure), exact assignment OT for empirical samples, and
-entropic (Sinkhorn) OT for grid densities: a separable Gibbs kernel applied
-axis by axis on the full grid, the inputs of a shared barycenter iterated
-together as one stack, log-domain updates when an input's scalings leave
-the floating-point range, and the plan's barycentric projection (each
-source cell sent to the plan-weighted mean of the target cell centers),
-taken with the same axis factors.
+entropic (Sinkhorn) OT for grid densities: one separable Gibbs kernel, built
+by _axis_log_kernel and applied by _apply (_log_apply in the log domain) to
+a (G, inputs, G) stack, serves the grid barycenter's Bregman loop, the
+batched inverse-map solve with per-input log-domain updates, and the plan's
+barycentric projection (each source cell sent to the plan-weighted mean of
+the target cell centers).
 """
 
 from __future__ import annotations
@@ -209,24 +209,26 @@ def assignment_ot(src: EmpiricalSample, dst: EmpiricalSample
 
 def _axis_log_kernel(rows: int, cols: int, lam: float) -> np.ndarray:
     """Log of the 1-D Gibbs factor between the cell-center ticks of a
-    rows-cell axis and a cols-cell axis, -lam d^2 / GRID_DIAMETER_SQ.
+    rows-cell axis and a cols-cell axis, -lam d^2 / GRID_DIAMETER_SQ, 0 < lam < inf.
 
     The grid kernel exp(-lam |x - y|^2 / GRID_DIAMETER_SQ) is the product of
     the factor on the x axis and the factor on the y axis.
     """
+    if not 0.0 < lam < np.inf:
+        raise ValidationError(f"lam must be finite and positive, got {lam}")
     s = (np.arange(rows) + 0.5) / rows
     t = (np.arange(cols) + 0.5) / cols
     return -lam * (s[:, None] - t[None, :]) ** 2 / GRID_DIAMETER_SQ
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(x))) along axis, overwriting x; -inf where a whole slice
-    is -inf."""
-    m = x.max(axis=axis, keepdims=True)
+    """log(sum(exp(x))) along axis, overwriting x; -inf on empty or all -inf slices."""
+    m = x.max(axis=axis, keepdims=True, initial=-np.inf)
     m[~np.isfinite(m)] = 0.0
     x -= m
     np.exp(x, out=x)
-    return np.log(x.sum(axis=axis)) + m.squeeze(axis)
+    with np.errstate(divide="ignore"):
+        return np.log(x.sum(axis=axis)) + m.squeeze(axis)
 
 
 def _log_apply(logk: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -234,8 +236,8 @@ def _log_apply(logk: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     per axis, on the rows and columns holding a cell of the mask out; zero
     elsewhere.
 
-    -inf entries of x stand for zero scalings; grid rows and columns with
-    no finite entry of x are skipped, so small supports cost little.
+    -inf entries of x stand for zero scalings (all -inf gives -inf); rows
+    and columns with no finite entry are skipped: small supports cost little.
     """
     xi, xj = np.isfinite(x).any(axis=1), np.isfinite(x).any(axis=0)
     oi, oj = out.any(axis=1), out.any(axis=0)
@@ -246,8 +248,8 @@ def _log_apply(logk: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _apply(k: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """k @ V @ k.T for each slice V = stack[:, i, :] of a (rows, inputs,
-    columns) stack, as two flat GEMMs without transposed copies."""
+    """k @ V @ k.T for each slice V = stack[:, i, :] of a (rows, inputs, columns) stack, as
+    two flat GEMMs without transposed copies: the one grid kernel operator."""
     rows, n, cols = stack.shape
     return ((k @ stack.reshape(rows, n * cols)).reshape(-1, cols) @ k.T).reshape(len(k), n, -1)
 
@@ -293,11 +295,9 @@ class _GridScalings:
         if self.log_domain:
             on = np.zeros(self.u.shape, dtype=bool)
             on.flat[src] = True
-            # a zero plan row has log mass -inf, refused below
-            with np.errstate(divide="ignore"):
-                den, num_x, num_y = (_log_apply(self.k, x, on).ravel()[src] for x in (
-                    self.v, self.v + np.log(t), self.v + np.log(t)[:, None]))
-            if np.any(den == -np.inf):
+            den, num_x, num_y = (_log_apply(self.k, x, on).ravel()[src] for x in (
+                self.v, self.v + np.log(t), self.v + np.log(t)[:, None]))
+            if np.any(den == -np.inf):  # a zero plan row has log mass -inf
                 raise EmptyRow("a retained source row carries no mass")
             return np.exp(np.column_stack([num_x, num_y]) - den[:, None])
         products = _apply(self.k, np.stack([self.v, self.v * t, t[:, None] * self.v], axis=1))
@@ -334,7 +334,8 @@ def _sinkhorn_batch(a: GridDensity, bs: list[GridDensity], lam: float, max_iter:
         kv = _apply(k, v)
         for it in range(max_iter):
             u = wa / (kv + off_a)
-            v_next = wb / (_apply(k.T, u) + off_b)
+            ktu = _apply(k.T, u)
+            v_next = wb / (ktu + off_b)
             in_range = _in_range(u, off_a) & _in_range(v_next, off_b)
             kv = _apply(k, v_next)
             stop = ~in_range | (np.abs(u * kv - wa).max(axis=0).max(axis=1) <= tol)
@@ -342,7 +343,7 @@ def _sinkhorn_batch(a: GridDensity, bs: list[GridDensity], lam: float, max_iter:
                 try:
                     if in_range[j]:
                         uj, vj = u[:, j].copy(), v_next[:, j].copy()
-                        _check_marginals(uj * kv[:, j], vj * (k.T @ uj @ k), a.weights, wb[:, j])
+                        _check_marginals(uj * kv[:, j], vj * ktu[:, j], a.weights, wb[:, j])
                         results[live[j]] = _GridScalings(uj, vj, k, False)
                     else:
                         results[live[j]] = _log_sinkhorn(a.weights, wb[:, j], logk, np.log(v[:, j]),
@@ -365,8 +366,6 @@ def _grid_sinkhorn(a: GridDensity, bs, lam: float, max_iter: int, tol: float, st
     projections stack their inputs the same way, Benamou et al., SISC 2015),
     each from its start in starts, aligned with bs (_sinkhorn_batch).
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
     bs = list(bs)
     starts = [None] * len(bs) if starts is None else [
         None if s is None else np.asarray(s, float) for s in starts]

@@ -6,9 +6,16 @@ from scipy.stats import ortho_group
 
 from otgp.barycenter import gaussian_barycenter, gaussian_barycenter_measure, grid_barycenter
 from otgp.errors import GridMismatch, NoConvergence, NumericalUnderflow, ValidationError
-from otgp.measures import DiskConfig, GaussianMeasure, GridDensity, disks_to_grid
+from otgp.measures import (
+    DiskConfig,
+    GaussianMeasure,
+    GridDensity,
+    disks_to_grid,
+    rasterize_gaussian,
+    sample_regression_gaussians,
+)
 from otgp.rng import make_rng
-from otgp.ot import gaussian_w2
+from otgp.ot import _axis_log_kernel, gaussian_w2
 
 
 def random_spd(rng, d, scale=1.0):
@@ -201,3 +208,50 @@ class TestGridBarycenterLargeLambda:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NoConvergence):
                 grid_barycenter(first_disk_inputs(8, 30), lam=lam)
+
+
+def reference_bregman(densities, lam=20.0, tol=1e-6, max_iter=300):
+    """(iterations, weights, input scalings) of the Bregman loop as it ran
+    on an (n, G, G) stack with its own k @ v @ k products, before
+    grid_barycenter moved onto ot._apply and the (G, n, G) stack layout."""
+    g = densities[0].grid_size
+    k = np.exp(_axis_log_kernel(g, g, lam))
+    p = np.stack([d.weights for d in densities])
+    on = p > 0
+    v = np.ones_like(p)
+    b_prev = np.full((g, g), 1.0 / g**2)
+    for it in range(1, max_iter + 1):
+        kv = np.where(on, k @ v @ k, 1.0)
+        u = p / kv
+        ktu = k @ u @ k
+        log_b = np.log(ktu).mean(axis=0)
+        b = np.exp(log_b - log_b.max())
+        b /= b.sum()
+        v = b[None, :, :] / ktu
+        if 0.5 * float(np.abs(b - b_prev).sum()) <= tol:
+            return it, b, u
+        b_prev = b
+    raise AssertionError("reference loop did not converge")
+
+
+def first_regression_inputs(n, seed=13, g=50):
+    """The first n inputs of the grid-path regression dataset of seed."""
+    return [rasterize_gaussian(m, g) for m, _ in sample_regression_gaussians(100, seed)[:n]]
+
+
+class TestGridBarycenterLayout:
+    """The Bregman loop on the map solve's (G, n, G) stack reproduces the
+    (n, G, G) loop it replaced, up to the round-off of another GEMM order."""
+
+    @pytest.mark.parametrize("inputs", [
+        pytest.param(lambda: first_disk_inputs(40, 50), id="disks-1000"),
+        pytest.param(lambda: first_regression_inputs(50), id="regression-seed13"),
+    ])
+    def test_matches_the_stacked_reference(self, inputs):
+        grids = inputs()
+        rep = grid_barycenter(grids, lam=20.0)
+        iterations, weights, scalings = reference_bregman(grids)
+        assert rep.iterations == iterations
+        assert np.abs(rep.result.weights - weights).max() <= 1e-15
+        assert rep.input_scalings.shape == scalings.shape
+        assert np.all(np.abs(rep.input_scalings - scalings) <= 1e-12 * np.abs(scalings))

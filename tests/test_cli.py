@@ -106,6 +106,13 @@ class TestKernelMatrixCommand:
         assert code == 2
 
 
+    def test_bad_penalty_on_grid_inputs_is_validation_error(self, tmp_path):
+        src = tmp_path / "grids"
+        write_grid_dir(src)
+        assert main(["kernel-matrix", "--input", str(src), "--theta", "1,1,1,0.001",
+                     "--lam", "0", "--out", str(tmp_path / "k.csv")]) == 2
+
+
 class TestDiagnosePsdCommand:
     def test_naive_w2_reports_negatives(self, tmp_path):
         from otgp.measures import sample_gaussian_population
@@ -293,6 +300,65 @@ class TestExperimentCommand:
         code = main(["experiment", "psd", "--seed", "1",
                      "--out", str(tmp_path / "x"), "--config", str(cfg)])
         assert code == 2
+
+
+class TestUnreadableFiles:
+    """A missing, unreadable or malformed input, config or CSV file is a
+    validation error (exit 2), not a traceback."""
+
+    @staticmethod
+    def write(tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    def test_missing_dataset(self, tmp_path, capsys):
+        code = main(["fit", "--data", str(tmp_path / "missing.json"),
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("validation error:")
+
+    def test_missing_config(self, tmp_path, capsys):
+        code = main(["experiment", "psd", "--seed", "1", "--out", str(tmp_path / "x"),
+                     "--config", str(tmp_path / "missing.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("validation error:")
+
+    def test_directory_as_config(self, tmp_path):
+        assert main(["experiment", "psd", "--seed", "1", "--out", str(tmp_path / "x"),
+                     "--config", str(tmp_path)]) == 2
+
+    def test_truncated_config(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, "cfg.json", '{"n_seeds": 1')
+        code = main(["experiment", "psd", "--seed", "1", "--out", str(tmp_path / "x"),
+                     "--config", cfg])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("validation error:")
+
+    def test_binary_input(self, tmp_path):
+        src = tmp_path / "set.json"
+        src.write_bytes(b"\xff\xfe\x00\x81")
+        assert main(["barycenter", "--input", str(src), "--out", str(tmp_path / "o")]) == 2
+
+    def test_malformed_gram_csv(self, tmp_path, capsys):
+        gram = self.write(tmp_path, "gram.csv", "1,0\n0,oops\n")
+        assert main(["diagnose-psd", "--gram", gram, "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err.startswith("validation error:")
+
+    def test_malformed_grid_csv(self, tmp_path):
+        grids = tmp_path / "grids"
+        write_grid_dir(grids)
+        (grids / "d1.csv").write_text("0.5,0.5\n0.5\n")
+        assert main(["barycenter", "--input", str(grids), "--out", str(tmp_path / "o")]) == 2
+
+    def test_missing_model_and_reference(self, tmp_path):
+        src = tmp_path / "set.json"
+        write_gaussian_set(src)
+        assert main(["predict", "--model", str(tmp_path / "missing.json"), "--data", str(src),
+                     "--out", str(tmp_path / "p.csv")]) == 2
+        assert main(["kernel-matrix", "--input", str(src), "--theta", "1,1,1,0.001",
+                     "--reference", str(tmp_path / "missing.csv"),
+                     "--out", str(tmp_path / "k.csv")]) == 2
 
 
 def test_import_defers_heavy_scipy_modules():

@@ -31,6 +31,7 @@ from otgp.ot import (
     _axis_log_kernel,
     _grid_sinkhorn,
     _GridScalings,
+    _log_apply,
     _log_sinkhorn,
     assignment_ot,
     gaussian_transport_map,
@@ -757,3 +758,45 @@ class TestSeparableRounding:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(EmptyRow):
                 scalings.barycentric(np.arange(g * g))
+
+
+class TestPenaltyValidation:
+    """lam is validated once, where the axis kernel is built, so every grid
+    entry point refuses a penalty that is not finite and positive."""
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("call", [
+        lambda grids, lam: grid_barycenter(grids, lam=lam),
+        lambda grids, lam: embed_grids(grids, grids[0], lam=lam),
+        lambda grids, lam: sinkhorn_plan(grids[0], grids[1], lam=lam),
+    ], ids=["grid_barycenter", "embed_grids", "sinkhorn_plan"])
+    def test_bad_penalty_is_a_validation_error(self, call, lam):
+        rng = np.random.default_rng(8)
+        grids = [disks_to_grid(DiskConfig(0.1, rng.uniform(0.1, 0.9, (3, 2))), 20)
+                 for _ in range(6)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match="lam must be finite and positive"):
+                call(grids, lam)
+
+
+class TestLogApply:
+    def test_input_without_finite_entry_gives_minus_inf_on_the_mask(self):
+        g = 4
+        mask = np.zeros((g, g), dtype=bool)
+        mask[1, 2] = mask[3, 0] = True
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = _log_apply(_axis_log_kernel(g, g, 20.0), np.full((g, g), -np.inf), mask)
+        assert np.all(out[mask] == -np.inf)
+
+    def test_matches_the_scaling_domain_product(self):
+        rng = np.random.default_rng(3)
+        g = 5
+        x = rng.uniform(0.1, 1.0, size=(g, g))
+        x[rng.uniform(size=(g, g)) < 0.3] = 0.0
+        logk = _axis_log_kernel(g, g, 20.0)
+        k = np.exp(logk)
+        with np.errstate(divide="ignore"):
+            out = _log_apply(logk, np.log(x), np.ones((g, g), dtype=bool))
+        np.testing.assert_allclose(np.exp(out), k @ x @ k.T, rtol=1e-13)
