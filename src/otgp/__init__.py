@@ -26,6 +26,7 @@ from .measures import (
     GaussianMeasure,
     GridDensity,
     disks_to_grid,
+    gaussian_measures,
     sample_gaussian_population,
     sample_regression_gaussians,
     validate_spd,

@@ -32,6 +32,8 @@ class BarycenterReport:
 
 
 def _check_weights(weights, n: int) -> np.ndarray:
+    if n < 1:
+        raise ValidationError("need at least one input")
     if weights is None:
         return np.full(n, 1.0 / n)
     w = np.asarray(weights, dtype=float)
@@ -48,7 +50,9 @@ def gaussian_barycenter(covs, weights=None, tol: float = 1e-9,
     when the fixed-point residual
     ||S - sum_i w_i (S^1/2 S_i S^1/2)^1/2||_F / ||S||_F drops below tol.
     """
-    stack = np.stack([validate_spd(c) for c in covs])
+    stack = validate_spd(covs)
+    if stack.ndim != 3:
+        raise ValidationError(f"expected an (n, d, d) covariance stack, got shape {stack.shape}")
     w = _check_weights(weights, len(stack))
     s = np.einsum("i,ijk->jk", w, stack)  # Euclidean mean: SPD, cheap start
     for it in range(1, max_iter + 1):

@@ -50,10 +50,13 @@ def _load_inputs(path: str, grid_size: int):
 
 
 def _parse_theta(text: str) -> KernelParams:
-    parts = [float(x) for x in text.split(",")]
+    try:
+        parts = [float(x) for x in text.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) != 4:
-        raise ValidationError("theta must be 4 comma-separated values "
-                              "(amplitude,rate,exponent,nugget)")
+        raise ValidationError(f"theta must be 4 comma-separated numbers "
+                              f"(amplitude,rate,exponent,nugget), got {text!r}")
     return KernelParams(*parts)
 
 
@@ -104,7 +107,7 @@ def cmd_kernel_matrix(args) -> int:
     reference = None if args.reference == "barycenter" else _load_reference(args.reference)
     features, _ = _build_features(inputs, reference=reference, lam=args.lam)
     gram = gram_matrix(features, theta)
-    np.savetxt(args.out, gram, delimiter=",", fmt="%.17g")
+    dataio.save_gram_csv(args.out, gram)
     print(f"{gram.shape[0]}x{gram.shape[1]} Gram matrix written to {args.out}")
     return EXIT_OK
 

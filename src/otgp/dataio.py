@@ -1,16 +1,25 @@
 """File formats: Gaussian-set JSON, grid-density CSV, regression dataset
-JSON, fitted-model JSON, prediction CSV and eigenvalue CSV."""
+JSON, fitted-model JSON, Gram-matrix CSV, prediction CSV and eigenvalue CSV."""
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NotSymmetric, ValidationError
 from .kernels import Embedding, KernelParams, pairwise_distances
-from .measures import DiskConfig, GaussianMeasure, GridDensity, disks_to_grid, rasterize_gaussian
+from .measures import (
+    DiskConfig,
+    GaussianMeasure,
+    GridDensity,
+    as_floats,
+    disks_to_grid,
+    gaussian_measures,
+    rasterize_gaussian,
+)
 
 # Model JSON schema: version 4 stores the training feature matrix X (grid
 # rows: barycentric projections, argmax cells in version 3), the reference
@@ -29,6 +38,54 @@ def read_file(path, csv: bool = False):
         raise ValidationError(f"cannot read {path}: {exc}") from None
 
 
+def _field(record, key: str, item: int | None = None):
+    """record[key]; ValidationError naming the item if record is not an
+    object holding key."""
+    if not isinstance(record, dict) or key not in record:
+        raise ValidationError(f"missing {key!r}", item)
+    return record[key]
+
+
+def _number(value, key: str, item: int | None = None) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{key} {value!r} is not a number", item) from None
+
+
+def _stack(values: list, key: str) -> np.ndarray:
+    """Float array of the items' values under key; a non-numeric item, or the
+    first one shaped unlike item 0, is named."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        shapes = [as_floats(v, key, k).shape for k, v in enumerate(values)]
+        k = next((k for k, shape in enumerate(shapes) if shape != shapes[0]), 0)
+        raise ValidationError(f"{key} of shape {shapes[k]} unlike item 0's {shapes[0]}",
+                              k) from None
+
+
+@contextmanager
+def _renumbered(labels):
+    """Re-raise a ValidationError about item k of a collection as one about
+    item labels[k] (labels[0] if it names none)."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise type(exc)(exc.detail, labels[exc.item or 0]) from None
+
+
+def _gaussians(records) -> list[GaussianMeasure]:
+    """Measures of {"mean", "cov"} records, validated as one stack."""
+    if not isinstance(records, list):
+        raise ValidationError("expected a list of items")
+    if not records:
+        return []
+    means = _stack([_field(r, "mean", k) for k, r in enumerate(records)], "mean")
+    covs = _stack([_field(r, "cov", k) for k, r in enumerate(records)], "cov")
+    return gaussian_measures(means, covs)
+
+
 def save_gaussian_set(path, measures) -> None:
     items = [{"mean": m.mean.tolist(), "cov": m.cov.tolist()} for m in measures]
     payload = {"dim": measures[0].dim if measures else 0, "items": items}
@@ -36,11 +93,13 @@ def save_gaussian_set(path, measures) -> None:
 
 
 def load_gaussian_set(path) -> list[GaussianMeasure]:
+    """Measures of a Gaussian-set JSON, validated as one stack; an error
+    names the failing item."""
     payload = read_file(path)
+    out = _gaussians(_field(payload, "items"))
     dim = payload.get("dim")
-    out = [GaussianMeasure(item["mean"], item["cov"]) for item in payload["items"]]
-    if dim is not None and any(m.dim != dim for m in out):
-        raise ValidationError("item dimension disagrees with the declared dim")
+    if dim is not None and out and out[0].dim != dim:
+        raise ValidationError(f"items have dimension {out[0].dim}, the declared dim is {dim}")
     return out
 
 
@@ -70,13 +129,13 @@ def input_to_json(obj) -> dict:
 
 
 def input_from_json(payload: dict):
-    kind = payload.get("kind")
+    kind = payload.get("kind") if isinstance(payload, dict) else None
     if kind == "gaussian":
-        return GaussianMeasure(payload["mean"], payload["cov"])
+        return GaussianMeasure(_field(payload, "mean"), _field(payload, "cov"))
     if kind == "grid":
-        return GridDensity(np.asarray(payload["weights"], dtype=float))
+        return GridDensity(_field(payload, "weights"))
     if kind == "disks":
-        return DiskConfig(radius=payload["radius"], centers=payload["centers"])
+        return DiskConfig(radius=_field(payload, "radius"), centers=_field(payload, "centers"))
     raise ValidationError(f"unknown input kind {kind!r}")
 
 
@@ -87,12 +146,27 @@ def save_dataset(path, inputs, responses) -> None:
 
 
 def load_dataset(path, require_y: bool = True) -> tuple[list, list]:
+    """Inputs and responses of a dataset JSON; the Gaussian inputs are
+    validated as one stack. An error names the failing row."""
     rows = read_file(path)
-    inputs = [input_from_json(r["input"]) for r in rows]
+    if not isinstance(rows, list):
+        raise ValidationError("expected a list of rows")
+    payloads = [_field(r, "input", i) for i, r in enumerate(rows)]
+    inputs = [None] * len(rows)
+    gaussian = [i for i, p in enumerate(payloads)
+                if isinstance(p, dict) and p.get("kind") == "gaussian"]
+    with _renumbered(gaussian):
+        for i, measure in zip(gaussian, _gaussians([payloads[i] for i in gaussian])):
+            inputs[i] = measure
+    for i, p in enumerate(payloads):
+        if inputs[i] is None:
+            with _renumbered([i]):
+                inputs[i] = input_from_json(p)
     if require_y:
-        responses = [float(r["y"]) for r in rows]
+        responses = [_number(_field(r, "y", i), "y", i) for i, r in enumerate(rows)]
     else:
-        responses = [None if r.get("y") is None else float(r["y"]) for r in rows]
+        responses = [None if r.get("y") is None else _number(r["y"], "y", i)
+                     for i, r in enumerate(rows)]
     return inputs, responses
 
 
@@ -141,30 +215,62 @@ def load_model(path):
     from .gp import build_model  # deferred to avoid an import cycle
 
     payload = read_file(path)
-    if payload.get("version") != MODEL_VERSION:
+    if not isinstance(payload, dict) or payload.get("version") != MODEL_VERSION:
         raise ValidationError(f"model file {path} is not version {MODEL_VERSION}; "
                               "refit the model")
-    theta = KernelParams(**payload["theta"])
-    y = np.asarray(payload["y"], dtype=float)
-    if payload["kind"] == "gaussian":
-        ref = GaussianMeasure(payload["reference"]["mean"], payload["reference"]["cov"])
+    theta = _field(payload, "theta")
+    theta = KernelParams(*(_number(_field(theta, key), key)
+                           for key in ("amplitude", "rate", "exponent", "nugget")))
+    y = as_floats(_field(payload, "y"), "y")
+    ref = _field(payload, "reference")
+    if _field(payload, "kind") == "gaussian":
+        ref = GaussianMeasure(_field(ref, "mean"), _field(ref, "cov"))
     else:
-        ref = GridDensity(np.asarray(payload["reference"]["weights"], dtype=float))
-    features = Embedding(ref, payload["X"], payload.get("lam"))
+        ref = GridDensity(_field(ref, "weights"))
+    features = Embedding(ref, as_floats(_field(payload, "X"), "X"), payload.get("lam"))
     if len(features) != len(y):
         raise ValidationError("model X and y differ in length")
     return build_model(features, y, pairwise_distances(features), theta,
                         degenerate=payload.get("degenerate", False))
 
 
+def save_gram_csv(path, matrix) -> None:
+    """An exactly symmetric matrix as text, byte for byte what
+    np.savetxt(path, matrix, fmt="%.17g", delimiter=",") writes.
+
+    Each upper-triangle entry is formatted once. Row i's text left of the
+    diagonal is the cache the rows above it filled, freed once written, so
+    at most about n^2/4 formatted entries are held. NotSymmetric unless the
+    matrix equals its transpose bit for bit (a bit-level asymmetry could
+    format differently, as with -0.0 and 0.0).
+    """
+    a = np.ascontiguousarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    if not np.array_equal(a.view(np.uint64), a.T.view(np.uint64)):
+        raise NotSymmetric("matrix is not exactly symmetric")
+    n = len(a)
+    fmt = "%.17g," * n
+    left = [bytearray() for _ in range(n)]
+    with open(path, "wb") as fh:
+        for i in range(n):
+            upper = (fmt[6 * i:] % tuple(a[i, i:].tolist())).encode()
+            line, left[i] = left[i], None
+            line += upper
+            line[-1:] = b"\n"
+            fh.write(line)
+            for cache, token in zip(left[i + 1:], upper.split(b",")[1:-1]):
+                cache += token
+                cache += b","
+
+
 def save_predictions_csv(path, result) -> None:
-    rows = ["mean,variance,lo,hi"]
-    for mean, var, lo, hi in zip(result.mean, result.variance, *result.ci90):
-        rows.append(f"{mean:.17g},{var:.17g},{lo:.17g},{hi:.17g}")
-    Path(path).write_text("\n".join(rows) + "\n")
+    table = np.column_stack([result.mean, result.variance, *result.ci90])
+    body = ("%.17g,%.17g,%.17g,%.17g\n" * len(table)) % tuple(table.ravel().tolist())
+    Path(path).write_text("mean,variance,lo,hi\n" + body)
 
 
 def save_eigenvalues_csv(path, eigenvalues) -> None:
-    rows = ["eigenvalue"] + [f"{v:.17g}" for v in np.asarray(eigenvalues)]
-    Path(path).write_text("\n".join(rows) + "\n")
+    values = np.asarray(eigenvalues).ravel().tolist()
+    Path(path).write_text("eigenvalue\n" + ("%.17g\n" * len(values)) % tuple(values))
 

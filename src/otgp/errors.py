@@ -10,7 +10,12 @@ class OtgpError(Exception):
 
 
 class ValidationError(OtgpError):
-    pass
+    """Bad input. item, when given, is the index of the failing element of a
+    collection; the message then starts with it and detail holds the rest."""
+
+    def __init__(self, detail: str = "", item: int | None = None):
+        super().__init__(detail if item is None else f"item {item}: {detail}")
+        self.detail, self.item = detail, item
 
 
 class NumericalError(OtgpError):

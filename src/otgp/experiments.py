@@ -34,6 +34,7 @@ from .measures import (
     GaussianMeasure,
     disks_to_grid,
     gaussian_cov_stack,
+    gaussian_measures,
     rasterize_gaussian,
     sample_gaussian_population,
     sample_regression_gaussians,
@@ -82,9 +83,8 @@ class ConsistencyConfig:
 def _se_gram_from_covs(covs: np.ndarray, bar_cov: np.ndarray) -> np.ndarray:
     """Square-exponential (unit parameters) Gram over zero-mean Gaussians
     embedded against the given barycenter covariance."""
-    zero = np.zeros(covs.shape[-1])
-    reference = GaussianMeasure(zero, bar_cov)
-    feats = embed_gaussians([GaussianMeasure(zero, c) for c in covs], reference)
+    reference = GaussianMeasure(np.zeros(covs.shape[-1]), bar_cov)
+    feats = embed_gaussians(gaussian_measures(np.zeros(covs.shape[:2]), covs), reference)
     return gram_from_distances(pairwise_distances(feats), UNIT_SE)
 
 
@@ -160,10 +160,9 @@ def run_consistency(cfg: ConsistencyConfig) -> dict:
 
 
 def _gp_mean_at(pop, grid_idx, test_idx, bar_cov, y) -> float:
-    zero = np.zeros(pop.shape[-1])
-    reference = GaussianMeasure(zero, bar_cov)
-    feats = embed_gaussians(
-        [GaussianMeasure(zero, pop[i]) for i in list(grid_idx) + [test_idx]], reference)
+    covs = pop[np.append(grid_idx, test_idx)]
+    reference = GaussianMeasure(np.zeros(pop.shape[-1]), bar_cov)
+    feats = embed_gaussians(gaussian_measures(np.zeros(covs.shape[:2]), covs), reference)
     grid = feats[:-1]
     model = build_model(grid, y, pairwise_distances(grid), UNIT_SE)
     return float(gp_predict(model, feats[-1]).mean[0])

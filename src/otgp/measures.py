@@ -19,32 +19,51 @@ SYMMETRY_RTOL = 1e-12
 WEIGHT_SUM_TOL = 1e-9
 
 
+def as_floats(value, what: str, item: int | None = None) -> np.ndarray:
+    """value as a float array; ValidationError if it is ragged or not numeric."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} is not a numeric array", item) from None
+
+
 def validate_spd(matrix) -> np.ndarray:
-    """Check symmetry and positive definiteness; return the symmetrized matrix.
+    """Check symmetry and positive definiteness of a (d, d) matrix or of each
+    matrix of an (n, d, d) stack; return the symmetrized matrix or stack.
 
-    Raises NotSymmetric if the relative asymmetry exceeds 1e-12 and
-    NotPositiveDefinite if the smallest eigenvalue is <= 0.
+    Each matrix must be finite and nonzero; NotSymmetric if its relative
+    asymmetry exceeds 1e-12 and NotPositiveDefinite if its smallest
+    eigenvalue is <= 0. On a stack the error names the first failing matrix
+    and gives that matrix's first failing check; one batched eigvalsh makes
+    the per-matrix LAPACK call, so a matrix checks alike alone or stacked.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValidationError("matrix has non-finite entries")
-    scale = np.linalg.norm(m)
-    if scale == 0.0:
-        raise NotPositiveDefinite("zero matrix")
-    asym = np.linalg.norm(m - m.T) / scale
-    if asym > SYMMETRY_RTOL:
-        raise NotSymmetric(f"relative asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL}")
-    sym = 0.5 * (m + m.T)
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
-    if min_eig <= 0.0:
-        raise NotPositiveDefinite(f"minimum eigenvalue {min_eig:.3e} is not positive")
-    return sym
+    m = as_floats(matrix, "matrix")
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
+        raise ValidationError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    stack = m.reshape(-1, *m.shape[-2:])
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    stack = np.where(finite[:, None, None], stack, 0.0)  # non-finite ones fail first anyway
+    scale = np.linalg.norm(stack, axis=(1, 2))
+    zero = scale == 0.0
+    asym = np.linalg.norm(stack - stack.swapaxes(1, 2), axis=(1, 2)) / np.where(zero, 1.0, scale)
+    sym = 0.5 * (stack + stack.swapaxes(1, 2))
+    min_eig = np.linalg.eigvalsh(sym)[:, 0]
+    failed = ~finite | zero | (asym > SYMMETRY_RTOL) | (min_eig <= 0.0)
+    if failed.any():
+        k = int(np.argmax(failed))
+        item = k if m.ndim == 3 else None
+        if not finite[k]:
+            raise ValidationError("matrix has non-finite entries", item)
+        if zero[k]:
+            raise NotPositiveDefinite("zero matrix", item)
+        if asym[k] > SYMMETRY_RTOL:
+            raise NotSymmetric(f"relative asymmetry {asym[k]:.3e} exceeds {SYMMETRY_RTOL}", item)
+        raise NotPositiveDefinite(f"minimum eigenvalue {min_eig[k]:.3e} is not positive", item)
+    return sym.reshape(m.shape)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _frozen(a, what: str) -> np.ndarray:
+    a = as_floats(a, what).copy()
     a.flags.writeable = False
     return a
 
@@ -57,9 +76,9 @@ class GaussianMeasure:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = _frozen(np.atleast_1d(self.mean))
-        cov = _frozen(validate_spd(self.cov))
-        if mean.ndim != 1 or mean.shape[0] != cov.shape[0]:
+        mean = np.atleast_1d(_frozen(self.mean, "mean"))
+        cov = _frozen(validate_spd(self.cov), "cov")
+        if mean.ndim != 1 or cov.ndim != 2 or mean.shape[0] != cov.shape[0]:
             raise ValidationError(
                 f"mean of length {mean.shape} does not match cov {cov.shape}")
         if not np.all(np.isfinite(mean)):
@@ -75,6 +94,31 @@ class GaussianMeasure:
         return np.array_equal(self.mean, other.mean) and np.array_equal(self.cov, other.cov)
 
 
+def gaussian_measures(means, covs) -> list[GaussianMeasure]:
+    """GaussianMeasures of an (n, d) stack of means and an (n, d, d) stack of
+    covariances, given the checks GaussianMeasure makes on one measure once
+    for the whole stacks; each holds read-only row views of them. An error
+    names the first failing item."""
+    means, covs = as_floats(means, "means"), as_floats(covs, "covariances")
+    if means.ndim != 2 or covs.ndim != 3 or covs.shape[:2] != means.shape:
+        raise ValidationError(
+            f"means of shape {means.shape} do not match covariances of shape {covs.shape}")
+    bad = ~np.isfinite(means).all(axis=1)
+    k = int(np.argmax(bad)) if bad.any() else len(means)
+    covs = validate_spd(covs[:k + 1])  # item k's covariance is checked before its mean
+    if k < len(means):
+        raise ValidationError("mean has non-finite entries", k)
+    means = means.copy()
+    means.flags.writeable = covs.flags.writeable = False
+    out = []
+    for mean, cov in zip(means, covs):
+        measure = object.__new__(GaussianMeasure)  # checked above; skip __post_init__
+        object.__setattr__(measure, "mean", mean)
+        object.__setattr__(measure, "cov", cov)
+        out.append(measure)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class GridDensity:
     """Probability weights on the regular G x G grid over [0,1]^2."""
@@ -83,7 +127,7 @@ class GridDensity:
     grid_size: int = field(init=False)
 
     def __post_init__(self):
-        w = _frozen(self.weights)
+        w = _frozen(self.weights, "weights")
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValidationError(f"weights must be square, got shape {w.shape}")
         if not np.all(np.isfinite(w)):
@@ -123,7 +167,7 @@ class EmpiricalSample:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = _frozen(np.atleast_2d(self.points))
+        pts = np.atleast_2d(_frozen(self.points, "points"))
         if pts.shape[0] < 1:
             raise ValidationError("need at least one support point")
         if not np.all(np.isfinite(pts)):
@@ -145,7 +189,7 @@ class DiskConfig:
     def __post_init__(self):
         if not (self.radius > 0.0):
             raise ValidationError(f"radius must be positive, got {self.radius}")
-        c = _frozen(np.atleast_2d(self.centers))
+        c = np.atleast_2d(_frozen(self.centers, "centers"))
         if c.shape[1] != 2:
             raise ValidationError(f"centers must be (m, 2), got {c.shape}")
         if np.any(c < 0.0) or np.any(c > 1.0):
@@ -222,8 +266,7 @@ def sample_gaussian_population(n: int, d: int, seed,
     if n < 1 or d < 1:
         raise ValidationError("n and d must be >= 1")
     covs = gaussian_cov_stack(n, d, make_rng(seed), entry_range)
-    zero = np.zeros(d)
-    return [GaussianMeasure(zero, c) for c in covs]
+    return gaussian_measures(np.zeros((n, d)), covs)
 
 
 def regression_response(mean: np.ndarray, sigma: float) -> float:
@@ -239,8 +282,7 @@ def sample_regression_gaussians(n: int, seed) -> list[tuple[GaussianMeasure, flo
     rng = make_rng(seed)
     means = rng.uniform(0.2, 0.8, size=(n, 2))
     sigmas = rng.uniform(1e-4, 4e-4, size=n)
-    out = []
-    for m, s in zip(means, sigmas):
-        measure = GaussianMeasure(m, s**2 * np.eye(2))
-        out.append((measure, regression_response(m, s)))
-    return out
+    # float_power is the libm pow of the scalar s**2 these draws always used;
+    # sigmas**2 squares, which differs in the last bit on about 0.1% of draws
+    measures = gaussian_measures(means, np.float_power(sigmas, 2)[:, None, None] * np.eye(2))
+    return [(x, regression_response(m, s)) for x, m, s in zip(measures, means, sigmas)]

@@ -106,6 +106,8 @@ def sqrtm_spd(s) -> tuple[np.ndarray, np.ndarray]:
     Eigenvalues are floored at 1e-12 times the largest to absorb round-off.
     """
     sym = validate_spd(s)
+    if sym.ndim != 2:
+        raise ValidationError(f"expected one matrix, got a stack of shape {sym.shape}")
     w, v = np.linalg.eigh(sym)
     w = np.maximum(w, EIG_FLOOR_RTOL * w[-1])
     root = (v * np.sqrt(w)) @ v.T

@@ -52,6 +52,19 @@ class TestGaussianBarycenter:
         rep = gaussian_barycenter([s1, s2], weights=[0.0, 1.0])
         np.testing.assert_allclose(rep.result, s2, atol=1e-8)
 
+    def test_stack_error_names_the_item(self):
+        s = np.diag([1.0, 2.0])
+        with pytest.raises(ValidationError, match=r"^item 2: minimum eigenvalue"):
+            gaussian_barycenter([s, s, -s, s])
+
+    def test_empty_family_is_validation_error(self):
+        with pytest.raises(ValidationError, match="at least one"):
+            gaussian_barycenter_measure([])
+
+    def test_one_matrix_is_not_a_stack(self):
+        with pytest.raises(ValidationError, match="stack"):
+            gaussian_barycenter(np.eye(2))
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)
         covs = [random_spd(rng, 3) for _ in range(6)]

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -7,7 +8,9 @@ import numpy as np
 
 import otgp
 from otgp import dataio
+from otgp.barycenter import gaussian_barycenter_measure
 from otgp.cli import main
+from otgp.kernels import KernelParams, embed_gaussians, gram_matrix
 from otgp.measures import GaussianMeasure, GridDensity
 
 
@@ -68,6 +71,11 @@ class TestBarycenterCommand:
         code = main(["barycenter", "--input", str(bad), "--out", str(out)])
         assert code == 2
 
+    def test_empty_gaussian_set_is_validation_error(self, tmp_path):
+        src = tmp_path / "set.json"
+        src.write_text(json.dumps({"dim": 2, "items": []}))
+        assert main(["barycenter", "--input", str(src), "--out", str(tmp_path / "o")]) == 2
+
 
 class TestKernelMatrixCommand:
     def test_gaussian_gram(self, tmp_path):
@@ -80,6 +88,18 @@ class TestKernelMatrixCommand:
         assert gram.shape == (5, 5)
         np.testing.assert_allclose(gram, gram.T)
         np.testing.assert_allclose(np.diag(gram), 1.001)
+
+    def test_gram_file_is_what_savetxt_writes(self, tmp_path):
+        src = tmp_path / "set.json"
+        ms = write_gaussian_set(src, n=9)
+        out = tmp_path / "gram.csv"
+        assert main(["kernel-matrix", "--input", str(src),
+                     "--theta", "1.3,0.7,1.5,0.001", "--out", str(out)]) == 0
+        bary, _ = gaussian_barycenter_measure(ms)
+        gram = gram_matrix(embed_gaussians(ms, bary), KernelParams(1.3, 0.7, 1.5, 0.001))
+        buf = io.BytesIO()
+        np.savetxt(buf, gram, fmt="%.17g", delimiter=",")
+        assert out.read_bytes() == buf.getvalue()
 
     def test_reference_file(self, tmp_path):
         src = tmp_path / "set.json"
@@ -105,6 +125,23 @@ class TestKernelMatrixCommand:
                      "--theta", "1,1", "--out", str(tmp_path / "g.csv")])
         assert code == 2
 
+    def test_non_numeric_theta_is_validation_error(self, tmp_path, capsys):
+        src = tmp_path / "set.json"
+        write_gaussian_set(src)
+        code = main(["kernel-matrix", "--input", str(src),
+                     "--theta", "a,1,1,0", "--out", str(tmp_path / "g.csv")])
+        assert code == 2
+        assert "'a,1,1,0'" in capsys.readouterr().err
+
+    def test_mixed_dimension_set_is_validation_error(self, tmp_path, capsys):
+        src = tmp_path / "set.json"
+        items = [{"mean": [0.5, 0.5], "cov": (0.02 * np.eye(2)).tolist()}] * 3
+        items.append({"mean": [0.5, 0.5, 0.5], "cov": (0.02 * np.eye(3)).tolist()})
+        src.write_text(json.dumps({"items": items}))
+        code = main(["kernel-matrix", "--input", str(src),
+                     "--theta", "1,1,1,0.001", "--out", str(tmp_path / "g.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("validation error: item 3: ")
 
     def test_bad_penalty_on_grid_inputs_is_validation_error(self, tmp_path):
         src = tmp_path / "grids"
@@ -157,6 +194,15 @@ class TestFitPredictCommands:
         assert rows.shape == (12, 4)
         # training-point predictions reproduce the responses
         np.testing.assert_allclose(rows[:, 0], ys, atol=1e-6)
+
+    def test_gaussian_without_cov_is_validation_error(self, tmp_path, capsys):
+        rows = [{"input": {"kind": "gaussian", "mean": [0.5, 0.5],
+                           "cov": (0.0004 * np.eye(2)).tolist()}, "y": 1.0} for _ in range(4)]
+        del rows[2]["input"]["cov"]
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps(rows))
+        assert main(["fit", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == "validation error: item 2: missing 'cov'\n"
 
     def test_predict_refuses_model_without_version(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -1,3 +1,4 @@
+import io
 import json
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from otgp import dataio
-from otgp.errors import ReferenceMismatch, ValidationError
+from otgp.errors import NotPositiveDefinite, NotSymmetric, ReferenceMismatch, ValidationError
 from otgp.gp import gp_fit_mle, gp_predict
 from otgp.kernels import embed_gaussians, embed_grids
 from otgp.measures import DiskConfig, GaussianMeasure, GridDensity
@@ -111,6 +112,213 @@ class TestRoundTrips:
         vals = np.array([-0.5, 0.25, 3.75])
         dataio.save_eigenvalues_csv(path, vals)
         np.testing.assert_array_equal(load_eigenvalues_csv(path), vals)
+
+
+def savetxt_bytes(matrix) -> bytes:
+    buf = io.BytesIO()
+    np.savetxt(buf, matrix, fmt="%.17g", delimiter=",")
+    return buf.getvalue()
+
+
+def symmetric_with_specials(n: int, seed: int) -> np.ndarray:
+    """Symmetric matrix of mixed-sign values of many magnitudes, with 0, 1,
+    negatives, 1e-300 and the smallest subnormal 5e-324 placed symmetrically."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-20, 20, size=(n, n))
+    a = np.triu(a) + np.triu(a, 1).T
+    specials = [0.0, 1.0, -1.0, -2.5e-7, 1e-300, 5e-324, -5e-324, 0.1]
+    for value, (i, j) in zip(specials, rng.integers(n, size=(len(specials), 2))):
+        a[i, j] = a[j, i] = value
+    return a
+
+
+class TestGramCsv:
+    @pytest.mark.parametrize("n", [1, 2, 37])
+    def test_bytes_equal_savetxt(self, tmp_path, n):
+        a = symmetric_with_specials(n, seed=n)
+        path = tmp_path / "gram.csv"
+        dataio.save_gram_csv(path, a)
+        assert path.read_bytes() == savetxt_bytes(a)
+        back = dataio.read_file(path, csv=True)
+        assert back.tobytes() == a.tobytes()
+
+    def test_every_special_value(self, tmp_path):
+        values = np.array([0.0, 1.0, -1.0, -3.0, 1e-300, 5e-324, -5e-324, 1e300])
+        a = np.add.outer(values, values)  # exactly symmetric
+        a[np.diag_indices(len(values))] = values
+        path = tmp_path / "gram.csv"
+        dataio.save_gram_csv(path, a)
+        assert path.read_bytes() == savetxt_bytes(a)
+        assert dataio.read_file(path, csv=True).tobytes() == a.tobytes()
+
+    def test_asymmetric_matrix_is_refused(self, tmp_path):
+        a = symmetric_with_specials(5, seed=1)
+        a[3, 1] = np.nextafter(a[3, 1], np.inf)
+        with pytest.raises(NotSymmetric):
+            dataio.save_gram_csv(tmp_path / "gram.csv", a)
+
+    def test_signed_zero_asymmetry_is_refused(self, tmp_path):
+        # -0.0 == 0.0, but they format as "-0" and "0"
+        a = np.eye(3)
+        a[0, 2] = -0.0
+        with pytest.raises(NotSymmetric):
+            dataio.save_gram_csv(tmp_path / "gram.csv", a)
+
+    def test_non_square_matrix_is_refused(self, tmp_path):
+        with pytest.raises(ValidationError):
+            dataio.save_gram_csv(tmp_path / "gram.csv", np.ones((2, 3)))
+
+
+class TestTableCsv:
+    """The table writers format the whole table at once; the bytes are
+    those of the per-row f-string formatting they replaced."""
+
+    VALUES = np.array([0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324, 0.1, 12345.678, 1e300, -7e-9])
+
+    def test_predictions_bytes(self, tmp_path):
+        from otgp.gp import PredictionResult
+
+        rng = np.random.default_rng(3)
+        cols = [rng.permutation(self.VALUES) for _ in range(4)]
+        path = tmp_path / "preds.csv"
+        dataio.save_predictions_csv(path, PredictionResult(cols[0], cols[1], (cols[2], cols[3])))
+        rows = ["mean,variance,lo,hi"] + [f"{m:.17g},{v:.17g},{lo:.17g},{hi:.17g}"
+                                          for m, v, lo, hi in zip(*cols)]
+        assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+    def test_empty_predictions(self, tmp_path):
+        from otgp.gp import PredictionResult
+
+        path = tmp_path / "preds.csv"
+        empty = np.empty(0)
+        dataio.save_predictions_csv(path, PredictionResult(empty, empty, (empty, empty)))
+        assert path.read_bytes() == b"mean,variance,lo,hi\n"
+
+    def test_eigenvalues_bytes(self, tmp_path):
+        path = tmp_path / "eig.csv"
+        dataio.save_eigenvalues_csv(path, self.VALUES)
+        rows = ["eigenvalue"] + [f"{v:.17g}" for v in self.VALUES]
+        assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+
+def write_json(tmp_path, payload, name="bad.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return path
+
+
+GOOD = {"mean": [0.5, 0.5], "cov": [[0.01, 0.0], [0.0, 0.01]]}
+
+
+class TestMalformedJson:
+    """Well-formed JSON of the wrong shape is a ValidationError naming the
+    item, not a KeyError or a numpy ValueError."""
+
+    @pytest.mark.parametrize("payload,pattern", [
+        ({"dim": 2}, "missing 'items'"),
+        ([GOOD], "missing 'items'"),
+        ({"items": {"mean": [0.0]}}, "expected a list"),
+        ({"items": [GOOD, {"cov": GOOD["cov"]}]}, r"^item 1: missing 'mean'"),
+        ({"items": [GOOD, GOOD, {"mean": [0.5, 0.5]}]}, r"^item 2: missing 'cov'"),
+        ({"items": [GOOD, GOOD, {"mean": [0.5, 0.5, 0.5], "cov": np.eye(3).tolist()}]},
+         r"^item 2: mean of shape \(3,\) unlike item 0's \(2,\)"),
+        ({"items": [GOOD, {"mean": [0.5, 0.5], "cov": np.eye(3).tolist()}]},
+         r"^item 1: cov of shape \(3, 3\) unlike"),
+        ({"items": [GOOD, {"mean": [0.5, 0.5], "cov": [[1.0, 0.0], [0.0]]}]},
+         r"^item 1: cov is not a numeric array"),
+        ({"items": [GOOD, {"mean": ["a", 0.5], "cov": GOOD["cov"]}]},
+         r"^item 1: mean is not a numeric array"),
+        ({"items": [GOOD, {"mean": [0.5, 0.5], "cov": [[1.0, 0.0], [0.0, -1.0]]}]},
+         r"^item 1: minimum eigenvalue"),
+        ({"dim": 3, "items": [GOOD]}, "declared dim is 3"),
+    ])
+    def test_gaussian_set(self, tmp_path, payload, pattern):
+        with pytest.raises(ValidationError, match=pattern):
+            dataio.load_gaussian_set(write_json(tmp_path, payload))
+
+    def test_empty_gaussian_set(self, tmp_path):
+        assert dataio.load_gaussian_set(write_json(tmp_path, {"dim": 2, "items": []})) == []
+
+    @pytest.mark.parametrize("rows,pattern", [
+        ({"input": {}}, "expected a list of rows"),
+        ([{"y": 1.0}], r"^item 0: missing 'input'"),
+        ([{"input": {"kind": "gaussian", **GOOD}, "y": 1.0},
+          {"input": {"kind": "gaussian", **GOOD}}],
+         r"^item 1: missing 'y'"),
+        ([{"input": {"kind": "gaussian", **GOOD}, "y": "high"}], r"^item 0: y 'high' is not"),
+        ([{"input": {"kind": "gaussian", **GOOD}, "y": 1.0},
+          {"input": {"kind": "gaussian", "mean": [0.5, 0.5]}, "y": 1.0}],
+         r"^item 1: missing 'cov'"),
+        # rows 0 and 1 are grids: the failing Gaussian is named by its row
+        ([{"input": {"kind": "grid", "weights": [[1.0]]}, "y": 1.0},
+          {"input": {"kind": "grid", "weights": [[1.0]]}, "y": 1.0},
+          {"input": {"kind": "gaussian", **GOOD}, "y": 1.0},
+          {"input": {"kind": "gaussian", "mean": [0.5, 0.5], "cov": np.eye(3).tolist()},
+           "y": 1.0}],
+         r"^item 3: cov of shape"),
+        ([{"input": {"kind": "grid", "weights": [[1.0]]}, "y": 1.0},
+          {"input": {"kind": "gaussian", "mean": [0.5, 0.5], "cov": [[1.0, 2.0], [2.0, 1.0]]},
+           "y": 1.0}],
+         r"^item 1: minimum eigenvalue"),
+        ([{"input": {"kind": "gaussian", **GOOD}, "y": 1.0},
+          {"input": {"kind": "grid", "weights": [[0.5, 0.5], [0.5]]}, "y": 1.0}],
+         r"^item 1: weights is not a numeric array"),
+        ([{"input": {"kind": "gaussian", **GOOD}, "y": 1.0},
+          {"input": {"kind": "grid"}, "y": 1.0}],
+         r"^item 1: missing 'weights'"),
+    ])
+    def test_dataset(self, tmp_path, rows, pattern):
+        with pytest.raises(ValidationError, match=pattern):
+            dataio.load_dataset(write_json(tmp_path, rows))
+
+    def test_dataset_names_the_first_failing_gaussian(self, tmp_path):
+        rows = [{"input": {"kind": "gaussian", **GOOD}, "y": 1.0} for _ in range(4)]
+        rows[2]["input"]["cov"] = [[1.0, 0.0], [0.0, -1.0]]
+        with pytest.raises(NotPositiveDefinite, match=r"^item 2: "):
+            dataio.load_dataset(write_json(tmp_path, rows))
+
+    def test_dataset_without_responses(self, tmp_path):
+        rows = [{"input": {"kind": "gaussian", **GOOD}}, {"input": {"kind": "gaussian", **GOOD},
+                                                          "y": 2.0}]
+        inputs, ys = dataio.load_dataset(write_json(tmp_path, rows), require_y=False)
+        assert ys == [None, 2.0] and len(inputs) == 2
+
+    @pytest.mark.parametrize("payload,pattern", [
+        ({"kind": "gaussian", "mean": [0.5, 0.5]}, "missing 'cov'"),
+        ({"kind": "gaussian", "cov": GOOD["cov"]}, "missing 'mean'"),
+        ({"kind": "gaussian", "mean": [0.5, 0.5], "cov": [[1.0, 0.0], [0.0]]},
+         "not a numeric array"),
+        ({"kind": "grid", "weights": [[0.5, 0.5], [0.5]]}, "weights is not a numeric array"),
+        ({"kind": "disks", "radius": 0.1}, "missing 'centers'"),
+        (["gaussian"], "unknown input kind"),
+    ])
+    def test_input_from_json(self, payload, pattern):
+        with pytest.raises(ValidationError, match=pattern):
+            dataio.input_from_json(payload)
+
+    @pytest.fixture
+    def model_payload(self, tmp_path):
+        rng = np.random.default_rng(8)
+        ms = [GaussianMeasure(rng.uniform(0, 1, 2), 0.01 * np.eye(2)) for _ in range(4)]
+        model = gp_fit_mle(embed_gaussians(ms, ms[0]), rng.normal(size=4))
+        path = tmp_path / "model.json"
+        dataio.save_model(path, model)
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("edit,pattern", [
+        (lambda p: p.pop("theta"), "missing 'theta'"),
+        (lambda p: p["theta"].pop("rate"), "missing 'rate'"),
+        (lambda p: p["theta"].update(rate="fast"), "rate 'fast' is not a number"),
+        (lambda p: p.pop("y"), "missing 'y'"),
+        (lambda p: p.update(y=[1.0, [2.0]]), "y is not a numeric array"),
+        (lambda p: p.pop("kind"), "missing 'kind'"),
+        (lambda p: p["reference"].pop("cov"), "missing 'cov'"),
+        (lambda p: p.update(X=[[0.0] * 6, [0.0]]), "X is not a numeric array"),
+    ])
+    def test_model(self, tmp_path, model_payload, edit, pattern):
+        edit(model_payload)
+        with pytest.raises(ValidationError, match=pattern):
+            dataio.load_model(write_json(tmp_path, model_payload))
 
 
 class TestModelRoundTrip:

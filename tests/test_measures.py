@@ -10,11 +10,41 @@ from otgp.measures import (
     GaussianMeasure,
     GridDensity,
     disks_to_grid,
+    gaussian_measures,
     rasterize_gaussian,
     sample_gaussian_population,
     sample_regression_gaussians,
     validate_spd,
 )
+from otgp.rng import make_rng
+
+
+def matrix_of_kind(kind: str, d: int, rng) -> np.ndarray:
+    """A d x d matrix that passes validate_spd ("spd", "tiny_asym") or fails
+    one of its checks."""
+    a = rng.normal(size=(d, d))
+    spd = a @ a.T + 0.1 * np.eye(d)
+    if kind == "spd":
+        return spd
+    if kind == "tiny_asym":
+        return spd + 1e-15 * np.triu(np.ones((d, d)), 1)
+    if kind == "indefinite":
+        return spd - (np.linalg.eigvalsh(spd)[-1] + 1.0) * np.eye(d)
+    if kind == "asym":
+        return spd + (np.triu(np.ones((d, d)), 1) if d > 1 else 0.0)
+    if kind == "zero":
+        return np.zeros((d, d))
+    bad = spd.copy()
+    bad[rng.integers(d), rng.integers(d)] = np.nan if kind == "nan" else -np.inf
+    return bad
+
+
+def outcome(matrix):
+    """validate_spd's exception class on one matrix, or its result."""
+    try:
+        return validate_spd(matrix)
+    except ValidationError as exc:
+        return type(exc)
 
 
 class TestValidateSpd:
@@ -44,6 +74,11 @@ class TestValidateSpd:
         with pytest.raises(ValidationError):
             validate_spd(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("shape", [(4, 2, 3), (3,), (0, 0), (2, 0, 0), (1, 2, 2, 2)])
+    def test_neither_square_matrix_nor_stack_rejected(self, shape):
+        with pytest.raises(ValidationError, match="expected a square matrix"):
+            validate_spd(np.ones(shape))
+
     @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=40, deadline=None)
     def test_gram_constructions_accepted(self, d, seed):
@@ -51,6 +86,81 @@ class TestValidateSpd:
         a = rng.normal(size=(d, d))
         out = validate_spd(a @ a.T + 0.1 * np.eye(d))
         assert np.linalg.eigvalsh(out)[0] > 0
+
+    @given(st.integers(min_value=1, max_value=4),
+           st.lists(st.sampled_from(["spd", "spd", "tiny_asym", "indefinite", "asym",
+                                     "zero", "nan", "inf"]), min_size=1, max_size=8),
+           st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_stack_checks_each_matrix_as_alone(self, d, kinds, seed):
+        rng = np.random.default_rng(seed)
+        stack = np.stack([matrix_of_kind(k, d, rng) for k in kinds])
+        alone = [outcome(m) for m in stack]
+        failing = [k for k, o in enumerate(alone) if isinstance(o, type)]
+        if not failing:
+            out = validate_spd(stack)
+            assert out.view(np.uint64).tolist() == np.stack(alone).view(np.uint64).tolist()
+            return
+        with pytest.raises(ValidationError) as info:
+            validate_spd(stack)
+        assert type(info.value) is alone[failing[0]]
+        assert info.value.item == failing[0]
+        assert str(info.value).startswith(f"item {failing[0]}: ")
+
+    def test_stack_error_names_the_first_failing_item(self):
+        stack = np.stack([np.eye(2), [[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.5], [0.0, 1.0]]])
+        with pytest.raises(NotPositiveDefinite, match=r"^item 1: minimum eigenvalue"):
+            validate_spd(stack)
+
+    def test_single_matrix_error_names_no_item(self):
+        with pytest.raises(NotSymmetric) as info:
+            validate_spd([[1.0, 0.5], [0.0, 1.0]])
+        assert info.value.item is None
+        assert str(info.value).startswith("relative asymmetry")
+
+    def test_ragged_matrix_is_validation_error(self):
+        with pytest.raises(ValidationError, match="not a numeric array"):
+            validate_spd([[1.0, 0.0], [0.0]])
+
+
+class TestGaussianMeasures:
+    def test_matches_one_at_a_time_construction(self):
+        rng = np.random.default_rng(4)
+        means = rng.normal(size=(6, 3))
+        covs = np.stack([matrix_of_kind("tiny_asym", 3, rng) for _ in range(6)])
+        for a, (mean, cov) in zip(gaussian_measures(means, covs), zip(means, covs)):
+            b = GaussianMeasure(mean, cov)
+            assert a.mean.tobytes() == b.mean.tobytes() and a.cov.tobytes() == b.cov.tobytes()
+            assert not a.mean.flags.writeable and not a.cov.flags.writeable
+            assert a.dim == 3
+
+    def test_copies_the_means(self):
+        means = np.zeros((2, 2))
+        [a, _] = gaussian_measures(means, np.stack([np.eye(2), np.eye(2)]))
+        means[0, 0] = 5.0
+        assert a.mean[0] == 0.0
+
+    def test_error_names_the_first_failing_item(self):
+        covs = np.stack([np.eye(2), np.eye(2), -np.eye(2), np.eye(2)])
+        means = np.zeros((4, 2))
+        with pytest.raises(NotPositiveDefinite, match=r"^item 2: "):
+            gaussian_measures(means, covs)
+        means[1, 0] = np.nan
+        with pytest.raises(ValidationError, match=r"^item 1: mean has non-finite"):
+            gaussian_measures(means, covs)
+        covs[1] = -np.eye(2)  # an item's covariance is checked before its mean
+        with pytest.raises(NotPositiveDefinite, match=r"^item 1: "):
+            gaussian_measures(means, covs)
+
+    @pytest.mark.parametrize("means,covs", [
+        (np.zeros((2, 3)), np.stack([np.eye(2)] * 2)),
+        (np.zeros((3, 2)), np.stack([np.eye(2)] * 2)),
+        (np.zeros((2, 2)), np.eye(2)),
+        (np.zeros(2), np.eye(2)),
+    ])
+    def test_shapes_must_match(self, means, covs):
+        with pytest.raises(ValidationError, match="do not match"):
+            gaussian_measures(means, covs)
 
 
 class TestTypes:
@@ -61,6 +171,14 @@ class TestTypes:
     def test_gaussian_validates_cov(self):
         with pytest.raises(NotPositiveDefinite):
             GaussianMeasure([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
+
+    def test_gaussian_refuses_a_covariance_stack(self):
+        with pytest.raises(ValidationError):
+            GaussianMeasure([0.0, 0.0], np.stack([np.eye(2), np.eye(2)]))
+
+    def test_ragged_mean_is_validation_error(self):
+        with pytest.raises(ValidationError, match="mean is not a numeric array"):
+            GaussianMeasure([[0.0], [0.0, 1.0]], np.eye(2))
 
     def test_grid_weights_must_sum_to_one(self):
         with pytest.raises(ValidationError):
@@ -212,6 +330,24 @@ class TestGenerators:
         for m, y in pairs[:10]:
             s = np.sqrt(m.cov[0, 0])
             assert y == pytest.approx((m.mean[0] - m.mean[1] ** 2) / (1 + s))
+
+    def test_population_matches_one_at_a_time_construction(self):
+        from otgp.measures import gaussian_cov_stack
+
+        covs = gaussian_cov_stack(5, 3, make_rng(8))
+        for m, c in zip(sample_gaussian_population(5, 3, seed=8), covs):
+            assert m.cov.tobytes() == GaussianMeasure(np.zeros(3), c).cov.tobytes()
+
+    def test_regression_covariances_are_the_scalar_square(self):
+        # the draws the sampler has always made: s**2 * I per scalar sigma
+        # (an array square differs in the last bit on about 0.1% of them)
+        rng = make_rng(13)
+        means = rng.uniform(0.2, 0.8, size=(5000, 2))
+        sigmas = rng.uniform(1e-4, 4e-4, size=5000)
+        pairs = sample_regression_gaussians(5000, seed=13)
+        assert np.stack([m.cov for m, _ in pairs]).tobytes() == \
+            np.stack([s**2 * np.eye(2) for s in sigmas]).tobytes()
+        assert np.stack([m.mean for m, _ in pairs]).tobytes() == means.tobytes()
 
     def test_regression_deterministic(self):
         a = sample_regression_gaussians(5, seed=9)

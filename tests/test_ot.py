@@ -96,6 +96,11 @@ class TestSqrtm:
         with pytest.raises(NotPositiveDefinite):
             sqrtm_spd([[1.0, 2.0], [2.0, 1.0]])
 
+    def test_rejects_a_stack(self):
+        # validate_spd accepts (n, d, d) stacks; the root is of one matrix
+        with pytest.raises(ValidationError, match="one matrix"):
+            sqrtm_spd(np.stack([np.eye(2), np.eye(2)]))
+
 
 class TestGaussianW2:
     def test_zero_on_equal(self):
