@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotSymmetric, ReferenceMismatch, ValidationError
 from .measures import GaussianMeasure, GridDensity
-from .ot import _psd_sqrt_batch, inverse_grid_maps, sqrtm_spd
+from .ot import _psd_sqrt_batch, _spd_roots, inverse_grid_maps, sqrtm_spd
 
 # Embedding distances below this snap to exactly zero so the nugget indicator
 # fires on identical inputs despite round-off.
@@ -250,8 +250,9 @@ def naive_w2_gram(measures) -> np.ndarray:
 
     Entry for entry the same closed form as ot.gaussian_w2: each covariance
     is square-rooted once, and each pair takes the root of the argument that
-    comes second in gaussian_w2's canonical order. The Bures cross terms come
-    from one batched eigvalsh per PAIR_CHUNK pairs.
+    comes second in gaussian_w2's canonical order. The roots come from one
+    batched eigh (ot._spd_roots) of the validated covariances, and the Bures
+    cross terms from one batched eigvalsh per PAIR_CHUNK pairs.
     """
     n = len(measures)
     if len({m.dim for m in measures}) > 1:
@@ -261,7 +262,7 @@ def naive_w2_gram(measures) -> np.ndarray:
         return out
     means = np.array([m.mean for m in measures])
     covs = np.array([m.cov for m in measures])
-    roots = np.array([sqrtm_spd(c)[0] for c in covs])
+    roots, _ = _spd_roots(covs)
     traces = np.trace(covs, axis1=1, axis2=2)
     keys = [(m.mean.tobytes(), m.cov.tobytes()) for m in measures]
     rank = np.empty(n, dtype=int)

@@ -18,6 +18,10 @@ from .rng import make_rng
 SYMMETRY_RTOL = 1e-12
 WEIGHT_SUM_TOL = 1e-9
 
+# Disk-probe pairs disks_to_grid tests at once; bounds its
+# (disks, width, width) window stack.
+PROBE_CHUNK = 1 << 20
+
 
 def as_floats(value, what: str, item: int | None = None) -> np.ndarray:
     """value as a float array; ValidationError if it is ragged or not numeric."""
@@ -206,15 +210,26 @@ def disks_to_grid(cfg: DiskConfig, grid_size: int, subsamples: int = 4) -> GridD
     if grid_size < 2:
         raise ValidationError("grid_size must be >= 2")
     g, s, r = grid_size, subsamples, cfg.radius
-    ticks = (np.arange(g * s) + 0.5) / (g * s)
-    hit = np.zeros((g * s, g * s), dtype=bool)  # rows index y
-    for cx, cy in cfg.centers:
-        # only probes within radius of the center (plus one tick) can hit it
-        y, x = (slice(int(max(np.floor((c - r) * g * s - 0.5) - 1, 0)),
-                      int(min(np.ceil((c + r) * g * s - 0.5) + 2, g * s))) for c in (cy, cx))
-        hit[y, x] |= ((ticks[y] - cy) ** 2)[:, None] + ((ticks[x] - cx) ** 2)[None, :] <= r**2
+    n = g * s
+    ticks = (np.arange(n) + 0.5) / n
+    # one window of probes per disk and axis (y, x), all as wide as the
+    # widest: only probes within radius of the center (plus one tick) can
+    # hit it; the padding past a window's end is at squared distance inf
+    c = cfg.centers[:, ::-1]
+    lo = np.maximum(np.floor((c - r) * g * s - 0.5) - 1, 0).astype(int)
+    hi = np.minimum(np.ceil((c + r) * g * s - 0.5) + 2, n).astype(int)
+    idx = lo[:, :, None] + np.arange((hi - lo).max())
+    d2 = np.where(idx < hi[:, :, None], (ticks[np.minimum(idx, n - 1)] - c[:, :, None]) ** 2,
+                  np.inf)
+    hit = np.zeros(n * n, dtype=bool)  # flat probe index y * n + x
+    step = max(1, PROBE_CHUNK // idx.shape[2] ** 2)
+    for first in range(0, len(c), step):
+        (y, x), (dy, dx) = (arr[first:first + step].transpose(1, 0, 2) for arr in (idx, d2))
+        hit[(y[:, :, None] * n + x[:, None, :])[dy[:, :, None] + dx[:, None, :] <= r**2]] = True
     # collapse the s x s probe blocks back onto cells
-    counts = (hit.reshape(g, s, g, s).sum(axis=(1, 3))).astype(float)
+    probes = np.flatnonzero(hit)
+    counts = np.bincount(probes // n // s * g + probes % n // s,
+                         minlength=g * g).reshape(g, g).astype(float)
     total = counts.sum()
     if total == 0:
         raise EmptySupport("no probe point lies inside any disk")

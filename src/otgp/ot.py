@@ -100,19 +100,27 @@ def _psd_sqrt_batch(ms: np.ndarray) -> np.ndarray:
     return 0.5 * (r + np.swapaxes(r, -1, -2))
 
 
-def sqrtm_spd(s) -> tuple[np.ndarray, np.ndarray]:
-    """(root, inv_root): symmetric square root and its inverse, by eigh.
+def _spd_roots(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(roots, inv_roots): symmetric square roots of an (n, d, d) stack of
+    validated SPD matrices and their inverses, by one batched eigh.
 
-    Eigenvalues are floored at 1e-12 times the largest to absorb round-off.
+    Eigenvalues are floored at 1e-12 times each matrix's largest to absorb
+    round-off.
     """
+    w, v = np.linalg.eigh(stack)
+    w = np.sqrt(np.maximum(w, EIG_FLOOR_RTOL * w[:, -1:]))[:, None, :]
+    vt = np.swapaxes(v, 1, 2)
+    root, inv_root = (v * w) @ vt, (v / w) @ vt
+    return 0.5 * (root + np.swapaxes(root, 1, 2)), 0.5 * (inv_root + np.swapaxes(inv_root, 1, 2))
+
+
+def sqrtm_spd(s) -> tuple[np.ndarray, np.ndarray]:
+    """(root, inv_root): symmetric square root and its inverse (_spd_roots)."""
     sym = validate_spd(s)
     if sym.ndim != 2:
         raise ValidationError(f"expected one matrix, got a stack of shape {sym.shape}")
-    w, v = np.linalg.eigh(sym)
-    w = np.maximum(w, EIG_FLOOR_RTOL * w[-1])
-    root = (v * np.sqrt(w)) @ v.T
-    inv_root = (v / np.sqrt(w)) @ v.T
-    return 0.5 * (root + root.T), 0.5 * (inv_root + inv_root.T)
+    root, inv_root = _spd_roots(sym[None])
+    return root[0], inv_root[0]
 
 
 def _bures_sq(cov_a: np.ndarray, cov_b: np.ndarray) -> float:
@@ -340,22 +348,27 @@ def _sinkhorn_batch(a: GridDensity, bs: list[GridDensity], lam: float, max_iter:
             v_next = wb / (ktu + off_b)
             in_range = _in_range(u, off_a) & _in_range(v_next, off_b)
             kv = _apply(k, v_next)
-            stop = ~in_range | (np.abs(u * kv - wa).max(axis=0).max(axis=1) <= tol)
-            for j in np.flatnonzero(stop):
-                try:
-                    if in_range[j]:
-                        uj, vj = u[:, j].copy(), v_next[:, j].copy()
-                        _check_marginals(uj * kv[:, j], vj * ktu[:, j], a.weights, wb[:, j])
-                        results[live[j]] = _GridScalings(uj, vj, k, False)
-                    else:
-                        results[live[j]] = _log_sinkhorn(a.weights, wb[:, j], logk, np.log(v[:, j]),
-                                                         max_iter - it, tol)
-                except OtgpError as error:
-                    results[live[j]] = error
-            go = ~stop
-            live, wb, off_b, v, kv = live[go], wb[:, go], off_b[:, go], v_next[:, go], kv[:, go]
-            if not len(live):
-                break
+            err = u * kv
+            err -= wa
+            stop = ~in_range | (np.abs(err, out=err).max(axis=0).max(axis=1) <= tol)
+            if stop.any():
+                for j in np.flatnonzero(stop):
+                    try:
+                        if in_range[j]:
+                            uj, vj = u[:, j].copy(), v_next[:, j].copy()
+                            _check_marginals(uj * kv[:, j], vj * ktu[:, j], a.weights, wb[:, j])
+                            results[live[j]] = _GridScalings(uj, vj, k, False)
+                        else:
+                            results[live[j]] = _log_sinkhorn(a.weights, wb[:, j], logk,
+                                                             np.log(v[:, j]), max_iter - it, tol)
+                    except OtgpError as error:
+                        results[live[j]] = error
+                go = ~stop
+                if not go.any():
+                    break
+                live, wb, off_b, v_next, kv = (live[go], wb[:, go], off_b[:, go], v_next[:, go],
+                                               kv[:, go])
+            v = v_next
     return results
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otgp import measures
 from otgp.errors import EmptySupport, NotPositiveDefinite, NotSymmetric, ValidationError
 from otgp.measures import (
     DiskConfig,
@@ -288,6 +289,57 @@ class TestDisksToGrid:
         ]
         for cfg, g in cases:
             assert np.array_equal(disks_to_grid(cfg, g).weights, broadcast(cfg, g))
+
+    def test_matches_per_disk_loop(self):
+        # reference: the per-disk window loop the rasterizer replaced, same
+        # window bounds and distance arithmetic; bits and errors must agree
+        def per_disk(cfg, g, s=4):
+            r = cfg.radius
+            ticks = (np.arange(g * s) + 0.5) / (g * s)
+            hit = np.zeros((g * s, g * s), dtype=bool)
+            for cx, cy in cfg.centers:
+                y, x = (slice(int(max(np.floor((c - r) * g * s - 0.5) - 1, 0)),
+                              int(min(np.ceil((c + r) * g * s - 0.5) + 2, g * s)))
+                        for c in (cy, cx))
+                hit[y, x] |= ((ticks[y] - cy) ** 2)[:, None] + ((ticks[x] - cx) ** 2)[None, :] <= r**2
+            counts = hit.reshape(g, s, g, s).sum(axis=(1, 3)).astype(float)
+            return counts / counts.sum() if counts.sum() else None
+
+        rng = np.random.default_rng(5)
+        cases = [(DiskConfig(float(10 ** rng.uniform(-3, np.log10(0.6))),
+                             rng.uniform(0, 1, (int(rng.integers(1, 15)), 2))),
+                  int(rng.integers(2, 60)), int(rng.integers(1, 6))) for _ in range(200)]
+        cases += [
+            # border and corner centers
+            (DiskConfig(0.07, [[0.0, 0.3], [1.0, 0.6], [0.4, 0.0], [0.0, 1.0]]), 50, 4),
+            # radius 0.5 (one window spans the square) and beyond it
+            (DiskConfig(0.5, [[0.5, 0.5], [0.1, 0.9]]), 50, 4),
+            (DiskConfig(0.5, [[1.0, 1.0]]), 7, 3),
+            (DiskConfig(2.0, [[0.2, 0.7]]), 5, 4),
+            # tiny radii: a few probes, or none
+            (DiskConfig(1e-3, [[0.3, 0.3], [0.70125, 0.5]]), 200, 4),
+            (DiskConfig(1e-9, [[0.5004, 0.5004]]), 2, 4),
+            # overlaps: repeated and nearly coincident centers
+            (DiskConfig(0.1, [[0.5, 0.5], [0.5, 0.5], [0.52, 0.49], [0.5, 0.5]]), 25, 4),
+            (DiskConfig(0.05, rng.uniform(0.4, 0.6, (40, 2))), 50, 4),
+        ]
+        for cfg, g, s in cases:
+            expected = per_disk(cfg, g, s)
+            if expected is None:
+                with pytest.raises(EmptySupport):
+                    disks_to_grid(cfg, g, s)
+            else:
+                assert np.array_equal(disks_to_grid(cfg, g, s).weights, expected)
+
+    def test_chunked_windows_match_one_stack(self, monkeypatch):
+        # PROBE_CHUNK bounds the windows tested at once; any chunking gives
+        # the same bits
+        rng = np.random.default_rng(6)
+        cfg = DiskConfig(0.08, rng.uniform(0, 1, (25, 2)))
+        whole = disks_to_grid(cfg, 30).weights
+        for chunk in (1, 3000):
+            monkeypatch.setattr(measures, "PROBE_CHUNK", chunk)
+            assert np.array_equal(disks_to_grid(cfg, 30).weights, whole)
 
     def test_empty_support(self):
         # disk so small that every probe point misses it

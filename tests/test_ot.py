@@ -583,6 +583,33 @@ class TestSeparableSinkhorn:
         np.testing.assert_allclose(batched.X, rows, rtol=0, atol=1e-15)
         np.testing.assert_allclose(batched.X[5], batched.X[7], rtol=0, atol=1e-15)
 
+    def test_batch_gives_each_input_its_solo_scalings(self, seed13_regression):
+        # inputs that leave a batch at different iterations must not disturb
+        # the others: case one alternates warm and cold starts (a cold input
+        # needs more than 15 iterations, a warm one fewer), case two holds a
+        # log-domain hand-over and a grid-size split
+        grids, report = small_disks()
+        starts = [start if i % 2 else None for i, start in enumerate(report.starts(12))]
+        for mu, start in zip(grids[:2], starts[:2]):
+            if start is None:
+                with pytest.raises(NoConvergence):
+                    next(_grid_sinkhorn(report.result, [mu], 20.0, 15, 1e-9, [start]))
+            else:
+                next(_grid_sinkhorn(report.result, [mu], 20.0, 15, 1e-9, [start]))
+        _, _, bar = seed13_regression
+        inputs = self.mixed_inputs(seed13_regression)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for bar, inputs, starts in ((report.result, grids, starts),
+                                        (bar, inputs, [None] * len(inputs))):
+                batched = list(_grid_sinkhorn(bar, inputs, 20.0, 10000, 1e-9, starts))
+                for mu, start, scalings in zip(inputs, starts, batched):
+                    solo = next(_grid_sinkhorn(bar, [mu], 20.0, 10000, 1e-9, [start]))
+                    assert scalings.log_domain == solo.log_domain
+                    np.testing.assert_allclose(scalings.u, solo.u, rtol=1e-13, atol=0)
+                    np.testing.assert_allclose(scalings.v, solo.v, rtol=1e-13, atol=0)
+        assert any(s.log_domain for s in batched) and not all(s.log_domain for s in batched)
+
     @pytest.mark.parametrize("max_iter", [1, 2])
     def test_batch_raises_the_first_per_input_error(self, seed13_regression, max_iter):
         # these inputs converge in 1-3 iterations: at max_iter=2 the first
