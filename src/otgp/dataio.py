@@ -21,10 +21,11 @@ from .measures import (
     rasterize_gaussian,
 )
 
-# Model JSON schema: version 4 stores the training feature matrix X (grid
-# rows: barycentric projections, argmax cells in version 3), the reference
-# and, for grid models, the penalty lam; other versions are refused.
-MODEL_VERSION = 4
+# Model JSON schema: version 5 stores the training feature matrix X (grid
+# rows: barycentric projections of maps solved to ot.MAP_TOL; version 4
+# solved them to 1e-9, version 3 held argmax cells), the reference and, for
+# grid models, the penalty lam; other versions are refused.
+MODEL_VERSION = 5
 
 
 def read_file(path, csv: bool = False):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotSymmetric, ReferenceMismatch, ValidationError
 from .measures import GaussianMeasure, GridDensity
-from .ot import _psd_sqrt_batch, _spd_roots, inverse_grid_maps, sqrtm_spd
+from .ot import MAP_TOL, _psd_sqrt_batch, _spd_roots, inverse_grid_maps, sqrtm_spd
 
 # Embedding distances below this snap to exactly zero so the nugget indicator
 # fires on identical inputs despite round-off.
@@ -122,7 +122,7 @@ def embed_gaussians(measures, reference: GaussianMeasure) -> Embedding:
 
 
 def embed_grids(densities, reference: GridDensity, lam: float = 20.0,
-                max_iter: int = 10000, tol: float = 1e-9, starts=None) -> Embedding:
+                max_iter: int = 10000, tol: float = MAP_TOL, starts=None) -> Embedding:
     """Rows sqrt(w) * T, T from inverse_grid_maps solved from starts and w
     the normalized reference weights on its support."""
     _, _, w = reference.support()

@@ -47,6 +47,13 @@ SCALING_MAX = 1e250
 # Inputs the grid Sinkhorn iterates together as one (G, BATCH, G) stack.
 BATCH = 8
 
+# Row-marginal error at which a grid map solve stops. The barycentric
+# projection is continuous in the scalings: on the disks experiment's
+# datasets 1e-8 keeps the embedding rows within 3.4e-7 of a tol-1e-12 solve
+# and GP Q2 within 1e-6 of a 1e-9 solve, for 31% fewer kernel
+# applications; 1e-7 moves the rows and Q2 six to nine times as far.
+MAP_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class CouplingPlan:
@@ -280,13 +287,16 @@ class _GridScalings:
     The plan entry between source cell (iy, ix) and target cell (jy, jx) is
     k[ix, jx] * v[jy, jx] * k[iy, jy] * u[iy, ix], with k the axis Gibbs
     factor; cells without mass have zero scalings. In the log domain u, v
-    and k hold logarithms (-inf for no mass) and the factors add.
+    and k hold logarithms (-inf for no mass) and the factors add. In the
+    scaling domain kv is k v k.T, the plan's row sums over u, as the solve
+    computed it last; None in the log domain.
     """
 
     u: np.ndarray
     v: np.ndarray
     k: np.ndarray
     log_domain: bool
+    kv: np.ndarray | None
 
     def plan(self, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
         """Dense plan between the flat source cells src and the flat target
@@ -300,7 +310,8 @@ class _GridScalings:
         """(x, y) mean of the target cell centers under the plan row of each
         flat source cell in src; EmptyRow where that row is zero. u cancels:
         with t the target ticks, x is (k (v t[None, :]) k.T) / (k v k.T) and
-        y the same with t[:, None] (logsumexps in the log domain)."""
+        y the same with t[:, None] (logsumexps in the log domain), whose
+        denominator the scaling domain reads from kv."""
         t = (np.arange(len(self.v)) + 0.5) / len(self.v)
         if self.log_domain:
             on = np.zeros(self.u.shape, dtype=bool)
@@ -310,9 +321,9 @@ class _GridScalings:
             if np.any(den == -np.inf):  # a zero plan row has log mass -inf
                 raise EmptyRow("a retained source row carries no mass")
             return np.exp(np.column_stack([num_x, num_y]) - den[:, None])
-        products = _apply(self.k, np.stack([self.v, self.v * t, t[:, None] * self.v], axis=1))
+        products = _apply(self.k, np.stack([self.v * t, t[:, None] * self.v], axis=1))
         iy, ix = np.divmod(src, len(self.u))
-        den, num_x, num_y = products[iy, :, ix].T
+        (num_x, num_y), den = products[iy, :, ix].T, self.kv[iy, ix]
         if np.any(den <= 0.0):
             raise EmptyRow("a retained source row carries no mass")
         return np.column_stack([num_x, num_y]) / den[:, None]
@@ -355,9 +366,9 @@ def _sinkhorn_batch(a: GridDensity, bs: list[GridDensity], lam: float, max_iter:
                 for j in np.flatnonzero(stop):
                     try:
                         if in_range[j]:
-                            uj, vj = u[:, j].copy(), v_next[:, j].copy()
-                            _check_marginals(uj * kv[:, j], vj * ktu[:, j], a.weights, wb[:, j])
-                            results[live[j]] = _GridScalings(uj, vj, k, False)
+                            uj, vj, kvj = u[:, j].copy(), v_next[:, j].copy(), kv[:, j].copy()
+                            _check_marginals(uj * kvj, vj * ktu[:, j], a.weights, wb[:, j])
+                            results[live[j]] = _GridScalings(uj, vj, k, False, kvj)
                         else:
                             results[live[j]] = _log_sinkhorn(a.weights, wb[:, j], logk,
                                                              np.log(v[:, j]), max_iter - it, tol)
@@ -416,12 +427,12 @@ def _log_sinkhorn(wa: np.ndarray, wb: np.ndarray, logk: np.ndarray,
             row_sums = np.exp(f + lg)
             if np.abs(row_sums - wa).max() <= tol:
                 _check_marginals(row_sums, np.exp(g + _log_apply(logk.T, f, sb)), wa, wb)
-                return _GridScalings(f, g, logk, True)
+                return _GridScalings(f, g, logk, True, None)
     raise NoConvergence(f"marginal error above {tol} after {max_iter} iterations")
 
 
 def sinkhorn_plan(a: GridDensity, b: GridDensity, lam: float = 20.0,
-                  max_iter: int = 10000, tol: float = 1e-9) -> CouplingPlan:
+                  max_iter: int = 10000, tol: float = MAP_TOL) -> CouplingPlan:
     """Entropic OT plan between the positive-weight cells of two grid
     densities, with squared-distance cost normalized by the grid diameter."""
     src, _, wa = a.support()
@@ -431,7 +442,7 @@ def sinkhorn_plan(a: GridDensity, b: GridDensity, lam: float = 20.0,
 
 
 def inverse_grid_map(mu: GridDensity, bar: GridDensity, lam: float = 20.0,
-                     max_iter: int = 10000, tol: float = 1e-9, *,
+                     max_iter: int = 10000, tol: float = MAP_TOL, *,
                      scalings: _GridScalings | None = None,
                      bar_support: tuple | None = None) -> np.ndarray:
     """Approximate inverse transport map, built directly in the
@@ -448,7 +459,7 @@ def inverse_grid_map(mu: GridDensity, bar: GridDensity, lam: float = 20.0,
 
 
 def inverse_grid_maps(mus, bar: GridDensity, lam: float = 20.0, max_iter: int = 10000,
-                      tol: float = 1e-9, starts=None):
+                      tol: float = MAP_TOL, starts=None):
     """Yield inverse_grid_map(mu, bar) for each density of mus, in order,
     from one batched Sinkhorn solve (_grid_sinkhorn); raises the error of the
     first density that fails. starts holds a warm start or None per density,

@@ -371,7 +371,7 @@ class TestModelRoundTrip:
         with pytest.raises(ReferenceMismatch):
             gp_predict(back, embed_grids(densities[:1], bar, lam=20.0))
 
-    def test_version_4_stores_x_and_reference(self, tmp_path):
+    def test_version_5_stores_x_and_reference(self, tmp_path):
         rng = np.random.default_rng(7)
         reference = GaussianMeasure([0.1, 0.2], 0.01 * np.eye(2))
         ms = [GaussianMeasure(rng.uniform(0, 1, 2), 0.01 * np.eye(2)) for _ in range(5)]
@@ -379,7 +379,7 @@ class TestModelRoundTrip:
         path = tmp_path / "model.json"
         dataio.save_model(path, model)
         payload = json.loads(path.read_text())
-        assert payload["version"] == 4
+        assert payload["version"] == 5
         assert payload["reference"] == {"mean": [0.1, 0.2], "cov": reference.cov.tolist()}
         assert "lam" not in payload
         back = dataio.load_model(path)
@@ -395,6 +395,19 @@ class TestModelRoundTrip:
         dataio.save_model(path, model)
         payload = json.loads(path.read_text())
         path.write_text(json.dumps({**payload, "version": 3}))
+        with pytest.raises(ValidationError, match="refit the model"):
+            dataio.load_model(path)
+
+    def test_version_4_file_is_refused(self, tmp_path):
+        # version 4 grid rows were solved to a row-marginal error of 1e-9, not
+        # MAP_TOL, so a training input would not re-embed to its own row
+        rng = np.random.default_rng(11)
+        densities = [random_density(rng, 4) for _ in range(4)]
+        model = gp_fit_mle(embed_grids(densities, densities[0], lam=20.0), rng.normal(size=4))
+        path = tmp_path / "model.json"
+        dataio.save_model(path, model)
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, "version": 4}))
         with pytest.raises(ValidationError, match="refit the model"):
             dataio.load_model(path)
 

@@ -301,7 +301,8 @@ class TestDisksToGrid:
                 y, x = (slice(int(max(np.floor((c - r) * g * s - 0.5) - 1, 0)),
                               int(min(np.ceil((c + r) * g * s - 0.5) + 2, g * s)))
                         for c in (cy, cx))
-                hit[y, x] |= ((ticks[y] - cy) ** 2)[:, None] + ((ticks[x] - cx) ** 2)[None, :] <= r**2
+                d2 = ((ticks[y] - cy) ** 2)[:, None] + ((ticks[x] - cx) ** 2)[None, :]
+                hit[y, x] |= d2 <= r**2
             counts = hit.reshape(g, s, g, s).sum(axis=(1, 3)).astype(float)
             return counts / counts.sum() if counts.sum() else None
 
