@@ -12,9 +12,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, lapack, solve_triangular
 
-from .errors import CholeskyFailure, SizeMismatch, ZeroVarianceTruths
+from .errors import CholeskyFailure, SizeMismatch, ValidationError, ZeroVarianceTruths
 from .kernels import (
     DEFAULT_BOUNDS,
     Embedding,
@@ -38,6 +37,13 @@ SCREEN = {"L-BFGS-B": dict(ftol=1e-7, gtol=1e-4, maxiter=1000),
           "Nelder-Mead": dict(xatol=1e-3, fatol=1e-7, maxiter=4000, maxfev=4000)}
 POLISH = {"L-BFGS-B": dict(ftol=1e-13, gtol=1e-9, maxiter=1000),
           "Nelder-Mead": dict(xatol=1e-8, fatol=1e-12, maxiter=4000, maxfev=4000)}
+
+# Sobol' direction numbers of Joe & Kuo (SIAM J. Sci. Comput. 2008) for
+# dimensions 2-4, as (degree s, coefficients a, initial m_1..m_s) of each
+# primitive polynomial; dimension 1 has every m_k = 1. SOBOL_BITS as in
+# scipy.stats.qmc.Sobol, whose unscrambled lattice _sobol_lattice reproduces.
+SOBOL_DIRECTIONS = ((1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)))
+SOBOL_BITS = 30
 
 
 @dataclass
@@ -72,6 +78,8 @@ class MetricsResult:
 def chol_with_jitter(r: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of r by potrf into a new array, leaving r as it is;
     escalates a diagonal jitter on failure. A non-finite r: CholeskyFailure."""
+    from scipy.linalg import lapack
+
     l, jitter = r, 0.0
     for level in JITTER_LADDER:
         if level:  # refill the failed factor from r, jitter on the diagonal
@@ -92,6 +100,8 @@ def log_likelihood(dist: np.ndarray, y: np.ndarray, theta: KernelParams,
     1/2 tr((alpha alpha^T - R^-1) dR/dlog theta) (Rasmussen & Williams,
     GPML 2006, 5.4.1), from one Cholesky factor: alpha from potrs, R^-1 from
     potri. log_dist is fit_invariants(dist), computed here when omitted."""
+    from scipy.linalg import lapack
+
     log_dist = fit_invariants(dist) if log_dist is None else log_dist
     r, power = gram_parts(dist, theta)
     l, _ = chol_with_jitter(r)
@@ -110,13 +120,31 @@ def _exp_into_box(log_x, box: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(np.exp(log_x), box[:, 0]), box[:, 1])
 
 
+def _sobol_lattice(dim: int, n: int) -> np.ndarray:
+    """The first n points of the unscrambled Sobol' sequence in [0, 1)^dim,
+    in Gray-code order (Antonov & Saleev 1979): point i is the XOR of the
+    direction numbers at the set bits of i ^ (i >> 1)."""
+    if not 1 <= dim <= len(SOBOL_DIRECTIONS) + 1:
+        raise ValidationError(f"Sobol' lattice has dimensions 1 to {len(SOBOL_DIRECTIONS) + 1}")
+    m = [[1] * SOBOL_BITS]
+    for s, a, initial in SOBOL_DIRECTIONS[:dim - 1]:
+        mk = list(initial)
+        for k in range(s, SOBOL_BITS):  # m_k = m_{k-s} ^ 2^s m_{k-s} ^ XOR_i<s 2^i a_i m_{k-i}
+            new = mk[k - s] ^ mk[k - s] << s
+            for i in range(1, s):
+                if a >> (s - 1 - i) & 1:
+                    new ^= mk[k - i] << i
+            mk.append(new)
+        m.append(mk)
+    v = np.array(m, dtype=np.int64) << (SOBOL_BITS - 1 - np.arange(SOBOL_BITS))
+    i = np.arange(n, dtype=np.int64)
+    gray_bits = ((i ^ i >> 1)[:, None] >> np.arange(SOBOL_BITS)) & 1
+    return np.bitwise_xor.reduce(gray_bits[:, None, :] * v, axis=2) / 2.0**SOBOL_BITS
+
+
 def _multistart_points(log_box: np.ndarray, n_starts: int) -> np.ndarray:
     # deterministic Sobol lattice over the (log) box
-    from scipy.stats import qmc
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # unscrambled Sobol balance warning
-        unit = qmc.Sobol(d=len(log_box), scramble=False).random(n_starts)
+    unit = _sobol_lattice(len(log_box), n_starts)
     return log_box[:, 0] + unit * (log_box[:, 1] - log_box[:, 0])
 
 
@@ -146,6 +174,8 @@ def _minimize_in_box(objective, log_box: np.ndarray, n_starts: int = 8,
 def build_model(features, y, dist, theta, degenerate=False, clipped=False) -> GpModel:
     """GP model at fixed kernel parameters: one factorization of the
     training Gram (with jitter when needed) and alpha = R^-1 y."""
+    from scipy.linalg import lapack
+
     r = gram_from_distances(dist, theta)
     l, jitter = chol_with_jitter(r)
     alpha = lapack.dpotrs(l, y, lower=1)[0]
@@ -197,6 +227,8 @@ def loo_residuals(dist: np.ndarray, y: np.ndarray, theta: KernelParams
     """Leave-one-out residuals and predictive variances from one
     factorization: e_i = alpha_i / (R^-1)_ii, var_i = 1 / (R^-1)_ii
     (Dubrule, Math. Geology 1983), with R^-1 from potri and alpha = R^-1 y."""
+    from scipy.linalg import blas, lapack
+
     r = gram_from_distances(dist, theta)
     l, _ = chol_with_jitter(r)
     rinv = lapack.dpotri(l, lower=1, overwrite_c=1)[0]
@@ -253,6 +285,8 @@ def gp_fit_cv(features, y, bounds=DEFAULT_BOUNDS, n_starts: int = 8,
 def gp_predict(model: GpModel, features: Embedding) -> PredictionResult:
     """Posterior prediction at every row of features, with 90% intervals:
     one cross-kernel, one product with alpha and one triangular solve."""
+    from scipy.linalg import solve_triangular
+
     r = cross_kernel(features, model.features, model.theta)
     mean = r @ model.alpha
     w = solve_triangular(model.chol, r.T, lower=True)

@@ -271,11 +271,12 @@ def _apply(k: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return ((k @ stack.reshape(rows, n * cols)).reshape(-1, cols) @ k.T).reshape(len(k), n, -1)
 
 
-def _in_range(scaling: np.ndarray, off_support: np.ndarray) -> np.ndarray:
+def _in_range(scaling: np.ndarray, off_support: np.ndarray | None) -> np.ndarray:
     # per input of a (rows, inputs, columns) stack, False for NaN as well;
-    # off_support is +inf off the support and 0 on it. Reducing the rows
-    # first keeps both passes contiguous.
-    return ((scaling + off_support).min(axis=0).min(axis=1) >= SCALING_MIN) & (
+    # off_support is +inf off the support and 0 on it, None for a full
+    # support. Reducing the rows first keeps both passes contiguous.
+    on_support = scaling if off_support is None else scaling + off_support
+    return (on_support.min(axis=0).min(axis=1) >= SCALING_MIN) & (
         scaling.max(axis=0).max(axis=1) <= SCALING_MAX)
 
 
@@ -340,8 +341,10 @@ def _sinkhorn_batch(a: GridDensity, bs: list[GridDensity], lam: float, max_iter:
     ignored unless it lies in [SCALING_MIN, SCALING_MAX] on that support."""
     wa, wb = a.weights[:, None, :], np.stack([b.weights for b in bs], axis=1)
     # +inf off the supports: dividing a marginal by the kernel product plus
-    # this keeps a scaling 0 off its support, also where the product is 0
-    off_a, off_b = np.where(wa > 0, 0.0, np.inf), np.where(wb > 0, 0.0, np.inf)
+    # this keeps a scaling 0 off its support, also where the product is 0.
+    # A source support covering the grid needs no such pass (None).
+    off_a = None if (wa > 0).all() else np.where(wa > 0, 0.0, np.inf)
+    off_b = np.where(wb > 0, 0.0, np.inf)
     logk = _axis_log_kernel(a.grid_size, bs[0].grid_size, lam)
     k, v, live = np.exp(logk), (wb > 0).astype(float), np.arange(len(bs))
     for j, start in enumerate(starts):
@@ -354,7 +357,7 @@ def _sinkhorn_batch(a: GridDensity, bs: list[GridDensity], lam: float, max_iter:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         kv = _apply(k, v)
         for it in range(max_iter):
-            u = wa / (kv + off_a)
+            u = wa / (kv if off_a is None else kv + off_a)
             ktu = _apply(k.T, u)
             v_next = wb / (ktu + off_b)
             in_range = _in_range(u, off_a) & _in_range(v_next, off_b)

@@ -407,13 +407,24 @@ class TestUnreadableFiles:
                      "--out", str(tmp_path / "k.csv")]) == 2
 
 
-def test_import_defers_heavy_scipy_modules():
-    # scipy.optimize, scipy.stats and scipy.spatial load inside the
-    # functions that use them, so starting the CLI does not pay for them
-    program = ("import sys; sys.path.insert(0, sys.argv[1]); import otgp.cli; "
-               "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-               "(['scipy', 'optimize'], ['scipy', 'stats'], ['scipy', 'spatial'])))")
+def test_import_defers_heavy_scipy_modules(tmp_path):
+    # every scipy import in the package sits inside the function that uses
+    # it, so starting the CLI loads no scipy module, and diagnose-psd, which
+    # needs only numpy, loads none in either mode. A fresh interpreter, so
+    # that the test session's own imports cannot hide one.
+    gaussians, gram = tmp_path / "set.json", tmp_path / "gram.csv"
+    write_gaussian_set(gaussians)
+    np.savetxt(gram, np.eye(4), delimiter=",")
+    program = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import otgp.cli; "
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+        "print(loaded()); "
+        "assert otgp.cli.main(['diagnose-psd', '--naive-w2', sys.argv[2], '--out', sys.argv[4]]) == 0; "
+        "assert otgp.cli.main(['diagnose-psd', '--gram', sys.argv[3], '--out', sys.argv[5]]) == 0; "
+        "print(loaded())")
     src = str(Path(otgp.__file__).resolve().parent.parent)
-    done = subprocess.run([sys.executable, "-c", program, src], capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    done = subprocess.run([sys.executable, "-c", program, src, str(gaussians), str(gram),
+                           str(tmp_path / "naive"), str(tmp_path / "gram")],
+                          capture_output=True, text=True, timeout=120, check=True)
+    lines = done.stdout.strip().splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]")

@@ -8,7 +8,13 @@ from scipy.linalg import cho_solve, cholesky
 
 from otgp import gp, kernels
 from otgp.barycenter import gaussian_barycenter_measure, grid_barycenter
-from otgp.errors import CholeskyFailure, ReferenceMismatch, SizeMismatch, ZeroVarianceTruths
+from otgp.errors import (
+    CholeskyFailure,
+    ReferenceMismatch,
+    SizeMismatch,
+    ValidationError,
+    ZeroVarianceTruths,
+)
 from otgp.experiments import disk_response
 from otgp.gp import (
     GpModel,
@@ -479,6 +485,26 @@ class TestScreenedSearch:
         assert len(searched) == 2
         for screened, reference in searched:
             assert screened <= reference + 1e-9 * abs(reference)
+
+
+class TestSobolLattice:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 16, 64])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_equals_scipy_unscrambled_sobol_bitwise(self, dim, n):
+        # scipy is the oracle here only; the fitters build their starts in-package
+        from scipy.stats import qmc
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # unscrambled Sobol balance warning
+            expected = qmc.Sobol(d=dim, scramble=False).random(n)
+        lattice = gp._sobol_lattice(dim, n)
+        assert lattice.dtype == expected.dtype and lattice.shape == expected.shape
+        assert lattice.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim", [0, 5])
+    def test_dimension_outside_the_table_is_typed(self, dim):
+        with pytest.raises(ValidationError):
+            gp._sobol_lattice(dim, 8)
 
 
 class TestPredict:

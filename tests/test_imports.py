@@ -1,0 +1,56 @@
+"""Import footprint: scipy loads inside the functions that use it, and the
+fits never load scipy.stats."""
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+import otgp
+
+PACKAGE = Path(otgp.__file__).resolve().parent
+
+
+def module_level_imports(tree: ast.Module):
+    """Import statements that run when the module is imported: everything
+    outside function bodies, including if/try blocks and class bodies."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+        pending.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_scipy_at_module_level():
+    offenders = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+                 for name in module_level_imports(ast.parse(path.read_text()))
+                 if name.split(".")[0] == "scipy"]
+    assert offenders == []
+
+
+def test_scan_sees_nested_module_level_imports():
+    source = ("import numpy\ntry:\n    from scipy import linalg\nexcept ImportError:\n    pass\n"
+              "class A:\n    import scipy.stats\ndef f():\n    import scipy.optimize\n")
+    assert sorted(module_level_imports(ast.parse(source))) == ["numpy", "scipy", "scipy.stats"]
+
+
+def test_fits_do_not_load_scipy_stats():
+    # a fresh interpreter, so that the test session's own imports cannot hide one
+    program = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import numpy as np; "
+        "from otgp.gp import gp_fit_cv, gp_fit_mle; "
+        "from otgp.kernels import embed_gaussians; from otgp.measures import GaussianMeasure; "
+        "rng = np.random.default_rng(0); "
+        "ms = [GaussianMeasure(rng.uniform(size=2), rng.uniform(0.005, 0.02) * np.eye(2)) "
+        "for _ in range(12)]; x = embed_gaussians(ms, GaussianMeasure([0, 0], 0.01 * np.eye(2))); "
+        "y = np.array([np.sin(4 * m.mean[0]) + m.mean[1] for m in ms]); "
+        "gp_fit_cv(x, y); gp_fit_mle(x, y); "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+    done = subprocess.run([sys.executable, "-c", program, str(PACKAGE.parent)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
