@@ -27,7 +27,7 @@ from .kernels import (
     naive_w2_gram,
     psd_diagnostic,
 )
-from .measures import DiskConfig, GaussianMeasure, GridDensity
+from .measures import GaussianMeasure, GridDensity
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -44,8 +44,7 @@ def _load_inputs(path: str, grid_size: int):
     if isinstance(payload, dict) and "items" in payload:
         return dataio.load_gaussian_set(p)
     if isinstance(payload, list):
-        cfgs = [DiskConfig(radius=row["radius"], centers=row["centers"]) for row in payload]
-        return dataio.dataset_to_grids(cfgs, grid_size)
+        return dataio.dataset_to_grids(dataio.disk_configs(payload), grid_size)
     raise ValidationError(f"unrecognized input file {path}")
 
 

@@ -136,8 +136,23 @@ def input_from_json(payload: dict):
     if kind == "grid":
         return GridDensity(_field(payload, "weights"))
     if kind == "disks":
-        return DiskConfig(radius=_field(payload, "radius"), centers=_field(payload, "centers"))
+        return _disk(payload)
     raise ValidationError(f"unknown input kind {kind!r}")
+
+
+def _disk(record) -> DiskConfig:
+    return DiskConfig(radius=_number(_field(record, "radius"), "radius"),
+                      centers=_field(record, "centers"))
+
+
+def disk_configs(rows: list) -> list[DiskConfig]:
+    """Disk unions of a JSON list of {"radius", "centers"} rows; an error
+    names the failing row."""
+    configs = []
+    for k, row in enumerate(rows):
+        with _renumbered([k]):
+            configs.append(_disk(row))
+    return configs
 
 
 def save_dataset(path, inputs, responses) -> None:

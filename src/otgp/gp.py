@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -148,27 +149,129 @@ def _multistart_points(log_box: np.ndarray, n_starts: int) -> np.ndarray:
     return log_box[:, 0] + unit * (log_box[:, 1] - log_box[:, 0])
 
 
+class _OutOfEvaluations(Exception):
+    pass
+
+
+class _Simplex(NamedTuple):
+    """A final Nelder-Mead simplex, vertices sorted by value, best first."""
+
+    x: np.ndarray
+    fun: float  # NaN if any vertex's value is, as SciPy's np.min gives it
+    simplex: np.ndarray
+    values: np.ndarray
+    nfev: int
+
+
+def _nelder_mead(objective, start, box: np.ndarray, xatol: float, fatol: float,
+                 maxiter: int, maxfev: int) -> _Simplex:
+    """SciPy's minimize(method="Nelder-Mead", bounds=box) step for step, on
+    Python floats. start is a point, around which the default simplex is
+    built, or an (n + 1, n) simplex. Every vertex and trial point is clipped
+    into the box; vertices above it are first reflected into it. The vertices
+    are ordered by np.argsort, as SciPy orders them: NaN values go last, and
+    ties keep the order numpy's sort gives them."""
+    lo, hi = box[:, 0].tolist(), box[:, 1].tolist()
+
+    def clip(x):  # np.clip's comparisons, signed zeros included
+        return [min(h, max(l, v)) for v, l, h in zip(x, lo, hi)]
+
+    def trial(a, b):  # a xbar + b worst, clipped
+        return clip([a * c + b * w for c, w in zip(xbar, worst)])
+
+    start = np.asarray(start, dtype=float)
+    if start.ndim == 1:  # (1 + 0.05) x_k, or 0.00025 where x_k is 0
+        x0 = clip(start.tolist())
+        sim = [x0] + [x0[:k] + [(1 + 0.05) * v if v != 0 else 0.00025] + x0[k + 1:]
+                      for k, v in enumerate(x0)]
+    else:
+        sim = start.tolist()
+    sim = [clip([2 * h - v if v > h else v for v, h in zip(x, hi)]) for x in sim]
+    n = len(sim) - 1
+    values = [math.inf] * (n + 1)
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _OutOfEvaluations
+        nfev += 1
+        return float(objective(np.array(x)))
+
+    def ordered():
+        order = np.argsort(values).tolist()
+        return [sim[i] for i in order], [values[i] for i in order]
+
+    try:
+        for k in range(n + 1):
+            values[k] = f(sim[k])
+    except _OutOfEvaluations:
+        pass
+    sim, values = ordered()
+    sim, values = ordered()  # SciPy sorts twice here; numpy's sort may swap ties
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        best, worst = sim[0], sim[-1]
+        if (all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best))
+                and all(abs(values[0] - v) <= fatol for v in values[1:])):
+            break
+        xbar = best
+        for x in sim[1:-1]:  # summed in order, as np.add.reduce sums the rows
+            xbar = [s + v for s, v in zip(xbar, x)]
+        xbar = [s / n for s in xbar]
+        try:
+            xr = trial(2, -1)
+            fxr = f(xr)
+            if fxr < values[0]:  # expand
+                xe = trial(3, -2)
+                fxe = f(xe)
+                sim[-1], values[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < values[-2]:  # reflect
+                sim[-1], values[-1] = xr, fxr
+            else:  # contract outside or inside, else shrink towards the best
+                outside = fxr < values[-1]
+                xc = trial(1.5, -0.5) if outside else trial(0.5, 0.5)
+                fxc = f(xc)
+                if (fxc <= fxr) if outside else (fxc < values[-1]):
+                    sim[-1], values[-1] = xc, fxc
+                else:  # a vertex moves before its evaluation, so a budget that
+                    # runs out here leaves it moved with its old value
+                    for j in range(1, n + 1):
+                        sim[j] = clip([b + 0.5 * (v - b) for b, v in zip(best, sim[j])])
+                        values[j] = f(sim[j])
+            iterations += 1
+        except _OutOfEvaluations:
+            pass
+        sim, values = ordered()
+    return _Simplex(np.array(sim[0]), float(np.min(values)), np.array(sim), np.array(values), nfev)
+
+
 def _minimize_in_box(objective, log_box: np.ndarray, n_starts: int = 8,
                      gradient: bool = False):
     """Bounded local search from every Sobol start to the loose SCREEN
     tolerances, then from the best screened result on to the tight POLISH
-    ones (Rinnooy Kan & Timmer, Math. Programming 1987): L-BFGS-B restarted
-    from its point when the objective returns (value, gradient), Nelder-Mead
-    continued from its final simplex when it returns the value alone. About
-    half the evaluations of a tight search from every start, and the same
-    best value within 4.1e-10 relative on gaussian-regression datasets."""
-    from scipy.optimize import minimize
+    ones (Rinnooy Kan & Timmer, Math. Programming 1987): SciPy's L-BFGS-B
+    restarted from its point when the objective returns (value, gradient),
+    the in-package copy of SciPy's Nelder-Mead (_nelder_mead, equal to it bit
+    for bit) continued from its final simplex when it returns the value
+    alone, so that only the gradient fit loads scipy.optimize. About half the
+    evaluations of a tight search from every start, and the same best value
+    within 4.1e-10 relative on gaussian-regression datasets. The result has
+    the best point .x and its value .fun."""
+    if gradient:
+        from scipy.optimize import minimize
+
+        def search(start, **options):
+            return minimize(objective, start, method="L-BFGS-B", jac=True,
+                            bounds=list(map(tuple, log_box)), options=options)
+    else:
+        def search(start, **options):
+            return _nelder_mead(objective, start, log_box, **options)
 
     method = "L-BFGS-B" if gradient else "Nelder-Mead"
-
-    def search(x0, **options):
-        return minimize(objective, x0, method=method, jac=gradient,
-                        bounds=list(map(tuple, log_box)), options=options)
-
     best = min((search(x0, **SCREEN[method]) for x0 in _multistart_points(log_box, n_starts)),
                key=lambda res: res.fun)  # the first of equal values
-    simplex = {} if gradient else {"initial_simplex": best.final_simplex[0]}
-    return search(best.x, **simplex, **POLISH[method])
+    return search(best.x if gradient else best.simplex, **POLISH[method])
 
 
 def build_model(features, y, dist, theta, degenerate=False, clipped=False) -> GpModel:

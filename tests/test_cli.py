@@ -149,6 +149,27 @@ class TestKernelMatrixCommand:
         assert main(["kernel-matrix", "--input", str(src), "--theta", "1,1,1,0.001",
                      "--lam", "0", "--out", str(tmp_path / "k.csv")]) == 2
 
+    def disk_list_error(self, tmp_path, capsys, rows) -> str:
+        src = tmp_path / "d.json"
+        src.write_text(json.dumps(rows))
+        code = main(["kernel-matrix", "--input", str(src), "--theta", "1,1,1,0.001",
+                     "--out", str(tmp_path / "g.csv")])
+        assert code == 2
+        return capsys.readouterr().err
+
+    def test_disk_row_without_radius_is_validation_error(self, tmp_path, capsys):
+        err = self.disk_list_error(tmp_path, capsys, [{"centers": [[0.5, 0.5]]}])
+        assert err == "validation error: item 0: missing 'radius'\n"
+
+    def test_disk_row_not_an_object_is_validation_error(self, tmp_path, capsys):
+        ok = {"radius": 0.1, "centers": [[0.5, 0.5]]}
+        err = self.disk_list_error(tmp_path, capsys, [ok, [1, 2]])
+        assert err == "validation error: item 1: missing 'radius'\n"
+
+    def test_non_numeric_disk_radius_is_validation_error(self, tmp_path, capsys):
+        err = self.disk_list_error(tmp_path, capsys, [{"radius": "x", "centers": [[0.5, 0.5]]}])
+        assert err == "validation error: item 0: radius 'x' is not a number\n"
+
 
 class TestDiagnosePsdCommand:
     def test_naive_w2_reports_negatives(self, tmp_path):

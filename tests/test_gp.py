@@ -464,6 +464,124 @@ class TestFitCv:
                                    model_b.theta.as_array(), rtol=1e-5)
 
 
+def scipy_nelder_mead(objective, start, log_box, **options):
+    """The oracle: SciPy's bounded Nelder-Mead from a point or a simplex."""
+    from scipy.optimize import minimize
+
+    start = np.asarray(start, dtype=float)
+    if start.ndim == 2:
+        options, start = {**options, "initial_simplex": start}, start[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a start outside the box, clipped into it
+        return minimize(objective, start, method="Nelder-Mead",
+                        bounds=list(map(tuple, log_box)), options=options)
+
+
+def assert_nelder_mead_equals_scipy(objective, start, log_box, **options):
+    """The same final simplex, sorted values and evaluation count, bit for bit."""
+    ours = gp._nelder_mead(objective, start, log_box, **options)
+    reference = scipy_nelder_mead(objective, start, log_box, **options)
+    simplex, values = reference.final_simplex
+    assert ours.simplex.tobytes() == simplex.tobytes()
+    assert ours.values.tobytes() == values.tobytes()
+    assert ours.nfev == reference.nfev
+    assert np.array(ours.fun).tobytes() == np.array(reference.fun).tobytes()
+    assert ours.x.tobytes() == reference.x.tobytes()
+    return ours
+
+
+# a box that holds 0 on its first two axes, so a start can have a zero coordinate
+ORACLE_BOX = np.array([[-2.0, 3.0], [-1.0, 1.0], [0.5, 4.0]])
+ORACLE_CENTER = np.array([0.7, -0.3, 1.9])
+
+
+def bowl(x):
+    return float((((x - ORACLE_CENTER) * [1.0, 3.0, 0.5]) ** 2).sum())
+
+
+def failing_above(x):  # 1e15, as the fitters return on a Cholesky failure
+    return 1e15 if x[0] > 1.2 else bowl(x)
+
+
+def nan_above(x):
+    return math.nan if x[1] > 0.2 else bowl(x)
+
+
+def coarse(x):  # many tied values
+    return round(bowl(x), 1)
+
+
+def default_simplex(start):  # inside ORACLE_BOX, so neither reflected nor clipped
+    return [start] + [np.where(np.arange(3) == k, 1.05 * start, start) for k in range(3)]
+
+
+class TestNelderMead:
+    @pytest.mark.parametrize("seed", range(1000, 1010))
+    def test_cv_search_equals_scipy_bitwise(self, seed, monkeypatch):
+        # every screened start and the polish from the best final simplex,
+        # on the objective gp_fit_cv hands to the search
+        searches = []
+        minimize_in_box = gp._minimize_in_box
+
+        def recording(objective, log_box, n_starts=8, gradient=False):
+            searches.append((objective, log_box))
+            return minimize_in_box(objective, log_box, n_starts, gradient)
+
+        monkeypatch.setattr(gp, "_minimize_in_box", recording)
+        gp_fit_cv(*regression_training_set(seed))
+        [(objective, log_box)] = searches
+        screened = [assert_nelder_mead_equals_scipy(objective, x0, log_box,
+                                                    **gp.SCREEN["Nelder-Mead"])
+                    for x0 in gp._multistart_points(log_box, 8)]
+        best = min(screened, key=lambda res: res.fun)
+        assert_nelder_mead_equals_scipy(objective, best.simplex, log_box,
+                                        **gp.POLISH["Nelder-Mead"])
+
+    @pytest.mark.parametrize("objective", [bowl, failing_above, nan_above, coarse])
+    @pytest.mark.parametrize("start", [
+        [0.3, -0.6, 1.0],
+        [0.3, 0.0, 1.0],  # a zero coordinate: that vertex steps to 0.00025
+        [2.99, 0.98, 3.97],  # 1.05 x_k leaves the box and is reflected into it
+        [5.0, -3.0, 0.1],  # outside the box: clipped first
+    ])
+    @pytest.mark.parametrize("budget", [
+        {}, {"maxfev": 5}, {"maxfev": 7}, {"maxfev": 12},
+        {"maxiter": 5}, {"maxiter": 7}, {"maxiter": 12},
+    ])
+    def test_equals_scipy_bitwise(self, objective, start, budget):
+        options = {**gp.SCREEN["Nelder-Mead"], **budget}
+        screened = assert_nelder_mead_equals_scipy(objective, start, ORACLE_BOX, **options)
+        if not budget:
+            assert_nelder_mead_equals_scipy(objective, screened.simplex, ORACLE_BOX,
+                                            **gp.POLISH["Nelder-Mead"])
+
+    @pytest.mark.parametrize("tied", [(2.0, 1.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0),
+                                      (2.0, 2.0, 1.0, 0.0), (0.0, 0.0, 0.0, 0.0)])
+    def test_tied_start_values_keep_numpys_order(self, tied):
+        # numpy's default sort need not be stable (its AVX-512 argsort swaps
+        # some of these ties), and the vertex it puts first is the one every
+        # later step pivots on
+        start = np.array([0.3, -0.6, 1.0])
+        at_start = {v.tobytes(): value for v, value in zip(default_simplex(start), tied)}
+        assert_nelder_mead_equals_scipy(lambda x: at_start.get(x.tobytes(), bowl(x)), start,
+                                        ORACLE_BOX, **gp.SCREEN["Nelder-Mead"])
+
+    @pytest.mark.parametrize("maxfev", [5, 6, 7, 8, 9])
+    def test_budget_running_out_inside_a_shrink(self, maxfev):
+        # every trial point fails, so the first iteration reflects (evaluation
+        # 5), contracts (6) and shrinks the three other vertices (7-9); a
+        # vertex moves before its evaluation, so a budget of 6-8 leaves one
+        # moved vertex with its old value
+        start = np.array([0.3, -0.6, 1.0])
+        res = assert_nelder_mead_equals_scipy(
+            lambda x: 0.0 if np.array_equal(x, start) else 1e15, start, ORACLE_BOX,
+            xatol=1e-8, fatol=1e-12, maxiter=4000, maxfev=maxfev)
+        unmoved = sum(any(np.array_equal(v, u) for u in default_simplex(start))
+                      for v in res.simplex)
+        assert unmoved == {5: 4, 6: 3, 7: 2, 8: 1, 9: 1}[maxfev]
+        assert res.simplex[0].tobytes() == start.tobytes()
+
+
 class TestScreenedSearch:
     @pytest.mark.parametrize("seed", [1000, 1003, 2000])
     def test_matches_the_full_length_multistart(self, seed, monkeypatch):

@@ -54,3 +54,38 @@ def test_fits_do_not_load_scipy_stats():
     done = subprocess.run([sys.executable, "-c", program, str(PACKAGE.parent)],
                           capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_cv_fit_and_gaussian_commands_do_not_load_scipy_optimize(tmp_path):
+    # the CV fit searches with the in-package Nelder-Mead, so gp_fit_cv and
+    # the CLI's kernel-matrix, diagnose-psd --gram and fit --method cv on
+    # Gaussian inputs load no scipy.optimize; gp_fit_mle's L-BFGS-B still
+    # does, which the last line checks
+    from otgp import dataio
+    from otgp.measures import sample_regression_gaussians
+
+    pairs = sample_regression_gaussians(20, 3)
+    measures, y = [m for m, _ in pairs], [y for _, y in pairs]
+    dataio.save_gaussian_set(tmp_path / "set.json", measures)
+    dataio.save_dataset(tmp_path / "train.json", measures, y)
+    program = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import numpy as np; "
+        "from otgp import dataio; from otgp.cli import main; "
+        "from otgp.gp import gp_fit_cv, gp_fit_mle; "
+        "from otgp.kernels import embed_gaussians; "
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'optimize']); "
+        "ms, y = dataio.load_dataset(sys.argv[2] + '/train.json'); "
+        "x = embed_gaussians(ms, ms[0]); "
+        "gp_fit_cv(x, np.array(y)); print(loaded()); "
+        "d = sys.argv[2]; "
+        "assert main(['kernel-matrix', '--input', d + '/set.json', '--theta', '1,1,2,0', "
+        "'--out', d + '/gram.csv']) == 0; "
+        "assert main(['diagnose-psd', '--gram', d + '/gram.csv', '--out', d + '/psd']) == 0; "
+        "assert main(['fit', '--data', d + '/train.json', '--method', 'cv', "
+        "'--out', d + '/model.json']) == 0; "
+        "print(loaded()); "
+        "gp_fit_mle(x, np.array(y)); print('scipy.optimize' in loaded())")
+    done = subprocess.run([sys.executable, "-c", program, str(PACKAGE.parent), str(tmp_path)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    lines = done.stdout.strip().splitlines()
+    assert (lines[0], lines[-2], lines[-1]) == ("[]", "[]", "True")
