@@ -290,8 +290,8 @@ class TestMalformedJson:
          "not a numeric array"),
         ({"kind": "grid", "weights": [[0.5, 0.5], [0.5]]}, "weights is not a numeric array"),
         ({"kind": "disks", "radius": 0.1}, "missing 'centers'"),
-        ({"kind": "disks", "radius": "x", "centers": [[0.5, 0.5]]}, "radius 'x' is not a number"),
         (["gaussian"], "unknown input kind"),
+        ({"kind": "disks", "radius": "x", "centers": [[0.5, 0.5]]}, "radius 'x' is not a number"),
     ])
     def test_input_from_json(self, payload, pattern):
         with pytest.raises(ValidationError, match=pattern):
