@@ -13,6 +13,7 @@ from .kernels import (
     Embedding,
     KernelParams,
     cross_distances,
+    embed,
     embed_gaussians,
     embed_grids,
     gram_matrix,

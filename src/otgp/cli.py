@@ -19,14 +19,7 @@ from .barycenter import gaussian_barycenter_measure, grid_barycenter
 from .errors import NumericalError, ValidationError
 from .experiments import CONFIG_TYPES, RUNNERS, build_config
 from .gp import gp_fit_cv, gp_fit_mle, gp_predict
-from .kernels import (
-    KernelParams,
-    embed_gaussians,
-    embed_grids,
-    gram_matrix,
-    naive_w2_gram,
-    psd_diagnostic,
-)
+from .kernels import KernelParams, embed, gram_matrix, naive_w2_gram, psd_diagnostic
 from .measures import GaussianMeasure, GridDensity
 
 EXIT_OK = 0
@@ -57,20 +50,6 @@ def _parse_theta(text: str) -> KernelParams:
         raise ValidationError(f"theta must be 4 comma-separated numbers "
                               f"(amplitude,rate,exponent,nugget), got {text!r}")
     return KernelParams(*parts)
-
-
-def _build_features(inputs, reference=None, lam: float = 20.0):
-    kinds = {type(x) for x in [*inputs, reference] if x is not None}
-    if kinds == {GaussianMeasure}:
-        if reference is None:
-            reference, _ = gaussian_barycenter_measure(inputs)
-        return embed_gaussians(inputs, reference), reference
-    if kinds == {GridDensity}:
-        # cold solves, so that fit and predict embed a training input alike
-        if reference is None:
-            reference = grid_barycenter(inputs, lam=lam).result
-        return embed_grids(inputs, reference, lam=lam), reference
-    raise ValidationError("inputs and reference must be all Gaussian or all grids")
 
 
 def _load_reference(path: str):
@@ -104,8 +83,7 @@ def cmd_kernel_matrix(args) -> int:
     inputs = _load_inputs(args.input, args.grid_size)
     theta = _parse_theta(args.theta)
     reference = None if args.reference == "barycenter" else _load_reference(args.reference)
-    features, _ = _build_features(inputs, reference=reference, lam=args.lam)
-    gram = gram_matrix(features, theta)
+    gram = gram_matrix(embed(inputs, reference=reference, lam=args.lam, warm=False), theta)
     dataio.save_gram_csv(args.out, gram)
     print(f"{gram.shape[0]}x{gram.shape[1]} Gram matrix written to {args.out}")
     return EXIT_OK
@@ -135,7 +113,8 @@ def cmd_fit(args) -> int:
     inputs, responses = dataio.load_dataset(args.data)
     if not all(isinstance(x, GaussianMeasure) for x in inputs):
         inputs = dataio.dataset_to_grids(inputs, args.grid_size)
-    features, _ = _build_features(inputs, lam=args.lam)
+    # cold solves, so that fit and predict embed a training input alike
+    features = embed(inputs, lam=args.lam, warm=False)
     fitter = gp_fit_mle if args.method == "mle" else gp_fit_cv
     model = fitter(features, np.asarray(responses))
     dataio.save_model(args.out, model)
@@ -153,7 +132,7 @@ def cmd_predict(args) -> int:
     reference = model.features.reference
     if isinstance(reference, GridDensity):
         inputs = dataio.dataset_to_grids(inputs, reference.grid_size)
-    features, _ = _build_features(inputs, reference=reference, lam=model.features.lam)
+    features = embed(inputs, reference=reference, lam=model.features.lam)
     result = gp_predict(model, features)
     dataio.save_predictions_csv(args.out, result)
     print(f"{len(features)} predictions written to {args.out}")

@@ -238,12 +238,17 @@ def load_model(path):
     theta = KernelParams(*(_number(_field(theta, key), key)
                            for key in ("amplitude", "rate", "exponent", "nugget")))
     y = as_floats(_field(payload, "y"), "y")
-    ref = _field(payload, "reference")
-    if _field(payload, "kind") == "gaussian":
+    kind, ref, lam = _field(payload, "kind"), _field(payload, "reference"), None
+    if kind == "gaussian":
         ref = GaussianMeasure(_field(ref, "mean"), _field(ref, "cov"))
-    else:
+    elif kind == "grid":
         ref = GridDensity(_field(ref, "weights"))
-    features = Embedding(ref, as_floats(_field(payload, "X"), "X"), payload.get("lam"))
+        lam = _number(_field(payload, "lam"), "lam")
+        if not 0.0 < lam < np.inf:
+            raise ValidationError(f"lam must be finite and positive, got {lam}")
+    else:
+        raise ValidationError(f"unknown model kind {kind!r}")
+    features = Embedding(ref, as_floats(_field(payload, "X"), "X"), lam)
     if len(features) != len(y):
         raise ValidationError("model X and y differ in length")
     return build_model(features, y, pairwise_distances(features), theta,

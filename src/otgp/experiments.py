@@ -16,15 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .barycenter import gaussian_barycenter, gaussian_barycenter_measure, grid_barycenter
+from .barycenter import gaussian_barycenter
 from .baseline import fit_smoother, smoother_predict
 from .errors import ValidationError
 from .gp import build_model, gp_fit_cv, gp_fit_mle, gp_predict, metrics
 from .kernels import (
     KernelParams,
-    embed_gaussians,
-    embed_grids,
+    embed,
     gram_from_distances,
+    gram_matrix,
     naive_w2_gram,
     pairwise_distances,
     psd_diagnostic,
@@ -80,12 +80,16 @@ class ConsistencyConfig:
     out_dir: str | None = None
 
 
-def _se_gram_from_covs(covs: np.ndarray, bar_cov: np.ndarray) -> np.ndarray:
-    """Square-exponential (unit parameters) Gram over zero-mean Gaussians
-    embedded against the given barycenter covariance."""
+def _gram_and_gp_mean(covs: np.ndarray, bar_cov: np.ndarray, y) -> tuple[np.ndarray, float]:
+    """Zero-mean Gaussians embedded against N(0, bar_cov): the unit
+    square-exponential Gram of all but the last, and the mean at the last of
+    the GP through y on the others."""
     reference = GaussianMeasure(np.zeros(covs.shape[-1]), bar_cov)
-    feats = embed_gaussians(gaussian_measures(np.zeros(covs.shape[:2]), covs), reference)
-    return gram_from_distances(pairwise_distances(feats), UNIT_SE)
+    feats = embed(gaussian_measures(np.zeros(covs.shape[:2]), covs), reference=reference)
+    grid = feats[:-1]
+    dist = pairwise_distances(grid)
+    model = build_model(grid, y, dist, UNIT_SE)
+    return gram_from_distances(dist, UNIT_SE), float(gp_predict(model, feats[-1]).mean[0])
 
 
 def run_consistency(cfg: ConsistencyConfig) -> dict:
@@ -111,9 +115,9 @@ def run_consistency(cfg: ConsistencyConfig) -> dict:
         grid_idx = grid_rng.choice(cfg.population, size=cfg.grid_points, replace=False)
         test_idx = grid_rng.choice(
             np.setdiff1d(np.arange(cfg.population), grid_idx), size=1)[0]
-        m_true = _se_gram_from_covs(pop[grid_idx], bar_true)
+        covs = pop[np.append(grid_idx, test_idx)]
         y = y_rng.standard_normal(cfg.grid_points)
-        mean_true = _gp_mean_at(pop, grid_idx, test_idx, bar_true, y)
+        m_true, mean_true = _gram_and_gp_mean(covs, bar_true, y)
 
         errors = {}
         pred_gaps = {}
@@ -122,10 +126,9 @@ def run_consistency(cfg: ConsistencyConfig) -> dict:
             for r in range(cfg.replicates):
                 child = make_rng((seed, ni, r))
                 idx = child.choice(cfg.population, size=n, replace=False)
-                bar_n = gaussian_barycenter(pop[idx]).result
-                m_n = _se_gram_from_covs(pop[grid_idx], bar_n)
+                m_n, mean_n = _gram_and_gp_mean(covs, gaussian_barycenter(pop[idx]).result, y)
                 errs.append(float(np.linalg.norm(m_n - m_true)))
-                gaps.append(abs(_gp_mean_at(pop, grid_idx, test_idx, bar_n, y) - mean_true))
+                gaps.append(abs(mean_n - mean_true))
             errors[n] = errs
             pred_gaps[n] = gaps
         per_seed[seed] = {
@@ -157,15 +160,6 @@ def run_consistency(cfg: ConsistencyConfig) -> dict:
         write_report(cfg.out_dir, report, time.time() - t0)
         _write_series_csv(Path(cfg.out_dir) / "errors.csv", cfg.n_grid, pooled)
     return report
-
-
-def _gp_mean_at(pop, grid_idx, test_idx, bar_cov, y) -> float:
-    covs = pop[np.append(grid_idx, test_idx)]
-    reference = GaussianMeasure(np.zeros(pop.shape[-1]), bar_cov)
-    feats = embed_gaussians(gaussian_measures(np.zeros(covs.shape[:2]), covs), reference)
-    grid = feats[:-1]
-    model = build_model(grid, y, pairwise_distances(grid), UNIT_SE)
-    return float(gp_predict(model, feats[-1]).mean[0])
 
 
 def _write_series_csv(path, ns, values) -> None:
@@ -208,13 +202,7 @@ def run_gaussian_regression(cfg: RegressionConfig) -> dict:
         te = slice(cfg.n_train, cfg.n_total)
         y_train, y_test = responses[tr], responses[te]
         grids = [rasterize_gaussian(m, cfg.grid_size) for m in measures]
-
-        if cfg.grid_path:
-            bar = grid_barycenter(grids[tr], lam=cfg.lam)
-            feats = embed_grids(grids, bar.result, lam=cfg.lam, starts=bar.starts(len(grids)))
-        else:
-            reference, _ = gaussian_barycenter_measure(measures[tr])
-            feats = embed_gaussians(measures, reference)
+        feats = embed(grids if cfg.grid_path else measures, cfg.n_train, lam=cfg.lam)
         train_feats, test_feats = feats[tr], feats[te]
 
         row, fits[str(seed)] = {}, {}
@@ -291,11 +279,7 @@ def run_psd_diagnostic(cfg: PsdConfig) -> dict:
         measures = sample_gaussian_population(cfg.n_points, 2, (seed, 0),
                                               entry_range=cfg.entry_range)
         naive = psd_diagnostic(naive_w2_gram(measures), tol=cfg.naive_tol)
-
-        bar = gaussian_barycenter([m.cov for m in measures]).result
-        embed = psd_diagnostic(
-            _se_gram_from_covs(np.stack([m.cov for m in measures]), bar),
-            tol=cfg.embed_tol)
+        embedded = psd_diagnostic(gram_matrix(embed(measures), UNIT_SE), tol=cfg.embed_tol)
 
         oned = sample_gaussian_population(cfg.n_points, 1, (seed, 1),
                                           entry_range=cfg.entry_range)
@@ -305,12 +289,12 @@ def run_psd_diagnostic(cfg: PsdConfig) -> dict:
             "naive_negatives": naive.negatives,
             "naive_min_eig": naive.min_eigenvalue,
             "naive_max_abs_eig": naive.max_abs_eigenvalue,
-            "embed_negatives": embed.negatives,
-            "embed_min_eig": embed.min_eigenvalue,
-            "embed_max_abs_eig": embed.max_abs_eigenvalue,
+            "embed_negatives": embedded.negatives,
+            "embed_min_eig": embedded.min_eigenvalue,
+            "embed_max_abs_eig": embedded.max_abs_eigenvalue,
             "naive_1d_negatives": naive_1d.negatives,
         }
-        spectra[seed] = {"naive": naive.eigenvalues, "embed": embed.eigenvalues}
+        spectra[seed] = {"naive": naive.eigenvalues, "embed": embedded.eigenvalues}
 
     report = {
         "experiment": "psd",
@@ -374,8 +358,7 @@ def run_disks(cfg: DisksConfig) -> dict:
         responses = np.array([disk_response(g) for g in grids])
         tr, te = slice(0, cfg.n_train), slice(cfg.n_train, n_all)
 
-        bar = grid_barycenter(grids[tr], lam=cfg.lam)
-        feats = embed_grids(grids, bar.result, lam=cfg.lam, starts=bar.starts(len(grids)))
+        feats = embed(grids, cfg.n_train, lam=cfg.lam)
         model, means, variances = _fit_predict_gp(feats[tr], responses[tr],
                                                   feats[te], gp_fit_mle)
         m_gp = metrics(means, responses[te], variances)
@@ -390,7 +373,7 @@ def run_disks(cfg: DisksConfig) -> dict:
                    "theta": list(model.theta.as_array())},
             "smoothing": {"rmse": m_sm.rmse, "q2": m_sm.q2,
                           "bandwidth": smoother.bandwidth},
-            "barycenter_support_cells": int((bar.result.weights > 0).sum()),
+            "barycenter_support_cells": int((feats.reference.weights > 0).sum()),
         }
 
     summary = {
@@ -449,17 +432,37 @@ def build_config(name: str, seed: int, out_dir=None, overrides: dict | None = No
 
 
 def _validate_sizes(cfg) -> None:
-    """Counts and dimensions must be >= 1; rates and radii positive."""
+    """Every field holds the type of its default: flags are booleans, counts
+    and dimensions integers >= 1, rates and radii finite positive numbers,
+    tuples nonempty (of the default's length unless open-ended) and checked
+    entry by entry. The sizes must also fit together."""
     for f in dataclasses.fields(cfg):
-        val = getattr(cfg, f.name)
-        if f.name in ("seed", "out_dir", "grid_path", "normalize_population"):
+        if f.name in ("seed", "out_dir"):
             continue
-        if isinstance(val, bool) or val is None:
+        val, default = getattr(cfg, f.name), f.default
+        if isinstance(default, bool):
+            if not isinstance(val, bool):
+                raise ValidationError(f"{f.name} must be true or false, got {val!r}")
             continue
-        if isinstance(val, int) and val < 1:
-            raise ValidationError(f"{f.name} must be >= 1, got {val}")
-        if isinstance(val, float) and val <= 0:
-            raise ValidationError(f"{f.name} must be positive, got {val}")
-        if (isinstance(val, tuple) and all(isinstance(v, int) for v in val)
-                and any(v < 1 for v in val)):
-            raise ValidationError(f"{f.name} entries must be >= 1, got {val}")
+        many = isinstance(default, tuple)
+        if many and not (isinstance(val, tuple) and val
+                         and ("..." in f.type or len(val) == len(default))):
+            raise ValidationError(f"{f.name} must be a list like {list(default)}, got {val!r}")
+        count = type(default[0] if many else default) is int
+        for v in val if many else (val,):
+            if isinstance(v, bool) or not isinstance(v, int if count else (int, float)):
+                raise ValidationError(
+                    f"{f.name} must be {'an integer' if count else 'a number'}, got {val!r}")
+            if count and v < 1:
+                raise ValidationError(f"{f.name} must be >= 1, got {val!r}")
+            if not count and not 0.0 < v < np.inf:
+                raise ValidationError(f"{f.name} must be finite and positive, got {val!r}")
+    if isinstance(cfg, RegressionConfig) and cfg.n_train >= cfg.n_total:
+        raise ValidationError(f"n_train must be below n_total, got {cfg.n_train} >= {cfg.n_total}")
+    if isinstance(cfg, ConsistencyConfig):
+        if max(cfg.n_grid) > cfg.population:
+            raise ValidationError(f"n_grid must not exceed population, got {cfg.n_grid} "
+                                  f"with population {cfg.population}")
+        if cfg.grid_points >= cfg.population:
+            raise ValidationError(f"grid_points must be below population, got "
+                                  f"{cfg.grid_points} >= {cfg.population}")

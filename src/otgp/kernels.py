@@ -5,7 +5,9 @@ map from a shared reference distribution. Both embeddings are explicit
 vectors (the linear-OT embedding of Wang et al., IJCV 2013), so the
 L2(reference) distance between two maps is the Euclidean distance between two
 rows of one feature matrix, and a radial positive definite function of it is
-a positive definite kernel on distributions. Also houses the parametric
+a positive definite kernel on distributions. embed is the pipeline's one
+entry point to them: a barycenter of the training inputs, then every input
+embedded against it. Also houses the parametric
 kernel used for regression, Gram assembly, the PSD spectrum diagnostic, and
 the naive exp(-W2^2) kernel used as a negative control.
 """
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .barycenter import gaussian_barycenter_measure, grid_barycenter
 from .errors import DimensionMismatch, NotSymmetric, ReferenceMismatch, ValidationError
 from .measures import GaussianMeasure, GridDensity
 from .ot import MAP_TOL, _psd_sqrt_batch, _spd_roots, inverse_grid_maps, sqrtm_spd
@@ -130,6 +133,33 @@ def embed_grids(densities, reference: GridDensity, lam: float = 20.0,
     rows = [(scale * t).ravel() for t in inverse_grid_maps(
         densities, reference, lam=lam, max_iter=max_iter, tol=tol, starts=starts)]
     return Embedding(reference, np.array(rows).reshape(len(rows), _row_width(reference)), lam)
+
+
+def embed(inputs, n_train: int | None = None, reference=None, lam: float = 20.0,
+          warm: bool = True) -> Embedding:
+    """Every input embedded against reference or, when it is None, against
+    the Wasserstein barycenter of the first n_train inputs (all of them when
+    n_train is None): closed-form maps for Gaussian inputs, entropic maps at
+    penalty lam for grid inputs. With warm, the grid maps start from the
+    input scalings of the barycenter computed here; cold solves give a
+    training input the same row as any later input."""
+    inputs = list(inputs)
+    if not inputs:
+        raise ValidationError("need at least one input")
+    if n_train is not None and not 1 <= n_train <= len(inputs):
+        raise ValidationError(f"n_train must lie in 1..{len(inputs)}, got {n_train}")
+    kinds = {type(x) for x in [*inputs, reference] if x is not None}
+    if kinds == {GaussianMeasure}:
+        if reference is None:
+            reference, _ = gaussian_barycenter_measure(inputs[:n_train])
+        return embed_gaussians(inputs, reference)
+    if kinds == {GridDensity}:
+        starts = None
+        if reference is None:
+            bar = grid_barycenter(inputs[:n_train], lam=lam)
+            reference, starts = bar.result, bar.starts(len(inputs)) if warm else None
+        return embed_grids(inputs, reference, lam=lam, starts=starts)
+    raise ValidationError("inputs and reference must be all Gaussian or all grids")
 
 
 def _snap(dist: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import otgp
 from otgp import dataio
@@ -169,6 +170,44 @@ class TestKernelMatrixCommand:
     def test_non_numeric_disk_radius_is_validation_error(self, tmp_path, capsys):
         err = self.disk_list_error(tmp_path, capsys, [{"radius": "x", "centers": [[0.5, 0.5]]}])
         assert err == "validation error: item 0: radius 'x' is not a number\n"
+
+
+class TestEmptyInputs:
+    NO_INPUT = "validation error: need at least one input\n"
+
+    @pytest.mark.parametrize("with_reference", [True, False])
+    def test_kernel_matrix(self, tmp_path, capsys, with_reference):
+        src = tmp_path / "set.json"
+        src.write_text(json.dumps({"items": []}))
+        ref = tmp_path / "ref.json"
+        dataio.save_gaussian_set(ref, [GaussianMeasure([0.5, 0.5], 0.02 * np.eye(2))])
+        out = tmp_path / "gram.csv"
+        reference = ["--reference", str(ref)] if with_reference else []
+        assert main(["kernel-matrix", "--input", str(src), "--theta", "1,1,1,0.001",
+                     *reference, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == self.NO_INPUT
+        assert not out.exists()
+
+    def test_fit(self, tmp_path, capsys):
+        data = tmp_path / "data.json"
+        data.write_text("[]")
+        assert main(["fit", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == self.NO_INPUT
+
+    def test_predict(self, tmp_path, capsys):
+        ms = write_gaussian_set(tmp_path / "set.json", n=6)
+        data = tmp_path / "data.json"
+        dataio.save_dataset(data, ms, [float(m.mean[0]) for m in ms])
+        model = tmp_path / "model.json"
+        assert main(["fit", "--data", str(data), "--out", str(model)]) == 0
+        empty = tmp_path / "empty.json"
+        empty.write_text("[]")
+        out = tmp_path / "preds.csv"
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--data", str(empty),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == self.NO_INPUT
+        assert not out.exists()
 
 
 class TestDiagnosePsdCommand:

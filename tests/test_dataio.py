@@ -315,11 +315,36 @@ class TestMalformedJson:
         (lambda p: p.pop("kind"), "missing 'kind'"),
         (lambda p: p["reference"].pop("cov"), "missing 'cov'"),
         (lambda p: p.update(X=[[0.0] * 6, [0.0]]), "X is not a numeric array"),
+        (lambda p: p.update(kind="foo"), "unknown model kind 'foo'"),
     ])
     def test_model(self, tmp_path, model_payload, edit, pattern):
         edit(model_payload)
         with pytest.raises(ValidationError, match=pattern):
             dataio.load_model(write_json(tmp_path, model_payload))
+
+    @pytest.fixture
+    def grid_model_payload(self, tmp_path):
+        rng = np.random.default_rng(10)
+        densities = [random_density(rng, 4) for _ in range(5)]
+        model = gp_fit_mle(embed_grids(densities, densities[0], lam=20.0), rng.normal(size=5))
+        path = tmp_path / "grid-model.json"
+        dataio.save_model(path, model)
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("edit,pattern", [
+        (lambda p: p.pop("lam"), "missing 'lam'"),
+        (lambda p: p.update(lam="x"), "lam 'x' is not a number"),
+        (lambda p: p.update(lam=None), "lam None is not a number"),
+        (lambda p: p.update(lam=0.0), "lam must be finite and positive, got 0.0"),
+        (lambda p: p.update(lam=-20.0), "lam must be finite and positive, got -20.0"),
+        (lambda p: p.update(lam=float("inf")), "lam must be finite and positive, got inf"),
+        (lambda p: p.update(lam=float("nan")), "lam must be finite and positive, got nan"),
+    ])
+    def test_grid_model_penalty(self, tmp_path, grid_model_payload, edit, pattern):
+        assert dataio.load_model(write_json(tmp_path, grid_model_payload)).features.lam == 20.0
+        edit(grid_model_payload)
+        with pytest.raises(ValidationError, match=pattern):
+            dataio.load_model(write_json(tmp_path, grid_model_payload))
 
 
 class TestModelRoundTrip:

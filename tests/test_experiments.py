@@ -233,3 +233,37 @@ class TestBuildConfig:
             build_config("disks", seed=1, overrides={"radius": -0.1})
         with pytest.raises(ValidationError):
             build_config("consistency", seed=1, overrides={"n_grid": [0, 10]})
+
+    @pytest.mark.parametrize("name,overrides,pattern", [
+        ("disks", {"grid_size": 12.5}, "grid_size must be an integer, got 12.5"),
+        ("gaussian-regression", {"grid_size": 12.0}, "grid_size must be an integer"),
+        ("disks", {"n_train": True}, "n_train must be an integer, got True"),
+        ("consistency", {"n_grid": [20, 80.5]}, r"n_grid must be an integer, got \(20, 80.5\)"),
+        ("consistency", {"n_grid": []}, "n_grid must be a list like"),
+        ("consistency", {"n_grid": 20}, "n_grid must be a list like"),
+        ("psd", {"entry_range": [0.1]}, "entry_range must be a list like"),
+        ("psd", {"entry_range": [0.1, "x"]}, "entry_range must be a number"),
+        ("disks", {"lam": False}, "lam must be a number, got False"),
+        ("disks", {"radius": float("inf")}, "radius must be finite and positive"),
+        ("gaussian-regression", {"grid_path": "false"},
+         "grid_path must be true or false, got 'false'"),
+        ("consistency", {"normalize_population": 0},
+         "normalize_population must be true or false, got 0"),
+        ("gaussian-regression", {"n_train": 100}, "n_train must be below n_total, got 100 >= 100"),
+        ("gaussian-regression", {"n_total": 20, "n_train": 30}, "n_train must be below n_total"),
+        ("consistency", {"population": 300}, "n_grid must not exceed population"),
+        ("consistency", {"population": 40, "n_grid": [10, 40], "grid_points": 40},
+         "grid_points must be below population, got 40 >= 40"),
+    ])
+    def test_config_that_would_misbehave_is_refused(self, name, overrides, pattern):
+        from otgp.errors import ValidationError
+
+        with pytest.raises(ValidationError, match=pattern):
+            build_config(name, seed=1, overrides=overrides)
+
+    def test_numbers_of_either_type_fill_float_fields(self):
+        cfg = build_config("disks", seed=1, overrides={"lam": 20, "radius": 0.1})
+        assert (cfg.lam, cfg.radius) == (20, 0.1)
+        cfg = build_config("consistency", seed=1, overrides={
+            "population": 40, "n_grid": [10, 40], "grid_points": 39})
+        assert cfg.n_grid == (10, 40)

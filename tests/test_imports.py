@@ -89,3 +89,40 @@ def test_cv_fit_and_gaussian_commands_do_not_load_scipy_optimize(tmp_path):
                           capture_output=True, text=True, timeout=120, check=True)
     lines = done.stdout.strip().splitlines()
     assert (lines[0], lines[-2], lines[-1]) == ("[]", "[]", "True")
+
+
+EMBEDDERS = {"embed_grids", "embed_gaussians"}
+
+
+def embedder_uses(tree: ast.Module, allowed: str | None = None):
+    """Names of the functions that refer to embed_grids or embed_gaussians,
+    by name or attribute, outside the top-level function `allowed`;
+    "<module>" for a use outside any function."""
+    pending = [(node, "<module>") for node in tree.body
+               if not (isinstance(node, ast.FunctionDef) and node.name == allowed)]
+    while pending:
+        node, owner = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            owner = getattr(node, "name", "<lambda>")
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name in EMBEDDERS:
+            yield owner
+        pending.extend((child, owner) for child in ast.iter_child_nodes(node))
+
+
+def test_only_kernels_embed_calls_the_embedders():
+    # the pipeline's barycenter-then-embed sequence lives in kernels.embed alone
+    offenders = [f"{path.name}: {owner}" for path in sorted(PACKAGE.glob("*.py"))
+                 for owner in embedder_uses(ast.parse(path.read_text()),
+                                            "embed" if path.name == "kernels.py" else None)]
+    assert offenders == []
+
+
+def test_embedder_scan_sees_every_kind_of_use():
+    source = ("from .kernels import embed_grids\nimport otgp.kernels as k\n"
+              "def embed(x):\n    return embed_grids(x)\n"
+              "def f(x):\n    return k.embed_gaussians(x)\n"
+              "class A:\n    def g(self):\n        run = embed_grids\n        return run\n"
+              "h = lambda x: embed_gaussians(x)\nTABLE = {'e': embed_grids}\n")
+    assert sorted(embedder_uses(ast.parse(source), "embed")) == ["<lambda>", "<module>", "f", "g"]
+    assert sorted(embedder_uses(ast.parse(source))) == ["<lambda>", "<module>", "embed", "f", "g"]

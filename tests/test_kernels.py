@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ortho_group
 
-from otgp.barycenter import gaussian_barycenter, grid_barycenter
+import otgp.kernels
+from otgp.barycenter import gaussian_barycenter, gaussian_barycenter_measure, grid_barycenter
 from otgp.errors import DimensionMismatch, NotSymmetric, ReferenceMismatch, ValidationError
 from otgp.kernels import (
     DEFAULT_BOUNDS,
@@ -14,6 +15,7 @@ from otgp.kernels import (
     KernelParams,
     cross_distances,
     cross_kernel,
+    embed,
     embed_gaussians,
     embed_grids,
     gram_from_distances,
@@ -148,6 +150,85 @@ class TestEmbedding:
                 diff = maps[i] - maps[j]
                 expected = math.sqrt(float((w * (diff**2).sum(axis=1)).sum()))
                 assert dist[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+def embed_inputs(kind, n, seed):
+    """n inputs of one kind: 2-D Gaussians or densities on a 6x6 grid."""
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        return [GaussianMeasure(rng.normal(size=2), random_spd(rng, 2)) for _ in range(n)]
+    return [random_density(rng, 6, lo=0.0) for _ in range(n)]
+
+
+class TestEmbed:
+    # The sequences embed replaces, written out: the reference results.
+    def test_gaussian_inputs_equal_barycenter_then_embed_gaussians(self):
+        ms = embed_inputs("gaussian", 9, 30)
+        reference, _ = gaussian_barycenter_measure(ms[:6])
+        expected = embed_gaussians(ms, reference)
+        got = embed(ms, 6)
+        np.testing.assert_array_equal(got.X, expected.X)
+        np.testing.assert_array_equal(got.reference.mean, reference.mean)
+        np.testing.assert_array_equal(got.reference.cov, reference.cov)
+        assert got.lam is None
+
+    def test_grid_inputs_equal_barycenter_then_warm_embed_grids(self):
+        ds = embed_inputs("grid", 7, 31)
+        bar = grid_barycenter(ds[:5], lam=15.0)
+        expected = embed_grids(ds, bar.result, lam=15.0, starts=bar.starts(len(ds)))
+        got = embed(ds, 5, lam=15.0)
+        np.testing.assert_array_equal(got.X, expected.X)
+        np.testing.assert_array_equal(got.reference.weights, bar.result.weights)
+        assert got.lam == 15.0
+
+    def test_cold_grid_maps_equal_embed_grids_without_starts(self):
+        ds = embed_inputs("grid", 6, 32)
+        reference = grid_barycenter(ds, lam=20.0).result
+        got = embed(ds, warm=False)
+        np.testing.assert_array_equal(got.X, embed_grids(ds, reference, lam=20.0).X)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "grid"])
+    def test_only_the_training_prefix_feeds_the_barycenter(self, kind):
+        inputs = embed_inputs(kind, 8, 33)
+        other = inputs[:4] + embed_inputs(kind, 4, 34)
+        a, b = embed(inputs, 4), embed(other, 4)
+        np.testing.assert_array_equal(a.X[:4], b.X[:4])
+        assert a.reference.same_as(b.reference)
+        assert not a.reference.same_as(embed(inputs).reference)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "grid"])
+    def test_a_given_reference_computes_no_barycenter(self, kind, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("barycenter computed")
+
+        inputs = embed_inputs(kind, 5, 35)
+        reference = embed_inputs(kind, 1, 36)[0]
+        monkeypatch.setattr(otgp.kernels, "gaussian_barycenter_measure", refuse)
+        monkeypatch.setattr(otgp.kernels, "grid_barycenter", refuse)
+        got = embed(inputs, 2, reference=reference, lam=25.0)
+        expected = (embed_gaussians(inputs, reference) if kind == "gaussian"
+                    else embed_grids(inputs, reference, lam=25.0))
+        np.testing.assert_array_equal(got.X, expected.X)
+        assert got.reference is reference
+
+    @pytest.mark.parametrize("inputs,reference", [
+        (embed_inputs("gaussian", 2, 37) + embed_inputs("grid", 1, 38), None),
+        (embed_inputs("gaussian", 2, 37), embed_inputs("grid", 1, 38)[0]),
+        (embed_inputs("grid", 2, 38), embed_inputs("gaussian", 1, 37)[0]),
+    ], ids=["mixed inputs", "grid reference", "gaussian reference"])
+    def test_mixed_kinds_are_validation_errors(self, inputs, reference):
+        with pytest.raises(ValidationError, match="all Gaussian or all grids"):
+            embed(inputs, reference=reference)
+
+    @pytest.mark.parametrize("n_train", [0, -1, 4])
+    def test_training_prefix_must_lie_in_the_inputs(self, n_train):
+        with pytest.raises(ValidationError, match=f"n_train must lie in 1..3, got {n_train}"):
+            embed(embed_inputs("gaussian", 3, 39), n_train)
+
+    @pytest.mark.parametrize("reference", [None, GaussianMeasure([0.0, 0.0], np.eye(2))])
+    def test_no_inputs_is_a_validation_error(self, reference):
+        with pytest.raises(ValidationError, match="need at least one input"):
+            embed([], reference=reference)
 
 
 class TestEmbeddingDistance:
