@@ -4,6 +4,7 @@ JSON, fitted-model JSON, Gram-matrix CSV, prediction CSV and eigenvalue CSV."""
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -47,11 +48,20 @@ def _field(record, key: str, item: int | None = None):
     return record[key]
 
 
-def _number(value, key: str, item: int | None = None) -> float:
+def _number(value, key: str, item: int | None = None, positive: bool = False) -> float:
+    """A JSON int or float as a finite float, with positive also > 0;
+    ValidationError naming key and item for anything else: booleans,
+    strings, null, NaN and infinities."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValidationError(f"{key} {value!r} is not a number", item)
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{key} {value!r} is not a number", item) from None
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number) or positive and number <= 0.0:
+        need = "finite and positive" if positive else "finite"
+        raise ValidationError(f"{key} must be {need}, got {value}", item)
+    return number
 
 
 def _stack(values: list, key: str) -> np.ndarray:
@@ -238,21 +248,27 @@ def load_model(path):
     theta = KernelParams(*(_number(_field(theta, key), key)
                            for key in ("amplitude", "rate", "exponent", "nugget")))
     y = as_floats(_field(payload, "y"), "y")
+    if y.ndim != 1:
+        raise ValidationError(f"y must be a list of numbers, got shape {y.shape}")
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise ValidationError(f"y must be finite, got {y[bad[0]]}", int(bad[0]))
+    degenerate = _field(payload, "degenerate")
+    if not isinstance(degenerate, bool):
+        raise ValidationError(f"degenerate {degenerate!r} is not a boolean")
     kind, ref, lam = _field(payload, "kind"), _field(payload, "reference"), None
     if kind == "gaussian":
         ref = GaussianMeasure(_field(ref, "mean"), _field(ref, "cov"))
     elif kind == "grid":
         ref = GridDensity(_field(ref, "weights"))
-        lam = _number(_field(payload, "lam"), "lam")
-        if not 0.0 < lam < np.inf:
-            raise ValidationError(f"lam must be finite and positive, got {lam}")
+        lam = _number(_field(payload, "lam"), "lam", positive=True)
     else:
         raise ValidationError(f"unknown model kind {kind!r}")
     features = Embedding(ref, as_floats(_field(payload, "X"), "X"), lam)
     if len(features) != len(y):
         raise ValidationError("model X and y differ in length")
     return build_model(features, y, pairwise_distances(features), theta,
-                        degenerate=payload.get("degenerate", False))
+                        degenerate=degenerate)
 
 
 def save_gram_csv(path, matrix) -> None:

@@ -14,6 +14,7 @@ the naive exp(-W2^2) kernel used as a negative control.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,16 @@ from .ot import MAP_TOL, _psd_sqrt_batch, _spd_roots, inverse_grid_maps, sqrtm_s
 # Embedding distances below this snap to exactly zero so the nugget indicator
 # fires on identical inputs despite round-off.
 DISTANCE_SNAP = 1e-12
+
+# Rows of at most this many columns (Gaussian embeddings up to d = 3) get
+# their distances from numpy, which spares kernel-matrix, fit and predict the
+# scipy.spatial import; wider rows (grid embeddings) keep pdist/cdist, several
+# times faster there. Both paths give the same bits.
+NUMPY_COLUMNS = 12
+
+# Rows of the first argument per block on the numpy distance path; bounds its
+# one (ROW_BLOCK, m) buffer.
+ROW_BLOCK = 64
 
 # Pairs whose Bures cross terms naive_w2_gram diagonalizes at once; bounds
 # the (pairs, d, d) stack.
@@ -45,6 +56,10 @@ class KernelParams:
     nugget: float
 
     def __post_init__(self):
+        values = (self.amplitude, self.rate, self.exponent, self.nugget)
+        if not all(map(math.isfinite, values)):
+            raise ValidationError("amplitude, rate, exponent and nugget must be finite, "
+                                  f"got {', '.join(map(str, values))}")
         if self.amplitude < 0 or self.rate < 0 or self.nugget < 0:
             raise ValidationError("amplitude, rate and nugget must be nonnegative")
         if not (0.0 < self.exponent <= 2.0):
@@ -167,22 +182,44 @@ def _snap(dist: np.ndarray) -> np.ndarray:
     return dist
 
 
+def _distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Snapped Euclidean distances between the rows of a and of b, or of a
+    with itself when b is None (a symmetric matrix with a zero diagonal).
+
+    Narrow rows add the squared differences one column at a time, in column
+    order, as pdist and cdist do, so both paths agree bit for bit; numpy's
+    own reductions (sum, norm, einsum) sum pairwise from 8 columns on and
+    differ in the last bit.
+    """
+    if a.shape[1] > NUMPY_COLUMNS:
+        from scipy.spatial.distance import cdist, pdist, squareform
+
+        return _snap(squareform(pdist(a)) if b is None else cdist(a, b))
+    b = a if b is None else b
+    out = np.zeros((len(a), len(b)))
+    buf = np.empty((min(ROW_BLOCK, len(a)), len(b)))
+    for start in range(0, len(a), ROW_BLOCK):
+        rows, block = a[start:start + ROW_BLOCK], out[start:start + ROW_BLOCK]
+        diff = buf[:len(rows)]
+        for k in range(a.shape[1]):
+            np.subtract(rows[:, k, None], b[:, k], out=diff)
+            diff *= diff
+            block += diff
+    return _snap(np.sqrt(out, out=out))
+
+
 def pairwise_distances(features: Embedding) -> np.ndarray:
     """Symmetric matrix of snapped embedding distances."""
-    from scipy.spatial.distance import pdist, squareform
-
-    return _snap(squareform(pdist(features.X)))
+    return _distances(features.X)
 
 
 def cross_distances(a: Embedding, b: Embedding) -> np.ndarray:
     """(len(a), len(b)) matrix of snapped embedding distances; both must
     embed against the same reference at the same penalty."""
-    from scipy.spatial.distance import cdist
-
     ra, rb = a.reference, b.reference
     if a.lam != b.lam or ra is not rb and (type(ra) is not type(rb) or not ra.same_as(rb)):
         raise ReferenceMismatch("embeddings use different references or penalties")
-    return _snap(cdist(a.X, b.X))
+    return _distances(a.X, b.X)
 
 
 def _radial_of_power(k: np.ndarray, theta: KernelParams) -> np.ndarray:

@@ -134,6 +134,16 @@ class TestKernelMatrixCommand:
         assert code == 2
         assert "'a,1,1,0'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("theta", ["nan,1,2,0", "1,inf,2,0", "inf,1,2,0", "1,1,-inf,0",
+                                       "1,1,2,nan"])
+    def test_non_finite_theta_is_validation_error(self, tmp_path, capsys, theta):
+        src, out = tmp_path / "set.json", tmp_path / "g.csv"
+        write_gaussian_set(src)
+        code = main(["kernel-matrix", "--input", str(src), "--theta", theta, "--out", str(out)])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mixed_dimension_set_is_validation_error(self, tmp_path, capsys):
         src = tmp_path / "set.json"
         items = [{"mean": [0.5, 0.5], "cov": (0.02 * np.eye(2)).tolist()}] * 3

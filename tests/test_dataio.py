@@ -1,11 +1,13 @@
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from otgp import dataio
+from otgp.cli import main
 from otgp.errors import NotPositiveDefinite, NotSymmetric, ReferenceMismatch, ValidationError
 from otgp.gp import gp_fit_mle, gp_predict
 from otgp.kernels import embed_gaussians, embed_grids
@@ -316,6 +318,7 @@ class TestMalformedJson:
         (lambda p: p["reference"].pop("cov"), "missing 'cov'"),
         (lambda p: p.update(X=[[0.0] * 6, [0.0]]), "X is not a numeric array"),
         (lambda p: p.update(kind="foo"), "unknown model kind 'foo'"),
+        (lambda p: p["theta"].update(rate=math.inf), "rate must be finite, got inf"),
     ])
     def test_model(self, tmp_path, model_payload, edit, pattern):
         edit(model_payload)
@@ -448,3 +451,57 @@ class TestModelRoundTrip:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValidationError):
             dataio.load_model(path)
+
+
+class TestScalarsThatAreNotFiniteNumbers:
+    """Python's json reads NaN and Infinity, and a boolean or a numeric
+    string is not a number: each is exit 2 with an error naming the key and,
+    for a list entry, its row; no output file is written."""
+
+    @pytest.fixture
+    def data(self):
+        return [{"input": {"kind": "gaussian", "mean": [0.2 + 0.1 * i, 0.6 - 0.05 * i],
+                           "cov": (0.0004 * np.eye(2)).tolist()}, "y": math.sin(i)}
+                for i in range(6)]
+
+    def run(self, argv, out, capsys) -> str:
+        assert main(argv) == 2
+        assert not out.exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["mle", "cv"])
+    @pytest.mark.parametrize("value,message", [
+        (math.inf, "y must be finite, got inf"),
+        (-math.inf, "y must be finite, got -inf"),
+        (math.nan, "y must be finite, got nan"),
+        (10**400, f"y must be finite, got {10**400}"),
+        (True, "y True is not a number"),
+        ("0.5", "y '0.5' is not a number"),
+    ], ids=["inf", "-inf", "nan", "huge-int", "true", "string"])
+    def test_dataset_response(self, tmp_path, capsys, data, method, value, message):
+        data[3]["y"] = value
+        out = tmp_path / "model.json"
+        err = self.run(["fit", "--data", str(write_json(tmp_path, data)), "--method", method,
+                        "--out", str(out)], out, capsys)
+        assert err == f"validation error: item 3: {message}\n"
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda p: p["y"].__setitem__(0, math.nan), "item 0: y must be finite, got nan"),
+        (lambda p: p["y"].__setitem__(4, math.inf), "item 4: y must be finite, got inf"),
+        (lambda p: p["theta"].update(nugget="0.001"), "nugget '0.001' is not a number"),
+        (lambda p: p["theta"].update(amplitude=math.inf), "amplitude must be finite, got inf"),
+        (lambda p: p["theta"].update(exponent=True), "exponent True is not a number"),
+        (lambda p: p.update(degenerate="no"), "degenerate 'no' is not a boolean"),
+        (lambda p: p.pop("degenerate"), "missing 'degenerate'"),
+        (lambda p: p.update(y=[[v] for v in p["y"]]),
+         "y must be a list of numbers, got shape (6, 1)"),
+    ])
+    def test_model(self, tmp_path, capsys, data, edit, message):
+        train, model = write_json(tmp_path, data, "train.json"), tmp_path / "model.json"
+        assert main(["fit", "--data", str(train), "--method", "cv", "--out", str(model)]) == 0
+        payload = json.loads(model.read_text())
+        edit(payload)
+        out = tmp_path / "predictions.csv"
+        err = self.run(["predict", "--model", str(write_json(tmp_path, payload)),
+                        "--data", str(train), "--out", str(out)], out, capsys)
+        assert err == f"validation error: {message}\n"

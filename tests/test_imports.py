@@ -1,10 +1,13 @@
-"""Import footprint: scipy loads inside the functions that use it, and the
-fits never load scipy.stats."""
+"""Import footprint: scipy loads inside the functions that use it, the fits
+never load scipy.stats, and only wide-row distances and the smoothing
+baseline load scipy.spatial."""
 
 import ast
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import otgp
 
@@ -89,6 +92,81 @@ def test_cv_fit_and_gaussian_commands_do_not_load_scipy_optimize(tmp_path):
                           capture_output=True, text=True, timeout=120, check=True)
     lines = done.stdout.strip().splitlines()
     assert (lines[0], lines[-2], lines[-1]) == ("[]", "[]", "True")
+
+
+def scipy_spatial_imports(tree: ast.Module):
+    """Name of the innermost function around each import that can load
+    scipy.spatial; "<module>" for one outside any function."""
+    pending = [(node, "<module>") for node in tree.body]
+    while pending:
+        node, owner = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            names = []
+        if any(name.split(".")[:2] == ["scipy", "spatial"] for name in names):
+            yield owner
+        pending.extend((child, owner) for child in ast.iter_child_nodes(node))
+
+
+# the distance routine's wide-row branch and the smoothing baseline's L1
+# distances; the Gaussian path must not load scipy.spatial again
+SPATIAL_ALLOWED = {("kernels.py", "_distances"), ("baseline.py", None)}
+
+
+def test_only_the_distance_routine_and_the_baseline_import_scipy_spatial():
+    offenders = [f"{path.name}: {owner}" for path in sorted(PACKAGE.glob("*.py"))
+                 for owner in scipy_spatial_imports(ast.parse(path.read_text()))
+                 if not {(path.name, owner), (path.name, None)} & SPATIAL_ALLOWED]
+    assert offenders == []
+
+
+def test_spatial_scan_sees_every_form_of_import():
+    source = ("import scipy.spatial\nfrom scipy import spatial, linalg\n"
+              "def f():\n    from scipy.spatial.distance import cdist\n"
+              "class A:\n    def g(self):\n        import scipy.spatial.distance as d\n"
+              "def h():\n    from scipy import linalg\n    import scipy.sparse\n")
+    assert sorted(scipy_spatial_imports(ast.parse(source))) == ["<module>", "<module>", "f", "g"]
+
+
+@pytest.fixture(scope="module")
+def gaussian_files(tmp_path_factory):
+    """A Gaussian set, a dataset of the same inputs and a model fitted to it
+    by cross-validation."""
+    from otgp import dataio
+    from otgp.cli import main
+    from otgp.measures import sample_regression_gaussians
+
+    out = tmp_path_factory.mktemp("gaussian-files")
+    pairs = sample_regression_gaussians(20, 3)
+    measures, y = [m for m, _ in pairs], [y for _, y in pairs]
+    dataio.save_gaussian_set(out / "set.json", measures)
+    dataio.save_dataset(out / "train.json", measures, y)
+    assert main(["fit", "--data", str(out / "train.json"), "--method", "cv",
+                 "--out", str(out / "model.json")]) == 0
+    return out
+
+
+@pytest.mark.parametrize("argv,expected", [
+    ("kernel-matrix --input {d}/set.json --theta 1,1,2,0.001 --out {d}/gram.csv", []),
+    ("fit --data {d}/train.json --method cv --out {d}/refit.json", ["linalg"]),
+    ("predict --model {d}/model.json --data {d}/train.json --out {d}/p.csv", ["linalg"]),
+], ids=["kernel-matrix", "fit-cv", "predict"])
+def test_scipy_subpackages_each_gaussian_command_loads(gaussian_files, argv, expected):
+    # public scipy subpackages loaded by one command in a fresh interpreter
+    program = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from otgp.cli import main; "
+        "assert main(sys.argv[2:]) == 0; "
+        "subs = {m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}; "
+        "print(sorted(s for s in subs if not s.startswith('_') and s != 'version'))")
+    done = subprocess.run([sys.executable, "-c", program, str(PACKAGE.parent),
+                           *argv.format(d=gaussian_files).split()],
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip().splitlines()[-1] == str(expected)
 
 
 EMBEDDERS = {"embed_grids", "embed_gaussians"}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist, pdist, squareform
 from scipy.stats import ortho_group
 
 import otgp.kernels
@@ -11,6 +12,8 @@ from otgp.barycenter import gaussian_barycenter, gaussian_barycenter_measure, gr
 from otgp.errors import DimensionMismatch, NotSymmetric, ReferenceMismatch, ValidationError
 from otgp.kernels import (
     DEFAULT_BOUNDS,
+    NUMPY_COLUMNS,
+    ROW_BLOCK,
     Embedding,
     KernelParams,
     cross_distances,
@@ -25,7 +28,13 @@ from otgp.kernels import (
     params_in_box,
     psd_diagnostic,
 )
-from otgp.measures import GaussianMeasure, GridDensity, sample_gaussian_population
+from otgp.measures import (
+    DiskConfig,
+    GaussianMeasure,
+    GridDensity,
+    disks_to_grid,
+    sample_gaussian_population,
+)
 from otgp.ot import gaussian_w2, inverse_grid_map, map_l2_distance_gaussian
 
 
@@ -87,6 +96,14 @@ class TestKernelParams:
             KernelParams(-1.0, 1.0, 1.0, 0.0)
         with pytest.raises(ValidationError):
             KernelParams(1.0, 1.0, 2.5, 0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", range(4))
+    def test_rejects_non_finite(self, field, value):
+        values = [1.0, 1.0, 2.0, 0.0]
+        values[field] = value
+        with pytest.raises(ValidationError, match="must be finite"):
+            KernelParams(*values)
 
     def test_box_predicate(self):
         assert params_in_box(KernelParams(1.0, 1.0, 1.0, 0.01))
@@ -293,6 +310,45 @@ class TestEmbeddingDistance:
         ds = [random_density(rng, 5) for _ in range(3)]
         dist = pairwise_distances(embed_grids(ds, ref, lam=20.0))
         assert dist[0, 2] <= dist[0, 1] + dist[1, 2] + 1e-9
+
+
+def bits(matrix):
+    return np.ascontiguousarray(matrix).view(np.uint64)
+
+
+class TestDistanceRoutine:
+    """Narrow rows take the numpy path, wide rows pdist/cdist; both give
+    scipy's bits, and duplicated rows sit at exactly zero."""
+
+    @given(width=st.integers(1, NUMPY_COLUMNS + 1), n=st.integers(1, ROW_BLOCK + 20),
+           m=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal_to_scipy(self, width, n, m, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-3, 4, size=width)
+        dup = rng.integers(n, size=n // 3)
+        a[dup] = a[0]
+        b = np.vstack([a[rng.integers(n, size=m // 2)], rng.normal(size=(m - m // 2, width))])
+        pair, cross = otgp.kernels._distances(a), otgp.kernels._distances(a, b)
+        assert np.array_equal(bits(pair), bits(otgp.kernels._snap(squareform(pdist(a)))))
+        assert np.array_equal(bits(cross), bits(otgp.kernels._snap(cdist(a, b))))
+        assert (pair[dup, 0] == 0.0).all() and (pair[0, dup] == 0.0).all()
+        assert np.array_equal(bits(pair), bits(pair.T))
+        assert (np.diagonal(pair) == 0.0).all()
+
+    def test_disk_rows_through_both_paths(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        grids = [disks_to_grid(DiskConfig(0.08, rng.uniform(0, 1, size=(6, 2))), 16)
+                 for _ in range(9)]
+        feats = embed(grids, 6)
+        assert feats.X.shape[1] > NUMPY_COLUMNS
+        train, test = feats[:6], feats[6:]
+        wide = pairwise_distances(train), cross_distances(train, test)
+        assert np.array_equal(bits(wide[0]), bits(otgp.kernels._snap(squareform(pdist(train.X)))))
+        assert np.array_equal(bits(wide[1]), bits(otgp.kernels._snap(cdist(train.X, test.X))))
+        monkeypatch.setattr(otgp.kernels, "NUMPY_COLUMNS", feats.X.shape[1])
+        narrow = pairwise_distances(train), cross_distances(train, test)
+        assert all(np.array_equal(bits(w), bits(v)) for w, v in zip(wide, narrow))
 
 
 class TestKernelEval:
