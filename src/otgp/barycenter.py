@@ -31,29 +31,32 @@ class BarycenterReport:
         return scalings + [None] * (n - len(scalings))
 
 
-def _check_weights(weights, n: int) -> np.ndarray:
+def _uniform_weights(n: int) -> np.ndarray:
     if n < 1:
         raise ValidationError("need at least one input")
-    if weights is None:
-        return np.full(n, 1.0 / n)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n,) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-        raise ValidationError("weights must be a nonnegative simplex vector")
-    return w
+    return np.full(n, 1.0 / n)
 
 
-def gaussian_barycenter(covs, weights=None, tol: float = 1e-9,
-                        max_iter: int = 1000) -> BarycenterReport:
-    """Covariance of the Wasserstein barycenter of centered Gaussians.
+def _check_stopping(tol: float, max_iter: int) -> None:
+    if not 0.0 <= tol < np.inf:
+        raise ValidationError(f"tol must be finite and >= 0, got {tol}")
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
+
+
+def gaussian_barycenter(covs, tol: float = 1e-9, max_iter: int = 1000) -> BarycenterReport:
+    """Covariance of the Wasserstein barycenter of centered Gaussians, with
+    uniform weights w_i = 1/n.
 
     Iterates S <- S^-1/2 (sum_i w_i (S^1/2 S_i S^1/2)^1/2)^2 S^-1/2 and stops
     when the fixed-point residual
     ||S - sum_i w_i (S^1/2 S_i S^1/2)^1/2||_F / ||S||_F drops below tol.
     """
+    _check_stopping(tol, max_iter)
     stack = validate_spd(covs)
     if stack.ndim != 3:
         raise ValidationError(f"expected an (n, d, d) covariance stack, got shape {stack.shape}")
-    w = _check_weights(weights, len(stack))
+    w = _uniform_weights(len(stack))
     s = np.einsum("i,ijk->jk", w, stack)  # Euclidean mean: SPD, cheap start
     for it in range(1, max_iter + 1):
         root, inv_root = sqrtm_spd(s)
@@ -68,13 +71,12 @@ def gaussian_barycenter(covs, weights=None, tol: float = 1e-9,
         f"barycenter residual above {tol} after {max_iter} iterations")
 
 
-def gaussian_barycenter_measure(measures, weights=None, tol: float = 1e-9,
+def gaussian_barycenter_measure(measures, tol: float = 1e-9,
                                 max_iter: int = 1000) -> tuple[GaussianMeasure, BarycenterReport]:
-    """Barycenter of Gaussian measures: weighted mean of means, fixed-point
+    """Barycenter of Gaussian measures: mean of means, fixed-point
     covariance."""
-    w = _check_weights(weights, len(measures))
-    report = gaussian_barycenter([m.cov for m in measures], weights=w,
-                                 tol=tol, max_iter=max_iter)
+    w = _uniform_weights(len(measures))
+    report = gaussian_barycenter([m.cov for m in measures], tol=tol, max_iter=max_iter)
     mean = np.einsum("i,ij->j", w, np.stack([m.mean for m in measures]))
     return GaussianMeasure(mean, report.result), report
 
@@ -89,6 +91,7 @@ def grid_barycenter(densities, lam: float = 20.0, tol: float = 1e-6,
     avoiding the entropic blur. A Bregman product that is zero or not finite on a support
     cell (lam too large for the grid) raises NumericalUnderflow.
     """
+    _check_stopping(tol, max_iter)
     densities = list(densities)
     if not densities:
         raise ValidationError("need at least one density")

@@ -115,7 +115,7 @@ def select_bandwidth(grids, y, candidates=None, split_seed: int = 0) -> float:
     return float(candidates[np.argmin(mse)])  # the first minimum: ties keep smaller h
 
 
-def fit_smoother(grids, y, candidates=None, split_seed: int = 0) -> SmootherModel:
+def fit_smoother(grids, y, split_seed: int = 0) -> SmootherModel:
     """Select a bandwidth, then keep the full training set for prediction."""
-    h = select_bandwidth(grids, y, candidates=candidates, split_seed=split_seed)
+    h = select_bandwidth(grids, y, split_seed=split_seed)
     return SmootherModel(grids=tuple(grids), y=np.asarray(y, dtype=float), bandwidth=h)

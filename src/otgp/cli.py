@@ -63,14 +63,15 @@ def _load_reference(path: str):
 
 def cmd_barycenter(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     inputs = _load_inputs(args.input, args.grid_size)
     tol = {} if args.tol is None else {"tol": args.tol}  # else each solver's default
     if all(isinstance(x, GaussianMeasure) for x in inputs):
         measure, report = gaussian_barycenter_measure(inputs, max_iter=args.max_iter, **tol)
+        out.mkdir(parents=True, exist_ok=True)
         dataio.save_gaussian_set(out / "barycenter.json", [measure])
     else:
         report = grid_barycenter(inputs, lam=args.lam, max_iter=args.max_iter, **tol)
+        out.mkdir(parents=True, exist_ok=True)
         dataio.save_grid_csv(out / "barycenter.csv", report.result)
     (out / "report.json").write_text(json.dumps(
         {"iterations": report.iterations, "residual": report.residual}))
@@ -91,12 +92,12 @@ def cmd_kernel_matrix(args) -> int:
 
 def cmd_diagnose_psd(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.naive_w2:
         gram = naive_w2_gram(dataio.load_gaussian_set(args.naive_w2))
     else:
         gram = dataio.read_file(args.gram, csv=True)
     report = psd_diagnostic(gram, tol=args.tol)
+    out.mkdir(parents=True, exist_ok=True)
     dataio.save_eigenvalues_csv(out / "eigenvalues.csv", report.eigenvalues)
     (out / "report.json").write_text(json.dumps({
         "negatives": report.negatives,

@@ -16,7 +16,6 @@ from .measures import (
     DiskConfig,
     GaussianMeasure,
     GridDensity,
-    as_floats,
     disks_to_grid,
     gaussian_measures,
     rasterize_gaussian,
@@ -64,13 +63,29 @@ def _number(value, key: str, item: int | None = None, positive: bool = False) ->
     return number
 
 
+def _array(value, key: str, item: int | None = None) -> np.ndarray:
+    """A JSON array of numbers as a float array; ValidationError naming key
+    and item if it is ragged or holds anything but ints and floats. numpy
+    alone reads booleans, numeric strings and null as numbers, so the types
+    of the leaves are checked, not the dtype of the result."""
+    try:
+        leaves = np.asarray(value, dtype=object)
+        array = leaves.astype(float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{key} is not a numeric array", item) from None
+    if not set(map(type, leaves.ravel().tolist())) <= {int, float}:
+        bad = next(v for v in leaves.ravel().tolist() if type(v) not in (int, float))
+        raise ValidationError(f"{key} {bad!r} is not a number", item)
+    return array
+
+
 def _stack(values: list, key: str) -> np.ndarray:
     """Float array of the items' values under key; a non-numeric item, or the
     first one shaped unlike item 0, is named."""
     try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        shapes = [as_floats(v, key, k).shape for k, v in enumerate(values)]
+        return _array(values, key)
+    except ValidationError:
+        shapes = [_array(v, key, k).shape for k, v in enumerate(values)]
         k = next((k for k, shape in enumerate(shapes) if shape != shapes[0]), 0)
         raise ValidationError(f"{key} of shape {shapes[k]} unlike item 0's {shapes[0]}",
                               k) from None
@@ -142,9 +157,10 @@ def input_to_json(obj) -> dict:
 def input_from_json(payload: dict):
     kind = payload.get("kind") if isinstance(payload, dict) else None
     if kind == "gaussian":
-        return GaussianMeasure(_field(payload, "mean"), _field(payload, "cov"))
+        return GaussianMeasure(_array(_field(payload, "mean"), "mean"),
+                               _array(_field(payload, "cov"), "cov"))
     if kind == "grid":
-        return GridDensity(_field(payload, "weights"))
+        return GridDensity(_array(_field(payload, "weights"), "weights"))
     if kind == "disks":
         return _disk(payload)
     raise ValidationError(f"unknown input kind {kind!r}")
@@ -152,7 +168,7 @@ def input_from_json(payload: dict):
 
 def _disk(record) -> DiskConfig:
     return DiskConfig(radius=_number(_field(record, "radius"), "radius"),
-                      centers=_field(record, "centers"))
+                      centers=_array(_field(record, "centers"), "centers"))
 
 
 def disk_configs(rows: list) -> list[DiskConfig]:
@@ -247,7 +263,7 @@ def load_model(path):
     theta = _field(payload, "theta")
     theta = KernelParams(*(_number(_field(theta, key), key)
                            for key in ("amplitude", "rate", "exponent", "nugget")))
-    y = as_floats(_field(payload, "y"), "y")
+    y = _array(_field(payload, "y"), "y")
     if y.ndim != 1:
         raise ValidationError(f"y must be a list of numbers, got shape {y.shape}")
     bad = np.flatnonzero(~np.isfinite(y))
@@ -258,13 +274,14 @@ def load_model(path):
         raise ValidationError(f"degenerate {degenerate!r} is not a boolean")
     kind, ref, lam = _field(payload, "kind"), _field(payload, "reference"), None
     if kind == "gaussian":
-        ref = GaussianMeasure(_field(ref, "mean"), _field(ref, "cov"))
+        ref = GaussianMeasure(_array(_field(ref, "mean"), "mean"),
+                              _array(_field(ref, "cov"), "cov"))
     elif kind == "grid":
-        ref = GridDensity(_field(ref, "weights"))
+        ref = GridDensity(_array(_field(ref, "weights"), "weights"))
         lam = _number(_field(payload, "lam"), "lam", positive=True)
     else:
         raise ValidationError(f"unknown model kind {kind!r}")
-    features = Embedding(ref, as_floats(_field(payload, "X"), "X"), lam)
+    features = Embedding(ref, _array(_field(payload, "X"), "X"), lam)
     if len(features) != len(y):
         raise ValidationError("model X and y differ in length")
     return build_model(features, y, pairwise_distances(features), theta,

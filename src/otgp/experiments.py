@@ -45,19 +45,23 @@ from .rng import make_rng
 UNIT_SE = KernelParams(1.0, 1.0, 2.0, 0.0)
 
 
-def _seed_list(base: int, count: int) -> list[int]:
-    return [base + i for i in range(count)]
-
-
-def write_report(out_dir, report: dict, wall_clock: float, fits: dict | None = None) -> Path:
-    """Deterministic report.json plus a meta.json sidecar for timing and,
-    when given, the fits: _fit_meta of each model by seed and fit label."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2))
-    meta = {"wall_clock_seconds": wall_clock, **({} if fits is None else {"fits": fits})}
-    (out / "meta.json").write_text(json.dumps(meta))
-    return out / "report.json"
+def write_report(name: str, cfg, per_seed: dict, t0: float, fits: dict | None = None,
+                 **fields) -> dict:
+    """The report of experiment name: its resolved config, its seeds, the row
+    of each seed and then fields, as report.json holds it. When cfg.out_dir
+    is set, writes report.json (deterministic) and a meta.json sidecar for the
+    wall clock since t0 and, when given, the fits: _fit_meta of each model by
+    seed and fit label."""
+    text = json.dumps({"experiment": name, "config": asdict(cfg), "seeds": list(per_seed),
+                       "per_seed": {str(s): row for s, row in per_seed.items()}, **fields},
+                      sort_keys=True, indent=2)
+    if cfg.out_dir:
+        out = Path(cfg.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "report.json").write_text(text)
+        meta = {"wall_clock_seconds": time.time() - t0, **({} if fits is None else {"fits": fits})}
+        (out / "meta.json").write_text(json.dumps(meta))
+    return json.loads(text)
 
 
 def _fit_meta(model) -> dict:
@@ -102,7 +106,7 @@ def run_consistency(cfg: ConsistencyConfig) -> dict:
     empirical and population kernels.
     """
     t0 = time.time()
-    seeds = _seed_list(cfg.seed, cfg.n_seeds)
+    seeds = range(cfg.seed, cfg.seed + cfg.n_seeds)
     per_seed = {}
     for seed in seeds:
         pop_rng, grid_rng, y_rng = (make_rng(c) for c in np.random.SeedSequence(seed).spawn(3))
@@ -146,18 +150,13 @@ def run_consistency(cfg: ConsistencyConfig) -> dict:
         float(np.mean([e**2 for s in seeds for e in per_seed[s]["errors"][str(n)]]))
         for n in cfg.n_grid
     ]
-    report = {
-        "experiment": "consistency",
-        "config": asdict(cfg),
-        "seeds": seeds,
-        "per_seed": {str(s): per_seed[s] for s in seeds},
-        "pooled_mean_error": dict(zip(map(str, cfg.n_grid), pooled)),
-        "error_ratio_first_to_last": pooled[0] / pooled[-1],
-        "squared_error_ratio_first_to_last": pooled_sq[0] / pooled_sq[-1],
-        "loglog_slope": slope,
-    }
+    report = write_report(
+        "consistency", cfg, per_seed, t0,
+        pooled_mean_error=dict(zip(map(str, cfg.n_grid), pooled)),
+        error_ratio_first_to_last=pooled[0] / pooled[-1],
+        squared_error_ratio_first_to_last=pooled_sq[0] / pooled_sq[-1],
+        loglog_slope=slope)
     if cfg.out_dir:
-        write_report(cfg.out_dir, report, time.time() - t0)
         _write_series_csv(Path(cfg.out_dir) / "errors.csv", cfg.n_grid, pooled)
     return report
 
@@ -192,7 +191,7 @@ def run_gaussian_regression(cfg: RegressionConfig) -> dict:
     """Head-to-head of GP (MLE and CV fits) against kernel smoothing on the
     synthetic Gaussian-input response, averaged over seeds."""
     t0 = time.time()
-    seeds = _seed_list(cfg.seed, cfg.n_seeds)
+    seeds = range(cfg.seed, cfg.seed + cfg.n_seeds)
     per_seed, fits = {}, {}
     for seed in seeds:
         pairs = sample_regression_gaussians(cfg.n_total, seed)
@@ -230,15 +229,8 @@ def run_gaussian_regression(cfg: RegressionConfig) -> dict:
         "gp_mle": {k: agg("gp_mle", k) for k in ("rmse", "q2", "cic")},
         "gp_cv": {k: agg("gp_cv", k) for k in ("rmse", "q2", "cic")},
     }
-    report = {
-        "experiment": "gaussian-regression",
-        "config": asdict(cfg),
-        "seeds": seeds,
-        "per_seed": {str(s): per_seed[s] for s in seeds},
-        "summary": summary,
-    }
+    report = write_report("gaussian-regression", cfg, per_seed, t0, fits, summary=summary)
     if cfg.out_dir:
-        write_report(cfg.out_dir, report, time.time() - t0, fits)
         _write_table_csv(Path(cfg.out_dir) / "table.csv", summary)
     return report
 
@@ -272,9 +264,8 @@ def run_psd_diagnostic(cfg: PsdConfig) -> dict:
     """Spectra of the naive exp(-W2^2) Gram (indefinite in 2-D, valid in 1-D)
     against the embedding-kernel Gram on the same inputs."""
     t0 = time.time()
-    seeds = _seed_list(cfg.seed, cfg.n_seeds)
-    per_seed = {}
-    spectra = {}
+    seeds = range(cfg.seed, cfg.seed + cfg.n_seeds)
+    per_seed, spectra = {}, {}
     for seed in seeds:
         measures = sample_gaussian_population(cfg.n_points, 2, (seed, 0),
                                               entry_range=cfg.entry_range)
@@ -296,24 +287,18 @@ def run_psd_diagnostic(cfg: PsdConfig) -> dict:
         }
         spectra[seed] = {"naive": naive.eigenvalues, "embed": embedded.eigenvalues}
 
-    report = {
-        "experiment": "psd",
-        "config": asdict(cfg),
-        "seeds": seeds,
-        "per_seed": {str(s): per_seed[s] for s in seeds},
-        "all_naive_indefinite": all(per_seed[s]["naive_negatives"] >= 1 for s in seeds),
-        "all_embed_psd": all(per_seed[s]["embed_negatives"] == 0 for s in seeds),
-        "all_naive_1d_psd": all(per_seed[s]["naive_1d_negatives"] == 0 for s in seeds),
-    }
+    report = write_report(
+        "psd", cfg, per_seed, t0,
+        all_naive_indefinite=all(per_seed[s]["naive_negatives"] >= 1 for s in seeds),
+        all_embed_psd=all(per_seed[s]["embed_negatives"] == 0 for s in seeds),
+        all_naive_1d_psd=all(per_seed[s]["naive_1d_negatives"] == 0 for s in seeds))
     if cfg.out_dir:
-        write_report(cfg.out_dir, report, time.time() - t0)
         from .dataio import save_eigenvalues_csv
 
-        for seed in seeds:
-            save_eigenvalues_csv(Path(cfg.out_dir) / f"naive_spectrum_seed{seed}.csv",
-                                 spectra[seed]["naive"])
-            save_eigenvalues_csv(Path(cfg.out_dir) / f"embed_spectrum_seed{seed}.csv",
-                                 spectra[seed]["embed"])
+        for seed, spectrum in spectra.items():
+            for label, eigenvalues in spectrum.items():
+                save_eigenvalues_csv(Path(cfg.out_dir) / f"{label}_spectrum_seed{seed}.csv",
+                                     eigenvalues)
     return report
 
 
@@ -347,7 +332,7 @@ def run_disks(cfg: DisksConfig) -> dict:
     """Full grid pipeline on disk-union inputs: rasterize, entropic
     barycenter, inverse maps, GP fit, and the smoothing baseline."""
     t0 = time.time()
-    seeds = _seed_list(cfg.seed, cfg.n_seeds)
+    seeds = range(cfg.seed, cfg.seed + cfg.n_seeds)
     per_seed, fits = {}, {}
     for seed in seeds:
         rng = make_rng((seed, 0))
@@ -382,17 +367,8 @@ def run_disks(cfg: DisksConfig) -> dict:
         "smoothing_mean_rmse": float(np.mean([per_seed[s]["smoothing"]["rmse"] for s in seeds])),
         "smoothing_mean_q2": float(np.mean([per_seed[s]["smoothing"]["q2"] for s in seeds])),
     }
-    report = {
-        "experiment": "disks",
-        "config": asdict(cfg),
-        "seeds": seeds,
-        "per_seed": {str(s): per_seed[s] for s in seeds},
-        "summary": summary,
-        "note": "responses are a synthetic surrogate; no proprietary solver data",
-    }
-    if cfg.out_dir:
-        write_report(cfg.out_dir, report, time.time() - t0, fits)
-    return report
+    return write_report("disks", cfg, per_seed, t0, fits, summary=summary,
+                        note="responses are a synthetic surrogate; no proprietary solver data")
 
 
 CONFIG_TYPES = {

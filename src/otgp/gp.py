@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import CholeskyFailure, SizeMismatch, ValidationError, ZeroVarianceTruths
 from .kernels import (
+    CV_RATIO_BOX,
     DEFAULT_BOUNDS,
     Embedding,
     KernelParams,
@@ -33,7 +34,8 @@ CI90_FACTOR = 1.645
 # Relative jitter ladder for Cholesky repair, scaled by tr(R)/n.
 JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 
-# _minimize_in_box screens every start at SCREEN and polishes the best at POLISH.
+# _minimize_in_box screens N_STARTS starts at SCREEN, polishes the best at POLISH.
+N_STARTS = 8
 SCREEN = {"L-BFGS-B": dict(ftol=1e-7, gtol=1e-4, maxiter=1000),
           "Nelder-Mead": dict(xatol=1e-3, fatol=1e-7, maxiter=4000, maxfev=4000)}
 POLISH = {"L-BFGS-B": dict(ftol=1e-13, gtol=1e-9, maxiter=1000),
@@ -246,8 +248,7 @@ def _nelder_mead(objective, start, box: np.ndarray, xatol: float, fatol: float,
     return _Simplex(np.array(sim[0]), float(np.min(values)), np.array(sim), np.array(values), nfev)
 
 
-def _minimize_in_box(objective, log_box: np.ndarray, n_starts: int = 8,
-                     gradient: bool = False):
+def _minimize_in_box(objective, log_box: np.ndarray, gradient: bool = False):
     """Bounded local search from every Sobol start to the loose SCREEN
     tolerances, then from the best screened result on to the tight POLISH
     ones (Rinnooy Kan & Timmer, Math. Programming 1987): SciPy's L-BFGS-B
@@ -269,7 +270,7 @@ def _minimize_in_box(objective, log_box: np.ndarray, n_starts: int = 8,
             return _nelder_mead(objective, start, log_box, **options)
 
     method = "L-BFGS-B" if gradient else "Nelder-Mead"
-    best = min((search(x0, **SCREEN[method]) for x0 in _multistart_points(log_box, n_starts)),
+    best = min((search(x0, **SCREEN[method]) for x0 in _multistart_points(log_box, N_STARTS)),
                key=lambda res: res.fun)  # the first of equal values
     return search(best.x if gradient else best.simplex, **POLISH[method])
 
@@ -287,30 +288,35 @@ def build_model(features, y, dist, theta, degenerate=False, clipped=False) -> Gp
                    degenerate=degenerate, jitter=jitter, clipped=clipped)
 
 
-def _degenerate_model(features, y, dist, bounds) -> GpModel:
-    warnings.warn("constant responses: returning lower-bound amplitude", stacklevel=3)
-    theta = KernelParams(amplitude=bounds[0][0], rate=bounds[1][0],
-                         exponent=1.0, nugget=bounds[3][0])
-    return build_model(features, y, dist, theta, degenerate=True)
-
-
-def gp_fit_mle(features, y, bounds=DEFAULT_BOUNDS, n_starts: int = 8) -> GpModel:
-    """Fit kernel parameters by maximizing the log likelihood.
-
-    L-BFGS-B with the analytic gradient of log_likelihood, in log-transformed
-    box coordinates, from a deterministic Sobol lattice of starting points,
-    each screened and the best polished (_minimize_in_box). A start whose Gram
-    cannot be factorized sees a large value with a zero gradient, and the
-    search goes on from the other starts.
-    """
+def _fit_data(features, y) -> tuple[np.ndarray, np.ndarray]:
+    """The responses as floats and the training distances of a fitter."""
     y = np.asarray(y, dtype=float)
     if len(features) != len(y) or len(y) < 2:
         raise SizeMismatch("need matching features and responses, n >= 2")
-    dist = pairwise_distances(features)
+    return y, pairwise_distances(features)
+
+
+def _degenerate_model(features, y, dist) -> GpModel:
+    warnings.warn("constant responses: returning lower-bound amplitude", stacklevel=3)
+    theta = KernelParams(amplitude=DEFAULT_BOUNDS[0][0], rate=DEFAULT_BOUNDS[1][0],
+                         exponent=1.0, nugget=DEFAULT_BOUNDS[3][0])
+    return build_model(features, y, dist, theta, degenerate=True)
+
+
+def gp_fit_mle(features, y) -> GpModel:
+    """Fit kernel parameters by maximizing the log likelihood.
+
+    L-BFGS-B with the analytic gradient of log_likelihood, in log-transformed
+    DEFAULT_BOUNDS coordinates, from a deterministic Sobol lattice of starting
+    points, each screened and the best polished (_minimize_in_box). A start
+    whose Gram cannot be factorized sees a large value with a zero gradient,
+    and the search goes on from the other starts.
+    """
+    y, dist = _fit_data(features, y)
     if float(np.var(y)) == 0.0:
-        return _degenerate_model(features, y, dist, bounds)
+        return _degenerate_model(features, y, dist)
     log_dist = fit_invariants(dist)
-    box = np.asarray(bounds, dtype=float)
+    box = np.asarray(DEFAULT_BOUNDS, dtype=float)
 
     def objective(log_theta):
         theta = KernelParams.from_array(_exp_into_box(log_theta, box))
@@ -320,7 +326,7 @@ def gp_fit_mle(features, y, bounds=DEFAULT_BOUNDS, n_starts: int = 8) -> GpModel
             return 1e15, np.zeros(len(log_theta))
         return -value, -grad
 
-    best = _minimize_in_box(objective, np.log(box), n_starts, gradient=True)
+    best = _minimize_in_box(objective, np.log(box), gradient=True)
     theta = KernelParams.from_array(_exp_into_box(best.x, box))
     return build_model(features, y, dist, theta)
 
@@ -345,23 +351,20 @@ def _clip_to_box(value: float, box: tuple[float, float]) -> tuple[float, bool]:
     return clipped, clipped != value
 
 
-def gp_fit_cv(features, y, bounds=DEFAULT_BOUNDS, n_starts: int = 8,
-              ratio_box: tuple[float, float] = (1e-6, 20.0)) -> GpModel:
+def gp_fit_cv(features, y) -> GpModel:
     """Fit by leave-one-out cross validation.
 
     The LOO squared error is invariant to the total variance, so only
-    (rate, exponent, nugget/amplitude^2 ratio) are searched, by Nelder-Mead
-    from screened Sobol starts (_minimize_in_box); the total variance is then
-    set so the mean standardized LOO residual equals 1.
+    (rate, exponent, nugget/amplitude^2 ratio) are searched, in DEFAULT_BOUNDS
+    and CV_RATIO_BOX, by Nelder-Mead from screened Sobol starts
+    (_minimize_in_box); the total variance is then set so the mean
+    standardized LOO residual equals 1.
     """
-    y = np.asarray(y, dtype=float)
-    if len(features) != len(y) or len(y) < 2:
-        raise SizeMismatch("need matching features and responses, n >= 2")
-    dist = pairwise_distances(features)
+    y, dist = _fit_data(features, y)
     if float(np.var(y)) == 0.0:
-        return _degenerate_model(features, y, dist, bounds)
+        return _degenerate_model(features, y, dist)
 
-    cv_box = np.array((bounds[1], bounds[2], ratio_box), dtype=float)
+    cv_box = np.array((DEFAULT_BOUNDS[1], DEFAULT_BOUNDS[2], CV_RATIO_BOX), dtype=float)
 
     def unit_theta(log_x):  # amplitude 1, nugget = the searched ratio
         return KernelParams(1.0, *_exp_into_box(log_x, cv_box))
@@ -373,13 +376,13 @@ def gp_fit_cv(features, y, bounds=DEFAULT_BOUNDS, n_starts: int = 8,
             return 1e15
         return float((errs**2).sum())
 
-    best = _minimize_in_box(objective, np.log(cv_box), n_starts)
+    best = _minimize_in_box(objective, np.log(cv_box))
     rate, exponent, ratio = _exp_into_box(best.x, cv_box)
     errs, unit_vars = loo_residuals(dist, y, unit_theta(best.x))
     # calibrate total variance: mean(e_i^2 / (amp^2 * var0_i)) = 1
     amp_sq = float((errs**2 / unit_vars).mean())
-    amplitude, c1 = _clip_to_box(math.sqrt(amp_sq), bounds[0])
-    nugget, c2 = _clip_to_box(ratio * amplitude**2, bounds[3])
+    amplitude, c1 = _clip_to_box(math.sqrt(amp_sq), DEFAULT_BOUNDS[0])
+    nugget, c2 = _clip_to_box(ratio * amplitude**2, DEFAULT_BOUNDS[3])
     theta = KernelParams(amplitude=amplitude, rate=float(rate),
                          exponent=float(exponent), nugget=nugget)
     return build_model(features, y, dist, theta, clipped=c1 or c2)

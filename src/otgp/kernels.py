@@ -73,12 +73,10 @@ class KernelParams:
         return cls(*(float(x) for x in arr))
 
 
-# Search boxes for fitted parameters, in as_array order.
+# Search boxes for fitted parameters, in as_array order, and the box of the
+# nugget/amplitude^2 ratio that the cross-validation fit searches instead.
 DEFAULT_BOUNDS = ((0.05, 10.0), (0.01, 10.0), (0.5, 2.0), (1e-5, 1.0))
-
-
-def params_in_box(theta: KernelParams, bounds=DEFAULT_BOUNDS) -> bool:
-    return all(lo <= v <= hi for v, (lo, hi) in zip(theta.as_array(), bounds))
+CV_RATIO_BOX = (1e-6, 20.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,7 +297,10 @@ class PsdReport:
 
 
 def psd_diagnostic(matrix, tol: float = 1e-8) -> PsdReport:
-    """Sorted spectrum and the number of eigenvalues below -tol * |lambda|max."""
+    """Sorted spectrum and the number of eigenvalues below -tol * |lambda|max;
+    tol must be finite and >= 0."""
+    if not 0.0 <= tol < math.inf:
+        raise ValidationError(f"tol must be finite and >= 0, got {tol}")
     m = np.asarray(matrix, dtype=float)
     scale = np.linalg.norm(m)
     if scale > 0 and np.linalg.norm(m - m.T) / scale > 1e-12:

@@ -46,12 +46,6 @@ class TestGaussianBarycenter:
         assert rep.residual <= 1e-9
         assert np.linalg.eigvalsh(rep.result)[0] > 0
 
-    def test_weights(self):
-        # weight 1 on a single input recovers that input
-        s1, s2 = np.diag([1.0, 1.0]), np.diag([9.0, 4.0])
-        rep = gaussian_barycenter([s1, s2], weights=[0.0, 1.0])
-        np.testing.assert_allclose(rep.result, s2, atol=1e-8)
-
     def test_stack_error_names_the_item(self):
         s = np.diag([1.0, 2.0])
         with pytest.raises(ValidationError, match=r"^item 2: minimum eigenvalue"):

@@ -77,6 +77,23 @@ class TestBarycenterCommand:
         src.write_text(json.dumps({"dim": 2, "items": []}))
         assert main(["barycenter", "--input", str(src), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("option,message", [
+        ("--tol=-1", "tol must be finite and >= 0, got -1.0"),
+        ("--tol=nan", "tol must be finite and >= 0, got nan"),
+        ("--tol=inf", "tol must be finite and >= 0, got inf"),
+        ("--max-iter=0", "max_iter must be >= 1, got 0"),
+    ])
+    @pytest.mark.parametrize("kind", ["gaussian", "grid"])
+    def test_bad_solver_option_is_validation_error(self, tmp_path, capsys, kind, option,
+                                                   message):
+        # refused before the first iteration, not reported as a failure to converge
+        src = tmp_path / "in"
+        (write_gaussian_set if kind == "gaussian" else write_grid_dir)(src)
+        out = tmp_path / "out"
+        assert main(["barycenter", "--input", str(src), "--out", str(out), option]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestKernelMatrixCommand:
     def test_gaussian_gram(self, tmp_path):
@@ -235,6 +252,17 @@ class TestDiagnosePsdCommand:
         lines = (out / "eigenvalues.csv").read_text().strip().splitlines()
         assert lines[0] == "eigenvalue"
         assert len(lines) == 61
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+    def test_tolerance_out_of_range_is_validation_error(self, tmp_path, capsys, tol):
+        # NaN used to count no negatives and -1 to count positive eigenvalues
+        src = tmp_path / "set.json"
+        write_gaussian_set(src, n=20)
+        out = tmp_path / "diag"
+        assert main(["diagnose-psd", "--naive-w2", str(src), "--out", str(out),
+                     f"--tol={tol}"]) == 2
+        assert f"tol must be finite and >= 0, got {float(tol)}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gram_csv_input(self, tmp_path):
         gram = tmp_path / "gram.csv"

@@ -350,6 +350,13 @@ class TestMalformedJson:
             dataio.load_model(write_json(tmp_path, grid_model_payload))
 
 
+    @pytest.mark.parametrize("value", [True, "0.25", None])
+    def test_grid_model_reference_weights(self, tmp_path, grid_model_payload, value):
+        grid_model_payload["reference"]["weights"][1][2] = value
+        with pytest.raises(ValidationError, match=f"^weights {value!r} is not a number"):
+            dataio.load_model(write_json(tmp_path, grid_model_payload))
+
+
 class TestModelRoundTrip:
     def test_gaussian_model(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -495,6 +502,10 @@ class TestScalarsThatAreNotFiniteNumbers:
         (lambda p: p.pop("degenerate"), "missing 'degenerate'"),
         (lambda p: p.update(y=[[v] for v in p["y"]]),
          "y must be a list of numbers, got shape (6, 1)"),
+        (lambda p: p["y"].__setitem__(2, True), "y True is not a number"),
+        (lambda p: p["X"][1].__setitem__(0, "0.5"), "X '0.5' is not a number"),
+        (lambda p: p["reference"]["mean"].__setitem__(0, None), "mean None is not a number"),
+        (lambda p: p["reference"]["cov"][0].__setitem__(1, False), "cov False is not a number"),
     ])
     def test_model(self, tmp_path, capsys, data, edit, message):
         train, model = write_json(tmp_path, data, "train.json"), tmp_path / "model.json"
@@ -505,3 +516,57 @@ class TestScalarsThatAreNotFiniteNumbers:
         err = self.run(["predict", "--model", str(write_json(tmp_path, payload)),
                         "--data", str(train), "--out", str(out)], out, capsys)
         assert err == f"validation error: {message}\n"
+
+
+class TestArraysOfNonNumbers:
+    """numpy reads a boolean, a numeric string or null inside an array as a
+    number, and upcasts a boolean among numbers: every array a JSON file
+    holds takes ints and floats only, and anything else is exit 2 with an
+    error naming the key, the value and the item; no output file is written."""
+
+    def run(self, argv, out, capsys) -> str:
+        assert main(argv) == 2
+        assert not out.exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("item,message", [
+        ({"mean": [1.5, True], "cov": GOOD["cov"]}, "mean True is not a number"),
+        ({"mean": ["0.5", 0.5], "cov": GOOD["cov"]}, "mean '0.5' is not a number"),
+        ({"mean": [0.5, None], "cov": GOOD["cov"]}, "mean None is not a number"),
+        ({"mean": [0.5, 0.5], "cov": [[0.01, 0], [0, "0.01"]]}, "cov '0.01' is not a number"),
+        ({"mean": [0.5, 0.5], "cov": [[0.01, False], [False, 0.01]]},
+         "cov False is not a number"),
+    ], ids=["mixed", "mean-string", "mean-null", "cov-string", "cov-false"])
+    def test_gaussian_set(self, tmp_path, capsys, item, message):
+        src = write_json(tmp_path, {"dim": 2, "items": [GOOD, GOOD, item]})
+        out = tmp_path / "gram.csv"
+        err = self.run(["kernel-matrix", "--input", str(src), "--theta", "1,1,2,0",
+                        "--out", str(out)], out, capsys)
+        assert err == f"validation error: item 2: {message}\n"
+
+    @pytest.mark.parametrize("bad,message", [
+        ({"kind": "gaussian", "mean": [1.5, True], "cov": GOOD["cov"]},
+         "mean True is not a number"),
+        ({"kind": "grid", "weights": [[0.25, 0.25], [0.25, "0.25"]]},
+         "weights '0.25' is not a number"),
+        ({"kind": "grid", "weights": [[0.25, 0.25], [False, 0.5]]},
+         "weights False is not a number"),
+        ({"kind": "disks", "radius": 0.1, "centers": [[0.5, 0.5], [0.2, True]]},
+         "centers True is not a number"),
+    ], ids=["gaussian-mean", "grid-string", "grid-false", "disk-centers"])
+    def test_dataset_row(self, tmp_path, capsys, bad, message):
+        good = {"gaussian": {"kind": "gaussian", **GOOD},
+                "grid": {"kind": "grid", "weights": [[0.25, 0.25], [0.25, 0.25]]},
+                "disks": {"kind": "disks", "radius": 0.1, "centers": [[0.5, 0.5]]}}[bad["kind"]]
+        rows = [{"input": good, "y": 0.0}, {"input": good, "y": 1.0}, {"input": bad, "y": 2.0}]
+        out = tmp_path / "model.json"
+        err = self.run(["fit", "--data", str(write_json(tmp_path, rows)), "--out", str(out)],
+                       out, capsys)
+        assert err == f"validation error: item 2: {message}\n"
+
+    def test_disk_list_centers(self, tmp_path, capsys):
+        rows = [{"radius": 0.1, "centers": [[0.5, 0.5]]}, {"radius": 0.1, "centers": [["0.5", 1]]}]
+        out = tmp_path / "bary"
+        err = self.run(["barycenter", "--input", str(write_json(tmp_path, rows)),
+                        "--out", str(out)], out, capsys)
+        assert err == "validation error: item 1: centers '0.5' is not a number\n"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from otgp.experiments import (
+    RUNNERS,
     ConsistencyConfig,
     DisksConfig,
     PsdConfig,
@@ -143,11 +144,48 @@ class TestPsd:
         assert report["all_embed_psd"]
         assert report["all_naive_1d_psd"]
 
-    def test_deterministic(self):
-        cfg = PsdConfig(seed=2, n_points=30, n_seeds=1)
-        a = run_psd_diagnostic(cfg)
-        b = run_psd_diagnostic(cfg)
+    def test_deterministic(self, tmp_path):
+        # the report, and the spectra written beside it, in two directories
+        runs = [PsdConfig(seed=2, n_points=30, n_seeds=1, out_dir=str(tmp_path / d))
+                for d in ("a", "b")]
+        a, b = (run_psd_diagnostic(cfg) for cfg in runs)
+        del a["config"]["out_dir"], b["config"]["out_dir"]
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+        for name in ("naive_spectrum_seed2.csv", "embed_spectrum_seed2.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# Tiny configs that still run every stage of each experiment.
+TINY = {
+    "consistency": {"population": 30, "n_grid": [10, 30], "grid_points": 5,
+                    "replicates": 2, "n_seeds": 2},
+    "gaussian-regression": {"n_total": 12, "n_train": 8, "grid_size": 12, "n_seeds": 2},
+    "psd": {"n_points": 20, "n_seeds": 2},
+    "disks": {"n_train": 6, "n_test": 4, "grid_size": 12, "n_seeds": 2},
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNNERS))
+def test_write_report_is_every_experiments_report(name, tmp_path):
+    # each driver returns what report.json holds, the file depends on the
+    # config and seed alone, and meta.json holds the wall clock and, for the
+    # experiments that fit a GP, the fits
+    texts = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        report = RUNNERS[name](build_config(name, seed=3, out_dir=out, overrides=TINY[name]))
+        text = (out / "report.json").read_text()
+        assert report == json.loads(text)
+        assert report["seeds"] == [3, 4] and list(report["per_seed"]) == ["3", "4"]
+        assert report["experiment"] == name and report["config"]["out_dir"] == str(out)
+        texts.append(text.replace(json.dumps(str(out)), '"OUT"'))
+        meta = json.loads((out / "meta.json").read_text())
+        fits = {"gaussian-regression": {"gp_mle", "gp_cv"}, "disks": {"gp"}}.get(name)
+        assert set(meta) == {"wall_clock_seconds"} | ({"fits"} if fits else set())
+        if fits:
+            assert list(meta["fits"]) == ["3", "4"]
+            assert all(set(row) == fits for row in meta["fits"].values())
+    assert texts[0] == texts[1]
 
 
 class TestDisks:

@@ -523,9 +523,9 @@ class TestNelderMead:
         searches = []
         minimize_in_box = gp._minimize_in_box
 
-        def recording(objective, log_box, n_starts=8, gradient=False):
+        def recording(objective, log_box, gradient=False):
             searches.append((objective, log_box))
-            return minimize_in_box(objective, log_box, n_starts, gradient)
+            return minimize_in_box(objective, log_box, gradient)
 
         monkeypatch.setattr(gp, "_minimize_in_box", recording)
         gp_fit_cv(*regression_training_set(seed))
@@ -592,9 +592,9 @@ class TestScreenedSearch:
         minimize_in_box = gp._minimize_in_box
         searched = []
 
-        def recording(objective, log_box, n_starts=8, gradient=False):
-            res = minimize_in_box(objective, log_box, n_starts, gradient)
-            searched.append((res.fun, full_length_minimum(objective, log_box, gradient, n_starts)))
+        def recording(objective, log_box, gradient=False):
+            res = minimize_in_box(objective, log_box, gradient)
+            searched.append((res.fun, full_length_minimum(objective, log_box, gradient)))
             return res
 
         monkeypatch.setattr(gp, "_minimize_in_box", recording)

@@ -204,3 +204,40 @@ def test_embedder_scan_sees_every_kind_of_use():
               "h = lambda x: embed_gaussians(x)\nTABLE = {'e': embed_grids}\n")
     assert sorted(embedder_uses(ast.parse(source), "embed")) == ["<lambda>", "<module>", "f", "g"]
     assert sorted(embedder_uses(ast.parse(source))) == ["<lambda>", "<module>", "embed", "f", "g"]
+
+
+REPORT_FILES = ("report.json", "meta.json")
+
+
+def report_file_names(tree: ast.Module, allowed: str | None = None):
+    """Names of the functions holding a string that names report.json or
+    meta.json, outside the top-level function `allowed`; "<module>" for one
+    outside any function."""
+    pending = [(node, "<module>") for node in tree.body
+               if not (isinstance(node, ast.FunctionDef) and node.name == allowed)]
+    while pending:
+        node, owner = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            owner = getattr(node, "name", "<lambda>")
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and any(name in node.value for name in REPORT_FILES)):
+            yield owner
+        pending.extend((child, owner) for child in ast.iter_child_nodes(node))
+
+
+def test_only_write_report_names_the_experiment_report_files():
+    # the four experiment drivers hand their rows to write_report, the one
+    # owner of the report.json and meta.json format
+    source = (PACKAGE / "experiments.py").read_text()
+    assert list(report_file_names(ast.parse(source), "write_report")) == []
+
+
+def test_report_file_scan_sees_every_kind_of_use():
+    source = ("def write_report(out):\n    (out / 'report.json').write_text('')\n"
+              "def run_a(out):\n    (out / 'meta.json').write_text('')\n"
+              "class A:\n    def g(self, out):\n        return f'{out}/report.json'\n"
+              "h = lambda out: out / 'meta.json'\nNAME = 'report.json'\n")
+    assert sorted(report_file_names(ast.parse(source), "write_report")) == [
+        "<lambda>", "<module>", "g", "run_a"]
+    assert sorted(report_file_names(ast.parse(source))) == [
+        "<lambda>", "<module>", "g", "run_a", "write_report"]

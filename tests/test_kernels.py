@@ -11,7 +11,6 @@ import otgp.kernels
 from otgp.barycenter import gaussian_barycenter, gaussian_barycenter_measure, grid_barycenter
 from otgp.errors import DimensionMismatch, NotSymmetric, ReferenceMismatch, ValidationError
 from otgp.kernels import (
-    DEFAULT_BOUNDS,
     NUMPY_COLUMNS,
     ROW_BLOCK,
     Embedding,
@@ -25,7 +24,6 @@ from otgp.kernels import (
     gram_matrix,
     naive_w2_gram,
     pairwise_distances,
-    params_in_box,
     psd_diagnostic,
 )
 from otgp.measures import (
@@ -104,11 +102,6 @@ class TestKernelParams:
         values[field] = value
         with pytest.raises(ValidationError, match="must be finite"):
             KernelParams(*values)
-
-    def test_box_predicate(self):
-        assert params_in_box(KernelParams(1.0, 1.0, 1.0, 0.01))
-        assert not params_in_box(KernelParams(1.0, 1.0, 1.0, 0.0))
-        assert params_in_box(KernelParams(*(b[0] for b in DEFAULT_BOUNDS)))
 
     def test_roundtrip(self):
         p = KernelParams(2.0, 0.5, 1.0, 0.1)
@@ -438,6 +431,11 @@ class TestPsdDiagnostic:
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
             psd_diagnostic(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_a_tolerance_out_of_range(self, tol):
+        with pytest.raises(ValidationError, match=f"tol must be finite and >= 0, got {tol}"):
+            psd_diagnostic(np.eye(3), tol=tol)
 
     def test_naive_gram_indefinite_in_2d(self):
         measures = sample_gaussian_population(100, 2, seed=(1, 0),
