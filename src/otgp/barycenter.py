@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, NoConvergence, NumericalUnderflow, ValidationError
+from .errors import GridMismatch, NoConvergence, NumericalUnderflow, ValidationError, check_arg
 from .measures import GaussianMeasure, GridDensity, validate_spd
-from .ot import _apply, _axis_log_kernel, _psd_sqrt_batch, sqrtm_spd
+from .ot import _apply, _axis_log_kernel, _sandwich_roots
 
 
 @dataclass(frozen=True)
@@ -37,13 +37,6 @@ def _uniform_weights(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
-def _check_stopping(tol: float, max_iter: int) -> None:
-    if not 0.0 <= tol < np.inf:
-        raise ValidationError(f"tol must be finite and >= 0, got {tol}")
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
-
-
 def gaussian_barycenter(covs, tol: float = 1e-9, max_iter: int = 1000) -> BarycenterReport:
     """Covariance of the Wasserstein barycenter of centered Gaussians, with
     uniform weights w_i = 1/n.
@@ -52,15 +45,15 @@ def gaussian_barycenter(covs, tol: float = 1e-9, max_iter: int = 1000) -> Baryce
     when the fixed-point residual
     ||S - sum_i w_i (S^1/2 S_i S^1/2)^1/2||_F / ||S||_F drops below tol.
     """
-    _check_stopping(tol, max_iter)
+    check_arg("tol", tol, "finite and >= 0")
+    check_arg("max_iter", max_iter, ">= 1")
     stack = validate_spd(covs)
     if stack.ndim != 3:
         raise ValidationError(f"expected an (n, d, d) covariance stack, got shape {stack.shape}")
     w = _uniform_weights(len(stack))
     s = np.einsum("i,ijk->jk", w, stack)  # Euclidean mean: SPD, cheap start
     for it in range(1, max_iter + 1):
-        root, inv_root = sqrtm_spd(s)
-        roots = _psd_sqrt_batch(root @ stack @ root)
+        roots, inv_root = _sandwich_roots(s, stack)
         mixture = np.einsum("i,ijk->jk", w, roots)
         residual = float(np.linalg.norm(s - mixture) / np.linalg.norm(s))
         if residual <= tol:
@@ -91,7 +84,8 @@ def grid_barycenter(densities, lam: float = 20.0, tol: float = 1e-6,
     avoiding the entropic blur. A Bregman product that is zero or not finite on a support
     cell (lam too large for the grid) raises NumericalUnderflow.
     """
-    _check_stopping(tol, max_iter)
+    check_arg("tol", tol, "finite and >= 0")
+    check_arg("max_iter", max_iter, ">= 1")
     densities = list(densities)
     if not densities:
         raise ValidationError("need at least one density")

@@ -4,13 +4,12 @@ JSON, fitted-model JSON, Gram-matrix CSV, prediction CSV and eigenvalue CSV."""
 from __future__ import annotations
 
 import json
-import math
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .errors import NotSymmetric, ValidationError
+from .errors import NotSymmetric, ValidationError, check_arg
 from .kernels import Embedding, KernelParams, pairwise_distances
 from .measures import (
     DiskConfig,
@@ -53,14 +52,7 @@ def _number(value, key: str, item: int | None = None, positive: bool = False) ->
     strings, null, NaN and infinities."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValidationError(f"{key} {value!r} is not a number", item)
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number) or positive and number <= 0.0:
-        need = "finite and positive" if positive else "finite"
-        raise ValidationError(f"{key} must be {need}, got {value}", item)
-    return number
+    return check_arg(key, value, "finite and positive" if positive else "finite", item)
 
 
 def _array(value, key: str, item: int | None = None) -> np.ndarray:
@@ -266,9 +258,8 @@ def load_model(path):
     y = _array(_field(payload, "y"), "y")
     if y.ndim != 1:
         raise ValidationError(f"y must be a list of numbers, got shape {y.shape}")
-    bad = np.flatnonzero(~np.isfinite(y))
-    if bad.size:
-        raise ValidationError(f"y must be finite, got {y[bad[0]]}", int(bad[0]))
+    for k, value in enumerate(y):
+        check_arg("y", value, "finite", k)
     degenerate = _field(payload, "degenerate")
     if not isinstance(degenerate, bool):
         raise ValidationError(f"degenerate {degenerate!r} is not a boolean")

@@ -1,8 +1,10 @@
-"""Exception hierarchy.
+"""Exception hierarchy and the scalar argument rules.
 
 Validation errors indicate bad inputs (CLI exit code 2); numerical errors
 indicate a computation that could not be completed (CLI exit code 3).
 """
+
+import math
 
 
 class OtgpError(Exception):
@@ -20,6 +22,29 @@ class ValidationError(OtgpError):
 
 class NumericalError(OtgpError):
     pass
+
+
+# The scalar argument rules, keyed by the words of their messages.
+RULES = {
+    "finite": lambda x: -math.inf < x < math.inf,
+    "finite and >= 0": lambda x: 0.0 <= x < math.inf,
+    "finite and positive": lambda x: 0.0 < x < math.inf,
+    ">= 1": lambda x: x >= 1,
+}
+
+
+def check_arg(name: str, value, rule: str, item: int | None = None, shown=None) -> float:
+    """value as a float if it keeps rule, a key of RULES; otherwise ValidationError
+    "{name} must be {rule}, got {shown}", shown defaulting to value. An integer
+    beyond the float range counts as infinite."""
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not RULES[rule](number):
+        raise ValidationError(f"{name} must be {rule}, got {value if shown is None else shown}",
+                              item)
+    return number
 
 
 class NotSymmetric(ValidationError):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .barycenter import gaussian_barycenter
 from .baseline import fit_smoother, smoother_predict
-from .errors import ValidationError
+from .errors import ValidationError, check_arg
 from .gp import build_model, gp_fit_cv, gp_fit_mle, gp_predict, metrics
 from .kernels import (
     KernelParams,
@@ -393,16 +393,11 @@ def build_config(name: str, seed: int, out_dir=None, overrides: dict | None = No
     cls = CONFIG_TYPES[name]
     cfg = cls(seed=seed, out_dir=str(out_dir) if out_dir else None)
     if overrides:
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(overrides) - fields
+        unknown = set(overrides) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValidationError(f"unknown config keys {sorted(unknown)}")
-        coerced = {}
-        for key, val in overrides.items():
-            if isinstance(val, list):
-                val = tuple(val)
-            coerced[key] = val
-        cfg = dataclasses.replace(cfg, **coerced)
+        cfg = dataclasses.replace(cfg, **{key: tuple(val) if isinstance(val, list) else val
+                                          for key, val in overrides.items()})
     _validate_sizes(cfg)
     return cfg
 
@@ -429,10 +424,7 @@ def _validate_sizes(cfg) -> None:
             if isinstance(v, bool) or not isinstance(v, int if count else (int, float)):
                 raise ValidationError(
                     f"{f.name} must be {'an integer' if count else 'a number'}, got {val!r}")
-            if count and v < 1:
-                raise ValidationError(f"{f.name} must be >= 1, got {val!r}")
-            if not count and not 0.0 < v < np.inf:
-                raise ValidationError(f"{f.name} must be finite and positive, got {val!r}")
+            check_arg(f.name, v, ">= 1" if count else "finite and positive", shown=repr(val))
     if isinstance(cfg, RegressionConfig) and cfg.n_train >= cfg.n_total:
         raise ValidationError(f"n_train must be below n_total, got {cfg.n_train} >= {cfg.n_total}")
     if isinstance(cfg, ConsistencyConfig):

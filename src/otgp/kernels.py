@@ -14,15 +14,14 @@ the naive exp(-W2^2) kernel used as a negative control.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .barycenter import gaussian_barycenter_measure, grid_barycenter
-from .errors import DimensionMismatch, NotSymmetric, ReferenceMismatch, ValidationError
+from .errors import DimensionMismatch, NotSymmetric, ReferenceMismatch, ValidationError, check_arg
 from .measures import GaussianMeasure, GridDensity
-from .ot import MAP_TOL, _psd_sqrt_batch, _spd_roots, inverse_grid_maps, sqrtm_spd
+from .ot import MAP_TOL, _bures_sq, _sandwich_roots, _spd_roots, inverse_grid_maps
 
 # Embedding distances below this snap to exactly zero so the nugget indicator
 # fires on identical inputs despite round-off.
@@ -56,13 +55,9 @@ class KernelParams:
     nugget: float
 
     def __post_init__(self):
-        values = (self.amplitude, self.rate, self.exponent, self.nugget)
-        if not all(map(math.isfinite, values)):
-            raise ValidationError("amplitude, rate, exponent and nugget must be finite, "
-                                  f"got {', '.join(map(str, values))}")
-        if self.amplitude < 0 or self.rate < 0 or self.nugget < 0:
-            raise ValidationError("amplitude, rate and nugget must be nonnegative")
-        if not (0.0 < self.exponent <= 2.0):
+        for name in ("amplitude", "rate", "nugget"):
+            check_arg(name, getattr(self, name), "finite and >= 0")
+        if not 0.0 < check_arg("exponent", self.exponent, "finite") <= 2.0:
             raise ValidationError("exponent must lie in (0, 2]")
 
     def as_array(self) -> np.ndarray:
@@ -132,9 +127,8 @@ def embed_gaussians(measures, reference: GaussianMeasure) -> Embedding:
         raise DimensionMismatch(f"measures must have the reference dimension {d}")
     means = np.array([m.mean for m in measures]).reshape(n, d)
     covs = np.array([m.cov for m in measures]).reshape(n, d, d)
-    root, inv_root = sqrtm_spd(reference.cov)
-    maps = _psd_sqrt_batch(root @ covs @ root) @ inv_root
-    return Embedding(reference, np.hstack([means, maps.reshape(n, d * d)]))
+    roots, inv_root = _sandwich_roots(reference.cov, covs)
+    return Embedding(reference, np.hstack([means, (roots @ inv_root).reshape(n, d * d)]))
 
 
 def embed_grids(densities, reference: GridDensity, lam: float = 20.0,
@@ -299,8 +293,7 @@ class PsdReport:
 def psd_diagnostic(matrix, tol: float = 1e-8) -> PsdReport:
     """Sorted spectrum and the number of eigenvalues below -tol * |lambda|max;
     tol must be finite and >= 0."""
-    if not 0.0 <= tol < math.inf:
-        raise ValidationError(f"tol must be finite and >= 0, got {tol}")
+    check_arg("tol", tol, "finite and >= 0")
     m = np.asarray(matrix, dtype=float)
     scale = np.linalg.norm(m)
     if scale > 0 and np.linalg.norm(m - m.T) / scale > 1e-12:
@@ -319,8 +312,8 @@ def naive_w2_gram(measures) -> np.ndarray:
     Entry for entry the same closed form as ot.gaussian_w2: each covariance
     is square-rooted once, and each pair takes the root of the argument that
     comes second in gaussian_w2's canonical order. The roots come from one
-    batched eigh (ot._spd_roots) of the validated covariances, and the Bures
-    cross terms from one batched eigvalsh per PAIR_CHUNK pairs.
+    batched eigh (ot._spd_roots) of the validated covariances, and the squared
+    Bures distances from ot._bures_sq, PAIR_CHUNK pairs at a time.
     """
     n = len(measures)
     if len({m.dim for m in measures}) > 1:
@@ -331,7 +324,6 @@ def naive_w2_gram(measures) -> np.ndarray:
     means = np.array([m.mean for m in measures])
     covs = np.array([m.cov for m in measures])
     roots, _ = _spd_roots(covs)
-    traces = np.trace(covs, axis1=1, axis2=2)
     keys = [(m.mean.tobytes(), m.cov.tobytes()) for m in measures]
     rank = np.empty(n, dtype=int)
     rank[sorted(range(n), key=keys.__getitem__)] = np.arange(n)
@@ -341,10 +333,9 @@ def naive_w2_gram(measures) -> np.ndarray:
     sq = np.empty(len(i))
     for s in range(0, len(i), PAIR_CHUNK):
         pa, pb = a[s:s + PAIR_CHUNK], b[s:s + PAIR_CHUNK]
-        cross = np.linalg.eigvalsh(roots[pb] @ covs[pa] @ roots[pb])
-        bures = traces[pa] + traces[pb] - 2.0 * np.sqrt(np.clip(cross, 0.0, None)).sum(axis=1)
         mean_sq = ((means[pa] - means[pb]) ** 2).sum(axis=1)
         same = (means[pa] == means[pb]).all(axis=1) & (covs[pa] == covs[pb]).all(axis=(1, 2))
-        sq[s:s + PAIR_CHUNK] = np.where(same, 0.0, mean_sq + np.maximum(bures, 0.0))
+        sq[s:s + PAIR_CHUNK] = np.where(same, 0.0,
+                                        mean_sq + _bures_sq(covs[pa], covs[pb], roots[pb]))
     out[i, j] = out[j, i] = np.exp(-sq)
     return out

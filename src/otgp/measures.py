@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySupport, NotPositiveDefinite, NotSymmetric, ValidationError
+from .errors import EmptySupport, NotPositiveDefinite, NotSymmetric, ValidationError, check_arg
 from .rng import make_rng
 
 SYMMETRY_RTOL = 1e-12
@@ -24,10 +24,10 @@ PROBE_CHUNK = 1 << 20
 
 
 def as_floats(value, what: str, item: int | None = None) -> np.ndarray:
-    """value as a float array; ValidationError if it is ragged or not numeric."""
+    """value as a float array; ValidationError if it is ragged, not numeric or too large."""
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{what} is not a numeric array", item) from None
 
 
@@ -207,8 +207,12 @@ def disks_to_grid(cfg: DiskConfig, grid_size: int, subsamples: int = 4) -> GridD
     Each cell is probed on a subsamples x subsamples lattice; the cell weight
     is proportional to the number of probe points falling inside the union.
     """
+    for name, size in (("grid_size", grid_size), ("subsamples", subsamples)):
+        if not isinstance(size, (int, np.integer)):
+            raise ValidationError(f"{name} must be an integer, got {size!r}")
     if grid_size < 2:
         raise ValidationError("grid_size must be >= 2")
+    check_arg("subsamples", subsamples, ">= 1")
     g, s, r = grid_size, subsamples, cfg.radius
     n = g * s
     ticks = (np.arange(n) + 0.5) / n
@@ -278,8 +282,8 @@ def sample_gaussian_population(n: int, d: int, seed,
                                ) -> list[GaussianMeasure]:
     """n zero-mean d-dimensional Gaussians with covariance A A^T,
     A entries uniform on entry_range."""
-    if n < 1 or d < 1:
-        raise ValidationError("n and d must be >= 1")
+    check_arg("n", n, ">= 1")
+    check_arg("d", d, ">= 1")
     covs = gaussian_cov_stack(n, d, make_rng(seed), entry_range)
     return gaussian_measures(np.zeros((n, d)), covs)
 
@@ -292,8 +296,7 @@ def regression_response(mean: np.ndarray, sigma: float) -> float:
 def sample_regression_gaussians(n: int, seed) -> list[tuple[GaussianMeasure, float]]:
     """Isotropic 2-D Gaussian inputs with uniform means on [0.2, 0.8]^2,
     sigma uniform on [1e-4, 4e-4], paired with their responses."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    check_arg("n", n, ">= 1")
     rng = make_rng(seed)
     means = rng.uniform(0.2, 0.8, size=(n, 2))
     sigmas = rng.uniform(1e-4, 4e-4, size=n)

@@ -25,6 +25,7 @@ from .errors import (
     OtgpError,
     SizeMismatch,
     ValidationError,
+    check_arg,
 )
 from .measures import EmpiricalSample, GaussianMeasure, GridDensity, validate_spd
 
@@ -130,13 +131,19 @@ def sqrtm_spd(s) -> tuple[np.ndarray, np.ndarray]:
     return root[0], inv_root[0]
 
 
-def _bures_sq(cov_a: np.ndarray, cov_b: np.ndarray) -> float:
-    """tr(Sa) + tr(Sb) - 2 tr((Sb^1/2 Sa Sb^1/2)^1/2), clipped at 0."""
-    bh, _ = sqrtm_spd(cov_b)
-    cross = np.linalg.eigvalsh(bh @ cov_a @ bh)
-    cross_tr = np.sqrt(np.clip(cross, 0.0, None)).sum()
-    val = float(np.trace(cov_a) + np.trace(cov_b) - 2.0 * cross_tr)
-    return max(val, 0.0)
+def _sandwich_roots(reference, covs) -> tuple[np.ndarray, np.ndarray]:
+    """(roots, inv_root): (Sbar^1/2 S Sbar^1/2)^1/2 for the covariance S or
+    each of a stack, with Sbar the reference, and Sbar^-1/2."""
+    root, inv_root = sqrtm_spd(reference)
+    return _psd_sqrt_batch(root @ covs @ root), inv_root
+
+
+def _bures_sq(covs_a: np.ndarray, covs_b: np.ndarray, roots_b: np.ndarray) -> np.ndarray:
+    """Squared Bures distance tr(Sa) + tr(Sb) - 2 tr((Rb Sa Rb)^1/2), clipped
+    at 0, per pair of (n, d, d) stacks, with Rb = Sb^1/2 from roots_b."""
+    cross = np.sqrt(np.clip(np.linalg.eigvalsh(roots_b @ covs_a @ roots_b), 0.0, None))
+    return np.maximum(np.trace(covs_a, axis1=1, axis2=2) + np.trace(covs_b, axis1=1, axis2=2)
+                      - 2.0 * cross.sum(axis=1), 0.0)
 
 
 def gaussian_w2(a: GaussianMeasure, b: GaussianMeasure) -> float:
@@ -151,8 +158,8 @@ def gaussian_w2(a: GaussianMeasure, b: GaussianMeasure) -> float:
         return 0.0
     if (a.mean.tobytes(), a.cov.tobytes()) > (b.mean.tobytes(), b.cov.tobytes()):
         a, b = b, a
-    mean_sq = float(((a.mean - b.mean) ** 2).sum())
-    return float(np.sqrt(mean_sq + _bures_sq(a.cov, b.cov)))
+    bures = _bures_sq(a.cov[None], b.cov[None], sqrtm_spd(b.cov)[0][None])[0]
+    return float(np.sqrt(((a.mean - b.mean) ** 2).sum() + bures))
 
 
 def gaussian_transport_map(from_cov, to_cov) -> tuple[np.ndarray, np.ndarray]:
@@ -163,15 +170,14 @@ def gaussian_transport_map(from_cov, to_cov) -> tuple[np.ndarray, np.ndarray]:
     roles swapped.
     """
     def closed_form(s, q):
-        root, inv_root = sqrtm_spd(s)
-        t = inv_root @ _psd_sqrt_batch(root @ q @ root) @ inv_root
+        roots, inv_root = _sandwich_roots(s, q)
+        t = inv_root @ roots @ inv_root
         t = 0.5 * (t + t.T)
         if not np.all(np.isfinite(t)):
             raise ValidationError("map matrix has non-finite entries")
         return t
 
-    from_cov = validate_spd(from_cov)
-    to_cov = validate_spd(to_cov)
+    from_cov, to_cov = validate_spd(from_cov), validate_spd(to_cov)
     if from_cov.shape != to_cov.shape:
         raise DimensionMismatch("covariance dimensions differ")
     return closed_form(from_cov, to_cov), closed_form(to_cov, from_cov)
@@ -185,13 +191,10 @@ def map_l2_distance_gaussian(cov_i, cov_j, cov_bar) -> float:
     (Sbar^1/2 S Sbar^1/2)^1/2, which is the variance of the difference of the
     two linear maps under the reference measure.
     """
-    cov_i = validate_spd(cov_i)
-    cov_j = validate_spd(cov_j)
-    cov_bar = validate_spd(cov_bar)
+    cov_i, cov_j, cov_bar = map(validate_spd, (cov_i, cov_j, cov_bar))
     if not (cov_i.shape == cov_j.shape == cov_bar.shape):
         raise DimensionMismatch("covariance dimensions differ")
-    root, inv_root = sqrtm_spd(cov_bar)
-    roots = _psd_sqrt_batch(root @ np.stack([cov_i, cov_j]) @ root)
+    roots, inv_root = _sandwich_roots(cov_bar, np.stack([cov_i, cov_j]))
     a = inv_root @ (roots[0] - roots[1])
     return float((a * a).sum())
 
@@ -231,8 +234,7 @@ def _axis_log_kernel(rows: int, cols: int, lam: float) -> np.ndarray:
     The grid kernel exp(-lam |x - y|^2 / GRID_DIAMETER_SQ) is the product of
     the factor on the x axis and the factor on the y axis.
     """
-    if not 0.0 < lam < np.inf:
-        raise ValidationError(f"lam must be finite and positive, got {lam}")
+    check_arg("lam", lam, "finite and positive")
     s = (np.arange(rows) + 0.5) / rows
     t = (np.arange(cols) + 0.5) / cols
     return -lam * (s[:, None] - t[None, :]) ** 2 / GRID_DIAMETER_SQ
@@ -395,6 +397,8 @@ def _grid_sinkhorn(a: GridDensity, bs, lam: float, max_iter: int, tol: float, st
     projections stack their inputs the same way, Benamou et al., SISC 2015),
     each from its start in starts, aligned with bs (_sinkhorn_batch).
     """
+    check_arg("tol", tol, "finite and >= 0")
+    check_arg("max_iter", max_iter, ">= 1")
     bs = list(bs)
     starts = [None] * len(bs) if starts is None else [
         None if s is None else np.asarray(s, float) for s in starts]

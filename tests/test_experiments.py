@@ -292,6 +292,8 @@ class TestBuildConfig:
         ("consistency", {"population": 300}, "n_grid must not exceed population"),
         ("consistency", {"population": 40, "n_grid": [10, 40], "grid_points": 40},
          "grid_points must be below population, got 40 >= 40"),
+        ("consistency", {"n_grid": [20, 0]}, r"^n_grid must be >= 1, got \(20, 0\)$"),
+        ("disks", {"lam": 0}, "^lam must be finite and positive, got 0$"),
     ])
     def test_config_that_would_misbehave_is_refused(self, name, overrides, pattern):
         from otgp.errors import ValidationError

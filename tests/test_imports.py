@@ -1,6 +1,7 @@
 """Import footprint: scipy loads inside the functions that use it, the fits
 never load scipy.stats, and only wide-row distances and the smoothing
-baseline load scipy.spatial."""
+baseline load scipy.spatial. Source scans: the embedders, the report files,
+each Gaussian closed form and each argument rule have one owner."""
 
 import ast
 import subprocess
@@ -172,10 +173,10 @@ def test_scipy_subpackages_each_gaussian_command_loads(gaussian_files, argv, exp
 EMBEDDERS = {"embed_grids", "embed_gaussians"}
 
 
-def embedder_uses(tree: ast.Module, allowed: str | None = None):
-    """Names of the functions that refer to embed_grids or embed_gaussians,
-    by name or attribute, outside the top-level function `allowed`;
-    "<module>" for a use outside any function."""
+def name_uses(tree: ast.Module, names, allowed: str | None = None):
+    """Names of the functions that refer to one of names, by name or
+    attribute, outside the top-level function `allowed`; "<module>" for a
+    use outside any function."""
     pending = [(node, "<module>") for node in tree.body
                if not (isinstance(node, ast.FunctionDef) and node.name == allowed)]
     while pending:
@@ -183,7 +184,7 @@ def embedder_uses(tree: ast.Module, allowed: str | None = None):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             owner = getattr(node, "name", "<lambda>")
         name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-        if isinstance(node, (ast.Name, ast.Attribute)) and name in EMBEDDERS:
+        if isinstance(node, (ast.Name, ast.Attribute)) and name in names:
             yield owner
         pending.extend((child, owner) for child in ast.iter_child_nodes(node))
 
@@ -191,8 +192,8 @@ def embedder_uses(tree: ast.Module, allowed: str | None = None):
 def test_only_kernels_embed_calls_the_embedders():
     # the pipeline's barycenter-then-embed sequence lives in kernels.embed alone
     offenders = [f"{path.name}: {owner}" for path in sorted(PACKAGE.glob("*.py"))
-                 for owner in embedder_uses(ast.parse(path.read_text()),
-                                            "embed" if path.name == "kernels.py" else None)]
+                 for owner in name_uses(ast.parse(path.read_text()), EMBEDDERS,
+                                        "embed" if path.name == "kernels.py" else None)]
     assert offenders == []
 
 
@@ -202,8 +203,67 @@ def test_embedder_scan_sees_every_kind_of_use():
               "def f(x):\n    return k.embed_gaussians(x)\n"
               "class A:\n    def g(self):\n        run = embed_grids\n        return run\n"
               "h = lambda x: embed_gaussians(x)\nTABLE = {'e': embed_grids}\n")
-    assert sorted(embedder_uses(ast.parse(source), "embed")) == ["<lambda>", "<module>", "f", "g"]
-    assert sorted(embedder_uses(ast.parse(source))) == ["<lambda>", "<module>", "embed", "f", "g"]
+    assert sorted(name_uses(ast.parse(source), EMBEDDERS, "embed")) == [
+        "<lambda>", "<module>", "f", "g"]
+    assert sorted(name_uses(ast.parse(source), EMBEDDERS)) == [
+        "<lambda>", "<module>", "embed", "f", "g"]
+
+
+# The functions that may refer to each name: the sandwich root
+# (Sbar^1/2 S Sbar^1/2)^1/2 is formed only in ot._sandwich_roots, and of the
+# eigenvalue-only decompositions the Bures term has one, beside the SPD and
+# spectrum checks.
+FORMULA_OWNERS = {
+    "_psd_sqrt_batch": {("ot.py", "_sandwich_roots")},
+    "eigvalsh": {("measures.py", "validate_spd"), ("kernels.py", "psd_diagnostic"),
+                 ("ot.py", "_bures_sq")},
+}
+
+
+def test_each_gaussian_closed_form_is_written_once():
+    offenders = [f"{path.name}: {owner} uses {name}" for path in sorted(PACKAGE.glob("*.py"))
+                 for name, owners in FORMULA_OWNERS.items()
+                 for owner in name_uses(ast.parse(path.read_text()), {name})
+                 if (path.name, owner) not in owners]
+    assert offenders == []
+
+
+RULE_WORDS = (" must be finite", " must be >= 1")
+
+
+def rule_texts(tree: ast.Module) -> list[int]:
+    """Lines of the strings, f-string parts included, that spell out an
+    argument rule of errors.RULES; docstrings are skipped."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in docstrings and any(w in node.value for w in RULE_WORDS))
+
+
+def test_only_errors_spells_out_the_argument_rules():
+    # every site states its rule through errors.check_arg, which words the message
+    offenders = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "errors.py" for line in rule_texts(ast.parse(path.read_text()))]
+    assert offenders == []
+
+
+def test_single_place_scans_see_every_kind_of_use():
+    source = ('"""Docs may say that n must be >= 1."""\n'
+              "from .ot import _psd_sqrt_batch\n"
+              "def _sandwich_roots(m):\n    return _psd_sqrt_batch(m)\n"
+              "def f(m):\n    \"\"\"tol must be finite.\"\"\"\n"
+              "    return np.linalg.eigvalsh(m), ot._psd_sqrt_batch(m)\n"
+              "class A:\n    def g(self, m, n):\n        if n < 1:\n"
+              "            raise ValueError(f'{n} must be >= 1')\n"
+              "        return eigvalsh(m)\n"
+              "h = lambda tol: 'tol must be finite and >= 0'\n")
+    tree = ast.parse(source)
+    assert sorted(name_uses(tree, {"_psd_sqrt_batch"})) == ["_sandwich_roots", "f"]
+    assert sorted(name_uses(tree, {"eigvalsh"})) == ["f", "g"]
+    assert rule_texts(tree) == [11, 13]
 
 
 REPORT_FILES = ("report.json", "meta.json")

@@ -31,6 +31,8 @@ from otgp.measures import (
     GaussianMeasure,
     GridDensity,
     disks_to_grid,
+    gaussian_measures,
+    rasterize_gaussian,
     sample_gaussian_population,
 )
 from otgp.ot import gaussian_w2, inverse_grid_map, map_l2_distance_gaussian
@@ -102,6 +104,19 @@ class TestKernelParams:
         values[field] = value
         with pytest.raises(ValidationError, match="must be finite"):
             KernelParams(*values)
+
+    @pytest.mark.parametrize("values,message", [
+        ((-1.0, 1.0, 2.0, 0.0), "amplitude must be finite and >= 0, got -1.0"),
+        ((1.0, -0.5, 2.0, 0.0), "rate must be finite and >= 0, got -0.5"),
+        ((1.0, 1.0, 2.0, -0.001), "nugget must be finite and >= 0, got -0.001"),
+        ((1.0, 1.0, math.nan, 0.0), "exponent must be finite, got nan"),
+        ((1.0, 1.0, 0.0, 0.0), "exponent must lie in (0, 2]"),
+        ((10**400, 1.0, 2.0, 0.0), f"amplitude must be finite and >= 0, got {10**400}"),
+    ], ids=["amplitude", "rate", "nugget", "exponent-nan", "exponent-zero", "amplitude-huge"])
+    def test_names_the_failing_field(self, values, message):
+        with pytest.raises(ValidationError) as info:
+            KernelParams(*values)
+        assert str(info.value) == message
 
     def test_roundtrip(self):
         p = KernelParams(2.0, 0.5, 1.0, 0.1)
@@ -303,6 +318,42 @@ class TestEmbeddingDistance:
         ds = [random_density(rng, 5) for _ in range(3)]
         dist = pairwise_distances(embed_grids(ds, ref, lam=20.0))
         assert dist[0, 2] <= dist[0, 1] + dist[1, 2] + 1e-9
+
+
+# Bound on the lam = 400 error of TestGridEmbeddingReferee; seeds 0-4 read
+# 0.0047-0.0124, and seeds 0-59 at most 0.0183.
+REFEREE_BOUND = 0.02
+
+
+class TestGridEmbeddingReferee:
+    """The grid embedding of rasterized Gaussians against the closed form.
+    With sigma of 1.5 to 4 cells at G = 50, the entropic maps approach the
+    exact ones as lam grows, and the grid distances the closed-form ones.
+    Distances cannot see a map error common to every input, such as its x
+    and y swapped, so the maps' means are checked as well: the plan's
+    target marginal makes the mean of a map under the reference the mean
+    of its input, the first columns of the closed-form row."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_distances_approach_the_closed_form_as_lam_grows(self, seed):
+        rng = np.random.default_rng(seed)
+        means = rng.uniform(0.4, 0.6, size=(12, 2))
+        sigmas = rng.uniform(0.03, 0.08, size=(12, 2))
+        measures = gaussian_measures(means, sigmas[:, :, None] ** 2 * np.eye(2))
+        closed = embed(measures)
+        closed_dist = pairwise_distances(closed)
+        grids = [rasterize_gaussian(m, 50) for m in measures]
+        errors = []
+        for lam in (20.0, 100.0, 400.0):
+            grid = embed(grids, lam=lam)
+            # the largest error over the pairs relative to the largest
+            # distance: a per-pair relative error peaks on the closest pairs
+            errors.append(np.abs(pairwise_distances(grid) - closed_dist).max() / closed_dist.max())
+            _, _, w = grid.reference.support()
+            map_means = np.einsum("s,isk->ik", np.sqrt(w / w.sum()), grid.X.reshape(12, -1, 2))
+            np.testing.assert_allclose(map_means, closed.X[:, :2], rtol=0, atol=1e-6)
+        assert errors[0] > errors[1] > errors[2]
+        assert errors[2] < REFEREE_BOUND
 
 
 def bits(matrix):

@@ -181,6 +181,16 @@ class TestTypes:
         with pytest.raises(ValidationError, match="mean is not a numeric array"):
             GaussianMeasure([[0.0], [0.0, 1.0]], np.eye(2))
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda: GaussianMeasure([10**400, 0.0], np.eye(2)), "mean is not a numeric array"),
+        (lambda: gaussian_measures([[10**400, 0.0]], [np.eye(2)]),
+         "means is not a numeric array"),
+        (lambda: GridDensity([[10**400, 0], [0, 0]]), "weights is not a numeric array"),
+    ], ids=["GaussianMeasure", "gaussian_measures", "GridDensity"])
+    def test_integer_beyond_the_float_range_is_validation_error(self, build, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            build()
+
     def test_grid_weights_must_sum_to_one(self):
         with pytest.raises(ValidationError):
             GridDensity(np.full((4, 4), 0.9 / 16))
@@ -225,6 +235,20 @@ class TestDisksToGrid:
         cfg = DiskConfig(radius=2.0, centers=[[0.5, 0.5]])
         grid = disks_to_grid(cfg, 5)
         np.testing.assert_allclose(grid.weights, np.full((5, 5), 1.0 / 25))
+
+    def test_infinite_radius_is_uniform(self):
+        grid = disks_to_grid(DiskConfig(radius=np.inf, centers=[[0.2, 0.9]]), 7)
+        np.testing.assert_allclose(grid.weights, np.full((7, 7), 1.0 / 49))
+
+    @pytest.mark.parametrize("grid_size,subsamples,message", [
+        (10.5, 4, "grid_size must be an integer, got 10.5"),
+        (1, 4, "grid_size must be >= 2"),
+        (12, 2.0, "subsamples must be an integer, got 2.0"),
+        (12, 0, "subsamples must be >= 1, got 0"),
+    ], ids=["fractional-grid-size", "grid-size-1", "float-subsamples", "zero-subsamples"])
+    def test_refuses_bad_sizes(self, grid_size, subsamples, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            disks_to_grid(DiskConfig(0.1, [[0.5, 0.5]]), grid_size, subsamples)
 
     def test_xy_swap_symmetry(self):
         cfg = DiskConfig(radius=0.15, centers=[[0.3, 0.7], [0.7, 0.3], [0.5, 0.5]])
@@ -362,6 +386,15 @@ class TestGenerators:
         assert np.array_equal(m.mean, np.zeros(2))
         diag = np.diag(m.cov)
         assert np.all(diag >= 2 * 25.0) and np.all(diag <= 2 * 225.0)
+
+    @pytest.mark.parametrize("sample,message", [
+        (lambda: sample_gaussian_population(0, 2, seed=0), "n must be >= 1, got 0"),
+        (lambda: sample_gaussian_population(3, 0, seed=0), "d must be >= 1, got 0"),
+        (lambda: sample_regression_gaussians(0, seed=0), "n must be >= 1, got 0"),
+    ], ids=["population-n", "population-d", "regression-n"])
+    def test_generators_refuse_empty_counts(self, sample, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            sample()
 
     def test_population_spd(self):
         for m in sample_gaussian_population(10, 4, seed=7):

@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -813,6 +814,32 @@ class TestPenaltyValidation:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValidationError, match="lam must be finite and positive"):
                 call(grids, lam)
+
+
+class TestStoppingValidation:
+    """tol and max_iter are validated once, before the first Sinkhorn batch,
+    so every map solver refuses them with the grid barycenter's messages
+    instead of iterating to NoConvergence."""
+
+    @pytest.mark.parametrize("stop,message", [
+        ({"tol": np.nan}, "tol must be finite and >= 0, got nan"),
+        ({"tol": -1.0}, "tol must be finite and >= 0, got -1.0"),
+        ({"tol": np.inf}, "tol must be finite and >= 0, got inf"),
+        ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
+    ], ids=["tol-nan", "tol-negative", "tol-inf", "max_iter-zero"])
+    @pytest.mark.parametrize("call", [
+        lambda a, b, stop: grid_barycenter([a, b], **stop),
+        lambda a, b, stop: sinkhorn_plan(a, b, **stop),
+        lambda a, b, stop: inverse_grid_map(a, b, **stop),
+        lambda a, b, stop: list(inverse_grid_maps([a, b], b, **stop)),
+        lambda a, b, stop: embed_grids([a, b], b, **stop),
+    ], ids=["grid_barycenter", "sinkhorn_plan", "inverse_grid_map", "inverse_grid_maps",
+            "embed_grids"])
+    def test_bad_stopping_rule_is_a_validation_error(self, call, stop, message):
+        rng = np.random.default_rng(2)
+        a, b = (GridDensity(w / w.sum()) for w in rng.uniform(0.1, 1.0, size=(2, 6, 6)))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call(a, b, stop)
 
 
 class TestLogApply:
