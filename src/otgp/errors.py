@@ -5,6 +5,7 @@ indicate a computation that could not be completed (CLI exit code 3).
 """
 
 import math
+from numbers import Integral
 
 
 class OtgpError(Exception):
@@ -36,14 +37,17 @@ RULES = {
 def check_arg(name: str, value, rule: str, item: int | None = None, shown=None) -> float:
     """value as a float if it keeps rule, a key of RULES; otherwise ValidationError
     "{name} must be {rule}, got {shown}", shown defaulting to value. An integer
-    beyond the float range counts as infinite."""
+    beyond the float range counts as infinite. A count, rule ">= 1", must also
+    be an integer (numpy's too), not a bool: "{name} must be an integer"."""
+    shown = value if shown is None else shown
+    if rule == ">= 1" and (isinstance(value, bool) or not isinstance(value, Integral)):
+        raise ValidationError(f"{name} must be an integer, got {shown}", item)
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not RULES[rule](number):
-        raise ValidationError(f"{name} must be {rule}, got {value if shown is None else shown}",
-                              item)
+        raise ValidationError(f"{name} must be {rule}, got {shown}", item)
     return number
 
 

@@ -386,18 +386,19 @@ RUNNERS = {
 }
 
 
-def build_config(name: str, seed: int, out_dir=None, overrides: dict | None = None):
-    """Resolve an experiment config from defaults, a seed, and overrides."""
+def build_config(name: str, seed: int, overrides: dict, out_dir=None):
+    """Resolve an experiment config from defaults, a seed, and overrides, the
+    JSON object of a config file ({} for none)."""
     if name not in CONFIG_TYPES:
         raise ValidationError(f"unknown experiment {name!r}")
+    if not isinstance(overrides, dict):
+        raise ValidationError(f"config must be a JSON object, got {overrides!r}")
     cls = CONFIG_TYPES[name]
-    cfg = cls(seed=seed, out_dir=str(out_dir) if out_dir else None)
-    if overrides:
-        unknown = set(overrides) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ValidationError(f"unknown config keys {sorted(unknown)}")
-        cfg = dataclasses.replace(cfg, **{key: tuple(val) if isinstance(val, list) else val
-                                          for key, val in overrides.items()})
+    unknown = set(overrides) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValidationError(f"unknown config keys {sorted(unknown)}")
+    cfg = dataclasses.replace(cls(seed=seed, out_dir=str(out_dir) if out_dir else None), **{
+        key: tuple(val) if isinstance(val, list) else val for key, val in overrides.items()})
     _validate_sizes(cfg)
     return cfg
 
@@ -420,10 +421,9 @@ def _validate_sizes(cfg) -> None:
                          and ("..." in f.type or len(val) == len(default))):
             raise ValidationError(f"{f.name} must be a list like {list(default)}, got {val!r}")
         count = type(default[0] if many else default) is int
-        for v in val if many else (val,):
-            if isinstance(v, bool) or not isinstance(v, int if count else (int, float)):
-                raise ValidationError(
-                    f"{f.name} must be {'an integer' if count else 'a number'}, got {val!r}")
+        for v in val if many else (val,):  # check_arg refuses a count that is not an integer
+            if not count and (isinstance(v, bool) or not isinstance(v, (int, float))):
+                raise ValidationError(f"{f.name} must be a number, got {val!r}")
             check_arg(f.name, v, ">= 1" if count else "finite and positive", shown=repr(val))
     if isinstance(cfg, RegressionConfig) and cfg.n_train >= cfg.n_total:
         raise ValidationError(f"n_train must be below n_total, got {cfg.n_train} >= {cfg.n_total}")

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CholeskyFailure, SizeMismatch, ValidationError, ZeroVarianceTruths
+from .errors import CholeskyFailure, SizeMismatch, ZeroVarianceTruths
 from .kernels import (
     CV_RATIO_BOX,
     DEFAULT_BOUNDS,
@@ -34,19 +34,18 @@ CI90_FACTOR = 1.645
 # Relative jitter ladder for Cholesky repair, scaled by tr(R)/n.
 JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 
-# _minimize_in_box screens N_STARTS starts at SCREEN, polishes the best at POLISH.
-N_STARTS = 8
+# _minimize_in_box screens one start per row of SOBOL_STARTS at SCREEN and
+# polishes the best at POLISH.
 SCREEN = {"L-BFGS-B": dict(ftol=1e-7, gtol=1e-4, maxiter=1000),
           "Nelder-Mead": dict(xatol=1e-3, fatol=1e-7, maxiter=4000, maxfev=4000)}
 POLISH = {"L-BFGS-B": dict(ftol=1e-13, gtol=1e-9, maxiter=1000),
           "Nelder-Mead": dict(xatol=1e-8, fatol=1e-12, maxiter=4000, maxfev=4000)}
 
-# Sobol' direction numbers of Joe & Kuo (SIAM J. Sci. Comput. 2008) for
-# dimensions 2-4, as (degree s, coefficients a, initial m_1..m_s) of each
-# primitive polynomial; dimension 1 has every m_k = 1. SOBOL_BITS as in
-# scipy.stats.qmc.Sobol, whose unscrambled lattice _sobol_lattice reproduces.
-SOBOL_DIRECTIONS = ((1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)))
-SOBOL_BITS = 30
+# The first 8 points of the unscrambled Sobol' sequence in [0, 1)^4,
+# scipy.stats.qmc.Sobol(4, scramble=False).random(8); a search over k
+# coordinates starts from the first k columns, the k-dimensional sequence.
+SOBOL_STARTS = np.array([[0, 0, 0, 0], [4, 4, 4, 4], [6, 2, 2, 2], [2, 6, 6, 6],
+                         [3, 3, 5, 7], [7, 7, 1, 3], [5, 1, 7, 5], [1, 5, 3, 1]]) / 8.0
 
 
 @dataclass
@@ -121,34 +120,6 @@ def log_likelihood(dist: np.ndarray, y: np.ndarray, theta: KernelParams,
 def _exp_into_box(log_x, box: np.ndarray) -> np.ndarray:
     # box rows are [low, high]; exp(log(bound)) can overshoot by one ulp
     return np.minimum(np.maximum(np.exp(log_x), box[:, 0]), box[:, 1])
-
-
-def _sobol_lattice(dim: int, n: int) -> np.ndarray:
-    """The first n points of the unscrambled Sobol' sequence in [0, 1)^dim,
-    in Gray-code order (Antonov & Saleev 1979): point i is the XOR of the
-    direction numbers at the set bits of i ^ (i >> 1)."""
-    if not 1 <= dim <= len(SOBOL_DIRECTIONS) + 1:
-        raise ValidationError(f"Sobol' lattice has dimensions 1 to {len(SOBOL_DIRECTIONS) + 1}")
-    m = [[1] * SOBOL_BITS]
-    for s, a, initial in SOBOL_DIRECTIONS[:dim - 1]:
-        mk = list(initial)
-        for k in range(s, SOBOL_BITS):  # m_k = m_{k-s} ^ 2^s m_{k-s} ^ XOR_i<s 2^i a_i m_{k-i}
-            new = mk[k - s] ^ mk[k - s] << s
-            for i in range(1, s):
-                if a >> (s - 1 - i) & 1:
-                    new ^= mk[k - i] << i
-            mk.append(new)
-        m.append(mk)
-    v = np.array(m, dtype=np.int64) << (SOBOL_BITS - 1 - np.arange(SOBOL_BITS))
-    i = np.arange(n, dtype=np.int64)
-    gray_bits = ((i ^ i >> 1)[:, None] >> np.arange(SOBOL_BITS)) & 1
-    return np.bitwise_xor.reduce(gray_bits[:, None, :] * v, axis=2) / 2.0**SOBOL_BITS
-
-
-def _multistart_points(log_box: np.ndarray, n_starts: int) -> np.ndarray:
-    # deterministic Sobol lattice over the (log) box
-    unit = _sobol_lattice(len(log_box), n_starts)
-    return log_box[:, 0] + unit * (log_box[:, 1] - log_box[:, 0])
 
 
 class _OutOfEvaluations(Exception):
@@ -270,7 +241,8 @@ def _minimize_in_box(objective, log_box: np.ndarray, gradient: bool = False):
             return _nelder_mead(objective, start, log_box, **options)
 
     method = "L-BFGS-B" if gradient else "Nelder-Mead"
-    best = min((search(x0, **SCREEN[method]) for x0 in _multistart_points(log_box, N_STARTS)),
+    starts = log_box[:, 0] + SOBOL_STARTS[:, :len(log_box)] * (log_box[:, 1] - log_box[:, 0])
+    best = min((search(x0, **SCREEN[method]) for x0 in starts),
                key=lambda res: res.fun)  # the first of equal values
     return search(best.x if gradient else best.simplex, **POLISH[method])
 
@@ -307,8 +279,8 @@ def gp_fit_mle(features, y) -> GpModel:
     """Fit kernel parameters by maximizing the log likelihood.
 
     L-BFGS-B with the analytic gradient of log_likelihood, in log-transformed
-    DEFAULT_BOUNDS coordinates, from a deterministic Sobol lattice of starting
-    points, each screened and the best polished (_minimize_in_box). A start
+    DEFAULT_BOUNDS coordinates, from the deterministic SOBOL_STARTS, each
+    screened and the best polished (_minimize_in_box). A start
     whose Gram cannot be factorized sees a large value with a zero gradient,
     and the search goes on from the other starts.
     """

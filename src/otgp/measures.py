@@ -207,9 +207,8 @@ def disks_to_grid(cfg: DiskConfig, grid_size: int, subsamples: int = 4) -> GridD
     Each cell is probed on a subsamples x subsamples lattice; the cell weight
     is proportional to the number of probe points falling inside the union.
     """
-    for name, size in (("grid_size", grid_size), ("subsamples", subsamples)):
-        if not isinstance(size, (int, np.integer)):
-            raise ValidationError(f"{name} must be an integer, got {size!r}")
+    if not isinstance(grid_size, (int, np.integer)):
+        raise ValidationError(f"grid_size must be an integer, got {grid_size!r}")
     if grid_size < 2:
         raise ValidationError("grid_size must be >= 2")
     check_arg("subsamples", subsamples, ">= 1")

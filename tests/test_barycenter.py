@@ -59,6 +59,16 @@ class TestGaussianBarycenter:
         with pytest.raises(ValidationError, match="stack"):
             gaussian_barycenter(np.eye(2))
 
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, True])
+    def test_max_iter_must_be_an_integer(self, max_iter):
+        with pytest.raises(ValidationError, match=f"^max_iter must be an integer, got {max_iter}$"):
+            gaussian_barycenter([np.eye(2), 2 * np.eye(2)], max_iter=max_iter)
+
+    def test_numpy_integer_max_iter_is_a_count(self):
+        covs = [np.eye(2), 4 * np.eye(2)]
+        assert (gaussian_barycenter(covs, max_iter=np.int64(50)).result.tobytes()
+                == gaussian_barycenter(covs, max_iter=50).result.tobytes())
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)
         covs = [random_spd(rng, 3) for _ in range(6)]

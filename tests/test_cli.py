@@ -445,6 +445,17 @@ class TestExperimentCommand:
                      "--out", str(tmp_path / "x"), "--config", str(cfg)])
         assert code == 2
 
+    @pytest.mark.parametrize("text", ['["n_seeds"]', "5", "null", "[]", '"x"'])
+    def test_config_that_is_no_json_object_is_validation_error(self, tmp_path, capsys, text):
+        # a list or scalar neither crashes nor runs the experiment on defaults
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code = main(["experiment", "psd", "--seed", "1",
+                     "--out", str(tmp_path / "x"), "--config", str(cfg)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("validation error: config must be a JSON object")
+        assert not (tmp_path / "x").exists()
+
 
 class TestUnreadableFiles:
     """A missing, unreadable or malformed input, config or CSV file is a

@@ -294,6 +294,11 @@ class TestBuildConfig:
          "grid_points must be below population, got 40 >= 40"),
         ("consistency", {"n_grid": [20, 0]}, r"^n_grid must be >= 1, got \(20, 0\)$"),
         ("disks", {"lam": 0}, "^lam must be finite and positive, got 0$"),
+        ("psd", ["n_seeds"], r"^config must be a JSON object, got \['n_seeds'\]$"),
+        ("psd", [], r"^config must be a JSON object, got \[\]$"),
+        ("psd", 5, "^config must be a JSON object, got 5$"),
+        ("psd", None, "^config must be a JSON object, got None$"),
+        ("psd", "x", "^config must be a JSON object, got 'x'$"),
     ])
     def test_config_that_would_misbehave_is_refused(self, name, overrides, pattern):
         from otgp.errors import ValidationError

@@ -12,7 +12,6 @@ from otgp.errors import (
     CholeskyFailure,
     ReferenceMismatch,
     SizeMismatch,
-    ValidationError,
     ZeroVarianceTruths,
 )
 from otgp.experiments import disk_response
@@ -530,9 +529,10 @@ class TestNelderMead:
         monkeypatch.setattr(gp, "_minimize_in_box", recording)
         gp_fit_cv(*regression_training_set(seed))
         [(objective, log_box)] = searches
+        lo, hi = log_box.T
         screened = [assert_nelder_mead_equals_scipy(objective, x0, log_box,
                                                     **gp.SCREEN["Nelder-Mead"])
-                    for x0 in gp._multistart_points(log_box, 8)]
+                    for x0 in lo + gp.SOBOL_STARTS[:, :3] * (hi - lo)]
         best = min(screened, key=lambda res: res.fun)
         assert_nelder_mead_equals_scipy(objective, best.simplex, log_box,
                                         **gp.POLISH["Nelder-Mead"])
@@ -605,24 +605,18 @@ class TestScreenedSearch:
             assert screened <= reference + 1e-9 * abs(reference)
 
 
-class TestSobolLattice:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 16, 64])
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-    def test_equals_scipy_unscrambled_sobol_bitwise(self, dim, n):
-        # scipy is the oracle here only; the fitters build their starts in-package
+class TestSobolStarts:
+    def test_equals_scipy_unscrambled_sobol_bitwise(self):
+        # scipy is the oracle here only; the fitters read the table in-package.
+        # The CV search over 3 coordinates starts from the first 3 columns.
         from scipy.stats import qmc
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # unscrambled Sobol balance warning
-            expected = qmc.Sobol(d=dim, scramble=False).random(n)
-        lattice = gp._sobol_lattice(dim, n)
-        assert lattice.dtype == expected.dtype and lattice.shape == expected.shape
-        assert lattice.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("dim", [0, 5])
-    def test_dimension_outside_the_table_is_typed(self, dim):
-        with pytest.raises(ValidationError):
-            gp._sobol_lattice(dim, 8)
+            four, three = (qmc.Sobol(d=d, scramble=False).random(8) for d in (4, 3))
+        assert gp.SOBOL_STARTS.dtype == four.dtype and gp.SOBOL_STARTS.shape == four.shape
+        assert gp.SOBOL_STARTS.tobytes() == four.tobytes()
+        assert np.ascontiguousarray(gp.SOBOL_STARTS[:, :3]).tobytes() == three.tobytes()
 
 
 class TestPredict:

@@ -1,7 +1,8 @@
 """Import footprint: scipy loads inside the functions that use it, the fits
 never load scipy.stats, and only wide-row distances and the smoothing
 baseline load scipy.spatial. Source scans: the embedders, the report files,
-each Gaussian closed form and each argument rule have one owner."""
+each Gaussian closed form and each argument rule have one owner, and every
+imported name is used."""
 
 import ast
 import subprocess
@@ -301,3 +302,34 @@ def test_report_file_scan_sees_every_kind_of_use():
         "<lambda>", "<module>", "g", "run_a"]
     assert sorted(report_file_names(ast.parse(source))) == [
         "<lambda>", "<module>", "g", "run_a", "write_report"]
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import statement anywhere in the module that no
+    expression reads; `import a.b` binds, and is read through, `a`."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{line}: {name}" for name, line in sorted(bound.items(), key=lambda kv: kv[1])
+            if name not in read and name != "annotations"]
+
+
+def test_every_import_is_used():
+    # __init__.py imports to re-export, so it is left out
+    offenders = [f"{path.name}:{entry}" for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "__init__.py"
+                 for entry in unused_imports(ast.parse(path.read_text()))]
+    assert offenders == []
+
+
+def test_unused_import_scan_sees_every_kind_of_import():
+    source = ("from __future__ import annotations\nimport math\nimport numpy as np\n"
+              "import scipy.linalg\nfrom .errors import A, B\n"
+              "def f(x):\n    from scipy.optimize import minimize\n    return np.exp(x), B\n"
+              "class C:\n    import json\n    value: math.inf\n")
+    assert unused_imports(ast.parse(source)) == ["4: scipy", "5: A", "7: minimize", "10: json"]

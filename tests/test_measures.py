@@ -245,7 +245,9 @@ class TestDisksToGrid:
         (1, 4, "grid_size must be >= 2"),
         (12, 2.0, "subsamples must be an integer, got 2.0"),
         (12, 0, "subsamples must be >= 1, got 0"),
-    ], ids=["fractional-grid-size", "grid-size-1", "float-subsamples", "zero-subsamples"])
+        (12, True, "subsamples must be an integer, got True"),
+    ], ids=["fractional-grid-size", "grid-size-1", "float-subsamples", "zero-subsamples",
+            "bool-subsamples"])
     def test_refuses_bad_sizes(self, grid_size, subsamples, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
             disks_to_grid(DiskConfig(0.1, [[0.5, 0.5]]), grid_size, subsamples)
@@ -391,10 +393,25 @@ class TestGenerators:
         (lambda: sample_gaussian_population(0, 2, seed=0), "n must be >= 1, got 0"),
         (lambda: sample_gaussian_population(3, 0, seed=0), "d must be >= 1, got 0"),
         (lambda: sample_regression_gaussians(0, seed=0), "n must be >= 1, got 0"),
-    ], ids=["population-n", "population-d", "regression-n"])
+        (lambda: sample_gaussian_population(2.5, 2, seed=0), "n must be an integer, got 2.5"),
+        (lambda: sample_gaussian_population(3, 2.0, seed=0), "d must be an integer, got 2.0"),
+        (lambda: sample_gaussian_population(True, 2, seed=0), "n must be an integer, got True"),
+        (lambda: sample_regression_gaussians(2.5, seed=0), "n must be an integer, got 2.5"),
+        (lambda: sample_regression_gaussians(False, seed=0), "n must be an integer, got False"),
+    ], ids=["population-n", "population-d", "regression-n", "population-n-fractional",
+            "population-d-float", "population-n-bool", "regression-n-fractional",
+            "regression-n-bool"])
     def test_generators_refuse_empty_counts(self, sample, message):
+        # a count must also be an integer: 2.5, 2.0 and booleans are refused
         with pytest.raises(ValidationError, match=f"^{message}$"):
             sample()
+
+    def test_generators_take_numpy_integer_counts(self):
+        [a], [b] = (sample_gaussian_population(n, d, seed=4)
+                    for n, d in ((1, 3), (np.int64(1), np.int32(3))))
+        assert a.cov.tobytes() == b.cov.tobytes()
+        assert (sample_regression_gaussians(np.int64(5), seed=4)[4][1]
+                == sample_regression_gaussians(5, seed=4)[4][1])
 
     def test_population_spd(self):
         for m in sample_gaussian_population(10, 4, seed=7):

@@ -826,7 +826,11 @@ class TestStoppingValidation:
         ({"tol": -1.0}, "tol must be finite and >= 0, got -1.0"),
         ({"tol": np.inf}, "tol must be finite and >= 0, got inf"),
         ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
-    ], ids=["tol-nan", "tol-negative", "tol-inf", "max_iter-zero"])
+        ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+        ({"max_iter": 300.0}, "max_iter must be an integer, got 300.0"),
+        ({"max_iter": True}, "max_iter must be an integer, got True"),
+    ], ids=["tol-nan", "tol-negative", "tol-inf", "max_iter-zero", "max_iter-fractional",
+            "max_iter-float", "max_iter-bool"])
     @pytest.mark.parametrize("call", [
         lambda a, b, stop: grid_barycenter([a, b], **stop),
         lambda a, b, stop: sinkhorn_plan(a, b, **stop),
