@@ -397,6 +397,9 @@ def build_config(name: str, seed: int, overrides: dict, out_dir=None):
     unknown = set(overrides) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValidationError(f"unknown config keys {sorted(unknown)}")
+    fixed = sorted({"seed", "out_dir"} & set(overrides))
+    if fixed:
+        raise ValidationError(f"config keys {fixed} come from the command line, not a config file")
     cfg = dataclasses.replace(cls(seed=seed, out_dir=str(out_dir) if out_dir else None), **{
         key: tuple(val) if isinstance(val, list) else val for key, val in overrides.items()})
     _validate_sizes(cfg)

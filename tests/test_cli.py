@@ -445,6 +445,18 @@ class TestExperimentCommand:
                      "--out", str(tmp_path / "x"), "--config", str(cfg)])
         assert code == 2
 
+    @pytest.mark.parametrize("keys", [{"seed": "x"}, {"seed": 2.5}, {"seed": 7}, {"out_dir": 5}])
+    def test_seed_or_out_dir_in_a_config_is_validation_error(self, tmp_path, capsys, keys):
+        # both come from --seed and --out; a config value neither crashes nor
+        # silently replaces them
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_seeds": 1, **keys}))
+        code = main(["experiment", "psd", "--seed", "1",
+                     "--out", str(tmp_path / "x"), "--config", str(cfg)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("validation error: config keys")
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("text", ['["n_seeds"]', "5", "null", "[]", '"x"'])
     def test_config_that_is_no_json_object_is_validation_error(self, tmp_path, capsys, text):
         # a list or scalar neither crashes nor runs the experiment on defaults

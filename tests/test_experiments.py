@@ -299,6 +299,11 @@ class TestBuildConfig:
         ("psd", 5, "^config must be a JSON object, got 5$"),
         ("psd", None, "^config must be a JSON object, got None$"),
         ("psd", "x", "^config must be a JSON object, got 'x'$"),
+        ("psd", {"seed": "x"}, r"^config keys \['seed'\] come from the command line"),
+        ("psd", {"seed": 2.5}, r"^config keys \['seed'\] come from the command line"),
+        ("psd", {"seed": 7}, r"^config keys \['seed'\] come from the command line"),
+        ("disks", {"out_dir": 5}, r"^config keys \['out_dir'\] come from the command line"),
+        ("disks", {"out_dir": "x", "seed": 2}, r"^config keys \['out_dir', 'seed'\] come"),
     ])
     def test_config_that_would_misbehave_is_refused(self, name, overrides, pattern):
         from otgp.errors import ValidationError
