@@ -382,8 +382,9 @@ def _sinkhorn_batch(a: GridDensity, bs: list[GridDensity], lam: float, max_iter:
                 go = ~stop
                 if not go.any():
                     break
-                live, wb, off_b, v_next, kv = (live[go], wb[:, go], off_b[:, go], v_next[:, go],
-                                               kv[:, go])
+                # np.compress keeps the stacks C-contiguous, as x[:, go] does not
+                live, wb, off_b, v_next, kv = (live[go], *(np.compress(go, x, axis=1)
+                                                           for x in (wb, off_b, v_next, kv)))
             v = v_next
     return results
 
