@@ -55,6 +55,14 @@ BATCH = 8
 # applications; 1e-7 moves the rows and Q2 six to nine times as far.
 MAP_TOL = 1e-8
 
+# Over-relaxation of the scaling-domain Sinkhorn updates (_relax): each
+# scaling s moves to r (r / s)^(OMEGA - 1) instead of the plain update r
+# (Thibault, Chizat, Dossal & Papadakis, arXiv 1711.01851). OMEGA - 1 is a
+# power of 1/2, taken by square roots. On the disks experiment's datasets
+# 5/4 halves the barycenter's iterations and cuts the cold maps' by a
+# third; warm starts are already near the fixed point and stay plain.
+OMEGA = 1.25
+
 
 @dataclass(frozen=True)
 class CouplingPlan:
@@ -273,6 +281,22 @@ def _apply(k: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return ((k @ stack.reshape(rows, n * cols)).reshape(-1, cols) @ k.T).reshape(len(k), n, -1)
 
 
+def _relax(scaling: np.ndarray, update: np.ndarray, ratio: np.ndarray) -> None:
+    """Over-relaxed Sinkhorn step in place: update <- update (update /
+    scaling)^(OMEGA - 1), from the previous scaling and the plain update,
+    through the buffer ratio (which may be scaling itself). A cell where
+    both are zero stays zero; a cell whose ratio is not finite, such as a
+    previous scaling of zero, keeps the plain update."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.divide(update, scaling, out=ratio)
+    np.fmax(ratio, 0.0, out=ratio)  # 0/0 off the supports
+    for _ in range(-int(np.log2(OMEGA - 1))):
+        np.sqrt(ratio, out=ratio)
+    if not ratio.max(initial=0.0) < np.inf:
+        ratio[ratio == np.inf] = 1.0
+    update *= ratio
+
+
 def _in_range(scaling: np.ndarray, off_support: np.ndarray | None) -> np.ndarray:
     # per input of a (rows, inputs, columns) stack, False for NaN as well;
     # off_support is +inf off the support and 0 on it, None for a full
@@ -335,38 +359,57 @@ class _GridScalings:
 def _sinkhorn_batch(a: GridDensity, bs: list[GridDensity], lam: float, max_iter: int,
                     tol: float, starts: list) -> list:
     """Sinkhorn scaling from a to each density of bs (one grid size) as one
-    (G, len(bs), G) stack. Each input stops by its own rule, row-marginal
-    error <= tol then _check_marginals, or continues alone with log-domain
-    updates once its scalings leave [SCALING_MIN, SCALING_MAX]. Returns
-    each input's _GridScalings or the error it failed with. A start, None
-    or a target-side scaling of bs[j] in place of ones on its support, is
-    ignored unless it lies in [SCALING_MIN, SCALING_MAX] on that support."""
-    wa, wb = a.weights[:, None, :], np.stack([b.weights for b in bs], axis=1)
+    (G, len(bs), G) stack. A start, None or a target-side scaling of bs[j] in
+    place of ones on its support, is ignored unless it lies in [SCALING_MIN,
+    SCALING_MAX] on that support. An input started so updates plainly; the
+    others, started cold, take over-relaxed updates (_relax) from the third
+    iteration. Each input stops by its own rule, marginal errors <= tol (the
+    row error, and the column error of a relaxed input, which only a plain
+    update makes exact) then _check_marginals, or continues alone with
+    log-domain updates once its scalings leave [SCALING_MIN, SCALING_MAX].
+    Returns each input's _GridScalings or the error it failed with."""
+    on = [b.weights > 0 for b in bs]
+    warm = [start is not None and bool(np.all((SCALING_MIN <= start[o]) & (start[o] <= SCALING_MAX)))
+            for start, o in zip(starts, on)]
+    # the cold inputs first, so that the relaxed ones are the slice [:, :cold] of each
+    # stack; live[i] is the input at stack position i
+    live, cold = np.argsort(warm, kind="stable"), warm.count(False)
+    wa, wb = a.weights[:, None, :], np.stack([bs[j].weights for j in live], axis=1)
     # +inf off the supports: dividing a marginal by the kernel product plus
     # this keeps a scaling 0 off its support, also where the product is 0.
     # A source support covering the grid needs no such pass (None).
     off_a = None if (wa > 0).all() else np.where(wa > 0, 0.0, np.inf)
     off_b = np.where(wb > 0, 0.0, np.inf)
     logk = _axis_log_kernel(a.grid_size, bs[0].grid_size, lam)
-    k, v, live = np.exp(logk), (wb > 0).astype(float), np.arange(len(bs))
-    for j, start in enumerate(starts):
-        on = wb[:, j] > 0
-        if start is not None and np.all((SCALING_MIN <= start[on]) & (start[on] <= SCALING_MAX)):
-            v[:, j] = np.where(on, start, 0.0)
+    k, v = np.exp(logk), (wb > 0).astype(float)
+    for i in range(cold, len(bs)):
+        v[:, i] = np.where(on[live[i]], starts[live[i]], 0.0)
     results = [NoConvergence(f"marginal error above {tol} after {max_iter} iterations")] * len(bs)
     # a zero or overflowing kernel product shows up as an out-of-range
     # scaling below, so its floating-point warnings carry no information
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         kv = _apply(k, v)
         for it in range(max_iter):
-            u = wa / (kv if off_a is None else kv + off_a)
+            u_next = wa / (kv if off_a is None else kv + off_a)
+            if it > 1:  # from the third iteration
+                _relax(u[:, :cold], u_next[:, :cold], u[:, :cold])
+            u = u_next
             ktu = _apply(k.T, u)
-            v_next = wb / (ktu + off_b)
+            quotient = ktu + off_b
+            v_next = wb / quotient
+            if it > 1:  # from the third iteration
+                _relax(v[:, :cold], v_next[:, :cold], quotient[:, :cold])
             in_range = _in_range(u, off_a) & _in_range(v_next, off_b)
             kv = _apply(k, v_next)
             err = u * kv
             err -= wa
-            stop = ~in_range | (np.abs(err, out=err).max(axis=0).max(axis=1) <= tol)
+            done = np.abs(err, out=err).max(axis=0).max(axis=1) <= tol
+            rows_pass = np.flatnonzero(done[:cold])
+            if rows_pass.size:
+                err = v_next[:, rows_pass] * ktu[:, rows_pass]
+                err -= wb[:, rows_pass]
+                done[rows_pass] = np.abs(err, out=err).max(axis=0).max(axis=1) <= tol
+            stop = ~in_range | done
             if stop.any():
                 for j in np.flatnonzero(stop):
                     try:
@@ -383,8 +426,9 @@ def _sinkhorn_batch(a: GridDensity, bs: list[GridDensity], lam: float, max_iter:
                 if not go.any():
                     break
                 # np.compress keeps the stacks C-contiguous, as x[:, go] does not
-                live, wb, off_b, v_next, kv = (live[go], *(np.compress(go, x, axis=1)
-                                                           for x in (wb, off_b, v_next, kv)))
+                live, cold = live[go], np.count_nonzero(go[:cold])
+                wb, off_b, u, v_next, kv = (np.compress(go, x, axis=1)
+                                            for x in (wb, off_b, u, v_next, kv))
             v = v_next
     return results
 

@@ -229,6 +229,43 @@ def test_each_gaussian_closed_form_is_written_once():
     assert offenders == []
 
 
+# The over-relaxed Sinkhorn update is written once: only ot._relax reads
+# OMEGA (defined at ot.py's module level), and only the two scaling-domain
+# loops, the grid barycenter and the batched map solve, call _relax; the
+# log-domain updates stay plain.
+RELAX_OWNERS = {
+    "OMEGA": {("ot.py", "<module>"), ("ot.py", "_relax")},
+    "_relax": {("ot.py", "_sinkhorn_batch"), ("barycenter.py", "grid_barycenter")},
+}
+
+
+def relax_offenders(sources: dict) -> list[str]:
+    """Uses of OMEGA or _relax outside RELAX_OWNERS in {file name: source}."""
+    return [f"{name}: {owner} uses {word}" for name, source in sources.items()
+            for word, owners in RELAX_OWNERS.items()
+            for owner in name_uses(ast.parse(source), {word}) if (name, owner) not in owners]
+
+
+def test_the_relaxed_update_is_written_once():
+    assert relax_offenders({path.name: path.read_text()
+                            for path in sorted(PACKAGE.glob("*.py"))}) == []
+
+
+def test_relax_scan_sees_every_kind_of_use():
+    planted = {
+        "ot.py": ("OMEGA = 1.25\ndef _relax(s, r):\n    return r * (r / s) ** (OMEGA - 1)\n"
+                  "def _sinkhorn_batch(s, r):\n    return _relax(s, r)\n"
+                  "def _log_sinkhorn(f, g):\n    return f + OMEGA * g\n"),
+        "barycenter.py": ("from .ot import _relax\nfrom . import ot\n"
+                          "def grid_barycenter(u, r):\n    _relax(u, r)\n"
+                          "def other(u, r):\n    step = ot._relax\n    return step(u, r)\n"
+                          "h = lambda u: u ** ot.OMEGA\n"),
+    }
+    assert sorted(relax_offenders(planted)) == [
+        "barycenter.py: <lambda> uses OMEGA", "barycenter.py: other uses _relax",
+        "ot.py: _log_sinkhorn uses OMEGA"]
+
+
 RULE_WORDS = (" must be finite", " must be >= 1")
 
 

@@ -35,6 +35,7 @@ from otgp.ot import (
     _GridScalings,
     _log_apply,
     _log_sinkhorn,
+    _relax,
     assignment_ot,
     gaussian_transport_map,
     gaussian_w2,
@@ -588,16 +589,16 @@ class TestSeparableSinkhorn:
     def test_batch_gives_each_input_its_solo_scalings(self, seed13_regression):
         # inputs that leave a batch at different iterations must not disturb
         # the others: case one alternates warm and cold starts (a cold input
-        # needs more than 15 iterations, a warm one fewer), case two holds a
+        # needs more than 8 iterations, a warm one fewer), case two holds a
         # log-domain hand-over and a grid-size split
         grids, report = small_disks()
         starts = [start if i % 2 else None for i, start in enumerate(report.starts(12))]
         for mu, start in zip(grids[:2], starts[:2]):
             if start is None:
                 with pytest.raises(NoConvergence):
-                    next(_grid_sinkhorn(report.result, [mu], 20.0, 15, MAP_TOL, [start]))
+                    next(_grid_sinkhorn(report.result, [mu], 20.0, 8, MAP_TOL, [start]))
             else:
-                next(_grid_sinkhorn(report.result, [mu], 20.0, 15, MAP_TOL, [start]))
+                next(_grid_sinkhorn(report.result, [mu], 20.0, 8, MAP_TOL, [start]))
         _, _, bar = seed13_regression
         inputs = self.mixed_inputs(seed13_regression)
         with warnings.catch_warnings():
@@ -728,15 +729,76 @@ class TestWarmStart:
                 next(inverse_grid_maps(grids, report.result, lam=20.0, starts=starts))
 
     def test_warm_training_batch_needs_fewer_iterations(self):
-        # at MAP_TOL the cold solve of these 8 inputs needs 21 iterations, the
-        # warm one 5
+        # at MAP_TOL the cold solve of these 8 inputs needs 12 iterations, the
+        # warm one 3
         grids, report = small_disks()
         with pytest.raises(NoConvergence):
-            embed_grids(grids[:8], report.result, lam=20.0, max_iter=15)
-        warm = embed_grids(grids[:8], report.result, lam=20.0, max_iter=15,
+            embed_grids(grids[:8], report.result, lam=20.0, max_iter=8)
+        warm = embed_grids(grids[:8], report.result, lam=20.0, max_iter=8,
                            starts=report.input_scalings)
         tight = embed_grids(grids[:8], report.result, lam=20.0, tol=1e-12)
         assert np.abs(warm.X - tight.X).max() <= 1e-5
+
+
+def reference_row_and_column_passes(bar: GridDensity, mu: GridDensity, tol: float, n: int):
+    """(iteration, rows within tol, columns within tol) for the first n
+    iterations of one cold map solve, over-relaxed as the batched solve
+    relaxes it: omega = 5/4 from the third iteration, plain where the
+    previous scaling is zero."""
+    a, b = bar.weights, mu.weights
+    k = np.exp(_axis_log_kernel(bar.grid_size, mu.grid_size, 20.0))
+    u, v, passes = None, (b > 0).astype(float), []
+    for it in range(1, n + 1):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = a / (k @ v @ k.T)
+            u = r if it < 3 else np.where(u > 0, r * (r / np.where(u > 0, u, 1)) ** 0.25, r)
+            ktu = k.T @ u @ k
+            r = np.where(b > 0, b / ktu, 0.0)
+            v = r if it < 3 else np.where(v > 0, r * (r / np.where(v > 0, v, 1)) ** 0.25, r)
+        passes.append((it, np.abs(u * (k @ v @ k.T) - a).max() <= tol,
+                       np.abs(v * ktu - b).max() <= tol))
+    return passes
+
+
+class TestOverRelaxation:
+    """Cold map solves take the over-relaxed update (ot._relax) from the
+    third iteration, warm ones the plain update."""
+
+    def test_relax_keeps_zeros_and_falls_back_to_the_plain_update(self):
+        # cells: relaxed; zero before and after; zero before (the plain
+        # update); relaxed downwards; a ratio that overflows (the plain update)
+        scaling = np.array([1.0, 0.0, 0.0, 4.0, 1e-300])
+        update = np.array([16.0, 0.0, 3.0, 1.0, 1e10])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _relax(scaling, update, scaling)
+        np.testing.assert_array_equal(update, [32.0, 0.0, 3.0, np.sqrt(0.5), 1e10])
+
+    def test_relaxed_map_stops_only_when_both_marginals_pass(self):
+        # a relaxed target-side update leaves the column marginal inexact:
+        # at iteration 11 this input's rows are within MAP_TOL and its
+        # columns are not, so the solve goes on to iteration 12
+        grids, report = small_disks()
+        bar, mu = report.result, grids[0]
+        passes = reference_row_and_column_passes(bar, mu, MAP_TOL, 12)
+        assert passes[10:] == [(11, True, False), (12, True, True)]
+        assert not any(rows and cols for _, rows, cols in passes[:10])
+        with pytest.raises(NoConvergence):
+            next(_grid_sinkhorn(bar, [mu], 20.0, 11, MAP_TOL))
+        scalings = next(_grid_sinkhorn(bar, [mu], 20.0, 12, MAP_TOL))
+        k = scalings.k
+        assert np.abs(scalings.v * (k.T @ scalings.u @ k) - mu.weights).max() <= MAP_TOL
+        assert np.abs(scalings.u * scalings.kv - bar.weights).max() <= MAP_TOL
+
+    def test_cold_maps_of_a_grid_path_dataset_run_without_warnings(self):
+        # regression seed 2 at G=50: inputs of one to four cells, so most
+        # cells of each scaling are 0 before and after an update
+        grids = [rasterize_gaussian(m, 50) for m, _ in sample_regression_gaussians(100, 2)]
+        bar = grid_barycenter(grids[:50], lam=20.0).result
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = embed_grids(grids, bar, lam=20.0).X
+        assert np.all(np.isfinite(rows))
 
 
 class TestSeparableRounding:
