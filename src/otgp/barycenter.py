@@ -98,6 +98,7 @@ def grid_barycenter(densities, lam: float = 20.0, tol: float = 1e-6,
 
     p = np.stack([d.weights for d in densities], axis=1)  # (G, n, G)
     on = p > 0
+    support = np.flatnonzero(on)
     v = np.ones_like(p)
     b_prev = np.full((g, g), 1.0 / g**2)
     # an overflowing scaling shows up as a non-finite product one iteration
@@ -107,7 +108,7 @@ def grid_barycenter(densities, lam: float = 20.0, tol: float = 1e-6,
             kv = _checked_product(np.where(on, _apply(k, v), 1.0), it, lam)  # u is 0 off supports
             u_next = p / kv
             if it > 2:  # from the third iteration
-                _relax(u, u_next, u)
+                _relax(u, u_next, support)
             u = u_next
             ktu = _checked_product(_apply(k, u), it, lam)
             log_b = np.log(ktu).mean(axis=1)  # uniform weights
@@ -115,7 +116,7 @@ def grid_barycenter(densities, lam: float = 20.0, tol: float = 1e-6,
             b /= b.sum()
             v_next = b[:, None, :] / ktu
             if it > 2:  # from the third iteration
-                _relax(v, v_next, v)
+                _relax(v, v_next)
             v = v_next
             tv = 0.5 * float(np.abs(b - b_prev).sum())
             if tv <= tol:

@@ -281,20 +281,29 @@ def _apply(k: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return ((k @ stack.reshape(rows, n * cols)).reshape(-1, cols) @ k.T).reshape(len(k), n, -1)
 
 
-def _relax(scaling: np.ndarray, update: np.ndarray, ratio: np.ndarray) -> None:
+def _relax(scaling: np.ndarray, update: np.ndarray, cells: np.ndarray | None = None) -> None:
     """Over-relaxed Sinkhorn step in place: update <- update (update /
-    scaling)^(OMEGA - 1), from the previous scaling and the plain update,
-    through the buffer ratio (which may be scaling itself). A cell where
-    both are zero stays zero; a cell whose ratio is not finite, such as a
-    previous scaling of zero, keeps the plain update."""
+    scaling)^(OMEGA - 1), from the previous scaling and the plain update.
+    Without cells it runs on every cell and overwrites scaling; with cells,
+    flat indices into both arrays such as a sparse support, it runs on
+    those alone and keeps scaling. A cell where both are zero stays zero; a
+    cell whose ratio is not finite, such as a previous scaling of zero,
+    keeps the plain update."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        np.divide(update, scaling, out=ratio)
+        if cells is None:
+            ratio = np.divide(update, scaling, out=scaling)
+        else:
+            part = np.take(update, cells)
+            ratio = part / np.take(scaling, cells)
     np.fmax(ratio, 0.0, out=ratio)  # 0/0 off the supports
     for _ in range(-int(np.log2(OMEGA - 1))):
         np.sqrt(ratio, out=ratio)
     if not ratio.max(initial=0.0) < np.inf:
         ratio[ratio == np.inf] = 1.0
-    update *= ratio
+    if cells is None:
+        update *= ratio
+    else:
+        np.put(update, cells, part * ratio)
 
 
 def _in_range(scaling: np.ndarray, off_support: np.ndarray | None) -> np.ndarray:
@@ -302,6 +311,8 @@ def _in_range(scaling: np.ndarray, off_support: np.ndarray | None) -> np.ndarray
     # off_support is +inf off the support and 0 on it, None for a full
     # support. Reducing the rows first keeps both passes contiguous.
     on_support = scaling if off_support is None else scaling + off_support
+    if on_support.min() >= SCALING_MIN and scaling.max() <= SCALING_MAX:  # the common case
+        return np.ones(scaling.shape[1], dtype=bool)
     return (on_support.min(axis=0).min(axis=1) >= SCALING_MIN) & (
         scaling.max(axis=0).max(axis=1) <= SCALING_MAX)
 
@@ -382,6 +393,8 @@ def _sinkhorn_batch(a: GridDensity, bs: list[GridDensity], lam: float, max_iter:
     off_b = np.where(wb > 0, 0.0, np.inf)
     logk = _axis_log_kernel(a.grid_size, bs[0].grid_size, lam)
     k, v = np.exp(logk), (wb > 0).astype(float)
+    # flat indices of the cold inputs' target support cells, relaxed alone
+    cold_b = np.flatnonzero((wb > 0) & (np.arange(wb.shape[1]) < cold)[:, None])
     for i in range(cold, len(bs)):
         v[:, i] = np.where(on[live[i]], starts[live[i]], 0.0)
     results = [NoConvergence(f"marginal error above {tol} after {max_iter} iterations")] * len(bs)
@@ -392,13 +405,12 @@ def _sinkhorn_batch(a: GridDensity, bs: list[GridDensity], lam: float, max_iter:
         for it in range(max_iter):
             u_next = wa / (kv if off_a is None else kv + off_a)
             if it > 1:  # from the third iteration
-                _relax(u[:, :cold], u_next[:, :cold], u[:, :cold])
+                _relax(u[:, :cold], u_next[:, :cold])
             u = u_next
             ktu = _apply(k.T, u)
-            quotient = ktu + off_b
-            v_next = wb / quotient
+            v_next = wb / (ktu + off_b)
             if it > 1:  # from the third iteration
-                _relax(v[:, :cold], v_next[:, :cold], quotient[:, :cold])
+                _relax(v, v_next, cold_b)
             in_range = _in_range(u, off_a) & _in_range(v_next, off_b)
             kv = _apply(k, v_next)
             err = u * kv
@@ -429,6 +441,7 @@ def _sinkhorn_batch(a: GridDensity, bs: list[GridDensity], lam: float, max_iter:
                 live, cold = live[go], np.count_nonzero(go[:cold])
                 wb, off_b, u, v_next, kv = (np.compress(go, x, axis=1)
                                             for x in (wb, off_b, u, v_next, kv))
+                cold_b = np.flatnonzero((wb > 0) & (np.arange(wb.shape[1]) < cold)[:, None])
             v = v_next
     return results
 
