@@ -80,7 +80,8 @@ def grid_barycenter(densities, lam: float = 20.0, tol: float = 1e-6,
 
     Iterative Bregman projections (Benamou et al., SISC 2015) on the (G, n, G) input
     stack through ot._apply, both scalings over-relaxed (ot._relax) from the third
-    iteration, until successive iterates differ by less than tol in total variation. Identical inputs short-circuit to the input itself (the exact barycenter),
+    iteration, until successive iterates differ by less than tol in total variation.
+    Identical inputs short-circuit to the input itself (the exact barycenter),
     avoiding the entropic blur. A Bregman product that is zero or not finite on a support
     cell (lam too large for the grid) raises NumericalUnderflow.
     """
