@@ -295,11 +295,10 @@ def _relax(scaling: np.ndarray, update: np.ndarray, cells: np.ndarray | None = N
         else:
             part, ratio = np.take(update, cells), np.take(scaling, cells)
             np.divide(part, ratio, out=ratio)
-    np.fmax(ratio, 0.0, out=ratio)  # 0/0 off the supports
     for _ in range(-int(np.log2(OMEGA - 1))):
         np.sqrt(ratio, out=ratio)
-    if not ratio.max(initial=0.0) < np.inf:
-        ratio[ratio == np.inf] = 1.0
+    if not ratio.max(initial=0.0) < np.inf:  # NaN from 0/0 or inf: the plain update
+        ratio[~(ratio < np.inf)] = 1.0
     if cells is None:
         update *= ratio
     else:
