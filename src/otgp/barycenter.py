@@ -98,19 +98,22 @@ def grid_barycenter(densities, lam: float = 20.0, tol: float = 1e-6,
         return BarycenterReport(result=densities[0], iterations=0, residual=0.0)
 
     p = np.stack([d.weights for d in densities], axis=1)  # (G, n, G)
-    on = p > 0
-    support = np.flatnonzero(on)
+    # u is 0 off the inputs' supports, about nine cells in ten of a disk
+    # union: it is computed on the support cells (flat indices) alone and
+    # written into a stack that stays 0 elsewhere
+    support = np.flatnonzero(p)
+    p_on, u = np.take(p, support), np.zeros_like(p)
     v = np.ones_like(p)
     b_prev = np.full((g, g), 1.0 / g**2)
     # an overflowing scaling shows up as a non-finite product one iteration
     # later, so its warning carries no information
     with np.errstate(over="ignore"):
         for it in range(1, max_iter + 1):
-            kv = _checked_product(np.where(on, _apply(k, v), 1.0), it, lam)  # u is 0 off supports
-            u_next = p / kv
+            u_next = p_on / _checked_product(np.take(_apply(k, v), support), it, lam)
             if it > 2:  # from the third iteration
-                _relax(u, u_next, support)
-            u = u_next
+                _relax(u_on, u_next)
+            u_on = u_next
+            np.put(u, support, u_on)
             ktu = _checked_product(_apply(k, u), it, lam)
             log_b = np.log(ktu).mean(axis=1)  # uniform weights
             b = np.exp(log_b - log_b.max())
