@@ -381,7 +381,7 @@ def _sinkhorn_batch(a: GridDensity, bs: list[GridDensity], lam: float, max_iter:
     Returns each input's _GridScalings or the error it failed with."""
     on = [b.weights > 0 for b in bs]
     warm = [start is not None
-            and bool(np.all((SCALING_MIN <= start[o]) & (start[o] <= SCALING_MAX)))
+            and bool(SCALING_MIN <= (on_start := start[o]).min() and on_start.max() <= SCALING_MAX)
             for start, o in zip(starts, on)]
     # the cold inputs first, so that the relaxed ones are the slice [:, :cold] of each
     # stack; live[i] is the input at stack position i
