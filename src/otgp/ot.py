@@ -281,29 +281,19 @@ def _apply(k: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return ((k @ stack.reshape(rows, n * cols)).reshape(-1, cols) @ k.T).reshape(len(k), n, -1)
 
 
-def _relax(scaling: np.ndarray, update: np.ndarray, cells: np.ndarray | None = None) -> None:
+def _relax(scaling: np.ndarray, update: np.ndarray) -> None:
     """Over-relaxed Sinkhorn step in place: update <- update (update /
-    scaling)^(OMEGA - 1), from the previous scaling and the plain update.
-    Without cells it runs on every cell and overwrites scaling; with cells,
-    flat indices into both arrays such as a sparse support, it runs on
-    those alone and keeps scaling. A cell where both are zero stays zero; a
-    cell whose ratio is not finite, such as a previous scaling of zero,
-    keeps the plain update."""
+    scaling)^(OMEGA - 1), from the previous scaling, which it overwrites,
+    and the plain update. A cell where both are zero stays zero; a cell
+    whose ratio is not finite, such as a previous scaling of zero, keeps
+    the plain update."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if cells is None:
-            ratio = np.divide(update, scaling, out=scaling)
-        else:
-            part, ratio = np.take(update, cells), np.take(scaling, cells)
-            np.divide(part, ratio, out=ratio)
+        ratio = np.divide(update, scaling, out=scaling)
     for _ in range(-int(np.log2(OMEGA - 1))):
         np.sqrt(ratio, out=ratio)
     if not ratio.max(initial=0.0) < np.inf:  # NaN from 0/0 or inf: the plain update
         ratio[~(ratio < np.inf)] = 1.0
-    if cells is None:
-        update *= ratio
-    else:
-        part *= ratio
-        np.put(update, cells, part)
+    update *= ratio
 
 
 def _in_range(scaling: np.ndarray, off_support: np.ndarray | None) -> np.ndarray:
@@ -394,7 +384,8 @@ def _sinkhorn_batch(a: GridDensity, bs: list[GridDensity], lam: float, max_iter:
     off_b = np.where(wb > 0, 0.0, np.inf)
     logk = _axis_log_kernel(a.grid_size, bs[0].grid_size, lam)
     k, v = np.exp(logk), (wb > 0).astype(float)
-    # flat indices of the cold inputs' target support cells, relaxed alone
+    # flat indices of the cold inputs' target support cells, about one cell
+    # in ten of a disk union: the target side is relaxed there alone
     cold_b = np.flatnonzero((wb > 0) & (np.arange(wb.shape[1]) < cold)[:, None])
     for i in range(cold, len(bs)):
         v[:, i] = np.where(on[live[i]], starts[live[i]], 0.0)
@@ -410,8 +401,10 @@ def _sinkhorn_batch(a: GridDensity, bs: list[GridDensity], lam: float, max_iter:
             u = u_next
             ktu = _apply(k.T, u)
             v_next = wb / (ktu + off_b)
-            if it > 1:  # from the third iteration
-                _relax(v, v_next, cold_b)
+            if it > 1:  # from the third iteration, on the cold support cells alone
+                relaxed = np.take(v_next, cold_b)
+                _relax(np.take(v, cold_b), relaxed)
+                np.put(v_next, cold_b, relaxed)
             in_range = _in_range(u, off_a) & _in_range(v_next, off_b)
             kv = _apply(k, v_next)
             err = u * kv

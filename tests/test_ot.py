@@ -769,16 +769,10 @@ class TestOverRelaxation:
         # update); relaxed downwards; a ratio that overflows (the plain update)
         scaling = np.array([1.0, 0.0, 0.0, 4.0, 1e-300])
         update = np.array([16.0, 0.0, 3.0, 1.0, 1e10])
-        relaxed = [32.0, 0.0, 3.0, np.sqrt(0.5), 1e10]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            # on given cells only, scaling kept; on every cell, scaling overwritten
-            cells_only = update.copy()
-            _relax(scaling, cells_only, np.array([2, 3]))
-            np.testing.assert_array_equal(cells_only, [16.0, 0.0, 3.0, np.sqrt(0.5), 1e10])
-            np.testing.assert_array_equal(scaling, [1.0, 0.0, 0.0, 4.0, 1e-300])
             _relax(scaling, update)
-        np.testing.assert_array_equal(update, relaxed)
+        np.testing.assert_array_equal(update, [32.0, 0.0, 3.0, np.sqrt(0.5), 1e10])
 
     def test_relaxed_map_stops_only_when_both_marginals_pass(self):
         # a relaxed target-side update leaves the column marginal inexact:
