@@ -18,17 +18,12 @@ from .ot import _apply, _axis_log_kernel, _relax, _sandwich_roots
 @dataclass(frozen=True)
 class BarycenterReport:
     """input_scalings, of an iterated grid barycenter, holds its final input-side Bregman
-    scalings as an (n, G, G) view of the (G, n, G) solver stack: the maps' warm start."""
+    scalings as an (n, G, G) view of the (G, n, G) solver stack: the warm starts of its
+    inputs' maps (kernels.embed)."""
     result: object  # GaussianMeasure covariance (ndarray) or GridDensity
     iterations: int
     residual: float
     input_scalings: np.ndarray | None = None
-
-    def starts(self, n: int) -> list:
-        """Warm starts for the inverse maps of n grid inputs whose first
-        ones are this barycenter's inputs, in order; None for the rest."""
-        scalings = [] if self.input_scalings is None else list(self.input_scalings[:n])
-        return scalings + [None] * (n - len(scalings))
 
 
 def _uniform_weights(n: int) -> np.ndarray:

@@ -20,11 +20,12 @@ from .measures import (
     rasterize_gaussian,
 )
 
-# Model JSON schema: version 5 stores the training feature matrix X (grid
-# rows: barycentric projections of maps solved to ot.MAP_TOL; version 4
-# solved them to 1e-9, version 3 held argmax cells), the reference and, for
-# grid models, the penalty lam; other versions are refused.
-MODEL_VERSION = 5
+# Model JSON schema: version 6 stores the training feature matrix X (grid
+# rows: barycentric projections of over-relaxed maps solved to ot.MAP_TOL;
+# version 5 may hold plain solves, version 4 solved them to 1e-9, version 3
+# held argmax cells), the reference and, for grid models, the penalty lam;
+# other versions are refused.
+MODEL_VERSION = 6
 
 
 def read_file(path, csv: bool = False):

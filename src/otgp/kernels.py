@@ -21,7 +21,7 @@ import numpy as np
 from .barycenter import gaussian_barycenter_measure, grid_barycenter
 from .errors import DimensionMismatch, NotSymmetric, ReferenceMismatch, ValidationError, check_arg
 from .measures import GaussianMeasure, GridDensity
-from .ot import MAP_TOL, _bures_sq, _sandwich_roots, _spd_roots, inverse_grid_maps
+from .ot import MAP_TOL, _bures_sq, _grid_sinkhorn, _sandwich_roots, _spd_roots, inverse_grid_map
 
 # Embedding distances below this snap to exactly zero so the nugget indicator
 # fires on identical inputs despite round-off.
@@ -133,12 +133,16 @@ def embed_gaussians(measures, reference: GaussianMeasure) -> Embedding:
 
 def embed_grids(densities, reference: GridDensity, lam: float = 20.0,
                 max_iter: int = 10000, tol: float = MAP_TOL, starts=None) -> Embedding:
-    """Rows sqrt(w) * T, T from inverse_grid_maps solved from starts and w
-    the normalized reference weights on its support."""
-    _, _, w = reference.support()
+    """Rows sqrt(w) * T, with T the inverse_grid_map of each density from
+    one batched Sinkhorn solve (ot._grid_sinkhorn) from starts, and w the
+    normalized reference weights on its support."""
+    densities, support = list(densities), reference.support()
+    _, _, w = support
     scale = np.sqrt(w / w.sum())[:, None]
-    rows = [(scale * t).ravel() for t in inverse_grid_maps(
-        densities, reference, lam=lam, max_iter=max_iter, tol=tol, starts=starts)]
+    solves = _grid_sinkhorn(reference, densities, lam, max_iter, tol, starts)
+    rows = [(scale * inverse_grid_map(mu, reference, scalings=scalings,
+                                      bar_support=support)).ravel()
+            for mu, scalings in zip(densities, solves)]
     return Embedding(reference, np.array(rows).reshape(len(rows), _row_width(reference)), lam)
 
 
@@ -164,7 +168,7 @@ def embed(inputs, n_train: int | None = None, reference=None, lam: float = 20.0,
         starts = None
         if reference is None:
             bar = grid_barycenter(inputs[:n_train], lam=lam)
-            reference, starts = bar.result, bar.starts(len(inputs)) if warm else None
+            reference, starts = bar.result, bar.input_scalings if warm else None
         return embed_grids(inputs, reference, lam=lam, starts=starts)
     raise ValidationError("inputs and reference must be all Gaussian or all grids")
 
@@ -224,12 +228,8 @@ def _radial_of_power(k: np.ndarray, theta: KernelParams) -> np.ndarray:
 
 
 def gram_from_distances(dist: np.ndarray, theta: KernelParams) -> np.ndarray:
-    """Gram matrix from a snapped distance matrix. The nugget is applied on
-    the diagonal only: off-diagonal zero distances (duplicated inputs) carry
-    the plain radial value."""
-    k = _radial_of_power(dist**theta.exponent, theta)
-    k.flat[::len(k) + 1] += theta.nugget
-    return k
+    """Gram matrix from a snapped distance matrix (gram_parts)."""
+    return gram_parts(dist, theta)[0]
 
 
 def fit_invariants(dist: np.ndarray) -> np.ndarray:
@@ -238,7 +238,10 @@ def fit_invariants(dist: np.ndarray) -> np.ndarray:
 
 
 def gram_parts(dist: np.ndarray, theta: KernelParams) -> tuple[np.ndarray, np.ndarray]:
-    """gram_from_distances and dist^exponent, which gram_log_gradient reads."""
+    """Gram matrix from a snapped distance matrix, and dist^exponent, which
+    gram_log_gradient reads. The nugget is applied on the diagonal only:
+    off-diagonal zero distances (duplicated inputs) carry the plain radial
+    value."""
     power = dist**theta.exponent
     gram = _radial_of_power(power.copy(), theta)
     gram.flat[::len(gram) + 1] += theta.nugget

@@ -358,37 +358,31 @@ class _GridScalings:
 
 
 def _sinkhorn_batch(a: GridDensity, bs: list[GridDensity], lam: float, max_iter: int,
-                    tol: float, starts: list) -> list:
+                    tol: float, starts: np.ndarray | None) -> list:
     """Sinkhorn scaling from a to each density of bs (one grid size) as one
-    (G, len(bs), G) stack. A start, None or a target-side scaling of bs[j] in
-    place of ones on its support, is ignored unless it lies in [SCALING_MIN,
-    SCALING_MAX] on that support. An input started so updates plainly; the
-    others, started cold, take over-relaxed updates (_relax) from the third
-    iteration. Each input stops by its own rule, marginal errors <= tol (the
-    row error, and the column error of a relaxed input, which only a plain
-    update makes exact) then _check_marginals, or continues alone with
-    log-domain updates once its scalings leave [SCALING_MIN, SCALING_MAX].
-    Returns each input's _GridScalings or the error it failed with."""
-    on = [b.weights > 0 for b in bs]
-    warm = [start is not None
-            and bool(SCALING_MIN <= (on_start := start[o]).min() and on_start.max() <= SCALING_MAX)
-            for start, o in zip(starts, on)]
-    # the cold inputs first, so that the relaxed ones are the slice [:, :cold] of each
-    # stack; live[i] is the input at stack position i
-    live, cold = np.argsort(warm, kind="stable"), warm.count(False)
-    wa, wb = a.weights[:, None, :], np.stack([bs[j].weights for j in live], axis=1)
+    (G, len(bs), G) stack. A warm batch starts from starts, the (G, len(bs), G)
+    stack of target-side scalings that _grid_sinkhorn screened, in place of ones
+    on the supports, and updates plainly; a cold batch (starts None) takes
+    over-relaxed updates (_relax) from the third iteration. Each input stops by
+    its own rule, marginal errors <= tol (the row error, and in a cold batch the
+    column error, which only a plain update makes exact) then _check_marginals,
+    or continues alone with log-domain updates once its scalings leave
+    [SCALING_MIN, SCALING_MAX]. Returns each input's _GridScalings or the error
+    it failed with."""
+    relax = starts is None
+    wa, wb = a.weights[:, None, :], np.stack([b.weights for b in bs], axis=1)
     # +inf off the supports: dividing a marginal by the kernel product plus
     # this keeps a scaling 0 off its support, also where the product is 0.
     # A source support covering the grid needs no such pass (None).
     off_a = None if (wa > 0).all() else np.where(wa > 0, 0.0, np.inf)
     off_b = np.where(wb > 0, 0.0, np.inf)
     logk = _axis_log_kernel(a.grid_size, bs[0].grid_size, lam)
-    k, v = np.exp(logk), (wb > 0).astype(float)
-    # flat indices of the cold inputs' target support cells, about one cell
-    # in ten of a disk union: the target side is relaxed there alone
-    cold_b = np.flatnonzero((wb > 0) & (np.arange(wb.shape[1]) < cold)[:, None])
-    for i in range(cold, len(bs)):
-        v[:, i] = np.where(on[live[i]], starts[live[i]], 0.0)
+    k = np.exp(logk)
+    v = (wb > 0).astype(float) if relax else np.where(wb > 0, starts, 0.0)
+    # flat indices of the target support cells, about one cell in ten of a
+    # disk union: a cold batch relaxes the target side there alone
+    on_b = np.flatnonzero(wb > 0)
+    live = np.arange(len(bs))  # live[i] is the input at stack position i
     results = [NoConvergence(f"marginal error above {tol} after {max_iter} iterations")] * len(bs)
     # a zero or overflowing kernel product shows up as an out-of-range
     # scaling below, so its floating-point warnings carry no information
@@ -396,22 +390,22 @@ def _sinkhorn_batch(a: GridDensity, bs: list[GridDensity], lam: float, max_iter:
         kv = _apply(k, v)
         for it in range(max_iter):
             u_next = wa / (kv if off_a is None else kv + off_a)
-            if it > 1:  # from the third iteration
-                _relax(u[:, :cold], u_next[:, :cold])
+            if relax and it > 1:  # from the third iteration
+                _relax(u, u_next)
             u = u_next
             ktu = _apply(k.T, u)
             v_next = wb / (ktu + off_b)
-            if it > 1:  # from the third iteration, on the cold support cells alone
-                relaxed = np.take(v_next, cold_b)
-                _relax(np.take(v, cold_b), relaxed)
-                np.put(v_next, cold_b, relaxed)
+            if relax and it > 1:  # from the third iteration, on the support cells alone
+                relaxed = np.take(v_next, on_b)
+                _relax(np.take(v, on_b), relaxed)
+                np.put(v_next, on_b, relaxed)
             in_range = _in_range(u, off_a) & _in_range(v_next, off_b)
             kv = _apply(k, v_next)
             err = u * kv
             err -= wa
             done = np.abs(err, out=err).max(axis=0).max(axis=1) <= tol
-            rows_pass = np.flatnonzero(done[:cold])
-            if rows_pass.size:
+            if relax and done.any():  # the columns, where the rows pass
+                rows_pass = np.flatnonzero(done)
                 err = v_next[:, rows_pass] * ktu[:, rows_pass]
                 err -= wb[:, rows_pass]
                 done[rows_pass] = np.abs(err, out=err).max(axis=0).max(axis=1) <= tol
@@ -432,10 +426,10 @@ def _sinkhorn_batch(a: GridDensity, bs: list[GridDensity], lam: float, max_iter:
                 if not go.any():
                     break
                 # np.compress keeps the stacks C-contiguous, as x[:, go] does not
-                live, cold = live[go], np.count_nonzero(go[:cold])
+                live = live[go]
                 wb, off_b, u, v_next, kv = (np.compress(go, x, axis=1)
                                             for x in (wb, off_b, u, v_next, kv))
-                cold_b = np.flatnonzero((wb > 0) & (np.arange(wb.shape[1]) < cold)[:, None])
+                on_b = np.flatnonzero(wb > 0)
             v = v_next
     return results
 
@@ -444,24 +438,32 @@ def _grid_sinkhorn(a: GridDensity, bs, lam: float, max_iter: int, tol: float, st
     """Sinkhorn scalings from a to each density of bs, yielded in order;
     raises the error of the first density that fails.
 
-    The densities share a and the kernel, so runs of up to BATCH consecutive
-    densities on one grid size iterate together (iterative Bregman
-    projections stack their inputs the same way, Benamou et al., SISC 2015),
-    each from its start in starts, aligned with bs (_sinkhorn_batch).
+    starts holds a warm start (a target-side scaling) or None for each of the
+    first densities, such as a grid barycenter's input_scalings for its
+    inputs; the rest start cold, as does a start outside [SCALING_MIN,
+    SCALING_MAX] on its density's support. The densities share a and the
+    kernel, so runs of up to BATCH consecutive densities on one grid size,
+    all warm or all cold, iterate together (iterative Bregman projections
+    stack their inputs the same way, Benamou et al., SISC 2015; _sinkhorn_batch).
     """
     check_arg("tol", tol, "finite and >= 0")
     check_arg("max_iter", max_iter, ">= 1")
     bs = list(bs)
-    starts = [None] * len(bs) if starts is None else [
-        None if s is None else np.asarray(s, float) for s in starts]
-    if len(starts) != len(bs) or any(
-            s is not None and np.shape(s) != b.weights.shape for b, s in zip(bs, starts)):
+    starts = [] if starts is None else [None if s is None else np.asarray(s, float)
+                                        for s in starts]
+    if len(starts) > len(bs) or any(
+            s is not None and s.shape != b.weights.shape for b, s in zip(bs, starts)):
         raise ValidationError("warm starts do not line up with the densities")
-    for _, run in itertools.groupby(zip(bs, starts), key=lambda pair: pair[0].grid_size):
+    starts = [s if s is not None and SCALING_MIN <= (on := s[b.weights > 0]).min()
+              and on.max() <= SCALING_MAX else None for b, s in zip(bs, starts)]
+    starts += [None] * (len(bs) - len(starts))
+    for _, run in itertools.groupby(zip(bs, starts),
+                                    key=lambda pair: (pair[0].grid_size, pair[1] is None)):
         run, run_starts = zip(*run)
         for first in range(0, len(run), BATCH):
-            for result in _sinkhorn_batch(a, run[first:first + BATCH], lam, max_iter, tol,
-                                          run_starts[first:first + BATCH]):
+            stack = None if run_starts[0] is None else np.stack(
+                run_starts[first:first + BATCH], axis=1)
+            for result in _sinkhorn_batch(a, run[first:first + BATCH], lam, max_iter, tol, stack):
                 if isinstance(result, OtgpError):
                     raise result
                 yield result
@@ -508,22 +510,10 @@ def inverse_grid_map(mu: GridDensity, bar: GridDensity, lam: float = 20.0,
     barycenter-to-measure direction: the (m, 2) locations the m barycenter
     support cells are sent to by the barycentric projection of the
     Sinkhorn plan from bar to mu, the plan-weighted mean of mu's cell
-    centers. inverse_grid_maps passes the plan's scalings from its batched
+    centers. kernels.embed_grids passes the plan's scalings from its batched
     solve and bar.support(); without them both are computed here.
     """
     if scalings is None:
         scalings = next(_grid_sinkhorn(bar, [mu], lam, max_iter, tol))
     src, _, _ = bar.support() if bar_support is None else bar_support
     return scalings.barycentric(src)
-
-
-def inverse_grid_maps(mus, bar: GridDensity, lam: float = 20.0, max_iter: int = 10000,
-                      tol: float = MAP_TOL, starts=None):
-    """Yield inverse_grid_map(mu, bar) for each density of mus, in order,
-    from one batched Sinkhorn solve (_grid_sinkhorn); raises the error of the
-    first density that fails. starts holds a warm start or None per density,
-    such as BarycenterReport.starts for the inputs of a grid barycenter;
-    warm and cold maps agree to the solver tolerance, not bitwise."""
-    mus, support = list(mus), bar.support()
-    for mu, scalings in zip(mus, _grid_sinkhorn(bar, mus, lam, max_iter, tol, starts)):
-        yield inverse_grid_map(mu, bar, scalings=scalings, bar_support=support)

@@ -135,7 +135,6 @@ class TestGridBarycenter:
         rep = grid_barycenter([d, GridDensity(d.weights.copy())])
         np.testing.assert_array_equal(rep.result.weights, d.weights)
         assert rep.input_scalings is None
-        assert rep.starts(3) == [None, None, None]
 
     def test_point_mass_pair_concentrates_at_midpoint(self):
         a = strip_density(9, {1: 1.0})
@@ -196,9 +195,6 @@ class TestGridBarycenter:
             vi = b / (k @ ui @ k)
             assert np.abs(vi * (k @ ui @ k) - b).max() < 1e-15
             assert np.abs(ui * (k @ vi @ k) - d.weights).max() < 1e-6
-        starts = rep.starts(5)
-        assert len(starts) == 5 and starts[3] is None and starts[4] is None
-        np.testing.assert_array_equal(np.array(starts[:3]), u)
 
 
 def first_disk_inputs(n, g):

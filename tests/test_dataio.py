@@ -319,6 +319,7 @@ class TestMalformedJson:
         (lambda p: p.update(X=[[0.0] * 6, [0.0]]), "X is not a numeric array"),
         (lambda p: p.update(kind="foo"), "unknown model kind 'foo'"),
         (lambda p: p["theta"].update(rate=math.inf), "rate must be finite, got inf"),
+        (lambda p: p.update(y=p["y"][:-1]), "model X and y differ in length"),
     ])
     def test_model(self, tmp_path, model_payload, edit, pattern):
         edit(model_payload)
@@ -407,7 +408,7 @@ class TestModelRoundTrip:
         with pytest.raises(ReferenceMismatch):
             gp_predict(back, embed_grids(densities[:1], bar, lam=20.0))
 
-    def test_version_5_stores_x_and_reference(self, tmp_path):
+    def test_version_6_stores_x_and_reference(self, tmp_path):
         rng = np.random.default_rng(7)
         reference = GaussianMeasure([0.1, 0.2], 0.01 * np.eye(2))
         ms = [GaussianMeasure(rng.uniform(0, 1, 2), 0.01 * np.eye(2)) for _ in range(5)]
@@ -415,7 +416,7 @@ class TestModelRoundTrip:
         path = tmp_path / "model.json"
         dataio.save_model(path, model)
         payload = json.loads(path.read_text())
-        assert payload["version"] == 5
+        assert payload["version"] == 6
         assert payload["reference"] == {"mean": [0.1, 0.2], "cov": reference.cov.tolist()}
         assert "lam" not in payload
         back = dataio.load_model(path)
@@ -423,29 +424,34 @@ class TestModelRoundTrip:
         np.testing.assert_array_equal(back.distances, model.distances)
 
     def test_version_3_file_is_refused(self, tmp_path):
-        # version 3 grid rows held argmax cells, not the barycentric projection
+        # version 3 grid rows held argmax cells, not the barycentric
+        # projection; version 5 ones may come from plain cold solves, where
+        # predict over-relaxes them
         rng = np.random.default_rng(10)
         densities = [random_density(rng, 4) for _ in range(4)]
         model = gp_fit_mle(embed_grids(densities, densities[0], lam=20.0), rng.normal(size=4))
         path = tmp_path / "model.json"
         dataio.save_model(path, model)
         payload = json.loads(path.read_text())
-        path.write_text(json.dumps({**payload, "version": 3}))
-        with pytest.raises(ValidationError, match="refit the model"):
-            dataio.load_model(path)
+        for version in (3, 5):
+            path.write_text(json.dumps({**payload, "version": version}))
+            with pytest.raises(ValidationError, match="refit the model"):
+                dataio.load_model(path)
 
     def test_version_4_file_is_refused(self, tmp_path):
         # version 4 grid rows were solved to a row-marginal error of 1e-9, not
-        # MAP_TOL, so a training input would not re-embed to its own row
+        # MAP_TOL, and version 5 ones may be plain, not over-relaxed, solves:
+        # a training input would not re-embed to its own row
         rng = np.random.default_rng(11)
         densities = [random_density(rng, 4) for _ in range(4)]
         model = gp_fit_mle(embed_grids(densities, densities[0], lam=20.0), rng.normal(size=4))
         path = tmp_path / "model.json"
         dataio.save_model(path, model)
         payload = json.loads(path.read_text())
-        path.write_text(json.dumps({**payload, "version": 4}))
-        with pytest.raises(ValidationError, match="refit the model"):
-            dataio.load_model(path)
+        for version in (4, 5):
+            path.write_text(json.dumps({**payload, "version": version}))
+            with pytest.raises(ValidationError, match="refit the model"):
+                dataio.load_model(path)
 
     def test_file_without_version_is_refused(self, tmp_path):
         rng = np.random.default_rng(8)

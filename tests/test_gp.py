@@ -260,10 +260,11 @@ class TestFitMle:
     def test_degenerate_constant_targets(self):
         rng = np.random.default_rng(3)
         feats = make_features(rng, 6)
-        with pytest.warns(UserWarning):
-            model = gp_fit_mle(feats, np.full(6, 2.5))
-        assert model.degenerate
-        assert model.theta.amplitude == DEFAULT_BOUNDS[0][0]
+        for fit in (gp_fit_mle, gp_fit_cv):
+            with pytest.warns(UserWarning):
+                model = fit(feats, np.full(6, 2.5))
+            assert model.degenerate
+            assert model.theta.amplitude == DEFAULT_BOUNDS[0][0]
 
     def test_model_invariants(self):
         rng = np.random.default_rng(4)
@@ -286,28 +287,33 @@ class TestFitMle:
         fitted_ll = log_likelihood(dist, y, model.theta)[0]
         assert fitted_ll >= nelder_mead_log_likelihood(dist, y) - 1e-6
 
-    def test_cholesky_failure_at_some_starts(self, monkeypatch):
-        # a likelihood that cannot be factorized wherever the amplitude is
-        # above 2: the starts there give up, the others still find a model
+    @pytest.mark.parametrize("fit,target,fails", [
+        (gp_fit_mle, "log_likelihood", lambda theta: theta.amplitude > 2.0),
+        (gp_fit_cv, "loo_residuals", lambda theta: theta.rate > 1.0),
+    ], ids=["mle", "cv"])
+    def test_cholesky_failure_at_some_starts(self, monkeypatch, fit, target, fails):
+        # an objective that cannot be factorized wherever the amplitude (the
+        # likelihood) or the rate (the LOO residuals) is too large: the
+        # starts there give up, the others still find a model
         rng = np.random.default_rng(15)
         feats = make_features(rng, 12)
         y = smooth_targets(feats)
-        calls = {"failed": 0}
+        calls, original = {"failed": 0}, getattr(gp, target)
 
-        def failing(dist, y, theta, fixed=None):
-            if theta.amplitude > 2.0:
+        def failing(dist, y, theta, *rest):
+            if fails(theta):
                 calls["failed"] += 1
                 raise CholeskyFailure("forced")
-            return log_likelihood(dist, y, theta, fixed)
+            return original(dist, y, theta, *rest)
 
-        monkeypatch.setattr(gp, "log_likelihood", failing)
-        model = gp_fit_mle(feats, y)
+        monkeypatch.setattr(gp, target, failing)
+        model = fit(feats, y)
         assert calls["failed"] > 0
         arr = model.theta.as_array()
         assert np.all(np.isfinite(arr)) and np.all(np.isfinite(model.alpha))
         for v, (lo, hi) in zip(arr, DEFAULT_BOUNDS):
             assert lo <= v <= hi
-        assert model.theta.amplitude <= 2.0
+        assert not fails(model.theta)
 
 
 class TestLogLikelihoodGradient:

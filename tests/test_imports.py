@@ -239,16 +239,20 @@ RELAX_OWNERS = {
 }
 
 
-def relax_offenders(sources: dict) -> list[str]:
-    """Uses of OMEGA or _relax outside RELAX_OWNERS in {file name: source}."""
+def owner_offenders(sources: dict, table: dict) -> list[str]:
+    """Uses of a name of table outside its (file name, owner) pairs, in
+    {file name: source}."""
     return [f"{name}: {owner} uses {word}" for name, source in sources.items()
-            for word, owners in RELAX_OWNERS.items()
+            for word, owners in table.items()
             for owner in name_uses(ast.parse(source), {word}) if (name, owner) not in owners]
 
 
+def package_sources() -> dict:
+    return {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_the_relaxed_update_is_written_once():
-    assert relax_offenders({path.name: path.read_text()
-                            for path in sorted(PACKAGE.glob("*.py"))}) == []
+    assert owner_offenders(package_sources(), RELAX_OWNERS) == []
 
 
 def test_relax_scan_sees_every_kind_of_use():
@@ -261,9 +265,47 @@ def test_relax_scan_sees_every_kind_of_use():
                           "def other(u, r):\n    step = ot._relax\n    return step(u, r)\n"
                           "h = lambda u: u ** ot.OMEGA\n"),
     }
-    assert sorted(relax_offenders(planted)) == [
+    assert sorted(owner_offenders(planted, RELAX_OWNERS)) == [
         "barycenter.py: <lambda> uses OMEGA", "barycenter.py: other uses _relax",
         "ot.py: _log_sinkhorn uses OMEGA"]
+
+
+# One entry to the batched map solve: only _grid_sinkhorn screens the warm
+# starts and cuts the densities into BATCH stacks for _sinkhorn_batch; only
+# sinkhorn_plan, inverse_grid_map and kernels.embed_grids call it; and only
+# kernels.embed reads a grid barycenter's input_scalings, the maps' starts
+# (the field itself is declared in barycenter.py).
+BATCH_OWNERS = {
+    "_sinkhorn_batch": {("ot.py", "_grid_sinkhorn")},
+    "BATCH": {("ot.py", "<module>"), ("ot.py", "_grid_sinkhorn")},
+    "_grid_sinkhorn": {("ot.py", "sinkhorn_plan"), ("ot.py", "inverse_grid_map"),
+                       ("kernels.py", "embed_grids")},
+    "input_scalings": {("kernels.py", "embed"), ("barycenter.py", "<module>")},
+}
+
+
+def test_the_batched_map_solve_has_one_entry():
+    assert owner_offenders(package_sources(), BATCH_OWNERS) == []
+
+
+def test_batch_scan_sees_every_kind_of_use():
+    planted = {
+        "ot.py": ("BATCH = 8\ndef _sinkhorn_batch(bs):\n    return bs\n"
+                  "def _grid_sinkhorn(bs):\n    return _sinkhorn_batch(bs[:BATCH])\n"
+                  "def sinkhorn_plan(a):\n    return next(_grid_sinkhorn([a]))\n"
+                  "def inverse_grid_maps(bs):\n    return [_sinkhorn_batch(b) for b in bs]\n"),
+        "kernels.py": ("from .ot import _grid_sinkhorn\nfrom . import ot\n"
+                       "def embed_grids(ds):\n    return list(_grid_sinkhorn(ds))\n"
+                       "def embed(ds, bar):\n    return embed_grids(ds, bar.input_scalings)\n"
+                       "def other(ds):\n    solve = ot._grid_sinkhorn\n"
+                       "    return solve(ds[:ot.BATCH])\n"),
+        "barycenter.py": ("class BarycenterReport:\n    input_scalings: object = None\n"
+                          "    def starts(self, n):\n"
+                          "        return list(self.input_scalings[:n])\n"),
+    }
+    assert sorted(owner_offenders(planted, BATCH_OWNERS)) == [
+        "barycenter.py: starts uses input_scalings", "kernels.py: other uses BATCH",
+        "kernels.py: other uses _grid_sinkhorn", "ot.py: inverse_grid_maps uses _sinkhorn_batch"]
 
 
 RULE_WORDS = (" must be finite", " must be >= 1")

@@ -200,7 +200,7 @@ class TestEmbed:
     def test_grid_inputs_equal_barycenter_then_warm_embed_grids(self):
         ds = embed_inputs("grid", 7, 31)
         bar = grid_barycenter(ds[:5], lam=15.0)
-        expected = embed_grids(ds, bar.result, lam=15.0, starts=bar.starts(len(ds)))
+        expected = embed_grids(ds, bar.result, lam=15.0, starts=bar.input_scalings)
         got = embed(ds, 5, lam=15.0)
         np.testing.assert_array_equal(got.X, expected.X)
         np.testing.assert_array_equal(got.reference.weights, bar.result.weights)

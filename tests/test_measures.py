@@ -149,6 +149,8 @@ class TestGaussianMeasures:
         means[1, 0] = np.nan
         with pytest.raises(ValidationError, match=r"^item 1: mean has non-finite"):
             gaussian_measures(means, covs)
+        with pytest.raises(ValidationError, match=r"^mean has non-finite"):
+            GaussianMeasure(means[1], covs[1])  # one measure: the same words, no item
         covs[1] = -np.eye(2)  # an item's covariance is checked before its mean
         with pytest.raises(NotPositiveDefinite, match=r"^item 1: "):
             gaussian_measures(means, covs)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from otgp import ot
 from otgp.errors import (
     DimensionMismatch,
     EmptyRow,
@@ -40,7 +41,6 @@ from otgp.ot import (
     gaussian_transport_map,
     gaussian_w2,
     inverse_grid_map,
-    inverse_grid_maps,
     map_l2_distance_gaussian,
     sinkhorn_plan,
     sqrtm_spd,
@@ -589,10 +589,12 @@ class TestSeparableSinkhorn:
     def test_batch_gives_each_input_its_solo_scalings(self, seed13_regression):
         # inputs that leave a batch at different iterations must not disturb
         # the others: case one alternates warm and cold starts (a cold input
-        # needs more than 8 iterations, a warm one fewer), case two holds a
-        # log-domain hand-over and a grid-size split
+        # needs more than 8 iterations, a warm one fewer), so each input is a
+        # run of its own; case two is a warm batch of 8 and a cold one of 4;
+        # case three holds a log-domain hand-over and a grid-size split
         grids, report = small_disks()
-        starts = [start if i % 2 else None for i, start in enumerate(report.starts(12))]
+        starts = [start if i % 2 else None for i, start in enumerate(report.input_scalings)]
+        starts += [None] * 4
         for mu, start in zip(grids[:2], starts[:2]):
             if start is None:
                 with pytest.raises(NoConvergence):
@@ -604,6 +606,8 @@ class TestSeparableSinkhorn:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for bar, inputs, starts in ((report.result, grids, starts),
+                                        (report.result, grids, [*report.input_scalings,
+                                                                *[None] * 4]),
                                         (bar, inputs, [None] * len(inputs))):
                 batched = list(_grid_sinkhorn(bar, inputs, 20.0, 10000, MAP_TOL, starts))
                 for mu, start, scalings in zip(inputs, starts, batched):
@@ -671,7 +675,7 @@ class TestWarmStart:
         # to the log domain. Case two: the disk unions of small_disks.
         _, grids, report = seed13_bregman
         inputs = grids[:5] + [grids[75]] + grids[5:11]
-        starts = report.starts(11)
+        starts = list(report.input_scalings[:11])
         starts = starts[:5] + [0.5 * (grids[75].weights > 0)] + starts[5:]
         assert next(_grid_sinkhorn(report.result, [grids[75]], 20.0, 10000, MAP_TOL,
                                    starts[5:6])).log_domain
@@ -679,7 +683,8 @@ class TestWarmStart:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for inputs, bar, starts in ((inputs, report.result, starts),
-                                        (disks, disks_report.result, disks_report.starts(12))):
+                                        (disks, disks_report.result,
+                                         disks_report.input_scalings)):
                 tight = embed_grids(inputs, bar, lam=20.0, tol=1e-12).X
                 for rows in (embed_grids(inputs, bar, lam=20.0).X,
                              embed_grids(inputs, bar, lam=20.0, starts=starts).X):
@@ -695,14 +700,14 @@ class TestWarmStart:
             warnings.simplefilter("error", RuntimeWarning)
             cold = next(_grid_sinkhorn(bar, grids[:1], 20.0, 10000, MAP_TOL))
             fallback = next(_grid_sinkhorn(bar, grids[:1], 20.0, 10000, MAP_TOL, [start]))
-            rows = embed_grids(grids, bar, lam=20.0, starts=[start] + report.starts(12)[1:]).X
+            rows = embed_grids(grids, bar, lam=20.0, starts=[start, *report.input_scalings[1:]]).X
         np.testing.assert_array_equal(fallback.u, cold.u)
         np.testing.assert_array_equal(fallback.v, cold.v)
         # the batch solves input 0 cold and keeps the others' warm starts
         np.testing.assert_allclose(rows[0], embed_grids(grids, bar, lam=20.0).X[0],
                                    rtol=0, atol=1e-15)
         np.testing.assert_allclose(
-            rows[1:], embed_grids(grids, bar, lam=20.0, starts=report.starts(12)).X[1:],
+            rows[1:], embed_grids(grids, bar, lam=20.0, starts=report.input_scalings).X[1:],
             rtol=0, atol=1e-15)
 
     def test_start_is_read_on_the_support_only(self):
@@ -713,20 +718,50 @@ class TestWarmStart:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             clean = next(_grid_sinkhorn(bar, grids[:1], 20.0, 10000, MAP_TOL,
-                                        report.starts(1)))
+                                        report.input_scalings[:1]))
             masked = next(_grid_sinkhorn(bar, grids[:1], 20.0, 10000, MAP_TOL, [start]))
             cold = next(_grid_sinkhorn(bar, grids[:1], 20.0, 10000, MAP_TOL))
         np.testing.assert_array_equal(masked.v, clean.v)
         assert not np.array_equal(masked.v, cold.v)
 
     def test_misaligned_starts_raise(self):
+        # starts may cover only the first densities, not more than all of
+        # them, and each must have its density's shape
         grids, report = small_disks()
-        wrong_shape = [report.input_scalings[0][:-1]] + report.starts(12)[1:]
-        for starts in ([], report.starts(11), report.starts(13), report.input_scalings, wrong_shape):
+        too_many = [*report.input_scalings, *[None] * 5]
+        wrong_shape = [report.input_scalings[0][:-1], *report.input_scalings[1:]]
+        for starts in (too_many, wrong_shape):
             with pytest.raises(ValidationError):
                 embed_grids(grids, report.result, lam=20.0, starts=starts)
-            with pytest.raises(ValidationError):
-                next(inverse_grid_maps(grids, report.result, lam=20.0, starts=starts))
+        np.testing.assert_array_equal(embed_grids(grids, report.result, lam=20.0, starts=[]).X,
+                                      embed_grids(grids, report.result, lam=20.0).X)
+
+    @pytest.mark.parametrize("kinds,batches", [
+        ("wwwwwwww", [(8, True), (4, False)]),
+        ("wwwwwwwwwwww", [(8, True), (4, True)]),
+        ("", [(8, False), (4, False)]),
+        ("wwwxwwww", [(3, True), (1, False), (4, True), (4, False)]),
+        ("wcwcwcwcwcwc", [(1, kind == "w") for kind in "wcwcwcwcwcwc"]),
+    ], ids=["barycenter-inputs", "all-warm", "all-cold", "unusable-start", "alternating"])
+    def test_batches_are_all_warm_or_all_cold(self, monkeypatch, kinds, batches):
+        # one kind per input, for a prefix of the 12 inputs: w a warm start
+        # (the barycenter's scaling, or ones on the support past its 8
+        # inputs), c None, x a start that fails the screen; runs of each
+        # kind are cut into stacks of at most BATCH
+        grids, report = small_disks()
+        scalings = [*report.input_scalings, *[(g.weights > 0) * 1.0 for g in grids[8:]]]
+        starts = [None if kind == "c" else np.full_like(start, np.nan) if kind == "x"
+                  else start for kind, start in zip(kinds, scalings)]
+        seen, solve = [], ot._sinkhorn_batch
+
+        def recording(a, bs, lam, max_iter, tol, stack):
+            seen.append((len(bs), stack is not None))
+            assert stack is None or stack.shape == (20, len(bs), 20)
+            return solve(a, bs, lam, max_iter, tol, stack)
+
+        monkeypatch.setattr(ot, "_sinkhorn_batch", recording)
+        embed_grids(grids, report.result, lam=20.0, starts=starts)
+        assert seen == batches
 
     def test_warm_training_batch_needs_fewer_iterations(self):
         # at MAP_TOL the cold solve of these 8 inputs needs 12 iterations, the
@@ -836,7 +871,8 @@ class TestSeparableRounding:
         grids, report = small_disks()
         bar = report.result
         _, _, w = bar.support()
-        for mu, mapped in zip(grids, inverse_grid_maps(grids, bar, lam=20.0, tol=1e-12)):
+        for mu in grids:
+            mapped = inverse_grid_map(mu, bar, lam=20.0, tol=1e-12)
             _, loc, b = mu.support()
             np.testing.assert_allclose(w / w.sum() @ mapped, b @ loc, rtol=0, atol=1e-8)
 
@@ -897,10 +933,8 @@ class TestStoppingValidation:
         lambda a, b, stop: grid_barycenter([a, b], **stop),
         lambda a, b, stop: sinkhorn_plan(a, b, **stop),
         lambda a, b, stop: inverse_grid_map(a, b, **stop),
-        lambda a, b, stop: list(inverse_grid_maps([a, b], b, **stop)),
         lambda a, b, stop: embed_grids([a, b], b, **stop),
-    ], ids=["grid_barycenter", "sinkhorn_plan", "inverse_grid_map", "inverse_grid_maps",
-            "embed_grids"])
+    ], ids=["grid_barycenter", "sinkhorn_plan", "inverse_grid_map", "embed_grids"])
     def test_bad_stopping_rule_is_a_validation_error(self, call, stop, message):
         rng = np.random.default_rng(2)
         a, b = (GridDensity(w / w.sum()) for w in rng.uniform(0.1, 1.0, size=(2, 6, 6)))
