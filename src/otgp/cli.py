@@ -122,8 +122,6 @@ def cmd_fit(args) -> int:
     theta = model.theta
     print(f"fitted theta: amplitude={theta.amplitude:.4g} rate={theta.rate:.4g} "
           f"exponent={theta.exponent:.4g} nugget={theta.nugget:.4g} -> {args.out}")
-    if model.clipped:
-        print("clipped: amplitude or nugget moved into DEFAULT_BOUNDS after the search")
     return EXIT_OK
 
 

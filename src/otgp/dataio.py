@@ -222,8 +222,9 @@ def dataset_to_grids(inputs, grid_size: int) -> list[GridDensity]:
 
 def save_model(path, model) -> None:
     """Fitted GP to JSON: theta, responses, reference, the training
-    feature matrix X and, for grid models, its penalty lam."""
-    ref = model.features.reference
+    feature matrix X and, for grid models, its penalty lam. The reference is
+    input_to_json's record, its kind stored as the model's."""
+    reference = input_to_json(model.features.reference)
     payload = {
         "version": MODEL_VERSION,
         "theta": {
@@ -235,13 +236,10 @@ def save_model(path, model) -> None:
         "y": model.y.tolist(),
         "degenerate": model.degenerate,
         "X": model.features.X.tolist(),
+        "kind": reference.pop("kind"),
+        "reference": reference,
     }
-    if isinstance(ref, GaussianMeasure):
-        payload["kind"] = "gaussian"
-        payload["reference"] = {"mean": ref.mean.tolist(), "cov": ref.cov.tolist()}
-    else:
-        payload["kind"] = "grid"
-        payload["reference"] = {"weights": ref.weights.tolist()}
+    if payload["kind"] == "grid":
         payload["lam"] = model.features.lam
     Path(path).write_text(json.dumps(payload))
 
@@ -264,15 +262,11 @@ def load_model(path):
     degenerate = _field(payload, "degenerate")
     if not isinstance(degenerate, bool):
         raise ValidationError(f"degenerate {degenerate!r} is not a boolean")
-    kind, ref, lam = _field(payload, "kind"), _field(payload, "reference"), None
-    if kind == "gaussian":
-        ref = GaussianMeasure(_array(_field(ref, "mean"), "mean"),
-                              _array(_field(ref, "cov"), "cov"))
-    elif kind == "grid":
-        ref = GridDensity(_array(_field(ref, "weights"), "weights"))
-        lam = _number(_field(payload, "lam"), "lam", positive=True)
-    else:
+    kind, ref = _field(payload, "kind"), _field(payload, "reference")
+    if kind not in ("gaussian", "grid"):
         raise ValidationError(f"unknown model kind {kind!r}")
+    ref = input_from_json(dict(ref, kind=kind) if isinstance(ref, dict) else {"kind": kind})
+    lam = _number(_field(payload, "lam"), "lam", positive=True) if kind == "grid" else None
     features = Embedding(ref, _array(_field(payload, "X"), "X"), lam)
     if len(features) != len(y):
         raise ValidationError("model X and y differ in length")

@@ -50,8 +50,8 @@ def write_report(name: str, cfg, per_seed: dict, t0: float, fits: dict | None = 
     """The report of experiment name: its resolved config, its seeds, the row
     of each seed and then fields, as report.json holds it. When cfg.out_dir
     is set, writes report.json (deterministic) and a meta.json sidecar for the
-    wall clock since t0 and, when given, the fits: _fit_meta of each model by
-    seed and fit label."""
+    wall clock since t0 and, when given, the fits: {"jitter": the Cholesky
+    jitter} of each model by seed and fit label."""
     text = json.dumps({"experiment": name, "config": asdict(cfg), "seeds": list(per_seed),
                        "per_seed": {str(s): row for s, row in per_seed.items()}, **fields},
                       sort_keys=True, indent=2)
@@ -62,10 +62,6 @@ def write_report(name: str, cfg, per_seed: dict, t0: float, fits: dict | None = 
         meta = {"wall_clock_seconds": time.time() - t0, **({} if fits is None else {"fits": fits})}
         (out / "meta.json").write_text(json.dumps(meta))
     return json.loads(text)
-
-
-def _fit_meta(model) -> dict:
-    return {"clipped": bool(model.clipped), "jitter": float(model.jitter)}
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +206,7 @@ def run_gaussian_regression(cfg: RegressionConfig) -> dict:
             m = metrics(means, y_test, variances)
             row[label] = {"rmse": m.rmse, "q2": m.q2, "cic": m.cic,
                           "theta": list(model.theta.as_array())}
-            fits[str(seed)][label] = _fit_meta(model)
+            fits[str(seed)][label] = {"jitter": model.jitter}
 
         smoother = fit_smoother(grids[tr], y_train, split_seed=seed)
         sm_preds = [smoother_predict(smoother, g) for g in grids[te]]
@@ -347,7 +343,7 @@ def run_disks(cfg: DisksConfig) -> dict:
         model, means, variances = _fit_predict_gp(feats[tr], responses[tr],
                                                   feats[te], gp_fit_mle)
         m_gp = metrics(means, responses[te], variances)
-        fits[str(seed)] = {"gp": _fit_meta(model)}
+        fits[str(seed)] = {"gp": {"jitter": model.jitter}}
 
         smoother = fit_smoother(grids[tr], responses[tr], split_seed=seed)
         sm = [smoother_predict(smoother, g) for g in grids[te]]

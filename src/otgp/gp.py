@@ -58,7 +58,6 @@ class GpModel:
     alpha: np.ndarray  # R^{-1} y
     degenerate: bool = False
     jitter: float = 0.0
-    clipped: bool = False
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,7 @@ def _nelder_mead(objective, start, box: np.ndarray, xatol: float, fatol: float,
                  maxiter: int, maxfev: int) -> _Simplex:
     """SciPy's minimize(method="Nelder-Mead", bounds=box) step for step, on
     Python floats. start is a point, around which the default simplex is
-    built, or an (n + 1, n) simplex. Every vertex and trial point is clipped
+    built, or an (n + 1, n) simplex. Every vertex and trial point is clamped
     into the box; vertices above it are first reflected into it. The vertices
     are ordered by np.argsort, as SciPy orders them: NaN values go last, and
     ties keep the order numpy's sort gives them."""
@@ -149,7 +148,7 @@ def _nelder_mead(objective, start, box: np.ndarray, xatol: float, fatol: float,
     def clip(x):  # np.clip's comparisons, signed zeros included
         return [min(h, max(l, v)) for v, l, h in zip(x, lo, hi)]
 
-    def trial(a, b):  # a xbar + b worst, clipped
+    def trial(a, b):  # a xbar + b worst, clamped
         return clip([a * c + b * w for c, w in zip(xbar, worst)])
 
     start = np.asarray(start, dtype=float)
@@ -247,7 +246,7 @@ def _minimize_in_box(objective, log_box: np.ndarray, gradient: bool = False):
     return search(best.x if gradient else best.simplex, **POLISH[method])
 
 
-def build_model(features, y, dist, theta, degenerate=False, clipped=False) -> GpModel:
+def build_model(features, y, dist, theta, degenerate=False) -> GpModel:
     """GP model at fixed kernel parameters: one factorization of the
     training Gram (with jitter when needed) and alpha = R^-1 y."""
     from scipy.linalg import lapack
@@ -257,7 +256,7 @@ def build_model(features, y, dist, theta, degenerate=False, clipped=False) -> Gp
     alpha = lapack.dpotrs(l, y, lower=1)[0]
     return GpModel(features=features, y=np.asarray(y, dtype=float),
                    theta=theta, distances=dist, chol=l, alpha=alpha,
-                   degenerate=degenerate, jitter=jitter, clipped=clipped)
+                   degenerate=degenerate, jitter=jitter)
 
 
 def _fit_data(features, y) -> tuple[np.ndarray, np.ndarray]:
@@ -318,19 +317,15 @@ def loo_residuals(dist: np.ndarray, y: np.ndarray, theta: KernelParams
     return alpha / diag, 1.0 / diag
 
 
-def _clip_to_box(value: float, box: tuple[float, float]) -> tuple[float, bool]:
-    clipped = min(max(value, box[0]), box[1])
-    return clipped, clipped != value
-
-
 def gp_fit_cv(features, y) -> GpModel:
     """Fit by leave-one-out cross validation.
 
-    The LOO squared error is invariant to the total variance, so only
-    (rate, exponent, nugget/amplitude^2 ratio) are searched, in DEFAULT_BOUNDS
-    and CV_RATIO_BOX, by Nelder-Mead from screened Sobol starts
-    (_minimize_in_box); the total variance is then set so the mean
-    standardized LOO residual equals 1.
+    The LOO squared error is invariant to the total variance (Dubrule, Math.
+    Geology 1983; GPML 5.4.2), so only (rate, exponent, nugget/amplitude^2
+    ratio) are searched, in DEFAULT_BOUNDS and CV_RATIO_BOX, by Nelder-Mead
+    from screened Sobol starts (_minimize_in_box). The model is the point the
+    search scored: the amplitude makes the mean standardized LOO residual 1,
+    and the nugget is the ratio times amplitude^2, neither bounded further.
     """
     y, dist = _fit_data(features, y)
     if float(np.var(y)) == 0.0:
@@ -349,15 +344,13 @@ def gp_fit_cv(features, y) -> GpModel:
         return float((errs**2).sum())
 
     best = _minimize_in_box(objective, np.log(cv_box))
-    rate, exponent, ratio = _exp_into_box(best.x, cv_box)
+    rate, exponent, ratio = _exp_into_box(best.x, cv_box).tolist()
     errs, unit_vars = loo_residuals(dist, y, unit_theta(best.x))
     # calibrate total variance: mean(e_i^2 / (amp^2 * var0_i)) = 1
-    amp_sq = float((errs**2 / unit_vars).mean())
-    amplitude, c1 = _clip_to_box(math.sqrt(amp_sq), DEFAULT_BOUNDS[0])
-    nugget, c2 = _clip_to_box(ratio * amplitude**2, DEFAULT_BOUNDS[3])
-    theta = KernelParams(amplitude=amplitude, rate=float(rate),
-                         exponent=float(exponent), nugget=nugget)
-    return build_model(features, y, dist, theta, clipped=c1 or c2)
+    amplitude = math.sqrt(float((errs**2 / unit_vars).mean()))
+    theta = KernelParams(amplitude=amplitude, rate=rate, exponent=exponent,
+                         nugget=ratio * amplitude**2)
+    return build_model(features, y, dist, theta)
 
 
 def gp_predict(model: GpModel, features: Embedding) -> PredictionResult:

@@ -55,10 +55,12 @@ class KernelParams:
     nugget: float
 
     def __post_init__(self):
-        for name in ("amplitude", "rate", "nugget"):
-            check_arg(name, getattr(self, name), "finite and >= 0")
+        amplitude, _, nugget = (check_arg(name, getattr(self, name), "finite and >= 0")
+                                for name in ("amplitude", "rate", "nugget"))
         if not 0.0 < check_arg("exponent", self.exponent, "finite") <= 2.0:
             raise ValidationError("exponent must lie in (0, 2]")
+        # the Gram diagonal; a float product overflows to inf, a power raises
+        check_arg("amplitude^2 + nugget", amplitude * amplitude + nugget, "finite")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.amplitude, self.rate, self.exponent, self.nugget])
@@ -68,8 +70,10 @@ class KernelParams:
         return cls(*(float(x) for x in arr))
 
 
-# Search boxes for fitted parameters, in as_array order, and the box of the
-# nugget/amplitude^2 ratio that the cross-validation fit searches instead.
+# The MLE's search box, in as_array order, whose lower bounds the degenerate
+# model takes; the cross-validation fit searches its rate and exponent rows
+# and, in place of amplitude and nugget, the nugget/amplitude^2 ratio in
+# CV_RATIO_BOX, its only other box.
 DEFAULT_BOUNDS = ((0.05, 10.0), (0.01, 10.0), (0.5, 2.0), (1e-5, 1.0))
 CV_RATIO_BOX = (1e-6, 20.0)
 

@@ -196,7 +196,7 @@ class DiskConfig:
         c = np.atleast_2d(_frozen(self.centers, "centers"))
         if c.shape[1] != 2:
             raise ValidationError(f"centers must be (m, 2), got {c.shape}")
-        if np.any(c < 0.0) or np.any(c > 1.0):
+        if not ((c >= 0.0) & (c <= 1.0)).all():  # NaN fails both
             raise ValidationError("centers must lie in [0,1]^2")
         object.__setattr__(self, "centers", c)
 

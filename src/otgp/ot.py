@@ -147,7 +147,7 @@ def _sandwich_roots(reference, covs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bures_sq(covs_a: np.ndarray, covs_b: np.ndarray, roots_b: np.ndarray) -> np.ndarray:
-    """Squared Bures distance tr(Sa) + tr(Sb) - 2 tr((Rb Sa Rb)^1/2), clipped
+    """Squared Bures distance tr(Sa) + tr(Sb) - 2 tr((Rb Sa Rb)^1/2), floored
     at 0, per pair of (n, d, d) stacks, with Rb = Sb^1/2 from roots_b."""
     cross = np.sqrt(np.clip(np.linalg.eigvalsh(roots_b @ covs_a @ roots_b), 0.0, None))
     return np.maximum(np.trace(covs_a, axis1=1, axis2=2) + np.trace(covs_b, axis1=1, axis2=2)

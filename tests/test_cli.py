@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -152,7 +153,7 @@ class TestKernelMatrixCommand:
         assert "'a,1,1,0'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("theta", ["nan,1,2,0", "1,inf,2,0", "inf,1,2,0", "1,1,-inf,0",
-                                       "1,1,2,nan"])
+                                       "1,1,2,nan", "1e200,1,2,0", "1e154,1,2,1.7e308"])
     def test_non_finite_theta_is_validation_error(self, tmp_path, capsys, theta):
         src, out = tmp_path / "set.json", tmp_path / "g.csv"
         write_gaussian_set(src)
@@ -197,6 +198,12 @@ class TestKernelMatrixCommand:
     def test_non_numeric_disk_radius_is_validation_error(self, tmp_path, capsys):
         err = self.disk_list_error(tmp_path, capsys, [{"radius": "x", "centers": [[0.5, 0.5]]}])
         assert err == "validation error: item 0: radius 'x' is not a number\n"
+
+    def test_nan_disk_center_is_validation_error(self, tmp_path, capsys):
+        # otgp kernel-matrix --input d.json, Python's json reading the NaN literal
+        err = self.disk_list_error(tmp_path, capsys, [{"radius": 0.1, "centers": [[math.nan, 0.5]]},
+                                                      {"radius": 0.1, "centers": [[0.3, 0.5]]}])
+        assert err == "validation error: item 0: centers must lie in [0,1]^2\n"
 
 
 class TestEmptyInputs:
@@ -302,6 +309,17 @@ class TestFitPredictCommands:
         assert main(["fit", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 2
         assert capsys.readouterr().err == "validation error: item 2: missing 'cov'\n"
 
+    def test_nan_disk_center_is_validation_error(self, tmp_path, capsys):
+        # otgp fit --data d.json on a disk dataset, Python's json reading NaN
+        rows = [{"input": {"kind": "disks", "radius": 0.1, "centers": [[0.2 + 0.1 * i, 0.5]]},
+                 "y": float(i)} for i in range(6)]
+        rows[3]["input"]["centers"][0][1] = math.nan
+        data, model = tmp_path / "d.json", tmp_path / "m.json"
+        data.write_text(json.dumps(rows))
+        assert main(["fit", "--data", str(data), "--grid-size", "12", "--out", str(model)]) == 2
+        assert capsys.readouterr().err == "validation error: item 3: centers must lie in [0,1]^2\n"
+        assert not model.exists()
+
     def test_predict_refuses_model_without_version(self, tmp_path):
         rng = np.random.default_rng(5)
         ms = [GaussianMeasure(rng.uniform(0.2, 0.8, 2), 0.0004 * np.eye(2))
@@ -382,22 +400,22 @@ class TestFitPredictCommands:
         assert main(["fit", "--data", str(data), "--method", "cv",
                      "--out", str(tmp_path / "m.json")]) == 0
 
-    def test_fit_says_when_the_model_was_clipped(self, tmp_path, capsys):
-        # the CV fit calibrates the nugget of these data below the 1e-5
-        # floor and lifts it; the MLE fit searches inside the box
+    def test_cv_fit_keeps_the_searched_ratio(self, tmp_path, capsys):
+        # the CV fit calibrates the nugget of these data below the MLE box's
+        # 1e-5 floor; the model file keeps it, at the ratio the search scored
+        from otgp.kernels import CV_RATIO_BOX, DEFAULT_BOUNDS
+
         rng = np.random.default_rng(3)
         ms = [GaussianMeasure(rng.uniform(0.2, 0.8, 2), 0.0004 * np.eye(2))
               for _ in range(10)]
-        data = tmp_path / "data.json"
+        data, model = tmp_path / "data.json", tmp_path / "cv.json"
         dataio.save_dataset(data, ms, [float(m.mean[0]) for m in ms])
-        for method, clipped in (("cv", True), ("mle", False)):
-            capsys.readouterr()
-            assert main(["fit", "--data", str(data), "--method", method,
-                         "--out", str(tmp_path / f"{method}.json")]) == 0
-            out = capsys.readouterr().out
-            assert out.startswith("fitted theta:")
-            assert ("clipped:" in out) == clipped
-            assert "clipped" not in json.loads((tmp_path / f"{method}.json").read_text())
+        assert main(["fit", "--data", str(data), "--method", "cv", "--out", str(model)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("fitted theta:") and out.count("\n") == 1
+        theta = json.loads(model.read_text())["theta"]
+        assert theta["nugget"] < DEFAULT_BOUNDS[3][0]
+        assert CV_RATIO_BOX[0] <= theta["nugget"] / theta["amplitude"] ** 2 <= CV_RATIO_BOX[1]
 
 
 class TestCorrelatedGaussianOnGrid:

@@ -503,6 +503,8 @@ class TestScalarsThatAreNotFiniteNumbers:
         (lambda p: p["y"].__setitem__(4, math.inf), "item 4: y must be finite, got inf"),
         (lambda p: p["theta"].update(nugget="0.001"), "nugget '0.001' is not a number"),
         (lambda p: p["theta"].update(amplitude=math.inf), "amplitude must be finite, got inf"),
+        (lambda p: p["theta"].update(amplitude=1e308),
+         "amplitude^2 + nugget must be finite, got inf"),
         (lambda p: p["theta"].update(exponent=True), "exponent True is not a number"),
         (lambda p: p.update(degenerate="no"), "degenerate 'no' is not a boolean"),
         (lambda p: p.pop("degenerate"), "missing 'degenerate'"),

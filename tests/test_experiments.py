@@ -100,15 +100,14 @@ class TestRegression:
         assert table["Gaussian Process"]["rmse"] == pytest.approx(
             a["summary"]["gp_mle"]["rmse"], abs=1e-4)
 
-    def test_meta_reports_each_fit_clipped_flag_and_jitter(self, tmp_path):
-        # the CV fit of every regression dataset lifts its nugget onto the
-        # box floor today; meta.json says so, report.json stays as it was
+    def test_meta_reports_each_fit_jitter(self, tmp_path):
+        # the Cholesky jitter of each fit goes to meta.json; report.json
+        # stays as it was
         out = tmp_path / "r"
         report = run_gaussian_regression(RegressionConfig(seed=1, n_seeds=1, out_dir=str(out)))
         meta = json.loads((out / "meta.json").read_text())
-        assert meta["fits"] == {"1": {"gp_mle": {"clipped": False, "jitter": 0.0},
-                                      "gp_cv": {"clipped": True, "jitter": 0.0}}}
-        assert "clipped" not in (out / "report.json").read_text()
+        assert meta["fits"] == {"1": {"gp_mle": {"jitter": 0.0}, "gp_cv": {"jitter": 0.0}}}
+        assert "jitter" not in (out / "report.json").read_text()
         assert json.loads((out / "report.json").read_text()) == report
 
     def test_constant_responses_recovered(self):
@@ -199,7 +198,7 @@ class TestDisks:
         assert (tmp_path / "disks" / "report.json").exists()
         meta = json.loads((tmp_path / "disks" / "meta.json").read_text())
         assert set(meta["fits"]) == {"1"} and set(meta["fits"]["1"]) == {"gp"}
-        assert set(meta["fits"]["1"]["gp"]) == {"clipped", "jitter"}
+        assert set(meta["fits"]["1"]["gp"]) == {"jitter"}
 
     def test_byte_identical_reports(self, tmp_path):
         out = tmp_path / "disks"

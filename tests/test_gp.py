@@ -294,7 +294,8 @@ class TestFitMle:
     def test_cholesky_failure_at_some_starts(self, monkeypatch, fit, target, fails):
         # an objective that cannot be factorized wherever the amplitude (the
         # likelihood) or the rate (the LOO residuals) is too large: the
-        # starts there give up, the others still find a model
+        # starts there give up, the others still find a model inside the
+        # box searched, whose CV coordinates are rate, exponent and ratio
         rng = np.random.default_rng(15)
         feats = make_features(rng, 12)
         y = smooth_targets(feats)
@@ -309,9 +310,11 @@ class TestFitMle:
         monkeypatch.setattr(gp, target, failing)
         model = fit(feats, y)
         assert calls["failed"] > 0
-        arr = model.theta.as_array()
+        arr, box = model.theta.as_array(), DEFAULT_BOUNDS
         assert np.all(np.isfinite(arr)) and np.all(np.isfinite(model.alpha))
-        for v, (lo, hi) in zip(arr, DEFAULT_BOUNDS):
+        if fit is gp_fit_cv:
+            arr, box = [*arr[1:3], arr[3] / arr[0]**2], (*box[1:3], kernels.CV_RATIO_BOX)
+        for v, (lo, hi) in zip(arr, box):
             assert lo <= v <= hi
         assert not fails(model.theta)
 
@@ -454,9 +457,29 @@ class TestFitCv:
         feats = make_features(rng, 16)
         y = smooth_targets(feats)
         model = gp_fit_cv(feats, y)
-        if not model.clipped:
-            errs, variances = loo_residuals(model.distances, y, model.theta)
-            assert float((errs**2 / variances).mean()) == pytest.approx(1.0, abs=1e-9)
+        errs, variances = loo_residuals(model.distances, y, model.theta)
+        assert float((errs**2 / variances).mean()) == pytest.approx(1.0, abs=1e-9)
+
+    def test_returns_the_model_its_search_scored(self, monkeypatch):
+        # the search ends at the ratio box's floor, and the calibrated nugget
+        # falls below the MLE box's; the model keeps both, so its LOO error
+        # is the search's optimum and its residuals are calibrated
+        searches = []
+
+        def recorded(objective, log_box, gradient=False):
+            searches.append(search(objective, log_box, gradient))
+            return searches[-1]
+
+        search = gp._minimize_in_box
+        monkeypatch.setattr(gp, "_minimize_in_box", recorded)
+        feats, y = regression_training_set(1000)
+        model = gp_fit_cv(feats, y)
+        errs, variances = loo_residuals(model.distances, y, model.theta)
+        assert float((errs**2 / variances).mean()) == pytest.approx(1.0, abs=1e-9)
+        assert float((errs**2).sum()) == pytest.approx(searches[0].fun, rel=1e-9)
+        ratio = model.theta.nugget / model.theta.amplitude**2
+        assert kernels.CV_RATIO_BOX[0] <= ratio <= kernels.CV_RATIO_BOX[1]
+        assert model.theta.nugget < DEFAULT_BOUNDS[3][0]
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(7)

@@ -112,7 +112,10 @@ class TestKernelParams:
         ((1.0, 1.0, math.nan, 0.0), "exponent must be finite, got nan"),
         ((1.0, 1.0, 0.0, 0.0), "exponent must lie in (0, 2]"),
         ((10**400, 1.0, 2.0, 0.0), f"amplitude must be finite and >= 0, got {10**400}"),
-    ], ids=["amplitude", "rate", "nugget", "exponent-nan", "exponent-zero", "amplitude-huge"])
+        ((1e200, 1.0, 2.0, 0.0), "amplitude^2 + nugget must be finite, got inf"),
+        ((1e154, 1.0, 2.0, 1.7e308), "amplitude^2 + nugget must be finite, got inf"),
+    ], ids=["amplitude", "rate", "nugget", "exponent-nan", "exponent-zero", "amplitude-huge",
+            "amplitude-squared-overflows", "diagonal-overflows"])
     def test_names_the_failing_field(self, values, message):
         with pytest.raises(ValidationError) as info:
             KernelParams(*values)

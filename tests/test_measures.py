@@ -230,6 +230,9 @@ class TestTypes:
             DiskConfig(0.1, [[1.5, 0.5]])
         with pytest.raises(ValidationError):
             DiskConfig(-0.1, [[0.5, 0.5]])
+        for center in ([np.nan, 0.5], [0.5, np.nan]):  # NaN fails every comparison
+            with pytest.raises(ValidationError, match=r"^centers must lie in \[0,1\]\^2$"):
+                DiskConfig(0.1, [[0.3, 0.5], center])
 
 
 class TestDisksToGrid:
