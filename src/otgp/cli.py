@@ -159,26 +159,27 @@ def build_parser() -> argparse.ArgumentParser:
         prog="otgp",
         description="Gaussian processes on distribution inputs via optimal transport")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the entropic penalty and the grid side of the commands that rasterize and embed
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--lam", type=float, default=20.0)
+    grid.add_argument("--grid-size", type=int, default=50)
 
-    p = sub.add_parser("barycenter", help="Wasserstein barycenter of a distribution set")
+    p = sub.add_parser("barycenter", parents=[grid],
+                       help="Wasserstein barycenter of a distribution set")
     p.add_argument("--input", required=True,
                    help="Gaussian-set JSON or a directory of grid CSVs")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--lam", type=float, default=20.0)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-iter", type=int, default=1000)
-    p.add_argument("--grid-size", type=int, default=50)
     p.set_defaults(func=cmd_barycenter)
 
-    p = sub.add_parser("kernel-matrix", help="Gram matrix of the transport kernel")
+    p = sub.add_parser("kernel-matrix", parents=[grid], help="Gram matrix of the transport kernel")
     p.add_argument("--input", required=True)
     p.add_argument("--theta", required=True,
                    help="amplitude,rate,exponent,nugget")
     p.add_argument("--reference", default="barycenter",
                    help="'barycenter' or a reference file")
     p.add_argument("--out", required=True, help="output CSV")
-    p.add_argument("--lam", type=float, default=20.0)
-    p.add_argument("--grid-size", type=int, default=50)
     p.set_defaults(func=cmd_kernel_matrix)
 
     p = sub.add_parser("diagnose-psd", help="eigenvalue spectrum of a Gram matrix")
@@ -190,12 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_diagnose_psd)
 
-    p = sub.add_parser("fit", help="fit a GP model to a dataset JSON")
+    p = sub.add_parser("fit", parents=[grid], help="fit a GP model to a dataset JSON")
     p.add_argument("--data", required=True)
     p.add_argument("--method", choices=("mle", "cv"), default="mle")
     p.add_argument("--out", required=True, help="model JSON path")
-    p.add_argument("--lam", type=float, default=20.0)
-    p.add_argument("--grid-size", type=int, default=50)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("predict", help="predict with a fitted model")

@@ -317,10 +317,7 @@ class DisksConfig:
 def disk_response(grid) -> float:
     """Synthetic stand-in response: centroid-x minus squared centroid-y of
     the rasterized union."""
-    centers = grid.cell_centers()
-    w = grid.weights.ravel()
-    cx = float(w @ centers[:, 0])
-    cy = float(w @ centers[:, 1])
+    cx, cy = (float(grid.weights.ravel() @ axis) for axis in grid.cell_centers().T)
     return cx - cy**2
 
 

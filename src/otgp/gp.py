@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CholeskyFailure, SizeMismatch, ZeroVarianceTruths
+from .errors import CholeskyFailure, SizeMismatch, ZeroVarianceTruths, check_arg
 from .kernels import (
     CV_RATIO_BOX,
     DEFAULT_BOUNDS,
@@ -260,10 +260,12 @@ def build_model(features, y, dist, theta, degenerate=False) -> GpModel:
 
 
 def _fit_data(features, y) -> tuple[np.ndarray, np.ndarray]:
-    """The responses as floats and the training distances of a fitter."""
+    """The responses as floats, their squares finite, and the training distances of a fitter."""
     y = np.asarray(y, dtype=float)
     if len(features) != len(y) or len(y) < 2:
         raise SizeMismatch("need matching features and responses, n >= 2")
+    peak = float(np.abs(y).max())
+    check_arg("largest squared response", peak * peak, "finite", shown=f"{peak:g}^2")
     return y, pairwise_distances(features)
 
 

@@ -140,12 +140,10 @@ def embed_grids(densities, reference: GridDensity, lam: float = 20.0,
     """Rows sqrt(w) * T, with T the inverse_grid_map of each density from
     one batched Sinkhorn solve (ot._grid_sinkhorn) from starts, and w the
     normalized reference weights on its support."""
-    densities, support = list(densities), reference.support()
-    _, _, w = support
+    densities, w = list(densities), reference.support()[1]
     scale = np.sqrt(w / w.sum())[:, None]
     solves = _grid_sinkhorn(reference, densities, lam, max_iter, tol, starts)
-    rows = [(scale * inverse_grid_map(mu, reference, scalings=scalings,
-                                      bar_support=support)).ravel()
+    rows = [(scale * inverse_grid_map(mu, reference, scalings=scalings)).ravel()
             for mu, scalings in zip(densities, solves)]
     return Embedding(reference, np.array(rows).reshape(len(rows), _row_width(reference)), lam)
 

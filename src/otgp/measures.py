@@ -66,6 +66,11 @@ def validate_spd(matrix) -> np.ndarray:
     return sym.reshape(m.shape)
 
 
+def grid_ticks(g: int) -> np.ndarray:
+    """The g cell-center coordinates (k + 1/2)/g of [0, 1] cut into g cells."""
+    return (np.arange(g) + 0.5) / g
+
+
 def _frozen(a, what: str) -> np.ndarray:
     a = as_floats(a, what).copy()
     a.flags.writeable = False
@@ -146,19 +151,16 @@ class GridDensity:
 
     def cell_centers(self) -> np.ndarray:
         """(G*G, 2) array of (x, y) cell centers, flat index = iy*G + ix."""
-        g = self.grid_size
-        ticks = (np.arange(g) + 0.5) / g
+        ticks = grid_ticks(self.grid_size)
         xx, yy = np.meshgrid(ticks, ticks)  # rows index y
         return np.column_stack([xx.ravel(), yy.ravel()])
 
     def support(self):
-        """Indices, locations and weights of cells with positive mass; the
-        locations are cell_centers()[idx], built for the support cells only."""
+        """Flat indices and weights of the cells with positive mass; their
+        locations are cell_centers()[idx]."""
         flat = self.weights.ravel()
         idx = np.flatnonzero(flat > 0.0)
-        ticks = (np.arange(self.grid_size) + 0.5) / self.grid_size
-        iy, ix = np.divmod(idx, self.grid_size)
-        return idx, np.column_stack([ticks[ix], ticks[iy]]), flat[idx]
+        return idx, flat[idx]
 
     def same_as(self, other: "GridDensity") -> bool:
         return np.array_equal(self.weights, other.weights)
@@ -201,20 +203,33 @@ class DiskConfig:
         object.__setattr__(self, "centers", c)
 
 
+def _check_grid_size(grid_size) -> None:
+    """The grid-size rule of both rasterizers: an integer >= 2."""
+    if not isinstance(grid_size, (int, np.integer)):
+        raise ValidationError(f"grid_size must be an integer, got {grid_size!r}")
+    if grid_size < 2:
+        raise ValidationError("grid_size must be >= 2")
+
+
+def _normalized(masses: np.ndarray, empty: str) -> GridDensity:
+    """GridDensity of nonnegative cell masses; EmptySupport(empty) if all are zero."""
+    total = masses.sum()
+    if total <= 0:
+        raise EmptySupport(empty)
+    return GridDensity(masses / total)
+
+
 def disks_to_grid(cfg: DiskConfig, grid_size: int, subsamples: int = 4) -> GridDensity:
     """Rasterize the uniform distribution on a disk union to a grid density.
 
     Each cell is probed on a subsamples x subsamples lattice; the cell weight
     is proportional to the number of probe points falling inside the union.
     """
-    if not isinstance(grid_size, (int, np.integer)):
-        raise ValidationError(f"grid_size must be an integer, got {grid_size!r}")
-    if grid_size < 2:
-        raise ValidationError("grid_size must be >= 2")
+    _check_grid_size(grid_size)
     check_arg("subsamples", subsamples, ">= 1")
     g, s, r = grid_size, subsamples, cfg.radius
     n = g * s
-    ticks = (np.arange(n) + 0.5) / n
+    ticks = grid_ticks(n)
     # one window of probes per disk and axis (y, x), all as wide as the
     # widest: only probes within radius of the center (plus one tick) can
     # hit it; the padding past a window's end is at squared distance inf
@@ -231,12 +246,8 @@ def disks_to_grid(cfg: DiskConfig, grid_size: int, subsamples: int = 4) -> GridD
         hit[(y[:, :, None] * n + x[:, None, :])[dy[:, :, None] + dx[:, None, :] <= r**2]] = True
     # collapse the s x s probe blocks back onto cells
     probes = np.flatnonzero(hit)
-    counts = np.bincount(probes // n // s * g + probes % n // s,
-                         minlength=g * g).reshape(g, g).astype(float)
-    total = counts.sum()
-    if total == 0:
-        raise EmptySupport("no probe point lies inside any disk")
-    return GridDensity(counts / total)
+    counts = np.bincount(probes // n // s * g + probes % n // s, minlength=g * g)
+    return _normalized(counts.reshape(g, g).astype(float), "no probe point lies inside any disk")
 
 
 def rasterize_gaussian(measure: GaussianMeasure, grid_size: int) -> GridDensity:
@@ -249,23 +260,18 @@ def rasterize_gaussian(measure: GaussianMeasure, grid_size: int) -> GridDensity:
     """
     from scipy.special import ndtr
 
+    _check_grid_size(grid_size)
     if measure.dim != 2:
         raise ValidationError("grid rasterization is defined on R^2 only")
     if measure.cov[0, 1] != 0.0:
         raise ValidationError(
             "grid rasterization needs a diagonal covariance; "
             f"got off-diagonal term {measure.cov[0, 1]:.3e}")
-    g = grid_size
-    edges = np.arange(g + 1) / g
-    sx = float(np.sqrt(measure.cov[0, 0]))
-    sy = float(np.sqrt(measure.cov[1, 1]))
-    px = np.diff(ndtr((edges - measure.mean[0]) / sx))
-    py = np.diff(ndtr((edges - measure.mean[1]) / sy))
+    edges = np.arange(grid_size + 1) / grid_size
+    sd = np.sqrt(measure.cov.diagonal())
+    px, py = (np.diff(ndtr((edges - measure.mean[k]) / sd[k])) for k in (0, 1))
     w = np.outer(py, px)  # rows index y
-    total = w.sum()
-    if total <= 0:
-        raise EmptySupport("no Gaussian mass falls on the grid")
-    return GridDensity(w / total)
+    return _normalized(w, "no Gaussian mass falls on the grid")
 
 
 def gaussian_cov_stack(n: int, d: int, rng: np.random.Generator,

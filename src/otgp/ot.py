@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
     check_arg,
 )
-from .measures import EmpiricalSample, GaussianMeasure, GridDensity, validate_spd
+from .measures import EmpiricalSample, GaussianMeasure, GridDensity, grid_ticks, validate_spd
 
 # Eigenvalue floor (relative to the largest eigenvalue) absorbing round-off
 # when square-rooting nominally SPD matrices.
@@ -243,8 +243,7 @@ def _axis_log_kernel(rows: int, cols: int, lam: float) -> np.ndarray:
     the factor on the x axis and the factor on the y axis.
     """
     check_arg("lam", lam, "finite and positive")
-    s = (np.arange(rows) + 0.5) / rows
-    t = (np.arange(cols) + 0.5) / cols
+    s, t = grid_ticks(rows), grid_ticks(cols)
     return -lam * (s[:, None] - t[None, :]) ** 2 / GRID_DIAMETER_SQ
 
 
@@ -340,7 +339,7 @@ class _GridScalings:
         with t the target ticks, x is (k (v t[None, :]) k.T) / (k v k.T) and
         y the same with t[:, None] (logsumexps in the log domain), whose
         denominator the scaling domain reads from kv."""
-        t = (np.arange(len(self.v)) + 0.5) / len(self.v)
+        t = grid_ticks(len(self.v))
         if self.log_domain:
             on = np.zeros(self.u.shape, dtype=bool)
             on.flat[src] = True
@@ -496,24 +495,21 @@ def sinkhorn_plan(a: GridDensity, b: GridDensity, lam: float = 20.0,
                   max_iter: int = 10000, tol: float = MAP_TOL) -> CouplingPlan:
     """Entropic OT plan between the positive-weight cells of two grid
     densities, with squared-distance cost normalized by the grid diameter."""
-    src, _, wa = a.support()
-    tgt, _, wb = b.support()
+    (src, wa), (tgt, wb) = a.support(), b.support()
     scalings = next(_grid_sinkhorn(a, [b], lam, max_iter, tol))
     return CouplingPlan(plan=scalings.plan(src, tgt), source_weights=wa, target_weights=wb)
 
 
 def inverse_grid_map(mu: GridDensity, bar: GridDensity, lam: float = 20.0,
                      max_iter: int = 10000, tol: float = MAP_TOL, *,
-                     scalings: _GridScalings | None = None,
-                     bar_support: tuple | None = None) -> np.ndarray:
+                     scalings: _GridScalings | None = None) -> np.ndarray:
     """Approximate inverse transport map, built directly in the
     barycenter-to-measure direction: the (m, 2) locations the m barycenter
     support cells are sent to by the barycentric projection of the
     Sinkhorn plan from bar to mu, the plan-weighted mean of mu's cell
     centers. kernels.embed_grids passes the plan's scalings from its batched
-    solve and bar.support(); without them both are computed here.
+    solve; without them they are computed here.
     """
     if scalings is None:
         scalings = next(_grid_sinkhorn(bar, [mu], lam, max_iter, tol))
-    src, _, _ = bar.support() if bar_support is None else bar_support
-    return scalings.barycentric(src)
+    return scalings.barycentric(bar.support()[0])

@@ -11,7 +11,7 @@ from otgp.baseline import (
     select_bandwidth,
     smoother_predict,
 )
-from otgp.errors import DegenerateDistances, GridMismatch, ValidationError
+from otgp.errors import DegenerateDistances, GridMismatch, SizeMismatch, ValidationError
 from otgp.measures import GridDensity, rasterize_gaussian, sample_regression_gaussians
 
 
@@ -124,6 +124,19 @@ class TestSmootherPredict:
         with pytest.raises(GridMismatch):
             SmootherModel(grids=(cell_mass(4, {(0, 0): 1.0}), cell_mass(5, {(0, 0): 1.0})),
                           y=np.array([1.0, 2.0]), bandwidth=1.0)
+
+    @pytest.mark.parametrize("bandwidth,n_grids,n_y,error,message", [
+        (0.0, 2, 2, ValidationError, "bandwidth must be positive"),
+        (-1.0, 2, 2, ValidationError, "bandwidth must be positive"),
+        (np.nan, 2, 2, ValidationError, "bandwidth must be positive"),
+        (1.0, 2, 3, SizeMismatch, "need one or more grids, as many as responses"),
+        (1.0, 0, 0, SizeMismatch, "need one or more grids, as many as responses"),
+    ], ids=["zero-bandwidth", "negative-bandwidth", "nan-bandwidth", "more-responses",
+            "no-grids"])
+    def test_refuses_bad_models(self, bandwidth, n_grids, n_y, error, message):
+        grids = tuple(cell_mass(4, {(0, k): 1.0}) for k in range(n_grids))
+        with pytest.raises(error, match=f"^{message}$"):
+            SmootherModel(grids=grids, y=np.arange(n_y, dtype=float), bandwidth=bandwidth)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)

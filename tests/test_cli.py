@@ -137,6 +137,23 @@ class TestKernelMatrixCommand:
         assert main(["kernel-matrix", "--input", str(src), "--theta", "1,1,1,0.001",
                      "--reference", str(ref), "--out", str(tmp_path / "gram.csv")]) == 2
 
+    @pytest.mark.parametrize("which", ["input", "reference"])
+    def test_unusable_input_or_reference_is_validation_error(self, tmp_path, capsys, which):
+        # a JSON object without "items" is no input file; a reference file
+        # holding two measures is no reference
+        src, ref = tmp_path / "set.json", tmp_path / "ref.json"
+        write_gaussian_set(src, n=4)
+        write_gaussian_set(ref, n=2)
+        if which == "input":
+            src.write_text(json.dumps({"measures": []}))
+        code = main(["kernel-matrix", "--input", str(src), "--theta", "1,1,1,0.001",
+                     "--reference", str(ref), "--out", str(tmp_path / "gram.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == {
+            "input": f"validation error: unrecognized input file {src}\n",
+            "reference": "validation error: reference file must hold exactly one measure\n",
+        }[which]
+
     def test_bad_theta_is_validation_error(self, tmp_path):
         src = tmp_path / "set.json"
         write_gaussian_set(src)
@@ -221,6 +238,14 @@ class TestEmptyInputs:
                      *reference, "--out", str(out)]) == 2
         assert capsys.readouterr().err == self.NO_INPUT
         assert not out.exists()
+
+    def test_grid_directory_without_csv_files(self, tmp_path, capsys):
+        grids = tmp_path / "grids"
+        grids.mkdir()
+        (grids / "notes.txt").write_text("no grids here")
+        assert main(["kernel-matrix", "--input", str(grids), "--theta", "1,1,1,0.001",
+                     "--out", str(tmp_path / "gram.csv")]) == 2
+        assert capsys.readouterr().err == f"validation error: no CSV grid files under {grids}\n"
 
     def test_fit(self, tmp_path, capsys):
         data = tmp_path / "data.json"
@@ -319,6 +344,67 @@ class TestFitPredictCommands:
         assert main(["fit", "--data", str(data), "--grid-size", "12", "--out", str(model)]) == 2
         assert capsys.readouterr().err == "validation error: item 3: centers must lie in [0,1]^2\n"
         assert not model.exists()
+
+    @pytest.mark.parametrize("method", ["mle", "cv"])
+    @pytest.mark.parametrize("scale", [1e155, 1e170])
+    def test_responses_too_large_to_model_are_validation_error(self, tmp_path, capsys,
+                                                              method, scale):
+        rng = np.random.default_rng(3)
+        ms = [GaussianMeasure(rng.uniform(0.2, 0.8, 2), 0.0004 * np.eye(2)) for _ in range(8)]
+        data, model = tmp_path / "data.json", tmp_path / "m.json"
+        dataio.save_dataset(data, ms, [scale * m.mean[0] for m in ms])
+        assert main(["fit", "--data", str(data), "--method", method, "--out", str(model)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "validation error: largest squared response must be finite, got ")
+        assert not model.exists()
+
+    def test_cv_fit_of_responses_near_the_limit(self, tmp_path):
+        rng = np.random.default_rng(3)
+        ms = [GaussianMeasure(rng.uniform(0.2, 0.8, 2), 0.0004 * np.eye(2)) for _ in range(8)]
+        data, model = tmp_path / "data.json", tmp_path / "m.json"
+        ys = [1e150 * m.mean[0] for m in ms]
+        dataio.save_dataset(data, ms, ys)
+        assert main(["fit", "--data", str(data), "--method", "cv", "--out", str(model)]) == 0
+        preds = tmp_path / "preds.csv"
+        assert main(["predict", "--model", str(model), "--data", str(data),
+                     "--out", str(preds)]) == 0
+        np.testing.assert_allclose(np.loadtxt(preds, delimiter=",", skiprows=1)[:, 0], ys,
+                                   rtol=1e-9)
+
+    @pytest.mark.parametrize("kinds", [("grid",), ("grid", "disks", "gaussian")],
+                             ids=["grid", "mixed"])
+    def test_grid_rows_fit_and_predict(self, tmp_path, kinds):
+        # "kind": "grid" rows join the embedding as they are; the other rows
+        # are rasterized onto the --grid-size grid, which the grid rows must share
+        from otgp.measures import DiskConfig
+
+        rng = np.random.default_rng(8)
+
+        def row(kind):
+            if kind == "grid":
+                w = rng.uniform(0.1, 1.0, (12, 12))
+                return GridDensity(w / w.sum())
+            if kind == "disks":
+                return DiskConfig(0.1, rng.uniform(0.2, 0.8, (2, 2)))
+            return GaussianMeasure(rng.uniform(0.3, 0.7, 2), 0.01 * np.eye(2))
+
+        inputs = [row(kinds[i % len(kinds)]) for i in range(9)]
+        ys = list(rng.normal(size=len(inputs)))
+        data, model = tmp_path / "data.json", tmp_path / "model.json"
+        dataio.save_dataset(data, inputs, ys)
+        assert main(["fit", "--data", str(data), "--grid-size", "12",
+                     "--out", str(model)]) == 0
+        assert json.loads(model.read_text())["kind"] == "grid"
+        order = rng.permutation(len(inputs))
+        shuffled, preds = tmp_path / "shuffled.json", tmp_path / "preds.csv"
+        dataio.save_dataset(shuffled, [inputs[i] for i in order], [ys[i] for i in order])
+        assert main(["predict", "--model", str(model), "--data", str(shuffled),
+                     "--out", str(preds)]) == 0
+        rows = np.loadtxt(preds, delimiter=",", skiprows=1)
+        np.testing.assert_allclose(rows[:, 0], np.array(ys)[order], atol=1e-9)
+        if len(kinds) > 1:  # rasterized rows on another grid than the grid rows
+            assert main(["fit", "--data", str(data), "--grid-size", "10",
+                         "--out", str(tmp_path / "m10.json")]) == 2
 
     def test_predict_refuses_model_without_version(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -443,6 +529,22 @@ class TestCorrelatedGaussianOnGrid:
         assert main(["predict", "--model", str(model), "--data", str(bad),
                      "--out", str(tmp_path / "p.csv")]) == 2
 
+    @pytest.mark.parametrize("grid_size", ["0", "1", "-3"])
+    def test_grid_size_below_two_is_validation_error(self, tmp_path, capsys, grid_size):
+        # both rasterizers refuse it alike, whichever row comes first
+        from otgp.measures import DiskConfig
+
+        rng = np.random.default_rng(4)
+        inputs = [GaussianMeasure(rng.uniform(0.3, 0.7, 2), 0.01 * np.eye(2)),
+                  DiskConfig(0.1, rng.uniform(0.2, 0.8, (2, 2)))] * 2
+        data, model = tmp_path / "data.json", tmp_path / "model.json"
+        for rows in (inputs, inputs[::-1]):
+            dataio.save_dataset(data, rows, [0.0, 1.0, 2.0, 3.0])
+            assert main(["fit", "--data", str(data), "--grid-size", grid_size,
+                         "--out", str(model)]) == 2
+            assert capsys.readouterr().err == "validation error: grid_size must be >= 2\n"
+        assert not model.exists()
+
 
 class TestExperimentCommand:
     def test_psd_small(self, tmp_path):
@@ -462,6 +564,14 @@ class TestExperimentCommand:
         code = main(["experiment", "psd", "--seed", "1",
                      "--out", str(tmp_path / "x"), "--config", str(cfg)])
         assert code == 2
+
+    def test_grid_size_below_two_is_validation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_size": 1, "n_seeds": 1}))
+        code = main(["experiment", "gaussian-regression", "--seed", "1",
+                     "--out", str(tmp_path / "x"), "--config", str(cfg)])
+        assert code == 2
+        assert capsys.readouterr().err == "validation error: grid_size must be >= 2\n"
 
     @pytest.mark.parametrize("keys", [{"seed": "x"}, {"seed": 2.5}, {"seed": 7}, {"out_dir": 5}])
     def test_seed_or_out_dir_in_a_config_is_validation_error(self, tmp_path, capsys, keys):

@@ -12,6 +12,7 @@ from otgp.errors import (
     CholeskyFailure,
     ReferenceMismatch,
     SizeMismatch,
+    ValidationError,
     ZeroVarianceTruths,
 )
 from otgp.experiments import disk_response
@@ -492,6 +493,45 @@ class TestFitCv:
                                    model_b.theta.as_array(), rtol=1e-5)
 
 
+def unit_peak_regression_set():
+    """12 regression Gaussians (seed 3) and their responses scaled to a largest |y| of 1."""
+    pairs = sample_regression_gaussians(12, 3)
+    y = np.array([y for _, y in pairs])
+    return embed_gaussians([m for m, _ in pairs], REFERENCE), y / np.abs(y).max()
+
+
+class TestFitRefusals:
+    @pytest.mark.parametrize("fit", [gp_fit_mle, gp_fit_cv], ids=["mle", "cv"])
+    @pytest.mark.parametrize("edit,message", [
+        (lambda x, y: (x, y[:-1]), "need matching features and responses, n >= 2"),
+        (lambda x, y: (x[:1], y[:1]), "need matching features and responses, n >= 2"),
+        (lambda x, y: (x, 1e155 * y), r"largest squared response must be finite, got 1e\+155\^2"),
+        (lambda x, y: (x, 1e170 * y), r"largest squared response must be finite, got 1e\+170\^2"),
+    ], ids=["mismatched", "one-input", "y-1e155", "y-1e170"])
+    def test_refuses_data_it_cannot_model(self, fit, edit, message):
+        # refused before any search, and without an overflow warning
+        x, y = edit(*unit_peak_regression_set())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                fit(x, y)
+
+    def test_the_response_limit_is_the_largest_finite_square(self):
+        x, y = unit_peak_regression_set()
+        gp._fit_data(x, 1.3407e154 * y)
+        with pytest.raises(ValidationError, match="largest squared response"):
+            gp._fit_data(x, 1.3408e154 * y)
+
+    def test_cv_fit_scales_to_responses_near_the_limit(self):
+        # the LOO search does not depend on the responses' scale, so 1e150 y
+        # refits with the amplitude scaled by 1e150
+        x, y = unit_peak_regression_set()
+        unit, large = gp_fit_cv(x, y), gp_fit_cv(x, 1e150 * y)
+        np.testing.assert_allclose(large.theta.as_array()[:3],
+                                   unit.theta.as_array()[:3] * [1e150, 1, 1], rtol=1e-5)
+        np.testing.assert_allclose(gp_predict(large, x).mean, 1e150 * y, rtol=1e-9)
+
+
 def scipy_nelder_mead(objective, start, log_box, **options):
     """The oracle: SciPy's bounded Nelder-Mead from a point or a simplex."""
     from scipy.optimize import minimize
@@ -775,6 +815,10 @@ class TestMetrics:
         with pytest.raises(ZeroVarianceTruths):
             metrics([1.0, 1.0], [2.0, 2.0])
 
-    def test_length_mismatch(self):
-        with pytest.raises(SizeMismatch):
-            metrics([1.0], [1.0, 2.0])
+    @pytest.mark.parametrize("args,message", [
+        (([1.0], [1.0, 2.0]), "predictions and truths differ in length"),
+        (([1.0, 2.0], [1.0, 2.0], [0.5]), "variances and truths differ in length"),
+    ], ids=["predictions", "variances"])
+    def test_length_mismatch(self, args, message):
+        with pytest.raises(SizeMismatch, match=f"^{message}$"):
+            metrics(*args)

@@ -1,8 +1,8 @@
 """Import footprint: scipy loads inside the functions that use it, the fits
 never load scipy.stats, and only wide-row distances and the smoothing
 baseline load scipy.spatial. Source scans: the embedders, the report files,
-each Gaussian closed form and each argument rule have one owner, and every
-imported name is used."""
+each Gaussian closed form, each argument rule and the grid geometry have one
+owner, and every imported name is used."""
 
 import ast
 import subprocess
@@ -308,16 +308,87 @@ def test_batch_scan_sees_every_kind_of_use():
         "kernels.py: other uses _grid_sinkhorn", "ot.py: inverse_grid_maps uses _sinkhorn_batch"]
 
 
+# The grid geometry has one owner, measures: the cell-center formula
+# (arange(g) + 0.5) / g is written only in grid_ticks, and the grid-size rule
+# (an integer >= 2) is checked and worded only in _check_grid_size.
+GRID_OWNERS = {"cell-center formula": ("measures.py", "grid_ticks"),
+               "grid-size rule": ("measures.py", "_check_grid_size")}
+
+
+def docstring_ids(tree: ast.Module) -> set[int]:
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)}
+
+
+def grid_geometry_sites(tree: ast.Module):
+    """(kind, owner) of each cell-center formula, an arange(...) plus 0.5, and
+    of each grid-size rule, a grid_size compared with 2 or a string other than
+    a docstring that says "grid_size must"; owner as in name_uses."""
+    def named(node, name):
+        return (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name)
+
+    docstrings = docstring_ids(tree)
+    pending = [(node, "<module>") for node in tree.body]
+    while pending:
+        node, owner = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            owner = getattr(node, "name", "<lambda>")
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            sides = (node.left, node.right)
+            if (any(isinstance(s, ast.Call) and named(s.func, "arange") for s in sides)
+                    and any(isinstance(s, ast.Constant) and s.value == 0.5 for s in sides)):
+                yield "cell-center formula", owner
+        if isinstance(node, ast.Compare) and named(node.left, "grid_size") and any(
+                isinstance(c, ast.Constant) and c.value == 2 for c in node.comparators):
+            yield "grid-size rule", owner
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and "grid_size must" in node.value and id(node) not in docstrings):
+            yield "grid-size rule", owner
+        pending.extend((child, owner) for child in ast.iter_child_nodes(node))
+
+
+def grid_geometry_offenders(sources: dict) -> list[str]:
+    return [f"{name}: {owner} writes the {kind}" for name, source in sources.items()
+            for kind, owner in grid_geometry_sites(ast.parse(source))
+            if (name, owner) != GRID_OWNERS[kind]]
+
+
+def test_the_grid_geometry_has_one_owner():
+    assert grid_geometry_offenders(package_sources()) == []
+
+
+def test_grid_geometry_scan_sees_every_kind_of_use():
+    planted = {
+        "measures.py": ('"""Cells of grid_size must be >= 2 a side."""\nimport numpy as np\n'
+                        "def grid_ticks(g):\n    return (np.arange(g) + 0.5) / g\n"
+                        "def _check_grid_size(grid_size):\n    if grid_size < 2:\n"
+                        "        raise ValueError('grid_size must be >= 2')\n"
+                        "def rasterize(grid_size):\n    return grid_ticks(grid_size)\n"),
+        "ot.py": ("from numpy import arange\n"
+                  "def kernel(rows):\n    return (arange(rows) + 0.5) / rows\n"
+                  "class S:\n    def barycentric(self, g):\n"
+                  "        return (0.5 + np.arange(g)) / g\n"
+                  "edges = lambda g: np.arange(g + 1) / g\n"),
+        "experiments.py": ("def check(cfg):\n    if cfg.grid_size <= 2:\n"
+                           "        raise ValueError(f'grid_size must be an integer, got {cfg}')\n"
+                           "    return cfg.grid_size != 3\n"),
+    }
+    assert sorted(grid_geometry_offenders(planted)) == [
+        "experiments.py: check writes the grid-size rule",
+        "experiments.py: check writes the grid-size rule",
+        "ot.py: barycentric writes the cell-center formula",
+        "ot.py: kernel writes the cell-center formula"]
+
+
 RULE_WORDS = (" must be finite", " must be >= 1")
 
 
 def rule_texts(tree: ast.Module) -> list[int]:
     """Lines of the strings, f-string parts included, that spell out an
     argument rule of errors.RULES; docstrings are skipped."""
-    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
-                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                                       ast.AsyncFunctionDef))
-                  and node.body and isinstance(node.body[0], ast.Expr)}
+    docstrings = docstring_ids(tree)
     return sorted(node.lineno for node in ast.walk(tree)
                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
                   and id(node) not in docstrings and any(w in node.value for w in RULE_WORDS))

@@ -171,7 +171,7 @@ class TestEmbedding:
         reference = grid_barycenter(ds, lam=20.0).result
         dist = pairwise_distances(embed_grids(ds, reference, lam=20.0))
         maps = [inverse_grid_map(d, reference, lam=20.0) for d in ds]
-        _, _, w = reference.support()
+        _, w = reference.support()
         w = w / w.sum()
         for i in range(5):
             for j in range(5):
@@ -352,7 +352,7 @@ class TestGridEmbeddingReferee:
             # the largest error over the pairs relative to the largest
             # distance: a per-pair relative error peaks on the closest pairs
             errors.append(np.abs(pairwise_distances(grid) - closed_dist).max() / closed_dist.max())
-            _, _, w = grid.reference.support()
+            _, w = grid.reference.support()
             map_means = np.einsum("s,isk->ik", np.sqrt(w / w.sum()), grid.X.reshape(12, -1, 2))
             np.testing.assert_allclose(map_means, closed.X[:, :2], rtol=0, atol=1e-6)
         assert errors[0] > errors[1] > errors[2]

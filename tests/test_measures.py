@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,9 @@ from otgp.measures import (
     validate_spd,
 )
 from otgp.rng import make_rng
+
+DISK = DiskConfig(0.1, [[0.5, 0.5]])
+GAUSSIAN = GaussianMeasure([0.5, 0.5], 0.01 * np.eye(2))
 
 
 def matrix_of_kind(kind: str, d: int, rng) -> np.ndarray:
@@ -193,16 +199,17 @@ class TestTypes:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             build()
 
-    def test_grid_weights_must_sum_to_one(self):
-        with pytest.raises(ValidationError):
-            GridDensity(np.full((4, 4), 0.9 / 16))
-
-    def test_grid_weights_nonnegative(self):
-        w = np.full((4, 4), 1.0 / 16)
-        w[0, 0] = -w[0, 0]
-        w[1, 1] += 2.0 / 16
-        with pytest.raises(ValidationError):
-            GridDensity(w)
+    @pytest.mark.parametrize("weights,message", [
+        (np.full((4, 4), 0.9 / 16), "weights sum to 0.9, not 1"),
+        (np.array([[-0.25, 0.5], [0.5, 0.25]]), "weights must be nonnegative"),
+        (np.full((2, 3), 1.0 / 6), r"weights must be square, got shape \(2, 3\)"),
+        (np.full(4, 0.25), r"weights must be square, got shape \(4,\)"),
+        (np.array([[0.5, np.nan], [0.25, 0.25]]), "weights have non-finite entries"),
+        (np.array([[np.inf, 0.0], [0.0, 0.0]]), "weights have non-finite entries"),
+    ], ids=["sum", "negative", "not-square", "flat", "nan", "inf"])
+    def test_grid_weights_refused(self, weights, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            GridDensity(weights)
 
     def test_grid_cell_centers(self):
         g = GridDensity(np.full((2, 2), 0.25))
@@ -210,15 +217,14 @@ class TestTypes:
             g.cell_centers(),
             [[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]])
 
-    def test_grid_support_is_the_cell_centers_of_positive_cells(self):
+    def test_grid_support_is_the_positive_cells(self):
         rng = np.random.default_rng(6)
         for g in (1, 3, 7, 50):
             w = rng.uniform(size=(g, g)) * (rng.uniform(size=(g, g)) < 0.3)
             w[0, -1] += 1.0  # one off-diagonal cell always holds mass
             d = GridDensity(w / w.sum())
-            idx, locs, weights = d.support()
+            idx, weights = d.support()
             assert np.array_equal(idx, np.flatnonzero(d.weights.ravel() > 0.0))
-            assert np.array_equal(locs, d.cell_centers()[idx])
             assert np.array_equal(weights, d.weights.ravel()[idx])
 
     def test_empirical_needs_finite_rows(self):
@@ -233,6 +239,10 @@ class TestTypes:
         for center in ([np.nan, 0.5], [0.5, np.nan]):  # NaN fails every comparison
             with pytest.raises(ValidationError, match=r"^centers must lie in \[0,1\]\^2$"):
                 DiskConfig(0.1, [[0.3, 0.5], center])
+        for centers, shape in (([[0.5, 0.5, 0.5]], "(1, 3)"), ([0.5], "(1, 1)")):
+            message = re.escape(f"centers must be (m, 2), got {shape}")
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                DiskConfig(0.1, centers)
 
 
 class TestDisksToGrid:
@@ -245,17 +255,30 @@ class TestDisksToGrid:
         grid = disks_to_grid(DiskConfig(radius=np.inf, centers=[[0.2, 0.9]]), 7)
         np.testing.assert_allclose(grid.weights, np.full((7, 7), 1.0 / 49))
 
-    @pytest.mark.parametrize("grid_size,subsamples,message", [
-        (10.5, 4, "grid_size must be an integer, got 10.5"),
-        (1, 4, "grid_size must be >= 2"),
-        (12, 2.0, "subsamples must be an integer, got 2.0"),
-        (12, 0, "subsamples must be >= 1, got 0"),
-        (12, True, "subsamples must be an integer, got True"),
-    ], ids=["fractional-grid-size", "grid-size-1", "float-subsamples", "zero-subsamples",
-            "bool-subsamples"])
-    def test_refuses_bad_sizes(self, grid_size, subsamples, message):
-        with pytest.raises(ValidationError, match=f"^{message}$"):
-            disks_to_grid(DiskConfig(0.1, [[0.5, 0.5]]), grid_size, subsamples)
+    # both rasterizers keep one grid-size rule, with one wording and no
+    # RuntimeWarning on the way
+    @pytest.mark.parametrize("rasterize,args,message", [
+        (disks_to_grid, (DISK, 10.5, 4), "grid_size must be an integer, got 10.5"),
+        (disks_to_grid, (DISK, 12, 2.0), "subsamples must be an integer, got 2.0"),
+        (disks_to_grid, (DISK, 12, 0), "subsamples must be >= 1, got 0"),
+        (disks_to_grid, (DISK, 12, True), "subsamples must be an integer, got True"),
+        *[(rasterize, (measure, grid_size), message)
+          for rasterize, measure in ((disks_to_grid, DISK), (rasterize_gaussian, GAUSSIAN))
+          for grid_size, message in ((0, "grid_size must be >= 2"),
+                                     (-3, "grid_size must be >= 2"),
+                                     (1, "grid_size must be >= 2"),
+                                     (2.5, "grid_size must be an integer, got 2.5"))],
+        (rasterize_gaussian, (GaussianMeasure(np.zeros(3), np.eye(3)), 12),
+         r"grid rasterization is defined on R\^2 only"),
+    ], ids=["fractional-grid-size", "float-subsamples", "zero-subsamples",
+            "bool-subsamples",
+            *[f"{kind}-grid-size-{g}" for kind in ("disks", "gaussian") for g in (0, -3, 1, 2.5)],
+            "gaussian-3d"])
+    def test_refuses_bad_sizes(self, rasterize, args, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                rasterize(*args)
 
     def test_xy_swap_symmetry(self):
         cfg = DiskConfig(radius=0.15, centers=[[0.3, 0.7], [0.7, 0.3], [0.5, 0.5]])

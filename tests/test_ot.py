@@ -354,9 +354,9 @@ def round_plan_to_map(plan: CouplingPlan,
 def dense_projection(scalings, a: GridDensity, b: GridDensity) -> np.ndarray:
     """Barycentric projection P @ loc_b / P.sum(1) of the dense plan P
     between the supports of a and b built from the same scalings."""
-    (src, _, _), (tgt, loc_b, _) = a.support(), b.support()
+    (src, _), (tgt, _) = a.support(), b.support()
     p = scalings.plan(src, tgt)
-    return p @ loc_b / p.sum(axis=1)[:, None]
+    return p @ b.cell_centers()[tgt] / p.sum(axis=1)[:, None]
 
 
 class TestSinkhorn:
@@ -370,7 +370,7 @@ class TestSinkhorn:
         lam = 20.0
         d = two_cell_density(6, [(0, 0), (0, 4)], [0.5, 0.5])
         plan = sinkhorn_plan(d, d, lam=lam, tol=1e-12)
-        _, locs, _ = d.support()
+        locs = d.cell_centers()[d.support()[0]]
         c = ((locs[0] - locs[1]) ** 2).sum() / 2.0
         expected = 0.5 / (1.0 + np.exp(-lam * c))
         assert plan.plan[0, 0] == pytest.approx(expected, rel=1e-9)
@@ -420,8 +420,9 @@ class TestSinkhorn:
         wa[:, 0] = 0.2
         wb = np.zeros((5, 5))
         wb[:, -1] = 0.2
-        _, loc_a, pa = GridDensity(wa).support()
-        _, loc_b, pb = GridDensity(wb).support()
+        a, b = GridDensity(wa), GridDensity(wb)
+        (ia, pa), (ib, pb) = a.support(), b.support()
+        loc_a, loc_b = a.cell_centers()[ia], b.cell_centers()[ib]
         cost = ((loc_a[:, None] - loc_b[None]) ** 2).sum(axis=2) / 2.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -463,7 +464,7 @@ class TestInverseGridMap:
         w = rng.uniform(0.5, 1.0, size=(4, 4))
         d = GridDensity(w / w.sum())
         mapped = inverse_grid_map(d, d, lam=40.0)
-        _, locs, _ = d.support()
+        locs = d.cell_centers()[d.support()[0]]
         nearest = ((mapped[:, None, :] - locs[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
         assert nearest.tolist() == list(range(16))
 
@@ -479,8 +480,8 @@ class TestInverseGridMap:
         # keeps the order and stays between the input's cells
         bar = two_cell_density(8, [(0, 1), (0, 2)], [0.5, 0.5])
         mu = two_cell_density(8, [(0, 3), (0, 4)], [0.5, 0.5])
-        _, bar_locs, _ = bar.support()
-        _, mu_locs, _ = mu.support()
+        bar_locs = bar.cell_centers()[bar.support()[0]]
+        mu_locs = mu.cell_centers()[mu.support()[0]]
         best, best_cost = None, np.inf
         for t in np.linspace(0.0, 0.5, 51):
             plan = np.array([[t, 0.5 - t], [0.5 - t, t]])
@@ -510,8 +511,8 @@ class TestSeparableSinkhorn:
             wb = rng.uniform(0, 1, (gb, gb)) * (rng.uniform(size=(gb, gb)) < 0.6)
             wb[1, :] = wb[:, 2] = 0.0
             a, b = GridDensity(wa / wa.sum()), GridDensity(wb / wb.sum())
-            src, loc_a, pa = a.support()
-            tgt, loc_b, pb = b.support()
+            (src, pa), (tgt, pb) = a.support(), b.support()
+            loc_a, loc_b = a.cell_centers()[src], b.cell_centers()[tgt]
             cost = ((loc_a[:, None, :] - loc_b[None, :, :]) ** 2).sum(axis=2) / 2.0
             dense = sinkhorn_core(pa, pb, cost, lam=20.0, max_iter=10000, tol=1e-12)
             plan = sinkhorn_plan(a, b, lam=20.0, tol=1e-12).plan
@@ -548,7 +549,7 @@ class TestSeparableSinkhorn:
         # failed with NumericalUnderflow
         pairs, grids, bar = seed13_regression
         mu = grids[75]
-        assert 0.0 < mu.support()[2].min() < 1e-320
+        assert 0.0 < mu.support()[1].min() < 1e-320
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             scalings = next(_grid_sinkhorn(bar, [mu], 20.0, 10000, MAP_TOL))
@@ -559,7 +560,7 @@ class TestSeparableSinkhorn:
         np.testing.assert_allclose(mapped, dense_projection(scalings, bar, mu), rtol=1e-12)
         # the map pushes the barycenter onto the input: its mean lands within
         # one cell of the Gaussian's mean
-        _, _, w = bar.support()
+        _, w = bar.support()
         mapped_mean = w / w.sum() @ mapped
         assert np.abs(mapped_mean - pairs[75][0].mean).max() < 1.0 / 50
 
@@ -581,7 +582,7 @@ class TestSeparableSinkhorn:
             warnings.simplefilter("error", RuntimeWarning)
             batched = embed_grids(inputs, bar, lam=20.0)
             maps = [inverse_grid_map(mu, bar, lam=20.0) for mu in inputs]
-        _, _, w = bar.support()
+        _, w = bar.support()
         rows = np.array([(np.sqrt(w / w.sum())[:, None] * mapped).ravel() for mapped in maps])
         np.testing.assert_allclose(batched.X, rows, rtol=0, atol=1e-15)
         np.testing.assert_allclose(batched.X[5], batched.X[7], rtol=0, atol=1e-15)
@@ -870,10 +871,11 @@ class TestSeparableRounding:
         # marginal error (<= tol per cell) bounds the gap, so solve tightly
         grids, report = small_disks()
         bar = report.result
-        _, _, w = bar.support()
+        _, w = bar.support()
         for mu in grids:
             mapped = inverse_grid_map(mu, bar, lam=20.0, tol=1e-12)
-            _, loc, b = mu.support()
+            idx, b = mu.support()
+            loc = mu.cell_centers()[idx]
             np.testing.assert_allclose(w / w.sum() @ mapped, b @ loc, rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize("log_domain", [False, True], ids=["scaling", "log"])
