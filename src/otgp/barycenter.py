@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, NoConvergence, NumericalUnderflow, ValidationError, check_arg
-from .measures import GaussianMeasure, GridDensity, validate_spd
+from .errors import NoConvergence, NumericalUnderflow, ValidationError, check_arg
+from .measures import GaussianMeasure, GridDensity, common_grid_size, validate_spd
 from .ot import _apply, _axis_log_kernel, _relax, _sandwich_roots
 
 
@@ -85,9 +85,7 @@ def grid_barycenter(densities, lam: float = 20.0, tol: float = 1e-6,
     densities = list(densities)
     if not densities:
         raise ValidationError("need at least one density")
-    g = densities[0].grid_size
-    if any(d.grid_size != g for d in densities):
-        raise GridMismatch("densities live on different grids")
+    g = common_grid_size(densities)
     k = np.exp(_axis_log_kernel(g, g, lam))  # symmetric, so one kernel for both sides
     if all(d.same_as(densities[0]) for d in densities[1:]):
         return BarycenterReport(result=densities[0], iterations=0, residual=0.0)

@@ -12,8 +12,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateDistances, GridMismatch, SizeMismatch, ValidationError
-from .measures import GridDensity
+from .errors import DegenerateDistances, SizeMismatch, ValidationError, check_arg
+from .measures import GridDensity, common_grid_size
 from .rng import make_rng
 
 N_BANDWIDTH_CANDIDATES = 20
@@ -25,8 +25,7 @@ L1_MAX_SNAP = 1e-12
 
 def _stack(grids) -> np.ndarray:
     """Flattened cell masses, one row per density, all on one grid."""
-    if len({g.grid_size for g in grids}) > 1:
-        raise GridMismatch("densities lie on grids of different sizes")
+    common_grid_size(grids)
     return np.array([g.weights.ravel() for g in grids])
 
 
@@ -53,8 +52,7 @@ class SmootherModel:
     rows: np.ndarray = field(init=False, repr=False, compare=False)  # _stack(grids)
 
     def __post_init__(self):
-        if not (self.bandwidth > 0):
-            raise ValidationError("bandwidth must be positive")
+        object.__setattr__(self, "bandwidth", check_arg("bandwidth", self.bandwidth, "positive"))
         if not 0 < len(self.grids) == len(self.y):
             raise SizeMismatch("need one or more grids, as many as responses")
         object.__setattr__(self, "rows", _stack(self.grids))
@@ -77,8 +75,7 @@ def _triangular_average(dists: np.ndarray, y: np.ndarray, h: float):
 def smoother_predict(model: SmootherModel, query: GridDensity) -> SmootherPrediction:
     """Triangular-kernel weighted average of the training responses; falls
     back to the global mean (flagged) when every weight vanishes."""
-    if query.grid_size != model.grids[0].grid_size:
-        raise GridMismatch(f"grids {query.grid_size} and {model.grids[0].grid_size} differ")
+    common_grid_size((model.grids[0], query))
     value, fallback = _triangular_average(_l1_matrix(query.weights.reshape(1, -1), model.rows),
                                           model.y, model.bandwidth)
     return SmootherPrediction(float(value[0]), bool(fallback[0]))

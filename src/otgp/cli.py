@@ -35,7 +35,7 @@ def _load_inputs(path: str, grid_size: int):
         return dataio.load_grid_dir(p)
     payload = dataio.read_file(p)
     if isinstance(payload, dict) and "items" in payload:
-        return dataio.load_gaussian_set(p)
+        return dataio.gaussian_set_from_json(payload)
     if isinstance(payload, list):
         return dataio.dataset_to_grids(dataio.disk_configs(payload), grid_size)
     raise ValidationError(f"unrecognized input file {path}")

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import NotSymmetric, ValidationError, check_arg
+from .gp import build_model
 from .kernels import Embedding, KernelParams, pairwise_distances
 from .measures import (
     DiskConfig,
@@ -47,28 +49,19 @@ def _field(record, key: str, item: int | None = None):
     return record[key]
 
 
-def _number(value, key: str, item: int | None = None, positive: bool = False) -> float:
-    """A JSON int or float as a finite float, with positive also > 0;
-    ValidationError naming key and item for anything else: booleans,
-    strings, null, NaN and infinities."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValidationError(f"{key} {value!r} is not a number", item)
-    return check_arg(key, value, "finite and positive" if positive else "finite", item)
-
-
 def _array(value, key: str, item: int | None = None) -> np.ndarray:
     """A JSON array of numbers as a float array; ValidationError naming key
-    and item if it is ragged or holds anything but ints and floats. numpy
-    alone reads booleans, numeric strings and null as numbers, so the types
-    of the leaves are checked, not the dtype of the result."""
+    and item if it is ragged or holds anything but numbers (check_arg's rule).
+    numpy alone reads booleans, numeric strings and null as numbers, so the
+    types of the leaves are checked, not the dtype of the result."""
     try:
         leaves = np.asarray(value, dtype=object)
         array = leaves.astype(float)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{key} is not a numeric array", item) from None
-    if not set(map(type, leaves.ravel().tolist())) <= {int, float}:
-        bad = next(v for v in leaves.ravel().tolist() if type(v) not in (int, float))
-        raise ValidationError(f"{key} {bad!r} is not a number", item)
+    if not set(map(type, flat := leaves.ravel().tolist())) <= {int, float}:
+        for leaf in flat:
+            check_arg(key, leaf, "a number", item)
     return array
 
 
@@ -111,15 +104,17 @@ def save_gaussian_set(path, measures) -> None:
     Path(path).write_text(json.dumps(payload))
 
 
-def load_gaussian_set(path) -> list[GaussianMeasure]:
-    """Measures of a Gaussian-set JSON, validated as one stack; an error
-    names the failing item."""
-    payload = read_file(path)
+def gaussian_set_from_json(payload) -> list[GaussianMeasure]:
+    """Measures of a parsed Gaussian-set JSON, validated as one stack; an error names the item."""
     out = _gaussians(_field(payload, "items"))
     dim = payload.get("dim")
-    if dim is not None and out and out[0].dim != dim:
+    if dim is not None and out and check_arg("dim", dim, ">= 1") != out[0].dim:
         raise ValidationError(f"items have dimension {out[0].dim}, the declared dim is {dim}")
     return out
+
+
+def load_gaussian_set(path) -> list[GaussianMeasure]:
+    return gaussian_set_from_json(read_file(path))
 
 
 def save_grid_csv(path, density: GridDensity) -> None:
@@ -160,7 +155,7 @@ def input_from_json(payload: dict):
 
 
 def _disk(record) -> DiskConfig:
-    return DiskConfig(radius=_number(_field(record, "radius"), "radius"),
+    return DiskConfig(radius=check_arg("radius", _field(record, "radius"), "finite"),
                       centers=_array(_field(record, "centers"), "centers"))
 
 
@@ -197,11 +192,8 @@ def load_dataset(path, require_y: bool = True) -> tuple[list, list]:
         if inputs[i] is None:
             with _renumbered([i]):
                 inputs[i] = input_from_json(p)
-    if require_y:
-        responses = [_number(_field(r, "y", i), "y", i) for i, r in enumerate(rows)]
-    else:
-        responses = [None if r.get("y") is None else _number(r["y"], "y", i)
-                     for i, r in enumerate(rows)]
+    responses = [None if not require_y and r.get("y") is None
+                 else check_arg("y", _field(r, "y", i), "finite", i) for i, r in enumerate(rows)]
     return inputs, responses
 
 
@@ -227,12 +219,7 @@ def save_model(path, model) -> None:
     reference = input_to_json(model.features.reference)
     payload = {
         "version": MODEL_VERSION,
-        "theta": {
-            "amplitude": model.theta.amplitude,
-            "rate": model.theta.rate,
-            "exponent": model.theta.exponent,
-            "nugget": model.theta.nugget,
-        },
+        "theta": asdict(model.theta),
         "y": model.y.tolist(),
         "degenerate": model.degenerate,
         "X": model.features.X.tolist(),
@@ -245,15 +232,12 @@ def save_model(path, model) -> None:
 
 
 def load_model(path):
-    from .gp import build_model  # deferred to avoid an import cycle
-
     payload = read_file(path)
     if not isinstance(payload, dict) or payload.get("version") != MODEL_VERSION:
         raise ValidationError(f"model file {path} is not version {MODEL_VERSION}; "
                               "refit the model")
     theta = _field(payload, "theta")
-    theta = KernelParams(*(_number(_field(theta, key), key)
-                           for key in ("amplitude", "rate", "exponent", "nugget")))
+    theta = KernelParams(*(_field(theta, f.name) for f in fields(KernelParams)))
     y = _array(_field(payload, "y"), "y")
     if y.ndim != 1:
         raise ValidationError(f"y must be a list of numbers, got shape {y.shape}")
@@ -266,7 +250,8 @@ def load_model(path):
     if kind not in ("gaussian", "grid"):
         raise ValidationError(f"unknown model kind {kind!r}")
     ref = input_from_json(dict(ref, kind=kind) if isinstance(ref, dict) else {"kind": kind})
-    lam = _number(_field(payload, "lam"), "lam", positive=True) if kind == "grid" else None
+    lam = (check_arg("lam", _field(payload, "lam"), "finite and positive")
+           if kind == "grid" else None)
     features = Embedding(ref, _array(_field(payload, "X"), "X"), lam)
     if len(features) != len(y):
         raise ValidationError("model X and y differ in length")

@@ -5,7 +5,7 @@ indicate a computation that could not be completed (CLI exit code 3).
 """
 
 import math
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class OtgpError(Exception):
@@ -25,28 +25,38 @@ class NumericalError(OtgpError):
     pass
 
 
-# The scalar argument rules, keyed by the words of their messages.
+# The scalar argument rules, keyed by the words of their messages: a test of the
+# value as a float, and whether the rule is a count's, which takes integers only.
 RULES = {
-    "finite": lambda x: -math.inf < x < math.inf,
-    "finite and >= 0": lambda x: 0.0 <= x < math.inf,
-    "finite and positive": lambda x: 0.0 < x < math.inf,
-    ">= 1": lambda x: x >= 1,
+    "a number": (lambda x: True, False),
+    "finite": (lambda x: -math.inf < x < math.inf, False),
+    "finite and >= 0": (lambda x: 0.0 <= x < math.inf, False),
+    "finite and positive": (lambda x: 0.0 < x < math.inf, False),
+    "positive": (lambda x: x > 0.0, False),
+    ">= 1": (lambda x: x >= 1, True),
+    ">= 2": (lambda x: x >= 2, True),
 }
 
 
 def check_arg(name: str, value, rule: str, item: int | None = None, shown=None) -> float:
-    """value as a float if it keeps rule, a key of RULES; otherwise ValidationError
-    "{name} must be {rule}, got {shown}", shown defaulting to value. An integer
-    beyond the float range counts as infinite. A count, rule ">= 1", must also
-    be an integer (numpy's too), not a bool: "{name} must be an integer"."""
-    shown = value if shown is None else shown
-    if rule == ">= 1" and (isinstance(value, bool) or not isinstance(value, Integral)):
+    """value as a float if it is a real number, not a bool ("{name} {value!r} is not a
+    number"), keeping rule, a key of RULES ("{name} must be {rule}, got {shown}"); a count
+    must be an integer, numpy's too ("{name} must be an integer, got {shown}"). shown
+    defaults to value, or its repr if not a number; a huge integer counts as infinite."""
+    keeps, count = RULES[rule]
+    kind = type(value)
+    # exact floats and ints first: the ABC checks cost several times more
+    real = kind is float or kind is int or (kind is not bool and isinstance(value, Real))
+    if not real and not count:
+        raise ValidationError(f"{name} {value!r} is not a number", item)
+    shown = (value if real else repr(value)) if shown is None else shown
+    if count and not (kind is int or (real and isinstance(value, Integral))):
         raise ValidationError(f"{name} must be an integer, got {shown}", item)
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
-    if not RULES[rule](number):
+    if not keeps(number):
         raise ValidationError(f"{name} must be {rule}, got {shown}", item)
     return number
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .barycenter import gaussian_barycenter
 from .baseline import fit_smoother, smoother_predict
+from .dataio import save_eigenvalues_csv
 from .errors import ValidationError, check_arg
 from .gp import build_model, gp_fit_cv, gp_fit_mle, gp_predict, metrics
 from .kernels import (
@@ -289,8 +290,6 @@ def run_psd_diagnostic(cfg: PsdConfig) -> dict:
         all_embed_psd=all(per_seed[s]["embed_negatives"] == 0 for s in seeds),
         all_naive_1d_psd=all(per_seed[s]["naive_1d_negatives"] == 0 for s in seeds))
     if cfg.out_dir:
-        from .dataio import save_eigenvalues_csv
-
         for seed, spectrum in spectra.items():
             for label, eigenvalues in spectrum.items():
                 save_eigenvalues_csv(Path(cfg.out_dir) / f"{label}_spectrum_seed{seed}.csv",
@@ -417,9 +416,7 @@ def _validate_sizes(cfg) -> None:
                          and ("..." in f.type or len(val) == len(default))):
             raise ValidationError(f"{f.name} must be a list like {list(default)}, got {val!r}")
         count = type(default[0] if many else default) is int
-        for v in val if many else (val,):  # check_arg refuses a count that is not an integer
-            if not count and (isinstance(v, bool) or not isinstance(v, (int, float))):
-                raise ValidationError(f"{f.name} must be a number, got {val!r}")
+        for v in val if many else (val,):
             check_arg(f.name, v, ">= 1" if count else "finite and positive", shown=repr(val))
     if isinstance(cfg, RegressionConfig) and cfg.n_train >= cfg.n_total:
         raise ValidationError(f"n_train must be below n_total, got {cfg.n_train} >= {cfg.n_total}")

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CholeskyFailure, SizeMismatch, ZeroVarianceTruths, check_arg
+from .errors import CholeskyFailure, SizeMismatch, ValidationError, ZeroVarianceTruths, check_arg
 from .kernels import (
     CV_RATIO_BOX,
     DEFAULT_BOUNDS,
@@ -33,6 +33,10 @@ CI90_FACTOR = 1.645
 
 # Relative jitter ladder for Cholesky repair, scaled by tr(R)/n.
 JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
+
+# R >= nugget I on DEFAULT_BOUNDS bounds alpha = R^-1 y by |y| / nugget; each gradient entry
+# sums n^2 terms alpha_i alpha_j times factors below this (a^2 d^p |log d| exp(-r d^p) <= 3.5e4).
+MLE_KERNEL_FACTOR = 1e5
 
 # _minimize_in_box screens one start per row of SOBOL_STARTS at SCREEN and
 # polishes the best at POLISH.
@@ -283,11 +287,16 @@ def gp_fit_mle(features, y) -> GpModel:
     DEFAULT_BOUNDS coordinates, from the deterministic SOBOL_STARTS, each
     screened and the best polished (_minimize_in_box). A start
     whose Gram cannot be factorized sees a large value with a zero gradient,
-    and the search goes on from the other starts.
+    and the search goes on from the other starts. Responses for which the
+    gradient could overflow in the box (MLE_KERNEL_FACTOR) are refused first.
     """
     y, dist = _fit_data(features, y)
     if float(np.var(y)) == 0.0:
         return _degenerate_model(features, y, dist)
+    limit = math.sqrt(np.finfo(float).max / MLE_KERNEL_FACTOR) * DEFAULT_BOUNDS[3][0] / len(y)
+    if math.hypot(*y) > limit:  # hypot scales, so the norm cannot overflow
+        raise ValidationError(f"responses of norm {math.hypot(*y):g} are beyond the MLE "
+                              f"fit's limit {limit:.4g} for {len(y)} inputs")
     log_dist = fit_invariants(dist)
     box = np.asarray(DEFAULT_BOUNDS, dtype=float)
 
@@ -336,7 +345,7 @@ def gp_fit_cv(features, y) -> GpModel:
     cv_box = np.array((DEFAULT_BOUNDS[1], DEFAULT_BOUNDS[2], CV_RATIO_BOX), dtype=float)
 
     def unit_theta(log_x):  # amplitude 1, nugget = the searched ratio
-        return KernelParams(1.0, *_exp_into_box(log_x, cv_box))
+        return KernelParams(1.0, *_exp_into_box(log_x, cv_box).tolist())
 
     def objective(log_x):
         try:

@@ -55,19 +55,20 @@ class KernelParams:
     nugget: float
 
     def __post_init__(self):
-        amplitude, _, nugget = (check_arg(name, getattr(self, name), "finite and >= 0")
-                                for name in ("amplitude", "rate", "nugget"))
-        if not 0.0 < check_arg("exponent", self.exponent, "finite") <= 2.0:
+        for name in ("amplitude", "rate", "exponent", "nugget"):  # kept as check_arg's floats
+            rule = "finite" if name == "exponent" else "finite and >= 0"
+            object.__setattr__(self, name, check_arg(name, getattr(self, name), rule))
+        if not 0.0 < self.exponent <= 2.0:
             raise ValidationError("exponent must lie in (0, 2]")
         # the Gram diagonal; a float product overflows to inf, a power raises
-        check_arg("amplitude^2 + nugget", amplitude * amplitude + nugget, "finite")
+        check_arg("amplitude^2 + nugget", self.amplitude * self.amplitude + self.nugget, "finite")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.amplitude, self.rate, self.exponent, self.nugget])
 
     @classmethod
     def from_array(cls, arr) -> "KernelParams":
-        return cls(*(float(x) for x in arr))
+        return cls(*np.asarray(arr, dtype=float).tolist())
 
 
 # The MLE's search box, in as_array order, whose lower bounds the degenerate
@@ -159,7 +160,7 @@ def embed(inputs, n_train: int | None = None, reference=None, lam: float = 20.0,
     inputs = list(inputs)
     if not inputs:
         raise ValidationError("need at least one input")
-    if n_train is not None and not 1 <= n_train <= len(inputs):
+    if n_train is not None and check_arg("n_train", n_train, ">= 1") > len(inputs):
         raise ValidationError(f"n_train must lie in 1..{len(inputs)}, got {n_train}")
     kinds = {type(x) for x in [*inputs, reference] if x is not None}
     if kinds == {GaussianMeasure}:

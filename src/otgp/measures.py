@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySupport, NotPositiveDefinite, NotSymmetric, ValidationError, check_arg
+from .errors import (EmptySupport, GridMismatch, NotPositiveDefinite, NotSymmetric,
+                     ValidationError, check_arg)
 from .rng import make_rng
 
 SYMMETRY_RTOL = 1e-12
@@ -166,6 +167,16 @@ class GridDensity:
         return np.array_equal(self.weights, other.weights)
 
 
+def common_grid_size(densities) -> int | None:
+    """The side of the grid all densities lie on (None for none); GridMismatch
+    naming the first one off the first one's grid, with both sides."""
+    sizes = [d.grid_size for d in densities]
+    for k, g in enumerate(sizes):
+        if g != sizes[0]:
+            raise GridMismatch(f"grid of size {g} unlike item 0's {sizes[0]}", k)
+    return sizes[0] if sizes else None
+
+
 @dataclass(frozen=True, eq=False)
 class EmpiricalSample:
     """m equally weighted support points in R^p, one per row."""
@@ -193,22 +204,13 @@ class DiskConfig:
     centers: np.ndarray
 
     def __post_init__(self):
-        if not (self.radius > 0.0):
-            raise ValidationError(f"radius must be positive, got {self.radius}")
+        object.__setattr__(self, "radius", check_arg("radius", self.radius, "positive"))
         c = np.atleast_2d(_frozen(self.centers, "centers"))
         if c.shape[1] != 2:
             raise ValidationError(f"centers must be (m, 2), got {c.shape}")
         if not ((c >= 0.0) & (c <= 1.0)).all():  # NaN fails both
             raise ValidationError("centers must lie in [0,1]^2")
         object.__setattr__(self, "centers", c)
-
-
-def _check_grid_size(grid_size) -> None:
-    """The grid-size rule of both rasterizers: an integer >= 2."""
-    if not isinstance(grid_size, (int, np.integer)):
-        raise ValidationError(f"grid_size must be an integer, got {grid_size!r}")
-    if grid_size < 2:
-        raise ValidationError("grid_size must be >= 2")
 
 
 def _normalized(masses: np.ndarray, empty: str) -> GridDensity:
@@ -225,7 +227,7 @@ def disks_to_grid(cfg: DiskConfig, grid_size: int, subsamples: int = 4) -> GridD
     Each cell is probed on a subsamples x subsamples lattice; the cell weight
     is proportional to the number of probe points falling inside the union.
     """
-    _check_grid_size(grid_size)
+    check_arg("grid_size", grid_size, ">= 2")
     check_arg("subsamples", subsamples, ">= 1")
     g, s, r = grid_size, subsamples, cfg.radius
     n = g * s
@@ -260,7 +262,7 @@ def rasterize_gaussian(measure: GaussianMeasure, grid_size: int) -> GridDensity:
     """
     from scipy.special import ndtr
 
-    _check_grid_size(grid_size)
+    check_arg("grid_size", grid_size, ">= 2")
     if measure.dim != 2:
         raise ValidationError("grid rasterization is defined on R^2 only")
     if measure.cov[0, 1] != 0.0:

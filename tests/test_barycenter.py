@@ -167,8 +167,8 @@ class TestGridBarycenter:
     def test_grid_mismatch(self):
         a = GridDensity(np.full((4, 4), 1 / 16))
         b = GridDensity(np.full((5, 5), 1 / 25))
-        with pytest.raises(GridMismatch):
-            grid_barycenter([a, b])
+        with pytest.raises(GridMismatch, match="^item 2: grid of size 5 unlike item 0's 4$"):
+            grid_barycenter([a, a, b, a])
 
     def test_empty_input_list(self):
         with pytest.raises(ValidationError):

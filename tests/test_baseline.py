@@ -43,7 +43,7 @@ class TestL1Distance:
         assert l1_density_distance(a, b) == pytest.approx(1.0)
 
     def test_grid_mismatch(self):
-        with pytest.raises(GridMismatch):
+        with pytest.raises(GridMismatch, match="^item 1: grid of size 5 unlike item 0's 4$"):
             l1_density_distance(cell_mass(4, {(0, 0): 1.0}), cell_mass(5, {(0, 0): 1.0}))
 
     def test_disjoint_supports_are_exactly_two_apart(self):
@@ -119,16 +119,16 @@ class TestSmootherPredict:
     def test_grid_mismatch(self):
         model = SmootherModel(grids=(cell_mass(4, {(0, 0): 1.0}),), y=np.array([1.0]),
                               bandwidth=1.0)
-        with pytest.raises(GridMismatch):
+        with pytest.raises(GridMismatch, match="^item 1: grid of size 5 unlike item 0's 4$"):
             smoother_predict(model, cell_mass(5, {(0, 0): 1.0}))
-        with pytest.raises(GridMismatch):
+        with pytest.raises(GridMismatch, match="^item 1: grid of size 5 unlike item 0's 4$"):
             SmootherModel(grids=(cell_mass(4, {(0, 0): 1.0}), cell_mass(5, {(0, 0): 1.0})),
                           y=np.array([1.0, 2.0]), bandwidth=1.0)
 
     @pytest.mark.parametrize("bandwidth,n_grids,n_y,error,message", [
-        (0.0, 2, 2, ValidationError, "bandwidth must be positive"),
-        (-1.0, 2, 2, ValidationError, "bandwidth must be positive"),
-        (np.nan, 2, 2, ValidationError, "bandwidth must be positive"),
+        (0.0, 2, 2, ValidationError, "bandwidth must be positive, got 0.0"),
+        (-1.0, 2, 2, ValidationError, "bandwidth must be positive, got -1.0"),
+        (np.nan, 2, 2, ValidationError, "bandwidth must be positive, got nan"),
         (1.0, 2, 3, SizeMismatch, "need one or more grids, as many as responses"),
         (1.0, 0, 0, SizeMismatch, "need one or more grids, as many as responses"),
     ], ids=["zero-bandwidth", "negative-bandwidth", "nan-bandwidth", "more-responses",
@@ -194,7 +194,7 @@ class TestSelectBandwidth:
     def test_grid_mismatch(self):
         rng = np.random.default_rng(6)
         grids = [random_density(rng, 4) for _ in range(3)] + [random_density(rng, 5)]
-        with pytest.raises(GridMismatch):
+        with pytest.raises(GridMismatch, match="^item 3: grid of size 5 unlike item 0's 4$"):
             select_bandwidth(grids, rng.normal(size=4))
 
     def test_needs_four_points(self):

@@ -108,6 +108,20 @@ class TestKernelMatrixCommand:
         np.testing.assert_allclose(gram, gram.T)
         np.testing.assert_allclose(np.diag(gram), 1.001)
 
+    def test_gaussian_set_is_read_once(self, tmp_path, monkeypatch):
+        src = tmp_path / "set.json"
+        write_gaussian_set(src, n=5)
+        reads, read_file = [], dataio.read_file
+
+        def counted(*args, **kwargs):
+            reads.append(args)
+            return read_file(*args, **kwargs)
+
+        monkeypatch.setattr(dataio, "read_file", counted)
+        assert main(["kernel-matrix", "--input", str(src),
+                     "--theta", "1,1,1,0.001", "--out", str(tmp_path / "gram.csv")]) == 0
+        assert reads == [(src,)]
+
     def test_gram_file_is_what_savetxt_writes(self, tmp_path):
         src = tmp_path / "set.json"
         ms = write_gaussian_set(src, n=9)
@@ -358,6 +372,15 @@ class TestFitPredictCommands:
             "validation error: largest squared response must be finite, got ")
         assert not model.exists()
 
+    def test_mle_fit_of_responses_beyond_its_limit(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        ms = [GaussianMeasure(rng.uniform(0.2, 0.8, 2), 0.0004 * np.eye(2)) for _ in range(8)]
+        data, model = tmp_path / "data.json", tmp_path / "m.json"
+        dataio.save_dataset(data, ms, [1e150 * m.mean[0] for m in ms])
+        assert main(["fit", "--data", str(data), "--method", "mle", "--out", str(model)]) == 2
+        assert "beyond the MLE fit's limit" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_cv_fit_of_responses_near_the_limit(self, tmp_path):
         rng = np.random.default_rng(3)
         ms = [GaussianMeasure(rng.uniform(0.2, 0.8, 2), 0.0004 * np.eye(2)) for _ in range(8)]
@@ -405,6 +428,23 @@ class TestFitPredictCommands:
         if len(kinds) > 1:  # rasterized rows on another grid than the grid rows
             assert main(["fit", "--data", str(data), "--grid-size", "10",
                          "--out", str(tmp_path / "m10.json")]) == 2
+
+    @pytest.mark.parametrize("order,message", [
+        (("grid", "disks", "gaussian"), "item 1: grid of size 10 unlike item 0's 12"),
+        (("disks", "gaussian", "grid"), "item 2: grid of size 12 unlike item 0's 10"),
+    ], ids=["grid-first", "grid-last"])
+    def test_grid_row_off_the_grid_size_is_named(self, tmp_path, capsys, order, message):
+        # the error names the first row off the first row's grid, and both sides
+        from otgp.measures import DiskConfig
+
+        rows = {"grid": GridDensity(np.full((12, 12), 1 / 144)),
+                "disks": DiskConfig(0.1, [[0.3, 0.4], [0.6, 0.5]]),
+                "gaussian": GaussianMeasure([0.5, 0.4], 0.01 * np.eye(2))}
+        data, model = tmp_path / "data.json", tmp_path / "model.json"
+        dataio.save_dataset(data, [rows[kind] for kind in order], [0.0, 1.0, 2.0])
+        assert main(["fit", "--data", str(data), "--grid-size", "10", "--out", str(model)]) == 2
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert not model.exists()
 
     def test_predict_refuses_model_without_version(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -542,7 +582,8 @@ class TestCorrelatedGaussianOnGrid:
             dataio.save_dataset(data, rows, [0.0, 1.0, 2.0, 3.0])
             assert main(["fit", "--data", str(data), "--grid-size", grid_size,
                          "--out", str(model)]) == 2
-            assert capsys.readouterr().err == "validation error: grid_size must be >= 2\n"
+            assert capsys.readouterr().err == ("validation error: grid_size must be >= 2, "
+                                               f"got {grid_size}\n")
         assert not model.exists()
 
 
@@ -571,7 +612,7 @@ class TestExperimentCommand:
         code = main(["experiment", "gaussian-regression", "--seed", "1",
                      "--out", str(tmp_path / "x"), "--config", str(cfg)])
         assert code == 2
-        assert capsys.readouterr().err == "validation error: grid_size must be >= 2\n"
+        assert capsys.readouterr().err == "validation error: grid_size must be >= 2, got 1\n"
 
     @pytest.mark.parametrize("keys", [{"seed": "x"}, {"seed": 2.5}, {"seed": 7}, {"out_dir": 5}])
     def test_seed_or_out_dir_in_a_config_is_validation_error(self, tmp_path, capsys, keys):

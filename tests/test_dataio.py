@@ -318,7 +318,7 @@ class TestMalformedJson:
         (lambda p: p["reference"].pop("cov"), "missing 'cov'"),
         (lambda p: p.update(X=[[0.0] * 6, [0.0]]), "X is not a numeric array"),
         (lambda p: p.update(kind="foo"), "unknown model kind 'foo'"),
-        (lambda p: p["theta"].update(rate=math.inf), "rate must be finite, got inf"),
+        (lambda p: p["theta"].update(rate=math.inf), "rate must be finite and >= 0, got inf"),
         (lambda p: p.update(y=p["y"][:-1]), "model X and y differ in length"),
     ])
     def test_model(self, tmp_path, model_payload, edit, pattern):
@@ -502,7 +502,8 @@ class TestScalarsThatAreNotFiniteNumbers:
         (lambda p: p["y"].__setitem__(0, math.nan), "item 0: y must be finite, got nan"),
         (lambda p: p["y"].__setitem__(4, math.inf), "item 4: y must be finite, got inf"),
         (lambda p: p["theta"].update(nugget="0.001"), "nugget '0.001' is not a number"),
-        (lambda p: p["theta"].update(amplitude=math.inf), "amplitude must be finite, got inf"),
+        (lambda p: p["theta"].update(amplitude=math.inf),
+         "amplitude must be finite and >= 0, got inf"),
         (lambda p: p["theta"].update(amplitude=1e308),
          "amplitude^2 + nugget must be finite, got inf"),
         (lambda p: p["theta"].update(exponent=True), "exponent True is not a number"),

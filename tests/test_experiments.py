@@ -279,8 +279,8 @@ class TestBuildConfig:
         ("consistency", {"n_grid": []}, "n_grid must be a list like"),
         ("consistency", {"n_grid": 20}, "n_grid must be a list like"),
         ("psd", {"entry_range": [0.1]}, "entry_range must be a list like"),
-        ("psd", {"entry_range": [0.1, "x"]}, "entry_range must be a number"),
-        ("disks", {"lam": False}, "lam must be a number, got False"),
+        ("psd", {"entry_range": [0.1, "x"]}, "entry_range 'x' is not a number"),
+        ("disks", {"lam": False}, "lam False is not a number"),
         ("disks", {"radius": float("inf")}, "radius must be finite and positive"),
         ("gaussian-regression", {"grid_path": "false"},
          "grid_path must be true or false, got 'false'"),

@@ -522,6 +522,31 @@ class TestFitRefusals:
         with pytest.raises(ValidationError, match="largest squared response"):
             gp._fit_data(x, 1.3408e154 * y)
 
+    @pytest.mark.parametrize("scale", [1e150, 1e153])
+    def test_mle_refuses_responses_its_gradient_could_overflow_on(self, scale):
+        # refused before the search; without the limit these fits warned 6
+        # and 12,026 times and returned a corner of the box
+        x, y = unit_peak_regression_set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="beyond the MLE fit's limit"):
+                gp_fit_mle(x, scale * y)
+
+    def test_the_mle_limit_keeps_every_objective_in_the_box_finite(self):
+        x, y = unit_peak_regression_set()
+        nugget_floor = DEFAULT_BOUNDS[3][0]
+        limit = math.sqrt(np.finfo(float).max / gp.MLE_KERNEL_FACTOR) * nugget_floor / len(y)
+        y = y * (limit / np.linalg.norm(y))
+        dist = pairwise_distances(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for corner in itertools.product(*DEFAULT_BOUNDS):
+                value, grad = log_likelihood(dist, (1 - 1e-9) * y, KernelParams(*corner))
+                assert np.isfinite([value, *grad]).all()
+            gp_fit_mle(x, (1 - 1e-9) * y)
+            with pytest.raises(ValidationError, match="beyond the MLE fit's limit"):
+                gp_fit_mle(x, (1 + 1e-9) * y)
+
     def test_cv_fit_scales_to_responses_near_the_limit(self):
         # the LOO search does not depend on the responses' scale, so 1e150 y
         # refits with the amplitude scaled by 1e150

@@ -309,10 +309,10 @@ def test_batch_scan_sees_every_kind_of_use():
 
 
 # The grid geometry has one owner, measures: the cell-center formula
-# (arange(g) + 0.5) / g is written only in grid_ticks, and the grid-size rule
-# (an integer >= 2) is checked and worded only in _check_grid_size.
-GRID_OWNERS = {"cell-center formula": ("measures.py", "grid_ticks"),
-               "grid-size rule": ("measures.py", "_check_grid_size")}
+# (arange(g) + 0.5) / g is written only in grid_ticks. The grid-size rule (an
+# integer >= 2) is the ">= 2" rule of errors.check_arg, which both rasterizers
+# call, so no module compares a grid_size with 2 or words the rule itself.
+GRID_OWNERS = {"cell-center formula": ("measures.py", "grid_ticks"), "grid-size rule": None}
 
 
 def docstring_ids(tree: ast.Module) -> set[int]:
@@ -365,7 +365,8 @@ def test_grid_geometry_scan_sees_every_kind_of_use():
                         "def grid_ticks(g):\n    return (np.arange(g) + 0.5) / g\n"
                         "def _check_grid_size(grid_size):\n    if grid_size < 2:\n"
                         "        raise ValueError('grid_size must be >= 2')\n"
-                        "def rasterize(grid_size):\n    return grid_ticks(grid_size)\n"),
+                        "def rasterize(grid_size):\n    check_arg('grid_size', grid_size, '>= 2')\n"
+                        "    return grid_ticks(grid_size)\n"),
         "ot.py": ("from numpy import arange\n"
                   "def kernel(rows):\n    return (arange(rows) + 0.5) / rows\n"
                   "class S:\n    def barycentric(self, g):\n"
@@ -378,11 +379,15 @@ def test_grid_geometry_scan_sees_every_kind_of_use():
     assert sorted(grid_geometry_offenders(planted)) == [
         "experiments.py: check writes the grid-size rule",
         "experiments.py: check writes the grid-size rule",
+        "measures.py: _check_grid_size writes the grid-size rule",
+        "measures.py: _check_grid_size writes the grid-size rule",
         "ot.py: barycentric writes the cell-center formula",
         "ot.py: kernel writes the cell-center formula"]
 
 
-RULE_WORDS = (" must be finite", " must be >= 1")
+# the range rules, the number rule and the integer rule of counts
+RULE_WORDS = (" must be finite", " must be positive", " must be >= 1", " must be >= 2",
+              " must be a number", " is not a number", " must be an integer")
 
 
 def rule_texts(tree: ast.Module) -> list[int]:
@@ -410,11 +415,16 @@ def test_single_place_scans_see_every_kind_of_use():
               "class A:\n    def g(self, m, n):\n        if n < 1:\n"
               "            raise ValueError(f'{n} must be >= 1')\n"
               "        return eigvalsh(m)\n"
-              "h = lambda tol: 'tol must be finite and >= 0'\n")
+              "h = lambda tol: 'tol must be finite and >= 0'\n"
+              "def k(x, lam):\n    if not isinstance(x, (int, float)):\n"
+              "        raise ValueError(f'x {x!r} is not a number')\n"
+              "    if not lam > 0:\n        raise ValueError('lam must be positive')\n"
+              "    raise ValueError(f'{x} must be an integer' if x < 2 else 'x must be >= 2')\n"
+              "GRID = 'grid_size must be a number'\n")
     tree = ast.parse(source)
     assert sorted(name_uses(tree, {"_psd_sqrt_batch"})) == ["_sandwich_roots", "f"]
     assert sorted(name_uses(tree, {"eigvalsh"})) == ["f", "g"]
-    assert rule_texts(tree) == [11, 13]
+    assert rule_texts(tree) == [11, 13, 16, 18, 19, 19, 20]
 
 
 REPORT_FILES = ("report.json", "meta.json")

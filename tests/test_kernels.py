@@ -248,9 +248,12 @@ class TestEmbed:
         with pytest.raises(ValidationError, match="all Gaussian or all grids"):
             embed(inputs, reference=reference)
 
-    @pytest.mark.parametrize("n_train", [0, -1, 4])
-    def test_training_prefix_must_lie_in_the_inputs(self, n_train):
-        with pytest.raises(ValidationError, match=f"n_train must lie in 1..3, got {n_train}"):
+    @pytest.mark.parametrize("n_train,message", [
+        (0, "n_train must be >= 1, got 0"), (-1, "n_train must be >= 1, got -1"),
+        (4, "n_train must lie in 1..3, got 4"),
+    ])
+    def test_training_prefix_must_lie_in_the_inputs(self, n_train, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
             embed(embed_inputs("gaussian", 3, 39), n_train)
 
     @pytest.mark.parametrize("reference", [None, GaussianMeasure([0.0, 0.0], np.eye(2))])

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otgp import measures
-from otgp.errors import EmptySupport, NotPositiveDefinite, NotSymmetric, ValidationError
+from otgp.errors import (
+    EmptySupport,
+    GridMismatch,
+    NotPositiveDefinite,
+    NotSymmetric,
+    ValidationError,
+)
 from otgp.measures import (
     DiskConfig,
     EmpiricalSample,
@@ -227,6 +233,14 @@ class TestTypes:
             assert np.array_equal(idx, np.flatnonzero(d.weights.ravel() > 0.0))
             assert np.array_equal(weights, d.weights.ravel()[idx])
 
+    def test_common_grid_size_names_the_first_density_off_the_first_grid(self):
+        a, b = (GridDensity(np.full((g, g), 1.0 / g**2)) for g in (3, 5))
+        assert measures.common_grid_size([a, a]) == 3
+        for stack, message in (([a, b, a, b], "item 1: grid of size 5 unlike item 0's 3"),
+                               ([b, b, a], "item 2: grid of size 3 unlike item 0's 5")):
+            with pytest.raises(GridMismatch, match=f"^{message}$"):
+                measures.common_grid_size(stack)
+
     def test_empirical_needs_finite_rows(self):
         with pytest.raises(ValidationError):
             EmpiricalSample([[0.0, np.inf]])
@@ -234,8 +248,9 @@ class TestTypes:
     def test_disk_config_bounds(self):
         with pytest.raises(ValidationError):
             DiskConfig(0.1, [[1.5, 0.5]])
-        with pytest.raises(ValidationError):
-            DiskConfig(-0.1, [[0.5, 0.5]])
+        for radius in (-0.1, 0, np.nan):
+            with pytest.raises(ValidationError, match=f"^radius must be positive, got {radius}$"):
+                DiskConfig(radius, [[0.5, 0.5]])
         for center in ([np.nan, 0.5], [0.5, np.nan]):  # NaN fails every comparison
             with pytest.raises(ValidationError, match=r"^centers must lie in \[0,1\]\^2$"):
                 DiskConfig(0.1, [[0.3, 0.5], center])
@@ -264,9 +279,9 @@ class TestDisksToGrid:
         (disks_to_grid, (DISK, 12, True), "subsamples must be an integer, got True"),
         *[(rasterize, (measure, grid_size), message)
           for rasterize, measure in ((disks_to_grid, DISK), (rasterize_gaussian, GAUSSIAN))
-          for grid_size, message in ((0, "grid_size must be >= 2"),
-                                     (-3, "grid_size must be >= 2"),
-                                     (1, "grid_size must be >= 2"),
+          for grid_size, message in ((0, "grid_size must be >= 2, got 0"),
+                                     (-3, "grid_size must be >= 2, got -3"),
+                                     (1, "grid_size must be >= 2, got 1"),
                                      (2.5, "grid_size must be an integer, got 2.5"))],
         (rasterize_gaussian, (GaussianMeasure(np.zeros(3), np.eye(3)), 12),
          r"grid rasterization is defined on R\^2 only"),
