@@ -142,16 +142,12 @@ def cmd_experiment(args) -> int:
     overrides = dataio.read_file(args.config) if args.config else {}
     cfg = build_config(args.name, seed=args.seed, out_dir=args.out, overrides=overrides)
     report = RUNNERS[args.name](cfg)
-    print(json.dumps(_headline(report), indent=2, sort_keys=True))
+    # the headline is every field the experiment adds to write_report's own
+    headline = {k: v for k, v in report.items()
+                if k not in ("experiment", "config", "seeds", "per_seed")}
+    print(json.dumps(headline, indent=2, sort_keys=True))
     print(f"report written to {Path(args.out) / 'report.json'}")
     return EXIT_OK
-
-
-def _headline(report: dict) -> dict:
-    keys = ("summary", "pooled_mean_error", "error_ratio_first_to_last",
-            "loglog_slope", "all_naive_indefinite", "all_embed_psd",
-            "all_naive_1d_psd")
-    return {k: report[k] for k in keys if k in report}
 
 
 def build_parser() -> argparse.ArgumentParser:

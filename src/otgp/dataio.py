@@ -155,7 +155,7 @@ def input_from_json(payload: dict):
 
 
 def _disk(record) -> DiskConfig:
-    return DiskConfig(radius=check_arg("radius", _field(record, "radius"), "finite"),
+    return DiskConfig(radius=_field(record, "radius"),
                       centers=_array(_field(record, "centers"), "centers"))
 
 
@@ -250,8 +250,7 @@ def load_model(path):
     if kind not in ("gaussian", "grid"):
         raise ValidationError(f"unknown model kind {kind!r}")
     ref = input_from_json(dict(ref, kind=kind) if isinstance(ref, dict) else {"kind": kind})
-    lam = (check_arg("lam", _field(payload, "lam"), "finite and positive")
-           if kind == "grid" else None)
+    lam = _field(payload, "lam") if kind == "grid" else None
     features = Embedding(ref, _array(_field(payload, "X"), "X"), lam)
     if len(features) != len(y):
         raise ValidationError("model X and y differ in length")

@@ -33,6 +33,7 @@ RULES = {
     "finite and >= 0": (lambda x: 0.0 <= x < math.inf, False),
     "finite and positive": (lambda x: 0.0 < x < math.inf, False),
     "positive": (lambda x: x > 0.0, False),
+    ">= 0": (lambda x: x >= 0, True),
     ">= 1": (lambda x: x >= 1, True),
     ">= 2": (lambda x: x >= 2, True),
 }

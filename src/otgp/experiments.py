@@ -46,6 +46,33 @@ from .rng import make_rng
 UNIT_SE = KernelParams(1.0, 1.0, 2.0, 0.0)
 
 
+class _Config:
+    """Base of the experiment configs, which check themselves when built: seed
+    is an integer >= 0 and every other field but out_dir holds the type of its
+    default. Flags are booleans, counts and dimensions integers >= 1, rates and
+    radii finite positive numbers, tuples nonempty (of the default's length
+    unless open-ended; a list is taken as a tuple) and checked entry by entry.
+    A config type adds the rules its sizes must keep together."""
+
+    def __post_init__(self):
+        check_arg("seed", self.seed, ">= 0")
+        for f in (f for f in dataclasses.fields(self) if f.name not in ("seed", "out_dir")):
+            val, default = getattr(self, f.name), f.default
+            if isinstance(default, bool):
+                if not isinstance(val, bool):
+                    raise ValidationError(f"{f.name} must be true or false, got {val!r}")
+                continue
+            many = isinstance(default, tuple)
+            if many and isinstance(val, list):
+                setattr(self, f.name, val := tuple(val))
+            if many and not (isinstance(val, tuple) and val
+                             and ("..." in f.type or len(val) == len(default))):
+                raise ValidationError(f"{f.name} must be a list like {list(default)}, got {val!r}")
+            count = type(default[0] if many else default) is int
+            for v in val if many else (val,):
+                check_arg(f.name, v, ">= 1" if count else "finite and positive", shown=repr(val))
+
+
 def write_report(name: str, cfg, per_seed: dict, t0: float, fits: dict | None = None,
                  **fields) -> dict:
     """The report of experiment name: its resolved config, its seeds, the row
@@ -69,7 +96,7 @@ def write_report(name: str, cfg, per_seed: dict, t0: float, fits: dict | None = 
 # consistency of the empirical kernel (Gaussian populations)
 
 @dataclass
-class ConsistencyConfig:
+class ConsistencyConfig(_Config):
     seed: int
     d: int = 4
     n_grid: tuple[int, ...] = (20, 80, 160, 320)
@@ -77,8 +104,16 @@ class ConsistencyConfig:
     grid_points: int = 10
     replicates: int = 16
     n_seeds: int = 3
-    normalize_population: bool = True
     out_dir: str | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        if max(self.n_grid) > self.population:
+            raise ValidationError(f"n_grid must not exceed population, got {self.n_grid} "
+                                  f"with population {self.population}")
+        if self.grid_points >= self.population:
+            raise ValidationError(f"grid_points must be below population, got "
+                                  f"{self.grid_points} >= {self.population}")
 
 
 def _gram_and_gp_mean(covs: np.ndarray, bar_cov: np.ndarray, y) -> tuple[np.ndarray, float]:
@@ -108,10 +143,9 @@ def run_consistency(cfg: ConsistencyConfig) -> dict:
     for seed in seeds:
         pop_rng, grid_rng, y_rng = (make_rng(c) for c in np.random.SeedSequence(seed).spawn(3))
         pop = gaussian_cov_stack(cfg.population, cfg.d, pop_rng)
-        if cfg.normalize_population:
-            # unit mean eigenvalue, else unit-scale kernel parameters see
-            # only saturated distances
-            pop *= cfg.d / np.trace(pop, axis1=1, axis2=2).mean()
+        # unit mean eigenvalue, else unit-scale kernel parameters see only
+        # saturated distances
+        pop *= cfg.d / np.trace(pop, axis1=1, axis2=2).mean()
         bar_true = gaussian_barycenter(pop).result
         grid_idx = grid_rng.choice(cfg.population, size=cfg.grid_points, replace=False)
         test_idx = grid_rng.choice(
@@ -167,7 +201,7 @@ def _write_series_csv(path, ns, values) -> None:
 # Gaussian regression benchmark
 
 @dataclass
-class RegressionConfig:
+class RegressionConfig(_Config):
     seed: int
     n_total: int = 100
     n_train: int = 50
@@ -177,11 +211,38 @@ class RegressionConfig:
     grid_path: bool = False  # embed via the grid pipeline instead of closed forms
     out_dir: str | None = None
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.n_train >= self.n_total:
+            raise ValidationError(f"n_train must be below n_total, got "
+                                  f"{self.n_train} >= {self.n_total}")
 
-def _fit_predict_gp(train_feats, y_train, test_feats, fitter):
-    model = fitter(train_feats, y_train)
-    pred = gp_predict(model, test_feats)
-    return model, pred.mean, pred.variance
+
+def _score_split(feats, grids, y, n_train: int, fitters, split_seed) -> tuple[dict, dict]:
+    """Each (label, fitter) of fitters fitted on the first n_train rows of feats
+    and y and scored on the rest, then the smoothing baseline on grids alike:
+    the row {label: {rmse, q2, cic, theta}, "smoothing": {rmse, q2, cic: None,
+    bandwidth, fallbacks}} and the fit record {label: {"jitter"}}."""
+    tr, te = slice(0, n_train), slice(n_train, len(y))
+    row, fits = {}, {}
+    for label, fitter in fitters:
+        model = fitter(feats[tr], y[tr])
+        pred = gp_predict(model, feats[te])
+        m = metrics(pred.mean, y[te], pred.variance)
+        row[label] = {"rmse": m.rmse, "q2": m.q2, "cic": m.cic,
+                      "theta": list(model.theta.as_array())}
+        fits[label] = {"jitter": model.jitter}
+    smoother = fit_smoother(grids[tr], y[tr], split_seed=split_seed)
+    preds = [smoother_predict(smoother, g) for g in grids[te]]
+    m = metrics([p.value for p in preds], y[te])
+    row["smoothing"] = {"rmse": m.rmse, "q2": m.q2, "cic": None, "bandwidth": smoother.bandwidth,
+                        "fallbacks": sum(p.fallback for p in preds)}
+    return row, fits
+
+
+def _seed_mean(per_seed: dict, method: str, key: str) -> float:
+    """The mean over the seeds of per_seed[seed][method][key]."""
+    return float(np.mean([row[method][key] for row in per_seed.values()]))
 
 
 def run_gaussian_regression(cfg: RegressionConfig) -> dict:
@@ -193,38 +254,17 @@ def run_gaussian_regression(cfg: RegressionConfig) -> dict:
     for seed in seeds:
         pairs = sample_regression_gaussians(cfg.n_total, seed)
         measures = [m for m, _ in pairs]
-        responses = np.array([y for _, y in pairs])
-        tr = slice(0, cfg.n_train)
-        te = slice(cfg.n_train, cfg.n_total)
-        y_train, y_test = responses[tr], responses[te]
         grids = [rasterize_gaussian(m, cfg.grid_size) for m in measures]
         feats = embed(grids if cfg.grid_path else measures, cfg.n_train, lam=cfg.lam)
-        train_feats, test_feats = feats[tr], feats[te]
-
-        row, fits[str(seed)] = {}, {}
-        for label, fitter in (("gp_mle", gp_fit_mle), ("gp_cv", gp_fit_cv)):
-            model, means, variances = _fit_predict_gp(train_feats, y_train, test_feats, fitter)
-            m = metrics(means, y_test, variances)
-            row[label] = {"rmse": m.rmse, "q2": m.q2, "cic": m.cic,
-                          "theta": list(model.theta.as_array())}
-            fits[str(seed)][label] = {"jitter": model.jitter}
-
-        smoother = fit_smoother(grids[tr], y_train, split_seed=seed)
-        sm_preds = [smoother_predict(smoother, g) for g in grids[te]]
-        m = metrics([p.value for p in sm_preds], y_test)
-        row["smoothing"] = {"rmse": m.rmse, "q2": m.q2, "cic": None,
-                            "bandwidth": smoother.bandwidth,
-                            "fallbacks": sum(p.fallback for p in sm_preds)}
-        per_seed[seed] = row
-
-    def agg(method, key):
-        return float(np.mean([per_seed[s][method][key] for s in seeds]))
+        per_seed[seed], fits[str(seed)] = _score_split(
+            feats, grids, np.array([y for _, y in pairs]), cfg.n_train,
+            (("gp_mle", gp_fit_mle), ("gp_cv", gp_fit_cv)), seed)
 
     summary = {
-        "smoothing": {"rmse": agg("smoothing", "rmse"), "q2": agg("smoothing", "q2"),
-                      "cic": "NA"},
-        "gp_mle": {k: agg("gp_mle", k) for k in ("rmse", "q2", "cic")},
-        "gp_cv": {k: agg("gp_cv", k) for k in ("rmse", "q2", "cic")},
+        "smoothing": {"rmse": _seed_mean(per_seed, "smoothing", "rmse"),
+                      "q2": _seed_mean(per_seed, "smoothing", "q2"), "cic": "NA"},
+        **{label: {k: _seed_mean(per_seed, label, k) for k in ("rmse", "q2", "cic")}
+           for label in ("gp_mle", "gp_cv")},
     }
     report = write_report("gaussian-regression", cfg, per_seed, t0, fits, summary=summary)
     if cfg.out_dir:
@@ -247,7 +287,7 @@ def _write_table_csv(path, summary: dict) -> None:
 # PSD dichotomy diagnostic
 
 @dataclass
-class PsdConfig:
+class PsdConfig(_Config):
     seed: int
     n_points: int = 100
     n_seeds: int = 5
@@ -301,7 +341,7 @@ def run_psd_diagnostic(cfg: PsdConfig) -> dict:
 # disk-union pipeline (synthetic response)
 
 @dataclass
-class DisksConfig:
+class DisksConfig(_Config):
     seed: int
     n_disks: int = 10
     radius: float = 0.05
@@ -332,33 +372,14 @@ def run_disks(cfg: DisksConfig) -> dict:
         configs = [DiskConfig(cfg.radius, rng.uniform(0, 1, size=(cfg.n_disks, 2)))
                    for _ in range(n_all)]
         grids = [disks_to_grid(c, cfg.grid_size) for c in configs]
-        responses = np.array([disk_response(g) for g in grids])
-        tr, te = slice(0, cfg.n_train), slice(cfg.n_train, n_all)
-
         feats = embed(grids, cfg.n_train, lam=cfg.lam)
-        model, means, variances = _fit_predict_gp(feats[tr], responses[tr],
-                                                  feats[te], gp_fit_mle)
-        m_gp = metrics(means, responses[te], variances)
-        fits[str(seed)] = {"gp": {"jitter": model.jitter}}
+        per_seed[seed], fits[str(seed)] = _score_split(
+            feats, grids, np.array([disk_response(g) for g in grids]), cfg.n_train,
+            (("gp", gp_fit_mle),), seed)
+        per_seed[seed]["barycenter_support_cells"] = int((feats.reference.weights > 0).sum())
 
-        smoother = fit_smoother(grids[tr], responses[tr], split_seed=seed)
-        sm = [smoother_predict(smoother, g) for g in grids[te]]
-        m_sm = metrics([p.value for p in sm], responses[te])
-
-        per_seed[seed] = {
-            "gp": {"rmse": m_gp.rmse, "q2": m_gp.q2, "cic": m_gp.cic,
-                   "theta": list(model.theta.as_array())},
-            "smoothing": {"rmse": m_sm.rmse, "q2": m_sm.q2,
-                          "bandwidth": smoother.bandwidth},
-            "barycenter_support_cells": int((feats.reference.weights > 0).sum()),
-        }
-
-    summary = {
-        "gp_mean_rmse": float(np.mean([per_seed[s]["gp"]["rmse"] for s in seeds])),
-        "gp_mean_q2": float(np.mean([per_seed[s]["gp"]["q2"] for s in seeds])),
-        "smoothing_mean_rmse": float(np.mean([per_seed[s]["smoothing"]["rmse"] for s in seeds])),
-        "smoothing_mean_q2": float(np.mean([per_seed[s]["smoothing"]["q2"] for s in seeds])),
-    }
+    summary = {f"{method}_mean_{key}": _seed_mean(per_seed, method, key)
+               for method in ("gp", "smoothing") for key in ("rmse", "q2")}
     return write_report("disks", cfg, per_seed, t0, fits, summary=summary,
                         note="responses are a synthetic surrogate; no proprietary solver data")
 
@@ -392,38 +413,4 @@ def build_config(name: str, seed: int, overrides: dict, out_dir=None):
     fixed = sorted({"seed", "out_dir"} & set(overrides))
     if fixed:
         raise ValidationError(f"config keys {fixed} come from the command line, not a config file")
-    cfg = dataclasses.replace(cls(seed=seed, out_dir=str(out_dir) if out_dir else None), **{
-        key: tuple(val) if isinstance(val, list) else val for key, val in overrides.items()})
-    _validate_sizes(cfg)
-    return cfg
-
-
-def _validate_sizes(cfg) -> None:
-    """Every field holds the type of its default: flags are booleans, counts
-    and dimensions integers >= 1, rates and radii finite positive numbers,
-    tuples nonempty (of the default's length unless open-ended) and checked
-    entry by entry. The sizes must also fit together."""
-    for f in dataclasses.fields(cfg):
-        if f.name in ("seed", "out_dir"):
-            continue
-        val, default = getattr(cfg, f.name), f.default
-        if isinstance(default, bool):
-            if not isinstance(val, bool):
-                raise ValidationError(f"{f.name} must be true or false, got {val!r}")
-            continue
-        many = isinstance(default, tuple)
-        if many and not (isinstance(val, tuple) and val
-                         and ("..." in f.type or len(val) == len(default))):
-            raise ValidationError(f"{f.name} must be a list like {list(default)}, got {val!r}")
-        count = type(default[0] if many else default) is int
-        for v in val if many else (val,):
-            check_arg(f.name, v, ">= 1" if count else "finite and positive", shown=repr(val))
-    if isinstance(cfg, RegressionConfig) and cfg.n_train >= cfg.n_total:
-        raise ValidationError(f"n_train must be below n_total, got {cfg.n_train} >= {cfg.n_total}")
-    if isinstance(cfg, ConsistencyConfig):
-        if max(cfg.n_grid) > cfg.population:
-            raise ValidationError(f"n_grid must not exceed population, got {cfg.n_grid} "
-                                  f"with population {cfg.population}")
-        if cfg.grid_points >= cfg.population:
-            raise ValidationError(f"grid_points must be below population, got "
-                                  f"{cfg.grid_points} >= {cfg.population}")
+    return cls(seed=seed, out_dir=str(out_dir) if out_dir else None, **overrides)

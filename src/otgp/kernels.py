@@ -93,7 +93,8 @@ class Embedding:
         radial kernels stay positive definite); p is twice the reference
         support size.
     len() is n; indexing returns the selected rows as an Embedding. lam is
-    the entropic penalty of the grid maps, None for Gaussians.
+    the entropic penalty of the grid maps, finite and positive, and None for
+    Gaussians.
     """
 
     reference: GaussianMeasure | GridDensity
@@ -109,6 +110,11 @@ class Embedding:
                 f"(expected {width} columns)")
         if not np.all(np.isfinite(x)):
             raise ValidationError("feature matrix has non-finite entries")
+        if isinstance(self.reference, GaussianMeasure):
+            if self.lam is not None:
+                raise ValidationError(f"lam must be None for a Gaussian reference, got {self.lam!r}")
+        else:  # kept as check_arg's float
+            object.__setattr__(self, "lam", check_arg("lam", self.lam, "finite and positive"))
         object.__setattr__(self, "X", x)
 
     def __len__(self) -> int:

@@ -599,6 +599,12 @@ class TestExperimentCommand:
         assert report["all_embed_psd"] is True
         assert (out / "naive_spectrum_seed1.csv").exists()
 
+    def test_negative_seed_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["experiment", "psd", "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "validation error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_unknown_config_key_is_validation_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))

@@ -75,6 +75,18 @@ class TestRoundTrips:
         assert back.radius == cfg.radius
         np.testing.assert_array_equal(back.centers, cfg.centers)
 
+    def test_infinite_radius_dataset(self, tmp_path):
+        # DiskConfig takes an infinite radius (one disk covering the square),
+        # so the file save_dataset writes of it loads; a NaN radius stays
+        # refused, by DiskConfig's own rule
+        path = tmp_path / "data.json"
+        dataio.save_dataset(path, [DiskConfig(math.inf, [[0.5, 0.5]])], [1.0])
+        (back,), ys = dataio.load_dataset(path)
+        assert back.radius == math.inf and ys == [1.0]
+        path.write_text(path.read_text().replace("Infinity", "NaN"))
+        with pytest.raises(ValidationError, match="^item 0: radius must be positive, got nan$"):
+            dataio.load_dataset(path)
+
     def test_dataset_mixed_kinds(self, tmp_path):
         rng = np.random.default_rng(3)
         inputs = [

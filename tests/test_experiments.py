@@ -187,6 +187,20 @@ def test_write_report_is_every_experiments_report(name, tmp_path):
     assert texts[0] == texts[1]
 
 
+@pytest.mark.parametrize("name", sorted(RUNNERS))
+def test_headline_is_the_report_less_write_reports_own_keys(name, tmp_path, capsys):
+    from otgp.cli import main
+
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(TINY[name]))
+    assert main(["experiment", name, "--seed", "3", "--out", str(out), "--config", str(cfg)]) == 0
+    headline, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
+    report = json.loads((out / "report.json").read_text())
+    for key in ("experiment", "config", "seeds", "per_seed"):
+        del report[key]
+    assert headline == report
+
+
 class TestDisks:
     def test_small_pipeline(self, tmp_path):
         cfg = DisksConfig(seed=1, n_train=14, n_test=6, grid_size=20,
@@ -195,6 +209,8 @@ class TestDisks:
         row = report["per_seed"]["1"]
         assert row["gp"]["q2"] > 0.0
         assert row["gp"]["rmse"] < row["smoothing"]["rmse"]
+        # the smoothing row of gaussian-regression, fallbacks to the training mean included
+        assert set(row["smoothing"]) == {"rmse", "q2", "cic", "bandwidth", "fallbacks"}
         assert (tmp_path / "disks" / "report.json").exists()
         meta = json.loads((tmp_path / "disks" / "meta.json").read_text())
         assert set(meta["fits"]) == {"1"} and set(meta["fits"]["1"]) == {"gp"}
@@ -260,6 +276,25 @@ class TestBuildConfig:
     def test_tuple_coercion(self):
         cfg = build_config("consistency", seed=1, overrides={"n_grid": [10, 20]})
         assert cfg.n_grid == (10, 20)
+        assert ConsistencyConfig(seed=1, n_grid=[20, 80]).n_grid == (20, 80)
+
+    @pytest.mark.parametrize("make,pattern", [
+        (lambda: PsdConfig(seed=1, n_seeds=0), "^n_seeds must be >= 1, got 0$"),
+        (lambda: RegressionConfig(seed=1, n_train=100), "^n_train must be below n_total"),
+        (lambda: DisksConfig(seed=1, n_seeds=0), "^n_seeds must be >= 1, got 0$"),
+        (lambda: ConsistencyConfig(seed=1, n_grid=(20, 5000)),
+         "^n_grid must not exceed population"),
+        (lambda: PsdConfig(seed=-1), "^seed must be >= 0, got -1$"),
+        (lambda: RegressionConfig(seed=1, n_seeds=True), "^n_seeds must be an integer, got True$"),
+    ], ids=["psd-no-seeds", "regression-no-test-set", "disks-no-seeds",
+            "consistency-n-above-population", "negative-seed", "bool-count"])
+    def test_a_config_built_in_python_keeps_the_file_rules(self, make, pattern):
+        # each ran, or reported a summary over no seeds, before the rules moved
+        # from build_config into the config types
+        from otgp.errors import ValidationError
+
+        with pytest.raises(ValidationError, match=pattern):
+            make()
 
     def test_size_validation(self):
         from otgp.errors import ValidationError
@@ -285,7 +320,7 @@ class TestBuildConfig:
         ("gaussian-regression", {"grid_path": "false"},
          "grid_path must be true or false, got 'false'"),
         ("consistency", {"normalize_population": 0},
-         "normalize_population must be true or false, got 0"),
+         r"^unknown config keys \['normalize_population'\]$"),
         ("gaussian-regression", {"n_train": 100}, "n_train must be below n_total, got 100 >= 100"),
         ("gaussian-regression", {"n_total": 20, "n_train": 30}, "n_train must be below n_total"),
         ("consistency", {"population": 300}, "n_grid must not exceed population"),

@@ -386,8 +386,8 @@ def test_grid_geometry_scan_sees_every_kind_of_use():
 
 
 # the range rules, the number rule and the integer rule of counts
-RULE_WORDS = (" must be finite", " must be positive", " must be >= 1", " must be >= 2",
-              " must be a number", " is not a number", " must be an integer")
+RULE_WORDS = (" must be finite", " must be positive", " must be >= 0", " must be >= 1",
+              " must be >= 2", " must be a number", " is not a number", " must be an integer")
 
 
 def rule_texts(tree: ast.Module) -> list[int]:

@@ -145,6 +145,24 @@ class TestEmbedding:
         with pytest.raises(ValidationError):
             Embedding(GaussianMeasure([0.0], [[1.0]]), [[0.0, np.nan]])
 
+    @pytest.mark.parametrize("lam,pattern", [
+        (None, "^lam None is not a number$"),
+        (-1.0, "^lam must be finite and positive, got -1.0$"),
+        (float("nan"), "^lam must be finite and positive, got nan$"),
+        (float("inf"), "^lam must be finite and positive, got inf$"),
+    ])
+    def test_grid_rows_need_their_penalty(self, lam, pattern):
+        # save_model writes a grid model's lam and load_model reads it back
+        # through this rule, so a model that can be built can be reloaded
+        with pytest.raises(ValidationError, match=pattern):
+            Embedding(GridDensity(np.full((2, 2), 0.25)), np.zeros((1, 8)), lam)
+
+    def test_penalty_is_kept_as_a_float_and_only_for_grids(self):
+        grid = Embedding(GridDensity(np.full((2, 2), 0.25)), np.zeros((3, 8)), np.int64(20))
+        assert type(grid.lam) is float and grid[1:].lam == 20.0
+        with pytest.raises(ValidationError, match="^lam must be None for a Gaussian reference"):
+            Embedding(GaussianMeasure([0.0], [[1.0]]), np.zeros((1, 2)), 20.0)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             embed_gaussians([GaussianMeasure([0.0], [[1.0]])],
@@ -287,7 +305,7 @@ class TestEmbeddingDistance:
         # one source cell of weight 1/2 displaced by (1, 0)
         maps = [np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 0.0]])]
         ref = GridDensity(np.array([[0.5, 0.5], [0.0, 0.0]]))
-        f = Embedding(ref, np.array([(np.sqrt(0.5) * t).ravel() for t in maps]))
+        f = Embedding(ref, np.array([(np.sqrt(0.5) * t).ravel() for t in maps]), lam=20.0)
         assert distance(f[0], f[1]) == pytest.approx(math.sqrt(0.5))
 
     def test_reference_mismatch(self):
@@ -360,6 +378,47 @@ class TestGridEmbeddingReferee:
             np.testing.assert_allclose(map_means, closed.X[:, :2], rtol=0, atol=1e-6)
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] < REFEREE_BOUND
+
+
+# Bound on the relative error of TestEntropicMapReferee; its maps and rows read
+# at most 9.9e-4, 2.8e-3 and 2.8e-3 at lam = 20, 100 and 400.
+ENTROPIC_REFEREE_BOUND = 5e-3
+
+
+class TestEntropicMapReferee:
+    """The grid maps at the penalty they are solved with, against the closed
+    form. The grid kernel exp(-lam |x - y|^2 / 2) is entropic OT with
+    epsilon = 2 / lam, whose plan between Gaussians is Gaussian and whose
+    barycentric projection is affine (Janati, Muzellec, Peyre & Cuturi,
+    NeurIPS 2020). With diagonal covariances it acts per axis: from the
+    reference N(m_r, a) to the input N(m, b), with s^2 = 1 / lam,
+    T(x) = m + (c / a)(x - m_r), c = (sqrt(s^4 + 4ab) - s^2) / 2.
+    The error is the L2(reference) norm of the difference over that of the
+    unregularized map's linear part, sqrt(b / a)(x - m_r); at lam = 20 the
+    entropic map keeps only 15-22% of that slope, which the referee sees."""
+
+    @pytest.mark.parametrize("lam", [20.0, 100.0, 400.0])
+    def test_maps_and_rows_match_the_entropic_closed_form(self, lam):
+        ref_mean, ref_var = np.array([0.5, 0.5]), 0.1**2
+        reference = rasterize_gaussian(GaussianMeasure(ref_mean, ref_var * np.eye(2)), 50)
+        rng = np.random.default_rng(0)
+        means = rng.uniform(0.4, 0.6, size=(6, 2))
+        variances = rng.uniform(0.06, 0.12, size=(6, 2)) ** 2
+        grids = [rasterize_gaussian(GaussianMeasure(m, np.diag(v)), 50)
+                 for m, v in zip(means, variances)]
+        idx, w = reference.support()
+        x, w = reference.cell_centers()[idx], w / w.sum()
+        rows = embed_grids(grids, reference, lam=lam).X
+        s2 = 1.0 / lam
+        for grid, m, b, row in zip(grids, means, variances, rows):
+            c = (np.sqrt(s2 * s2 + 4.0 * ref_var * b) - s2) / 2.0
+            closed = m + (c / ref_var) * (x - ref_mean)
+            scale = np.sqrt(w @ (b / ref_var * (x - ref_mean) ** 2).sum(axis=1))
+            error = np.sqrt(w @ ((inverse_grid_map(grid, reference, lam) - closed) ** 2).sum(axis=1))
+            assert error / scale < ENTROPIC_REFEREE_BOUND
+            # the row is the map weighted by sqrt(w), cell by cell, x before y
+            closed_row = (np.sqrt(w)[:, None] * closed).ravel()
+            assert np.linalg.norm(row - closed_row) / scale < ENTROPIC_REFEREE_BOUND
 
 
 def bits(matrix):
