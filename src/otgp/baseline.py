@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateDistances, SizeMismatch, ValidationError, check_arg
+from .errors import DegenerateDistances, SizeMismatch, ValidationError, check_arg, check_array
 from .measures import GridDensity, common_grid_size
 from .rng import make_rng
 
@@ -53,6 +53,7 @@ class SmootherModel:
 
     def __post_init__(self):
         object.__setattr__(self, "bandwidth", check_arg("bandwidth", self.bandwidth, "positive"))
+        object.__setattr__(self, "y", check_array("y", self.y))
         if not 0 < len(self.grids) == len(self.y):
             raise SizeMismatch("need one or more grids, as many as responses")
         object.__setattr__(self, "rows", _stack(self.grids))
@@ -81,27 +82,21 @@ def smoother_predict(model: SmootherModel, query: GridDensity) -> SmootherPredic
     return SmootherPrediction(float(value[0]), bool(fallback[0]))
 
 
-def default_candidates(pairwise: np.ndarray) -> np.ndarray:
-    """Log-spaced bandwidths spanning the positive pairwise distances."""
-    off = pairwise[np.triu_indices(len(pairwise), 1)]
-    positive = off[off > 0]
-    if positive.size == 0:
-        raise DegenerateDistances("all pairwise distances are zero")
-    return np.geomspace(positive.min(), off.max(), N_BANDWIDTH_CANDIDATES)
-
-
 def select_bandwidth(grids, y, candidates=None, split_seed: int = 0) -> float:
     """Pick the candidate bandwidth minimizing held-out MSE on a
     deterministic 50/50 split; ties go to the smaller bandwidth."""
     rows = _stack(list(grids))
-    y = np.asarray(y, dtype=float)
+    y = check_array("y", y)
     n = len(rows)
     if n < 4:
         raise ValidationError("need at least 4 training points to split")
     pairwise = _l1_matrix(rows, rows)
-    if candidates is None:
-        candidates = default_candidates(pairwise)
-    candidates = np.sort(np.asarray(candidates, dtype=float))
+    if candidates is None:  # log-spaced, spanning the positive pairwise distances
+        off = pairwise[np.triu_indices(n, 1)]
+        if not (off > 0).any():
+            raise DegenerateDistances("all pairwise distances are zero")
+        candidates = np.geomspace(off[off > 0].min(), off.max(), N_BANDWIDTH_CANDIDATES)
+    candidates = np.sort(check_array("candidates", candidates))
 
     # fixed salt keeps the split stream apart from data-generation streams
     perm = make_rng((0x5B17, split_seed)).permutation(n)
@@ -115,4 +110,4 @@ def select_bandwidth(grids, y, candidates=None, split_seed: int = 0) -> float:
 def fit_smoother(grids, y, split_seed: int = 0) -> SmootherModel:
     """Select a bandwidth, then keep the full training set for prediction."""
     h = select_bandwidth(grids, y, split_seed=split_seed)
-    return SmootherModel(grids=tuple(grids), y=np.asarray(y, dtype=float), bandwidth=h)
+    return SmootherModel(grids=tuple(grids), y=y, bandwidth=h)

@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import dataio
 from .barycenter import gaussian_barycenter_measure, grid_barycenter
 from .errors import NumericalError, ValidationError
@@ -117,7 +115,7 @@ def cmd_fit(args) -> int:
     # cold solves, so that fit and predict embed a training input alike
     features = embed(inputs, lam=args.lam, warm=False)
     fitter = gp_fit_mle if args.method == "mle" else gp_fit_cv
-    model = fitter(features, np.asarray(responses))
+    model = fitter(features, responses)
     dataio.save_model(args.out, model)
     theta = model.theta
     print(f"fitted theta: amplitude={theta.amplitude:.4g} rate={theta.rate:.4g} "

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NotSymmetric, ValidationError, check_arg
-from .gp import build_model
-from .kernels import Embedding, KernelParams, pairwise_distances
+from .errors import NotSymmetric, ValidationError, check_arg, check_array
+from .gp import _fit_data, build_model
+from .kernels import Embedding, KernelParams
 from .measures import (
     DiskConfig,
     GaussianMeasure,
@@ -49,29 +49,13 @@ def _field(record, key: str, item: int | None = None):
     return record[key]
 
 
-def _array(value, key: str, item: int | None = None) -> np.ndarray:
-    """A JSON array of numbers as a float array; ValidationError naming key
-    and item if it is ragged or holds anything but numbers (check_arg's rule).
-    numpy alone reads booleans, numeric strings and null as numbers, so the
-    types of the leaves are checked, not the dtype of the result."""
-    try:
-        leaves = np.asarray(value, dtype=object)
-        array = leaves.astype(float)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{key} is not a numeric array", item) from None
-    if not set(map(type, flat := leaves.ravel().tolist())) <= {int, float}:
-        for leaf in flat:
-            check_arg(key, leaf, "a number", item)
-    return array
-
-
 def _stack(values: list, key: str) -> np.ndarray:
     """Float array of the items' values under key; a non-numeric item, or the
     first one shaped unlike item 0, is named."""
     try:
-        return _array(values, key)
+        return check_array(key, values)
     except ValidationError:
-        shapes = [_array(v, key, k).shape for k, v in enumerate(values)]
+        shapes = [check_array(key, v, k).shape for k, v in enumerate(values)]
         k = next((k for k, shape in enumerate(shapes) if shape != shapes[0]), 0)
         raise ValidationError(f"{key} of shape {shapes[k]} unlike item 0's {shapes[0]}",
                               k) from None
@@ -145,18 +129,16 @@ def input_to_json(obj) -> dict:
 def input_from_json(payload: dict):
     kind = payload.get("kind") if isinstance(payload, dict) else None
     if kind == "gaussian":
-        return GaussianMeasure(_array(_field(payload, "mean"), "mean"),
-                               _array(_field(payload, "cov"), "cov"))
+        return GaussianMeasure(_field(payload, "mean"), _field(payload, "cov"))
     if kind == "grid":
-        return GridDensity(_array(_field(payload, "weights"), "weights"))
+        return GridDensity(_field(payload, "weights"))
     if kind == "disks":
         return _disk(payload)
     raise ValidationError(f"unknown input kind {kind!r}")
 
 
 def _disk(record) -> DiskConfig:
-    return DiskConfig(radius=_field(record, "radius"),
-                      centers=_array(_field(record, "centers"), "centers"))
+    return DiskConfig(radius=_field(record, "radius"), centers=_field(record, "centers"))
 
 
 def disk_configs(rows: list) -> list[DiskConfig]:
@@ -238,7 +220,7 @@ def load_model(path):
                               "refit the model")
     theta = _field(payload, "theta")
     theta = KernelParams(*(_field(theta, f.name) for f in fields(KernelParams)))
-    y = _array(_field(payload, "y"), "y")
+    y = check_array("y", _field(payload, "y"))
     if y.ndim != 1:
         raise ValidationError(f"y must be a list of numbers, got shape {y.shape}")
     for k, value in enumerate(y):
@@ -251,11 +233,10 @@ def load_model(path):
         raise ValidationError(f"unknown model kind {kind!r}")
     ref = input_from_json(dict(ref, kind=kind) if isinstance(ref, dict) else {"kind": kind})
     lam = _field(payload, "lam") if kind == "grid" else None
-    features = Embedding(ref, _array(_field(payload, "X"), "X"), lam)
+    features = Embedding(ref, _field(payload, "X"), lam)
     if len(features) != len(y):
         raise ValidationError("model X and y differ in length")
-    return build_model(features, y, pairwise_distances(features), theta,
-                        degenerate=degenerate)
+    return build_model(features, *_fit_data(features, y), theta, degenerate=degenerate)
 
 
 def save_gram_csv(path, matrix) -> None:

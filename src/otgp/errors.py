@@ -1,4 +1,4 @@
-"""Exception hierarchy and the scalar argument rules.
+"""Exception hierarchy and the argument rules for scalars and arrays.
 
 Validation errors indicate bad inputs (CLI exit code 2); numerical errors
 indicate a computation that could not be completed (CLI exit code 3).
@@ -6,6 +6,8 @@ indicate a computation that could not be completed (CLI exit code 3).
 
 import math
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class OtgpError(Exception):
@@ -60,6 +62,24 @@ def check_arg(name: str, value, rule: str, item: int | None = None, shown=None) 
     if not keeps(number):
         raise ValidationError(f"{name} must be {rule}, got {shown}", item)
     return number
+
+
+def check_array(name: str, value, item: int | None = None) -> np.ndarray:
+    """value as floats: a numeric ndarray as it is, anything else leaf by leaf, as numpy
+    alone reads booleans, numeric strings and None as numbers. A leaf that is not a real
+    number gets check_arg's refusal; a ragged value, or one beyond the float range,
+    "{name} is not a numeric array"."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
+        return np.asarray(value, dtype=float)
+    try:
+        leaves = np.asarray(value, dtype=object)
+        if not set(map(type, flat := leaves.ravel().tolist())) <= {int, float}:
+            for leaf in flat:
+                if not isinstance(leaf, (list, tuple, np.ndarray)):  # a sequence: ragged
+                    check_arg(name, leaf, "a number", item)
+        return leaves.astype(float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} is not a numeric array", item) from None
 
 
 class NotSymmetric(ValidationError):

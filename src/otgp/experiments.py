@@ -188,13 +188,9 @@ def run_consistency(cfg: ConsistencyConfig) -> dict:
         squared_error_ratio_first_to_last=pooled_sq[0] / pooled_sq[-1],
         loglog_slope=slope)
     if cfg.out_dir:
-        _write_series_csv(Path(cfg.out_dir) / "errors.csv", cfg.n_grid, pooled)
+        rows = ["n,error"] + [f"{n},{v:.17g}" for n, v in zip(cfg.n_grid, pooled)]
+        (Path(cfg.out_dir) / "errors.csv").write_text("\n".join(rows) + "\n")
     return report
-
-
-def _write_series_csv(path, ns, values) -> None:
-    rows = ["n,error"] + [f"{n},{v:.17g}" for n, v in zip(ns, values)]
-    Path(path).write_text("\n".join(rows) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CholeskyFailure, SizeMismatch, ValidationError, ZeroVarianceTruths, check_arg
+from .errors import (CholeskyFailure, SizeMismatch, ValidationError, ZeroVarianceTruths,
+                     check_arg, check_array)
 from .kernels import (
     CV_RATIO_BOX,
     DEFAULT_BOUNDS,
@@ -255,17 +256,17 @@ def build_model(features, y, dist, theta, degenerate=False) -> GpModel:
     training Gram (with jitter when needed) and alpha = R^-1 y."""
     from scipy.linalg import lapack
 
+    y = check_array("y", y)
     r = gram_from_distances(dist, theta)
     l, jitter = chol_with_jitter(r)
     alpha = lapack.dpotrs(l, y, lower=1)[0]
-    return GpModel(features=features, y=np.asarray(y, dtype=float),
-                   theta=theta, distances=dist, chol=l, alpha=alpha,
+    return GpModel(features=features, y=y, theta=theta, distances=dist, chol=l, alpha=alpha,
                    degenerate=degenerate, jitter=jitter)
 
 
 def _fit_data(features, y) -> tuple[np.ndarray, np.ndarray]:
     """The responses as floats, their squares finite, and the training distances of a fitter."""
-    y = np.asarray(y, dtype=float)
+    y = check_array("y", y)
     if len(features) != len(y) or len(y) < 2:
         raise SizeMismatch("need matching features and responses, n >= 2")
     peak = float(np.abs(y).max())
@@ -381,8 +382,7 @@ def gp_predict(model: GpModel, features: Embedding) -> PredictionResult:
 def metrics(predictions, truths, variances=None) -> MetricsResult:
     """RMSE, Q2 = 1 - RMSE^2/var(truths), and the 90% interval coverage
     (None when no variances are supplied, e.g. for the smoothing baseline)."""
-    p = np.asarray(predictions, dtype=float)
-    t = np.asarray(truths, dtype=float)
+    p, t = check_array("predictions", predictions), check_array("truths", truths)
     if p.shape != t.shape:
         raise SizeMismatch("predictions and truths differ in length")
     rmse = float(np.sqrt(((p - t) ** 2).mean()))
@@ -392,7 +392,7 @@ def metrics(predictions, truths, variances=None) -> MetricsResult:
     q2 = 1.0 - rmse**2 / var
     cic = None
     if variances is not None:
-        v = np.asarray(variances, dtype=float)
+        v = check_array("variances", variances)
         if v.shape != t.shape:
             raise SizeMismatch("variances and truths differ in length")
         cic = float((np.abs(t - p) <= CI90_FACTOR * np.sqrt(v)).mean())

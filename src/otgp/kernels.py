@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barycenter import gaussian_barycenter_measure, grid_barycenter
-from .errors import DimensionMismatch, NotSymmetric, ReferenceMismatch, ValidationError, check_arg
-from .measures import GaussianMeasure, GridDensity
+from .errors import (DimensionMismatch, NotSymmetric, ReferenceMismatch, ValidationError,
+                     check_arg, check_array)
+from .measures import SYMMETRY_RTOL, GaussianMeasure, GridDensity, symmetric_part
 from .ot import MAP_TOL, _bures_sq, _grid_sinkhorn, _sandwich_roots, _spd_roots, inverse_grid_map
 
 # Embedding distances below this snap to exactly zero so the nugget indicator
@@ -68,7 +69,7 @@ class KernelParams:
 
     @classmethod
     def from_array(cls, arr) -> "KernelParams":
-        return cls(*np.asarray(arr, dtype=float).tolist())
+        return cls(*check_array("theta", arr).tolist())
 
 
 # The MLE's search box, in as_array order, whose lower bounds the degenerate
@@ -102,7 +103,7 @@ class Embedding:
     lam: float | None = None
 
     def __post_init__(self):
-        x = np.asarray(self.X, dtype=float)
+        x = check_array("X", self.X)
         width = _row_width(self.reference)
         if x.ndim != 2 or x.shape[1] != width:
             raise ValidationError(
@@ -203,13 +204,14 @@ def _distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     b = a if b is None else b
     out = np.zeros((len(a), len(b)))
     buf = np.empty((min(ROW_BLOCK, len(a)), len(b)))
-    for start in range(0, len(a), ROW_BLOCK):
-        rows, block = a[start:start + ROW_BLOCK], out[start:start + ROW_BLOCK]
-        diff = buf[:len(rows)]
-        for k in range(a.shape[1]):
-            np.subtract(rows[:, k, None], b[:, k], out=diff)
-            diff *= diff
-            block += diff
+    with np.errstate(over="ignore"):  # a distance whose square overflows is inf, as in cdist
+        for start in range(0, len(a), ROW_BLOCK):
+            rows, block = a[start:start + ROW_BLOCK], out[start:start + ROW_BLOCK]
+            diff = buf[:len(rows)]
+            for k in range(a.shape[1]):
+                np.subtract(rows[:, k, None], b[:, k], out=diff)
+                diff *= diff
+                block += diff
     return _snap(np.sqrt(out, out=out))
 
 
@@ -303,15 +305,19 @@ class PsdReport:
 
 
 def psd_diagnostic(matrix, tol: float = 1e-8) -> PsdReport:
-    """Sorted spectrum and the number of eigenvalues below -tol * |lambda|max;
-    tol must be finite and >= 0."""
+    """Sorted spectrum of a nonempty square matrix and the number of eigenvalues
+    below -tol * |lambda|max; tol must be finite and >= 0."""
     check_arg("tol", tol, "finite and >= 0")
-    m = np.asarray(matrix, dtype=float)
-    scale = np.linalg.norm(m)
-    if scale > 0 and np.linalg.norm(m - m.T) / scale > 1e-12:
+    m = check_array("matrix", matrix)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValidationError(f"expected a nonempty square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValidationError("matrix has non-finite entries")
+    [asym], [sym] = symmetric_part(m[None])
+    if asym > SYMMETRY_RTOL:
         raise NotSymmetric("matrix is not symmetric")
-    eig = np.linalg.eigvalsh(0.5 * (m + m.T))
-    threshold = tol * float(np.abs(eig).max()) if eig.size else 0.0
+    eig = np.linalg.eigvalsh(sym)
+    threshold = tol * float(np.abs(eig).max())
     return PsdReport(eigenvalues=eig, negatives=int((eig < -threshold).sum()),
                      threshold=threshold)
 

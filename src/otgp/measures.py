@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (EmptySupport, GridMismatch, NotPositiveDefinite, NotSymmetric,
-                     ValidationError, check_arg)
+                     ValidationError, check_arg, check_array)
 from .rng import make_rng
 
 SYMMETRY_RTOL = 1e-12
@@ -24,12 +24,17 @@ WEIGHT_SUM_TOL = 1e-9
 PROBE_CHUNK = 1 << 20
 
 
-def as_floats(value, what: str, item: int | None = None) -> np.ndarray:
-    """value as a float array; ValidationError if it is ragged, not numeric or too large."""
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{what} is not a numeric array", item) from None
+def symmetric_part(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """||M - M^T|| / ||M|| (Frobenius, 0 for M = 0) and (M + M^T) / 2 of each M of a finite
+    (n, d, d) stack; a stack whose squares could leave the float range is scaled exactly first."""
+    e = np.frexp(np.maximum(stack.max(axis=(1, 2)), -stack.min(axis=(1, 2))))[1][:, None, None]
+    m = np.ldexp(stack, -e) if np.abs(e).max() > 400 else stack  # per matrix, by a power of two
+    norm_sq = np.einsum("ijk,ijk->i", m, m).clip(1e-300)  # the clip acts only for M = 0
+    skew = m - m.swapaxes(1, 2)
+    asym = np.sqrt(np.einsum("ijk,ijk->i", skew, skew) / norm_sq)
+    sym = np.add(m, m.swapaxes(1, 2), out=skew)  # one n x n array at a time: a Gram is large
+    sym *= 0.5
+    return asym, sym if m is stack else np.ldexp(sym, e, out=sym)
 
 
 def validate_spd(matrix) -> np.ndarray:
@@ -42,24 +47,21 @@ def validate_spd(matrix) -> np.ndarray:
     and gives that matrix's first failing check; one batched eigvalsh makes
     the per-matrix LAPACK call, so a matrix checks alike alone or stacked.
     """
-    m = as_floats(matrix, "matrix")
+    m = check_array("matrix", matrix)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise ValidationError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     stack = m.reshape(-1, *m.shape[-2:])
     finite = np.isfinite(stack).all(axis=(1, 2))
     stack = np.where(finite[:, None, None], stack, 0.0)  # non-finite ones fail first anyway
-    scale = np.linalg.norm(stack, axis=(1, 2))
-    zero = scale == 0.0
-    asym = np.linalg.norm(stack - stack.swapaxes(1, 2), axis=(1, 2)) / np.where(zero, 1.0, scale)
-    sym = 0.5 * (stack + stack.swapaxes(1, 2))
+    asym, sym = symmetric_part(stack)
     min_eig = np.linalg.eigvalsh(sym)[:, 0]
-    failed = ~finite | zero | (asym > SYMMETRY_RTOL) | (min_eig <= 0.0)
+    failed = ~finite | ~stack.any(axis=(1, 2)) | (asym > SYMMETRY_RTOL) | (min_eig <= 0.0)
     if failed.any():
         k = int(np.argmax(failed))
         item = k if m.ndim == 3 else None
         if not finite[k]:
             raise ValidationError("matrix has non-finite entries", item)
-        if zero[k]:
+        if not stack[k].any():
             raise NotPositiveDefinite("zero matrix", item)
         if asym[k] > SYMMETRY_RTOL:
             raise NotSymmetric(f"relative asymmetry {asym[k]:.3e} exceeds {SYMMETRY_RTOL}", item)
@@ -73,7 +75,7 @@ def grid_ticks(g: int) -> np.ndarray:
 
 
 def _frozen(a, what: str) -> np.ndarray:
-    a = as_floats(a, what).copy()
+    a = check_array(what, a).copy()
     a.flags.writeable = False
     return a
 
@@ -87,7 +89,7 @@ class GaussianMeasure:
 
     def __post_init__(self):
         mean = np.atleast_1d(_frozen(self.mean, "mean"))
-        cov = _frozen(validate_spd(self.cov), "cov")
+        cov = _frozen(validate_spd(check_array("cov", self.cov)), "cov")
         if mean.ndim != 1 or cov.ndim != 2 or mean.shape[0] != cov.shape[0]:
             raise ValidationError(
                 f"mean of length {mean.shape} does not match cov {cov.shape}")
@@ -109,7 +111,7 @@ def gaussian_measures(means, covs) -> list[GaussianMeasure]:
     covariances, given the checks GaussianMeasure makes on one measure once
     for the whole stacks; each holds read-only row views of them. An error
     names the first failing item."""
-    means, covs = as_floats(means, "means"), as_floats(covs, "covariances")
+    means, covs = check_array("means", means), check_array("covariances", covs)
     if means.ndim != 2 or covs.ndim != 3 or covs.shape[:2] != means.shape:
         raise ValidationError(
             f"means of shape {means.shape} do not match covariances of shape {covs.shape}")
@@ -229,7 +231,7 @@ def disks_to_grid(cfg: DiskConfig, grid_size: int, subsamples: int = 4) -> GridD
     """
     check_arg("grid_size", grid_size, ">= 2")
     check_arg("subsamples", subsamples, ">= 1")
-    g, s, r = grid_size, subsamples, cfg.radius
+    g, s, r = grid_size, subsamples, min(cfg.radius, 2.0)  # 2 spans the square from any center
     n = g * s
     ticks = grid_ticks(n)
     # one window of probes per disk and axis (y, x), all as wide as the
@@ -271,7 +273,8 @@ def rasterize_gaussian(measure: GaussianMeasure, grid_size: int) -> GridDensity:
             f"got off-diagonal term {measure.cov[0, 1]:.3e}")
     edges = np.arange(grid_size + 1) / grid_size
     sd = np.sqrt(measure.cov.diagonal())
-    px, py = (np.diff(ndtr((edges - measure.mean[k]) / sd[k])) for k in (0, 1))
+    with np.errstate(over="ignore"):  # a mean far off the grid is +-inf sd away, ndtr's limit
+        px, py = (np.diff(ndtr((edges - measure.mean[k]) / sd[k])) for k in (0, 1))
     w = np.outer(py, px)  # rows index y
     return _normalized(w, "no Gaussian mass falls on the grid")
 

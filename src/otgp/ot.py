@@ -26,6 +26,7 @@ from .errors import (
     SizeMismatch,
     ValidationError,
     check_arg,
+    check_array,
 )
 from .measures import EmpiricalSample, GaussianMeasure, GridDensity, grid_ticks, validate_spd
 
@@ -73,14 +74,13 @@ class CouplingPlan:
     target_weights: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.plan, dtype=float)
-        _check_marginals(p.sum(axis=1), p.sum(axis=0),
-                         self.source_weights, self.target_weights)
+        p = check_array("plan", self.plan)
+        _check_marginals(p.sum(axis=1), p.sum(axis=0), self.source_weights, self.target_weights)
 
 
 def _check_marginals(row_sums, col_sums, source_weights, target_weights) -> None:
-    err = max(np.abs(row_sums - source_weights).max(),
-              np.abs(col_sums - target_weights).max())
+    err = max(np.abs(row_sums - check_array("source_weights", source_weights)).max(),
+              np.abs(col_sums - check_array("target_weights", target_weights)).max())
     if err > MARGINAL_TOL:
         raise ValidationError(f"plan marginals off by {err:.3e} (> {MARGINAL_TOL:g})")
 
@@ -102,7 +102,7 @@ class TransportAssignment:
         idx = np.asarray(self.target_index)
         if idx.min(initial=0) < 0 or idx.max(initial=-1) >= len(self.target_locations):
             raise ValidationError("target_index out of range")
-        w = np.asarray(self.source_weights, dtype=float)
+        w = check_array("source_weights", self.source_weights)
         if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
             raise ValidationError("source weights must be nonnegative and sum to 1")
 

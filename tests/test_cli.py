@@ -310,6 +310,23 @@ class TestDiagnosePsdCommand:
         assert f"tol must be finite and >= 0, got {float(tol)}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,text,shape", [
+        ("--gram", "1,2,3\n4,5,6\n", "(2, 3)"),
+        ("--gram", "", "(0, 1)"),
+        ("--naive-w2", '{"dim": 2, "items": []}', "(0, 0)"),
+    ], ids=["gram-2x3", "gram-empty", "naive-w2-empty"])
+    @pytest.mark.filterwarnings("ignore:loadtxt")  # numpy's warning on the empty file
+    def test_matrix_not_square_or_empty_is_validation_error(self, tmp_path, capsys, flag,
+                                                             text, shape):
+        # these ended in a ValueError or an IndexError traceback
+        src = tmp_path / ("in.json" if flag == "--naive-w2" else "in.csv")
+        src.write_text(text)
+        out = tmp_path / "diag"
+        assert main(["diagnose-psd", flag, str(src), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("validation error: expected a nonempty square "
+                                           f"matrix, got shape {shape}\n")
+        assert not out.exists()
+
     def test_gram_csv_input(self, tmp_path):
         gram = tmp_path / "gram.csv"
         np.savetxt(gram, np.eye(4), delimiter=",")

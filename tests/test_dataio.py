@@ -241,7 +241,7 @@ class TestMalformedJson:
         ({"items": [GOOD, {"mean": [0.5, 0.5], "cov": [[1.0, 0.0], [0.0]]}]},
          r"^item 1: cov is not a numeric array"),
         ({"items": [GOOD, {"mean": ["a", 0.5], "cov": GOOD["cov"]}]},
-         r"^item 1: mean is not a numeric array"),
+         r"^item 1: mean 'a' is not a number$"),
         ({"items": [GOOD, {"mean": [0.5, 0.5], "cov": [[1.0, 0.0], [0.0, -1.0]]}]},
          r"^item 1: minimum eigenvalue"),
         ({"dim": 3, "items": [GOOD]}, "declared dim is 3"),
@@ -332,6 +332,9 @@ class TestMalformedJson:
         (lambda p: p.update(kind="foo"), "unknown model kind 'foo'"),
         (lambda p: p["theta"].update(rate=math.inf), "rate must be finite and >= 0, got inf"),
         (lambda p: p.update(y=p["y"][:-1]), "model X and y differ in length"),
+        # the fitters' rule: alpha = R^-1 y overflowed and the predictions were not finite
+        (lambda p: p["y"].__setitem__(0, 1e308),
+         r"^largest squared response must be finite, got 1e\+308\^2$"),
     ])
     def test_model(self, tmp_path, model_payload, edit, pattern):
         edit(model_payload)

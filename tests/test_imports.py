@@ -387,12 +387,13 @@ def test_grid_geometry_scan_sees_every_kind_of_use():
 
 # the range rules, the number rule and the integer rule of counts
 RULE_WORDS = (" must be finite", " must be positive", " must be >= 0", " must be >= 1",
-              " must be >= 2", " must be a number", " is not a number", " must be an integer")
+              " must be >= 2", " must be a number", " is not a number", " must be an integer",
+              " is not a numeric array")
 
 
 def rule_texts(tree: ast.Module) -> list[int]:
     """Lines of the strings, f-string parts included, that spell out an
-    argument rule of errors.RULES; docstrings are skipped."""
+    argument rule of errors.RULES or the array rule; docstrings are skipped."""
     docstrings = docstring_ids(tree)
     return sorted(node.lineno for node in ast.walk(tree)
                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
@@ -420,11 +421,12 @@ def test_single_place_scans_see_every_kind_of_use():
               "        raise ValueError(f'x {x!r} is not a number')\n"
               "    if not lam > 0:\n        raise ValueError('lam must be positive')\n"
               "    raise ValueError(f'{x} must be an integer' if x < 2 else 'x must be >= 2')\n"
-              "GRID = 'grid_size must be a number'\n")
+              "GRID = 'grid_size must be a number'\n"
+              "def m(key):\n    raise ValueError(f'{key} is not a numeric array')\n")
     tree = ast.parse(source)
     assert sorted(name_uses(tree, {"_psd_sqrt_batch"})) == ["_sandwich_roots", "f"]
     assert sorted(name_uses(tree, {"eigvalsh"})) == ["f", "g"]
-    assert rule_texts(tree) == [11, 13, 16, 18, 19, 19, 20]
+    assert rule_texts(tree) == [11, 13, 16, 18, 19, 19, 20, 22]
 
 
 REPORT_FILES = ("report.json", "meta.json")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -459,6 +460,15 @@ class TestDistanceRoutine:
         narrow = pairwise_distances(train), cross_distances(train, test)
         assert all(np.array_equal(bits(w), bits(v)) for w, v in zip(wide, narrow))
 
+    def test_distance_whose_square_overflows_is_inf(self):
+        # as pdist has it, with no overflow warning on the numpy path
+        x = np.zeros((3, 6))
+        x[1, 0], x[2, 0] = 1e200, -1e100
+        dist = pairwise_distances(Embedding(GaussianMeasure([0.0, 0.0], np.eye(2)), x))
+        assert dist.tolist() == [[0.0, math.inf, 1e100], [math.inf, 0.0, math.inf],
+                                 [1e100, math.inf, 0.0]]
+        assert np.array_equal(dist, squareform(pdist(x)))
+
 
 class TestKernelEval:
     def test_coincident_value(self):
@@ -547,6 +557,27 @@ class TestPsdDiagnostic:
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
             psd_diagnostic(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("matrix", [np.ones((2, 3)), np.ones((0, 0)), np.ones((0, 1)),
+                                        np.ones(3), np.ones((2, 2, 2))], ids=repr)
+    def test_rejects_a_matrix_that_is_not_square_or_is_empty(self, matrix):
+        # a 2x3 matrix failed to broadcast, an empty one had no min_eigenvalue
+        with pytest.raises(ValidationError, match=r"^expected a nonempty square matrix, got "
+                           rf"shape {re.escape(str(matrix.shape))}$"):
+            psd_diagnostic(matrix)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_rejects_non_finite_entries(self, entry):
+        # NaN ended in LinAlgError, inf in a NaN asymmetry
+        with pytest.raises(ValidationError, match="^matrix has non-finite entries$"):
+            psd_diagnostic([[1.0, 0.0], [0.0, entry]])
+
+    def test_entries_too_large_to_square(self):
+        # M + M^T overflowed to -inf, and the asymmetry to inf / inf
+        rep = psd_diagnostic([[1e308, 0.0], [0.0, -1e308]])
+        assert rep.eigenvalues.tolist() == [-1e308, 1e308] and rep.negatives == 1
+        with pytest.raises(NotSymmetric):
+            psd_diagnostic([[1.0, 1e308], [0.0, 1.0]])
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
     def test_rejects_a_tolerance_out_of_range(self, tol):

@@ -135,6 +135,30 @@ class TestValidateSpd:
         with pytest.raises(ValidationError, match="not a numeric array"):
             validate_spd([[1.0, 0.0], [0.0]])
 
+    @pytest.mark.parametrize("matrix,error", [
+        ([[1e308, 1e307], [1e307, 1e308]], None),
+        ([[-1e308, 0.0], [0.0, 1.0]], NotPositiveDefinite),  # M + M^T overflowed to -inf
+        ([[1.0, 1e308], [0.0, 1.0]], NotSymmetric),  # inf / inf asymmetry passed the check
+    ])
+    def test_entries_too_large_to_square(self, matrix, error):
+        if error is None:
+            np.testing.assert_array_equal(validate_spd(matrix), matrix)
+        else:
+            with pytest.raises(error):
+                validate_spd(matrix)
+
+    @pytest.mark.parametrize("exponents", [(-100, 100), (-150, 150)], ids=["plain", "scaled"])
+    def test_symmetric_part_keeps_the_bits_of_the_unscaled_formulas(self, exponents):
+        # beyond 2^400 in magnitude (about 1e120) one matrix scales the stack
+        rng = np.random.default_rng(5)
+        stack = rng.normal(size=(200, 3, 3)) * 10.0 ** rng.uniform(*exponents, size=(200, 1, 1))
+        asym, sym = measures.symmetric_part(stack)
+        skew = stack - stack.swapaxes(1, 2)
+        plain = np.sqrt(np.einsum("ijk,ijk->i", skew, skew)
+                        / np.einsum("ijk,ijk->i", stack, stack))
+        assert asym.tobytes() == plain.tobytes()
+        assert sym.tobytes() == (0.5 * (stack + stack.swapaxes(1, 2))).tobytes()
+
 
 class TestGaussianMeasures:
     def test_matches_one_at_a_time_construction(self):
@@ -269,6 +293,11 @@ class TestDisksToGrid:
     def test_infinite_radius_is_uniform(self):
         grid = disks_to_grid(DiskConfig(radius=np.inf, centers=[[0.2, 0.9]]), 7)
         np.testing.assert_allclose(grid.weights, np.full((7, 7), 1.0 / 49))
+
+    def test_radius_too_large_to_square_is_uniform(self):
+        # r^2 raised OverflowError, after an overflow warning in the windows
+        grid = disks_to_grid(DiskConfig(radius=1e308, centers=[[0.2, 0.9]]), 7)
+        np.testing.assert_array_equal(grid.weights, np.full((7, 7), 1.0 / 49))
 
     # both rasterizers keep one grid-size rule, with one wording and no
     # RuntimeWarning on the way
@@ -543,6 +572,11 @@ class TestRasterize:
             if w.sum() <= 0:
                 continue
             np.testing.assert_array_equal(rasterize_gaussian(m, g).weights, w / w.sum())
+
+    def test_mean_far_off_the_grid_leaves_no_mass(self):
+        # (edges - mean) / sd overflows to -inf, whose normal CDF is 0
+        with pytest.raises(EmptySupport, match="no Gaussian mass falls on the grid"):
+            rasterize_gaussian(GaussianMeasure([1e308, 0.5], 0.01 * np.eye(2)), 8)
 
     def test_correlated_covariance_is_rejected(self):
         # correlation 0.9 cannot factor into per-axis cell masses
