@@ -29,6 +29,14 @@ def _stack(grids) -> np.ndarray:
     return np.array([g.weights.ravel() for g in grids])
 
 
+def _training(grids, y) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (_stack) and responses of one or more grids, as many as responses."""
+    y = check_array("y", y)
+    if not grids or y.shape != (len(grids),):
+        raise SizeMismatch("need one or more grids, as many as responses")
+    return _stack(grids), y
+
+
 def _l1_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Snapped L1 distances between the rows of a and the rows of b."""
     from scipy.spatial.distance import cdist
@@ -52,11 +60,10 @@ class SmootherModel:
     rows: np.ndarray = field(init=False, repr=False, compare=False)  # _stack(grids)
 
     def __post_init__(self):
-        object.__setattr__(self, "bandwidth", check_arg("bandwidth", self.bandwidth, "positive"))
-        object.__setattr__(self, "y", check_array("y", self.y))
-        if not 0 < len(self.grids) == len(self.y):
-            raise SizeMismatch("need one or more grids, as many as responses")
-        object.__setattr__(self, "rows", _stack(self.grids))
+        bandwidth = check_arg("bandwidth", self.bandwidth, "finite and positive")
+        rows, y = _training(self.grids, self.y)
+        for name, value in (("bandwidth", bandwidth), ("y", y), ("rows", rows)):
+            object.__setattr__(self, name, value)
 
 
 class SmootherPrediction(NamedTuple):
@@ -85,8 +92,7 @@ def smoother_predict(model: SmootherModel, query: GridDensity) -> SmootherPredic
 def select_bandwidth(grids, y, candidates=None, split_seed: int = 0) -> float:
     """Pick the candidate bandwidth minimizing held-out MSE on a
     deterministic 50/50 split; ties go to the smaller bandwidth."""
-    rows = _stack(list(grids))
-    y = check_array("y", y)
+    rows, y = _training(list(grids), y)
     n = len(rows)
     if n < 4:
         raise ValidationError("need at least 4 training points to split")

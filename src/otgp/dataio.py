@@ -4,13 +4,12 @@ JSON, fitted-model JSON, Gram-matrix CSV, prediction CSV and eigenvalue CSV."""
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import NotSymmetric, ValidationError, check_arg, check_array
+from .errors import NotSymmetric, ValidationError, check_arg, check_array, renumbered
 from .gp import _fit_data, build_model
 from .kernels import Embedding, KernelParams
 from .measures import (
@@ -49,26 +48,18 @@ def _field(record, key: str, item: int | None = None):
     return record[key]
 
 
-def _stack(values: list, key: str) -> np.ndarray:
-    """Float array of the items' values under key; a non-numeric item, or the
-    first one shaped unlike item 0, is named."""
+def _stack(values, key: str) -> np.ndarray:
+    """Float array of the items' values under key; on a refusal of a list, the first
+    item refused alone, or the first one shaped unlike item 0, is named."""
     try:
         return check_array(key, values)
     except ValidationError:
+        if not isinstance(values, list):
+            raise
         shapes = [check_array(key, v, k).shape for k, v in enumerate(values)]
         k = next((k for k, shape in enumerate(shapes) if shape != shapes[0]), 0)
         raise ValidationError(f"{key} of shape {shapes[k]} unlike item 0's {shapes[0]}",
                               k) from None
-
-
-@contextmanager
-def _renumbered(labels):
-    """Re-raise a ValidationError about item k of a collection as one about
-    item labels[k] (labels[0] if it names none)."""
-    try:
-        yield
-    except ValidationError as exc:
-        raise type(exc)(exc.detail, labels[exc.item or 0]) from None
 
 
 def _gaussians(records) -> list[GaussianMeasure]:
@@ -77,9 +68,14 @@ def _gaussians(records) -> list[GaussianMeasure]:
         raise ValidationError("expected a list of items")
     if not records:
         return []
-    means = _stack([_field(r, "mean", k) for k, r in enumerate(records)], "mean")
-    covs = _stack([_field(r, "cov", k) for k, r in enumerate(records)], "cov")
-    return gaussian_measures(means, covs)
+    means, covs = ([_field(r, key, k) for k, r in enumerate(records)] for key in ("mean", "cov"))
+    try:
+        return gaussian_measures(means, covs)
+    except ValidationError as exc:
+        if exc.item is None:  # a ragged stack: name its first item shaped unlike item 0
+            for values, key in ((means, "mean"), (covs, "cov")):
+                _stack(values, key)
+        raise
 
 
 def save_gaussian_set(path, measures) -> None:
@@ -146,7 +142,7 @@ def disk_configs(rows: list) -> list[DiskConfig]:
     names the failing row."""
     configs = []
     for k, row in enumerate(rows):
-        with _renumbered([k]):
+        with renumbered([k]):
             configs.append(_disk(row))
     return configs
 
@@ -167,12 +163,12 @@ def load_dataset(path, require_y: bool = True) -> tuple[list, list]:
     inputs = [None] * len(rows)
     gaussian = [i for i, p in enumerate(payloads)
                 if isinstance(p, dict) and p.get("kind") == "gaussian"]
-    with _renumbered(gaussian):
+    with renumbered(gaussian):
         for i, measure in zip(gaussian, _gaussians([payloads[i] for i in gaussian])):
             inputs[i] = measure
     for i, p in enumerate(payloads):
         if inputs[i] is None:
-            with _renumbered([i]):
+            with renumbered([i]):
                 inputs[i] = input_from_json(p)
     responses = [None if not require_y and r.get("y") is None
                  else check_arg("y", _field(r, "y", i), "finite", i) for i, r in enumerate(rows)]
@@ -220,11 +216,9 @@ def load_model(path):
                               "refit the model")
     theta = _field(payload, "theta")
     theta = KernelParams(*(_field(theta, f.name) for f in fields(KernelParams)))
-    y = check_array("y", _field(payload, "y"))
+    y = _stack(_field(payload, "y"), "y")
     if y.ndim != 1:
         raise ValidationError(f"y must be a list of numbers, got shape {y.shape}")
-    for k, value in enumerate(y):
-        check_arg("y", value, "finite", k)
     degenerate = _field(payload, "degenerate")
     if not isinstance(degenerate, bool):
         raise ValidationError(f"degenerate {degenerate!r} is not a boolean")

@@ -14,8 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (CholeskyFailure, SizeMismatch, ValidationError, ZeroVarianceTruths,
-                     check_arg, check_array)
+from .errors import CholeskyFailure, SizeMismatch, ZeroVarianceTruths, check_array
 from .kernels import (
     CV_RATIO_BOX,
     DEFAULT_BOUNDS,
@@ -34,10 +33,6 @@ CI90_FACTOR = 1.645
 
 # Relative jitter ladder for Cholesky repair, scaled by tr(R)/n.
 JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
-
-# R >= nugget I on DEFAULT_BOUNDS bounds alpha = R^-1 y by |y| / nugget; each gradient entry
-# sums n^2 terms alpha_i alpha_j times factors below this (a^2 d^p |log d| exp(-r d^p) <= 3.5e4).
-MLE_KERNEL_FACTOR = 1e5
 
 # _minimize_in_box screens one start per row of SOBOL_STARTS at SCREEN and
 # polishes the best at POLISH.
@@ -265,12 +260,10 @@ def build_model(features, y, dist, theta, degenerate=False) -> GpModel:
 
 
 def _fit_data(features, y) -> tuple[np.ndarray, np.ndarray]:
-    """The responses as floats, their squares finite, and the training distances of a fitter."""
+    """The responses as floats and the training distances of a fitter."""
     y = check_array("y", y)
     if len(features) != len(y) or len(y) < 2:
         raise SizeMismatch("need matching features and responses, n >= 2")
-    peak = float(np.abs(y).max())
-    check_arg("largest squared response", peak * peak, "finite", shown=f"{peak:g}^2")
     return y, pairwise_distances(features)
 
 
@@ -288,16 +281,11 @@ def gp_fit_mle(features, y) -> GpModel:
     DEFAULT_BOUNDS coordinates, from the deterministic SOBOL_STARTS, each
     screened and the best polished (_minimize_in_box). A start
     whose Gram cannot be factorized sees a large value with a zero gradient,
-    and the search goes on from the other starts. Responses for which the
-    gradient could overflow in the box (MLE_KERNEL_FACTOR) are refused first.
+    and the search goes on from the other starts.
     """
     y, dist = _fit_data(features, y)
     if float(np.var(y)) == 0.0:
         return _degenerate_model(features, y, dist)
-    limit = math.sqrt(np.finfo(float).max / MLE_KERNEL_FACTOR) * DEFAULT_BOUNDS[3][0] / len(y)
-    if math.hypot(*y) > limit:  # hypot scales, so the norm cannot overflow
-        raise ValidationError(f"responses of norm {math.hypot(*y):g} are beyond the MLE "
-                              f"fit's limit {limit:.4g} for {len(y)} inputs")
     log_dist = fit_invariants(dist)
     box = np.asarray(DEFAULT_BOUNDS, dtype=float)
 

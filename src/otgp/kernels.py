@@ -56,20 +56,22 @@ class KernelParams:
     nugget: float
 
     def __post_init__(self):
-        for name in ("amplitude", "rate", "exponent", "nugget"):  # kept as check_arg's floats
-            rule = "finite" if name == "exponent" else "finite and >= 0"
+        # kept as check_arg's floats; the amplitude and the nugget grow with the responses
+        for name, rule in (("amplitude", "a finite float >= 0"), ("rate", "finite and >= 0"),
+                           ("exponent", "finite"), ("nugget", "a finite float >= 0")):
             object.__setattr__(self, name, check_arg(name, getattr(self, name), rule))
         if not 0.0 < self.exponent <= 2.0:
             raise ValidationError("exponent must lie in (0, 2]")
         # the Gram diagonal; a float product overflows to inf, a power raises
-        check_arg("amplitude^2 + nugget", self.amplitude * self.amplitude + self.nugget, "finite")
+        check_arg("amplitude^2 + nugget", self.amplitude * self.amplitude + self.nugget,
+                  "a finite float >= 0")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.amplitude, self.rate, self.exponent, self.nugget])
 
     @classmethod
     def from_array(cls, arr) -> "KernelParams":
-        return cls(*check_array("theta", arr).tolist())
+        return cls(*arr)
 
 
 # The MLE's search box, in as_array order, whose lower bounds the degenerate
@@ -109,8 +111,6 @@ class Embedding:
             raise ValidationError(
                 f"feature matrix of shape {x.shape} does not fit the reference "
                 f"(expected {width} columns)")
-        if not np.all(np.isfinite(x)):
-            raise ValidationError("feature matrix has non-finite entries")
         if isinstance(self.reference, GaussianMeasure):
             if self.lam is not None:
                 raise ValidationError(f"lam must be None for a Gaussian reference, got {self.lam!r}")
@@ -204,14 +204,13 @@ def _distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     b = a if b is None else b
     out = np.zeros((len(a), len(b)))
     buf = np.empty((min(ROW_BLOCK, len(a)), len(b)))
-    with np.errstate(over="ignore"):  # a distance whose square overflows is inf, as in cdist
-        for start in range(0, len(a), ROW_BLOCK):
-            rows, block = a[start:start + ROW_BLOCK], out[start:start + ROW_BLOCK]
-            diff = buf[:len(rows)]
-            for k in range(a.shape[1]):
-                np.subtract(rows[:, k, None], b[:, k], out=diff)
-                diff *= diff
-                block += diff
+    for start in range(0, len(a), ROW_BLOCK):
+        rows, block = a[start:start + ROW_BLOCK], out[start:start + ROW_BLOCK]
+        diff = buf[:len(rows)]
+        for k in range(a.shape[1]):
+            np.subtract(rows[:, k, None], b[:, k], out=diff)
+            diff *= diff
+            block += diff
     return _snap(np.sqrt(out, out=out))
 
 
@@ -311,8 +310,6 @@ def psd_diagnostic(matrix, tol: float = 1e-8) -> PsdReport:
     m = check_array("matrix", matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise ValidationError(f"expected a nonempty square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValidationError("matrix has non-finite entries")
     [asym], [sym] = symmetric_part(m[None])
     if asym > SYMMETRY_RTOL:
         raise NotSymmetric("matrix is not symmetric")

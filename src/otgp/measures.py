@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (EmptySupport, GridMismatch, NotPositiveDefinite, NotSymmetric,
-                     ValidationError, check_arg, check_array)
+                     ValidationError, check_arg, check_array, renumbered)
 from .rng import make_rng
 
 SYMMETRY_RTOL = 1e-12
@@ -25,8 +25,8 @@ PROBE_CHUNK = 1 << 20
 
 
 def symmetric_part(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """||M - M^T|| / ||M|| (Frobenius, 0 for M = 0) and (M + M^T) / 2 of each M of a finite
-    (n, d, d) stack; a stack whose squares could leave the float range is scaled exactly first."""
+    """||M - M^T|| / ||M|| (Frobenius, 0 for M = 0) and (M + M^T) / 2 of each M of an (n, d, d)
+    stack of input numbers; a stack whose squares could underflow is scaled exactly first."""
     e = np.frexp(np.maximum(stack.max(axis=(1, 2)), -stack.min(axis=(1, 2))))[1][:, None, None]
     m = np.ldexp(stack, -e) if np.abs(e).max() > 400 else stack  # per matrix, by a power of two
     norm_sq = np.einsum("ijk,ijk->i", m, m).clip(1e-300)  # the clip acts only for M = 0
@@ -41,26 +41,28 @@ def validate_spd(matrix) -> np.ndarray:
     """Check symmetry and positive definiteness of a (d, d) matrix or of each
     matrix of an (n, d, d) stack; return the symmetrized matrix or stack.
 
-    Each matrix must be finite and nonzero; NotSymmetric if its relative
-    asymmetry exceeds 1e-12 and NotPositiveDefinite if its smallest
+    Each matrix must hold input numbers and be nonzero; NotSymmetric if its
+    relative asymmetry exceeds 1e-12 and NotPositiveDefinite if its smallest
     eigenvalue is <= 0. On a stack the error names the first failing matrix
     and gives that matrix's first failing check; one batched eigvalsh makes
     the per-matrix LAPACK call, so a matrix checks alike alone or stacked.
     """
-    m = check_array("matrix", matrix)
+    try:
+        m = check_array("matrix", matrix)
+    except ValidationError:  # on a stack, name the first matrix refused alone
+        for k in range(len(matrix) if np.asarray(matrix, dtype=object).ndim == 3 else 0):
+            with renumbered([k]):
+                validate_spd(matrix[k])
+        raise
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise ValidationError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     stack = m.reshape(-1, *m.shape[-2:])
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    stack = np.where(finite[:, None, None], stack, 0.0)  # non-finite ones fail first anyway
     asym, sym = symmetric_part(stack)
     min_eig = np.linalg.eigvalsh(sym)[:, 0]
-    failed = ~finite | ~stack.any(axis=(1, 2)) | (asym > SYMMETRY_RTOL) | (min_eig <= 0.0)
+    failed = ~stack.any(axis=(1, 2)) | (asym > SYMMETRY_RTOL) | (min_eig <= 0.0)
     if failed.any():
         k = int(np.argmax(failed))
         item = k if m.ndim == 3 else None
-        if not finite[k]:
-            raise ValidationError("matrix has non-finite entries", item)
         if not stack[k].any():
             raise NotPositiveDefinite("zero matrix", item)
         if asym[k] > SYMMETRY_RTOL:
@@ -88,13 +90,11 @@ class GaussianMeasure:
     cov: np.ndarray
 
     def __post_init__(self):
+        cov = _frozen(validate_spd(check_array("cov", self.cov)), "cov")  # before the mean
         mean = np.atleast_1d(_frozen(self.mean, "mean"))
-        cov = _frozen(validate_spd(check_array("cov", self.cov)), "cov")
         if mean.ndim != 1 or cov.ndim != 2 or mean.shape[0] != cov.shape[0]:
             raise ValidationError(
                 f"mean of length {mean.shape} does not match cov {cov.shape}")
-        if not np.all(np.isfinite(mean)):
-            raise ValidationError("mean has non-finite entries")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -111,15 +111,18 @@ def gaussian_measures(means, covs) -> list[GaussianMeasure]:
     covariances, given the checks GaussianMeasure makes on one measure once
     for the whole stacks; each holds read-only row views of them. An error
     names the first failing item."""
-    means, covs = check_array("means", means), check_array("covariances", covs)
+    try:
+        means, covs = check_array("means", means), check_array("covariances", covs)
+    except ValidationError:  # name the first item refused alone
+        stacked = [np.asarray(x, dtype=object).ndim for x in (means, covs)] == [2, 3]
+        for k in range(min(len(means), len(covs)) if stacked else 0):
+            with renumbered([k]):
+                GaussianMeasure(means[k], covs[k])
+        raise
     if means.ndim != 2 or covs.ndim != 3 or covs.shape[:2] != means.shape:
         raise ValidationError(
             f"means of shape {means.shape} do not match covariances of shape {covs.shape}")
-    bad = ~np.isfinite(means).all(axis=1)
-    k = int(np.argmax(bad)) if bad.any() else len(means)
-    covs = validate_spd(covs[:k + 1])  # item k's covariance is checked before its mean
-    if k < len(means):
-        raise ValidationError("mean has non-finite entries", k)
+    covs = validate_spd(covs)
     means = means.copy()
     means.flags.writeable = covs.flags.writeable = False
     out = []
@@ -142,8 +145,6 @@ class GridDensity:
         w = _frozen(self.weights, "weights")
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValidationError(f"weights must be square, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ValidationError("weights have non-finite entries")
         if np.any(w < 0.0):
             raise ValidationError("weights must be nonnegative")
         total = float(w.sum())
@@ -189,8 +190,6 @@ class EmpiricalSample:
         pts = np.atleast_2d(_frozen(self.points, "points"))
         if pts.shape[0] < 1:
             raise ValidationError("need at least one support point")
-        if not np.all(np.isfinite(pts)):
-            raise ValidationError("points have non-finite entries")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -206,7 +205,7 @@ class DiskConfig:
     centers: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "radius", check_arg("radius", self.radius, "positive"))
+        object.__setattr__(self, "radius", check_arg("radius", self.radius, "finite and positive"))
         c = np.atleast_2d(_frozen(self.centers, "centers"))
         if c.shape[1] != 2:
             raise ValidationError(f"centers must be (m, 2), got {c.shape}")
@@ -231,7 +230,7 @@ def disks_to_grid(cfg: DiskConfig, grid_size: int, subsamples: int = 4) -> GridD
     """
     check_arg("grid_size", grid_size, ">= 2")
     check_arg("subsamples", subsamples, ">= 1")
-    g, s, r = grid_size, subsamples, min(cfg.radius, 2.0)  # 2 spans the square from any center
+    g, s, r = grid_size, subsamples, cfg.radius
     n = g * s
     ticks = grid_ticks(n)
     # one window of probes per disk and axis (y, x), all as wide as the
@@ -273,8 +272,7 @@ def rasterize_gaussian(measure: GaussianMeasure, grid_size: int) -> GridDensity:
             f"got off-diagonal term {measure.cov[0, 1]:.3e}")
     edges = np.arange(grid_size + 1) / grid_size
     sd = np.sqrt(measure.cov.diagonal())
-    with np.errstate(over="ignore"):  # a mean far off the grid is +-inf sd away, ndtr's limit
-        px, py = (np.diff(ndtr((edges - measure.mean[k]) / sd[k])) for k in (0, 1))
+    px, py = (np.diff(ndtr((edges - measure.mean[k]) / sd[k])) for k in (0, 1))
     w = np.outer(py, px)  # rows index y
     return _normalized(w, "no Gaussian mass falls on the grid")
 

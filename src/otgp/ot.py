@@ -180,10 +180,7 @@ def gaussian_transport_map(from_cov, to_cov) -> tuple[np.ndarray, np.ndarray]:
     def closed_form(s, q):
         roots, inv_root = _sandwich_roots(s, q)
         t = inv_root @ roots @ inv_root
-        t = 0.5 * (t + t.T)
-        if not np.all(np.isfinite(t)):
-            raise ValidationError("map matrix has non-finite entries")
-        return t
+        return 0.5 * (t + t.T)
 
     from_cov, to_cov = validate_spd(from_cov), validate_spd(to_cov)
     if from_cov.shape != to_cov.shape:

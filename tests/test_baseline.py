@@ -11,7 +11,8 @@ from otgp.baseline import (
     select_bandwidth,
     smoother_predict,
 )
-from otgp.errors import DegenerateDistances, GridMismatch, SizeMismatch, ValidationError
+from otgp.errors import (MAGNITUDE_RULE, DegenerateDistances, GridMismatch, SizeMismatch,
+                         ValidationError)
 from otgp.measures import GridDensity, rasterize_gaussian, sample_regression_gaussians
 
 
@@ -126,17 +127,24 @@ class TestSmootherPredict:
                           y=np.array([1.0, 2.0]), bandwidth=1.0)
 
     @pytest.mark.parametrize("bandwidth,n_grids,n_y,error,message", [
-        (0.0, 2, 2, ValidationError, "bandwidth must be positive, got 0.0"),
-        (-1.0, 2, 2, ValidationError, "bandwidth must be positive, got -1.0"),
-        (np.nan, 2, 2, ValidationError, "bandwidth must be positive, got nan"),
+        (0.0, 2, 2, ValidationError, "bandwidth must be finite and positive, got 0.0"),
+        (-1.0, 2, 2, ValidationError, "bandwidth must be finite and positive, got -1.0"),
+        (np.nan, 2, 2, ValidationError, f"bandwidth must be {MAGNITUDE_RULE}, got nan"),
         (1.0, 2, 3, SizeMismatch, "need one or more grids, as many as responses"),
+        (1.0, 5, 2, SizeMismatch, "need one or more grids, as many as responses"),
         (1.0, 0, 0, SizeMismatch, "need one or more grids, as many as responses"),
     ], ids=["zero-bandwidth", "negative-bandwidth", "nan-bandwidth", "more-responses",
-            "no-grids"])
+            "fewer-responses", "no-grids"])
     def test_refuses_bad_models(self, bandwidth, n_grids, n_y, error, message):
-        grids = tuple(cell_mass(4, {(0, k): 1.0}) for k in range(n_grids))
-        with pytest.raises(error, match=f"^{message}$"):
-            SmootherModel(grids=grids, y=np.arange(n_y, dtype=float), bandwidth=bandwidth)
+        grids = tuple(cell_mass(4, {divmod(k, 4): 1.0}) for k in range(n_grids))
+        y = np.arange(n_y, dtype=float)
+        with pytest.raises(error) as caught:
+            SmootherModel(grids=grids, y=y, bandwidth=bandwidth)
+        assert str(caught.value) == message
+        if error is SizeMismatch:  # the fitters keep the model's rule: five grids and two
+            for fit in (select_bandwidth, fit_smoother):  # responses ended in IndexError
+                with pytest.raises(SizeMismatch, match=f"^{message}$"):
+                    fit(grids, y)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)

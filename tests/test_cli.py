@@ -12,6 +12,7 @@ import otgp
 from otgp import dataio
 from otgp.barycenter import gaussian_barycenter_measure
 from otgp.cli import main
+from otgp.errors import MAGNITUDE, MAGNITUDE_RULE
 from otgp.kernels import KernelParams, embed_gaussians, gram_matrix
 from otgp.measures import GaussianMeasure, GridDensity
 
@@ -80,8 +81,8 @@ class TestBarycenterCommand:
 
     @pytest.mark.parametrize("option,message", [
         ("--tol=-1", "tol must be finite and >= 0, got -1.0"),
-        ("--tol=nan", "tol must be finite and >= 0, got nan"),
-        ("--tol=inf", "tol must be finite and >= 0, got inf"),
+        ("--tol=nan", f"tol must be {MAGNITUDE_RULE}, got nan"),
+        ("--tol=inf", f"tol must be {MAGNITUDE_RULE}, got inf"),
         ("--max-iter=0", "max_iter must be >= 1, got 0"),
     ])
     @pytest.mark.parametrize("kind", ["gaussian", "grid"])
@@ -183,15 +184,42 @@ class TestKernelMatrixCommand:
         assert code == 2
         assert "'a,1,1,0'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("theta", ["nan,1,2,0", "1,inf,2,0", "inf,1,2,0", "1,1,-inf,0",
-                                       "1,1,2,nan", "1e200,1,2,0", "1e154,1,2,1.7e308"])
-    def test_non_finite_theta_is_validation_error(self, tmp_path, capsys, theta):
+    @pytest.mark.parametrize("theta,message", [
+        ("nan,1,2,0", "amplitude must be a finite float >= 0, got nan"),
+        ("1,inf,2,0", f"rate must be {MAGNITUDE_RULE}, got inf"),
+        ("inf,1,2,0", "amplitude must be a finite float >= 0, got inf"),
+        ("1,1,-inf,0", f"exponent must be {MAGNITUDE_RULE}, got -inf"),
+        ("1,1,2,nan", "nugget must be a finite float >= 0, got nan"),
+        ("1e200,1,2,0", "amplitude^2 + nugget must be a finite float >= 0, got inf"),
+        ("1e154,1,2,1.7e308", "amplitude^2 + nugget must be a finite float >= 0, got inf"),
+        ("1,1e308,2,0", f"rate must be {MAGNITUDE_RULE}, got 1e+308"),
+    ])
+    def test_non_finite_theta_is_validation_error(self, tmp_path, capsys, theta, message):
+        # a rate of 1e308 once overflowed in rate * distance^exponent
         src, out = tmp_path / "set.json", tmp_path / "g.csv"
         write_gaussian_set(src)
         code = main(["kernel-matrix", "--input", str(src), "--theta", theta, "--out", str(out)])
         assert code == 2
-        assert "must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"validation error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("variance,code", [(1e308, 2), (MAGNITUDE, 0)])
+    def test_covariance_beyond_the_bound_is_validation_error(self, tmp_path, capsys, variance,
+                                                            code):
+        # diag(1e308, 0.01) overflowed in ot._sandwich_roots, or was refused as
+        # "matrix has non-finite entries", a barycenter iterate's words
+        src, out = tmp_path / "set.json", tmp_path / "g.csv"
+        write_gaussian_set(src, n=4)
+        payload = json.loads(src.read_text())
+        payload["items"][2]["cov"] = [[variance, 0.0], [0.0, 0.01]]
+        src.write_text(json.dumps(payload))
+        assert main(["kernel-matrix", "--input", str(src), "--theta", "1,1,2,0",
+                     "--out", str(out)]) == code
+        if code == 2:
+            assert capsys.readouterr().err == (
+                f"validation error: item 2: cov must be {MAGNITUDE_RULE}, got 1e+308\n")
+        else:
+            assert np.isfinite(np.loadtxt(out, delimiter=",")).all()
 
     def test_mixed_dimension_set_is_validation_error(self, tmp_path, capsys):
         src = tmp_path / "set.json"
@@ -234,7 +262,7 @@ class TestKernelMatrixCommand:
         # otgp kernel-matrix --input d.json, Python's json reading the NaN literal
         err = self.disk_list_error(tmp_path, capsys, [{"radius": 0.1, "centers": [[math.nan, 0.5]]},
                                                       {"radius": 0.1, "centers": [[0.3, 0.5]]}])
-        assert err == "validation error: item 0: centers must lie in [0,1]^2\n"
+        assert err == f"validation error: item 0: centers must be {MAGNITUDE_RULE}, got nan\n"
 
 
 class TestEmptyInputs:
@@ -299,15 +327,16 @@ class TestDiagnosePsdCommand:
         assert lines[0] == "eigenvalue"
         assert len(lines) == 61
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
-    def test_tolerance_out_of_range_is_validation_error(self, tmp_path, capsys, tol):
+    @pytest.mark.parametrize("tol,rule", [("nan", MAGNITUDE_RULE), ("inf", MAGNITUDE_RULE),
+                                          ("-inf", MAGNITUDE_RULE), ("-1", "finite and >= 0")])
+    def test_tolerance_out_of_range_is_validation_error(self, tmp_path, capsys, tol, rule):
         # NaN used to count no negatives and -1 to count positive eigenvalues
         src = tmp_path / "set.json"
         write_gaussian_set(src, n=20)
         out = tmp_path / "diag"
         assert main(["diagnose-psd", "--naive-w2", str(src), "--out", str(out),
                      f"--tol={tol}"]) == 2
-        assert f"tol must be finite and >= 0, got {float(tol)}" in capsys.readouterr().err
+        assert f"tol must be {rule}, got {float(tol)}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,text,shape", [
@@ -373,7 +402,8 @@ class TestFitPredictCommands:
         data, model = tmp_path / "d.json", tmp_path / "m.json"
         data.write_text(json.dumps(rows))
         assert main(["fit", "--data", str(data), "--grid-size", "12", "--out", str(model)]) == 2
-        assert capsys.readouterr().err == "validation error: item 3: centers must lie in [0,1]^2\n"
+        assert capsys.readouterr().err == (
+            f"validation error: item 3: centers must be {MAGNITUDE_RULE}, got nan\n")
         assert not model.exists()
 
     @pytest.mark.parametrize("method", ["mle", "cv"])
@@ -385,31 +415,29 @@ class TestFitPredictCommands:
         data, model = tmp_path / "data.json", tmp_path / "m.json"
         dataio.save_dataset(data, ms, [scale * m.mean[0] for m in ms])
         assert main(["fit", "--data", str(data), "--method", method, "--out", str(model)]) == 2
-        assert capsys.readouterr().err.startswith(
-            "validation error: largest squared response must be finite, got ")
+        assert capsys.readouterr().err == (
+            f"validation error: item 0: y must be {MAGNITUDE_RULE}, got {scale * ms[0].mean[0]}\n")
         assert not model.exists()
 
-    def test_mle_fit_of_responses_beyond_its_limit(self, tmp_path, capsys):
+    @pytest.mark.parametrize("method", ["mle", "cv"])
+    def test_fit_of_responses_at_the_bound(self, tmp_path, method):
+        # the MLE refused responses of norm beyond about 3.5e145 at n = 12; both
+        # fits now take any responses within +-2^256, and a CV model, whose
+        # amplitude and nugget grow with them, is read back by predict
         rng = np.random.default_rng(3)
         ms = [GaussianMeasure(rng.uniform(0.2, 0.8, 2), 0.0004 * np.eye(2)) for _ in range(8)]
-        data, model = tmp_path / "data.json", tmp_path / "m.json"
-        dataio.save_dataset(data, ms, [1e150 * m.mean[0] for m in ms])
-        assert main(["fit", "--data", str(data), "--method", "mle", "--out", str(model)]) == 2
-        assert "beyond the MLE fit's limit" in capsys.readouterr().err
-        assert not model.exists()
-
-    def test_cv_fit_of_responses_near_the_limit(self, tmp_path):
-        rng = np.random.default_rng(3)
-        ms = [GaussianMeasure(rng.uniform(0.2, 0.8, 2), 0.0004 * np.eye(2)) for _ in range(8)]
-        data, model = tmp_path / "data.json", tmp_path / "m.json"
-        ys = [1e150 * m.mean[0] for m in ms]
-        dataio.save_dataset(data, ms, ys)
-        assert main(["fit", "--data", str(data), "--method", "cv", "--out", str(model)]) == 0
-        preds = tmp_path / "preds.csv"
-        assert main(["predict", "--model", str(model), "--data", str(data),
-                     "--out", str(preds)]) == 0
-        np.testing.assert_allclose(np.loadtxt(preds, delimiter=",", skiprows=1)[:, 0], ys,
-                                   rtol=1e-9)
+        x = np.array([m.mean[0] - 0.5 for m in ms])
+        preds = []
+        for scale in (1.0, MAGNITUDE):
+            data, model, out = (tmp_path / f"{name}-{scale:g}" for name in ("d", "m", "p"))
+            dataio.save_dataset(data, ms, scale * x / np.abs(x).max())
+            assert main(["fit", "--data", str(data), "--method", method, "--out", str(model)]) == 0
+            assert main(["predict", "--model", str(model), "--data", str(data),
+                         "--out", str(out)]) == 0
+            preds.append(np.loadtxt(out, delimiter=",", skiprows=1))
+        assert np.isfinite(preds[1]).all()
+        if method == "cv":  # the LOO search does not see the scale
+            np.testing.assert_allclose(preds[1][:, 0], MAGNITUDE * preds[0][:, 0], rtol=1e-6)
 
     @pytest.mark.parametrize("kinds", [("grid",), ("grid", "disks", "gaussian")],
                              ids=["grid", "mixed"])

@@ -2,11 +2,13 @@
 
 Each case changes one value of a valid file and runs the command that reads
 it through cli.main, in process. A value is replaced by null, true, "1",
-+-1e308, 10**400, NaN, [] or a ragged list, a key is deleted, or a list is
-made one shorter or one longer. Whatever the file then holds, the command
-must exit 0, 2 or 3 with no exception escaping, and an exit of 0 must write
-finite outputs. Under pytest a RuntimeWarning raised in otgp is an error
-(pyproject.toml), so it escapes too.
++-1e308, 1e200, 10**400, NaN, 2**256, [] or a ragged list, a key is deleted,
+or a list is made one shorter or one longer. Whatever the file then holds,
+the command must exit 0, 2 or 3 with no exception escaping, and an exit of 0
+must write finite outputs. Under pytest a RuntimeWarning raised in otgp is an
+error (pyproject.toml), so it escapes too. A number the input rule refuses
+(errors.MAGNITUDE: NaN, or beyond +-2^256) put in place of a float must be
+exit 2 in the rule's words; 2**256 itself is kept.
 
 The cases are drawn by seeded generators: each path pattern of a JSON file
 (list indices folded to *) meets each mutation that applies to it, at one
@@ -14,6 +16,8 @@ path drawn for the pair; the Gram CSV takes each odd token at a drawn cell,
 and the row and table edits.
 """
 
+import contextlib
+import io
 import json
 import math
 import random
@@ -26,14 +30,21 @@ import pytest
 
 from otgp import dataio
 from otgp.cli import main
+from otgp.errors import MAGNITUDE_RULE
 from otgp.measures import DiskConfig, GaussianMeasure, GridDensity
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")  # constant responses, empty CSV
 
 SEED = 30
 G = 12  # grid side of the grid rows and of the grid model
-REPLACEMENTS = [None, True, "1", 1e308, -1e308, 10**400, math.nan, [], [[0.5], [0.5, 0.5]]]
-CSV_TOKENS = ["", "true", "1x", "1e308", "-1e308", "1e400", "nan"]
+BEYOND_THE_BOUND = [1e308, -1e308, 1e200, 10**400, math.nan]
+REPLACEMENTS = [None, True, "1", *BEYOND_THE_BOUND, 2**256, [], [[0.5], [0.5, 0.5]]]
+CSV_BEYOND_THE_BOUND = ["1e308", "-1e308", "1e200", "1e400", "nan"]
+CSV_TOKENS = ["", "true", "1x", *CSV_BEYOND_THE_BOUND, str(2**256)]
+# the kernel's amplitude and nugget grow with the responses and need only make a
+# finite Gram diagonal, so they do not take the input rule (KernelParams)
+UNBOUNDED = {("theta", "amplitude"), ("theta", "nugget")}
+RULE_WORDS = f"must be {MAGNITUDE_RULE}, got "
 
 
 def nodes(value, path=()):
@@ -76,32 +87,39 @@ def mutated(payload, path, edit):
 
 
 def json_cases(payload, rng):
-    """(description, mutated payload) for each path pattern and each of its
-    edits, at a path of that pattern drawn from those the edit applies to."""
+    """(description, mutated payload, refused) for each path pattern and each
+    of its edits, at a path of that pattern drawn from those the edit applies
+    to; refused when the input rule must refuse it: a float replaced by a
+    number beyond the bound."""
     by_pattern = {}
     for path, value in nodes(payload):
         pattern = tuple("*" if isinstance(key, int) else key for key in path)
         for edit in edits(path, value):
-            by_pattern.setdefault((pattern, repr(edit)), []).append((path, edit))
+            refused = (type(value) is float and any(edit[1] is v for v in BEYOND_THE_BOUND)
+                       and tuple(k for k in path if isinstance(k, str))[-2:] not in UNBOUNDED)
+            by_pattern.setdefault((pattern, repr(edit)), []).append((path, edit, refused))
     for key in sorted(by_pattern):
-        path, edit = rng.choice(by_pattern[key])
-        yield f"{'/'.join(map(str, path))}: {edit[0]} {edit[1]!r}", mutated(payload, path, edit)
+        path, edit, refused = rng.choice(by_pattern[key])
+        yield (f"{'/'.join(map(str, path))}: {edit[0]} {edit[1]!r}",
+               mutated(payload, path, edit), refused)
 
 
 def csv_cases(rows, rng):
-    """(description, mutated rows) of a CSV table held as rows of cell texts."""
+    """(description, mutated rows, refused) of a CSV table held as rows of
+    cell texts; refused as in json_cases."""
     cells = [(i, j) for i, row in enumerate(rows) for j in range(len(row))]
     for token in CSV_TOKENS:
         i, j = rng.choice(cells)
-        yield f"cell {i},{j}: {token!r}", [[token if (a, b) == (i, j) else cell
-                                            for b, cell in enumerate(row)]
-                                           for a, row in enumerate(rows)]
+        yield (f"cell {i},{j}: {token!r}",
+               [[token if (a, b) == (i, j) else cell for b, cell in enumerate(row)]
+                for a, row in enumerate(rows)], token in CSV_BEYOND_THE_BOUND)
     i = rng.randrange(len(rows))
-    yield f"row {i}: shorten", [row[:-1] if a == i else row for a, row in enumerate(rows)]
-    yield f"row {i}: lengthen", [row + row[-1:] if a == i else row for a, row in enumerate(rows)]
-    yield "last row dropped", rows[:-1]
-    yield "last row repeated", rows + rows[-1:]
-    yield "no rows", []
+    yield f"row {i}: shorten", [row[:-1] if a == i else row for a, row in enumerate(rows)], False
+    yield (f"row {i}: lengthen", [row + row[-1:] if a == i else row for a, row in enumerate(rows)],
+           False)
+    yield "last row dropped", rows[:-1], False
+    yield "last row repeated", rows + rows[-1:], False
+    yield "no rows", [], False
 
 
 def finite_json(value) -> bool:
@@ -118,15 +136,18 @@ def finite_csv(path, skiprows=0) -> bool:
 
 def referee(cases, write, argv, out: Path, outputs_finite) -> None:
     """Run argv on every case, out removed before each, and fail naming each
-    case that breaks the contract; print the count of each exit."""
-    broken, exits = [], {}
-    for description, case in cases:
+    case that breaks the contract; print the count of each exit and of the
+    refusals by the input rule."""
+    broken, exits, refusals = [], {}, 0
+    for description, case, refused in cases:
         write(case)
         if out.is_dir():
             shutil.rmtree(out)
         out.unlink(missing_ok=True)
+        err = io.StringIO()
         try:
-            code = main(argv)
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
         except Exception as exc:  # an escape is what the referee reports
             code, frame = type(exc).__name__, traceback.extract_tb(exc.__traceback__)[-1]
             broken.append(f"{description}: {code} at {Path(frame.filename).name}:"
@@ -136,8 +157,12 @@ def referee(cases, write, argv, out: Path, outputs_finite) -> None:
                 broken.append(f"{description}: exit {code}")
             elif code == 0 and not outputs_finite():
                 broken.append(f"{description}: exit 0 with non-finite output")
+            elif refused and (code != 2 or RULE_WORDS not in err.getvalue()):
+                broken.append(f"{description}: exit {code} ({err.getvalue().strip()}), "
+                              "not the input rule's refusal")
         exits[code] = exits.get(code, 0) + 1
-    print(f"{sum(exits.values())} cases, exits {exits}")
+        refusals += refused
+    print(f"{sum(exits.values())} cases, exits {exits}, {refusals} refused by the input rule")
     assert not broken, "\n".join(broken)
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +9,13 @@ import pytest
 
 from otgp import dataio
 from otgp.cli import main
-from otgp.errors import NotPositiveDefinite, NotSymmetric, ReferenceMismatch, ValidationError
+from otgp.errors import (MAGNITUDE, MAGNITUDE_RULE, NotPositiveDefinite, NotSymmetric,
+                         ReferenceMismatch, ValidationError)
 from otgp.gp import gp_fit_mle, gp_predict
 from otgp.kernels import embed_gaussians, embed_grids
 from otgp.measures import DiskConfig, GaussianMeasure, GridDensity
+
+BOUND = re.escape(MAGNITUDE_RULE)  # the input rule's words, as a pattern
 
 
 def save_disk_config(path, cfg: DiskConfig) -> None:
@@ -75,17 +79,20 @@ class TestRoundTrips:
         assert back.radius == cfg.radius
         np.testing.assert_array_equal(back.centers, cfg.centers)
 
-    def test_infinite_radius_dataset(self, tmp_path):
-        # DiskConfig takes an infinite radius (one disk covering the square),
-        # so the file save_dataset writes of it loads; a NaN radius stays
-        # refused, by DiskConfig's own rule
+    def test_radius_at_the_bound_dataset(self, tmp_path):
+        # DiskConfig takes a radius up to the bound (one disk covering the
+        # square), so the file save_dataset writes of it loads; an infinite or
+        # NaN radius is refused, by the input rule, as the API refuses it
         path = tmp_path / "data.json"
-        dataio.save_dataset(path, [DiskConfig(math.inf, [[0.5, 0.5]])], [1.0])
+        dataio.save_dataset(path, [DiskConfig(MAGNITUDE, [[0.5, 0.5]])], [1.0])
         (back,), ys = dataio.load_dataset(path)
-        assert back.radius == math.inf and ys == [1.0]
-        path.write_text(path.read_text().replace("Infinity", "NaN"))
-        with pytest.raises(ValidationError, match="^item 0: radius must be positive, got nan$"):
-            dataio.load_dataset(path)
+        assert back.radius == MAGNITUDE and ys == [1.0]
+        text = path.read_text()
+        for word, value in (("Infinity", math.inf), ("NaN", math.nan)):
+            path.write_text(text.replace(repr(MAGNITUDE), word))
+            with pytest.raises(ValidationError) as caught:
+                dataio.load_dataset(path)
+            assert str(caught.value) == f"item 0: radius must be {MAGNITUDE_RULE}, got {value}"
 
     def test_dataset_mixed_kinds(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -290,6 +297,14 @@ class TestMalformedJson:
         rows[2]["input"]["cov"] = [[1.0, 0.0], [0.0, -1.0]]
         with pytest.raises(NotPositiveDefinite, match=r"^item 2: "):
             dataio.load_dataset(write_json(tmp_path, rows))
+        # an item's numbers and its covariance are checked item by item, in order,
+        # as gaussian_measures checks them, not every mean before any covariance
+        rows[3]["input"]["mean"] = [math.nan, 0.5]
+        with pytest.raises(NotPositiveDefinite, match=r"^item 2: "):
+            dataio.load_dataset(write_json(tmp_path, rows))
+        rows[1]["input"]["mean"] = [0.5, 1e300]
+        with pytest.raises(ValidationError, match=f"^item 1: mean must be {BOUND}, got 1e"):
+            dataio.load_dataset(write_json(tmp_path, rows))
 
     def test_dataset_without_responses(self, tmp_path):
         rows = [{"input": {"kind": "gaussian", **GOOD}}, {"input": {"kind": "gaussian", **GOOD},
@@ -325,16 +340,15 @@ class TestMalformedJson:
         (lambda p: p["theta"].pop("rate"), "missing 'rate'"),
         (lambda p: p["theta"].update(rate="fast"), "rate 'fast' is not a number"),
         (lambda p: p.pop("y"), "missing 'y'"),
-        (lambda p: p.update(y=[1.0, [2.0]]), "y is not a numeric array"),
+        (lambda p: p.update(y=[1.0, [2.0]]), r"^item 1: y of shape \(1,\) unlike item 0's \(\)$"),
         (lambda p: p.pop("kind"), "missing 'kind'"),
         (lambda p: p["reference"].pop("cov"), "missing 'cov'"),
         (lambda p: p.update(X=[[0.0] * 6, [0.0]]), "X is not a numeric array"),
         (lambda p: p.update(kind="foo"), "unknown model kind 'foo'"),
-        (lambda p: p["theta"].update(rate=math.inf), "rate must be finite and >= 0, got inf"),
+        (lambda p: p["theta"].update(rate=math.inf), f"^rate must be {BOUND}, got inf$"),
         (lambda p: p.update(y=p["y"][:-1]), "model X and y differ in length"),
-        # the fitters' rule: alpha = R^-1 y overflowed and the predictions were not finite
-        (lambda p: p["y"].__setitem__(0, 1e308),
-         r"^largest squared response must be finite, got 1e\+308\^2$"),
+        # the input rule: alpha = R^-1 y overflowed and the predictions were not finite
+        (lambda p: p["y"].__setitem__(0, 1e308), f"^item 0: y must be {BOUND}, got 1e\\+308$"),
     ])
     def test_model(self, tmp_path, model_payload, edit, pattern):
         edit(model_payload)
@@ -356,8 +370,8 @@ class TestMalformedJson:
         (lambda p: p.update(lam=None), "lam None is not a number"),
         (lambda p: p.update(lam=0.0), "lam must be finite and positive, got 0.0"),
         (lambda p: p.update(lam=-20.0), "lam must be finite and positive, got -20.0"),
-        (lambda p: p.update(lam=float("inf")), "lam must be finite and positive, got inf"),
-        (lambda p: p.update(lam=float("nan")), "lam must be finite and positive, got nan"),
+        (lambda p: p.update(lam=float("inf")), f"^lam must be {BOUND}, got inf$"),
+        (lambda p: p.update(lam=float("nan")), f"^lam must be {BOUND}, got nan$"),
     ])
     def test_grid_model_penalty(self, tmp_path, grid_model_payload, edit, pattern):
         assert dataio.load_model(write_json(tmp_path, grid_model_payload)).features.lam == 20.0
@@ -499,10 +513,10 @@ class TestScalarsThatAreNotFiniteNumbers:
 
     @pytest.mark.parametrize("method", ["mle", "cv"])
     @pytest.mark.parametrize("value,message", [
-        (math.inf, "y must be finite, got inf"),
-        (-math.inf, "y must be finite, got -inf"),
-        (math.nan, "y must be finite, got nan"),
-        (10**400, f"y must be finite, got {10**400}"),
+        (math.inf, f"y must be {MAGNITUDE_RULE}, got inf"),
+        (-math.inf, f"y must be {MAGNITUDE_RULE}, got -inf"),
+        (math.nan, f"y must be {MAGNITUDE_RULE}, got nan"),
+        (10**400, f"y must be {MAGNITUDE_RULE}, got {10**400}"),
         (True, "y True is not a number"),
         ("0.5", "y '0.5' is not a number"),
     ], ids=["inf", "-inf", "nan", "huge-int", "true", "string"])
@@ -514,19 +528,19 @@ class TestScalarsThatAreNotFiniteNumbers:
         assert err == f"validation error: item 3: {message}\n"
 
     @pytest.mark.parametrize("edit,message", [
-        (lambda p: p["y"].__setitem__(0, math.nan), "item 0: y must be finite, got nan"),
-        (lambda p: p["y"].__setitem__(4, math.inf), "item 4: y must be finite, got inf"),
+        (lambda p: p["y"].__setitem__(0, math.nan), f"item 0: y must be {MAGNITUDE_RULE}, got nan"),
+        (lambda p: p["y"].__setitem__(4, math.inf), f"item 4: y must be {MAGNITUDE_RULE}, got inf"),
         (lambda p: p["theta"].update(nugget="0.001"), "nugget '0.001' is not a number"),
         (lambda p: p["theta"].update(amplitude=math.inf),
-         "amplitude must be finite and >= 0, got inf"),
+         "amplitude must be a finite float >= 0, got inf"),
         (lambda p: p["theta"].update(amplitude=1e308),
-         "amplitude^2 + nugget must be finite, got inf"),
+         "amplitude^2 + nugget must be a finite float >= 0, got inf"),
         (lambda p: p["theta"].update(exponent=True), "exponent True is not a number"),
         (lambda p: p.update(degenerate="no"), "degenerate 'no' is not a boolean"),
         (lambda p: p.pop("degenerate"), "missing 'degenerate'"),
         (lambda p: p.update(y=[[v] for v in p["y"]]),
          "y must be a list of numbers, got shape (6, 1)"),
-        (lambda p: p["y"].__setitem__(2, True), "y True is not a number"),
+        (lambda p: p["y"].__setitem__(2, True), "item 2: y True is not a number"),
         (lambda p: p["X"][1].__setitem__(0, "0.5"), "X '0.5' is not a number"),
         (lambda p: p["reference"]["mean"].__setitem__(0, None), "mean None is not a number"),
         (lambda p: p["reference"]["cov"][0].__setitem__(1, False), "cov False is not a number"),

@@ -5,6 +5,8 @@ ValidationError wherever it enters. errors.check_array applies the same rule
 to each leaf of an array, and the API and the file readers both use it."""
 
 import json
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -14,15 +16,15 @@ from otgp import dataio
 from otgp.barycenter import gaussian_barycenter, grid_barycenter
 from otgp.baseline import SmootherModel, select_bandwidth
 from otgp.cli import main
-from otgp.errors import RULES, ValidationError, check_arg, check_array
+from otgp.errors import MAGNITUDE, MAGNITUDE_RULE, RULES, ValidationError, check_arg, check_array
 from otgp.gp import build_model, gp_fit_cv, metrics
 from otgp.kernels import Embedding, KernelParams, embed, embed_gaussians, psd_diagnostic
 from otgp.measures import (DiskConfig, EmpiricalSample, GaussianMeasure, GridDensity,
                            gaussian_measures, validate_spd)
 from otgp.ot import CouplingPlan, TransportAssignment
 
-COUNT_RULES = [rule for rule, (_, count) in RULES.items() if count]
-NUMBER_RULES = [rule for rule, (_, count) in RULES.items() if not count]
+COUNT_RULES = [rule for rule, (_, kind) in RULES.items() if kind == "count"]
+NUMBER_RULES = [rule for rule, (_, kind) in RULES.items() if kind != "count"]
 NOT_NUMBERS = [True, False, np.True_, "1", "x", None, [1.0], (1.0,), {"x": 1},
                np.array(1.0), 1j]
 
@@ -59,11 +61,11 @@ def test_every_integer_is_a_count(value):
 
 
 @pytest.mark.parametrize("rule,value,ok", [
-    ("a number", float("nan"), True), ("a number", -float("inf"), True),
-    ("positive", float("inf"), True), ("positive", float("nan"), False),
-    ("positive", 0.0, False), ("finite and positive", float("inf"), False),
-    (">= 2", 1, False), (">= 2", 2, True), (">= 1", 10**400, True),
-    ("finite", 10**400, False),
+    ("finite and positive", 0.0, False), ("finite and >= 0", -1.0, False),
+    ("finite and >= 0", 0.0, True), ("a finite float >= 0", -1.0, False),
+    ("a finite float >= 0", float("inf"), False), ("a finite float >= 0", 10**400, False),
+    ("a finite float >= 0", 1e300, True), (">= 2", 1, False), (">= 2", 2, True),
+    (">= 1", 10**400, True),
 ])
 def test_the_rules_keep_their_ranges(rule, value, ok):
     if ok:
@@ -71,6 +73,35 @@ def test_the_rules_keep_their_ranges(rule, value, ok):
     else:
         with pytest.raises(ValidationError, match=f"^x must be {rule}, got "):
             check_arg("x", value, rule)
+
+
+INPUT_RULES = [rule for rule, (_, kind) in RULES.items() if kind == "input"]
+BEYOND = [math.nan, math.inf, -math.inf, 1e308, -1e200, 10**400, np.nextafter(MAGNITUDE, math.inf)]
+BEYOND_IDS = ["nan", "inf", "-inf", "1e308", "-1e200", "10**400", "next-float"]
+
+
+@pytest.mark.parametrize("rule", INPUT_RULES)
+@pytest.mark.parametrize("value", BEYOND, ids=BEYOND_IDS)
+def test_an_input_rule_refuses_numbers_beyond_the_bound(rule, value):
+    with pytest.raises(ValidationError) as caught:
+        check_arg("x", value, rule)
+    assert str(caught.value) == f"x must be {MAGNITUDE_RULE}, got {value}"
+
+
+@pytest.mark.parametrize("rule", INPUT_RULES)
+def test_an_input_rule_keeps_the_bound_itself(rule):
+    assert check_arg("x", 2**256, rule) == MAGNITUDE
+    assert check_arg("x", MAGNITUDE, rule) == MAGNITUDE
+
+
+@pytest.mark.parametrize("value", BEYOND, ids=BEYOND_IDS)
+def test_check_array_refuses_the_first_number_beyond_the_bound(value):
+    floats = [np.array([[1.0, value], [0.0, 2.0]])] if isinstance(value, float) else []
+    for leaves in ([[1.0, value], [-value, 2.0]], *floats):
+        with pytest.raises(ValidationError) as caught:
+            check_array("x", leaves, 3)
+        assert str(caught.value) == f"item 3: x must be {MAGNITUDE_RULE}, got {value}"
+    assert check_array("x", [[2**256, -MAGNITUDE]]).tolist() == [[MAGNITUDE, -MAGNITUDE]]
 
 
 def grids(*sizes):
@@ -149,7 +180,7 @@ def test_a_numeric_ndarray_passes_straight_through(value):
 @pytest.mark.parametrize("value,message", [
     ([[1.0, 2.0], [3.0]], "x is not a numeric array"),
     ([[1.0], [[2.0]]], "x is not a numeric array"),
-    ([10**400, 0.0], "x is not a numeric array"),
+    ([10**400, 0.0], f"x must be {MAGNITUDE_RULE}, got {10**400}"),
     ([1.0, None], "x None is not a number"),
     ([[1.0, True]], "x True is not a number"),
     (np.array([1.0, 2.0], dtype=object), None),
@@ -176,7 +207,7 @@ RESPONSES = np.array([0.1, 0.4, 0.2])
     (lambda: GaussianMeasure([None, 0.5], np.eye(2)), "mean None is not a number"),
     (lambda: GaussianMeasure([1j, 0.5], np.eye(2)), "mean 1j is not a number"),
     (lambda: GaussianMeasure([0.5, 0.5], [[1, "0"], [0, 1]]), "cov '0' is not a number"),
-    (lambda: gaussian_measures([[0.5, True]], [np.eye(2)]), "means True is not a number"),
+    (lambda: gaussian_measures([[0.5, True]], [np.eye(2)]), "item 0: mean True is not a number"),
     (lambda: validate_spd([[1.0, None], [None, 1.0]]), "matrix None is not a number"),
     (lambda: GridDensity([[True, False], [False, False]]), "weights True is not a number"),
     (lambda: GridDensity(np.array([[True, False], [False, False]])),
@@ -188,7 +219,7 @@ RESPONSES = np.array([0.1, 0.4, 0.2])
      "y None is not a number"),
     (lambda: metrics(["1", "2"], ["1", "3"]), "predictions '1' is not a number"),
     (lambda: metrics([1.0, 2.0], [1.0, 3.0], [True, True]), "variances True is not a number"),
-    (lambda: KernelParams.from_array(["1", "1", "2", "0"]), "theta '1' is not a number"),
+    (lambda: KernelParams.from_array(["1", "1", "2", "0"]), "amplitude '1' is not a number"),
     (lambda: Embedding(GAUSSIANS[0], [["x"] * 6]), "X 'x' is not a number"),
     (lambda: psd_diagnostic([["a", "b"], ["c", "d"]]), "matrix 'a' is not a number"),
     (lambda: select_bandwidth(grids(4, 4, 4, 4), ["1", "2", "3", "4"]),

@@ -316,7 +316,7 @@ class TestBuildConfig:
         ("psd", {"entry_range": [0.1]}, "entry_range must be a list like"),
         ("psd", {"entry_range": [0.1, "x"]}, "entry_range 'x' is not a number"),
         ("disks", {"lam": False}, "lam False is not a number"),
-        ("disks", {"radius": float("inf")}, "radius must be finite and positive"),
+        ("disks", {"radius": float("inf")}, r"^radius must be finite and within ±2\^256, got inf$"),
         ("gaussian-regression", {"grid_path": "false"},
          "grid_path must be true or false, got 'false'"),
         ("consistency", {"normalize_population": 0},

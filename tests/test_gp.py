@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,6 +10,8 @@ from scipy.linalg import cho_solve, cholesky
 from otgp import gp, kernels
 from otgp.barycenter import gaussian_barycenter_measure, grid_barycenter
 from otgp.errors import (
+    MAGNITUDE,
+    MAGNITUDE_RULE,
     CholeskyFailure,
     ReferenceMismatch,
     SizeMismatch,
@@ -31,6 +34,7 @@ from otgp.kernels import (
     DEFAULT_BOUNDS,
     DISTANCE_SNAP,
     KernelParams,
+    embed,
     embed_gaussians,
     embed_grids,
     fit_invariants,
@@ -39,8 +43,10 @@ from otgp.kernels import (
     gram_parts,
     pairwise_distances,
 )
-from otgp.measures import DiskConfig, GaussianMeasure, disks_to_grid, sample_regression_gaussians
+from otgp.measures import (DiskConfig, GaussianMeasure, disks_to_grid, gaussian_cov_stack,
+                           gaussian_measures, sample_regression_gaussians)
 
+BOUND = re.escape(MAGNITUDE_RULE)  # the input rule's words, as a pattern
 REFERENCE = GaussianMeasure([0.0, 0.0], 0.01 * np.eye(2))
 
 
@@ -493,6 +499,43 @@ class TestFitCv:
                                    model_b.theta.as_array(), rtol=1e-5)
 
 
+# The known truth for the fitters: the GP is zero-mean, so responses drawn as
+# y = L z, with L the Cholesky factor of the Gram at TRUE_THETA and z standard
+# normal, are a sample of the model at TRUE_THETA, which lies inside
+# DEFAULT_BOUNDS and, as a nugget/amplitude^2 ratio, inside CV_RATIO_BOX. A
+# working search ends at least as well as TRUE_THETA scores.
+TRUE_THETA = KernelParams(1.0, 1.0, 1.0, 1e-4)
+TRUTH_DRAWS = 5
+
+
+def known_truth_inputs(kind: str, n: int, rng) -> list[GaussianMeasure]:
+    """Point-like 2-D Gaussians on the unit square, or 4-D zero-mean Gaussians
+    of gaussian_cov_stack scaled to unit mean eigenvalue, as run_consistency
+    scales its population."""
+    if kind == "points":
+        return gaussian_measures(rng.uniform(size=(n, 2)), np.stack([1e-8 * np.eye(2)] * n))
+    covs = gaussian_cov_stack(n, 4, rng)
+    covs *= 4 / np.trace(covs, axis1=1, axis2=2).mean()
+    return gaussian_measures(np.zeros((n, 4)), covs)
+
+
+class TestKnownTruth:
+    @pytest.mark.parametrize("n", [30, 60])
+    @pytest.mark.parametrize("kind", ["points", "gaussians"])
+    def test_fits_reach_the_objective_of_the_true_theta(self, kind, n):
+        for draw in range(TRUTH_DRAWS):
+            rng = np.random.default_rng((n, draw, kind == "points"))
+            features = embed(known_truth_inputs(kind, n, rng))
+            dist = pairwise_distances(features)
+            y = np.linalg.cholesky(gram_from_distances(dist, TRUE_THETA)) @ rng.standard_normal(n)
+            mle, cv = gp_fit_mle(features, y), gp_fit_cv(features, y)
+            assert (log_likelihood(dist, y, mle.theta)[0]
+                    >= log_likelihood(dist, y, TRUE_THETA)[0] - 1e-6), draw
+            loo_true, loo_fit = ((loo_residuals(dist, y, theta)[0] ** 2).sum()
+                                 for theta in (TRUE_THETA, cv.theta))
+            assert loo_fit <= loo_true * (1 + 1e-6), draw
+
+
 def unit_peak_regression_set():
     """12 regression Gaussians (seed 3) and their responses scaled to a largest |y| of 1."""
     pairs = sample_regression_gaussians(12, 3)
@@ -505,56 +548,58 @@ class TestFitRefusals:
     @pytest.mark.parametrize("edit,message", [
         (lambda x, y: (x, y[:-1]), "need matching features and responses, n >= 2"),
         (lambda x, y: (x[:1], y[:1]), "need matching features and responses, n >= 2"),
-        (lambda x, y: (x, 1e155 * y), r"largest squared response must be finite, got 1e\+155\^2"),
-        (lambda x, y: (x, 1e170 * y), r"largest squared response must be finite, got 1e\+170\^2"),
-    ], ids=["mismatched", "one-input", "y-1e155", "y-1e170"])
+        (lambda x, y: (x, 1e155 * y), f"y must be {BOUND}, got "),
+        (lambda x, y: (x, np.nextafter(MAGNITUDE, math.inf) * y), f"y must be {BOUND}, got "),
+    ], ids=["mismatched", "one-input", "y-1e155", "y-beyond-the-bound"])
     def test_refuses_data_it_cannot_model(self, fit, edit, message):
         # refused before any search, and without an overflow warning
         x, y = edit(*unit_peak_regression_set())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValidationError, match=f"^{message}$"):
+            with pytest.raises(ValidationError, match=f"^{message}"):
                 fit(x, y)
 
-    def test_the_response_limit_is_the_largest_finite_square(self):
+    def test_responses_at_the_bound_keep_every_mle_objective_in_the_box_finite(self):
+        # the squared-response check and the MLE's response-norm limit (about
+        # 3.5e145 at n = 12) gave way to the input bound
         x, y = unit_peak_regression_set()
-        gp._fit_data(x, 1.3407e154 * y)
-        with pytest.raises(ValidationError, match="largest squared response"):
-            gp._fit_data(x, 1.3408e154 * y)
-
-    @pytest.mark.parametrize("scale", [1e150, 1e153])
-    def test_mle_refuses_responses_its_gradient_could_overflow_on(self, scale):
-        # refused before the search; without the limit these fits warned 6
-        # and 12,026 times and returned a corner of the box
-        x, y = unit_peak_regression_set()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValidationError, match="beyond the MLE fit's limit"):
-                gp_fit_mle(x, scale * y)
-
-    def test_the_mle_limit_keeps_every_objective_in_the_box_finite(self):
-        x, y = unit_peak_regression_set()
-        nugget_floor = DEFAULT_BOUNDS[3][0]
-        limit = math.sqrt(np.finfo(float).max / gp.MLE_KERNEL_FACTOR) * nugget_floor / len(y)
-        y = y * (limit / np.linalg.norm(y))
+        y = MAGNITUDE * y
         dist = pairwise_distances(x)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for corner in itertools.product(*DEFAULT_BOUNDS):
-                value, grad = log_likelihood(dist, (1 - 1e-9) * y, KernelParams(*corner))
+                value, grad = log_likelihood(dist, y, KernelParams(*corner))
                 assert np.isfinite([value, *grad]).all()
-            gp_fit_mle(x, (1 - 1e-9) * y)
-            with pytest.raises(ValidationError, match="beyond the MLE fit's limit"):
-                gp_fit_mle(x, (1 + 1e-9) * y)
+            model = gp_fit_mle(x, y)
+        assert np.isfinite(model.theta.as_array()).all() and np.isfinite(model.alpha).all()
 
-    def test_cv_fit_scales_to_responses_near_the_limit(self):
-        # the LOO search does not depend on the responses' scale, so 1e150 y
-        # refits with the amplitude scaled by 1e150
+    def test_cv_fit_scales_to_responses_at_the_bound(self):
+        # the LOO search does not depend on the responses' scale, so 2^256 y
+        # refits with the amplitude scaled by 2^256 and the nugget by 2^512,
+        # both beyond the input bound, which they do not take
         x, y = unit_peak_regression_set()
-        unit, large = gp_fit_cv(x, y), gp_fit_cv(x, 1e150 * y)
-        np.testing.assert_allclose(large.theta.as_array()[:3],
-                                   unit.theta.as_array()[:3] * [1e150, 1, 1], rtol=1e-5)
-        np.testing.assert_allclose(gp_predict(large, x).mean, 1e150 * y, rtol=1e-9)
+        unit, large = gp_fit_cv(x, y), gp_fit_cv(x, MAGNITUDE * y)
+        np.testing.assert_allclose(large.theta.as_array(),
+                                   unit.theta.as_array() * [MAGNITUDE, 1, 1, MAGNITUDE**2],
+                                   rtol=1e-5)
+        np.testing.assert_allclose(gp_predict(large, x).mean, MAGNITUDE * y, rtol=1e-9)
+
+    def test_an_input_beyond_the_bound_is_refused_before_any_fit(self):
+        # a mean of 1e200 made a distance whose square overflowed to inf: the
+        # MLE gradient multiplied 0 by inf and the Gram at rate 0 was not finite
+        rng = np.random.default_rng(31)
+        means, covs = rng.uniform(size=(6, 2)), np.stack([0.01 * np.eye(2)] * 6)
+        y = rng.normal(size=6)
+        means[4] = 1e200, 0.0
+        with pytest.raises(ValidationError, match=f"^item 4: mean must be {BOUND}, got 1e\\+200$"):
+            gaussian_measures(means, covs)
+        means[4] = MAGNITUDE, 0.0
+        features = embed(gaussian_measures(means, covs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kernels.gram_matrix(features, KernelParams(1, 0, 2, 0)).tolist() == [[1.0] * 6] * 6
+            model = gp_fit_mle(features, y)
+        assert np.isfinite(model.theta.as_array()).all() and np.isfinite(model.alpha).all()
 
 
 def scipy_nelder_mead(objective, start, log_box, **options):

@@ -385,10 +385,11 @@ def test_grid_geometry_scan_sees_every_kind_of_use():
         "ot.py: kernel writes the cell-center formula"]
 
 
-# the range rules, the number rule and the integer rule of counts
-RULE_WORDS = (" must be finite", " must be positive", " must be >= 0", " must be >= 1",
-              " must be >= 2", " must be a number", " is not a number", " must be an integer",
-              " is not a numeric array")
+# the range rules (the input bound's among them), the number rule and the integer
+# rule of counts
+RULE_WORDS = (" must be finite", " must be a finite float", " must be positive",
+              " must be >= 0", " must be >= 1", " must be >= 2", " must be a number",
+              " is not a number", " must be an integer", " is not a numeric array")
 
 
 def rule_texts(tree: ast.Module) -> list[int]:
@@ -427,6 +428,62 @@ def test_single_place_scans_see_every_kind_of_use():
     assert sorted(name_uses(tree, {"_psd_sqrt_batch"})) == ["_sandwich_roots", "f"]
     assert sorted(name_uses(tree, {"eigvalsh"})) == ["f", "g"]
     assert rule_texts(tree) == [11, 13, 16, 18, 19, 19, 20, 22]
+
+
+# The input bound has one owner, errors.MAGNITUDE: no other module spells 2**256
+# or its value, or compares with the end of the float range, np.finfo(...).max.
+# The modules that take the input numbers hold no overflow guard,
+# np.errstate(over=...): the bound keeps their products finite. The Sinkhorn
+# solvers in ot.py and barycenter.py keep theirs, which guard computed scalings.
+OVERFLOW_GUARDS_ALLOWED = {"ot.py", "barycenter.py"}
+
+
+def bound_sites(tree: ast.Module):
+    """(kind, line) of each 2**256 or float equal to it ("bound"), each
+    finfo(...).max ("float max") and each errstate(..., over=...) ("overflow guard")."""
+    def called(node, name):
+        func = node.func if isinstance(node, ast.Call) else None
+        return (isinstance(func, ast.Name) and func.id == name
+                or isinstance(func, ast.Attribute) and func.attr == name)
+
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                and isinstance(node.left, ast.Constant) and node.left.value == 2
+                and isinstance(node.right, ast.Constant) and node.right.value == 256
+                or isinstance(node, ast.Constant) and type(node.value) in (int, float)
+                and node.value == 2.0**256):
+            yield "bound", node.lineno
+        if isinstance(node, ast.Attribute) and node.attr == "max" and called(node.value, "finfo"):
+            yield "float max", node.lineno
+        if called(node, "errstate") and any(k.arg == "over" for k in node.keywords):
+            yield "overflow guard", node.lineno
+
+
+def bound_offenders(sources: dict) -> list[str]:
+    return [f"{name}:{line} {kind}" for name, source in sources.items() if name != "errors.py"
+            for kind, line in bound_sites(ast.parse(source))
+            if not (kind == "overflow guard" and name in OVERFLOW_GUARDS_ALLOWED)]
+
+
+def test_only_errors_spells_out_the_input_bound():
+    assert bound_offenders(package_sources()) == []
+
+
+def test_bound_scan_sees_every_spelling():
+    planted = {
+        "errors.py": "MAGNITUDE = 2.0**256\nTOP = np.finfo(float).max\n",
+        "gp.py": ("import numpy as np\nLIMIT = np.finfo(float).max / 1e5\n"
+                  "def fit(y):\n    if abs(y).max() > 2**256:\n        raise ValueError\n"
+                  "    with np.errstate(over='ignore', invalid='ignore'):\n"
+                  "        return y * 1.157920892373162e+77\n"),
+        "ot.py": ("def solve(x):\n    with np.errstate(over='ignore'):\n        return x\n"
+                  "BIG = 2 ** 256\n"),
+        "measures.py": "from numpy import errstate, finfo\ntop = finfo('d').max\n"
+                       "guard = errstate(divide='ignore')\n",
+    }
+    assert sorted(bound_offenders(planted)) == [
+        "gp.py:2 float max", "gp.py:4 bound", "gp.py:6 overflow guard", "gp.py:7 bound",
+        "measures.py:2 float max", "ot.py:4 bound"]
 
 
 REPORT_FILES = ("report.json", "meta.json")

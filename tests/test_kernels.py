@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from scipy.stats import ortho_group
 
 import otgp.kernels
 from otgp.barycenter import gaussian_barycenter, gaussian_barycenter_measure, grid_barycenter
-from otgp.errors import DimensionMismatch, NotSymmetric, ReferenceMismatch, ValidationError
+from otgp.errors import (MAGNITUDE_RULE, DimensionMismatch, NotSymmetric, ReferenceMismatch,
+                         ValidationError)
 from otgp.kernels import (
     NUMPY_COLUMNS,
     ROW_BLOCK,
@@ -37,6 +39,8 @@ from otgp.measures import (
     sample_gaussian_population,
 )
 from otgp.ot import gaussian_w2, inverse_grid_map, map_l2_distance_gaussian
+
+BOUND = re.escape(MAGNITUDE_RULE)  # the input rule's words, as a pattern
 
 
 def random_spd(rng, d, scale=1.0):
@@ -103,24 +107,41 @@ class TestKernelParams:
     def test_rejects_non_finite(self, field, value):
         values = [1.0, 1.0, 2.0, 0.0]
         values[field] = value
-        with pytest.raises(ValidationError, match="must be finite"):
+        with pytest.raises(ValidationError, match="must be (a )?finite"):
             KernelParams(*values)
 
     @pytest.mark.parametrize("values,message", [
-        ((-1.0, 1.0, 2.0, 0.0), "amplitude must be finite and >= 0, got -1.0"),
+        ((-1.0, 1.0, 2.0, 0.0), "amplitude must be a finite float >= 0, got -1.0"),
         ((1.0, -0.5, 2.0, 0.0), "rate must be finite and >= 0, got -0.5"),
-        ((1.0, 1.0, 2.0, -0.001), "nugget must be finite and >= 0, got -0.001"),
-        ((1.0, 1.0, math.nan, 0.0), "exponent must be finite, got nan"),
+        ((1.0, 1.0, 2.0, -0.001), "nugget must be a finite float >= 0, got -0.001"),
+        ((1.0, 1.0, math.nan, 0.0), f"exponent must be {MAGNITUDE_RULE}, got nan"),
         ((1.0, 1.0, 0.0, 0.0), "exponent must lie in (0, 2]"),
-        ((10**400, 1.0, 2.0, 0.0), f"amplitude must be finite and >= 0, got {10**400}"),
-        ((1e200, 1.0, 2.0, 0.0), "amplitude^2 + nugget must be finite, got inf"),
-        ((1e154, 1.0, 2.0, 1.7e308), "amplitude^2 + nugget must be finite, got inf"),
+        ((10**400, 1.0, 2.0, 0.0), f"amplitude must be a finite float >= 0, got {10**400}"),
+        ((1e200, 1.0, 2.0, 0.0), "amplitude^2 + nugget must be a finite float >= 0, got inf"),
+        ((1e154, 1.0, 2.0, 1.7e308),
+         "amplitude^2 + nugget must be a finite float >= 0, got inf"),
+        ((1.0, 1e308, 2.0, 0.0), f"rate must be {MAGNITUDE_RULE}, got 1e+308"),
+        ((1.0, 2.0**256, 2.0, 1e152), None),
     ], ids=["amplitude", "rate", "nugget", "exponent-nan", "exponent-zero", "amplitude-huge",
-            "amplitude-squared-overflows", "diagonal-overflows"])
+            "amplitude-squared-overflows", "diagonal-overflows", "rate-beyond-the-bound",
+            "rate-at-the-bound"])
     def test_names_the_failing_field(self, values, message):
+        # the rate and the exponent are inputs; the amplitude and the nugget grow
+        # with the responses and need only make a finite Gram diagonal
+        if message is None:
+            assert KernelParams(*values).as_array().tolist() == list(values)
+            return
         with pytest.raises(ValidationError) as info:
             KernelParams(*values)
         assert str(info.value) == message
+
+    def test_a_rate_beyond_the_bound_cannot_overflow_the_gram(self):
+        # rate * distance^exponent overflowed in _radial_of_power at rate 1e308
+        dist = np.array([[0.0, 3.0], [3.0, 0.0]])
+        with pytest.raises(ValidationError, match=f"^rate must be {BOUND}, got 1e"):
+            otgp.kernels.gram_from_distances(dist, KernelParams(1, 1e308, 2, 0))
+        gram = otgp.kernels.gram_from_distances(dist, KernelParams(1, 2.0**256, 2, 0))
+        assert gram.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_roundtrip(self):
         p = KernelParams(2.0, 0.5, 1.0, 0.1)
@@ -149,8 +170,8 @@ class TestEmbedding:
     @pytest.mark.parametrize("lam,pattern", [
         (None, "^lam None is not a number$"),
         (-1.0, "^lam must be finite and positive, got -1.0$"),
-        (float("nan"), "^lam must be finite and positive, got nan$"),
-        (float("inf"), "^lam must be finite and positive, got inf$"),
+        (float("nan"), f"^lam must be {BOUND}, got nan$"),
+        (float("inf"), f"^lam must be {BOUND}, got inf$"),
     ])
     def test_grid_rows_need_their_penalty(self, lam, pattern):
         # save_model writes a grid model's lam and load_model reads it back
@@ -279,6 +300,22 @@ class TestEmbed:
     def test_no_inputs_is_a_validation_error(self, reference):
         with pytest.raises(ValidationError, match="need at least one input"):
             embed([], reference=reference)
+
+    def test_a_covariance_beyond_the_bound_is_refused_before_the_barycenter(self):
+        # diag(1e308, 0.01) passed validate_spd and overflowed in
+        # ot._sandwich_roots; at the bound the embedding stays finite
+        rng = np.random.default_rng(41)
+        means, covs = rng.uniform(size=(4, 2)), np.stack([0.01 * np.eye(2)] * 4)
+        covs[2, 0, 0] = 1e308
+        with pytest.raises(ValidationError, match=f"^item 2: cov must be {BOUND}, got 1e"):
+            gaussian_measures(means, covs)
+        with pytest.raises(ValidationError, match=f"^cov must be {BOUND}, got 1e"):
+            GaussianMeasure(means[2], covs[2])
+        covs[2, 0, 0] = 2.0**256
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            features = embed(gaussian_measures(means, covs))
+        assert np.isfinite(features.X).all()
 
 
 class TestEmbeddingDistance:
@@ -460,14 +497,18 @@ class TestDistanceRoutine:
         narrow = pairwise_distances(train), cross_distances(train, test)
         assert all(np.array_equal(bits(w), bits(v)) for w, v in zip(wide, narrow))
 
-    def test_distance_whose_square_overflows_is_inf(self):
-        # as pdist has it, with no overflow warning on the numpy path
+    def test_rows_at_the_bound_have_finite_distances(self):
+        # as pdist has them, with no overflow warning on the numpy path; a row
+        # beyond the bound, whose distance squared once overflowed, is refused
         x = np.zeros((3, 6))
-        x[1, 0], x[2, 0] = 1e200, -1e100
+        x[1, 0], x[2, 0] = 2.0**256, -(2.0**256)
         dist = pairwise_distances(Embedding(GaussianMeasure([0.0, 0.0], np.eye(2)), x))
-        assert dist.tolist() == [[0.0, math.inf, 1e100], [math.inf, 0.0, math.inf],
-                                 [1e100, math.inf, 0.0]]
+        assert dist.tolist() == [[0.0, 2.0**256, 2.0**256], [2.0**256, 0.0, 2.0**257],
+                                 [2.0**256, 2.0**257, 0.0]]
         assert np.array_equal(dist, squareform(pdist(x)))
+        x[1, 0] = 1e200
+        with pytest.raises(ValidationError, match=f"^X must be {BOUND}, got 1e"):
+            Embedding(GaussianMeasure([0.0, 0.0], np.eye(2)), x)
 
 
 class TestKernelEval:
@@ -566,22 +607,24 @@ class TestPsdDiagnostic:
                            rf"shape {re.escape(str(matrix.shape))}$"):
             psd_diagnostic(matrix)
 
-    @pytest.mark.parametrize("entry", [math.nan, math.inf])
-    def test_rejects_non_finite_entries(self, entry):
-        # NaN ended in LinAlgError, inf in a NaN asymmetry
-        with pytest.raises(ValidationError, match="^matrix has non-finite entries$"):
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, 1e308])
+    def test_rejects_entries_beyond_the_bound(self, entry):
+        # NaN ended in LinAlgError, inf in a NaN asymmetry; 1e308 in M + M^T
+        # once overflowed to inf, and the asymmetry to inf / inf
+        with pytest.raises(ValidationError, match=f"^matrix must be {BOUND}, got "):
             psd_diagnostic([[1.0, 0.0], [0.0, entry]])
 
-    def test_entries_too_large_to_square(self):
-        # M + M^T overflowed to -inf, and the asymmetry to inf / inf
-        rep = psd_diagnostic([[1e308, 0.0], [0.0, -1e308]])
-        assert rep.eigenvalues.tolist() == [-1e308, 1e308] and rep.negatives == 1
+    def test_entries_at_the_bound(self):
+        big = 2.0**256
+        rep = psd_diagnostic([[big, 0.0], [0.0, -big]])
+        assert rep.eigenvalues.tolist() == [-big, big] and rep.negatives == 1
         with pytest.raises(NotSymmetric):
-            psd_diagnostic([[1.0, 1e308], [0.0, 1.0]])
+            psd_diagnostic([[1.0, big], [0.0, 1.0]])
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
-    def test_rejects_a_tolerance_out_of_range(self, tol):
-        with pytest.raises(ValidationError, match=f"tol must be finite and >= 0, got {tol}"):
+    @pytest.mark.parametrize("tol,rule", [(math.nan, BOUND), (math.inf, BOUND), (-math.inf, BOUND),
+                                          (-1.0, "finite and >= 0")])
+    def test_rejects_a_tolerance_out_of_range(self, tol, rule):
+        with pytest.raises(ValidationError, match=f"tol must be {rule}, got {tol}"):
             psd_diagnostic(np.eye(3), tol=tol)
 
     def test_naive_gram_indefinite_in_2d(self):

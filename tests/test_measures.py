@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from otgp import measures
 from otgp.errors import (
+    MAGNITUDE_RULE,
     EmptySupport,
     GridMismatch,
     NotPositiveDefinite,
@@ -27,6 +28,9 @@ from otgp.measures import (
     validate_spd,
 )
 from otgp.rng import make_rng
+
+BOUND = re.escape(MAGNITUDE_RULE)  # the input rule's words, as a pattern
+BIG = 2.0**256  # the largest magnitude the input rule keeps
 
 DISK = DiskConfig(0.1, [[0.5, 0.5]])
 GAUSSIAN = GaussianMeasure([0.5, 0.5], 0.01 * np.eye(2))
@@ -136,16 +140,27 @@ class TestValidateSpd:
             validate_spd([[1.0, 0.0], [0.0]])
 
     @pytest.mark.parametrize("matrix,error", [
-        ([[1e308, 1e307], [1e307, 1e308]], None),
-        ([[-1e308, 0.0], [0.0, 1.0]], NotPositiveDefinite),  # M + M^T overflowed to -inf
-        ([[1.0, 1e308], [0.0, 1.0]], NotSymmetric),  # inf / inf asymmetry passed the check
+        ([[BIG, BIG / 10], [BIG / 10, BIG]], None),
+        ([[-BIG, 0.0], [0.0, 1.0]], NotPositiveDefinite),
+        ([[1.0, BIG], [0.0, 1.0]], NotSymmetric),
     ])
-    def test_entries_too_large_to_square(self, matrix, error):
+    def test_entries_at_the_bound(self, matrix, error):
         if error is None:
             np.testing.assert_array_equal(validate_spd(matrix), matrix)
         else:
             with pytest.raises(error):
                 validate_spd(matrix)
+
+    @pytest.mark.parametrize("matrix", [
+        [[1e308, 1e307], [1e307, 1e308]],
+        [[-1e308, 0.0], [0.0, 1.0]],  # M + M^T overflowed to -inf
+        [[1.0, 1e308], [0.0, 1.0]],  # inf / inf asymmetry passed the check
+    ])
+    def test_entries_beyond_the_bound_are_refused(self, matrix):
+        with pytest.raises(ValidationError, match=f"^matrix must be {BOUND}, got -?1e\\+308$"):
+            validate_spd(matrix)
+        with pytest.raises(ValidationError, match=f"^item 1: matrix must be {BOUND}, got "):
+            validate_spd([np.eye(2), matrix])
 
     @pytest.mark.parametrize("exponents", [(-100, 100), (-150, 150)], ids=["plain", "scaled"])
     def test_symmetric_part_keeps_the_bits_of_the_unscaled_formulas(self, exponents):
@@ -183,9 +198,9 @@ class TestGaussianMeasures:
         with pytest.raises(NotPositiveDefinite, match=r"^item 2: "):
             gaussian_measures(means, covs)
         means[1, 0] = np.nan
-        with pytest.raises(ValidationError, match=r"^item 1: mean has non-finite"):
+        with pytest.raises(ValidationError, match=f"^item 1: mean must be {BOUND}, got nan$"):
             gaussian_measures(means, covs)
-        with pytest.raises(ValidationError, match=r"^mean has non-finite"):
+        with pytest.raises(ValidationError, match=f"^mean must be {BOUND}, got nan$"):
             GaussianMeasure(means[1], covs[1])  # one measure: the same words, no item
         covs[1] = -np.eye(2)  # an item's covariance is checked before its mean
         with pytest.raises(NotPositiveDefinite, match=r"^item 1: "):
@@ -220,22 +235,22 @@ class TestTypes:
             GaussianMeasure([[0.0], [0.0, 1.0]], np.eye(2))
 
     @pytest.mark.parametrize("build,message", [
-        (lambda: GaussianMeasure([10**400, 0.0], np.eye(2)), "mean is not a numeric array"),
-        (lambda: gaussian_measures([[10**400, 0.0]], [np.eye(2)]),
-         "means is not a numeric array"),
-        (lambda: GridDensity([[10**400, 0], [0, 0]]), "weights is not a numeric array"),
+        (lambda: GaussianMeasure([10**400, 0.0], np.eye(2)), "mean"),
+        (lambda: gaussian_measures([[10**400, 0.0]], [np.eye(2)]), "item 0: mean"),
+        (lambda: GridDensity([[10**400, 0], [0, 0]]), "weights"),
     ], ids=["GaussianMeasure", "gaussian_measures", "GridDensity"])
     def test_integer_beyond_the_float_range_is_validation_error(self, build, message):
-        with pytest.raises(ValidationError, match=f"^{message}$"):
+        with pytest.raises(ValidationError) as caught:
             build()
+        assert str(caught.value) == f"{message} must be {MAGNITUDE_RULE}, got {10**400}"
 
     @pytest.mark.parametrize("weights,message", [
         (np.full((4, 4), 0.9 / 16), "weights sum to 0.9, not 1"),
         (np.array([[-0.25, 0.5], [0.5, 0.25]]), "weights must be nonnegative"),
         (np.full((2, 3), 1.0 / 6), r"weights must be square, got shape \(2, 3\)"),
         (np.full(4, 0.25), r"weights must be square, got shape \(4,\)"),
-        (np.array([[0.5, np.nan], [0.25, 0.25]]), "weights have non-finite entries"),
-        (np.array([[np.inf, 0.0], [0.0, 0.0]]), "weights have non-finite entries"),
+        (np.array([[0.5, np.nan], [0.25, 0.25]]), f"weights must be {BOUND}, got nan"),
+        (np.array([[np.inf, 0.0], [0.0, 0.0]]), f"weights must be {BOUND}, got inf"),
     ], ids=["sum", "negative", "not-square", "flat", "nan", "inf"])
     def test_grid_weights_refused(self, weights, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
@@ -272,12 +287,19 @@ class TestTypes:
     def test_disk_config_bounds(self):
         with pytest.raises(ValidationError):
             DiskConfig(0.1, [[1.5, 0.5]])
-        for radius in (-0.1, 0, np.nan):
-            with pytest.raises(ValidationError, match=f"^radius must be positive, got {radius}$"):
+        for radius in (-0.1, 0):
+            with pytest.raises(ValidationError,
+                               match=f"^radius must be finite and positive, got {radius}$"):
                 DiskConfig(radius, [[0.5, 0.5]])
-        for center in ([np.nan, 0.5], [0.5, np.nan]):  # NaN fails every comparison
-            with pytest.raises(ValidationError, match=r"^centers must lie in \[0,1\]\^2$"):
+        for radius in (np.nan, np.inf, 1e308):
+            with pytest.raises(ValidationError) as caught:
+                DiskConfig(radius, [[0.5, 0.5]])
+            assert str(caught.value) == f"radius must be {MAGNITUDE_RULE}, got {radius}"
+        for center in ([np.nan, 0.5], [0.5, np.nan]):  # the input rule comes first
+            with pytest.raises(ValidationError, match=f"^centers must be {BOUND}, got nan$"):
                 DiskConfig(0.1, [[0.3, 0.5], center])
+        with pytest.raises(ValidationError, match=r"^centers must lie in \[0,1\]\^2$"):
+            DiskConfig(0.1, [[0.3, 0.5], [0.5, BIG]])
         for centers, shape in (([[0.5, 0.5, 0.5]], "(1, 3)"), ([0.5], "(1, 1)")):
             message = re.escape(f"centers must be (m, 2), got {shape}")
             with pytest.raises(ValidationError, match=f"^{message}$"):
@@ -290,13 +312,9 @@ class TestDisksToGrid:
         grid = disks_to_grid(cfg, 5)
         np.testing.assert_allclose(grid.weights, np.full((5, 5), 1.0 / 25))
 
-    def test_infinite_radius_is_uniform(self):
-        grid = disks_to_grid(DiskConfig(radius=np.inf, centers=[[0.2, 0.9]]), 7)
-        np.testing.assert_allclose(grid.weights, np.full((7, 7), 1.0 / 49))
-
-    def test_radius_too_large_to_square_is_uniform(self):
-        # r^2 raised OverflowError, after an overflow warning in the windows
-        grid = disks_to_grid(DiskConfig(radius=1e308, centers=[[0.2, 0.9]]), 7)
+    def test_radius_at_the_bound_is_uniform(self):
+        # a radius of 1e308, whose square overflowed, is beyond the bound
+        grid = disks_to_grid(DiskConfig(radius=BIG, centers=[[0.2, 0.9]]), 7)
         np.testing.assert_array_equal(grid.weights, np.full((7, 7), 1.0 / 49))
 
     # both rasterizers keep one grid-size rule, with one wording and no
@@ -573,10 +591,11 @@ class TestRasterize:
                 continue
             np.testing.assert_array_equal(rasterize_gaussian(m, g).weights, w / w.sum())
 
-    def test_mean_far_off_the_grid_leaves_no_mass(self):
-        # (edges - mean) / sd overflows to -inf, whose normal CDF is 0
+    @pytest.mark.parametrize("variance", [0.01, 1e-300])
+    def test_mean_far_off_the_grid_leaves_no_mass(self, variance):
+        # a mean at the bound stays finite sd away; 1e308 once overflowed to -inf
         with pytest.raises(EmptySupport, match="no Gaussian mass falls on the grid"):
-            rasterize_gaussian(GaussianMeasure([1e308, 0.5], 0.01 * np.eye(2)), 8)
+            rasterize_gaussian(GaussianMeasure([BIG, 0.5], variance * np.eye(2)), 8)
 
     def test_correlated_covariance_is_rejected(self):
         # correlation 0.9 cannot factor into per-axis cell masses

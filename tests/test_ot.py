@@ -7,6 +7,7 @@ import pytest
 
 from otgp import ot
 from otgp.errors import (
+    MAGNITUDE_RULE,
     DimensionMismatch,
     EmptyRow,
     NoConvergence,
@@ -168,6 +169,14 @@ class TestTransportMap:
             np.testing.assert_allclose(t @ inv, np.eye(d), atol=1e-8)
             # the map matrix is SPD
             assert np.linalg.eigvalsh(t)[0] > 0
+
+    @pytest.mark.parametrize("scales", itertools.product([1e-300, 1.0, 2.0**256], repeat=4))
+    def test_maps_at_the_bound_are_finite(self, scales):
+        # no check on the map is needed: the input bound keeps it finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            maps = gaussian_transport_map(np.diag(scales[:2]), np.diag(scales[2:]))
+        assert np.isfinite(maps).all()
 
     def test_displacement_norm_matches_w2(self):
         # ||id - T||^2 under the source equals the squared centered W2
@@ -900,19 +909,22 @@ class TestPenaltyValidation:
     """lam is validated once, where the axis kernel is built, so every grid
     entry point refuses a penalty that is not finite and positive."""
 
-    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("lam,rule", [(0.0, "finite and positive"),
+                                          (-1.0, "finite and positive"),
+                                          (np.nan, MAGNITUDE_RULE), (np.inf, MAGNITUDE_RULE),
+                                          (1e300, MAGNITUDE_RULE)])
     @pytest.mark.parametrize("call", [
         lambda grids, lam: grid_barycenter(grids, lam=lam),
         lambda grids, lam: embed_grids(grids, grids[0], lam=lam),
         lambda grids, lam: sinkhorn_plan(grids[0], grids[1], lam=lam),
     ], ids=["grid_barycenter", "embed_grids", "sinkhorn_plan"])
-    def test_bad_penalty_is_a_validation_error(self, call, lam):
+    def test_bad_penalty_is_a_validation_error(self, call, lam, rule):
         rng = np.random.default_rng(8)
         grids = [disks_to_grid(DiskConfig(0.1, rng.uniform(0.1, 0.9, (3, 2))), 20)
                  for _ in range(6)]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ValidationError, match="lam must be finite and positive"):
+            with pytest.raises(ValidationError, match=f"^lam must be {re.escape(rule)}, got "):
                 call(grids, lam)
 
 
@@ -922,9 +934,9 @@ class TestStoppingValidation:
     instead of iterating to NoConvergence."""
 
     @pytest.mark.parametrize("stop,message", [
-        ({"tol": np.nan}, "tol must be finite and >= 0, got nan"),
+        ({"tol": np.nan}, f"tol must be {MAGNITUDE_RULE}, got nan"),
         ({"tol": -1.0}, "tol must be finite and >= 0, got -1.0"),
-        ({"tol": np.inf}, "tol must be finite and >= 0, got inf"),
+        ({"tol": np.inf}, f"tol must be {MAGNITUDE_RULE}, got inf"),
         ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
         ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
         ({"max_iter": 300.0}, "max_iter must be an integer, got 300.0"),
