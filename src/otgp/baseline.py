@@ -102,7 +102,11 @@ def select_bandwidth(grids, y, candidates=None, split_seed: int = 0) -> float:
         if not (off > 0).any():
             raise DegenerateDistances("all pairwise distances are zero")
         candidates = np.geomspace(off[off > 0].min(), off.max(), N_BANDWIDTH_CANDIDATES)
-    candidates = np.sort(check_array("candidates", candidates))
+    candidates = check_array("candidates", candidates)
+    if candidates.ndim != 1 or not candidates.size:
+        raise ValidationError(f"candidates must be a nonempty list, got shape {candidates.shape}")
+    check_arg("candidates", candidates.min(), "finite and positive")  # the bandwidth's rule
+    candidates = np.sort(candidates)
 
     # fixed salt keeps the split stream apart from data-generation streams
     perm = make_rng((0x5B17, split_seed)).permutation(n)

@@ -1,23 +1,22 @@
 """Gaussian process regression on embedded features.
 
 Zero-mean GP with the parametric transport kernel; hyperparameters fitted by
-maximum likelihood or leave-one-out cross validation inside box constraints,
-with posterior mean/variance prediction and the RMSE/Q2/CIC metrics.
+maximum likelihood or leave-one-out cross validation in one box of (rate,
+exponent, nugget/amplitude^2), the amplitude in closed form, with posterior
+mean/variance prediction and the RMSE/Q2/CIC metrics.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CholeskyFailure, SizeMismatch, ZeroVarianceTruths, check_array
+from .errors import CholeskyFailure, SizeMismatch, ZeroVarianceTruths, check_arg, check_array
 from .kernels import (
-    CV_RATIO_BOX,
-    DEFAULT_BOUNDS,
     Embedding,
     KernelParams,
     cross_kernel,
@@ -41,11 +40,15 @@ SCREEN = {"L-BFGS-B": dict(ftol=1e-7, gtol=1e-4, maxiter=1000),
 POLISH = {"L-BFGS-B": dict(ftol=1e-13, gtol=1e-9, maxiter=1000),
           "Nelder-Mead": dict(xatol=1e-8, fatol=1e-12, maxiter=4000, maxfev=4000)}
 
-# The first 8 points of the unscrambled Sobol' sequence in [0, 1)^4,
-# scipy.stats.qmc.Sobol(4, scramble=False).random(8); a search over k
-# coordinates starts from the first k columns, the k-dimensional sequence.
-SOBOL_STARTS = np.array([[0, 0, 0, 0], [4, 4, 4, 4], [6, 2, 2, 2], [2, 6, 6, 6],
-                         [3, 3, 5, 7], [7, 7, 1, 3], [5, 1, 7, 5], [1, 5, 3, 1]]) / 8.0
+# The first 8 points of the unscrambled Sobol' sequence in [0, 1)^3,
+# scipy.stats.qmc.Sobol(3, scramble=False).random(8).
+SOBOL_STARTS = np.array([[0, 0, 0], [4, 4, 4], [6, 2, 2], [2, 6, 6],
+                         [3, 3, 5], [7, 7, 1], [5, 1, 7], [1, 5, 3]]) / 8.0
+
+# The one search box of both fits, rows [low, high]: the rate, the exponent and
+# the nugget/amplitude^2 ratio tau. Each fit sets the amplitude in closed form
+# at the best point, and the nugget to tau amplitude^2.
+FIT_BOX = np.array([[0.01, 10.0], [0.5, 2.0], [1e-6, 20.0]])
 
 
 @dataclass
@@ -96,11 +99,14 @@ def chol_with_jitter(r: np.ndarray) -> tuple[np.ndarray, float]:
 
 def log_likelihood(dist: np.ndarray, y: np.ndarray, theta: KernelParams,
                    log_dist: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Zero-mean Gaussian log likelihood of y under the kernel at theta, and
-    its gradient with respect to log(amplitude, rate, exponent, nugget),
-    1/2 tr((alpha alpha^T - R^-1) dR/dlog theta) (Rasmussen & Williams,
-    GPML 2006, 5.4.1), from one Cholesky factor: alpha from potrs, R^-1 from
-    potri. log_dist is fit_invariants(dist), computed here when omitted."""
+    """Zero-mean Gaussian log likelihood of y maximized over the amplitude, at
+    theta's rate, exponent and ratio nugget/amplitude^2, and its gradient in
+    log(rate, exponent, nugget); neither sees theta's amplitude. With R the
+    Gram at theta, alpha = R^-1 y and s^2 = y^T alpha / n (the best Gram is
+    s^2 R): -n/2 (log(2 pi s^2) + 1) - log|L| and 1/2 tr((alpha alpha^T / s^2
+    - R^-1) dR/dlog theta) (GPML 2006, 5.4; Lippert et al., Nature Methods
+    2011), from one Cholesky factor L, alpha from potrs and R^-1 from potri.
+    log_dist is fit_invariants(dist), computed here when omitted."""
     from scipy.linalg import lapack
 
     log_dist = fit_invariants(dist) if log_dist is None else log_dist
@@ -108,9 +114,10 @@ def log_likelihood(dist: np.ndarray, y: np.ndarray, theta: KernelParams,
     l, _ = chol_with_jitter(r)
     alpha = lapack.dpotrs(l, y, lower=1)[0]
     n = len(y)
-    value = float(-0.5 * y @ alpha - np.log(np.diag(l)).sum() - 0.5 * n * math.log(2 * math.pi))
+    s2 = float(y @ alpha) / n
+    value = -0.5 * n * (math.log(2 * math.pi * s2) + 1.0) - float(np.log(np.diag(l)).sum())
     rinv = lapack.dpotri(l, lower=1, overwrite_c=1)[0]  # lower triangle only
-    w = np.outer(alpha, alpha) - rinv
+    w = np.outer(alpha / s2, alpha) - rinv
     w -= rinv.T
     w.flat[::n + 1] += rinv.diagonal()
     return value, gram_log_gradient(w, r, power, log_dist, theta)
@@ -240,7 +247,7 @@ def _minimize_in_box(objective, log_box: np.ndarray, gradient: bool = False):
             return _nelder_mead(objective, start, log_box, **options)
 
     method = "L-BFGS-B" if gradient else "Nelder-Mead"
-    starts = log_box[:, 0] + SOBOL_STARTS[:, :len(log_box)] * (log_box[:, 1] - log_box[:, 0])
+    starts = log_box[:, 0] + SOBOL_STARTS * (log_box[:, 1] - log_box[:, 0])
     best = min((search(x0, **SCREEN[method]) for x0 in starts),
                key=lambda res: res.fun)  # the first of equal values
     return search(best.x if gradient else best.simplex, **POLISH[method])
@@ -267,39 +274,54 @@ def _fit_data(features, y) -> tuple[np.ndarray, np.ndarray]:
     return y, pairwise_distances(features)
 
 
-def _degenerate_model(features, y, dist) -> GpModel:
-    warnings.warn("constant responses: returning lower-bound amplitude", stacklevel=3)
-    theta = KernelParams(amplitude=DEFAULT_BOUNDS[0][0], rate=DEFAULT_BOUNDS[1][0],
-                         exponent=1.0, nugget=DEFAULT_BOUNDS[3][0])
-    return build_model(features, y, dist, theta, degenerate=True)
+def _fit(features, y, objective, amplitude_sq, gradient=False) -> GpModel:
+    """The fit both fitters run: the degenerate model for constant responses,
+    else a search of the log of FIT_BOX (_minimize_in_box) for the
+    unit-amplitude kernel minimizing objective(dist, y), a function of the
+    kernel that returns (value, gradient) when gradient is set. A Gram that
+    cannot be factorized scores 1e15, with a zero gradient. The model is the
+    point the search scored: amplitude^2 = amplitude_sq(dist, y, best kernel)
+    and nugget = tau amplitude^2, neither bounded further."""
+    y, dist = _fit_data(features, y)
+    if float(np.var(y)) == 0.0:
+        warnings.warn("constant responses: returning the degenerate model", stacklevel=3)
+        theta = KernelParams(amplitude=0.05, rate=0.01, exponent=1.0, nugget=1e-5)
+        return build_model(features, y, dist, theta, degenerate=True)
+    score = objective(dist, y)
+
+    def unit_theta(log_x):  # amplitude 1, nugget = the searched ratio tau
+        return KernelParams(1.0, *_exp_into_box(log_x, FIT_BOX).tolist())
+
+    def searched(log_x):
+        try:
+            return score(unit_theta(log_x))
+        except CholeskyFailure:
+            return (1e15, np.zeros(len(log_x))) if gradient else 1e15
+
+    unit = unit_theta(_minimize_in_box(searched, np.log(FIT_BOX), gradient).x)
+    amplitude = math.sqrt(amplitude_sq(dist, y, unit))
+    theta = replace(unit, amplitude=amplitude, nugget=unit.nugget * amplitude**2)
+    return build_model(features, y, dist, theta)
 
 
 def gp_fit_mle(features, y) -> GpModel:
     """Fit kernel parameters by maximizing the log likelihood.
 
-    L-BFGS-B with the analytic gradient of log_likelihood, in log-transformed
-    DEFAULT_BOUNDS coordinates, from the deterministic SOBOL_STARTS, each
-    screened and the best polished (_minimize_in_box). A start
-    whose Gram cannot be factorized sees a large value with a zero gradient,
-    and the search goes on from the other starts.
+    L-BFGS-B on log_likelihood, the likelihood maximized over the amplitude,
+    and its analytic gradient (_fit); amplitude^2 is that maximizer.
     """
-    y, dist = _fit_data(features, y)
-    if float(np.var(y)) == 0.0:
-        return _degenerate_model(features, y, dist)
-    log_dist = fit_invariants(dist)
-    box = np.asarray(DEFAULT_BOUNDS, dtype=float)
+    def objective(dist, y):
+        log_dist = fit_invariants(dist)
 
-    def objective(log_theta):
-        theta = KernelParams.from_array(_exp_into_box(log_theta, box))
-        try:
+        def negative(theta):
             value, grad = log_likelihood(dist, y, theta, log_dist)
-        except CholeskyFailure:
-            return 1e15, np.zeros(len(log_theta))
-        return -value, -grad
+            return -value, -grad
+        return negative
 
-    best = _minimize_in_box(objective, np.log(box), gradient=True)
-    theta = KernelParams.from_array(_exp_into_box(best.x, box))
-    return build_model(features, y, dist, theta)
+    def amplitude_sq(dist, y, theta):  # y^T alpha / n, as log_likelihood's s^2
+        return float(y @ build_model(features, y, dist, theta).alpha) / len(y)
+
+    return _fit(features, y, objective, amplitude_sq, gradient=True)
 
 
 def loo_residuals(dist: np.ndarray, y: np.ndarray, theta: KernelParams
@@ -321,36 +343,17 @@ def gp_fit_cv(features, y) -> GpModel:
     """Fit by leave-one-out cross validation.
 
     The LOO squared error is invariant to the total variance (Dubrule, Math.
-    Geology 1983; GPML 5.4.2), so only (rate, exponent, nugget/amplitude^2
-    ratio) are searched, in DEFAULT_BOUNDS and CV_RATIO_BOX, by Nelder-Mead
-    from screened Sobol starts (_minimize_in_box). The model is the point the
-    search scored: the amplitude makes the mean standardized LOO residual 1,
-    and the nugget is the ratio times amplitude^2, neither bounded further.
+    Geology 1983; GPML 5.4.2), so Nelder-Mead searches it at unit amplitude
+    (_fit); the amplitude makes the mean standardized LOO residual 1.
     """
-    y, dist = _fit_data(features, y)
-    if float(np.var(y)) == 0.0:
-        return _degenerate_model(features, y, dist)
+    def objective(dist, y):
+        return lambda theta: float((loo_residuals(dist, y, theta)[0] ** 2).sum())
 
-    cv_box = np.array((DEFAULT_BOUNDS[1], DEFAULT_BOUNDS[2], CV_RATIO_BOX), dtype=float)
+    def amplitude_sq(dist, y, theta):  # mean(e_i^2 / (amp^2 * var0_i)) = 1
+        errs, unit_vars = loo_residuals(dist, y, theta)
+        return float((errs**2 / unit_vars).mean())
 
-    def unit_theta(log_x):  # amplitude 1, nugget = the searched ratio
-        return KernelParams(1.0, *_exp_into_box(log_x, cv_box).tolist())
-
-    def objective(log_x):
-        try:
-            errs, _ = loo_residuals(dist, y, unit_theta(log_x))
-        except CholeskyFailure:
-            return 1e15
-        return float((errs**2).sum())
-
-    best = _minimize_in_box(objective, np.log(cv_box))
-    rate, exponent, ratio = _exp_into_box(best.x, cv_box).tolist()
-    errs, unit_vars = loo_residuals(dist, y, unit_theta(best.x))
-    # calibrate total variance: mean(e_i^2 / (amp^2 * var0_i)) = 1
-    amplitude = math.sqrt(float((errs**2 / unit_vars).mean()))
-    theta = KernelParams(amplitude=amplitude, rate=rate, exponent=exponent,
-                         nugget=ratio * amplitude**2)
-    return build_model(features, y, dist, theta)
+    return _fit(features, y, objective, amplitude_sq)
 
 
 def gp_predict(model: GpModel, features: Embedding) -> PredictionResult:
@@ -373,6 +376,8 @@ def metrics(predictions, truths, variances=None) -> MetricsResult:
     p, t = check_array("predictions", predictions), check_array("truths", truths)
     if p.shape != t.shape:
         raise SizeMismatch("predictions and truths differ in length")
+    if not t.size:
+        raise SizeMismatch("need at least one prediction and truth")
     rmse = float(np.sqrt(((p - t) ** 2).mean()))
     var = float(np.var(t))
     if var == 0.0:
@@ -383,5 +388,6 @@ def metrics(predictions, truths, variances=None) -> MetricsResult:
         v = check_array("variances", variances)
         if v.shape != t.shape:
             raise SizeMismatch("variances and truths differ in length")
+        check_arg("variances", v.min(), "finite and >= 0")
         cic = float((np.abs(t - p) <= CI90_FACTOR * np.sqrt(v)).mean())
     return MetricsResult(rmse=rmse, q2=q2, cic=cic)

@@ -69,18 +69,6 @@ class KernelParams:
     def as_array(self) -> np.ndarray:
         return np.array([self.amplitude, self.rate, self.exponent, self.nugget])
 
-    @classmethod
-    def from_array(cls, arr) -> "KernelParams":
-        return cls(*arr)
-
-
-# The MLE's search box, in as_array order, whose lower bounds the degenerate
-# model takes; the cross-validation fit searches its rate and exponent rows
-# and, in place of amplitude and nugget, the nugget/amplitude^2 ratio in
-# CV_RATIO_BOX, its only other box.
-DEFAULT_BOUNDS = ((0.05, 10.0), (0.01, 10.0), (0.5, 2.0), (1e-5, 1.0))
-CV_RATIO_BOX = (1e-6, 20.0)
-
 
 @dataclass(frozen=True, eq=False)
 class Embedding:
@@ -260,15 +248,14 @@ def gram_parts(dist: np.ndarray, theta: KernelParams) -> tuple[np.ndarray, np.nd
 
 def gram_log_gradient(w: np.ndarray, gram: np.ndarray, power: np.ndarray,
                       log_dist: np.ndarray, theta: KernelParams) -> np.ndarray:
-    """1/2 tr(W dR/dlog theta) for a symmetric W and theta = (amplitude, rate,
-    exponent, nugget), without forming dR/dlog theta. With K0 the Gram without
-    the nugget and M = W o K0, the derivatives 2 K0, -r d^p K0, -r p d^p log(d)
-    K0 and g I give sum(M), -r/2 sum(M d^p), -r p/2 sum(M d^p log d), g/2 tr W."""
+    """1/2 tr(W dR/dlog theta) for a symmetric W and theta = (rate, exponent,
+    nugget), without forming dR/dlog theta: with M = W o R o d^p, it is
+    -r/2 sum(M), -r p/2 sum(M log d) and g/2 tr W. d^p is 0 where d = 0, so
+    the nugget on R's diagonal drops out of M."""
     m = w * gram
-    m.flat[::len(m) + 1] = theta.amplitude**2 * w.diagonal()  # K0 = a^2 where d = 0
-    m_power = m * power
-    return np.array([m.sum(), -0.5 * theta.rate * m_power.sum(),
-                     -0.5 * theta.rate * theta.exponent * (m_power * log_dist).sum(),
+    m *= power
+    return np.array([-0.5 * theta.rate * m.sum(),
+                     -0.5 * theta.rate * theta.exponent * (m * log_dist).sum(),
                      0.5 * theta.nugget * np.trace(w)])
 
 

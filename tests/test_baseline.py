@@ -193,6 +193,24 @@ class TestSelectBandwidth:
         y = rng.normal(size=4)
         assert select_bandwidth(grids, y, candidates=[0.7]) == 0.7
 
+    @pytest.mark.parametrize("candidates,message", [
+        ([0.5, 0.0], "candidates must be finite and positive, got 0.0"),
+        ([-1.0, 0.5, -2.0], "candidates must be finite and positive, got -2.0"),
+        ([0.5, np.nan], f"candidates must be {MAGNITUDE_RULE}, got nan"),
+        ([], "candidates must be a nonempty list, got shape (0,)"),
+        ([[0.5], [1.0]], "candidates must be a nonempty list, got shape (2, 1)"),
+        (0.5, "candidates must be a nonempty list, got shape ()"),
+    ], ids=["zero", "negative", "nan", "empty", "two-dimensional", "scalar"])
+    def test_refuses_bad_candidates(self, candidates, message):
+        # each candidate takes the bandwidth's rule: 0 divided by zero with a
+        # RuntimeWarning, -1 was returned as the bandwidth, and an empty or
+        # 2-D list escaped as numpy's ValueError
+        rng = np.random.default_rng(3)
+        grids = [random_density(rng, 5) for _ in range(4)]
+        with pytest.raises(ValidationError) as caught:
+            select_bandwidth(grids, rng.normal(size=4), candidates=candidates)
+        assert str(caught.value) == message
+
     def test_degenerate_distances(self):
         d = cell_mass(4, {(0, 0): 1.0})
         grids = [GridDensity(d.weights.copy()) for _ in range(4)]

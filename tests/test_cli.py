@@ -422,7 +422,7 @@ class TestFitPredictCommands:
     @pytest.mark.parametrize("method", ["mle", "cv"])
     def test_fit_of_responses_at_the_bound(self, tmp_path, method):
         # the MLE refused responses of norm beyond about 3.5e145 at n = 12; both
-        # fits now take any responses within +-2^256, and a CV model, whose
+        # fits now take any responses within +-2^256, and a model, whose
         # amplitude and nugget grow with them, is read back by predict
         rng = np.random.default_rng(3)
         ms = [GaussianMeasure(rng.uniform(0.2, 0.8, 2), 0.0004 * np.eye(2)) for _ in range(8)]
@@ -436,8 +436,8 @@ class TestFitPredictCommands:
                          "--out", str(out)]) == 0
             preds.append(np.loadtxt(out, delimiter=",", skiprows=1))
         assert np.isfinite(preds[1]).all()
-        if method == "cv":  # the LOO search does not see the scale
-            np.testing.assert_allclose(preds[1][:, 0], MAGNITUDE * preds[0][:, 0], rtol=1e-6)
+        # neither search sees the scale: both search the ratio nugget/amplitude^2
+        np.testing.assert_allclose(preds[1][:, 0], MAGNITUDE * preds[0][:, 0], rtol=1e-6)
 
     @pytest.mark.parametrize("kinds", [("grid",), ("grid", "disks", "gaussian")],
                              ids=["grid", "mixed"])
@@ -572,9 +572,9 @@ class TestFitPredictCommands:
                      "--out", str(tmp_path / "m.json")]) == 0
 
     def test_cv_fit_keeps_the_searched_ratio(self, tmp_path, capsys):
-        # the CV fit calibrates the nugget of these data below the MLE box's
-        # 1e-5 floor; the model file keeps it, at the ratio the search scored
-        from otgp.kernels import CV_RATIO_BOX, DEFAULT_BOUNDS
+        # the model file keeps the calibrated nugget at the ratio the search
+        # scored, inside the fit box
+        from otgp.gp import FIT_BOX
 
         rng = np.random.default_rng(3)
         ms = [GaussianMeasure(rng.uniform(0.2, 0.8, 2), 0.0004 * np.eye(2))
@@ -585,8 +585,7 @@ class TestFitPredictCommands:
         out = capsys.readouterr().out
         assert out.startswith("fitted theta:") and out.count("\n") == 1
         theta = json.loads(model.read_text())["theta"]
-        assert theta["nugget"] < DEFAULT_BOUNDS[3][0]
-        assert CV_RATIO_BOX[0] <= theta["nugget"] / theta["amplitude"] ** 2 <= CV_RATIO_BOX[1]
+        assert FIT_BOX[2, 0] <= theta["nugget"] / theta["amplitude"] ** 2 <= FIT_BOX[2, 1]
 
 
 class TestCorrelatedGaussianOnGrid:

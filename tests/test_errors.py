@@ -219,7 +219,7 @@ RESPONSES = np.array([0.1, 0.4, 0.2])
      "y None is not a number"),
     (lambda: metrics(["1", "2"], ["1", "3"]), "predictions '1' is not a number"),
     (lambda: metrics([1.0, 2.0], [1.0, 3.0], [True, True]), "variances True is not a number"),
-    (lambda: KernelParams.from_array(["1", "1", "2", "0"]), "amplitude '1' is not a number"),
+    (lambda: KernelParams(*["1", "1", "2", "0"]), "amplitude '1' is not a number"),
     (lambda: Embedding(GAUSSIANS[0], [["x"] * 6]), "X 'x' is not a number"),
     (lambda: psd_diagnostic([["a", "b"], ["c", "d"]]), "matrix 'a' is not a number"),
     (lambda: select_bandwidth(grids(4, 4, 4, 4), ["1", "2", "3", "4"]),

@@ -20,6 +20,7 @@ from otgp.errors import (
 )
 from otgp.experiments import disk_response
 from otgp.gp import (
+    FIT_BOX,
     GpModel,
     build_model,
     chol_with_jitter,
@@ -31,7 +32,6 @@ from otgp.gp import (
     metrics,
 )
 from otgp.kernels import (
-    DEFAULT_BOUNDS,
     DISTANCE_SNAP,
     KernelParams,
     embed,
@@ -73,16 +73,16 @@ def posterior_mean_variance(chol, alpha, r_vec, k_self):
 
 
 def finite_difference_gradient(dist, y, theta, h=1e-5, backward=()):
-    """Central differences of log_likelihood in log(theta); second-order
-    backward differences for the components listed in backward (a
-    parameter on a hard limit such as exponent 2)."""
-    log_theta = np.log(theta.as_array())
-    grad = np.zeros(4)
-    for k in range(4):
+    """Central differences of log_likelihood in log(rate, exponent, nugget) at
+    theta's amplitude; second-order backward differences for the components
+    listed in backward (a parameter on a hard limit such as exponent 2)."""
+    log_theta = np.log(theta.as_array()[1:])
+    grad = np.zeros(3)
+    for k in range(3):
         def f(step):
             x = log_theta.copy()
             x[k] += step
-            return log_likelihood(dist, y, KernelParams.from_array(np.exp(x)))[0]
+            return log_likelihood(dist, y, KernelParams(theta.amplitude, *np.exp(x)))[0]
         if k in backward:
             grad[k] = (3 * f(0.0) - 4 * f(-h) + f(-2 * h)) / (2 * h)
         else:
@@ -113,20 +113,41 @@ def full_length_minimum(objective, log_box, gradient=False, n_starts=8):
                for x0 in log_box[:, 0] + unit * (log_box[:, 1] - log_box[:, 0]))
 
 
-def nelder_mead_log_likelihood(dist, y, bounds=DEFAULT_BOUNDS):
+def unit_theta(x) -> KernelParams:
+    """The unit-amplitude kernel at a point (rate, exponent, ratio) of FIT_BOX."""
+    return KernelParams(1.0, *x)
+
+
+def fit_box_coordinates(theta: KernelParams) -> list[float]:
+    """A fitted kernel's point of FIT_BOX: rate, exponent and nugget/amplitude^2."""
+    return [theta.rate, theta.exponent, theta.nugget / theta.amplitude**2]
+
+
+def assert_in_fit_box(theta: KernelParams):
+    # the ratio is a quotient of the model's fields, so it may round off the box
+    for v, (lo, hi) in zip(fit_box_coordinates(theta), FIT_BOX):
+        assert lo * (1 - 1e-12) <= v <= hi * (1 + 1e-12)
+
+
+def full_log_likelihood(dist, y, theta) -> float:
+    """The Gaussian log likelihood of y at theta, amplitude included, from a
+    SciPy Cholesky factor."""
+    l = cholesky(gram_from_distances(dist, theta), lower=True)
+    return float(-0.5 * y @ cho_solve((l, True), y) - np.log(np.diag(l)).sum()
+                 - 0.5 * len(y) * math.log(2 * math.pi))
+
+
+def nelder_mead_log_likelihood(dist, y):
     """Reference for the gradient fit: the best log likelihood that
     derivative-free Nelder-Mead finds from the fitter's Sobol starts in the
     same log box."""
-    box = np.asarray(bounds, dtype=float)
-
-    def objective(log_theta):
-        theta = KernelParams.from_array(gp._exp_into_box(log_theta, box))
+    def objective(log_x):
         try:
-            return -log_likelihood(dist, y, theta)[0]
+            return -log_likelihood(dist, y, unit_theta(gp._exp_into_box(log_x, FIT_BOX)))[0]
         except CholeskyFailure:
             return 1e15
 
-    return -full_length_minimum(objective, np.log(box))
+    return -full_length_minimum(objective, np.log(FIT_BOX))
 
 
 def regression_training_set(seed):
@@ -222,14 +243,13 @@ class TestFitMle:
         dist = pairwise_distances(feats)
         fitted_ll = log_likelihood(dist, y, model.theta)[0]
 
-        # refine from the best cell of a 3^4 grid and compare
+        # refine from the best cell of a 3^3 grid and compare
         from scipy.optimize import minimize
 
-        box = np.asarray(DEFAULT_BOUNDS)
-        log_box = np.log(box)
+        log_box = np.log(FIT_BOX)
 
         def theta_at(log_x):
-            return KernelParams.from_array(np.clip(np.exp(log_x), box[:, 0], box[:, 1]))
+            return unit_theta(np.clip(np.exp(log_x), FIT_BOX[:, 0], FIT_BOX[:, 1]))
 
         axes = [np.linspace(lo, hi, 3) for lo, hi in log_box]
         best_cell = max(itertools.product(*axes),
@@ -246,13 +266,11 @@ class TestFitMle:
         feats = make_features(rng, 15)
         y = smooth_targets(feats)
         model = gp_fit_mle(feats, y)
-        arr = model.theta.as_array()
-        for v, (lo, hi) in zip(arr, DEFAULT_BOUNDS):
-            assert lo - 1e-12 <= v <= hi + 1e-12
+        assert_in_fit_box(model.theta)
         dist = pairwise_distances(feats)
         fitted_ll = log_likelihood(dist, y, model.theta)[0]
-        for corner in itertools.product(*DEFAULT_BOUNDS):
-            assert fitted_ll >= log_likelihood(dist, y, KernelParams(*corner))[0] - 1e-9
+        for corner in itertools.product(*FIT_BOX):
+            assert fitted_ll >= log_likelihood(dist, y, unit_theta(corner))[0] - 1e-9
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
@@ -271,7 +289,7 @@ class TestFitMle:
             with pytest.warns(UserWarning):
                 model = fit(feats, np.full(6, 2.5))
             assert model.degenerate
-            assert model.theta.amplitude == DEFAULT_BOUNDS[0][0]
+            assert model.theta == KernelParams(0.05, 0.01, 1.0, 1e-5)
 
     def test_model_invariants(self):
         rng = np.random.default_rng(4)
@@ -295,14 +313,14 @@ class TestFitMle:
         assert fitted_ll >= nelder_mead_log_likelihood(dist, y) - 1e-6
 
     @pytest.mark.parametrize("fit,target,fails", [
-        (gp_fit_mle, "log_likelihood", lambda theta: theta.amplitude > 2.0),
+        (gp_fit_mle, "log_likelihood", lambda theta: theta.nugget > 0.01),
         (gp_fit_cv, "loo_residuals", lambda theta: theta.rate > 1.0),
     ], ids=["mle", "cv"])
     def test_cholesky_failure_at_some_starts(self, monkeypatch, fit, target, fails):
-        # an objective that cannot be factorized wherever the amplitude (the
+        # an objective that cannot be factorized wherever the ratio (the
         # likelihood) or the rate (the LOO residuals) is too large: the
         # starts there give up, the others still find a model inside the
-        # box searched, whose CV coordinates are rate, exponent and ratio
+        # box searched
         rng = np.random.default_rng(15)
         feats = make_features(rng, 12)
         y = smooth_targets(feats)
@@ -317,13 +335,9 @@ class TestFitMle:
         monkeypatch.setattr(gp, target, failing)
         model = fit(feats, y)
         assert calls["failed"] > 0
-        arr, box = model.theta.as_array(), DEFAULT_BOUNDS
-        assert np.all(np.isfinite(arr)) and np.all(np.isfinite(model.alpha))
-        if fit is gp_fit_cv:
-            arr, box = [*arr[1:3], arr[3] / arr[0]**2], (*box[1:3], kernels.CV_RATIO_BOX)
-        for v, (lo, hi) in zip(arr, box):
-            assert lo <= v <= hi
-        assert not fails(model.theta)
+        assert np.all(np.isfinite(model.theta.as_array())) and np.all(np.isfinite(model.alpha))
+        assert_in_fit_box(model.theta)
+        assert not fails(unit_theta(fit_box_coordinates(model.theta)))
 
 
 class TestLogLikelihoodGradient:
@@ -339,8 +353,8 @@ class TestLogLikelihoodGradient:
     @pytest.mark.parametrize("duplicate", [False, True], ids=["distinct", "duplicated"])
     @pytest.mark.parametrize("theta, backward", [
         (KernelParams(1.2, 0.7, 1.3, 0.01), ()),
-        (KernelParams(*(lo for lo, _ in DEFAULT_BOUNDS)), ()),
-        (KernelParams(*(hi for _, hi in DEFAULT_BOUNDS)), (2,)),  # exponent at 2
+        (unit_theta(FIT_BOX[:, 0]), ()),
+        (unit_theta(FIT_BOX[:, 1]), (1,)),  # exponent at 2
     ], ids=["interior", "lower-bounds", "upper-bounds"])
     def test_matches_finite_differences(self, theta, backward, duplicate):
         dist, y = self.setup_data(duplicate)
@@ -350,21 +364,39 @@ class TestLogLikelihoodGradient:
             warnings.simplefilter("error", RuntimeWarning)
             value, grad = log_likelihood(dist, y, theta)
             expected = finite_difference_gradient(dist, y, theta, backward=backward)
-        np.testing.assert_allclose(grad, expected, rtol=1e-6)
+        # atol: at the box's floor the ratio's derivative is about 1e-3, and
+        # the differences carry round-off near 5e-9
+        np.testing.assert_allclose(grad, expected, rtol=1e-6, atol=1e-8)
+        # the value is the full likelihood at the maximizing amplitude^2,
+        # y^T R^-1 y / n times theta's, and at no other
         r = gram_from_distances(dist, theta)
-        l = cholesky(r, lower=True)
-        alpha = cho_solve((l, True), y)
-        assert value == -0.5 * y @ alpha - np.log(np.diag(l)).sum() - 0.5 * len(y) * math.log(2 * math.pi)
+        s2 = y @ cho_solve((cholesky(r, lower=True), True), y) / len(y)
+        scaled = KernelParams(theta.amplitude * math.sqrt(s2), theta.rate, theta.exponent,
+                              theta.nugget * s2)
+        assert value == pytest.approx(full_log_likelihood(dist, y, scaled), rel=1e-9)
+        for factor in (0.9, 1.1):
+            off = KernelParams(scaled.amplitude * factor, theta.rate, theta.exponent,
+                               scaled.nugget * factor**2)
+            assert full_log_likelihood(dist, y, off) < value
+
+    def test_value_and_gradient_do_not_see_the_amplitude(self):
+        # the same ratio nugget/amplitude^2 at another amplitude: the same
+        # profile, and the same gradient in log(rate, exponent, nugget)
+        dist, y = self.setup_data(duplicate=True)
+        unit = log_likelihood(dist, y, KernelParams(1.0, 0.7, 1.3, 0.01))
+        scaled = log_likelihood(dist, y, KernelParams(3.0, 0.7, 1.3, 0.09))
+        assert scaled[0] == pytest.approx(unit[0], rel=1e-12)
+        np.testing.assert_allclose(scaled[1], unit[1], rtol=1e-9)
 
     @staticmethod
     def stacked_derivatives(dist, theta):
-        """Reference: the (4, n, n) stack of dR/dlog theta as the fit used to
-        build it, and the Gram beside it."""
+        """Reference: the (3, n, n) stack of dR/dlog(rate, exponent, nugget),
+        with K0 the Gram without the nugget, and the Gram beside it."""
         power = dist**theta.exponent
         k0 = kernels._radial_of_power(power.copy(), theta)
         d_rate = -theta.rate * power * k0
         log_d = np.log(dist, out=np.zeros_like(dist), where=dist > 0.0)
-        stack = np.stack([2.0 * k0, d_rate, theta.exponent * log_d * d_rate,
+        stack = np.stack([d_rate, theta.exponent * log_d * d_rate,
                           theta.nugget * np.eye(len(dist))])
         k0.flat[::len(k0) + 1] += theta.nugget
         return k0, stack
@@ -377,26 +409,24 @@ class TestLogLikelihoodGradient:
         np.testing.assert_array_equal(gram, expected_gram)
         zero = dist == 0.0
         assert np.all(power[zero] == 0.0)
-        assert np.all(stack[1][zero] == 0.0) and np.all(stack[2][zero] == 0.0)
+        assert np.all(stack[0][zero] == 0.0) and np.all(stack[1][zero] == 0.0)
         # rate and exponent terms vanish where d = 0, duplicated pair included;
         # the nugget term is g I
         log_d = fit_invariants(dist)
         grad = gram_log_gradient(zero.astype(float), gram, power, log_d, theta)
-        assert grad[1] == 0.0 and grad[2] == 0.0
+        assert grad[0] == 0.0 and grad[1] == 0.0
         grad = gram_log_gradient(np.eye(len(dist)), gram, power, log_d, theta)
-        assert grad[3] == 0.5 * theta.nugget * len(dist)
+        assert grad[2] == 0.5 * theta.nugget * len(dist)
 
     def test_fit_invariants_change_no_bit(self):
-        # the pieces the gradient reads rebuild the old stack bit for bit,
-        # with K0 the Gram whose diagonal is amplitude^2
+        # the pieces the gradient reads rebuild the stack bit for bit: the
+        # Gram stands in for K0, since d^p is 0 on the diagonal
         dist, _ = self.setup_data(duplicate=True)
         theta = KernelParams(1.2, 0.7, 1.3, 0.01)
         expected_gram, expected = self.stacked_derivatives(dist, theta)
         gram, power = gram_parts(dist, theta)
-        k0 = gram.copy()
-        k0.flat[::len(k0) + 1] = theta.amplitude**2
-        d_rate = -theta.rate * power * k0
-        rebuilt = np.stack([2.0 * k0, d_rate, theta.exponent * fit_invariants(dist) * d_rate,
+        d_rate = -theta.rate * power * gram
+        rebuilt = np.stack([d_rate, theta.exponent * fit_invariants(dist) * d_rate,
                             theta.nugget * np.eye(len(dist))])
         np.testing.assert_array_equal(gram, expected_gram)
         np.testing.assert_array_equal(rebuilt, expected)
@@ -414,7 +444,8 @@ class TestLogLikelihoodGradient:
         else:
             l = cholesky(gram, lower=True)
             alpha = cho_solve((l, True), y)
-            w = np.outer(alpha, alpha) - cho_solve((l, True), np.eye(len(y)))
+            w = (np.outer(alpha, alpha) / (y @ alpha / len(y))
+                 - cho_solve((l, True), np.eye(len(y))))
         _, stack = self.stacked_derivatives(dist, theta)
         grad = gram_log_gradient(w, gram, power, fit_invariants(dist), theta)
         terms = 0.5 * stack * w
@@ -467,10 +498,12 @@ class TestFitCv:
         errs, variances = loo_residuals(model.distances, y, model.theta)
         assert float((errs**2 / variances).mean()) == pytest.approx(1.0, abs=1e-9)
 
-    def test_returns_the_model_its_search_scored(self, monkeypatch):
-        # the search ends at the ratio box's floor, and the calibrated nugget
-        # falls below the MLE box's; the model keeps both, so its LOO error
-        # is the search's optimum and its residuals are calibrated
+    @pytest.mark.parametrize("fit", [gp_fit_mle, gp_fit_cv], ids=["mle", "cv"])
+    def test_returns_the_model_its_search_scored(self, monkeypatch, fit):
+        # the model keeps the amplitude of the fit's closed form and the
+        # nugget at the searched ratio, unbounded: the MLE's full likelihood
+        # is the search's optimum, and the CV fit's LOO error is, with its
+        # standardized residuals calibrated
         searches = []
 
         def recorded(objective, log_box, gradient=False):
@@ -480,13 +513,16 @@ class TestFitCv:
         search = gp._minimize_in_box
         monkeypatch.setattr(gp, "_minimize_in_box", recorded)
         feats, y = regression_training_set(1000)
-        model = gp_fit_cv(feats, y)
-        errs, variances = loo_residuals(model.distances, y, model.theta)
-        assert float((errs**2 / variances).mean()) == pytest.approx(1.0, abs=1e-9)
-        assert float((errs**2).sum()) == pytest.approx(searches[0].fun, rel=1e-9)
-        ratio = model.theta.nugget / model.theta.amplitude**2
-        assert kernels.CV_RATIO_BOX[0] <= ratio <= kernels.CV_RATIO_BOX[1]
-        assert model.theta.nugget < DEFAULT_BOUNDS[3][0]
+        model = fit(feats, y)
+        [best] = searches
+        if fit is gp_fit_mle:
+            assert full_log_likelihood(model.distances, y, model.theta) == pytest.approx(
+                -best.fun, rel=1e-9)
+        else:
+            errs, variances = loo_residuals(model.distances, y, model.theta)
+            assert float((errs**2 / variances).mean()) == pytest.approx(1.0, abs=1e-9)
+            assert float((errs**2).sum()) == pytest.approx(best.fun, rel=1e-9)
+        assert_in_fit_box(model.theta)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(7)
@@ -501,9 +537,10 @@ class TestFitCv:
 
 # The known truth for the fitters: the GP is zero-mean, so responses drawn as
 # y = L z, with L the Cholesky factor of the Gram at TRUE_THETA and z standard
-# normal, are a sample of the model at TRUE_THETA, which lies inside
-# DEFAULT_BOUNDS and, as a nugget/amplitude^2 ratio, inside CV_RATIO_BOX. A
-# working search ends at least as well as TRUE_THETA scores.
+# normal, are a sample of the model at TRUE_THETA, whose rate, exponent and
+# nugget/amplitude^2 ratio lie inside FIT_BOX. A working search ends at least
+# as well as TRUE_THETA scores: the MLE's likelihood, maximized over the
+# amplitude at both, and the CV fit's LOO error.
 TRUE_THETA = KernelParams(1.0, 1.0, 1.0, 1e-4)
 TRUTH_DRAWS = 5
 
@@ -567,18 +604,19 @@ class TestFitRefusals:
         dist = pairwise_distances(x)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for corner in itertools.product(*DEFAULT_BOUNDS):
-                value, grad = log_likelihood(dist, y, KernelParams(*corner))
+            for corner in itertools.product(*FIT_BOX):
+                value, grad = log_likelihood(dist, y, unit_theta(corner))
                 assert np.isfinite([value, *grad]).all()
             model = gp_fit_mle(x, y)
         assert np.isfinite(model.theta.as_array()).all() and np.isfinite(model.alpha).all()
 
-    def test_cv_fit_scales_to_responses_at_the_bound(self):
-        # the LOO search does not depend on the responses' scale, so 2^256 y
-        # refits with the amplitude scaled by 2^256 and the nugget by 2^512,
-        # both beyond the input bound, which they do not take
+    @pytest.mark.parametrize("fit", [gp_fit_mle, gp_fit_cv], ids=["mle", "cv"])
+    def test_fit_scales_to_responses_at_the_bound(self, fit):
+        # neither search depends on the responses' scale, so 2^256 y refits
+        # with the amplitude scaled by 2^256 and the nugget by 2^512, both
+        # beyond the input bound, which they do not take
         x, y = unit_peak_regression_set()
-        unit, large = gp_fit_cv(x, y), gp_fit_cv(x, MAGNITUDE * y)
+        unit, large = fit(x, y), fit(x, MAGNITUDE * y)
         np.testing.assert_allclose(large.theta.as_array(),
                                    unit.theta.as_array() * [MAGNITUDE, 1, 1, MAGNITUDE**2],
                                    rtol=1e-5)
@@ -671,7 +709,7 @@ class TestNelderMead:
         lo, hi = log_box.T
         screened = [assert_nelder_mead_equals_scipy(objective, x0, log_box,
                                                     **gp.SCREEN["Nelder-Mead"])
-                    for x0 in lo + gp.SOBOL_STARTS[:, :3] * (hi - lo)]
+                    for x0 in lo + gp.SOBOL_STARTS * (hi - lo)]
         best = min(screened, key=lambda res: res.fun)
         assert_nelder_mead_equals_scipy(objective, best.simplex, log_box,
                                         **gp.POLISH["Nelder-Mead"])
@@ -746,16 +784,14 @@ class TestScreenedSearch:
 
 class TestSobolStarts:
     def test_equals_scipy_unscrambled_sobol_bitwise(self):
-        # scipy is the oracle here only; the fitters read the table in-package.
-        # The CV search over 3 coordinates starts from the first 3 columns.
+        # scipy is the oracle here only; the fitters read the table in-package
         from scipy.stats import qmc
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # unscrambled Sobol balance warning
-            four, three = (qmc.Sobol(d=d, scramble=False).random(8) for d in (4, 3))
-        assert gp.SOBOL_STARTS.dtype == four.dtype and gp.SOBOL_STARTS.shape == four.shape
-        assert gp.SOBOL_STARTS.tobytes() == four.tobytes()
-        assert np.ascontiguousarray(gp.SOBOL_STARTS[:, :3]).tobytes() == three.tobytes()
+            three = qmc.Sobol(d=len(FIT_BOX), scramble=False).random(8)
+        assert gp.SOBOL_STARTS.dtype == three.dtype and gp.SOBOL_STARTS.shape == three.shape
+        assert gp.SOBOL_STARTS.tobytes() == three.tobytes()
 
 
 class TestPredict:
@@ -884,6 +920,25 @@ class TestMetrics:
     def test_zero_variance_truths(self):
         with pytest.raises(ZeroVarianceTruths):
             metrics([1.0, 1.0], [2.0, 2.0])
+
+    @pytest.mark.parametrize("args,message", [
+        (([], []), "need at least one prediction and truth"),
+        (([], [], []), "need at least one prediction and truth"),
+        (([1.0, 2.0], [1.0, 3.0], [0.5, -1.0]), "variances must be finite and >= 0, got -1.0"),
+        (([1.0, 2.0], [1.0, 3.0], [-0.0, -1e-300]),
+         "variances must be finite and >= 0, got -1e-300"),
+    ], ids=["empty", "empty-with-variances", "negative-variance", "tiny-negative-variance"])
+    def test_refuses_what_it_cannot_score(self, args, message):
+        # an empty set gave NaN after numpy's "Mean of empty slice" warning,
+        # and a negative variance a sqrt warning and an uncovered point
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                metrics(*args)
+
+    def test_zero_variance_covers_an_exact_prediction_only(self):
+        m = metrics([1.0, 2.0], [1.0, 3.0], [0.0, -0.0])
+        assert m.cic == 0.5
 
     @pytest.mark.parametrize("args,message", [
         (([1.0], [1.0, 2.0]), "predictions and truths differ in length"),

@@ -1,8 +1,8 @@
 """Import footprint: scipy loads inside the functions that use it, the fits
 never load scipy.stats, and only wide-row distances and the smoothing
 baseline load scipy.spatial. Source scans: the embedders, the report files,
-each Gaussian closed form, each argument rule and the grid geometry have one
-owner, and every imported name is used."""
+each Gaussian closed form, each argument rule, the grid geometry and the fit
+search have one owner, and every imported name is used."""
 
 import ast
 import subprocess
@@ -306,6 +306,39 @@ def test_batch_scan_sees_every_kind_of_use():
     assert sorted(owner_offenders(planted, BATCH_OWNERS)) == [
         "barycenter.py: starts uses input_scalings", "kernels.py: other uses BATCH",
         "kernels.py: other uses _grid_sinkhorn", "ot.py: inverse_grid_maps uses _sinkhorn_batch"]
+
+
+# Both GP fits run one search in one box: only gp._fit refers to
+# _minimize_in_box, and only gp.py reads FIT_BOX.
+def fit_search_sites(sources: dict) -> tuple[list[str], list[str]]:
+    """Each reference to _minimize_in_box, as "file: owner", and the files
+    that read FIT_BOX, in {file name: source}."""
+    searches = [f"{name}: {owner}" for name, source in sources.items()
+                for owner in name_uses(ast.parse(source), {"_minimize_in_box"})]
+    readers = [name for name, source in sources.items()
+               if any(name_uses(ast.parse(source), {"FIT_BOX"}))]
+    return sorted(searches), sorted(readers)
+
+
+def test_both_fits_run_one_search_in_one_box():
+    assert fit_search_sites(package_sources()) == (["gp.py: _fit"], ["gp.py"])
+
+
+def test_fit_search_scan_sees_every_kind_of_use():
+    planted = {
+        "gp.py": ("FIT_BOX = np.array([[0.01, 10.0]])\n"
+                  "def _minimize_in_box(f, box):\n    return f(box)\n"
+                  "def _fit(f):\n    return _minimize_in_box(f, np.log(FIT_BOX))\n"
+                  "def gp_fit_mle(f):\n    return _minimize_in_box(f, FIT_BOX)\n"),
+        "experiments.py": ("from . import gp\n"
+                           "def refit(f):\n    search = gp._minimize_in_box\n"
+                           "    return search(f, gp.FIT_BOX)\n"),
+        "cli.py": "from . import gp\nLOW = gp.FIT_BOX[:, 0]\n",
+        "kernels.py": "BOX = ((0.01, 10.0),)\ndef fit_box(x):\n    return x\n",
+    }
+    assert fit_search_sites(planted) == (
+        ["experiments.py: refit", "gp.py: _fit", "gp.py: gp_fit_mle"],
+        ["cli.py", "experiments.py", "gp.py"])
 
 
 # The grid geometry has one owner, measures: the cell-center formula

@@ -145,7 +145,7 @@ class TestKernelParams:
 
     def test_roundtrip(self):
         p = KernelParams(2.0, 0.5, 1.0, 0.1)
-        assert KernelParams.from_array(p.as_array()) == p
+        assert KernelParams(*p.as_array()) == p
 
 
 class TestEmbedding:
