@@ -216,18 +216,23 @@ def cross_distances(a: Embedding, b: Embedding) -> np.ndarray:
     return _distances(a.X, b.X)
 
 
-def _radial_of_power(k: np.ndarray, theta: KernelParams) -> np.ndarray:
-    """amplitude^2 * exp(-rate * k), overwriting k = dist^exponent: an n x n
-    kernel costs one n x n allocation, not one per operation."""
-    k *= -theta.rate
+def _radial_of_power(power: np.ndarray, theta: KernelParams, out=None) -> np.ndarray:
+    """amplitude^2 * exp(-rate * power), power = dist^exponent, into out, or
+    over power itself when out is None: an n x n kernel costs at most one
+    n x n allocation, not one per operation. A unit amplitude multiplies by
+    nothing."""
+    k = np.multiply(power, -theta.rate, out=power if out is None else out)
     np.exp(k, out=k)
-    k *= theta.amplitude**2
+    if theta.amplitude != 1.0:
+        k *= theta.amplitude**2
     return k
 
 
 def gram_from_distances(dist: np.ndarray, theta: KernelParams) -> np.ndarray:
-    """Gram matrix from a snapped distance matrix (gram_parts)."""
-    return gram_parts(dist, theta)[0]
+    """Gram matrix from a snapped distance matrix, as gram_parts builds it."""
+    gram = _radial_of_power(dist**theta.exponent, theta)
+    gram.flat[::len(gram) + 1] += theta.nugget
+    return gram
 
 
 def fit_invariants(dist: np.ndarray) -> np.ndarray:
@@ -241,7 +246,7 @@ def gram_parts(dist: np.ndarray, theta: KernelParams) -> tuple[np.ndarray, np.nd
     off-diagonal zero distances (duplicated inputs) carry the plain radial
     value."""
     power = dist**theta.exponent
-    gram = _radial_of_power(power.copy(), theta)
+    gram = _radial_of_power(power, theta, out=np.empty_like(power))
     gram.flat[::len(gram) + 1] += theta.nugget
     return gram, power
 

@@ -420,6 +420,19 @@ class TestFitPredictCommands:
         assert not model.exists()
 
     @pytest.mark.parametrize("method", ["mle", "cv"])
+    @pytest.mark.parametrize("scale", [1e-200, 1e-300])
+    def test_responses_too_small_to_fit_are_a_numerical_failure(self, tmp_path, capsys,
+                                                               method, scale):
+        # varying responses, so not the degenerate model of constant ones
+        rng = np.random.default_rng(3)
+        ms = [GaussianMeasure(rng.uniform(0.2, 0.8, 2), 0.0004 * np.eye(2)) for _ in range(8)]
+        data, model = tmp_path / "data.json", tmp_path / "m.json"
+        dataio.save_dataset(data, ms, [scale * (m.mean[0] - 0.5) for m in ms])
+        assert main(["fit", "--data", str(data), "--method", method, "--out", str(model)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert not model.exists()
+
+    @pytest.mark.parametrize("method", ["mle", "cv"])
     def test_fit_of_responses_at_the_bound(self, tmp_path, method):
         # the MLE refused responses of norm beyond about 3.5e145 at n = 12; both
         # fits now take any responses within +-2^256, and a model, whose

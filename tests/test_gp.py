@@ -13,6 +13,7 @@ from otgp.errors import (
     MAGNITUDE,
     MAGNITUDE_RULE,
     CholeskyFailure,
+    NumericalUnderflow,
     ReferenceMismatch,
     SizeMismatch,
     ValidationError,
@@ -44,7 +45,7 @@ from otgp.kernels import (
     pairwise_distances,
 )
 from otgp.measures import (DiskConfig, GaussianMeasure, disks_to_grid, gaussian_cov_stack,
-                           gaussian_measures, sample_regression_gaussians)
+                           gaussian_measures, rasterize_gaussian, sample_regression_gaussians)
 
 BOUND = re.escape(MAGNITUDE_RULE)  # the input rule's words, as a pattern
 REFERENCE = GaussianMeasure([0.0, 0.0], 0.01 * np.eye(2))
@@ -143,7 +144,7 @@ def nelder_mead_log_likelihood(dist, y):
     same log box."""
     def objective(log_x):
         try:
-            return -log_likelihood(dist, y, unit_theta(gp._exp_into_box(log_x, FIT_BOX)))[0]
+            return -log_likelihood(dist, y, unit_theta(np.clip(np.exp(log_x), *FIT_BOX.T)))[0]
         except CholeskyFailure:
             return 1e15
 
@@ -155,6 +156,14 @@ def regression_training_set(seed):
     measures = [m for m, _ in pairs]
     reference, _ = gaussian_barycenter_measure(measures)
     return embed_gaussians(measures, reference), np.array([y for _, y in pairs])
+
+
+def grid_path_training_set(seed):
+    """The training half of grid-path regression dataset seed: its 50 Gaussians
+    rasterized on a 50 x 50 grid and embedded by entropic maps."""
+    pairs = sample_regression_gaussians(100, seed)[:50]
+    grids = [rasterize_gaussian(m, 50) for m, _ in pairs]
+    return embed(grids, lam=20.0), np.array([y for _, y in pairs])
 
 
 def small_disks_set(seed, n=12, grid_size=20):
@@ -282,12 +291,15 @@ class TestFitMle:
         np.testing.assert_allclose(model_a.theta.as_array(),
                                    model_b.theta.as_array(), rtol=1e-5)
 
-    def test_degenerate_constant_targets(self):
-        rng = np.random.default_rng(3)
-        feats = make_features(rng, 6)
+    @pytest.mark.parametrize("n,value", [(6, 2.5), (3, 0.1), (50, 0.7)])
+    def test_degenerate_constant_targets(self, n, value):
+        # 0.1 and 0.7 repeated have a mean that rounds, so their np.var is
+        # 1.9e-34 and 4.9e-32 although every response is the same
+        feats = make_features(np.random.default_rng(3), n)
         for fit in (gp_fit_mle, gp_fit_cv):
-            with pytest.warns(UserWarning):
-                model = fit(feats, np.full(6, 2.5))
+            with pytest.warns(UserWarning,
+                              match="^constant responses: returning the degenerate model$"):
+                model = fit(feats, np.full(n, value))
             assert model.degenerate
             assert model.theta == KernelParams(0.05, 0.01, 1.0, 1e-5)
 
@@ -622,6 +634,25 @@ class TestFitRefusals:
                                    rtol=1e-5)
         np.testing.assert_allclose(gp_predict(large, x).mean, MAGNITUDE * y, rtol=1e-9)
 
+    @pytest.mark.parametrize("fit,scale,error", [
+        (gp_fit_mle, 1e-160, CholeskyFailure),
+        (gp_fit_mle, 1e-200, NumericalUnderflow),
+        (gp_fit_mle, 1e-300, NumericalUnderflow),
+        (gp_fit_cv, 1e-160, CholeskyFailure),
+        (gp_fit_cv, 1e-200, CholeskyFailure),
+        (gp_fit_cv, 1e-300, CholeskyFailure),
+    ], ids=["mle-1e-160", "mle-1e-200", "mle-1e-300", "cv-1e-160", "cv-1e-200", "cv-1e-300"])
+    def test_responses_too_small_to_fit_are_a_numerical_error(self, fit, scale, error):
+        # the responses vary, so no fit returns the degenerate model. From
+        # 1e-200 on y^T R^-1 y / n underflows to 0 in the likelihood; in the CV
+        # fit the amplitude^2 underflows, and with it the nugget, so the
+        # model's Gram cannot be factorized, as the MLE's cannot at 1e-160
+        x, y = unit_peak_regression_set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                fit(x, scale * y)
+
     def test_an_input_beyond_the_bound_is_refused_before_any_fit(self):
         # a mean of 1e200 made a distance whose square overflowed to inf: the
         # MLE gradient multiplied 0 by inf and the Gram at rate 0 was not finite
@@ -760,12 +791,18 @@ class TestNelderMead:
 
 
 class TestScreenedSearch:
-    @pytest.mark.parametrize("seed", [1000, 1003, 2000])
-    def test_matches_the_full_length_multistart(self, seed, monkeypatch):
+    @pytest.mark.parametrize("training_set", [
+        lambda: regression_training_set(1000),
+        lambda: regression_training_set(1003),
+        lambda: regression_training_set(2000),
+        lambda: grid_path_training_set(2),
+    ], ids=["gaussian-regression-1000", "gaussian-regression-1003", "gaussian-regression-2000",
+            "grid-path-2"])
+    def test_matches_the_full_length_multistart(self, training_set, monkeypatch):
         # screening every start loosely and polishing the best one reaches
         # the best optimum of a tight search from every start, on the
         # objectives both fitters hand to the search
-        feats, y = regression_training_set(seed)
+        feats, y = training_set()
         minimize_in_box = gp._minimize_in_box
         searched = []
 
@@ -780,6 +817,23 @@ class TestScreenedSearch:
         assert len(searched) == 2
         for screened, reference in searched:
             assert screened <= reference + 1e-9 * abs(reference)
+
+    @pytest.mark.parametrize("fit,target", [(gp_fit_mle, "log_likelihood"),
+                                            (gp_fit_cv, "loo_residuals")], ids=["mle", "cv"])
+    def test_no_point_is_scored_twice(self, monkeypatch, fit, target):
+        # L-BFGS-B restarts from points it has scored, and Nelder-Mead may
+        # step back onto a vertex; the fit scores each point once, the
+        # amplitude's closed form included
+        original, received = getattr(gp, target), []
+
+        def recorded(dist, y, theta, *rest):
+            received.append((theta.rate, theta.exponent, theta.nugget))
+            return original(dist, y, theta, *rest)
+
+        monkeypatch.setattr(gp, target, recorded)
+        fit(*regression_training_set(1000))
+        assert len(received) > 100
+        assert len(set(received)) == len(received)
 
 
 class TestSobolStarts:
