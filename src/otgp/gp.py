@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -40,9 +41,9 @@ JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 # Nelder-Mead screen at xatol 1e-2 instead of 1e-3, no CV fit of 138
 # gaussian-regression and grid-path datasets ended more than 6.2e-10 relative
 # higher in LOO error; at 3e-2 dataset 3001 ended 8.9% higher.
-SCREEN = {"L-BFGS-B": dict(ftol=1e-7, gtol=1e-4, maxiter=1000),
+SCREEN = {"quasi-Newton": dict(ftol=1e-7, gtol=1e-4, maxiter=1000),
           "Nelder-Mead": dict(xatol=1e-2, fatol=1e-7, maxiter=4000, maxfev=4000)}
-POLISH = {"L-BFGS-B": dict(ftol=1e-13, gtol=1e-9, maxiter=1000),
+POLISH = {"quasi-Newton": dict(ftol=1e-13, gtol=1e-9, maxiter=1000),
           "Nelder-Mead": dict(xatol=1e-8, fatol=1e-12, maxiter=4000, maxfev=4000)}
 
 # The first 8 points of the unscrambled Sobol' sequence in [0, 1)^3,
@@ -235,37 +236,134 @@ def _nelder_mead(objective, start, box: np.ndarray, xatol: float, fatol: float,
     return _Simplex(np.array(sim[0]), float(np.min(values)), np.array(sim), np.array(values), nfev)
 
 
+class _Point(NamedTuple):  # a final quasi-Newton point and its value
+    x: np.ndarray
+    fun: float
+
+
+def _dot(a, b) -> float:
+    return sum(map(operator.mul, a, b))
+
+
+def _model_step(x: list, g: list, b: list, lo: list, hi: list) -> list:
+    """The point L-BFGS-B steps to from x in the box [lo, hi] on the model
+    g^T p + p^T b p / 2 of a step p, b positive definite (Python floats): the
+    generalized Cauchy point, the model's first minimum along the projected
+    gradient path, each variable held at its bound from the t at which x -
+    t g reaches it; then the model's Newton step in the variables that point
+    leaves free, truncated to the box."""
+    edge = [(v - h) / gi if gi < 0 else (v - l) / gi if gi > 0 else math.inf
+            for v, gi, l, h in zip(x, g, lo, hi)]
+    z, d, t = x[:], [-gi if e > 0 else 0.0 for gi, e in zip(g, edge)], 0.0
+    for stop in sorted(set(edge) - {0.0, math.inf}) + [math.inf]:
+        bd = [_dot(row, d) for row in b]
+        slope, curve = _dot(g, d) + _dot(bd, map(operator.sub, z, x)), _dot(d, bd)
+        if slope >= 0 or not curve > 0 or -slope < curve * (stop - t):
+            z = [a - slope / curve * c for a, c in zip(z, d)] if slope < 0 < curve else z
+            break
+        z = [(h if gi < 0 else l) if e == stop else a + (stop - t) * c
+             for a, c, e, gi, l, h in zip(z, d, edge, g, lo, hi)]
+        d, t = [0.0 if e == stop else c for c, e in zip(d, edge)], stop
+    free = [i for i, (l, v, h) in enumerate(zip(lo, z, hi)) if l < v < h]
+    r = [gi + _dot(row, map(operator.sub, z, x)) for gi, row in zip(g, b)]
+    a = [[b[i][j] for j in free] + [-r[i]] for i in free]
+    for k, pivot in enumerate(a):  # Gauss-Jordan elimination
+        if not pivot[k] > 0:  # b not positive definite in round-off: no step
+            return z
+        for row in a:
+            if row is not pivot:
+                row[:] = [u - row[k] / pivot[k] * v for u, v in zip(row, pivot)]
+    step = [(i, row[-1] / row[k]) for k, (i, row) in enumerate(zip(free, a))]
+    step = [(i, s, hi[i] if s > 0 else lo[i]) for i, s in step if s]
+    scale = min([1.0] + [(bound - z[i]) / s for i, s, bound in step])
+    for i, s, bound in step:  # a variable the truncation stops lands on its bound
+        z[i] = bound if (bound - z[i]) / s <= scale else z[i] + scale * s
+    return z
+
+
+def _quasi_newton(objective, start, box: np.ndarray, ftol: float, gtol: float,
+                  maxiter: int) -> _Point:
+    """Bounded quasi-Newton search of objective(x) -> (value, gradient), on
+    Python floats: L-BFGS-B's step (Byrd, Lu, Nocedal & Zhu, SISC 1995;
+    _model_step) on a dense BFGS model B, which starts as I, is set to
+    (y^T y / s^T y) I at the first pair with s^T y > 0 and updated only by
+    such pairs. Each iteration line-searches from the model's step (at most
+    unit length at the first iteration): it extrapolates x4 up to the box
+    while the slope is steeper than 0.9 of the first, and accepts a value
+    1e-3 of the slope's prediction lower with a slope at most 0.9 of the
+    first in size, else backs off by quadratic interpolation. A failed line
+    search restarts from B = I, or ends the search at B = I. Stops on
+    L-BFGS-B's tests: a relative fall of the value at most ftol, or a
+    projected gradient at most gtol."""
+    lo, hi = box[:, 0].tolist(), box[:, 1].tolist()
+    eye = [[float(i == j) for j in range(len(lo))] for i in range(len(lo))]
+
+    def clip(x):
+        return [min(h, max(l, v)) for v, l, h in zip(x, lo, hi)]
+
+    def evaluate(x):
+        value, grad = objective(np.array(x))
+        return x, float(value), grad.tolist()
+
+    x, f, g = evaluate(clip(np.asarray(start, dtype=float).tolist()))
+    b = None  # the model's Hessian, I until the first pair
+    for iteration in range(maxiter):
+        if max(abs(min(max(gi, v - h), v - l)) for gi, v, l, h in zip(g, x, lo, hi)) <= gtol:
+            break
+        d = [a - c for a, c in zip(_model_step(x, g, b or eye, lo, hi), x)]
+        gd, t = _dot(g, d), 1 / max(1.0, math.hypot(*d)) if iteration == 0 else 1.0
+        tmax = min([((h if c > 0 else l) - v) / c for v, c, l, h in zip(x, d, lo, hi) if c],
+                   default=0.0)
+        new = last = None
+        for _ in range(20 if gd < 0 else 0):
+            xt, ft, gt = evaluate(clip(v + t * c for v, c in zip(x, d)))
+            slope, decrease = _dot(gt, d), ft <= f + 1e-3 * t * gd
+            accept = decrease and slope <= -0.9 * gd
+            if decrease and slope < 0.9 * gd and t < tmax:
+                last, t = (xt, ft, gt), min(4 * t, tmax)
+            elif accept or last:  # else keep the last extrapolated step
+                new = (xt, ft, gt) if accept else last
+                break
+            else:  # the quadratic through f, its slope and the value, or the two slopes
+                t *= min(0.5, max(0.1, gd / (gd - slope) if decrease
+                                  else -gd * t / (2 * (ft - f - gd * t))))
+        if new is None:
+            if b is None:
+                break
+            b = None
+            continue
+        s, y = [u - v for u, v in zip(new[0], x)], [u - v for u, v in zip(new[2], g)]
+        sy, f_old, (x, f, g) = _dot(s, y), f, new
+        if sy > 0:
+            b = b or [[_dot(y, y) / sy * v for v in row] for row in eye]
+            bs = [_dot(row, s) for row in b]
+            sbs = _dot(s, bs)
+            b = [[v - p * q / sbs + u * w / sy for v, q, w in zip(row, bs, y)]
+                 for row, p, u in zip(b, bs, y)]
+        if f_old - f <= ftol * max(abs(f_old), abs(f), 1.0):
+            break
+    return _Point(np.array(x), f)
+
+
 def _minimize_in_box(objective, log_box: np.ndarray, gradient: bool = False):
     """Bounded local search from every Sobol start to the loose SCREEN
     tolerances, then from the best screened result on to the tight POLISH
-    ones (Rinnooy Kan & Timmer, Math. Programming 1987): SciPy's L-BFGS-B
-    restarted from its point when the objective returns (value, gradient),
-    the in-package copy of SciPy's Nelder-Mead (_nelder_mead, equal to it bit
-    for bit) continued from its final simplex when it returns the value
-    alone, so that only the gradient fit loads scipy.optimize. The screen
-    only ranks the starts, so its Nelder-Mead stops at xatol 1e-2. With
-    _fit's per-fit memo, which scores a point the search revisits once, a
-    gaussian-regression dataset takes about 700 LOO and 155 likelihood
-    evaluations, against 1,310 and 340 for a tight search from every start,
-    and reaches the same best value within 2.5e-10 relative (LOO error) and
-    6.5e-12 (likelihood) on its datasets 1000-1009, 2000-2009 and 3000-3009
-    and on grid-path datasets 1-8. The result has the best point .x and its
-    value .fun."""
-    if gradient:
-        from scipy.optimize import minimize
-
-        def search(start, **options):
-            return minimize(objective, start, method="L-BFGS-B", jac=True,
-                            bounds=list(map(tuple, log_box)), options=options)
-    else:
-        def search(start, **options):
-            return _nelder_mead(objective, start, log_box, **options)
-
-    method = "L-BFGS-B" if gradient else "Nelder-Mead"
+    ones (Rinnooy Kan & Timmer, Math. Programming 1987): _quasi_newton,
+    restarted from its point, when the objective returns (value, gradient),
+    else _nelder_mead (SciPy's Nelder-Mead bit for bit), continued from its
+    final simplex. The screen only ranks the starts, so its Nelder-Mead stops
+    at xatol 1e-2. With _fit's per-fit memo, a gaussian-regression dataset
+    takes about 700 LOO and 130 likelihood evaluations, against 1,310 and
+    340 for a tight search from every start, and reaches the same best value
+    within 2.5e-10 relative (LOO error) and 4.4e-12 (likelihood) on its
+    datasets 1000-1009, 2000-2009 and 3000-3009 and on grid-path datasets
+    1-8. The result has the best point .x and its value .fun."""
+    search, method = ((_quasi_newton, "quasi-Newton") if gradient
+                      else (_nelder_mead, "Nelder-Mead"))
     starts = log_box[:, 0] + SOBOL_STARTS * (log_box[:, 1] - log_box[:, 0])
-    best = min((search(x0, **SCREEN[method]) for x0 in starts),
+    best = min((search(objective, x0, log_box, **SCREEN[method]) for x0 in starts),
                key=lambda res: res.fun)  # the first of equal values
-    return search(best.x if gradient else best.simplex, **POLISH[method])
+    return search(objective, best.x if gradient else best.simplex, log_box, **POLISH[method])
 
 
 def build_model(features, y, dist, theta, degenerate=False) -> GpModel:
@@ -285,6 +383,14 @@ def _fit_data(features, y) -> tuple[np.ndarray, np.ndarray]:
     if len(features) != len(y) or len(y) < 2:
         raise SizeMismatch("need matching features and responses, n >= 2")
     return y, pairwise_distances(features)
+
+
+def _unit_kernel(rate: float, exponent: float, tau: float) -> KernelParams:
+    """KernelParams(1.0, rate, exponent, tau) unchecked, for _fit's float
+    points of FIT_BOX, which pass every check."""
+    theta = object.__new__(KernelParams)
+    theta.__dict__.update(amplitude=1.0, rate=rate, exponent=exponent, nugget=tau)
+    return theta
 
 
 def _fit(features, y, objective, amplitude_sq, gradient=False) -> GpModel:
@@ -315,7 +421,7 @@ def _fit(features, y, objective, amplitude_sq, gradient=False) -> GpModel:
         key = x.tobytes()
         if key not in scored:
             try:  # amplitude 1, nugget = the searched ratio tau
-                scored[key] = score(KernelParams(1.0, *x.tolist()))
+                scored[key] = score(_unit_kernel(*x.tolist()))
             except CholeskyFailure:
                 scored[key] = None
         if scored[key] is None:
@@ -334,8 +440,9 @@ def _fit(features, y, objective, amplitude_sq, gradient=False) -> GpModel:
 def gp_fit_mle(features, y) -> GpModel:
     """Fit kernel parameters by maximizing the log likelihood.
 
-    L-BFGS-B on log_likelihood, the likelihood maximized over the amplitude,
-    and its analytic gradient (_fit); amplitude^2 is that maximizer.
+    The bounded quasi-Newton search (_fit, _quasi_newton) on log_likelihood,
+    the likelihood maximized over the amplitude, and its analytic gradient;
+    amplitude^2 is that maximizer.
     """
     def objective(dist, y):
         log_dist = fit_invariants(dist)

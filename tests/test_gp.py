@@ -790,6 +790,122 @@ class TestNelderMead:
         assert res.simplex[0].tobytes() == start.tobytes()
 
 
+# Referee objectives for the fit's quasi-Newton search, each returning
+# (value, gradient) in a box; SciPy's L-BFGS-B from the same start to the
+# same tolerances is the referee.
+QUADRATIC_HESSIAN = np.array([[3.0, 1.0, 0.5], [1.0, 2.0, 0.3], [0.5, 0.3, 1.0]])
+QN_BOX = np.array([[-1.0, 1.0], [-1.5, 2.0], [-1.0, 1.0]])
+
+
+def coupled_quadratic(x):  # its minimum in QN_BOX holds x0 and x1 at a bound
+    r = x - [2.0, -3.0, 0.2]
+    return float(0.5 * r @ QUADRATIC_HESSIAN @ r), QUADRATIC_HESSIAN @ r
+
+
+def rosenbrock(x):  # in ROSENBROCK_BOX its minimum holds x2 at 0.8
+    from scipy.optimize import rosen, rosen_der
+
+    return float(rosen(x)), rosen_der(x)
+
+
+ROSENBROCK_BOX = np.array([[-1.5, 1.5], [-1.5, 1.5], [-1.5, 0.8]])
+
+
+def failing_wall(x):  # (1e15, 0) past the wall, as _fit scores a Cholesky failure
+    if x[0] > 0.6:
+        return 1e15, np.zeros(3)
+    r = (x - [0.5, 0.4, 0.0]) * [4.0, 1.0, 2.0]
+    return float(1.0 + r @ r), 2 * r * [4.0, 1.0, 2.0]
+
+
+def ridge(x):
+    # along x0: value 0 and slope -1 at 0, a minimum -4/27 at 1/3, a ridge
+    # 1e-6 below 0 with a zero slope at 1, then a descent to about -0.048 at
+    # the box's edge; a unit step from 0 lands on the ridge, which only the
+    # sufficient-decrease test refuses
+    u, delta = x[0], 1e-6
+    value = -u + (2 - 3 * delta) * u**2 + (2 * delta - 1) * u**3 + x[1] ** 2 + x[2] ** 2
+    slope = -1 + 2 * (2 - 3 * delta) * u + 3 * (2 * delta - 1) * u**2
+    return float(value), np.array([slope, 2 * x[1], 2 * x[2]])
+
+
+RIDGE_BOX = np.array([[-0.5, 1.2], [-1.0, 1.0], [-1.0, 1.0]])
+
+
+def tilted_plane(x):  # its gradient points out of the box at the upper corner
+    return float(-x.sum()), -np.ones(3)
+
+
+def saddle(x):  # zero gradient at the origin
+    return float(x[0] ** 2 - x[1] ** 2 + x[2] ** 2), np.array([2 * x[0], -2 * x[1], 2 * x[2]])
+
+
+class TestQuasiNewton:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_model_step_stays_in_the_box_and_lowers_the_model(self, seed):
+        # random positive definite models, coupled up to a condition number
+        # of about 1e4, from points with some variables on a bound
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        b = q @ np.diag(10.0 ** rng.uniform(-2, 2, 3)) @ q.T
+        box = np.sort(rng.uniform(-2, 2, (3, 2)), axis=1)
+        x = np.where(rng.random(3) < 0.3, box[np.arange(3), rng.integers(0, 2, 3)],
+                     rng.uniform(box[:, 0], box[:, 1]))
+        g = rng.normal(scale=10.0 ** rng.uniform(-2, 2), size=3)
+        lo, hi = box.T.tolist()
+
+        def model(z):
+            p = np.asarray(z) - x
+            return g @ p + 0.5 * p @ b @ p
+
+        z = gp._model_step(x.tolist(), g.tolist(), b.tolist(), lo, hi)
+        assert all(l <= v <= h for l, v, h in zip(lo, z, hi))
+        assert model(z) <= 1e-12 * abs(g).max() * (box[:, 1] - box[:, 0]).max()
+        # the Newton step only lowers the Cauchy point, the first minimum of
+        # the model along the projected-gradient path, here sampled finely
+        path = [model(np.clip(x - t * g, *box.T)) for t in np.geomspace(1e-6, 1e6, 2000)]
+        first = next((v for v, w in zip(path, path[1:]) if w > v), path[-1])
+        assert model(z) <= first + 1e-9 * max(1.0, abs(first))
+        # an identity model is separable: its step is the projected gradient step
+        z = gp._model_step(x.tolist(), g.tolist(), np.eye(3).tolist(), lo, hi)
+        np.testing.assert_allclose(z, np.clip(x - g, *box.T), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("objective,box,start", [
+        (coupled_quadratic, QN_BOX, [0.0, 0.0, 0.0]),
+        (coupled_quadratic, QN_BOX, [-1.0, 2.0, 1.0]),
+        (rosenbrock, ROSENBROCK_BOX, [-1.2, 1.0, -0.5]),
+        (rosenbrock, ROSENBROCK_BOX, [0.0, 0.0, 0.0]),
+        (failing_wall, QN_BOX, [-0.3, 0.4, 0.05]),
+        (ridge, RIDGE_BOX, [0.0, 0.0, 0.0]),
+        (tilted_plane, QN_BOX, [1.0, 2.0, 1.0]),
+        (saddle, QN_BOX, [0.0, 0.0, 0.0]),
+    ], ids=["quadratic-inside", "quadratic-corner", "rosenbrock-far", "rosenbrock-origin",
+            "failing-wall", "ridge", "corner-gradient-out", "zero-gradient"])
+    @pytest.mark.parametrize("tolerances", ["SCREEN", "POLISH"])
+    def test_reaches_the_scipy_minimum_inside_the_box(self, objective, box, start, tolerances):
+        from scipy.optimize import minimize
+
+        options = getattr(gp, tolerances)["quasi-Newton"]
+        evaluated = []
+
+        def recorded(x):
+            evaluated.append(x.copy())
+            return objective(x)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ours = gp._quasi_newton(recorded, start, box, **options)
+        reference = minimize(objective, start, method="L-BFGS-B", jac=True,
+                             bounds=list(map(tuple, box)), options=options)
+        assert ours.fun <= reference.fun + 1e-9 * abs(reference.fun)
+        assert ours.fun == objective(ours.x)[0]
+        assert all(((box[:, 0] <= x) & (x <= box[:, 1])).all() for x in evaluated)
+        if objective is failing_wall:  # the search has stepped past the wall
+            assert any(x[0] > 0.6 for x in evaluated)
+        if objective in (tilted_plane, saddle):  # a stationary start: one evaluation
+            assert len(evaluated) == 1 and ours.x.tolist() == start
+
+
 class TestScreenedSearch:
     @pytest.mark.parametrize("training_set", [
         lambda: regression_training_set(1000),
@@ -821,7 +937,8 @@ class TestScreenedSearch:
     @pytest.mark.parametrize("fit,target", [(gp_fit_mle, "log_likelihood"),
                                             (gp_fit_cv, "loo_residuals")], ids=["mle", "cv"])
     def test_no_point_is_scored_twice(self, monkeypatch, fit, target):
-        # L-BFGS-B restarts from points it has scored, and Nelder-Mead may
+        # the quasi-Newton polish restarts from a point the screen scored,
+        # the line search may return to a point, and Nelder-Mead may
         # step back onto a vertex; the fit scores each point once, the
         # amplitude's closed form included
         original, received = getattr(gp, target), []
@@ -834,6 +951,28 @@ class TestScreenedSearch:
         fit(*regression_training_set(1000))
         assert len(received) > 100
         assert len(set(received)) == len(received)
+
+
+    @pytest.mark.parametrize("fit,target", [(gp_fit_mle, "log_likelihood"),
+                                            (gp_fit_cv, "loo_residuals")], ids=["mle", "cv"])
+    def test_every_scored_kernel_is_the_checked_unit_kernel(self, monkeypatch, fit, target):
+        # _fit builds the kernels it scores without KernelParams' checks;
+        # each must be the kernel the checks build, float for float
+        original, received = getattr(gp, target), []
+
+        def recorded(dist, y, theta, *rest):
+            received.append(theta)
+            return original(dist, y, theta, *rest)
+
+        monkeypatch.setattr(gp, target, recorded)
+        fit(*regression_training_set(1000))
+        assert len(received) > 100
+        for theta in received:
+            checked = KernelParams(1.0, theta.rate, theta.exponent, theta.nugget)
+            assert theta == checked and type(theta) is KernelParams
+            assert ({k: (type(v), v) for k, v in vars(theta).items()}
+                    == {k: (type(v), v) for k, v in vars(checked).items()})
+            assert_in_fit_box(theta)
 
 
 class TestSobolStarts:

@@ -1,6 +1,7 @@
 """Import footprint: scipy loads inside the functions that use it, the fits
-never load scipy.stats, and only wide-row distances and the smoothing
-baseline load scipy.spatial. Source scans: the embedders, the report files,
+never load scipy.stats or scipy.optimize, only wide-row distances and the
+smoothing baseline load scipy.spatial, and only the assignment solver
+scipy.optimize. Source scans: the embedders, the report files,
 each Gaussian closed form, each argument rule, the grid geometry and the fit
 search have one owner, and every imported name is used."""
 
@@ -61,11 +62,12 @@ def test_fits_do_not_load_scipy_stats():
     assert done.stdout.strip() == "[]"
 
 
-def test_cv_fit_and_gaussian_commands_do_not_load_scipy_optimize(tmp_path):
-    # the CV fit searches with the in-package Nelder-Mead, so gp_fit_cv and
-    # the CLI's kernel-matrix, diagnose-psd --gram and fit --method cv on
-    # Gaussian inputs load no scipy.optimize; gp_fit_mle's L-BFGS-B still
-    # does, which the last line checks
+def test_fits_and_gaussian_commands_do_not_load_scipy_optimize(tmp_path):
+    # both fits search in-package (Nelder-Mead for the CV fit, a bounded
+    # quasi-Newton search for the MLE), so gp_fit_cv, the CLI's
+    # kernel-matrix, diagnose-psd --gram and fit --method cv on Gaussian
+    # inputs, and then gp_fit_mle, which the last line checks, load no
+    # scipy.optimize
     from otgp import dataio
     from otgp.measures import sample_regression_gaussians
 
@@ -89,16 +91,16 @@ def test_cv_fit_and_gaussian_commands_do_not_load_scipy_optimize(tmp_path):
         "assert main(['fit', '--data', d + '/train.json', '--method', 'cv', "
         "'--out', d + '/model.json']) == 0; "
         "print(loaded()); "
-        "gp_fit_mle(x, np.array(y)); print('scipy.optimize' in loaded())")
+        "gp_fit_mle(x, np.array(y)); print(loaded())")
     done = subprocess.run([sys.executable, "-c", program, str(PACKAGE.parent), str(tmp_path)],
                           capture_output=True, text=True, timeout=120, check=True)
     lines = done.stdout.strip().splitlines()
-    assert (lines[0], lines[-2], lines[-1]) == ("[]", "[]", "True")
+    assert (lines[0], lines[-2], lines[-1]) == ("[]", "[]", "[]")
 
 
-def scipy_spatial_imports(tree: ast.Module):
+def scipy_imports(tree: ast.Module, subpackage: str):
     """Name of the innermost function around each import that can load
-    scipy.spatial; "<module>" for one outside any function."""
+    scipy.<subpackage>; "<module>" for one outside any function."""
     pending = [(node, "<module>") for node in tree.body]
     while pending:
         node, owner = pending.pop()
@@ -110,7 +112,7 @@ def scipy_spatial_imports(tree: ast.Module):
             names = [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             names = []
-        if any(name.split(".")[:2] == ["scipy", "spatial"] for name in names):
+        if any(name.split(".")[:2] == ["scipy", subpackage] for name in names):
             yield owner
         pending.extend((child, owner) for child in ast.iter_child_nodes(node))
 
@@ -122,7 +124,7 @@ SPATIAL_ALLOWED = {("kernels.py", "_distances"), ("baseline.py", None)}
 
 def test_only_the_distance_routine_and_the_baseline_import_scipy_spatial():
     offenders = [f"{path.name}: {owner}" for path in sorted(PACKAGE.glob("*.py"))
-                 for owner in scipy_spatial_imports(ast.parse(path.read_text()))
+                 for owner in scipy_imports(ast.parse(path.read_text()), "spatial")
                  if not {(path.name, owner), (path.name, None)} & SPATIAL_ALLOWED]
     assert offenders == []
 
@@ -132,7 +134,23 @@ def test_spatial_scan_sees_every_form_of_import():
               "def f():\n    from scipy.spatial.distance import cdist\n"
               "class A:\n    def g(self):\n        import scipy.spatial.distance as d\n"
               "def h():\n    from scipy import linalg\n    import scipy.sparse\n")
-    assert sorted(scipy_spatial_imports(ast.parse(source))) == ["<module>", "<module>", "f", "g"]
+    assert sorted(scipy_imports(ast.parse(source), "spatial")) == ["<module>", "<module>", "f", "g"]
+
+
+# the exact assignment solver; both fits search in-package, so no pipeline
+# command loads scipy.optimize
+def test_only_the_assignment_solver_imports_scipy_optimize():
+    owners = [f"{path.name}: {owner}" for path in sorted(PACKAGE.glob("*.py"))
+              for owner in scipy_imports(ast.parse(path.read_text()), "optimize")]
+    assert owners == ["ot.py: assignment_ot"]
+
+
+def test_optimize_scan_sees_every_form_of_import():
+    source = ("import scipy.optimize\nfrom scipy import optimize, linalg\n"
+              "def f():\n    from scipy.optimize import minimize\n"
+              "class A:\n    def g(self):\n        import scipy.optimize._lbfgsb as l\n"
+              "def h():\n    from scipy import linalg\n    import scipy.spatial\n")
+    assert sorted(scipy_imports(ast.parse(source), "optimize")) == ["<module>", "<module>", "f", "g"]
 
 
 @pytest.fixture(scope="module")
@@ -156,8 +174,9 @@ def gaussian_files(tmp_path_factory):
 @pytest.mark.parametrize("argv,expected", [
     ("kernel-matrix --input {d}/set.json --theta 1,1,2,0.001 --out {d}/gram.csv", []),
     ("fit --data {d}/train.json --method cv --out {d}/refit.json", ["linalg"]),
+    ("fit --data {d}/train.json --method mle --out {d}/refit.json", ["linalg"]),
     ("predict --model {d}/model.json --data {d}/train.json --out {d}/p.csv", ["linalg"]),
-], ids=["kernel-matrix", "fit-cv", "predict"])
+], ids=["kernel-matrix", "fit-cv", "fit-mle", "predict"])
 def test_scipy_subpackages_each_gaussian_command_loads(gaussian_files, argv, expected):
     # public scipy subpackages loaded by one command in a fresh interpreter
     program = (
