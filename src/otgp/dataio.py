@@ -98,7 +98,7 @@ def load_gaussian_set(path) -> list[GaussianMeasure]:
 
 
 def save_grid_csv(path, density: GridDensity) -> None:
-    np.savetxt(path, density.weights, delimiter=",", fmt="%.17g")
+    _write_csv(path, density.weights)
 
 
 def load_grid_csv(path) -> GridDensity:
@@ -235,11 +235,8 @@ def load_model(path):
 
 def save_gram_csv(path, matrix) -> None:
     """An exactly symmetric matrix as text, byte for byte what
-    np.savetxt(path, matrix, fmt="%.17g", delimiter=",") writes.
-
-    Each upper-triangle entry is formatted once. Row i's text left of the
-    diagonal is the cache the rows above it filled, freed once written, so
-    at most about n^2/4 formatted entries are held. NotSymmetric unless the
+    np.savetxt(path, matrix, fmt="%.17g", delimiter=",") writes; an entry left
+    to CPython is formatted once per symmetric pair. NotSymmetric unless the
     matrix equals its transpose bit for bit (a bit-level asymmetry could
     format differently, as with -0.0 and 0.0).
     """
@@ -248,28 +245,168 @@ def save_gram_csv(path, matrix) -> None:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     if not np.array_equal(a.view(np.uint64), a.T.view(np.uint64)):
         raise NotSymmetric("matrix is not exactly symmetric")
-    n = len(a)
-    fmt = "%.17g," * n
-    left = [bytearray() for _ in range(n)]
-    with open(path, "wb") as fh:
-        for i in range(n):
-            upper = (fmt[6 * i:] % tuple(a[i, i:].tolist())).encode()
-            line, left[i] = left[i], None
-            line += upper
-            line[-1:] = b"\n"
-            fh.write(line)
-            for cache, token in zip(left[i + 1:], upper.split(b",")[1:-1]):
-                cache += token
-                cache += b","
+    _write_csv(path, a, symmetric=True)
 
 
 def save_predictions_csv(path, result) -> None:
     table = np.column_stack([result.mean, result.variance, *result.ci90])
-    body = ("%.17g,%.17g,%.17g,%.17g\n" * len(table)) % tuple(table.ravel().tolist())
-    Path(path).write_text("mean,variance,lo,hi\n" + body)
+    _write_csv(path, table, "mean,variance,lo,hi\n")
 
 
 def save_eigenvalues_csv(path, eigenvalues) -> None:
-    values = np.asarray(eigenvalues).ravel().tolist()
-    Path(path).write_text("eigenvalue\n" + ("%.17g\n" * len(values)) % tuple(values))
+    _write_csv(path, np.asarray(eigenvalues, dtype=float).reshape(-1, 1), "eigenvalue\n")
 
+
+def save_errors_csv(path, sizes, errors) -> None:
+    """The consistency study's mean error at each training size n."""
+    _write_csv(path, np.column_stack([sizes, errors]), "n,error\n")
+
+
+# The one number format of the CSV files: '%.17g', which reads back to the same
+# double. Where CPython's %g writes fixed notation, 1e-4 <= |x| < 1e16, numpy
+# computes the digits: with e = floor(log10|x|), 10^k for k = 16 - e <= 22 is an
+# exact double, Dekker's error-free product gives x 10^k exactly as hi + lo,
+# and hi, an even integer at or above 2^53, plus np.rint(lo) is the 17-digit
+# integer rounded half to even, as CPython rounds. An integer outside
+# [10^16, 10^17) means e was misjudged or the digits carried onto 10^17; it is
+# computed again with e moved by one. CPython formats every other entry: 0, -0,
+# subnormals, tiny or huge values, inf and NaN.
+CSV_BLOCK = 1 << 15  # entries laid out per numpy pass
+_TEN = np.cumprod(np.full(23, 10.0)) / 10.0  # 10^0 .. 10^22, each exact
+_QUADS = np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4,
+                               indexing="ij"), -1).view("<u4").ravel()  # "0000" .. "9999"
+# trailing zeros of 0 .. 9999: the count of 10, 100 and 1000 that divide it, 4 for 0
+_TRAILING = np.bincount(np.r_[0:10000:10, 0:10000:100, 0:10000:1000, 0], minlength=10000)
+_ROW = 40  # widest laid-out text: sign, 16 digits, point, 20 digits, separator
+_KEEP = ((np.arange(_ROW) >= np.arange(_ROW + 1)[:, None, None])
+         & (np.arange(_ROW) <= np.arange(_ROW + 1)[None, :, None])
+         ).reshape(-1, _ROW)  # row s (_ROW + 1) + e marks the columns s to e
+
+
+def _veltkamp(a):
+    """a split into a 26-bit high part and the rest."""
+    t = 134217729.0 * a  # 2^27 + 1
+    high = t - (t - a)
+    return high, a - high
+
+
+_TEN_SPLIT = _veltkamp(_TEN)
+
+
+def _scaled(x, k):
+    """x 10^k rounded half to even, as int64 (Dekker's product; x 10^k < 2^63)."""
+    hi = x * _TEN[k]
+    (xh, xl), ph, pl = _veltkamp(x), _TEN_SPLIT[0][k], _TEN_SPLIT[1][k]
+    lo = ((xh * ph - hi) + xh * pl + xl * ph) + xl * pl  # x 10^k - hi, exactly
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _digits(x):
+    """N in [10^16, 10^17), x's 17 significant digits rounded half to even,
+    and x's decimal exponent e, for each x in [1e-4, 1e16)."""
+    k = 16 - np.floor(np.log10(x)).astype(np.intp)
+    n = _scaled(x, k)
+    off = np.flatnonzero((n < 10**16) | (n >= 10**17))
+    k[off] += np.where(n[off] < 10**16, 1, -1)
+    n[off] = _scaled(x[off], k[off])
+    return n, 16 - k
+
+
+def _text(n):
+    """Rows of 24 bytes, flat: one of padding, then '0000000' and the 17
+    digits of each N, then two of padding; and N's trailing zeros."""
+    q = n // 10**8
+    r = (n - q * 10**8).astype(np.uint32)  # uint32 divides faster than int64
+    q = q.astype(np.uint32)
+    quads = np.zeros((len(n) + 3, 6), np.intp)
+    quads[1:-2, 1] = top = q // 10**8
+    q -= top.astype(np.uint32) * np.uint32(10**8)
+    quads[1:-2, 2] = h = q // 10000
+    quads[1:-2, 3] = q - h * 10000  # % divides slower
+    quads[1:-2, 4] = h = r // 10000
+    quads[1:-2, 5] = r - h * 10000
+    zeros = _TRAILING.take(quads[1:-2, 5])
+    more = np.flatnonzero(zeros == 4)
+    for k in (4, 3, 2):
+        zeros[more] += _TRAILING.take(quads[more + 1, k])
+        more = more[quads[more + 1, k] == 0]
+    return _QUADS.take(quads).view(np.uint8).ravel(), zeros
+
+
+def _fixed(v, seps):
+    """The '%.17g' text of each v with 1e-4 <= |v| < 1e16, followed by its
+    separator: the bytes of them all, and the length of each."""
+    if not len(v):
+        return np.empty(0, np.uint8), np.empty(0, np.intp)
+    neg = v < 0
+    n, e = _digits(np.abs(v))
+    text, zeros = _text(n)
+    a = e + 8  # column of a text row holding the first digit after the point
+    p = np.maximum(e, 0) + 1  # digits before the point
+    frac = np.maximum(24 - a - zeros, 0)  # digits after the point, trailing zeros cut
+    # each row holds its text with the point in column width_p
+    width_p, width_f = int((p + neg).max()), int(frac.max())
+    rows = np.empty((len(v), width_p + width_f + 2), np.uint8)
+    common = int(np.bincount(a).argmax())  # rows of that a are copied as slices
+    digits = text[24:-48].reshape(-1, 24)
+    w, f = min(width_p, common), min(width_f, 24 - common)
+    rows[:, width_p - w:width_p] = digits[:, common - w:common]
+    rows[:, width_p + 1:width_p + 1 + f] = digits[:, common:common + f]
+    other = np.flatnonzero(a != common)  # and the others through windows of the text
+    if len(other):
+        windows = np.lib.stride_tricks.sliding_window_view(text, max(width_p, width_f))
+        at = 24 * (other + 1) + a[other]
+        rows[other, :width_p] = windows[at - width_p, :width_p]
+        rows[other, width_p + 1:width_p + 1 + width_f] = windows[at, :width_f]
+    rows[:, width_p] = ord(".")
+    start = width_p - p - neg
+    minus = np.flatnonzero(neg)
+    rows[minus, start[minus]] = ord("-")
+    end = np.where(frac > 0, width_p + 1 + frac, width_p)
+    rows[np.arange(len(v)), end] = seps
+    keep = _KEEP.take(start * (_ROW + 1) + end, axis=0)[:, :rows.shape[1]]
+    return rows[keep], end - start + 1
+
+
+def _write_csv(path, table, header: str = "", symmetric: bool = False) -> None:
+    """The header, then each row of a 2-D float table as a line of '%.17g'
+    text joined by commas: byte for byte np.savetxt(fmt="%.17g",
+    delimiter=","). Numpy writes the fixed-notation entries, CSV_BLOCK entries
+    at a time; CPython formats each other entry (NaN included) once, or once
+    per pair when symmetric (the table equals its transpose bit for bit)."""
+    table = np.asarray(table, dtype=float)
+    rows, cols = table.shape
+    outside = ~((table >= 1e-4) & (table < 1e16) | (table <= -1e-4) & (table > -1e16))
+    once = np.triu(outside) if symmetric else outside
+    values = table[once].tolist()
+    tokens = np.frombuffer((b"%-24.17g" * len(values) % tuple(values)).replace(b" ", b"\0"),
+                           "S24")  # NUL-padded
+    if values:  # the index of each entry's token
+        index = np.cumsum(once).reshape(once.shape)
+        index -= 1
+        if symmetric:
+            lower = np.tril(outside, -1)
+            index[lower] = index.T[lower]
+    step = max(1, CSV_BLOCK // max(cols, 1))
+    seps = np.tile(np.append(np.full(max(cols - 1, 0), ord(",")), ord("\n")).astype(np.uint8),
+                   step)
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        for r0 in range(0, rows if cols else 0, step):
+            v, mask = table[r0:r0 + step].ravel(), outside[r0:r0 + step].ravel()
+            sep = seps[:len(v)]
+            if not mask.any():
+                fh.write(_fixed(v, sep)[0].tobytes())
+                continue
+            text, lengths = _fixed(v[~mask], sep[~mask])
+            # "%s" and its separator hold each CPython entry's place in the
+            # text, after the entries before it: at - k // 3 of them numpy's
+            at = np.flatnonzero(mask)
+            k = 3 * np.arange(len(at))
+            hole = np.append(0, np.cumsum(lengths))[at - k // 3] + k
+            line = np.empty(len(text) + 3 * len(at), np.uint8)
+            fill = np.ones(len(line), bool)
+            fill[hole] = fill[hole + 1] = fill[hole + 2] = False
+            line[fill] = text
+            line[hole], line[hole + 1], line[hole + 2] = ord("%"), ord("s"), sep[at]
+            fh.write(line.tobytes() % tuple(tokens[index[r0:r0 + step].ravel()[at]].tolist()))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .barycenter import gaussian_barycenter
 from .baseline import fit_smoother, smoother_predict
-from .dataio import save_eigenvalues_csv
+from .dataio import save_eigenvalues_csv, save_errors_csv
 from .errors import ValidationError, check_arg
 from .gp import build_model, gp_fit_cv, gp_fit_mle, gp_predict, metrics
 from .kernels import (
@@ -188,8 +188,7 @@ def run_consistency(cfg: ConsistencyConfig) -> dict:
         squared_error_ratio_first_to_last=pooled_sq[0] / pooled_sq[-1],
         loglog_slope=slope)
     if cfg.out_dir:
-        rows = ["n,error"] + [f"{n},{v:.17g}" for n, v in zip(cfg.n_grid, pooled)]
-        (Path(cfg.out_dir) / "errors.csv").write_text("\n".join(rows) + "\n")
+        save_errors_csv(Path(cfg.out_dir) / "errors.csv", cfg.n_grid, pooled)
     return report
 
 

@@ -11,7 +11,7 @@ import pytest
 import otgp
 from otgp import dataio
 from otgp.barycenter import gaussian_barycenter_measure
-from otgp.cli import main
+from otgp.cli import build_parser, main
 from otgp.errors import MAGNITUDE, MAGNITUDE_RULE
 from otgp.kernels import KernelParams, embed_gaussians, gram_matrix
 from otgp.measures import GaussianMeasure, GridDensity
@@ -65,6 +65,21 @@ class TestBarycenterCommand:
         code = main(["barycenter", "--input", str(src), "--out", str(out),
                      "--tol", "1e-15", "--max-iter", "1"])
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [["kernel-matrix", "--input", "x.json"],
+                                      ["fit", "--data", "d.json", "--out", "m", "--method", "ml"],
+                                      ["experiment", "psd", "--seed", "one", "--out", "o"],
+                                      ["no-such-command"]])
+    def test_bad_flags_exit_2_from_the_one_parser(self, tmp_path, capsys, argv):
+        # the parser is built once per process; each parse starts clean
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert build_parser() is build_parser()
+        src = tmp_path / "grids"
+        write_grid_dir(src)
+        assert main(["barycenter", "--input", str(src), "--out", str(tmp_path / "o")]) == 0
 
     def test_validation_failure_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

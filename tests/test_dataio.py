@@ -222,6 +222,87 @@ class TestTableCsv:
         assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
 
 
+def cpython_rows(values: np.ndarray, cols: int) -> bytes:
+    """CPython's '%.17g' of each value, cols to a comma-joined line."""
+    line = "%.17g," * (cols - 1) + "%.17g\n"
+    return (line * (len(values) // cols) % tuple(values.tolist())).encode()
+
+
+class TestCsvWriterReferee:
+    """The one CSV writer against CPython's '%.17g', byte for byte: numpy's
+    digits on the fixed-notation range, CPython's everywhere else."""
+
+    @staticmethod
+    def check(tmp_path, values, cols=16):
+        values = np.asarray(values, dtype=float)
+        values = np.append(values, np.ones(-len(values) % cols))  # whole rows
+        path = tmp_path / "table.csv"
+        dataio._write_csv(path, values.reshape(-1, cols))
+        assert path.read_bytes() == cpython_rows(values, cols)
+
+    def test_exact_ties_round_half_to_even(self, tmp_path):
+        odd = np.arange(2**17 + 1, 10 * 2**17, 2)
+        self.check(tmp_path, np.concatenate([odd / 2.0**17, odd / 2.0**18]))
+
+    def test_powers_of_ten_and_their_neighbours(self, tmp_path):
+        # just below a power of ten, floor(log10) is one too high; the digits
+        # of such a value could carry onto 10^17
+        near = [powers := 10.0 ** np.arange(-325, 309)]
+        for direction in (0.0, np.inf):
+            x = powers
+            for _ in range(64):
+                near.append(x := np.nextafter(x, direction))
+        values = np.concatenate(near)
+        self.check(tmp_path, np.concatenate([values, -values]))
+
+    def test_a_misjudged_exponent_is_corrected_either_way(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(7)
+        values = 10.0 ** rng.uniform(-4, 16, 20000) * rng.choice([-1.0, 1.0], 20000)
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) + rng.choice([-0.7, 0.7], len(x)))
+        self.check(tmp_path, values)
+
+    def test_integers(self, tmp_path):
+        rng = np.random.default_rng(1)
+        self.check(tmp_path, np.concatenate([np.arange(1.0, 50001.0),
+                                             rng.integers(1, 10**16, 50000).astype(float)]))
+
+    def test_random_values(self, tmp_path):
+        rng = np.random.default_rng(2)
+        bits = rng.integers(0, 2**64, 100000, dtype=np.uint64).view(float)
+        spread = 10.0 ** rng.uniform(-5, 17, 100000) * rng.choice([-1.0, 1.0], 100000)
+        self.check(tmp_path, np.concatenate([bits, spread]))
+
+    def test_special_values(self, tmp_path):
+        edges = [1e-4, 1e16, np.nextafter(1e-4, 0.0), np.nextafter(1e16, 0.0)]
+        self.check(tmp_path, [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                              2.2250738585072014e-308, np.inf, -np.inf, np.nan,
+                              *edges, *-np.array(edges)], cols=3)
+
+    @pytest.mark.parametrize("cols, rows", [(9, 4), (3, 5), (1, 7)])
+    def test_one_row_and_last_partial_blocks(self, tmp_path, monkeypatch, cols, rows):
+        # 8 entries a block: one row of 9, two rows of 3 with one left over,
+        # eight rows of 1 (no block full)
+        monkeypatch.setattr(dataio, "CSV_BLOCK", 8)
+        rng = np.random.default_rng(cols)
+        values = rng.choice([0.5, -3.25, 1e-7, 0.0, 123456.789, 1e300], cols * rows)
+        self.check(tmp_path, values * rng.uniform(0.5, 2.0, cols * rows), cols)
+
+    def test_steep_kernel_gram_equals_savetxt(self, tmp_path, monkeypatch):
+        # mostly entries outside the fixed-notation range, each pair formatted
+        # once and read through blocks of 1000 entries
+        from otgp.kernels import KernelParams, embed, gram_matrix
+        from otgp.measures import sample_gaussian_population
+
+        monkeypatch.setattr(dataio, "CSV_BLOCK", 1000)
+        population = sample_gaussian_population(120, 2, (3, 0), entry_range=(0.1, 0.7))
+        gram = gram_matrix(embed(population, warm=False), KernelParams(1.0, 300.0, 2.0, 0.0))
+        assert np.mean(np.abs(gram) < 1e-4) > 0.5
+        path = tmp_path / "gram.csv"
+        dataio.save_gram_csv(path, gram)
+        assert path.read_bytes() == savetxt_bytes(gram)
+
+
 def write_json(tmp_path, payload, name="bad.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))

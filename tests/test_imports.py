@@ -2,10 +2,12 @@
 never load scipy.stats or scipy.optimize, only wide-row distances and the
 smoothing baseline load scipy.spatial, and only the assignment solver
 scipy.optimize. Source scans: the embedders, the report files,
-each Gaussian closed form, each argument rule, the grid geometry and the fit
-search have one owner, and every imported name is used."""
+each Gaussian closed form, each argument rule, the grid geometry, the fit
+search and the 17-digit number format have one owner, and every imported name
+is used."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -536,6 +538,39 @@ def test_bound_scan_sees_every_spelling():
     assert sorted(bound_offenders(planted)) == [
         "gp.py:2 float max", "gp.py:4 bound", "gp.py:6 overflow guard", "gp.py:7 bound",
         "measures.py:2 float max", "ot.py:4 bound"]
+
+
+# The number format of the CSV files has one owner: only dataio.py, whose
+# writer formats every number the CLI writes to a CSV, spells a 17-digit
+# format ('%.17g', f'{v:.17g}', format(v, '.17e')); docstrings may name it.
+SEVENTEEN_DIGITS = re.compile(r"\.17[eEfFgG]")
+
+
+def seventeen_digit_formats(tree: ast.Module) -> list[int]:
+    """Lines of the strings and bytes, f-string format specs included, that
+    spell a 17-digit format; docstrings are skipped."""
+    docstrings = docstring_ids(tree)
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, (str, bytes))
+                  and id(node) not in docstrings
+                  and SEVENTEEN_DIGITS.search(node.value if isinstance(node.value, str)
+                                              else node.value.decode("latin-1")))
+
+
+def test_only_dataio_spells_the_17_digit_format():
+    offenders = [f"{name}:{line}" for name, source in package_sources().items()
+                 if name != "dataio.py" for line in seventeen_digit_formats(ast.parse(source))]
+    assert offenders == []
+
+
+def test_format_scan_sees_every_spelling():
+    source = ('"""Rows are written as %.17g text."""\n'
+              "def f(n, v):\n    return f'{n},{v:.17g}'\n"
+              "def g(x):\n    \"\"\"As '%.17g' writes it.\"\"\"\n"
+              "    return format(x, '.17e'), '%.16g' % x\n"
+              "ROW = b'%-24.17g,'\n"
+              "h = lambda x: '{:.17G}'.format(x)\n")
+    assert seventeen_digit_formats(ast.parse(source)) == [3, 6, 7, 8]
 
 
 REPORT_FILES = ("report.json", "meta.json")
