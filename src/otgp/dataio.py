@@ -235,8 +235,9 @@ def load_model(path):
 
 def save_gram_csv(path, matrix) -> None:
     """An exactly symmetric matrix as text, byte for byte what
-    np.savetxt(path, matrix, fmt="%.17g", delimiter=",") writes; an entry left
-    to CPython is formatted once per symmetric pair. NotSymmetric unless the
+    np.savetxt(path, matrix, fmt="%.17g", delimiter=",") writes. An entry left
+    to CPython is formatted once per symmetric pair, and at most about n^2/4
+    such tokens, of 25 bytes each, are held at once. NotSymmetric unless the
     matrix equals its transpose bit for bit (a bit-level asymmetry could
     format differently, as with -0.0 and 0.0).
     """
@@ -278,6 +279,7 @@ _QUADS = np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8
 # trailing zeros of 0 .. 9999: the count of 10, 100 and 1000 that divide it, 4 for 0
 _TRAILING = np.bincount(np.r_[0:10000:10, 0:10000:100, 0:10000:1000, 0], minlength=10000)
 _ROW = 40  # widest laid-out text: sign, 16 digits, point, 20 digits, separator
+_TOKEN = np.dtype("V25")  # a CPython '%.17g', at most 24 bytes, and its padding
 _KEEP = ((np.arange(_ROW) >= np.arange(_ROW + 1)[:, None, None])
          & (np.arange(_ROW) <= np.arange(_ROW + 1)[None, :, None])
          ).reshape(-1, _ROW)  # row s (_ROW + 1) + e marks the columns s to e
@@ -333,80 +335,84 @@ def _text(n):
     return _QUADS.take(quads).view(np.uint8).ravel(), zeros
 
 
-def _fixed(v, seps):
-    """The '%.17g' text of each v with 1e-4 <= |v| < 1e16, followed by its
-    separator: the bytes of them all, and the length of each."""
-    if not len(v):
-        return np.empty(0, np.uint8), np.empty(0, np.intp)
-    neg = v < 0
-    n, e = _digits(np.abs(v))
+def _cpython(values: list):
+    """CPython's '%.17g' of each value, space-padded to _TOKEN bytes."""
+    return np.frombuffer(b"%-25.17g" * len(values) % tuple(values), _TOKEN)
+
+
+def _spans(buf, width: int, stride: int = 1, offset: int = 0):
+    """View of a uint8 array's byte strings buf[offset + i stride:][:width]
+    as one array of width-byte items, copied by numpy as a whole: a column
+    range of each row of a table, or each window of a text."""
+    count = (buf.size - offset - width) // stride + 1
+    return np.ndarray((count,), np.dtype((np.void, width)), buf, offset, (stride,))
+
+
+def _layout(v, seps, outside, tokens):
+    """The text of each entry of v followed by its separator, as bytes:
+    CPython's token (the entry of tokens) where outside, numpy's fixed
+    notation elsewhere. Each text is laid out in a row, numpy's with the point
+    in one column, a token from column 0, and one mask keeps the columns from
+    each text's first byte to its separator."""
+    fast, slow = np.flatnonzero(~outside), np.flatnonzero(outside)
+    x = v[fast]
+    neg = x < 0
+    n, e = _digits(np.abs(x))
     text, zeros = _text(n)
     a = e + 8  # column of a text row holding the first digit after the point
     p = np.maximum(e, 0) + 1  # digits before the point
     frac = np.maximum(24 - a - zeros, 0)  # digits after the point, trailing zeros cut
-    # each row holds its text with the point in column width_p
-    width_p, width_f = int((p + neg).max()), int(frac.max())
-    rows = np.empty((len(v), width_p + width_f + 2), np.uint8)
-    common = int(np.bincount(a).argmax())  # rows of that a are copied as slices
-    digits = text[24:-48].reshape(-1, 24)
-    w, f = min(width_p, common), min(width_f, 24 - common)
-    rows[:, width_p - w:width_p] = digits[:, common - w:common]
-    rows[:, width_p + 1:width_p + 1 + f] = digits[:, common:common + f]
-    other = np.flatnonzero(a != common)  # and the others through windows of the text
-    if len(other):
-        windows = np.lib.stride_tricks.sliding_window_view(text, max(width_p, width_f))
-        at = 24 * (other + 1) + a[other]
-        rows[other, :width_p] = windows[at - width_p, :width_p]
-        rows[other, width_p + 1:width_p + 1 + width_f] = windows[at, :width_f]
-    rows[:, width_p] = ord(".")
-    start = width_p - p - neg
-    minus = np.flatnonzero(neg)
-    rows[minus, start[minus]] = ord("-")
-    end = np.where(frac > 0, width_p + 1 + frac, width_p)
+    token = tokens[slow].view(np.uint8).reshape(-1, _TOKEN.itemsize)
+    length = (token != ord(" ")).sum(1)
+    width_p, width_f = int((p + neg).max(initial=1)), int(frac.max(initial=1))
+    width = max(width_p + width_f + 2, int(length.max(initial=0)) + 1)
+    rows = np.empty((len(v), width), np.uint8)
+    token = token[:, :width - 1]
+    rows[slow, :token.shape[1]] = token
+    at = 24 * np.arange(1, len(fast) + 1) + a
+    _spans(rows, width_p, width)[fast] = _spans(text, width_p)[at - width_p]
+    rows[fast, width_p] = ord(".")
+    _spans(rows, width_f, width, width_p + 1)[fast] = _spans(text, width_f)[at]
+    start, end = np.zeros(len(v), np.intp), np.empty(len(v), np.intp)
+    start[fast] = width_p - p - neg
+    rows[fast[neg], start[fast[neg]]] = ord("-")
+    end[fast] = np.where(frac > 0, width_p + 1 + frac, width_p)
+    end[slow] = length
     rows[np.arange(len(v)), end] = seps
-    keep = _KEEP.take(start * (_ROW + 1) + end, axis=0)[:, :rows.shape[1]]
-    return rows[keep], end - start + 1
+    return rows[_KEEP[:, :width].take(start * (_ROW + 1) + end, axis=0)]
 
 
 def _write_csv(path, table, header: str = "", symmetric: bool = False) -> None:
     """The header, then each row of a 2-D float table as a line of '%.17g'
     text joined by commas: byte for byte np.savetxt(fmt="%.17g",
-    delimiter=","). Numpy writes the fixed-notation entries, CSV_BLOCK entries
-    at a time; CPython formats each other entry (NaN included) once, or once
-    per pair when symmetric (the table equals its transpose bit for bit)."""
+    delimiter=","), laid out CSV_BLOCK entries (whole rows) at a time. CPython
+    formats each entry outside numpy's range once, or, when the table equals
+    its transpose bit for bit (symmetric), once per pair: in the block that
+    holds the upper entry, whose token the lower entry's block then copies.
+    The tokens held for later blocks are those of the rows written so far in
+    the columns of the rows not yet written, at most n^2/4 for an n x n table."""
     table = np.asarray(table, dtype=float)
     rows, cols = table.shape
-    outside = ~((table >= 1e-4) & (table < 1e16) | (table <= -1e-4) & (table > -1e16))
-    once = np.triu(outside) if symmetric else outside
-    values = table[once].tolist()
-    tokens = np.frombuffer((b"%-24.17g" * len(values) % tuple(values)).replace(b" ", b"\0"),
-                           "S24")  # NUL-padded
-    if values:  # the index of each entry's token
-        index = np.cumsum(once).reshape(once.shape)
-        index -= 1
-        if symmetric:
-            lower = np.tril(outside, -1)
-            index[lower] = index.T[lower]
     step = max(1, CSV_BLOCK // max(cols, 1))
     seps = np.tile(np.append(np.full(max(cols - 1, 0), ord(",")), ord("\n")).astype(np.uint8),
                    step)
+    later = {}  # symmetric: a block's first row -> (first row, tokens) of each earlier block
     with open(path, "wb") as fh:
         fh.write(header.encode())
         for r0 in range(0, rows if cols else 0, step):
-            v, mask = table[r0:r0 + step].ravel(), outside[r0:r0 + step].ravel()
-            sep = seps[:len(v)]
-            if not mask.any():
-                fh.write(_fixed(v, sep)[0].tobytes())
-                continue
-            text, lengths = _fixed(v[~mask], sep[~mask])
-            # "%s" and its separator hold each CPython entry's place in the
-            # text, after the entries before it: at - k // 3 of them numpy's
-            at = np.flatnonzero(mask)
-            k = 3 * np.arange(len(at))
-            hole = np.append(0, np.cumsum(lengths))[at - k // 3] + k
-            line = np.empty(len(text) + 3 * len(at), np.uint8)
-            fill = np.ones(len(line), bool)
-            fill[hole] = fill[hole + 1] = fill[hole + 2] = False
-            line[fill] = text
-            line[hole], line[hole + 1], line[hole + 2] = ord("%"), ord("s"), sep[at]
-            fh.write(line.tobytes() % tuple(tokens[index[r0:r0 + step].ravel()[at]].tolist()))
+            block = table[r0:r0 + step]
+            outside = ~((block >= 1e-4) & (block < 1e16) | (block <= -1e-4) & (block > -1e16))
+            tokens = np.empty(block.shape, _TOKEN)
+            upper = np.triu(outside, r0) if symmetric else outside
+            tokens[upper] = _cpython(block[upper].tolist())
+            if symmetric:
+                r1 = r0 + len(block)
+                square, lower = tokens[:, r0:r1], np.tril(outside[:, r0:r1], -1)
+                square[lower] = square.T[lower]
+                for b0, held in later.pop(r0, ()):  # left of the square, from earlier blocks
+                    tokens[:, b0:b0 + step][outside[:, b0:b0 + step]] = held
+                for c0 in range(r1, rows, step):  # right of it, held for later blocks
+                    later.setdefault(c0, []).append(
+                        (r0, tokens[:, c0:c0 + step].T[outside[:, c0:c0 + step].T]))
+            fh.write(_layout(block.ravel(), seps[:block.size], outside.ravel(),
+                             tokens.ravel()).tobytes())

@@ -294,10 +294,12 @@ def _quasi_newton(objective, start, box: np.ndarray, ftol: float, gtol: float,
     first in size, else backs off by quadratic interpolation. A failed line
     search restarts from B = I, or ends the search at B = I. Stops on
     L-BFGS-B's tests: a relative fall of the value at most ftol, or a
-    projected gradient at most gtol; and when the line search backs off to a
-    step whose predicted fall -t g^T d is below the ftol test's ftol max(|f|,
-    1): at the POLISH tolerances such a fall is within the objective's
-    round-off."""
+    projected gradient at most gtol; and when a step fails the decrease test
+    and the line search backs off to one whose predicted fall -t g^T d is
+    below the ftol test's ftol max(|f|, 1). Along a direction on which the
+    objective is convex, no step that short falls by more than it predicts,
+    so the ftol test would end the search after it; at the POLISH tolerances
+    such a fall is also within the objective's round-off."""
     lo, hi = box[:, 0].tolist(), box[:, 1].tolist()
     eye = [[float(i == j) for j in range(len(lo))] for i in range(len(lo))]
 
@@ -330,8 +332,8 @@ def _quasi_newton(objective, start, box: np.ndarray, ftol: float, gtol: float,
             else:  # the quadratic through f, its slope and the value, or the two slopes
                 t *= min(0.5, max(0.1, gd / (gd - slope) if decrease
                                   else -gd * t / (2 * (ft - f - gd * t))))
-                roundoff = -t * gd < ftol * max(abs(f), 1.0)  # a fall the ftol test ignores
-                if roundoff:
+                roundoff = not decrease and -t * gd < ftol * max(abs(f), 1.0)
+                if roundoff:  # a fall the ftol test would end the search on
                     break
         if new is None:
             if b is None or roundoff:

@@ -290,17 +290,37 @@ class TestCsvWriterReferee:
 
     def test_steep_kernel_gram_equals_savetxt(self, tmp_path, monkeypatch):
         # mostly entries outside the fixed-notation range, each pair formatted
-        # once and read through blocks of 1000 entries
+        # once; blocks of 9 rows, the last of 3, so that later blocks copy
+        # the tokens of the upper entries that earlier ones formatted
         from otgp.kernels import KernelParams, embed, gram_matrix
         from otgp.measures import sample_gaussian_population
 
-        monkeypatch.setattr(dataio, "CSV_BLOCK", 1000)
+        monkeypatch.setattr(dataio, "CSV_BLOCK", 9 * 120)
         population = sample_gaussian_population(120, 2, (3, 0), entry_range=(0.1, 0.7))
         gram = gram_matrix(embed(population, warm=False), KernelParams(1.0, 300.0, 2.0, 0.0))
         assert np.mean(np.abs(gram) < 1e-4) > 0.5
         path = tmp_path / "gram.csv"
         dataio.save_gram_csv(path, gram)
         assert path.read_bytes() == savetxt_bytes(gram)
+
+    def test_gram_of_cpython_entries_holds_a_quarter_of_their_tokens(self, tmp_path,
+                                                                      monkeypatch):
+        # every entry outside numpy's range: the tokens held for later blocks
+        # peak at n^2/4 of 25 bytes, plus one block's working arrays
+        import tracemalloc
+
+        n = 400
+        monkeypatch.setattr(dataio, "CSV_BLOCK", 10 * n)
+        upper = np.triu(np.random.default_rng(4).uniform(1e-6, 1e-5, (n, n)))
+        gram = upper + np.triu(upper, 1).T
+        tracemalloc.start()
+        try:
+            dataio.save_gram_csv(tmp_path / "gram.csv", gram)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 * n * n / 4 + 250 * dataio.CSV_BLOCK
+        assert (tmp_path / "gram.csv").read_bytes() == savetxt_bytes(gram)
 
 
 def write_json(tmp_path, payload, name="bad.json"):
