@@ -37,14 +37,11 @@ CI90_FACTOR = 1.645
 JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 
 # _minimize_in_box screens one start per row of SOBOL_STARTS at SCREEN and
-# polishes the best at POLISH. The screen only ranks the starts: with the
-# Nelder-Mead screen at xatol 1e-2 instead of 1e-3, no CV fit of 138
-# gaussian-regression and grid-path datasets ended more than 6.2e-10 relative
-# higher in LOO error; at 3e-2 dataset 3001 ended 8.9% higher.
-SCREEN = {"quasi-Newton": dict(ftol=1e-7, gtol=1e-4, maxiter=1000),
-          "Nelder-Mead": dict(xatol=1e-2, fatol=1e-7, maxiter=4000, maxfev=4000)}
-POLISH = {"quasi-Newton": dict(ftol=1e-13, gtol=1e-9, maxiter=1000),
-          "Nelder-Mead": dict(xatol=1e-8, fatol=1e-12, maxiter=4000, maxfev=4000)}
+# polishes the best at POLISH. The screen only ranks the starts: at ftol 1e-5
+# and gtol 1e-3 grid-path dataset 7's MLE fit ended 2.6e-9 lower in log
+# likelihood.
+SCREEN = dict(ftol=1e-7, gtol=1e-4, maxiter=1000)
+POLISH = dict(ftol=1e-13, gtol=1e-9, maxiter=1000)
 
 # The first 8 points of the unscrambled Sobol' sequence in [0, 1)^3,
 # scipy.stats.qmc.Sobol(3, scramble=False).random(8).
@@ -137,103 +134,6 @@ def log_likelihood(dist: np.ndarray, y: np.ndarray, theta: KernelParams,
     w -= rinv.T
     w.flat[::n + 1] += rinv.diagonal()
     return value, gram_log_gradient(w, r, power, log_dist, theta)
-
-
-class _OutOfEvaluations(Exception):
-    pass
-
-
-class _Simplex(NamedTuple):
-    """A final Nelder-Mead simplex, vertices sorted by value, best first."""
-
-    x: np.ndarray
-    fun: float  # NaN if any vertex's value is, as SciPy's np.min gives it
-    simplex: np.ndarray
-    values: np.ndarray
-    nfev: int
-
-
-def _nelder_mead(objective, start, box: np.ndarray, xatol: float, fatol: float,
-                 maxiter: int, maxfev: int) -> _Simplex:
-    """SciPy's minimize(method="Nelder-Mead", bounds=box) step for step, on
-    Python floats. start is a point, around which the default simplex is
-    built, or an (n + 1, n) simplex. Every vertex and trial point is clamped
-    into the box; vertices above it are first reflected into it. The vertices
-    are ordered by np.argsort, as SciPy orders them: NaN values go last, and
-    ties keep the order numpy's sort gives them."""
-    lo, hi = box[:, 0].tolist(), box[:, 1].tolist()
-
-    def clip(x):  # np.clip's comparisons, signed zeros included
-        return [min(h, max(l, v)) for v, l, h in zip(x, lo, hi)]
-
-    def trial(a, b):  # a xbar + b worst, clamped
-        return clip([a * c + b * w for c, w in zip(xbar, worst)])
-
-    start = np.asarray(start, dtype=float)
-    if start.ndim == 1:  # (1 + 0.05) x_k, or 0.00025 where x_k is 0
-        x0 = clip(start.tolist())
-        sim = [x0] + [x0[:k] + [(1 + 0.05) * v if v != 0 else 0.00025] + x0[k + 1:]
-                      for k, v in enumerate(x0)]
-    else:
-        sim = start.tolist()
-    sim = [clip([2 * h - v if v > h else v for v, h in zip(x, hi)]) for x in sim]
-    n = len(sim) - 1
-    values = [math.inf] * (n + 1)
-    nfev = 0
-
-    def f(x):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _OutOfEvaluations
-        nfev += 1
-        return float(objective(np.array(x)))
-
-    def ordered():
-        order = np.argsort(values).tolist()
-        return [sim[i] for i in order], [values[i] for i in order]
-
-    try:
-        for k in range(n + 1):
-            values[k] = f(sim[k])
-    except _OutOfEvaluations:
-        pass
-    sim, values = ordered()
-    sim, values = ordered()  # SciPy sorts twice here; numpy's sort may swap ties
-    iterations = 1
-    while nfev < maxfev and iterations < maxiter:
-        best, worst = sim[0], sim[-1]
-        if (all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best))
-                and all(abs(values[0] - v) <= fatol for v in values[1:])):
-            break
-        xbar = best
-        for x in sim[1:-1]:  # summed in order, as np.add.reduce sums the rows
-            xbar = [s + v for s, v in zip(xbar, x)]
-        xbar = [s / n for s in xbar]
-        try:
-            xr = trial(2, -1)
-            fxr = f(xr)
-            if fxr < values[0]:  # expand
-                xe = trial(3, -2)
-                fxe = f(xe)
-                sim[-1], values[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < values[-2]:  # reflect
-                sim[-1], values[-1] = xr, fxr
-            else:  # contract outside or inside, else shrink towards the best
-                outside = fxr < values[-1]
-                xc = trial(1.5, -0.5) if outside else trial(0.5, 0.5)
-                fxc = f(xc)
-                if (fxc <= fxr) if outside else (fxc < values[-1]):
-                    sim[-1], values[-1] = xc, fxc
-                else:  # a vertex moves before its evaluation, so a budget that
-                    # runs out here leaves it moved with its old value
-                    for j in range(1, n + 1):
-                        sim[j] = clip([b + 0.5 * (v - b) for b, v in zip(best, sim[j])])
-                        values[j] = f(sim[j])
-            iterations += 1
-        except _OutOfEvaluations:
-            pass
-        sim, values = ordered()
-    return _Simplex(np.array(sim[0]), float(np.min(values)), np.array(sim), np.array(values), nfev)
 
 
 class _Point(NamedTuple):  # a final quasi-Newton point and its value
@@ -353,25 +253,15 @@ def _quasi_newton(objective, start, box: np.ndarray, ftol: float, gtol: float,
     return _Point(np.array(x), f)
 
 
-def _minimize_in_box(objective, log_box: np.ndarray, gradient: bool = False):
-    """Bounded local search from every Sobol start to the loose SCREEN
-    tolerances, then from the best screened result on to the tight POLISH
-    ones (Rinnooy Kan & Timmer, Math. Programming 1987): _quasi_newton,
-    restarted from its point, when the objective returns (value, gradient),
-    else _nelder_mead (SciPy's Nelder-Mead bit for bit), continued from its
-    final simplex. The screen only ranks the starts, so its Nelder-Mead stops
-    at xatol 1e-2. With _fit's per-fit memo, a gaussian-regression dataset
-    takes about 700 LOO and 120 likelihood evaluations, against 1,310 and
-    340 for a tight search from every start, and reaches the same best value
-    within 2.5e-10 relative (LOO error) and 4.4e-12 (likelihood) on its
-    datasets 1000-1009, 2000-2009 and 3000-3009 and on grid-path datasets
-    1-8. The result has the best point .x and its value .fun."""
-    search, method = ((_quasi_newton, "quasi-Newton") if gradient
-                      else (_nelder_mead, "Nelder-Mead"))
+def _minimize_in_box(objective, log_box: np.ndarray) -> _Point:
+    """_quasi_newton from every Sobol start to the loose SCREEN tolerances,
+    then from the best screened point on to the tight POLISH ones (Rinnooy
+    Kan & Timmer, Math. Programming 1987). The result has the best point .x
+    and its value .fun."""
     starts = log_box[:, 0] + SOBOL_STARTS * (log_box[:, 1] - log_box[:, 0])
-    best = min((search(objective, x0, log_box, **SCREEN[method]) for x0 in starts),
+    best = min((_quasi_newton(objective, x0, log_box, **SCREEN) for x0 in starts),
                key=lambda res: res.fun)  # the first of equal values
-    return search(objective, best.x if gradient else best.simplex, log_box, **POLISH[method])
+    return _quasi_newton(objective, best.x, log_box, **POLISH)
 
 
 def build_model(features, y, dist, theta, degenerate=False) -> GpModel:
@@ -401,17 +291,16 @@ def _unit_kernel(rate: float, exponent: float, tau: float) -> KernelParams:
     return theta
 
 
-def _fit(features, y, objective, amplitude_sq, gradient=False) -> GpModel:
+def _fit(features, y, objective, amplitude_sq) -> GpModel:
     """The fit both fitters run: the degenerate model for constant responses,
     else a search of the log of FIT_BOX (_minimize_in_box) for the
     unit-amplitude kernel minimizing objective(dist, y), a function of the
-    kernel that returns (value, detail), the detail being the gradient when
-    gradient is set. Each distinct point of the box is scored once per fit;
-    a point the search visits again gets the recorded value, and a gradient
-    as a copy. A Gram that cannot be factorized scores 1e15, with a zero
-    gradient. The model is the point the search scored: amplitude^2 =
-    amplitude_sq(dist, y, best kernel, its detail) and nugget = tau
-    amplitude^2, neither bounded further."""
+    kernel that returns (value, gradient, detail). Each distinct point of
+    the box is scored once per fit; a point the search visits again gets the
+    recorded value, and a gradient as a copy. A Gram that cannot be
+    factorized scores 1e15, with a zero gradient. The model is the point the
+    search scored: amplitude^2 = amplitude_sq(dist, y, best kernel, its
+    detail) and nugget = tau amplitude^2, neither bounded further."""
     y, dist = _fit_data(features, y)
     if y.max() == y.min():
         warnings.warn("constant responses: returning the degenerate model", stacklevel=3)
@@ -433,13 +322,13 @@ def _fit(features, y, objective, amplitude_sq, gradient=False) -> GpModel:
             except CholeskyFailure:
                 scored[key] = None
         if scored[key] is None:
-            return (1e15, np.zeros(len(log_x))) if gradient else 1e15
-        value, detail = scored[key]
-        return (value, detail.copy()) if gradient else value
+            return 1e15, np.zeros(len(log_x))
+        value, grad, _ = scored[key]
+        return value, grad.copy()
 
-    best = point(_minimize_in_box(searched, np.log(FIT_BOX), gradient).x)
+    best = point(_minimize_in_box(searched, np.log(FIT_BOX)).x)
     unit = KernelParams(1.0, *best.tolist())
-    _, detail = scored.get(best.tobytes()) or score(unit)  # a failed best raises here
+    *_, detail = scored.get(best.tobytes()) or score(unit)  # a failed best raises here
     amplitude = math.sqrt(amplitude_sq(dist, y, unit, detail))
     theta = replace(unit, amplitude=amplitude, nugget=unit.nugget * amplitude**2)
     return build_model(features, y, dist, theta)
@@ -457,41 +346,67 @@ def gp_fit_mle(features, y) -> GpModel:
 
         def negative(theta):
             value, grad = log_likelihood(dist, y, theta, log_dist)
-            return -value, -grad
+            return -value, -grad, None
         return negative
 
     def amplitude_sq(dist, y, theta, _):  # y^T alpha / n, as log_likelihood's s^2
         return float(y @ build_model(features, y, dist, theta).alpha) / len(y)
 
-    return _fit(features, y, objective, amplitude_sq, gradient=True)
+    return _fit(features, y, objective, amplitude_sq)
 
 
-def loo_residuals(dist: np.ndarray, y: np.ndarray, theta: KernelParams
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Leave-one-out residuals and predictive variances from one
-    factorization: e_i = alpha_i / (R^-1)_ii, var_i = 1 / (R^-1)_ii
-    (Dubrule, Math. Geology 1983), with R^-1 from potri and alpha = R^-1 y."""
-    linalg = _linalg()
-    r = gram_from_distances(dist, theta)
+def loo_residuals(dist: np.ndarray, y: np.ndarray, theta: KernelParams,
+                  log_dist: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """Leave-one-out residuals e and predictive variances from one
+    factorization, with c the diagonal of R^-1 from potri and alpha = R^-1 y:
+    e_i = alpha_i / c_i and var_i = 1 / c_i (Dubrule, Math. Geology 1983);
+    then log sum e^2 and its gradient in log(rate, exponent, nugget),
+    tr(W dR/dlog theta) / sum e^2 with W = 2 R^-1 diag(e^2 / c) R^-1 -
+    (alpha u^T + u alpha^T) and u = R^-1 (e / c) (Sundararajan & Keerthi,
+    Neural Computation 2001; GPML 2006, 5.4.2). Both are computed from e /
+    max|e| and alpha / max|e|, so nothing in them underflows. log_dist is
+    fit_invariants(dist), computed here when omitted. Residuals that are all
+    0: NumericalUnderflow."""
+    blas, lapack = _linalg().blas, _linalg().lapack
+    log_dist = fit_invariants(dist) if log_dist is None else log_dist
+    r, power = gram_parts(dist, theta)
     l, _ = chol_with_jitter(r)
-    rinv = linalg.lapack.dpotri(l, lower=1, overwrite_c=1)[0]
+    rinv = lapack.dpotri(l, lower=1, overwrite_c=1)[0]  # lower triangle, upper 0
     diag = rinv.diagonal()
-    alpha = linalg.blas.dsymv(1.0, rinv, y, lower=1)
-    return alpha / diag, 1.0 / diag
+    alpha = blas.dsymv(1.0, rinv, y, lower=1)
+    errs = alpha / diag
+    scale = float(np.abs(errs).max())
+    if scale == 0.0:
+        raise NumericalUnderflow("leave-one-out residuals underflow to 0: "
+                                 "responses too small to fit")
+    e, alpha = errs / scale, alpha / scale
+    total = float(e @ e)
+    u = blas.dsymv(1.0, rinv, e / diag, lower=1)
+    rinv += np.tril(rinv, -1).T
+    b = rinv * (np.abs(e) / np.sqrt(diag))  # B B^T = R^-1 diag(e^2 / c) R^-1
+    au = np.outer(alpha, u)
+    w = 2.0 * (b @ b.T) - au - au.T
+    grad = gram_log_gradient(w, r, power, log_dist, theta) * (2.0 / total)
+    return errs, 1.0 / diag, math.log(total) + 2.0 * math.log(scale), grad
 
 
 def gp_fit_cv(features, y) -> GpModel:
     """Fit by leave-one-out cross validation.
 
     The LOO squared error is invariant to the total variance (Dubrule, Math.
-    Geology 1983; GPML 5.4.2), so Nelder-Mead searches it at unit amplitude
-    (_fit); the amplitude makes the mean standardized LOO residual 1.
+    Geology 1983; GPML 5.4.2), so the bounded quasi-Newton search (_fit,
+    _quasi_newton) minimizes its log at unit amplitude, with loo_residuals'
+    analytic gradient; the amplitude makes the mean standardized LOO
+    residual 1.
     """
     def objective(dist, y):
-        def squared_error(theta):
-            errs, unit_vars = loo_residuals(dist, y, theta)
-            return float((errs**2).sum()), (errs, unit_vars)
-        return squared_error
+        log_dist = fit_invariants(dist)
+
+        def log_squared_error(theta):
+            errs, unit_vars, value, grad = loo_residuals(dist, y, theta, log_dist)
+            return value, grad, (errs, unit_vars)
+        return log_squared_error
 
     def amplitude_sq(dist, y, theta, loo):  # mean(e_i^2 / (amp^2 * var0_i)) = 1
         errs, unit_vars = loo

@@ -73,22 +73,31 @@ def posterior_mean_variance(chol, alpha, r_vec, k_self):
     return mean, float(k_self - r_vec @ w)
 
 
-def finite_difference_gradient(dist, y, theta, h=1e-5, backward=()):
-    """Central differences of log_likelihood in log(rate, exponent, nugget) at
+def finite_difference_gradient(value, theta, h=1e-5, backward=()):
+    """Central differences of value(theta) in log(rate, exponent, nugget) at
     theta's amplitude; second-order backward differences for the components
-    listed in backward (a parameter on a hard limit such as exponent 2)."""
+    listed in backward (a parameter on a hard limit such as exponent 2). h is
+    one step for every component or one step each."""
     log_theta = np.log(theta.as_array()[1:])
     grad = np.zeros(3)
-    for k in range(3):
+    for k, h in enumerate(np.broadcast_to(h, 3)):
         def f(step):
             x = log_theta.copy()
             x[k] += step
-            return log_likelihood(dist, y, KernelParams(theta.amplitude, *np.exp(x)))[0]
+            return value(KernelParams(theta.amplitude, *np.exp(x)))
         if k in backward:
             grad[k] = (3 * f(0.0) - 4 * f(-h) + f(-2 * h)) / (2 * h)
         else:
             grad[k] = (f(h) - f(-h)) / (2 * h)
     return grad
+
+
+def richardson_gradient(value, theta, h=3e-4):
+    """Fourth-order differences of value(theta) in log(rate, exponent, nugget):
+    Richardson's (4 D(h/2) - D(h)) / 3 of central differences D. Its h^4
+    truncation and its round-off, near eps / h, balance at about h = 3e-4."""
+    coarse = finite_difference_gradient(value, theta, h)
+    return (4 * finite_difference_gradient(value, theta, h / 2) - coarse) / 3
 
 
 # The full-length multistart the screened search must match: a tight local
@@ -375,7 +384,8 @@ class TestLogLikelihoodGradient:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             value, grad = log_likelihood(dist, y, theta)
-            expected = finite_difference_gradient(dist, y, theta, backward=backward)
+            expected = finite_difference_gradient(lambda t: log_likelihood(dist, y, t)[0],
+                                                  theta, backward=backward)
         # atol: at the box's floor the ratio's derivative is about 1e-3, and
         # the differences carry round-off near 5e-9
         np.testing.assert_allclose(grad, expected, rtol=1e-6, atol=1e-8)
@@ -473,7 +483,7 @@ class TestFitCv:
         y = smooth_targets(feats)
         theta = KernelParams(1.0, 2.0, 1.0, 0.01)
         dist = pairwise_distances(feats)
-        errs, variances = loo_residuals(dist, y, theta)
+        errs, variances, *_ = loo_residuals(dist, y, theta)
         for i in range(8):
             keep = [j for j in range(8) if j != i]
             sub = gram_from_distances(dist[np.ix_(keep, keep)], theta)
@@ -495,7 +505,7 @@ class TestFitCv:
             y = np.append(y, y[7])
         dist = pairwise_distances(feats)
         theta = KernelParams(1.0, 1.0, exponent, 1e-6)
-        errs, variances = loo_residuals(dist, y, theta)
+        errs, variances, *_ = loo_residuals(dist, y, theta)
         chol, _ = chol_with_jitter(gram_from_distances(dist, theta))
         rinv = cho_solve((chol, True), np.eye(len(y)))
         expected = (rinv @ y) / np.diag(rinv)
@@ -507,7 +517,7 @@ class TestFitCv:
         feats = make_features(rng, 16)
         y = smooth_targets(feats)
         model = gp_fit_cv(feats, y)
-        errs, variances = loo_residuals(model.distances, y, model.theta)
+        errs, variances, *_ = loo_residuals(model.distances, y, model.theta)
         assert float((errs**2 / variances).mean()) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("fit", [gp_fit_mle, gp_fit_cv], ids=["mle", "cv"])
@@ -518,8 +528,8 @@ class TestFitCv:
         # standardized residuals calibrated
         searches = []
 
-        def recorded(objective, log_box, gradient=False):
-            searches.append(search(objective, log_box, gradient))
+        def recorded(objective, log_box):
+            searches.append(search(objective, log_box))
             return searches[-1]
 
         search = gp._minimize_in_box
@@ -531,9 +541,10 @@ class TestFitCv:
             assert full_log_likelihood(model.distances, y, model.theta) == pytest.approx(
                 -best.fun, rel=1e-9)
         else:
-            errs, variances = loo_residuals(model.distances, y, model.theta)
+            errs, variances, log_error, _ = loo_residuals(model.distances, y, model.theta)
             assert float((errs**2 / variances).mean()) == pytest.approx(1.0, abs=1e-9)
-            assert float((errs**2).sum()) == pytest.approx(best.fun, rel=1e-9)
+            assert float((errs**2).sum()) == pytest.approx(math.exp(best.fun), rel=1e-9)
+            assert log_error == pytest.approx(best.fun, rel=1e-9)
         assert_in_fit_box(model.theta)
 
     def test_permutation_invariance(self):
@@ -545,6 +556,74 @@ class TestFitCv:
         model_b = gp_fit_cv(feats[perm], y[perm])
         np.testing.assert_allclose(model_a.theta.as_array(),
                                    model_b.theta.as_array(), rtol=1e-5)
+
+
+class TestLooGradient:
+    @pytest.mark.parametrize("duplicate", [False, True], ids=["distinct", "duplicated"])
+    @pytest.mark.parametrize("theta, backward, h, rtol", [
+        (KernelParams(1.2, 0.7, 1.3, 0.01), (), 1e-5, 1e-6),
+        (unit_theta(FIT_BOX[:, 0]), (), 1e-5, 1e-6),
+        (unit_theta(FIT_BOX[:, 1]), (1,), 1e-5, 1e-6),  # exponent at 2
+        # exponent at 2 and tau on its floor, where every fit of
+        # gaussian-regression ends: the error turns within about 1e-5 in log
+        # exponent, and carries round-off near 4e-12
+        (unit_theta([1.0, 2.0, 1e-6]), (1,), [1e-5, 1e-7, 1e-4], 1e-5),
+    ], ids=["interior", "lower-bounds", "upper-bounds", "exponent-and-tau-bounds"])
+    def test_matches_finite_differences(self, theta, backward, h, rtol, duplicate):
+        # the gradient of log sum e^2, the CV fit's objective, in log(rate,
+        # exponent, nugget); a duplicated input puts a zero distance off the
+        # diagonal
+        dist, y = TestLogLikelihoodGradient.setup_data(duplicate)
+
+        def log_error(theta):
+            return math.log((loo_residuals(dist, y, theta)[0] ** 2).sum())
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            errs, _, value, grad = loo_residuals(dist, y, theta)
+            expected = finite_difference_gradient(log_error, theta, h, backward)
+        assert value == pytest.approx(math.log((errs**2).sum()), rel=1e-12)
+        np.testing.assert_allclose(grad, expected, rtol=rtol, atol=1e-8)
+
+    @pytest.mark.parametrize("power", [256, -256])
+    def test_gradient_is_unchanged_by_the_responses_scale(self, power):
+        # value and gradient come from e / max|e|, so scaling y by a power of
+        # two moves the value by 2 log 2^power and changes no bit of the
+        # gradient, where sum e^2 itself would overflow or underflow
+        dist, y = TestLogLikelihoodGradient.setup_data(duplicate=True)
+        theta = unit_theta([1.0, 2.0, 1e-6])
+        errs, _, value, grad = loo_residuals(dist, y, theta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled_errs, _, scaled_value, scaled_grad = loo_residuals(dist, 2.0**power * y, theta)
+        assert scaled_grad.tobytes() == grad.tobytes()
+        assert scaled_errs.tobytes() == (2.0**power * errs).tobytes()
+        assert scaled_value == pytest.approx(value + 2 * power * math.log(2), rel=1e-14)
+
+
+def log_loo_error(dist, y, theta) -> float:
+    return math.log((loo_residuals(dist, y, theta)[0] ** 2).sum())
+
+
+class TestObjectiveGradients:
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("duplicate", [False, True], ids=["distinct", "duplicated"])
+    @pytest.mark.parametrize("objective,value", [
+        (lambda *args: loo_residuals(*args)[3], log_loo_error),
+        (lambda *args: log_likelihood(*args)[1], lambda *args: log_likelihood(*args)[0]),
+    ], ids=["cv", "mle"])
+    def test_match_richardson_differences_at_random_kernels(self, objective, value,
+                                                            duplicate, seed):
+        # the analytic gradient each fit hands its search, at a kernel drawn
+        # uniformly from the log of FIT_BOX, a margin kept for the differences
+        dist, y = TestLogLikelihoodGradient.setup_data(duplicate)
+        log_box = np.log(FIT_BOX) + [6e-4, -6e-4]
+        theta = unit_theta(np.exp(np.random.default_rng(seed).uniform(*log_box.T)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            grad = objective(dist, y, theta)
+            expected = richardson_gradient(lambda t: value(dist, y, t), theta)
+        np.testing.assert_allclose(grad, expected, rtol=1e-6, atol=1e-8)
 
 
 # The known truth for the fitters: the GP is zero-mean, so responses drawn as
@@ -641,12 +720,17 @@ class TestFitRefusals:
         (gp_fit_cv, 1e-160, CholeskyFailure),
         (gp_fit_cv, 1e-200, CholeskyFailure),
         (gp_fit_cv, 1e-300, CholeskyFailure),
-    ], ids=["mle-1e-160", "mle-1e-200", "mle-1e-300", "cv-1e-160", "cv-1e-200", "cv-1e-300"])
+        (gp_fit_mle, 5e-324, NumericalUnderflow),
+        (gp_fit_cv, 5e-324, NumericalUnderflow),
+    ], ids=["mle-1e-160", "mle-1e-200", "mle-1e-300", "cv-1e-160", "cv-1e-200", "cv-1e-300",
+            "mle-subnormal", "cv-subnormal"])
     def test_responses_too_small_to_fit_are_a_numerical_error(self, fit, scale, error):
         # the responses vary, so no fit returns the degenerate model. From
         # 1e-200 on y^T R^-1 y / n underflows to 0 in the likelihood; in the CV
         # fit the amplitude^2 underflows, and with it the nugget, so the
-        # model's Gram cannot be factorized, as the MLE's cannot at 1e-160
+        # model's Gram cannot be factorized, as the MLE's cannot at 1e-160.
+        # At the least subnormal, +-5e-324 or 0, every LOO residual at some
+        # point of the box underflows to 0, where the log error has no value
         x, y = unit_peak_regression_set()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -669,125 +753,6 @@ class TestFitRefusals:
             assert kernels.gram_matrix(features, KernelParams(1, 0, 2, 0)).tolist() == [[1.0] * 6] * 6
             model = gp_fit_mle(features, y)
         assert np.isfinite(model.theta.as_array()).all() and np.isfinite(model.alpha).all()
-
-
-def scipy_nelder_mead(objective, start, log_box, **options):
-    """The oracle: SciPy's bounded Nelder-Mead from a point or a simplex."""
-    from scipy.optimize import minimize
-
-    start = np.asarray(start, dtype=float)
-    if start.ndim == 2:
-        options, start = {**options, "initial_simplex": start}, start[0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a start outside the box, clipped into it
-        return minimize(objective, start, method="Nelder-Mead",
-                        bounds=list(map(tuple, log_box)), options=options)
-
-
-def assert_nelder_mead_equals_scipy(objective, start, log_box, **options):
-    """The same final simplex, sorted values and evaluation count, bit for bit."""
-    ours = gp._nelder_mead(objective, start, log_box, **options)
-    reference = scipy_nelder_mead(objective, start, log_box, **options)
-    simplex, values = reference.final_simplex
-    assert ours.simplex.tobytes() == simplex.tobytes()
-    assert ours.values.tobytes() == values.tobytes()
-    assert ours.nfev == reference.nfev
-    assert np.array(ours.fun).tobytes() == np.array(reference.fun).tobytes()
-    assert ours.x.tobytes() == reference.x.tobytes()
-    return ours
-
-
-# a box that holds 0 on its first two axes, so a start can have a zero coordinate
-ORACLE_BOX = np.array([[-2.0, 3.0], [-1.0, 1.0], [0.5, 4.0]])
-ORACLE_CENTER = np.array([0.7, -0.3, 1.9])
-
-
-def bowl(x):
-    return float((((x - ORACLE_CENTER) * [1.0, 3.0, 0.5]) ** 2).sum())
-
-
-def failing_above(x):  # 1e15, as the fitters return on a Cholesky failure
-    return 1e15 if x[0] > 1.2 else bowl(x)
-
-
-def nan_above(x):
-    return math.nan if x[1] > 0.2 else bowl(x)
-
-
-def coarse(x):  # many tied values
-    return round(bowl(x), 1)
-
-
-def default_simplex(start):  # inside ORACLE_BOX, so neither reflected nor clipped
-    return [start] + [np.where(np.arange(3) == k, 1.05 * start, start) for k in range(3)]
-
-
-class TestNelderMead:
-    @pytest.mark.parametrize("seed", range(1000, 1010))
-    def test_cv_search_equals_scipy_bitwise(self, seed, monkeypatch):
-        # every screened start and the polish from the best final simplex,
-        # on the objective gp_fit_cv hands to the search
-        searches = []
-        minimize_in_box = gp._minimize_in_box
-
-        def recording(objective, log_box, gradient=False):
-            searches.append((objective, log_box))
-            return minimize_in_box(objective, log_box, gradient)
-
-        monkeypatch.setattr(gp, "_minimize_in_box", recording)
-        gp_fit_cv(*regression_training_set(seed))
-        [(objective, log_box)] = searches
-        lo, hi = log_box.T
-        screened = [assert_nelder_mead_equals_scipy(objective, x0, log_box,
-                                                    **gp.SCREEN["Nelder-Mead"])
-                    for x0 in lo + gp.SOBOL_STARTS * (hi - lo)]
-        best = min(screened, key=lambda res: res.fun)
-        assert_nelder_mead_equals_scipy(objective, best.simplex, log_box,
-                                        **gp.POLISH["Nelder-Mead"])
-
-    @pytest.mark.parametrize("objective", [bowl, failing_above, nan_above, coarse])
-    @pytest.mark.parametrize("start", [
-        [0.3, -0.6, 1.0],
-        [0.3, 0.0, 1.0],  # a zero coordinate: that vertex steps to 0.00025
-        [2.99, 0.98, 3.97],  # 1.05 x_k leaves the box and is reflected into it
-        [5.0, -3.0, 0.1],  # outside the box: clipped first
-    ])
-    @pytest.mark.parametrize("budget", [
-        {}, {"maxfev": 5}, {"maxfev": 7}, {"maxfev": 12},
-        {"maxiter": 5}, {"maxiter": 7}, {"maxiter": 12},
-    ])
-    def test_equals_scipy_bitwise(self, objective, start, budget):
-        options = {**gp.SCREEN["Nelder-Mead"], **budget}
-        screened = assert_nelder_mead_equals_scipy(objective, start, ORACLE_BOX, **options)
-        if not budget:
-            assert_nelder_mead_equals_scipy(objective, screened.simplex, ORACLE_BOX,
-                                            **gp.POLISH["Nelder-Mead"])
-
-    @pytest.mark.parametrize("tied", [(2.0, 1.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0),
-                                      (2.0, 2.0, 1.0, 0.0), (0.0, 0.0, 0.0, 0.0)])
-    def test_tied_start_values_keep_numpys_order(self, tied):
-        # numpy's default sort need not be stable (its AVX-512 argsort swaps
-        # some of these ties), and the vertex it puts first is the one every
-        # later step pivots on
-        start = np.array([0.3, -0.6, 1.0])
-        at_start = {v.tobytes(): value for v, value in zip(default_simplex(start), tied)}
-        assert_nelder_mead_equals_scipy(lambda x: at_start.get(x.tobytes(), bowl(x)), start,
-                                        ORACLE_BOX, **gp.SCREEN["Nelder-Mead"])
-
-    @pytest.mark.parametrize("maxfev", [5, 6, 7, 8, 9])
-    def test_budget_running_out_inside_a_shrink(self, maxfev):
-        # every trial point fails, so the first iteration reflects (evaluation
-        # 5), contracts (6) and shrinks the three other vertices (7-9); a
-        # vertex moves before its evaluation, so a budget of 6-8 leaves one
-        # moved vertex with its old value
-        start = np.array([0.3, -0.6, 1.0])
-        res = assert_nelder_mead_equals_scipy(
-            lambda x: 0.0 if np.array_equal(x, start) else 1e15, start, ORACLE_BOX,
-            xatol=1e-8, fatol=1e-12, maxiter=4000, maxfev=maxfev)
-        unmoved = sum(any(np.array_equal(v, u) for u in default_simplex(start))
-                      for v in res.simplex)
-        assert unmoved == {5: 4, 6: 3, 7: 2, 8: 1, 9: 1}[maxfev]
-        assert res.simplex[0].tobytes() == start.tobytes()
 
 
 # Referee objectives for the fit's quasi-Newton search, each returning
@@ -885,7 +850,7 @@ class TestQuasiNewton:
     def test_reaches_the_scipy_minimum_inside_the_box(self, objective, box, start, tolerances):
         from scipy.optimize import minimize
 
-        options = getattr(gp, tolerances)["quasi-Newton"]
+        options = getattr(gp, tolerances)
         evaluated = []
 
         def recorded(x):
@@ -905,6 +870,46 @@ class TestQuasiNewton:
         if objective in (tilted_plane, saddle):  # a stationary start: one evaluation
             assert len(evaluated) == 1 and ours.x.tolist() == start
 
+    @pytest.mark.parametrize("objective,box", [
+        (coupled_quadratic, QN_BOX), (rosenbrock, ROSENBROCK_BOX),
+        (failing_wall, QN_BOX), (ridge, RIDGE_BOX),
+    ], ids=["quadratic", "rosenbrock", "failing-wall", "ridge"])
+    @pytest.mark.parametrize("unit_start", [
+        [0.5, 0.5, 0.5],
+        [0.0, 1.0, 0.0],  # a corner
+        [0.2, 0.9, 0.6],
+        [1.5, -0.5, 0.5],  # outside the box: clipped first
+    ], ids=["centre", "corner", "inside", "outside"])
+    @pytest.mark.parametrize("maxiter", [0, 1, 3])
+    def test_maxiter_ends_the_same_search_early(self, objective, box, unit_start, maxiter):
+        # a screen that runs out of iterations has evaluated the first points
+        # of the full search, bit for bit, and returns the point it stands on
+        def run(maxiter):
+            evaluated = []
+
+            def recorded(x):
+                evaluated.append(x.tobytes())
+                return objective(x)
+
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                res = gp._quasi_newton(recorded, start, box, **{**gp.SCREEN, "maxiter": maxiter})
+            return res, evaluated
+
+        lo, hi = box.T
+        start = (lo + np.asarray(unit_start) * (hi - lo)).tolist()
+        res, evaluated = run(maxiter)
+        _, full = run(gp.SCREEN["maxiter"])
+        assert evaluated == full[:len(evaluated)]
+        clipped = np.clip(start, lo, hi)
+        assert evaluated[0] == clipped.tobytes()
+        assert res.x.tobytes() in evaluated and res.fun == objective(res.x)[0]
+        assert res.fun <= objective(clipped)[0]
+        if maxiter == 0:
+            assert len(evaluated) == 1 and res.x.tobytes() == clipped.tobytes()
+        else:
+            assert len(evaluated) <= 1 + 20 * maxiter  # a line search tries 20 steps at most
+
 
 class TestScreenedSearch:
     @pytest.mark.parametrize("training_set", [
@@ -922,9 +927,9 @@ class TestScreenedSearch:
         minimize_in_box = gp._minimize_in_box
         searched = []
 
-        def recording(objective, log_box, gradient=False):
-            res = minimize_in_box(objective, log_box, gradient)
-            searched.append((res.fun, full_length_minimum(objective, log_box, gradient)))
+        def recording(objective, log_box):
+            res = minimize_in_box(objective, log_box)
+            searched.append((res.fun, full_length_minimum(objective, log_box, gradient=True)))
             return res
 
         monkeypatch.setattr(gp, "_minimize_in_box", recording)
@@ -934,13 +939,43 @@ class TestScreenedSearch:
         for screened, reference in searched:
             assert screened <= reference + 1e-9 * abs(reference)
 
+    @pytest.mark.parametrize("seed", range(1000, 1010))
+    def test_cv_polish_reaches_the_scipy_minimum(self, seed, monkeypatch):
+        # on the objective gp_fit_cv hands to the search: the polish from the
+        # best screened point ends as low as SciPy's L-BFGS-B from that point,
+        # SciPy cannot lower it further, and the fit's kernel is that point
+        from scipy.optimize import minimize
+
+        minimize_in_box, searches = gp._minimize_in_box, []
+
+        def recording(objective, log_box):
+            res = minimize_in_box(objective, log_box)
+            searches.append((objective, log_box, res))
+            return res
+
+        monkeypatch.setattr(gp, "_minimize_in_box", recording)
+        model = gp_fit_cv(*regression_training_set(seed))
+        [(objective, log_box, res)] = searches
+        lo, hi = log_box.T
+        best = min((gp._quasi_newton(objective, x0, log_box, **gp.SCREEN)
+                    for x0 in lo + gp.SOBOL_STARTS * (hi - lo)), key=lambda r: r.fun)
+        polished = gp._quasi_newton(objective, best.x, log_box, **gp.POLISH)
+        assert (polished.x.tobytes(), polished.fun) == (res.x.tobytes(), res.fun)
+        bounds = list(map(tuple, log_box))
+        for x0 in (best.x, res.x):
+            reference = minimize(objective, x0, method="L-BFGS-B", jac=True, bounds=bounds,
+                                 options=gp.POLISH)
+            assert res.fun <= reference.fun + 1e-9 * abs(reference.fun)
+        assert res.fun == objective(res.x)[0]
+        np.testing.assert_allclose(fit_box_coordinates(model.theta),
+                                   np.clip(np.exp(res.x), *FIT_BOX.T), rtol=1e-12)
+
     @pytest.mark.parametrize("fit,target", [(gp_fit_mle, "log_likelihood"),
                                             (gp_fit_cv, "loo_residuals")], ids=["mle", "cv"])
     def test_no_point_is_scored_twice(self, monkeypatch, fit, target):
         # the quasi-Newton polish restarts from a point the screen scored,
-        # the line search may return to a point, and Nelder-Mead may
-        # step back onto a vertex; the fit scores each point once, the
-        # amplitude's closed form included
+        # and the line search may return to a point; the fit scores each
+        # point once, the amplitude's closed form included
         original, received = getattr(gp, target), []
 
         def recorded(dist, y, theta, *rest):

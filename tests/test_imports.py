@@ -65,8 +65,8 @@ def test_fits_do_not_load_scipy_stats():
 
 
 def test_fits_and_gaussian_commands_do_not_load_scipy_optimize(tmp_path):
-    # both fits search in-package (Nelder-Mead for the CV fit, a bounded
-    # quasi-Newton search for the MLE), so gp_fit_cv, the CLI's
+    # both fits run the in-package bounded quasi-Newton search, so
+    # gp_fit_cv, the CLI's
     # kernel-matrix, diagnose-psd --gram and fit --method cv on Gaussian
     # inputs, and then gp_fit_mle, which the last line checks, load no
     # scipy.optimize
