@@ -109,14 +109,15 @@ def chol_with_jitter(r: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def log_likelihood(dist: np.ndarray, y: np.ndarray, theta: KernelParams,
-                   log_dist: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+                   log_dist: np.ndarray | None = None) -> tuple[float, np.ndarray, float]:
     """Zero-mean Gaussian log likelihood of y maximized over the amplitude, at
-    theta's rate, exponent and ratio nugget/amplitude^2, and its gradient in
-    log(rate, exponent, nugget); neither sees theta's amplitude. With R the
-    Gram at theta, alpha = R^-1 y and s^2 = y^T alpha / n (the best Gram is
-    s^2 R): -n/2 (log(2 pi s^2) + 1) - log|L| and 1/2 tr((alpha alpha^T / s^2
-    - R^-1) dR/dlog theta) (GPML 2006, 5.4; Lippert et al., Nature Methods
-    2011), from one Cholesky factor L, alpha from potrs and R^-1 from potri.
+    theta's rate, exponent and ratio nugget/amplitude^2, its gradient in
+    log(rate, exponent, nugget), neither of which sees theta's amplitude, and
+    s^2. With R the Gram at theta, alpha = R^-1 y and s^2 = y^T alpha / n
+    (the best Gram is s^2 R): -n/2 (log(2 pi s^2) + 1) - log|L| and 1/2
+    tr((alpha alpha^T / s^2 - R^-1) dR/dlog theta) (GPML 2006, 5.4; Lippert
+    et al., Nature Methods 2011), from one Cholesky factor L, alpha from
+    potrs and R^-1 from potri.
     log_dist is fit_invariants(dist), computed here when omitted. Responses
     so small that y^T alpha / n underflows to 0: NumericalUnderflow."""
     lapack = _linalg().lapack
@@ -133,7 +134,7 @@ def log_likelihood(dist: np.ndarray, y: np.ndarray, theta: KernelParams,
     w = np.outer(alpha / s2, alpha) - rinv
     w -= rinv.T
     w.flat[::n + 1] += rinv.diagonal()
-    return value, gram_log_gradient(w, r, power, log_dist, theta)
+    return value, gram_log_gradient(w, r, power, log_dist, theta), s2
 
 
 class _Point(NamedTuple):  # a final quasi-Newton point and its value
@@ -291,22 +292,22 @@ def _unit_kernel(rate: float, exponent: float, tau: float) -> KernelParams:
     return theta
 
 
-def _fit(features, y, objective, amplitude_sq) -> GpModel:
+def _fit(features, y, score) -> GpModel:
     """The fit both fitters run: the degenerate model for constant responses,
     else a search of the log of FIT_BOX (_minimize_in_box) for the
-    unit-amplitude kernel minimizing objective(dist, y), a function of the
-    kernel that returns (value, gradient, detail). Each distinct point of
-    the box is scored once per fit; a point the search visits again gets the
-    recorded value, and a gradient as a copy. A Gram that cannot be
-    factorized scores 1e15, with a zero gradient. The model is the point the
-    search scored: amplitude^2 = amplitude_sq(dist, y, best kernel, its
-    detail) and nugget = tau amplitude^2, neither bounded further."""
+    unit-amplitude kernel minimizing score(dist, y, kernel, log_dist), which
+    returns (value, gradient, the fit's amplitude^2 at that kernel). Each
+    distinct point of the box is scored once per fit; a point the search
+    visits again gets the recorded value, and a gradient as a copy. A Gram
+    that cannot be factorized scores 1e15, with a zero gradient. The model is
+    the point the search scored: the amplitude^2 recorded there and nugget =
+    tau amplitude^2, neither bounded further."""
     y, dist = _fit_data(features, y)
     if y.max() == y.min():
         warnings.warn("constant responses: returning the degenerate model", stacklevel=3)
         theta = KernelParams(amplitude=0.05, rate=0.01, exponent=1.0, nugget=1e-5)
         return build_model(features, y, dist, theta, degenerate=True)
-    score = objective(dist, y)
+    log_dist = fit_invariants(dist)
     low, high = FIT_BOX.T
     scored = {}  # point.tobytes(): the score there, None where the Gram failed
 
@@ -318,7 +319,7 @@ def _fit(features, y, objective, amplitude_sq) -> GpModel:
         key = x.tobytes()
         if key not in scored:
             try:  # amplitude 1, nugget = the searched ratio tau
-                scored[key] = score(_unit_kernel(*x.tolist()))
+                scored[key] = score(dist, y, _unit_kernel(*x.tolist()), log_dist)
             except CholeskyFailure:
                 scored[key] = None
         if scored[key] is None:
@@ -328,10 +329,17 @@ def _fit(features, y, objective, amplitude_sq) -> GpModel:
 
     best = point(_minimize_in_box(searched, np.log(FIT_BOX)).x)
     unit = KernelParams(1.0, *best.tolist())
-    *_, detail = scored.get(best.tobytes()) or score(unit)  # a failed best raises here
-    amplitude = math.sqrt(amplitude_sq(dist, y, unit, detail))
+    # a best point whose Gram failed is scored again here, and raises
+    *_, amplitude_sq = scored.get(best.tobytes()) or score(dist, y, unit, log_dist)
+    amplitude = math.sqrt(amplitude_sq)
     theta = replace(unit, amplitude=amplitude, nugget=unit.nugget * amplitude**2)
     return build_model(features, y, dist, theta)
+
+
+def _negative_log_likelihood(dist, y, theta, log_dist):
+    """gp_fit_mle's score: minus log_likelihood and its gradient, and s^2."""
+    value, grad, s2 = log_likelihood(dist, y, theta, log_dist)
+    return -value, -grad, s2
 
 
 def gp_fit_mle(features, y) -> GpModel:
@@ -339,20 +347,9 @@ def gp_fit_mle(features, y) -> GpModel:
 
     The bounded quasi-Newton search (_fit, _quasi_newton) on log_likelihood,
     the likelihood maximized over the amplitude, and its analytic gradient;
-    amplitude^2 is that maximizer.
+    amplitude^2 is that maximizer, log_likelihood's s^2 at the best point.
     """
-    def objective(dist, y):
-        log_dist = fit_invariants(dist)
-
-        def negative(theta):
-            value, grad = log_likelihood(dist, y, theta, log_dist)
-            return -value, -grad, None
-        return negative
-
-    def amplitude_sq(dist, y, theta, _):  # y^T alpha / n, as log_likelihood's s^2
-        return float(y @ build_model(features, y, dist, theta).alpha) / len(y)
-
-    return _fit(features, y, objective, amplitude_sq)
+    return _fit(features, y, _negative_log_likelihood)
 
 
 def loo_residuals(dist: np.ndarray, y: np.ndarray, theta: KernelParams,
@@ -391,6 +388,13 @@ def loo_residuals(dist: np.ndarray, y: np.ndarray, theta: KernelParams,
     return errs, 1.0 / diag, math.log(total) + 2.0 * math.log(scale), grad
 
 
+def _log_squared_error(dist, y, theta, log_dist):
+    """gp_fit_cv's score: log sum e^2 and its gradient from loo_residuals,
+    and the amplitude^2 that makes mean(e_i^2 / (amplitude^2 var_i)) 1."""
+    errs, unit_vars, value, grad = loo_residuals(dist, y, theta, log_dist)
+    return value, grad, float((errs**2 / unit_vars).sum()) / len(errs)
+
+
 def gp_fit_cv(features, y) -> GpModel:
     """Fit by leave-one-out cross validation.
 
@@ -400,19 +404,7 @@ def gp_fit_cv(features, y) -> GpModel:
     analytic gradient; the amplitude makes the mean standardized LOO
     residual 1.
     """
-    def objective(dist, y):
-        log_dist = fit_invariants(dist)
-
-        def log_squared_error(theta):
-            errs, unit_vars, value, grad = loo_residuals(dist, y, theta, log_dist)
-            return value, grad, (errs, unit_vars)
-        return log_squared_error
-
-    def amplitude_sq(dist, y, theta, loo):  # mean(e_i^2 / (amp^2 * var0_i)) = 1
-        errs, unit_vars = loo
-        return float((errs**2 / unit_vars).mean())
-
-    return _fit(features, y, objective, amplitude_sq)
+    return _fit(features, y, _log_squared_error)
 
 
 def gp_predict(model: GpModel, features: Embedding) -> PredictionResult:

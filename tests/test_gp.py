@@ -383,16 +383,17 @@ class TestLogLikelihoodGradient:
             assert dist[3, 15] == 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            value, grad = log_likelihood(dist, y, theta)
+            value, grad, returned_s2 = log_likelihood(dist, y, theta)
             expected = finite_difference_gradient(lambda t: log_likelihood(dist, y, t)[0],
                                                   theta, backward=backward)
         # atol: at the box's floor the ratio's derivative is about 1e-3, and
         # the differences carry round-off near 5e-9
         np.testing.assert_allclose(grad, expected, rtol=1e-6, atol=1e-8)
         # the value is the full likelihood at the maximizing amplitude^2,
-        # y^T R^-1 y / n times theta's, and at no other
+        # y^T R^-1 y / n times theta's, and at no other; that s^2 is returned
         r = gram_from_distances(dist, theta)
         s2 = y @ cho_solve((cholesky(r, lower=True), True), y) / len(y)
+        assert returned_s2 == pytest.approx(s2, rel=1e-12)
         scaled = KernelParams(theta.amplitude * math.sqrt(s2), theta.rate, theta.exponent,
                               theta.nugget * s2)
         assert value == pytest.approx(full_log_likelihood(dist, y, scaled), rel=1e-9)
@@ -520,23 +521,35 @@ class TestFitCv:
         errs, variances, *_ = loo_residuals(model.distances, y, model.theta)
         assert float((errs**2 / variances).mean()) == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("fit", [gp_fit_mle, gp_fit_cv], ids=["mle", "cv"])
-    def test_returns_the_model_its_search_scored(self, monkeypatch, fit):
+    @pytest.mark.parametrize("fit,target", [(gp_fit_mle, "log_likelihood"),
+                                            (gp_fit_cv, "loo_residuals")], ids=["mle", "cv"])
+    def test_returns_the_model_its_search_scored(self, monkeypatch, fit, target):
         # the model keeps the amplitude of the fit's closed form and the
         # nugget at the searched ratio, unbounded: the MLE's full likelihood
         # is the search's optimum, and the CV fit's LOO error is, with its
         # standardized residuals calibrated
-        searches = []
+        searches, scores = [], {}
 
         def recorded(objective, log_box):
             searches.append(search(objective, log_box))
             return searches[-1]
 
-        search = gp._minimize_in_box
+        def scored(dist, y, theta, *rest):
+            scores[theta.rate, theta.exponent, theta.nugget] = score(dist, y, theta, *rest)
+            return scores[theta.rate, theta.exponent, theta.nugget]
+
+        search, score = gp._minimize_in_box, getattr(gp, target)
         monkeypatch.setattr(gp, "_minimize_in_box", recorded)
+        monkeypatch.setattr(gp, target, scored)
         feats, y = regression_training_set(1000)
         model = fit(feats, y)
         [best] = searches
+        # the amplitude^2 is the one recorded at the best unit kernel, read
+        # bit for bit: s^2 of the likelihood, mean(e^2 / var) of the residuals
+        at_best = scores[tuple(np.clip(np.exp(best.x), *FIT_BOX.T).tolist())]
+        amplitude_sq = (at_best[2] if fit is gp_fit_mle
+                        else float((at_best[0] ** 2 / at_best[1]).mean()))
+        assert model.theta.amplitude == math.sqrt(amplitude_sq)
         if fit is gp_fit_mle:
             assert full_log_likelihood(model.distances, y, model.theta) == pytest.approx(
                 -best.fun, rel=1e-9)
@@ -696,8 +709,8 @@ class TestFitRefusals:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for corner in itertools.product(*FIT_BOX):
-                value, grad = log_likelihood(dist, y, unit_theta(corner))
-                assert np.isfinite([value, *grad]).all()
+                value, grad, s2 = log_likelihood(dist, y, unit_theta(corner))
+                assert np.isfinite([value, *grad, s2]).all()
             model = gp_fit_mle(x, y)
         assert np.isfinite(model.theta.as_array()).all() and np.isfinite(model.alpha).all()
 
@@ -987,6 +1000,28 @@ class TestScreenedSearch:
         assert len(received) > 100
         assert len(set(received)) == len(received)
 
+    @pytest.mark.parametrize("fit,target", [(gp_fit_mle, "log_likelihood"),
+                                            (gp_fit_cv, "loo_residuals")], ids=["mle", "cv"])
+    def test_factors_once_per_scored_point_and_once_for_the_model(self, monkeypatch, fit,
+                                                                  target):
+        # the amplitude is read from the score recorded at the best point, so
+        # neither fit factors a Gram again for it
+        original, factor = getattr(gp, target), gp.chol_with_jitter
+        received, factored = set(), []
+
+        def recorded(dist, y, theta, *rest):
+            received.add((theta.rate, theta.exponent, theta.nugget))
+            return original(dist, y, theta, *rest)
+
+        def counted(r):
+            factored.append(len(r))
+            return factor(r)
+
+        monkeypatch.setattr(gp, target, recorded)
+        monkeypatch.setattr(gp, "chol_with_jitter", counted)
+        fit(*regression_training_set(1000))
+        assert len(received) > 100
+        assert len(factored) == len(received) + 1
 
     @pytest.mark.parametrize("fit,target", [(gp_fit_mle, "log_likelihood"),
                                             (gp_fit_cv, "loo_residuals")], ids=["mle", "cv"])

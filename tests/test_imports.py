@@ -3,8 +3,8 @@ never load scipy.stats or scipy.optimize, only wide-row distances and the
 smoothing baseline load scipy.spatial, and only the assignment solver
 scipy.optimize. Source scans: the embedders, the report files,
 each Gaussian closed form, each argument rule, the grid geometry, the fit
-search and the 17-digit number format have one owner, and every imported name
-is used."""
+search, each fit score, the fitted model and the 17-digit number format have
+one owner, and every imported name is used."""
 
 import ast
 import re
@@ -360,6 +360,40 @@ def test_fit_search_scan_sees_every_kind_of_use():
     assert fit_search_sites(planted) == (
         ["experiments.py: refit", "gp.py: _fit", "gp.py: gp_fit_mle"],
         ["cli.py", "experiments.py", "gp.py"])
+
+
+# Each fit's score is written once, and so is the fitted model: only
+# gp._negative_log_likelihood calls log_likelihood, only gp._log_squared_error
+# calls loo_residuals, and of the fitters only gp._fit builds a model (the
+# other owners load a saved model or build one at a fixed kernel).
+SCORE_OWNERS = {
+    "log_likelihood": {("gp.py", "_negative_log_likelihood")},
+    "loo_residuals": {("gp.py", "_log_squared_error")},
+    "build_model": {("gp.py", "_fit"), ("dataio.py", "load_model"),
+                    ("experiments.py", "_gram_and_gp_mean")},
+}
+
+
+def test_each_fit_score_and_the_fitted_model_have_one_owner():
+    assert owner_offenders(package_sources(), SCORE_OWNERS) == []
+
+
+def test_score_scan_sees_every_kind_of_use():
+    planted = {
+        "gp.py": ("def log_likelihood(d, y, t):\n    return 0.0, None, 1.0\n"
+                  "def _negative_log_likelihood(d, y, t, l):\n"
+                  "    return log_likelihood(d, y, t)\n"
+                  "def _log_squared_error(d, y, t, l):\n    return loo_residuals(d, y, t)\n"
+                  "def _fit(f, y, score):\n    return build_model(f, y, None, score)\n"
+                  "def gp_fit_mle(f, y):\n    amp = log_likelihood(f, y, None)[2]\n"
+                  "    return build_model(f, y, None, amp)\n"
+                  "def gp_fit_cv(f, y):\n    score = lambda t: loo_residuals(f, y, t)\n"
+                  "    return score\n"),
+        "cli.py": "from . import gp\nFIT = {'mle': gp.log_likelihood}\n",
+    }
+    assert sorted(owner_offenders(planted, SCORE_OWNERS)) == [
+        "cli.py: <module> uses log_likelihood", "gp.py: <lambda> uses loo_residuals",
+        "gp.py: gp_fit_mle uses build_model", "gp.py: gp_fit_mle uses log_likelihood"]
 
 
 # The grid geometry has one owner, measures: the cell-center formula
