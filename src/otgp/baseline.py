@@ -37,10 +37,24 @@ def _training(grids, y) -> tuple[np.ndarray, np.ndarray]:
     return _stack(grids), y
 
 
-def _l1_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Snapped L1 distances between the rows of a and the rows of b."""
+def _occupied(rows: np.ndarray) -> np.ndarray | None:
+    """The cells some row of rows occupies, as a mask over the columns, or
+    None when they are more than half of all cells, where gathering them
+    would cost about what it saves."""
+    cells = rows.any(axis=0)
+    return cells if 2 * np.count_nonzero(cells) <= len(cells) else None
+
+
+def _l1_matrix(a: np.ndarray, b: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
+    """Snapped L1 distances between the rows of a and the rows of b, summed
+    over cells, a mask of the columns outside which every row of a and b is
+    0, or over all columns when cells is None. cdist adds a pair's terms in
+    column order, so the terms left out, each |0 - 0| = +0, change no bit of
+    the sum."""
     from scipy.spatial.distance import cdist
 
+    if cells is not None:
+        a, b = a[:, cells], b[:, cells]
     dist = cdist(a, b, "cityblock")
     dist[dist >= 2.0 - L1_MAX_SNAP] = 2.0
     return dist
@@ -58,11 +72,13 @@ class SmootherModel:
     y: np.ndarray
     bandwidth: float
     rows: np.ndarray = field(init=False, repr=False, compare=False)  # _stack(grids)
+    cells: np.ndarray | None = field(init=False, repr=False, compare=False)  # _occupied(rows)
 
     def __post_init__(self):
         bandwidth = check_arg("bandwidth", self.bandwidth, "finite and positive")
         rows, y = _training(self.grids, self.y)
-        for name, value in (("bandwidth", bandwidth), ("y", y), ("rows", rows)):
+        for name, value in (("bandwidth", bandwidth), ("y", y), ("rows", rows),
+                            ("cells", _occupied(rows))):
             object.__setattr__(self, name, value)
 
 
@@ -84,7 +100,11 @@ def smoother_predict(model: SmootherModel, query: GridDensity) -> SmootherPredic
     """Triangular-kernel weighted average of the training responses; falls
     back to the global mean (flagged) when every weight vanishes."""
     common_grid_size((model.grids[0], query))
-    value, fallback = _triangular_average(_l1_matrix(query.weights.reshape(1, -1), model.rows),
+    row = query.weights.reshape(1, -1)
+    cells = model.cells
+    if cells is not None:  # the query's own cells join the training rows'
+        cells = cells | (row[0] != 0.0)
+    value, fallback = _triangular_average(_l1_matrix(row, model.rows, cells),
                                           model.y, model.bandwidth)
     return SmootherPrediction(float(value[0]), bool(fallback[0]))
 
@@ -96,7 +116,7 @@ def select_bandwidth(grids, y, candidates=None, split_seed: int = 0) -> float:
     n = len(rows)
     if n < 4:
         raise ValidationError("need at least 4 training points to split")
-    pairwise = _l1_matrix(rows, rows)
+    pairwise = _l1_matrix(rows, rows, _occupied(rows))
     if candidates is None:  # log-spaced, spanning the positive pairwise distances
         off = pairwise[np.triu_indices(n, 1)]
         if not (off > 0).any():

@@ -79,7 +79,9 @@ def write_report(name: str, cfg, per_seed: dict, t0: float, fits: dict | None = 
     of each seed and then fields, as report.json holds it. When cfg.out_dir
     is set, writes report.json (deterministic) and a meta.json sidecar for the
     wall clock since t0 and, when given, the fits: {"jitter": the Cholesky
-    jitter} of each model by seed and fit label."""
+    jitter, "scored": the points its search scored, "on_bound": the
+    FIT_VARIABLES it ended on a bound of} of each model by seed and fit
+    label."""
     text = json.dumps({"experiment": name, "config": asdict(cfg), "seeds": list(per_seed),
                        "per_seed": {str(s): row for s, row in per_seed.items()}, **fields},
                       sort_keys=True, indent=2)
@@ -217,7 +219,7 @@ def _score_split(feats, grids, y, n_train: int, fitters, split_seed) -> tuple[di
     """Each (label, fitter) of fitters fitted on the first n_train rows of feats
     and y and scored on the rest, then the smoothing baseline on grids alike:
     the row {label: {rmse, q2, cic, theta}, "smoothing": {rmse, q2, cic: None,
-    bandwidth, fallbacks}} and the fit record {label: {"jitter"}}."""
+    bandwidth, fallbacks}} and the fit record {label: {"jitter", "scored", "on_bound"}}."""
     tr, te = slice(0, n_train), slice(n_train, len(y))
     row, fits = {}, {}
     for label, fitter in fitters:
@@ -226,7 +228,8 @@ def _score_split(feats, grids, y, n_train: int, fitters, split_seed) -> tuple[di
         m = metrics(pred.mean, y[te], pred.variance)
         row[label] = {"rmse": m.rmse, "q2": m.q2, "cic": m.cic,
                       "theta": list(model.theta.as_array())}
-        fits[label] = {"jitter": model.jitter}
+        fits[label] = {"jitter": model.jitter, "scored": model.scored,
+                       "on_bound": list(model.on_bound)}
     smoother = fit_smoother(grids[tr], y[tr], split_seed=split_seed)
     preds = [smoother_predict(smoother, g) for g in grids[te]]
     m = metrics([p.value for p in preds], y[te])

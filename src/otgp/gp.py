@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -52,6 +51,7 @@ SOBOL_STARTS = np.array([[0, 0, 0], [4, 4, 4], [6, 2, 2], [2, 6, 6],
 # the nugget/amplitude^2 ratio tau. Each fit sets the amplitude in closed form
 # at the best point, and the nugget to tau amplitude^2.
 FIT_BOX = np.array([[0.01, 10.0], [0.5, 2.0], [1e-6, 20.0]])
+FIT_VARIABLES = ("rate", "exponent", "tau")
 
 
 @functools.cache
@@ -73,6 +73,8 @@ class GpModel:
     alpha: np.ndarray  # R^{-1} y
     degenerate: bool = False
     jitter: float = 0.0
+    scored: int = 0  # the distinct points the fit's search scored
+    on_bound: tuple[str, ...] = ()  # the FIT_VARIABLES the fit ended on a bound of
 
 
 @dataclass(frozen=True)
@@ -130,10 +132,11 @@ def log_likelihood(dist: np.ndarray, y: np.ndarray, theta: KernelParams,
     if s2 == 0.0:
         raise NumericalUnderflow("y^T R^-1 y / n underflows to 0: responses too small to fit")
     value = -0.5 * n * (math.log(2 * math.pi * s2) + 1.0) - float(np.log(l.diagonal()).sum())
-    rinv = lapack.dpotri(l, lower=1, overwrite_c=1)[0]  # lower triangle only
-    w = np.outer(alpha / s2, alpha) - rinv
+    rinv = lapack.dpotri(l, lower=1, overwrite_c=1)[0]  # lower triangle, upper 0
+    w = (alpha / s2)[:, None] * alpha
+    w -= rinv
     w -= rinv.T
-    w.flat[::n + 1] += rinv.diagonal()
+    w.ravel("K")[::n + 1] += rinv.diagonal()
     return value, gram_log_gradient(w, r, power, log_dist, theta), s2
 
 
@@ -143,37 +146,51 @@ class _Point(NamedTuple):  # a final quasi-Newton point and its value
 
 
 def _dot(a, b) -> float:
-    return sum(map(operator.mul, a, b))
+    """a^T b for two sequences of three floats, added to 0.0 left to right as
+    sum() adds them."""
+    return 0.0 + a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def _model_step(x: list, g: list, b: list, lo: list, hi: list) -> list:
     """The point L-BFGS-B steps to from x in the box [lo, hi] on the model
-    g^T p + p^T b p / 2 of a step p, b positive definite (Python floats): the
-    generalized Cauchy point, the model's first minimum along the projected
-    gradient path, each variable held at its bound from the t at which x -
-    t g reaches it; then the model's Newton step in the variables that point
-    leaves free, truncated to the box."""
+    g^T p + p^T b p / 2 of a step p, b positive definite (three variables,
+    Python floats): the generalized Cauchy point, the model's first minimum
+    along the projected gradient path, each variable held at its bound from
+    the t at which x - t g reaches it; then the model's Newton step in the
+    variables that point leaves free, truncated to the box. The products
+    with b are written out, each added as _dot adds."""
     edge = [(v - h) / gi if gi < 0 else (v - l) / gi if gi > 0 else math.inf
             for v, gi, l, h in zip(x, g, lo, hi)]
     z, d, t = x[:], [-gi if e > 0 else 0.0 for gi, e in zip(g, edge)], 0.0
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    (x0, x1, x2), (g0, g1, g2) = x, g
     for stop in sorted(set(edge) - {0.0, math.inf}) + [math.inf]:
-        bd = [_dot(row, d) for row in b]
-        slope, curve = _dot(g, d) + _dot(bd, map(operator.sub, z, x)), _dot(d, bd)
+        (d0, d1, d2), (z0, z1, z2) = d, z
+        bd0 = 0.0 + b00 * d0 + b01 * d1 + b02 * d2
+        bd1 = 0.0 + b10 * d0 + b11 * d1 + b12 * d2
+        bd2 = 0.0 + b20 * d0 + b21 * d1 + b22 * d2
+        slope = ((0.0 + g0 * d0 + g1 * d1 + g2 * d2)
+                 + (0.0 + bd0 * (z0 - x0) + bd1 * (z1 - x1) + bd2 * (z2 - x2)))
+        curve = 0.0 + d0 * bd0 + d1 * bd1 + d2 * bd2
         if slope >= 0 or not curve > 0 or -slope < curve * (stop - t):
             z = [a - slope / curve * c for a, c in zip(z, d)] if slope < 0 < curve else z
             break
         z = [(h if gi < 0 else l) if e == stop else a + (stop - t) * c
              for a, c, e, gi, l, h in zip(z, d, edge, g, lo, hi)]
         d, t = [0.0 if e == stop else c for c, e in zip(d, edge)], stop
+    dz0, dz1, dz2 = z[0] - x0, z[1] - x1, z[2] - x2
+    r = (g0 + (0.0 + b00 * dz0 + b01 * dz1 + b02 * dz2),
+         g1 + (0.0 + b10 * dz0 + b11 * dz1 + b12 * dz2),
+         g2 + (0.0 + b20 * dz0 + b21 * dz1 + b22 * dz2))
     free = [i for i, (l, v, h) in enumerate(zip(lo, z, hi)) if l < v < h]
-    r = [gi + _dot(row, map(operator.sub, z, x)) for gi, row in zip(g, b)]
     a = [[b[i][j] for j in free] + [-r[i]] for i in free]
     for k, pivot in enumerate(a):  # Gauss-Jordan elimination
         if not pivot[k] > 0:  # b not positive definite in round-off: no step
             return z
         for row in a:
             if row is not pivot:
-                row[:] = [u - row[k] / pivot[k] * v for u, v in zip(row, pivot)]
+                q = row[k] / pivot[k]
+                row[:] = [u - q * v for u, v in zip(row, pivot)]
     step = [(i, row[-1] / row[k]) for k, (i, row) in enumerate(zip(free, a))]
     step = [(i, s, hi[i] if s > 0 else lo[i]) for i, s in step if s]
     scale = min([1.0] + [(bound - z[i]) / s for i, s, bound in step])
@@ -204,17 +221,15 @@ def _quasi_newton(objective, start, box: np.ndarray, ftol: float, gtol: float,
     lo, hi = box[:, 0].tolist(), box[:, 1].tolist()
     eye = [[float(i == j) for j in range(len(lo))] for i in range(len(lo))]
 
-    def clip(x):
-        return [min(h, max(l, v)) for v, l, h in zip(x, lo, hi)]
-
     def evaluate(x):
         value, grad = objective(np.array(x))
         return x, float(value), grad.tolist()
 
-    x, f, g = evaluate(clip(np.asarray(start, dtype=float).tolist()))
+    x, f, g = evaluate([min(h, max(l, v)) for v, l, h in
+                        zip(np.asarray(start, dtype=float).tolist(), lo, hi)])
     b = None  # the model's Hessian, I until the first pair
     for iteration in range(maxiter):
-        if max(abs(min(max(gi, v - h), v - l)) for gi, v, l, h in zip(g, x, lo, hi)) <= gtol:
+        if max([abs(min(max(gi, v - h), v - l)) for gi, v, l, h in zip(g, x, lo, hi)]) <= gtol:
             break
         d = [a - c for a, c in zip(_model_step(x, g, b or eye, lo, hi), x)]
         gd, t = _dot(g, d), 1 / max(1.0, math.hypot(*d)) if iteration == 0 else 1.0
@@ -222,7 +237,7 @@ def _quasi_newton(objective, start, box: np.ndarray, ftol: float, gtol: float,
                    default=0.0)
         new = last = roundoff = None
         for _ in range(20 if gd < 0 else 0):
-            xt, ft, gt = evaluate(clip(v + t * c for v, c in zip(x, d)))
+            xt, ft, gt = evaluate([min(h, max(l, v + t * c)) for v, c, l, h in zip(x, d, lo, hi)])
             slope, decrease = _dot(gt, d), ft <= f + 1e-3 * t * gd
             accept = decrease and slope <= -0.9 * gd
             if decrease and slope < 0.9 * gd and t < tmax:
@@ -297,43 +312,47 @@ def _fit(features, y, score) -> GpModel:
     else a search of the log of FIT_BOX (_minimize_in_box) for the
     unit-amplitude kernel minimizing score(dist, y, kernel, log_dist), which
     returns (value, gradient, the fit's amplitude^2 at that kernel). Each
-    distinct point of the box is scored once per fit; a point the search
-    visits again gets the recorded value, and a gradient as a copy. A Gram
-    that cannot be factorized scores 1e15, with a zero gradient. The model is
-    the point the search scored: the amplitude^2 recorded there and nugget =
-    tau amplitude^2, neither bounded further."""
+    distinct point of the box, keyed by its floats, is scored once per fit; a
+    point the search visits again gets the recorded value and gradient, which
+    the search only reads. A Gram that cannot be factorized scores 1e15, with
+    a zero gradient. The model is the point the search scored: the
+    amplitude^2 recorded there and nugget = tau amplitude^2, neither bounded
+    further; it records how many points were scored and the FIT_VARIABLES
+    that ended on a bound."""
     y, dist = _fit_data(features, y)
     if y.max() == y.min():
         warnings.warn("constant responses: returning the degenerate model", stacklevel=3)
         theta = KernelParams(amplitude=0.05, rate=0.01, exponent=1.0, nugget=1e-5)
         return build_model(features, y, dist, theta, degenerate=True)
     log_dist = fit_invariants(dist)
-    low, high = FIT_BOX.T
-    scored = {}  # point.tobytes(): the score there, None where the Gram failed
+    low, high = FIT_BOX.T.tolist()
+    scored = {}  # the point's floats: the score there, None where the Gram failed
 
     def point(log_x):  # exp(log(bound)) can overshoot a bound by one ulp
-        return np.minimum(np.maximum(np.exp(log_x), low), high)
+        return tuple([min(h, max(l, v)) for v, l, h in zip(np.exp(log_x).tolist(), low, high)])
 
     def searched(log_x):
         x = point(log_x)
-        key = x.tobytes()
-        if key not in scored:
+        if x not in scored:
             try:  # amplitude 1, nugget = the searched ratio tau
-                scored[key] = score(dist, y, _unit_kernel(*x.tolist()), log_dist)
+                scored[x] = score(dist, y, _unit_kernel(*x), log_dist)
             except CholeskyFailure:
-                scored[key] = None
-        if scored[key] is None:
-            return 1e15, np.zeros(len(log_x))
-        value, grad, _ = scored[key]
-        return value, grad.copy()
+                scored[x] = None
+        entry = scored[x]
+        return (1e15, np.zeros(len(x))) if entry is None else entry[:2]
 
-    best = point(_minimize_in_box(searched, np.log(FIT_BOX)).x)
-    unit = KernelParams(1.0, *best.tolist())
+    log_box = np.log(FIT_BOX)
+    found = _minimize_in_box(searched, log_box).x.tolist()
+    best = point(found)
+    unit = KernelParams(1.0, *best)
     # a best point whose Gram failed is scored again here, and raises
-    *_, amplitude_sq = scored.get(best.tobytes()) or score(dist, y, unit, log_dist)
+    *_, amplitude_sq = scored.get(best) or score(dist, y, unit, log_dist)
     amplitude = math.sqrt(amplitude_sq)
     theta = replace(unit, amplitude=amplitude, nugget=unit.nugget * amplitude**2)
-    return build_model(features, y, dist, theta)
+    # the search clips to the log box, so a point on a bound holds it exactly
+    on_bound = tuple(name for name, v, bounds in zip(FIT_VARIABLES, found, log_box.tolist())
+                     if v in bounds)
+    return replace(build_model(features, y, dist, theta), scored=len(scored), on_bound=on_bound)
 
 
 def _negative_log_likelihood(dist, y, theta, log_dist):
@@ -380,10 +399,16 @@ def loo_residuals(dist: np.ndarray, y: np.ndarray, theta: KernelParams,
     e, alpha = errs / scale, alpha / scale
     total = float(e @ e)
     u = blas.dsymv(1.0, rinv, e / diag, lower=1)
-    rinv += np.tril(rinv, -1).T
+    # R^-1 whole, from potri's Fortran-ordered triangle: adding its transpose
+    # to its upper 0 doubles the diagonal, which halving restores exactly
+    rinv += rinv.T.copy(order="F")
+    rinv.ravel("K")[::len(y) + 1] *= 0.5
     b = rinv * (np.abs(e) / np.sqrt(diag))  # B B^T = R^-1 diag(e^2 / c) R^-1
-    au = np.outer(alpha, u)
-    w = 2.0 * (b @ b.T) - au - au.T
+    w = b @ b.T
+    w *= 2.0
+    au = alpha[:, None] * u
+    w -= au
+    w -= au.T
     grad = gram_log_gradient(w, r, power, log_dist, theta) * (2.0 / total)
     return errs, 1.0 / diag, math.log(total) + 2.0 * math.log(scale), grad
 

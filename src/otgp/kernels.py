@@ -247,7 +247,7 @@ def gram_parts(dist: np.ndarray, theta: KernelParams) -> tuple[np.ndarray, np.nd
     value."""
     power = dist**theta.exponent
     gram = _radial_of_power(power, theta, out=np.empty_like(power))
-    gram.flat[::len(gram) + 1] += theta.nugget
+    gram.ravel("K")[::len(gram) + 1] += theta.nugget
     return gram, power
 
 
@@ -259,9 +259,11 @@ def gram_log_gradient(w: np.ndarray, gram: np.ndarray, power: np.ndarray,
     the nugget on R's diagonal drops out of M."""
     m = w * gram
     m *= power
-    return np.array([-0.5 * theta.rate * m.sum(),
-                     -0.5 * theta.rate * theta.exponent * (m * log_dist).sum(),
-                     0.5 * theta.nugget * np.trace(w)])
+    total = np.add.reduce(m, axis=None)  # as m.sum(), without its wrappers
+    m *= log_dist
+    return np.array([-0.5 * theta.rate * total,
+                     -0.5 * theta.rate * theta.exponent * np.add.reduce(m, axis=None),
+                     0.5 * theta.nugget * w.trace()])
 
 
 def gram_matrix(features: Embedding, theta: KernelParams) -> np.ndarray:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from otgp import baseline
 from otgp.baseline import (
@@ -13,7 +14,10 @@ from otgp.baseline import (
 )
 from otgp.errors import (MAGNITUDE_RULE, DegenerateDistances, GridMismatch, SizeMismatch,
                          ValidationError)
-from otgp.measures import GridDensity, rasterize_gaussian, sample_regression_gaussians
+from otgp.experiments import disk_response
+from otgp.measures import (DiskConfig, GridDensity, disks_to_grid, rasterize_gaussian,
+                           sample_regression_gaussians)
+from otgp.rng import make_rng
 
 
 def cell_mass(g, cells):
@@ -238,8 +242,9 @@ class TestSelectBandwidth:
         assert model.bandwidth > 0
 
 
-def _reversed_pair_sums(a, b):
-    # one pair at a time, each summed from its last cell to its first
+def _reversed_pair_sums(a, b, cells=None):
+    # one pair at a time, each summed from its last cell to its first, over
+    # whole rows: cells only leaves out terms that are |0 - 0|
     dist = np.array([[float(np.abs(x - z)[::-1].sum()) for z in b] for x in a])
     dist[dist >= 2.0 - baseline.L1_MAX_SNAP] = 2.0
     return dist
@@ -265,3 +270,84 @@ def test_answers_do_not_depend_on_summation_order(seed, monkeypatch):
     assert [p.fallback for p in preds] == [p.fallback for p in preds_loop]
     np.testing.assert_allclose([p.value for p in preds], [p.value for p in preds_loop],
                                rtol=0.0, atol=1e-12)
+
+
+def full_row_l1(a, b):
+    """Snapped L1 distances summed by cdist over whole rows."""
+    dist = cdist(a, b, "cityblock")
+    dist[dist >= 2.0 - baseline.L1_MAX_SNAP] = 2.0
+    return dist
+
+
+def smooth_with_checked_distances(monkeypatch, train, y, queries, split_seed=0):
+    """Fit and predict with every _l1_matrix call checked bit for bit against
+    full_row_l1; the cells of each call."""
+    used, l1_matrix = [], baseline._l1_matrix
+
+    def checked(a, b, cells=None):
+        dist = l1_matrix(a, b, cells)
+        assert dist.tobytes() == full_row_l1(a, b).tobytes()
+        used.append(cells)
+        return dist
+
+    monkeypatch.setattr(baseline, "_l1_matrix", checked)
+    model = fit_smoother(train, y, split_seed=split_seed)
+    for query in queries:
+        smoother_predict(model, query)
+    return used
+
+
+class TestOccupiedCells:
+    # cdist adds a pair's |a - b| terms in column order, so summing only the
+    # cells either side occupies leaves out +0 terms and keeps every bit
+
+    @pytest.mark.parametrize("seed", range(1000, 1010))
+    def test_regression_rows_sum_their_cells_to_the_same_bits(self, seed, monkeypatch):
+        pairs = sample_regression_gaussians(100, seed)
+        grids = [rasterize_gaussian(m, 50) for m, _ in pairs]
+        y = np.array([v for _, v in pairs])
+        used = smooth_with_checked_distances(monkeypatch, grids[:50], y[:50], grids[50:], seed)
+        # the training rows cover a few hundred of 2500 cells
+        assert len(used) == 51 and all(cells is not None for cells in used)
+        assert np.count_nonzero(used[0]) < 500
+
+    def test_disks_rows_keep_whole_rows(self, monkeypatch):
+        # disk unions together cover nearly every cell: the whole rows are
+        # summed, and the gathered sum would give the same bits
+        rng = make_rng((1000, 0))
+        grids = [disks_to_grid(DiskConfig(0.05, rng.uniform(0, 1, size=(10, 2))), 50)
+                 for _ in range(60)]
+        y = np.array([disk_response(g) for g in grids])
+        rows = np.array([g.weights.ravel() for g in grids])
+        a, b = rows[40:], rows[:40]
+        gathered = baseline._l1_matrix(a, b, (a != 0).any(0) | (b != 0).any(0))
+        assert gathered.tobytes() == full_row_l1(a, b).tobytes()
+        used = smooth_with_checked_distances(monkeypatch, grids[:40], y[:40], grids[40:], 1000)
+        assert len(used) == 21 and all(cells is None for cells in used)
+
+    def test_a_query_outside_the_training_cells(self, monkeypatch):
+        pairs = sample_regression_gaussians(20, 1000)
+        grids = [rasterize_gaussian(m, 50) for m, _ in pairs]
+        y = np.array([v for _, v in pairs])
+        cells = SmootherModel(tuple(grids[:12]), y[:12], bandwidth=1.0).cells
+        inside, outside = np.flatnonzero(cells)[3], np.flatnonzero(~cells)[7]
+        weights = np.zeros(2500)
+        weights[[inside, outside]] = 0.3, 0.7
+        query = GridDensity(weights.reshape(50, 50))
+        used = smooth_with_checked_distances(monkeypatch, grids[:12], y[:12],
+                                             [query, *grids[12:]])
+        assert used[1][outside] and not cells[outside]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_rows_with_a_tenth_of_cells_occupied(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.uniform(size=(30, 2500)) * (rng.random((30, 2500)) < 0.1)
+        rows /= rows.sum(axis=1, keepdims=True)
+        a, b = rows[:10], rows[10:]
+        for cells in ((a != 0).any(0) | (b != 0).any(0), baseline._occupied(np.vstack([a, b]))):
+            if cells is not None:
+                assert baseline._l1_matrix(a, b, cells).tobytes() == full_row_l1(a, b).tobytes()
+        assert baseline._occupied(rows) is None  # 30 such rows cover most cells
+        few = rows[:4]  # 4 rows cover about a third
+        assert baseline._l1_matrix(few, few, baseline._occupied(few)).tobytes() == \
+            full_row_l1(few, few).tobytes()

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from otgp import gp
 from otgp.experiments import (
     RUNNERS,
     ConsistencyConfig,
@@ -100,14 +101,34 @@ class TestRegression:
         assert table["Gaussian Process"]["rmse"] == pytest.approx(
             a["summary"]["gp_mle"]["rmse"], abs=1e-4)
 
-    def test_meta_reports_each_fit_jitter(self, tmp_path):
-        # the Cholesky jitter of each fit goes to meta.json; report.json
-        # stays as it was
+    def test_meta_reports_each_fit_jitter(self, tmp_path, monkeypatch):
+        # each fit's Cholesky jitter, the points its search scored (one
+        # score call each) and the FIT_BOX variables it ended on a bound of
+        # go to meta.json; report.json stays as it was
+        calls = {"log_likelihood": 0, "loo_residuals": 0}
+        for name in calls:
+            def counted(*args, name=name, score=getattr(gp, name)):
+                calls[name] += 1
+                return score(*args)
+            monkeypatch.setattr(gp, name, counted)
         out = tmp_path / "r"
         report = run_gaussian_regression(RegressionConfig(seed=1, n_seeds=1, out_dir=str(out)))
         meta = json.loads((out / "meta.json").read_text())
-        assert meta["fits"] == {"1": {"gp_mle": {"jitter": 0.0}, "gp_cv": {"jitter": 0.0}}}
-        assert "jitter" not in (out / "report.json").read_text()
+
+        def on_bound(label):  # from the reported kernel, with tau = nugget / amplitude^2
+            amplitude, rate, exponent, nugget = report["per_seed"]["1"][label]["theta"]
+            point = rate, exponent, nugget / amplitude**2
+            return [name for name, v, bounds in zip(gp.FIT_VARIABLES, point, gp.FIT_BOX)
+                    if any(v == pytest.approx(bound, rel=1e-12) for bound in bounds)]
+
+        assert meta["fits"] == {"1": {
+            "gp_mle": {"jitter": 0.0, "scored": calls["log_likelihood"],
+                       "on_bound": on_bound("gp_mle")},
+            "gp_cv": {"jitter": 0.0, "scored": calls["loo_residuals"],
+                      "on_bound": on_bound("gp_cv")}}}
+        assert meta["fits"]["1"]["gp_mle"]["on_bound"] == ["exponent", "tau"]
+        for word in ("jitter", "scored", "on_bound"):
+            assert word not in (out / "report.json").read_text()
         assert json.loads((out / "report.json").read_text()) == report
 
     def test_constant_responses_recovered(self):
@@ -214,7 +235,7 @@ class TestDisks:
         assert (tmp_path / "disks" / "report.json").exists()
         meta = json.loads((tmp_path / "disks" / "meta.json").read_text())
         assert set(meta["fits"]) == {"1"} and set(meta["fits"]["1"]) == {"gp"}
-        assert set(meta["fits"]["1"]["gp"]) == {"jitter"}
+        assert set(meta["fits"]["1"]["gp"]) == {"jitter", "scored", "on_bound"}
 
     def test_byte_identical_reports(self, tmp_path):
         out = tmp_path / "disks"
